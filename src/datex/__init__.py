@@ -4,49 +4,8 @@ may act purely as helpers.
 
 The package computes minimum weighted-sum-rate transmission allocations,
 certifies them against an exact cut-set linear program, and constructs
-finite-field transmission schemes that realize them.
+finite-field transmission schemes that realize them.  Import each name
+from its module (datex.instance, datex.dual, datex.oracle, ...).
 """
-
-from .gf import Field, Matrix, make_field, rank, rref, solve_linear, stack, mat_vec, embed_map
-from .source import (
-    SourceModel,
-    LinearSource,
-    RawSource,
-    TabularSource,
-    raw_source,
-    validate_table,
-    tabulate,
-)
-from .greedy import (
-    Instance,
-    InfeasibleInstanceError,
-    edmonds_allocate,
-    feasible_in_region,
-    violated_cuts,
-)
-from .dual import (
-    SolverConfig,
-    StepSchedule,
-    Solution,
-    solve,
-    init_dual,
-    project_column,
-    subgradient_step,
-    recover_primal,
-    duality_gap,
-    primal_value,
-    dual_value,
-)
-from .oracle import CutSetLP, enumerate_cutsets, build_lp, solve_exact, exact_simplex
-from .netcode import (
-    TransmissionScheme,
-    MulticastGraph,
-    rationalize,
-    design_transmissions,
-    verify_decodability,
-    simulate_exchange,
-    build_multicast_graph,
-    graph_to_dot,
-)
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ bitmask, and all indices are 0-based.  Rationals are written as "p/q"
 strings; machine-readable output mirrors every exact value with a float.
 
 Exit codes: 0 success, 1 infeasible / failed verification / not
-converged, 2 malformed input or usage error.
+converged, 2 malformed input, usage error or input beyond a size guard.
 """
 
 from __future__ import annotations
@@ -26,15 +26,16 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from .dual import SolverConfig, StepSchedule, solve
 from .gf import Matrix, make_field
-from .greedy import Instance, InfeasibleInstanceError, violated_cuts
+from .greedy import violated_cuts
+from .instance import Instance, InfeasibleInstanceError
 from .netcode import (DesignFailureError, InfeasibleRatesError,
                       build_multicast_graph, design_transmissions,
                       graph_to_dot, rationalize, scheme_core_from_dict,
                       scheme_core_to_dict, simulate_exchange,
                       verify_decodability)
 from .oracle import build_lp, solve_exact
-from .source import (LinearSource, RawSource, TabularSource, mask_to_set,
-                     raw_source)
+from .source import (LinearSource, RawSource, SizeLimitError, TabularSource,
+                     mask_to_set, raw_source)
 
 __all__ = [
     "CLIError",
@@ -195,11 +196,15 @@ def instance_from_dict(data: Any, field_char: Optional[int] = None,
                 raise CLIError(f"{where}: terminals[{i}] must be an object")
             forms.add("rows" if "rows" in t else
                       "packets" if "packets" in t else "?")
+        if "?" in forms:
+            raise CLIError(f"{where}: every terminal needs 'rows' or 'packets'")
+        if len(forms) > 1:
+            raise CLIError(f"{where}: terminals mix 'rows' and 'packets' forms")
+        N = data.get("packet_count")
+        if not isinstance(N, int) or isinstance(N, bool) or N < 0:
+            raise CLIError(f"{where}: packet_count must be a nonnegative "
+                           f"integer")
         if forms == {"rows"}:
-            N = data.get("packet_count")
-            if not isinstance(N, int) or isinstance(N, bool) or N < 0:
-                raise CLIError(f"{where}: packet_count must be a nonnegative "
-                               f"integer")
             if "field" not in data and field_char is None:
                 raise CLIError(f"{where}: matrix instances must state a field")
             field = _parse_field(data.get("field"), where, field_char)
@@ -216,11 +221,7 @@ def instance_from_dict(data: Any, field_char: Optional[int] = None,
                 model = LinearSource(field, N, mats)
             except ValueError as exc:
                 raise CLIError(f"{where}: {exc}") from exc
-        elif forms == {"packets"}:
-            N = data.get("packet_count")
-            if not isinstance(N, int) or isinstance(N, bool) or N < 0:
-                raise CLIError(f"{where}: packet_count must be a nonnegative "
-                               f"integer")
+        else:
             field = _parse_field(data.get("field"), where, field_char)
             ownership = []
             for i, t in enumerate(terminals):
@@ -231,10 +232,6 @@ def instance_from_dict(data: Any, field_char: Optional[int] = None,
                                    f"out of range 0..{N - 1}")
                 ownership.append(idx)
             model = raw_source(ownership, N, field)
-        elif "?" in forms:
-            raise CLIError(f"{where}: every terminal needs 'rows' or 'packets'")
-        else:
-            raise CLIError(f"{where}: terminals mix 'rows' and 'packets' forms")
 
     users = _require_int_list(data.get("users"), f"{where}: users")
     weights = None
@@ -255,16 +252,19 @@ def instance_from_dict(data: Any, field_char: Optional[int] = None,
         raise CLIError(f"{where}: {exc}") from exc
 
 
-def parse_instance(path: str, field_char: Optional[int] = None) -> Instance:
-    """Load and validate a JSON instance file."""
+def _read_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise CLIError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise CLIError(f"{path}: invalid JSON: {exc}") from exc
-    return instance_from_dict(data, field_char, where=path)
+
+
+def parse_instance(path: str, field_char: Optional[int] = None) -> Instance:
+    """Load and validate a JSON instance file."""
+    return instance_from_dict(_read_json(path), field_char, where=path)
 
 
 def serialize_instance(instance: Instance) -> dict:
@@ -299,13 +299,7 @@ def serialize_instance(instance: Instance) -> dict:
 
 
 def _load_scheme(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise CLIError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CLIError(f"{path}: invalid JSON: {exc}") from exc
+    data = _read_json(path)
     if not isinstance(data, dict) or data.get("kind") != "scheme":
         raise CLIError(f"{path}: not a scheme file (kind != 'scheme')")
     if data.get("format_version") != FORMAT_VERSION:
@@ -406,7 +400,11 @@ def _cmd_verify(args) -> int:
     rates = _parse_rates_flag(args.rates, instance.m)
     violations = []
     for l in instance.user_list:
-        for cut, need, got in violated_cuts(rates, instance, l):
+        try:
+            cuts = violated_cuts(rates, instance, l)
+        except ValueError as exc:  # rates off the region's domain, or too big
+            raise CLIError(str(exc)) from exc
+        for cut, need, got in cuts:
             violations.append({
                 "receiver": l,
                 "cut": list(mask_to_set(cut)),
@@ -443,11 +441,13 @@ def _cmd_codegen(args) -> int:
                                       ext_degree=args.ext_degree,
                                       seed=args.seed,
                                       max_attempts=args.max_attempts)
+    except SizeLimitError:
+        raise
     except (InfeasibleRatesError, DesignFailureError, ValueError) as exc:
         print(f"codegen failed: {exc}", file=sys.stderr)
         return 1
-    report = verify_decodability(scheme)
-    assert report.ok
+    if not verify_decodability(scheme).ok:
+        raise RuntimeError("the designed scheme failed its decodability re-check")
     objective = sum((w * Fraction(c, L) for w, c in
                      zip(instance.weights, chunks)), Fraction(0))
     _emit({
@@ -492,6 +492,8 @@ def _cmd_graph(args) -> int:
     rates = _scheme_rates(args, instance)
     try:
         L, chunks = rationalize(rates, args.max_denominator, instance)
+    except SizeLimitError:
+        raise
     except (InfeasibleRatesError, ValueError) as exc:
         print(f"graph failed: {exc}", file=sys.stderr)
         return 1
@@ -585,7 +587,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except CLIError as exc:
+    except (CLIError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleInstanceError as exc:

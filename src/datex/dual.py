@@ -12,10 +12,11 @@ Multiplier layout: one row per user (sorted order), one column per
 terminal.  Column i sums to weight alpha_i with the diagonal entry of a
 user's own column pinned to zero.  Dual feasibility of every iterate is
 maintained *exactly*: iterates live on a fixed grid of integer multiples
-of `quantum` (default 1e-12) with column sums repaired exactly after each
-projection, so reported dual values are true lower bounds and the gap is
-a genuine certificate.  With exact weights and entropies, every quantity
-here is a Fraction; floats never enter.
+of _QUANTUM (1e-12, divided by the lcm of the weight denominators) with
+column sums repaired exactly after each projection, so reported dual
+values are true lower bounds and the gap is a genuine certificate.  With
+exact weights and entropies, every quantity here is a Fraction; floats
+never enter.
 """
 
 from __future__ import annotations
@@ -25,18 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .greedy import Instance, edmonds_allocate, tie_order, _greedy_rates_scaled
-from .source import SourceModel
+from .greedy import edmonds_allocate, tie_order, _greedy_rates_scaled
+from .instance import Instance
 
 __all__ = [
     "StepSchedule",
     "SolverConfig",
     "Solution",
-    "init_dual",
-    "project_column",
-    "subgradient_step",
-    "recover_primal",
-    "max_combine",
     "primal_value",
     "dual_value",
     "duality_gap",
@@ -46,6 +42,10 @@ __all__ = [
 RateVector = Tuple[Fraction, ...]
 DualMatrix = Tuple[Tuple[Fraction, ...], ...]
 TraceFn = Callable[[int, Fraction, Fraction, Fraction], None]
+
+# Grid spacing of the multipliers per unit of weight; the solver divides it
+# further by the lcm of the weight denominators so every budget is on-grid.
+_QUANTUM = Fraction(1, 10 ** 12)
 
 
 @dataclass(frozen=True)
@@ -95,25 +95,19 @@ class SolverConfig:
     max(1, max alpha)/(1+n), which reduces to 1/(1+n) for unit weights;
     heavier weights need proportionally longer dual steps to converge.
     Other defaults: uniform averaging, stop at duality gap <= 1e-3 or
-    50000 iterations, multipliers kept on the 1e-12 grid."""
+    50000 iterations."""
 
     schedule: Optional[StepSchedule] = None
     max_iterations: int = 50_000
     gap_tolerance: Fraction = Fraction(1, 1000)
     tie_break: Optional[Tuple[int, ...]] = None
-    quantum: Fraction = Fraction(1, 10 ** 12)
 
     def __post_init__(self):
         object.__setattr__(self, "gap_tolerance", Fraction(self.gap_tolerance))
-        object.__setattr__(self, "quantum", Fraction(self.quantum))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.gap_tolerance <= 0:
             raise ValueError("gap_tolerance must be positive")
-        if not (0 < self.quantum <= Fraction(1, 1000)):
-            raise ValueError("quantum must be in (0, 1/1000]")
-        if self.quantum.numerator != 1:
-            raise ValueError("quantum must be a unit fraction")
         if self.tie_break is not None:
             object.__setattr__(self, "tie_break", tuple(self.tie_break))
 
@@ -133,126 +127,6 @@ class Solution:
     converged: bool
     dual_matrix: DualMatrix
     averaged_matrix: DualMatrix
-
-
-# ---------------------------------------------------------------------------
-# Exact building blocks (reference semantics, Fractions throughout)
-# ---------------------------------------------------------------------------
-
-def init_dual(instance: Instance) -> DualMatrix:
-    """Starting multipliers: helper columns split alpha_i evenly across
-    all k rows; a user's column splits it across the other k-1 rows with
-    the own-row entry pinned at zero.  Requires k >= 2 (a single receiver
-    needs no decomposition)."""
-    users = instance.user_list
-    k = len(users)
-    if k < 2:
-        raise ValueError("dual decomposition needs at least two users")
-    rows = []
-    for l in users:
-        row = []
-        for i in range(instance.m):
-            a = instance.weights[i]
-            if i == l:
-                row.append(Fraction(0))
-            elif i in instance.users:
-                row.append(a / (k - 1))
-            else:
-                row.append(a / k)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def project_column(values: Sequence, budget, pinned: Optional[int] = None
-                   ) -> Tuple[Fraction, ...]:
-    """Exact Euclidean projection onto {x >= 0, sum x = budget}, with one
-    optional coordinate removed beforehand and reinserted as zero.
-
-    Sort-and-threshold: with entries sorted descending, the largest j
-    with u_j > (sum of the top j - budget)/j fixes the threshold tau and
-    x = max(v - tau, 0).
-    """
-    v = [Fraction(x) for x in values]
-    budget = Fraction(budget)
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if pinned is not None and not 0 <= pinned < len(v):
-        raise ValueError("pinned index out of range")
-    free = [i for i in range(len(v)) if i != pinned]
-    out = [Fraction(0)] * len(v)
-    if not free:
-        if budget != 0:
-            raise ValueError("cannot meet a positive budget with no free coordinates")
-        return tuple(out)
-    if budget == 0:
-        return tuple(out)
-    u = sorted((v[i] for i in free), reverse=True)
-    tau = None
-    prefix = Fraction(0)
-    for j, uj in enumerate(u, start=1):
-        prefix += uj
-        t = (prefix - budget) / j
-        if uj > t:
-            tau = t
-    assert tau is not None  # j = 1 always qualifies when budget > 0
-    for i in free:
-        d = v[i] - tau
-        if d > 0:
-            out[i] = d
-    return tuple(out)
-
-
-def subgradient_step(lam: DualMatrix, rates: Sequence[Sequence], theta,
-                     instance: Instance) -> DualMatrix:
-    """One exact ascent step: add theta * subgradient (the subproblem
-    rates), then re-project every column onto its weight simplex.  User
-    columns keep their own-row zero pinned."""
-    theta = Fraction(theta)
-    users = instance.user_list
-    k = len(users)
-    row_of_user = {u: r for r, u in enumerate(users)}
-    cols = []
-    for i in range(instance.m):
-        moved = [lam[r][i] + theta * Fraction(rates[r][i]) for r in range(k)]
-        cols.append(project_column(moved, instance.weights[i],
-                                   pinned=row_of_user.get(i)))
-    return tuple(tuple(cols[i][r] for i in range(instance.m)) for r in range(k))
-
-
-def recover_primal(history: Sequence[Sequence[Sequence]],
-                   mu: Optional[Sequence] = None) -> DualMatrix:
-    """Convex combination of per-iteration rate matrices (uniform by
-    default).  The running average the solver keeps is the uniform case
-    computed incrementally."""
-    n = len(history)
-    if n == 0:
-        raise ValueError("empty history")
-    if mu is None:
-        mu = [Fraction(1, n)] * n
-    else:
-        mu = [Fraction(x) for x in mu]
-        if len(mu) != n:
-            raise ValueError("mu length mismatch")
-        if any(x < 0 for x in mu) or sum(mu) != 1:
-            raise ValueError("mu must be a convex combination")
-    k = len(history[0])
-    m = len(history[0][0])
-    out = [[Fraction(0)] * m for _ in range(k)]
-    for w, mat in zip(mu, history):
-        for r in range(k):
-            row = mat[r]
-            for i in range(m):
-                if row[i]:
-                    out[r][i] += w * Fraction(row[i])
-    return tuple(tuple(row) for row in out)
-
-
-def max_combine(matrix: Sequence[Sequence]) -> RateVector:
-    """Per-terminal maximum across rows: the cheapest shared rate vector
-    dominating every receiver's plan."""
-    k = len(matrix)
-    m = len(matrix[0])
-    return tuple(max(Fraction(matrix[r][i]) for r in range(k)) for i in range(m))
 
 
 def primal_value(instance: Instance, rates: Sequence) -> Fraction:
@@ -280,40 +154,15 @@ def duality_gap(solution: Solution) -> Fraction:
     d = dual_value(solution.instance, solution.dual_matrix,
                    solution.config.tie_break)
     gap = p - d
-    assert gap >= 0
+    if gap < 0:
+        raise ArithmeticError("weak duality violated by the certificate")
     return gap
 
 
 # ---------------------------------------------------------------------------
-# The solver: same semantics as the blocks above, but all state held as
-# integers on the quantum grid so 50k iterations stay cheap and exact.
+# The solver: all state held as integers on the quantum grid so 50k
+# iterations stay cheap and exact.
 # ---------------------------------------------------------------------------
-
-def _quantize_column(vals: Sequence[Fraction], budget_grid: int, grid: int,
-                     pinned: Optional[int]) -> List[int]:
-    """Snap exact column values (summing to budget_grid/grid) onto the
-    integer grid: floor everything, then hand out the missing quanta by
-    largest remainder (ties to the lower index).  Sum is exact."""
-    k = len(vals)
-    out = [0] * k
-    rem = []
-    acc = 0
-    for r in range(k):
-        if r == pinned:
-            continue
-        num = vals[r].numerator * grid
-        den = vals[r].denominator
-        q, rr = divmod(num, den)
-        out[r] = q
-        acc += q
-        rem.append((Fraction(rr, den), r))
-    deficit = budget_grid - acc
-    assert 0 <= deficit <= len(rem)
-    rem.sort(key=lambda p: (-p[0], p[1]))
-    for j in range(deficit):
-        out[rem[j][1]] += 1
-    return out
-
 
 def _project_grid(vfine: List[int], refine: int, budget_grid: int,
                   pinned: Optional[int]) -> List[int]:
@@ -348,7 +197,8 @@ def _project_grid(vfine: List[int], refine: int, budget_grid: int,
             if rr:
                 rem.append((rr, r))
     deficit = budget_grid - acc
-    assert 0 <= deficit <= len(rem), "grid projection lost mass"
+    if not 0 <= deficit <= len(rem):
+        raise ArithmeticError("grid projection lost mass")
     rem.sort(key=lambda p: (-p[0], p[1]))
     for j in range(deficit):
         out[rem[j][1]] += 1
@@ -381,7 +231,8 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
     met within the iteration budget.
 
     The trace callback, when given, receives (iteration, primal value,
-    current dual value, best gap so far) each iteration.
+    current dual value, best gap so far) each iteration.  Before returning,
+    the gap is re-derived from the certificate with fresh greedy calls.
     """
     if config is None:
         config = SolverConfig()
@@ -396,7 +247,6 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
 
     model = instance.model
     m = instance.m
-    js = model.joint_entropy_scaled
     de = model.entropy_denominator
     ranks = tie_order(m, config.tie_break)
     row_of_user = {u: r for r, u in enumerate(users)}
@@ -408,14 +258,16 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
     for w in instance.weights:
         d_alpha = math.lcm(d_alpha, w.denominator)
     alpha_scaled = [int(w * d_alpha) for w in instance.weights]
-    grid = config.quantum.denominator * d_alpha
+    grid = _QUANTUM.denominator * d_alpha
     budget_grid = [int(w * grid) for w in instance.weights]
 
-    exact0 = init_dual(instance)
+    # start from an equal split of each column over its free rows; that
+    # point is on the simplex, so projecting it only snaps it to the grid
     lam: List[List[int]] = [[0] * m for _ in range(k)]
     for i in range(m):
-        col = _quantize_column([exact0[r][i] for r in range(k)], budget_grid[i],
-                               grid, row_of_user.get(i))
+        pin = row_of_user.get(i)
+        col = _project_grid([budget_grid[i]] * k, k - (pin is not None),
+                            budget_grid[i], pin)
         for r in range(k):
             lam[r][i] = col[r]
 
@@ -510,18 +362,20 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
             for r in range(k):
                 lam[r][i] = col[r]
 
-    assert best_primal is not None and best_dual_num is not None
     dual_obj = Fraction(best_dual_num, grid * de)
     gap = best_primal - dual_obj
-    assert gap >= 0, "weak duality violated; arithmetic bug"
     nden = de * best_primal_count
     avg = tuple(tuple(Fraction(best_primal_sums[r][i], nden) for i in range(m))
                 for r in range(k))
     zvec = tuple(max(avg[r][i] for r in range(k)) for i in range(m))
     dmat = tuple(tuple(Fraction(best_dual_lam[r][i], grid) for i in range(m))
                  for r in range(k))
-    return Solution(
+    solution = Solution(
         instance=instance, config=config, rates=zvec,
         primal_objective=best_primal, dual_objective=dual_obj, gap=gap,
         iterations=n, converged=converged,
         dual_matrix=dmat, averaged_matrix=avg)
+    # re-derive both bounds from the certificate; raises if gap < 0
+    if duality_gap(solution) != gap:
+        raise ArithmeticError("the certificate does not reproduce the gap")
+    return solution

@@ -17,15 +17,13 @@ returned vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .source import SourceModel, as_mask, mask_to_set
+from .instance import Instance
+from .source import SizeLimitError, SourceModel, mask_to_set
 
 __all__ = [
-    "Instance",
-    "InfeasibleInstanceError",
     "edmonds_allocate",
     "feasible_in_region",
     "violated_cuts",
@@ -36,90 +34,6 @@ RateVector = Tuple[Fraction, ...]
 
 # Exhaustive cut enumeration is 2^|T|; keep it to desk scale.
 _FEASIBILITY_GUARD_M = 20
-
-
-class InfeasibleInstanceError(ValueError):
-    """The stated transmitters cannot satisfy some user even jointly."""
-
-
-def _as_fraction(x) -> Fraction:
-    f = Fraction(x)
-    return f
-
-
-@dataclass(frozen=True)
-class Instance:
-    """A data-exchange problem: who wants the file, who may transmit, and
-    what each transmitted symbol costs.
-
-    users        -- nonempty set of terminals that must decode everything
-    weights      -- per-terminal nonnegative cost of one transmitted symbol
-    transmitters -- terminals allowed to transmit (default: all)
-
-    Construction fails unless every user can decode from the transmitters'
-    side information plus its own, i.e. H(X_(T u {l})) = H(X_M) for each
-    user l.
-    """
-
-    model: SourceModel
-    users: frozenset
-    weights: RateVector
-    transmitters: frozenset
-
-    def __init__(self, model: SourceModel, users: Iterable[int],
-                 weights: Optional[Sequence] = None,
-                 transmitters: Optional[Iterable[int]] = None):
-        m = model.m
-        users_list = list(users)
-        users_f = frozenset(users_list)
-        if not users_f:
-            raise ValueError("at least one user is required")
-        if len(users_f) != len(users_list):
-            raise ValueError("duplicate user index")
-        if any(not 0 <= u < m for u in users_f):
-            raise ValueError("user index out of range")
-        if weights is None:
-            w = tuple(Fraction(1) for _ in range(m))
-        else:
-            w = tuple(_as_fraction(x) for x in weights)
-        if len(w) != m:
-            raise ValueError(f"expected {m} weights, got {len(w)}")
-        if any(x < 0 for x in w):
-            raise ValueError("weights must be nonnegative")
-        trans_f = frozenset(transmitters) if transmitters is not None else frozenset(range(m))
-        if any(not 0 <= t < m for t in trans_f):
-            raise ValueError("transmitter index out of range")
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "users", users_f)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "transmitters", trans_f)
-        full = model.full_mask
-        total = model.joint_entropy_scaled(full)
-        tmask = self.transmitter_mask
-        for l in sorted(users_f):
-            if model.joint_entropy_scaled(tmask | (1 << l)) != total:
-                raise InfeasibleInstanceError(
-                    f"user {l} cannot decode: transmitters plus its own side "
-                    f"information do not determine the joint source")
-
-    @property
-    def m(self) -> int:
-        return self.model.m
-
-    @property
-    def k(self) -> int:
-        return len(self.users)
-
-    @property
-    def user_list(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.users))
-
-    @property
-    def transmitter_mask(self) -> int:
-        mask = 0
-        for t in self.transmitters:
-            mask |= 1 << t
-        return mask
 
 
 def tie_order(m: int, tie_break: Optional[Sequence[int]]) -> List[int]:
@@ -181,7 +95,7 @@ def edmonds_allocate(instance: Instance, target: int,
     if weights is None:
         w = list(instance.weights)
     else:
-        w = [_as_fraction(x) for x in weights]
+        w = [Fraction(x) for x in weights]
         if len(w) != m:
             raise ValueError(f"expected {m} weights, got {len(w)}")
     ranks = tie_order(m, tie_break)
@@ -221,15 +135,22 @@ def _iter_cuts(instance: Instance, target: int):
 def violated_cuts(rates: Sequence, instance: Instance, target: int,
                   limit: Optional[int] = None) -> List[Tuple[int, Fraction, Fraction]]:
     """Cuts the rate vector fails, as (mask, required, provided) triples.
-    Exact arithmetic; exhaustive over subsets of the transmitters."""
+    Exact arithmetic; exhaustive over subsets of the transmitters.  Rates
+    must be nonnegative and zero off the transmitters (ValueError)."""
     m = instance.m
     if m > _FEASIBILITY_GUARD_M:
-        raise ValueError(f"feasibility check limited to m <= {_FEASIBILITY_GUARD_M}")
+        raise SizeLimitError(
+            f"feasibility check limited to m <= {_FEASIBILITY_GUARD_M}")
     if not 0 <= target < m:
         raise ValueError(f"target {target} out of range")
-    r = [_as_fraction(x) for x in rates]
+    r = [Fraction(x) for x in rates]
     if len(r) != m:
         raise ValueError(f"expected {m} rates, got {len(r)}")
+    for i, x in enumerate(r):
+        if x < 0:
+            raise ValueError(f"rate of terminal {i} is negative ({x})")
+        if x and i not in instance.transmitters:
+            raise ValueError(f"terminal {i} does not transmit but has rate {x}")
     den = instance.model.entropy_denominator
     out = []
     for cut, need_scaled in _iter_cuts(instance, target):

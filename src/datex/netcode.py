@@ -29,7 +29,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gf import Field, Matrix, embed_map, make_field, mat_vec, rank, solve_linear, stack
-from .greedy import Instance, violated_cuts
+from .greedy import violated_cuts
+from .instance import Instance
 from .source import LinearSource, mask_to_set
 
 __all__ = [
@@ -161,10 +162,6 @@ def rationalize(rates: Sequence, max_denominator: int = 64,
     if instance is not None:
         if len(snapped) != instance.m:
             raise ValueError("rate vector length mismatch")
-        for i in range(instance.m):
-            if i not in instance.transmitters and snapped[i] != 0:
-                raise ValueError(f"terminal {i} does not transmit but has rate "
-                                 f"{snapped[i]}")
         snap_slack = Fraction(len(snapped), 2 * max_denominator)
         for i in sorted(instance.transmitters):
             worst = Fraction(0)

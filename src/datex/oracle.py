@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .greedy import Instance
-from .source import mask_to_set
+from .instance import Instance
+from .source import SizeLimitError, mask_to_set
 
 __all__ = [
     "CutSetLP",
@@ -65,7 +65,8 @@ def enumerate_cutsets(m: int, users: Sequence[int]) -> List[int]:
     The count is 2^m - 2^(m-|users|) - 1.
     """
     if m > _ENUM_GUARD_M:
-        raise ValueError(f"cut-set enumeration limited to m <= {_ENUM_GUARD_M}")
+        raise SizeLimitError(
+            f"cut-set enumeration limited to m <= {_ENUM_GUARD_M}")
     amask = 0
     for u in set(users):
         if not 0 <= u < m:
@@ -197,7 +198,7 @@ def solve_exact(lp: CutSetLP) -> OracleSolution:
     """
     inst = lp.instance
     if inst.m > _SOLVE_GUARD_M:
-        raise ValueError(f"exact solve limited to m <= {_SOLVE_GUARD_M}")
+        raise SizeLimitError(f"exact solve limited to m <= {_SOLVE_GUARD_M}")
     var_index = {t: i for i, t in enumerate(lp.variables)}
     c = [row[1] for row in lp.constraints]
     b = [inst.weights[t] for t in lp.variables]
@@ -214,10 +215,13 @@ def solve_exact(lp: CutSetLP) -> OracleSolution:
     for t, i in var_index.items():
         rates[t] = res.duals[i]
     # certify before returning: nonnegative, every cut met, objective equal
-    assert all(r >= 0 for r in rates)
+    if any(r < 0 for r in rates):
+        raise ArithmeticError("simplex returned a negative rate")
     for mask, rhs, _ in lp.constraints:
         got = sum((rates[i] for i in mask_to_set(mask)), Fraction(0))
-        assert got >= rhs, "simplex returned an infeasible rate vector"
+        if got < rhs:
+            raise ArithmeticError("simplex returned an infeasible rate vector")
     obj = sum((w * r for w, r in zip(inst.weights, rates)), Fraction(0))
-    assert obj == res.value, "rate vector does not match the optimal value"
+    if obj != res.value:
+        raise ArithmeticError("rate vector does not match the optimal value")
     return OracleSolution(res.value, tuple(rates), res.pivots)

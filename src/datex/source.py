@@ -29,6 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from .gf import Field, Matrix, make_field, rank, stack
 
 __all__ = [
+    "SizeLimitError",
     "SourceModel",
     "LinearSource",
     "RawSource",
@@ -42,6 +43,10 @@ __all__ = [
 ]
 
 SubsetLike = Union[int, Iterable[int]]
+
+
+class SizeLimitError(ValueError):
+    """The input is larger than an exhaustive (2^m) routine accepts."""
 
 
 def as_mask(m: int, subset: SubsetLike) -> int:
@@ -98,7 +103,8 @@ class SourceModel:
         s = as_mask(self.m, subset)
         t = as_mask(self.m, given)
         v = self._joint_scaled(s | t) - self._joint_scaled(t)
-        assert v >= 0, "conditional entropy must be nonnegative"
+        if v < 0:
+            raise ArithmeticError("conditional entropy must be nonnegative")
         d = self.entropy_denominator
         return Fraction(v) if d == 1 else Fraction(v, d)
 
@@ -261,6 +267,6 @@ class TabularSource(SourceModel):
 def tabulate(model: SourceModel) -> TabularSource:
     """Materialize any model as an explicit table (m <= 16 guard)."""
     if model.m > 16:
-        raise ValueError("refusing to tabulate more than 2^16 subsets")
+        raise SizeLimitError("refusing to tabulate more than 2^16 subsets")
     vals = [model.joint_entropy(mask) for mask in range(1 << model.m)]
     return TabularSource(vals)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from datex.gf import Matrix, make_field
-from datex.greedy import Instance
+from datex.instance import Instance
 from datex.source import LinearSource, raw_source
 
 # Six terminals observing single linear combinations of three packets; the

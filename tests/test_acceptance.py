@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from datex.dual import solve
 from datex.gf import Matrix
-from datex.greedy import (InfeasibleInstanceError, edmonds_allocate,
-                          violated_cuts)
+from datex.greedy import edmonds_allocate, violated_cuts
+from datex.instance import InfeasibleInstanceError
 from datex.netcode import (design_transmissions, rationalize,
                            simulate_exchange, verify_decodability)
 from datex.oracle import build_lp, solve_exact

@@ -12,7 +12,7 @@ import pytest
 
 from datex.cli import (CLIError, FORMAT_VERSION, instance_from_dict, main,
                        parse_instance, serialize_instance)
-from datex.greedy import Instance, InfeasibleInstanceError
+from datex.instance import Instance, InfeasibleInstanceError
 from datex.source import TabularSource, tabulate
 from helpers import example2_instance, example3_instance
 
@@ -335,8 +335,46 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["oracle", str(bad)]) == 2
+    bad.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    assert main(["oracle", str(bad)]) == 2
     assert main(["verify", EX1, "--rates", "1,2"]) == 2  # wrong arity
     capsys.readouterr()
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("command, m, extra, guard", [
+    ("oracle", 11, [], "exact solve limited to m <= 10"),
+    ("verify", 21, ["--rates", ",".join(["1"] * 21)],
+     "feasibility check limited to m <= 20"),
+    ("codegen", 13, [], "cut-set enumeration limited to m <= 12"),
+    ("codegen", 21, ["--rates", ",".join(["1"] * 21)],
+     "feasibility check limited to m <= 20"),
+    ("graph", 21, ["--rates", ",".join(["1"] * 21)],
+     "feasibility check limited to m <= 20"),
+], ids=["oracle", "verify", "codegen", "codegen-rates", "graph-rates"])
+def test_size_guards_exit_two(tmp_path, capsys, command, m, extra, guard):
+    doc = {"format_version": 1, "packet_count": m,
+           "terminals": [{"packets": [i]} for i in range(m)], "users": [0]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path), *extra]) == 2
+    assert guard in _one_line_error(capsys)
+
+
+def test_verify_rejects_rates_outside_the_domain(tmp_path, capsys):
+    assert main(["verify", EX1, "--rates=-5,0,1,1,0,0"]) == 2
+    assert "negative" in _one_line_error(capsys)
+    path = tmp_path / "restricted.json"
+    path.write_text(json.dumps(_doc(transmitters=[1, 2])))
+    assert main(["verify", str(path), "--rates", "0,1,1"]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path), "--rates", "1,1,1"]) == 2
+    assert "terminal 0 does not transmit" in _one_line_error(capsys)
 
 
 def test_infeasible_instance_exits_one(tmp_path, capsys):

@@ -1,26 +1,88 @@
-"""Tests for the dual-decomposition solver: step schedules, the exact
-building blocks (initialization, simplex projection, ascent step, primal
-averaging), weak/strong duality against the LP oracle, and the solver's
-certificates on the worked examples."""
+"""Tests for the dual-decomposition solver: step schedules, the starting
+multipliers, the grid projection against an exact test-side reference,
+weak/strong duality against the LP oracle, and the solver's certificates
+on the worked examples."""
 
+import dataclasses
 import random
 from fractions import Fraction
+from typing import Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datex.dual import (SolverConfig, Solution, StepSchedule, dual_value,
-                        duality_gap, init_dual, max_combine, primal_value,
-                        project_column, recover_primal, solve,
-                        subgradient_step)
-from datex.gf import Matrix, make_field
-from datex.greedy import Instance, edmonds_allocate, feasible_in_region
+from datex.dual import (_QUANTUM, SolverConfig, StepSchedule, _project_grid,
+                        dual_value, duality_gap, solve)
+from datex.greedy import edmonds_allocate, feasible_in_region
+from datex.instance import Instance
 from datex.oracle import build_lp, exact_simplex, solve_exact
-from datex.source import LinearSource
 from helpers import example2_instance, random_linear_instance
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+GRID = _QUANTUM.denominator  # grid units per unit weight (integer weights)
+
+
+# ---------------------------------------------------------------------------
+# Test-side reference: the exact projection and the snap onto the grid
+# ---------------------------------------------------------------------------
+
+def project_column(values: Sequence, budget, pinned: Optional[int] = None
+                   ) -> Tuple[Fraction, ...]:
+    """Exact Euclidean projection onto {x >= 0, sum x = budget}, with one
+    optional coordinate removed beforehand and reinserted as zero.
+
+    Sort-and-threshold: with entries sorted descending, the largest j
+    with u_j > (sum of the top j - budget)/j fixes the threshold tau and
+    x = max(v - tau, 0).
+    """
+    v = [Fraction(x) for x in values]
+    budget = Fraction(budget)
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if pinned is not None and not 0 <= pinned < len(v):
+        raise ValueError("pinned index out of range")
+    free = [i for i in range(len(v)) if i != pinned]
+    out = [F0] * len(v)
+    if not free:
+        if budget != 0:
+            raise ValueError("cannot meet a positive budget with no free coordinates")
+        return tuple(out)
+    if budget == 0:
+        return tuple(out)
+    u = sorted((v[i] for i in free), reverse=True)
+    tau = None
+    prefix = F0
+    for j, uj in enumerate(u, start=1):
+        prefix += uj
+        t = (prefix - budget) / j
+        if uj > t:
+            tau = t
+    for i in free:
+        d = v[i] - tau
+        if d > 0:
+            out[i] = d
+    return tuple(out)
+
+
+def snap_to_grid(vals: Sequence[Fraction], budget_grid: int) -> Tuple[int, ...]:
+    """Largest-remainder rounding of nonnegative values (in grid units)
+    that sum to the integer budget_grid: floor everything, then hand the
+    missing units to the largest remainders, ties to the lower index."""
+    out = [int(x) for x in vals]  # floor, as every value is >= 0
+    order = sorted(range(len(vals)), key=lambda r: (-(vals[r] - out[r]), r))
+    for r in order[:budget_grid - sum(out)]:
+        out[r] += 1
+    return tuple(out)
+
+
+def _initial(instance):
+    """The solver's starting multipliers: one iteration never steps."""
+    return solve(instance, SolverConfig(max_iterations=1)).dual_matrix
+
+
+def _grid_column(lam, i):
+    return [int(row[i] * GRID) for row in lam]
 
 
 # ---------------------------------------------------------------------------
@@ -62,48 +124,53 @@ def test_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(gap_tolerance=0)
-    with pytest.raises(ValueError):
-        SolverConfig(quantum=Fraction(2, 5))  # not a unit fraction
-    with pytest.raises(ValueError):
-        SolverConfig(quantum=Fraction(1, 100))  # too coarse
     assert SolverConfig(tie_break=[2, 0]).tie_break == (2, 0)
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "schedule", "max_iterations", "gap_tolerance", "tie_break"]
 
 
 # ---------------------------------------------------------------------------
 # Initial multipliers
 # ---------------------------------------------------------------------------
 
+def _assert_equal_split(inst, lam):
+    """Each column sums exactly to its weight, a user's own entry is zero,
+    and every other entry is within one quantum of the equal split."""
+    users = inst.user_list
+    for i in range(inst.m):
+        col = [row[i] for row in lam]
+        assert sum(col) == inst.weights[i]
+        free = [r for r, l in enumerate(users) if l != i]
+        for r, x in enumerate(col):
+            if r in free:
+                assert abs(x - inst.weights[i] / len(free)) <= _QUANTUM
+            else:
+                assert x == F0
+
+
 def test_init_dual_unit_weights(example2):
-    lam = init_dual(example2)
+    lam = _initial(example2)
     assert len(lam) == 3
-    half, third = Fraction(1, 2), Fraction(1, 3)
-    assert lam[0] == (F0, half, half, third, third, third)
-    assert lam[1] == (half, F0, half, third, third, third)
-    assert lam[2] == (half, half, F0, third, third, third)
-    for i in range(6):  # columns split the weight exactly
-        assert sum(row[i] for row in lam) == example2.weights[i]
+    _assert_equal_split(example2, lam)
+    half = Fraction(1, 2)
+    assert [row[:3] for row in lam] == [(F0, half, half), (half, F0, half),
+                                        (half, half, F0)]
 
 
 def test_init_dual_weighted():
     model = example2_instance().model
     w = [2, 1, 1, 3, 1, 1]
     inst = Instance(model, [0, 1, 2], weights=w)
-    lam = init_dual(inst)
+    lam = _initial(inst)
+    _assert_equal_split(inst, lam)
     assert lam[0][0] == F0
     assert lam[1][0] == lam[2][0] == F1  # 2 split over the other two users
     assert lam[0][3] == F1               # 3 split over all three rows
-    for i in range(6):
-        assert sum(row[i] for row in lam) == Fraction(w[i])
-
-
-def test_init_dual_needs_two_users():
-    model = example2_instance().model
-    with pytest.raises(ValueError):
-        init_dual(Instance(model, [0]))
 
 
 # ---------------------------------------------------------------------------
-# Simplex projection
+# Simplex projection: the exact reference, and the grid projection that
+# the solver runs checked against it
 # ---------------------------------------------------------------------------
 
 def test_project_column_interior():
@@ -167,55 +234,82 @@ def test_project_column_kkt_certificate(case):
     assert project_column(out, budget, pinned=pinned) == out
 
 
+@st.composite
+def _grid_column_case(draw):
+    """A column in fine units (1/refine of a grid unit), its budget in grid
+    units and an optional pinned row; sometimes the solver's equal-split
+    start, which is every free entry at the budget with refine = #free."""
+    n = draw(st.integers(1, 6))
+    budget = draw(st.integers(0, 300))
+    pinned = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    if pinned is not None and n == 1 and budget > 0:
+        pinned = None
+    if draw(st.booleans()) and (n > 1 or pinned is None):
+        return [budget] * n, n - (pinned is not None), budget, pinned
+    refine = draw(st.integers(1, 60))
+    vfine = [draw(st.integers(-500, 500)) for _ in range(n)]
+    return vfine, refine, budget, pinned
+
+
+@given(_grid_column_case())
+@settings(max_examples=300, deadline=None)
+def test_grid_projection_matches_exact_reference(case):
+    """The solver's integer projection is the exact projection rounded onto
+    the grid by largest remainder (ties to the lower row)."""
+    vfine, refine, budget, pinned = case
+    exact = project_column([Fraction(v, refine) for v in vfine], budget,
+                           pinned=pinned)
+    assert tuple(_project_grid(vfine, refine, budget, pinned)) \
+        == snap_to_grid(exact, budget)
+
+
 # ---------------------------------------------------------------------------
-# Ascent step and primal recovery
+# The ascent step's projection on the solver's own multipliers
 # ---------------------------------------------------------------------------
 
 def test_step_with_zero_theta_is_identity(example2):
-    lam = init_dual(example2)
-    rates = [[Fraction(5), F1, F0, Fraction(2), F0, F1] for _ in range(3)]
-    assert subgradient_step(lam, rates, 0, example2) == lam
+    # an on-grid point of the simplex projects to itself at any refinement
+    lam = _initial(example2)
+    for i in range(6):
+        col = _grid_column(lam, i)
+        budget = int(example2.weights[i] * GRID)
+        pin = i if i < 3 else None
+        for refine in (1, 7):
+            assert _project_grid([x * refine for x in col], refine, budget,
+                                 pin) == col
 
 
 def test_step_ignores_uniform_shift(example2):
-    # equal movement in every row of a column is projected straight out
-    lam = init_dual(example2)
-    rates = [[F1] * 6 for _ in range(3)]
-    assert subgradient_step(lam, rates, Fraction(1, 3), example2) == lam
+    # equal movement in every row of a column is projected straight out:
+    # theta = 1/3 and a unit subgradient in every row
+    lam = _initial(example2)
+    for i in range(6):
+        col = _grid_column(lam, i)
+        budget = int(example2.weights[i] * GRID)
+        pin = i if i < 3 else None
+        assert _project_grid([3 * x + GRID for x in col], 3, budget,
+                             pin) == col
 
 
 def test_step_keeps_columns_lawful(example2):
-    lam = init_dual(example2)
+    # one step of theta = 1/2 along the subproblem rates, as solve takes it
+    lam = _initial(example2)
+    users = example2.user_list
     rates = [edmonds_allocate(example2, l, weights=lam[r])
-             for r, l in enumerate(example2.user_list)]
-    nxt = subgradient_step(lam, rates, Fraction(1, 2), example2)
-    for r, l in enumerate(example2.user_list):
-        assert nxt[r][l] == F0  # own entry stays pinned
+             for r, l in enumerate(users)]
+    moved = False
     for i in range(6):
-        col = [nxt[r][i] for r in range(3)]
-        assert all(x >= 0 for x in col)
-        assert sum(col) == example2.weights[i]
-    assert nxt != lam  # the step actually moved
-
-
-def test_recover_primal_uniform_and_weighted():
-    h1 = ((F1, F0), (F0, Fraction(2)))
-    h2 = ((Fraction(3), F0), (F0, F0))
-    avg = recover_primal([h1, h2])
-    assert avg == ((Fraction(2), F0), (F0, F1))
-    weighted = recover_primal([h1, h2], mu=[Fraction(1, 3), Fraction(2, 3)])
-    assert weighted[0][0] == Fraction(1, 3) + Fraction(2)
-    with pytest.raises(ValueError):
-        recover_primal([])
-    with pytest.raises(ValueError):
-        recover_primal([h1, h2], mu=[Fraction(1, 2)])
-    with pytest.raises(ValueError):
-        recover_primal([h1, h2], mu=[Fraction(3, 2), Fraction(-1, 2)])
-
-
-def test_max_combine():
-    assert max_combine([(F1, Fraction(3)), (Fraction(2), F0)]) \
-        == (Fraction(2), Fraction(3))
+        col = _grid_column(lam, i)
+        budget = int(example2.weights[i] * GRID)
+        pin = users.index(i) if i in users else None
+        vfine = [2 * col[r] + int(GRID * rates[r][i]) for r in range(3)]
+        nxt = _project_grid(vfine, 2, budget, pin)
+        if pin is not None:
+            assert nxt[pin] == 0  # own entry stays pinned
+        assert all(x >= 0 for x in nxt)
+        assert sum(nxt) == budget
+        moved = moved or nxt != col
+    assert moved  # the step actually moved
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +321,22 @@ def test_initial_multipliers_give_lower_bound():
     for _ in range(10):
         inst = random_linear_instance(rng, multi_user=True)
         opt = solve_exact(build_lp(inst)).value
-        assert dual_value(inst, init_dual(inst)) <= opt
+        lam = _initial(inst)
+        _assert_equal_split(inst, lam)
+        assert dual_value(inst, lam) <= opt
 
 
-def test_exact_blocks_keep_weak_duality(example2):
-    lam = init_dual(example2)
+def test_iterates_keep_weak_duality(example2):
     opt = Fraction(9, 4)
-    for step in range(6):
-        assert dual_value(example2, lam) <= opt
-        rates = [edmonds_allocate(example2, l, weights=lam[r])
-                 for r, l in enumerate(example2.user_list)]
-        lam = subgradient_step(lam, rates, Fraction(1, 2 + step), example2)
+    duals = []
+    solve(example2, SolverConfig(max_iterations=6,
+                                 gap_tolerance=Fraction(1, 10 ** 9)),
+          trace=lambda n, p, d, g: duals.append(d))
+    assert len(duals) == 6 and all(d <= opt for d in duals)
+    for n in range(1, 7):  # each certificate re-verified with fresh greedies
+        sol = solve(example2, SolverConfig(max_iterations=n,
+                                           gap_tolerance=Fraction(1, 10 ** 9)))
+        assert dual_value(example2, sol.dual_matrix) == sol.dual_objective <= opt
 
 
 def _coupled_lp_value_and_multipliers(inst):
@@ -338,7 +437,8 @@ def test_solve_three_user_example(example2):
     assert sol.gap <= Fraction(1, 1000)
     assert sol.dual_objective <= Fraction(9, 4) <= sol.primal_objective
     assert sol.gap == sol.primal_objective - sol.dual_objective
-    assert sol.rates == max_combine(sol.averaged_matrix)
+    # the shared rates are the per-terminal maximum over the receivers' plans
+    assert sol.rates == tuple(max(col) for col in zip(*sol.averaged_matrix))
     for r, l in enumerate(example2.user_list):
         assert feasible_in_region(sol.averaged_matrix[r], example2, l)
         assert feasible_in_region(sol.rates, example2, l)
@@ -400,16 +500,16 @@ def test_solve_trace_callback(example2):
     assert gaps[-1] == sol.gap
 
 
-def test_solve_respects_coarse_quantum(example2):
-    cfg = SolverConfig(quantum=Fraction(1, 1000), max_iterations=200,
-                       gap_tolerance=Fraction(1, 100))
+def test_solve_dual_certificate_is_lawful(example2):
+    cfg = SolverConfig(max_iterations=200, gap_tolerance=Fraction(1, 100))
     sol = solve(example2, cfg)
-    # lawfulness of the reported dual certificate on the coarse grid
+    # lawfulness of the reported dual certificate on the grid
     for r, l in enumerate(example2.user_list):
         assert sol.dual_matrix[r][l] == F0
     for i in range(6):
-        col = sum(sol.dual_matrix[r][i] for r in range(3))
-        assert col == example2.weights[i]
+        col = [sol.dual_matrix[r][i] for r in range(3)]
+        assert sum(col) == example2.weights[i]
+        assert all(x >= 0 and (x * GRID).denominator == 1 for x in col)
     assert sol.dual_objective <= Fraction(9, 4) <= sol.primal_objective
 
 

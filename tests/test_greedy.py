@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datex.greedy import (Instance, InfeasibleInstanceError, edmonds_allocate,
-                          feasible_in_region, tie_order, violated_cuts)
-from datex.source import mask_to_set, raw_source, tabulate
+from datex.greedy import (edmonds_allocate, feasible_in_region, tie_order,
+                          violated_cuts)
+from datex.instance import Instance, InfeasibleInstanceError
+from datex.source import SizeLimitError, mask_to_set, raw_source, tabulate
 from helpers import (example_model, example1_instance, objective,
                      random_linear_instance)
 
@@ -161,6 +162,26 @@ def test_violated_cuts_respects_transmitter_restriction():
     cuts = violated_cuts([0] * 6, inst, 0)
     for mask, _, _ in cuts:
         assert set(mask_to_set(mask)) <= {1, 2, 3}
+
+
+def test_violated_cuts_rejects_rates_off_the_domain(example1):
+    # a negative rate must not pay for another terminal's deficit
+    with pytest.raises(ValueError, match="negative"):
+        violated_cuts([-5, 0, 1, 1, 0, 0], example1, 0)
+    with pytest.raises(ValueError, match="negative"):
+        feasible_in_region([-5, 0, 1, 1, 0, 0], example1, 0)
+    inst = Instance(example_model(3), [0], transmitters=[1, 2, 3])
+    assert feasible_in_region([0, 1, 1, 0, 0, 0], inst, 0)
+    with pytest.raises(ValueError, match="terminal 4 does not transmit"):
+        feasible_in_region([0, 1, 1, 0, 1, 0], inst, 0)
+
+
+def test_size_guards_raise_one_typed_error():
+    big = raw_source([[i] for i in range(21)], 21)
+    with pytest.raises(SizeLimitError):
+        violated_cuts([1] * 21, Instance(big, [0]), 0)
+    with pytest.raises(SizeLimitError):
+        tabulate(big)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import networkx as nx
 import pytest
 
 from datex.gf import Matrix, make_field
-from datex.greedy import Instance, feasible_in_region
+from datex.greedy import feasible_in_region
+from datex.instance import Instance
 from datex.netcode import (DesignFailureError, InfeasibleRatesError,
                            TransmissionScheme, build_multicast_graph,
                            design_transmissions, graph_to_dot,

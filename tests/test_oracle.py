@@ -8,11 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datex.greedy import (Instance, InfeasibleInstanceError, edmonds_allocate,
-                          violated_cuts)
+from datex.greedy import edmonds_allocate, violated_cuts
+from datex.instance import Instance, InfeasibleInstanceError
 from datex.oracle import (InfeasibleLPError, UnboundedLPError, build_lp,
                           enumerate_cutsets, exact_simplex, solve_exact)
-from datex.source import raw_source
+from datex.source import SizeLimitError, raw_source
 from helpers import (example1_instance, example2_instance, example3_instance,
                      objective, random_linear_instance)
 
@@ -46,7 +46,7 @@ def test_enumerate_small_exact_masks():
 
 
 def test_enumerate_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SizeLimitError):
         enumerate_cutsets(13, [0])  # enumeration guard
     with pytest.raises(ValueError):
         enumerate_cutsets(4, [])
@@ -282,7 +282,7 @@ def test_solve_guard_rejects_large_instances():
     inst = Instance(model, [0])
     lp = build_lp(inst)  # enumeration still within its own guard
     assert len(lp.constraints) == 2 ** 11 - 2 ** 10 - 1
-    with pytest.raises(ValueError):
+    with pytest.raises(SizeLimitError):
         solve_exact(lp)
 
 
