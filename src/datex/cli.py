@@ -13,7 +13,8 @@ bitmask, and all indices are 0-based.  Rationals are written as "p/q"
 strings; machine-readable output mirrors every exact value with a float.
 
 Exit codes: 0 success, 1 infeasible / failed verification / not
-converged, 2 malformed input, usage error or input beyond a size guard.
+converged, 2 malformed input, usage error, input beyond a size guard, or
+an instance whose observations do not span every packet (codegen).
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from .dual import SolverConfig, StepSchedule, solve
 from .gf import Matrix, make_field
 from .greedy import violated_cuts
 from .instance import Instance, InfeasibleInstanceError
-from .netcode import (DesignFailureError, InfeasibleRatesError,
-                      build_multicast_graph, design_transmissions,
-                      graph_to_dot, rationalize, scheme_core_from_dict,
-                      scheme_core_to_dict, simulate_exchange,
-                      verify_decodability)
+from .netcode import (DesignFailureError, IncompleteSourceError,
+                      InfeasibleRatesError, build_multicast_graph,
+                      design_transmissions, graph_to_dot, rationalize,
+                      scheme_core_from_dict, scheme_core_to_dict,
+                      simulate_exchange, verify_decodability)
 from .oracle import build_lp, solve_exact
 from .source import (LinearSource, RawSource, SizeLimitError, TabularSource,
                      mask_to_set, raw_source)
@@ -432,7 +433,15 @@ def _scheme_rates(args, instance: Instance):
     return list(solve_exact(build_lp(instance)).rates)
 
 
+def _require_positive(value: Optional[int], flag: str) -> None:
+    if value is not None and value < 1:
+        raise CLIError(f"{flag} must be >= 1")
+
+
 def _cmd_codegen(args) -> int:
+    _require_positive(args.max_denominator, "--max-denominator")
+    _require_positive(args.ext_degree, "--ext-degree")
+    _require_positive(args.max_attempts, "--max-attempts")
     instance = parse_instance(args.instance, args.field_char)
     rates = _scheme_rates(args, instance)
     try:
@@ -443,6 +452,8 @@ def _cmd_codegen(args) -> int:
                                       max_attempts=args.max_attempts)
     except SizeLimitError:
         raise
+    except IncompleteSourceError as exc:
+        raise CLIError(str(exc)) from exc
     except (InfeasibleRatesError, DesignFailureError, ValueError) as exc:
         print(f"codegen failed: {exc}", file=sys.stderr)
         return 1
@@ -488,6 +499,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    _require_positive(args.max_denominator, "--max-denominator")
     instance = parse_instance(args.instance, args.field_char)
     rates = _scheme_rates(args, instance)
     try:

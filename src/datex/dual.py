@@ -176,7 +176,8 @@ def _project_grid(vfine: List[int], refine: int, budget_grid: int,
         return out
     free = [r for r in range(k) if r != pinned]
     bfine = budget_grid * refine
-    u = sorted((vfine[r] for r in free), reverse=True)
+    u = [vfine[r] for r in free]
+    u.sort(reverse=True)
     prefix = 0
     tau_num = 0
     tau_den = 1
@@ -195,11 +196,11 @@ def _project_grid(vfine: List[int], refine: int, budget_grid: int,
             out[r] = q
             acc += q
             if rr:
-                rem.append((rr, r))
+                rem.append((-rr, r))
     deficit = budget_grid - acc
     if not 0 <= deficit <= len(rem):
         raise ArithmeticError("grid projection lost mass")
-    rem.sort(key=lambda p: (-p[0], p[1]))
+    rem.sort()      # largest remainder first, ties by row
     for j in range(deficit):
         out[rem[j][1]] += 1
     return out
@@ -250,8 +251,10 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
     de = model.entropy_denominator
     ranks = tie_order(m, config.tie_break)
     row_of_user = {u: r for r, u in enumerate(users)}
-    senders_of = [sorted(t for t in instance.transmitters if t != l)
-                  for l in users]
+    # senders in tie-rank order: a stable sort on the multipliers alone
+    # then orders them by (multiplier, tie rank)
+    senders_of = [sorted((t for t in instance.transmitters if t != l),
+                         key=ranks.__getitem__) for l in users]
     columns = sorted(instance.transmitters)
 
     d_alpha = 1
@@ -273,6 +276,10 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
 
     sums = [[0] * m for _ in range(k)]
     wsums = [[0] * m for _ in range(k)]     # window since last restart
+    # per-column max over the users of sums / wsums; sums only grow (wsums
+    # between restarts), so the maxima are kept as the sums move
+    top = [0] * m
+    wtop = [0] * m
     wstart = 0
     next_restart = 1
     best_dual_num: Optional[int] = None     # units 1/(grid*de)
@@ -289,14 +296,16 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
         n += 1
         if n == next_restart:
             wsums = [[0] * m for _ in range(k)]
+            wtop = [0] * m
             wstart = n - 1
             next_restart *= 2
         # subproblem vertices and the dual value at the current multipliers
         dual_num = 0
         rt: List[List[int]] = []
+        moved = [False] * m     # columns with a nonzero subgradient entry
         for r in range(k):
             lamr = lam[r]
-            order = sorted(senders_of[r], key=lambda j: (lamr[j], ranks[j]))
+            order = sorted(senders_of[r], key=lamr.__getitem__)
             row = _greedy_rates_scaled(model, users[r], order)
             srow = sums[r]
             wrow = wsums[r]
@@ -304,8 +313,13 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
             for j in order:
                 v = row[j]
                 if v:
-                    srow[j] += v
-                    wrow[j] += v
+                    moved[j] = True
+                    s = srow[j] = srow[j] + v
+                    if s > top[j]:
+                        top[j] = s
+                    s = wrow[j] = wrow[j] + v
+                    if s > wtop[j]:
+                        wtop[j] = s
                     acc += lamr[j] * v
             dual_num += acc
             rt.append(row)
@@ -320,17 +334,8 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
         for i in columns:
             a = alpha_scaled[i]
             if a:
-                top = 0
-                wtop = 0
-                for r in range(k):
-                    s = sums[r][i]
-                    if s > top:
-                        top = s
-                    s = wsums[r][i]
-                    if s > wtop:
-                        wtop = s
-                primal_num += a * top
-                wprimal_num += a * wtop
+                primal_num += a * top[i]
+                wprimal_num += a * wtop[i]
         primal = Fraction(primal_num, d_alpha * de * n)
         if best_primal is None or primal < best_primal:
             best_primal = primal
@@ -356,6 +361,10 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
         refine = td * de
         qmul = tn * grid
         for i in columns:
+            # a column with a zero subgradient is an on-grid point of its
+            # simplex, which the projection leaves fixed
+            if not moved[i]:
+                continue
             pin = row_of_user.get(i)
             vfine = [lam[r][i] * refine + qmul * rt[r][i] for r in range(k)]
             col = _project_grid(vfine, refine, budget_grid[i], pin)

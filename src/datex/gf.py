@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
+    "SizeLimitError",
     "Field",
     "Matrix",
     "make_field",
@@ -26,10 +27,16 @@ __all__ = [
     "stack",
     "mat_vec",
     "embed_map",
+    "EchelonBasis",
 ]
 
 # Largest extension field we are willing to build log/antilog tables for.
 _MAX_FIELD_SIZE = 1 << 20
+
+
+class SizeLimitError(ValueError):
+    """The input is larger than a size guard of the package accepts (an
+    exhaustive 2^m routine, or a field too large to tabulate)."""
 
 
 def _is_prime(n: int) -> bool:
@@ -161,7 +168,7 @@ class Field:
             self.modulus: Optional[tuple] = None
         else:
             if self.q > _MAX_FIELD_SIZE:
-                raise ValueError(
+                raise SizeLimitError(
                     f"field size {self.q} exceeds the supported bound {_MAX_FIELD_SIZE}")
             if modulus is None:
                 mod = _lowest_irreducible(self.p, degree)
@@ -495,6 +502,59 @@ def _eliminate(M: Matrix, reduced: bool):
         if r == len(rows):
             break
     return rows, tuple(pivots)
+
+
+class EchelonBasis:
+    """Row-echelon basis grown one row at a time.
+
+    Each absorbed row is reduced against the kept rows in ascending pivot
+    column; a row that survives is scaled to a leading 1 and kept.  `rank`
+    counts the kept rows, so absorbing the rows of a stack one by one
+    yields rank(stack) after every row -- the ranks of all prefixes of a
+    chain of row blocks cost one elimination instead of one each.
+    """
+
+    __slots__ = ("field", "ncols", "rank", "_kept")
+
+    def __init__(self, field: Field, ncols: int):
+        self.field = field
+        self.ncols = ncols
+        self.rank = 0
+        # pivot column -> the kept row's nonzero (column, entry) pairs right
+        # of the pivot; its pivot entry is 1
+        self._kept: list = [None] * ncols
+
+    def absorb(self, row: Sequence[int]) -> bool:
+        """Reduce one row against the basis; keep it (and return True) when
+        it is independent of the rows kept so far."""
+        if self.rank == self.ncols:
+            return False
+        F = self.field
+        prime = F.degree == 1
+        p = F.p
+        mul, add, neg = F.mul, F.add, F.neg
+        kept = self._kept
+        v = list(row)
+        for c in range(self.ncols):
+            a = v[c]
+            if not a:
+                continue
+            tail = kept[c]
+            if tail is None:
+                if a != 1:
+                    ia = F.inv(a)
+                    v = [mul(ia, x) for x in v]
+                kept[c] = [(j, v[j]) for j in range(c + 1, self.ncols) if v[j]]
+                self.rank += 1
+                return True
+            if prime:
+                for j, b in tail:
+                    v[j] = (v[j] - a * b) % p
+            else:
+                na = neg(a)
+                for j, b in tail:
+                    v[j] = add(v[j], mul(na, b))
+        return False
 
 
 def rank(M: Matrix) -> int:

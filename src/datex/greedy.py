@@ -65,17 +65,9 @@ def tie_order(m: int, tie_break: Optional[Sequence[int]]) -> List[int]:
 def _greedy_rates_scaled(model: SourceModel, target: int,
                          order: Sequence[int]) -> List[int]:
     """Scaled rates for the given visiting order: entry for order[i] is
-    H(X_{order[i]} | X_target, X_{order[:i]}) * entropy_denominator."""
-    js = model.joint_entropy_scaled
-    mask = 1 << target
-    out = [0] * model.m
-    h_prev = js(mask)
-    for j in order:
-        mask |= 1 << j
-        h_cur = js(mask)
-        out[j] = h_cur - h_prev
-        h_prev = h_cur
-    return out
+    H(X_{order[i]} | X_target, X_{order[:i]}) * entropy_denominator.  One
+    chain query, so the model walks the nested prefixes in one pass."""
+    return model.chain_scaled(1 << target, order)
 
 
 def edmonds_allocate(instance: Instance, target: int,

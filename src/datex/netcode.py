@@ -40,6 +40,7 @@ __all__ = [
     "SimulationResult",
     "InfeasibleRatesError",
     "DesignFailureError",
+    "IncompleteSourceError",
     "min_extension_degree",
     "rationalize",
     "design_transmissions",
@@ -58,6 +59,11 @@ class InfeasibleRatesError(ValueError):
 
 class DesignFailureError(RuntimeError):
     """No decodable scheme found within the attempt budget."""
+
+
+class IncompleteSourceError(ValueError):
+    """The observations jointly span fewer than all N packets, so no scheme
+    over any field can let a user decode every packet."""
 
 
 @dataclass(frozen=True)
@@ -207,11 +213,19 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int], L: int,
     the L-chunk replicated source (checked exactly up front), and zero
     rate on non-transmitters.  Attempts are seeded independently, so the
     whole construction is reproducible; failure after max_attempts raises
-    DesignFailureError (a larger extension degree is the usual fix).
+    DesignFailureError (a larger extension degree is the usual fix).  An
+    instance whose joint observation does not span all N packets raises
+    IncompleteSourceError before any attempt: that is structural.
     """
     model = instance.model
     if not isinstance(model, LinearSource):
         raise TypeError("transmission design needs a linear (or raw) source model")
+    joint = model.joint_entropy_scaled(model.full_mask)
+    if joint < model.N:
+        raise IncompleteSourceError(
+            f"the joint observation has rank H(X_M) = {joint} < N = {model.N} "
+            f"packets, so no scheme can deliver every packet and no field "
+            f"size can help")
     if L < 1:
         raise ValueError("L must be >= 1")
     chunk_rates = tuple(int(c) for c in chunk_rates)

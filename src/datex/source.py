@@ -17,6 +17,18 @@ Three model kinds:
   faster oracle).
 * TabularSource -- an explicit table of 2^m subset entropies for sources
   that do not arise from any matrix description.
+
+Besides point queries, every model answers a chain query: `chain_scaled`
+returns the entropy increments along the nested subsets start, start + j1,
+start + j1 + j2, ... of one visiting order, which is all the greedy ever
+asks for.  A raw source keeps one int bitmask of owned packets per
+terminal, so a chain is one running OR and a `bit_count` per step, and a
+point query ORs precomputed unions of 8-terminal blocks; neither needs a
+memo.  A linear source walks its rank memo while the prefixes are known
+and, from the first unknown prefix on, absorbs the remaining terminals'
+rows into one incremental echelon basis (`gf.EchelonBasis`), memoizing
+every prefix rank on the way -- one elimination per chain instead of one
+per prefix.  Tabular sources look each prefix up in their table.
 """
 
 from __future__ import annotations
@@ -24,9 +36,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .gf import Field, Matrix, make_field, rank, stack
+from .gf import (EchelonBasis, Field, Matrix, SizeLimitError, make_field, rank,
+                 stack)
 
 __all__ = [
     "SizeLimitError",
@@ -43,10 +57,6 @@ __all__ = [
 ]
 
 SubsetLike = Union[int, Iterable[int]]
-
-
-class SizeLimitError(ValueError):
-    """The input is larger than an exhaustive (2^m) routine accepts."""
 
 
 def as_mask(m: int, subset: SubsetLike) -> int:
@@ -89,6 +99,23 @@ class SourceModel:
 
     def _joint_scaled(self, mask: int) -> int:
         raise NotImplementedError
+
+    def chain_scaled(self, start: int, order: Sequence[int]) -> List[int]:
+        """Scaled entropy increments along the nested chain start,
+        start + order[0], start + order[0] + order[1], ...: entry j of the
+        m-long result is H(X_j | X_start, X_(terminals before j in order))
+        times entropy_denominator, and 0 for terminals not in order.  The
+        start mask and order are trusted (internal calls, not validated)."""
+        js = self._joint_scaled
+        out = [0] * self.m
+        mask = start
+        prev = js(mask)
+        for j in order:
+            mask |= 1 << j
+            cur = js(mask)
+            out[j] = cur - prev
+            prev = cur
+        return out
 
     def joint_entropy_scaled(self, subset: SubsetLike) -> int:
         return self._joint_scaled(as_mask(self.m, subset))
@@ -135,6 +162,7 @@ class LinearSource(SourceModel):
         self.matrices = tuple(matrices)
         self.m = len(self.matrices)
         self._memo: Dict[int, int] = {0: 0}
+        self._rows = tuple(M.rows() for M in self.matrices)
 
     def stacked(self, subset: SubsetLike) -> Matrix:
         mask = as_mask(self.m, subset)
@@ -150,38 +178,117 @@ class LinearSource(SourceModel):
             self._memo[mask] = hit
         return hit
 
+    def chain_scaled(self, start: int, order: Sequence[int]) -> List[int]:
+        """Walk the memo while the prefixes are known; from the first
+        unknown prefix on, absorb the rows into one echelon basis and
+        memoize every prefix rank it yields."""
+        memo = self._memo
+        out = [0] * self.m
+        mask = start
+        prev = memo.get(mask)
+        pos = 0
+        if prev is not None:
+            for j in order:
+                cur = memo.get(mask | (1 << j))
+                if cur is None:
+                    break
+                mask |= 1 << j
+                out[j] = cur - prev
+                prev = cur
+                pos += 1
+            else:
+                return out
+        rows = self._rows
+        basis = EchelonBasis(self.field, self.N)
+        for i in mask_to_set(mask):
+            for row in rows[i]:
+                basis.absorb(row)
+        if prev is None:
+            prev = memo[mask] = basis.rank
+        for j in order[pos:]:
+            mask |= 1 << j
+            for row in rows[j]:
+                basis.absorb(row)
+            cur = memo[mask] = basis.rank
+            out[j] = cur - prev
+            prev = cur
+        return out
+
 
 class RawSource(LinearSource):
     """Terminals own packets outright.  Equivalent to a LinearSource whose
-    rows are standard basis vectors, but the entropy oracle just counts
-    distinct owned packets."""
+    rows are standard basis vectors, but each terminal is held as one int
+    bitmask of its packets and the entropy oracle counts the bits of their
+    union.  The one-hot observation matrices are built on first use (code
+    design, simulation, the multicast graph, scheme files); entropy
+    queries never need them."""
 
     kind = "raw"
 
     def __init__(self, ownership: Sequence[Iterable[int]], packet_count: int,
                  field: Optional[Field] = None):
-        field = field if field is not None else make_field(2)
+        if packet_count < 0:
+            raise ValueError("packet_count must be >= 0")
         own_sets = []
-        mats = []
+        bits = []
         for owned in ownership:
             idx = sorted(set(owned))
             if idx and not (0 <= idx[0] and idx[-1] < packet_count):
                 raise ValueError(f"packet index out of range in {idx}")
             own_sets.append(frozenset(idx))
-            rows = [[1 if j == k else 0 for j in range(packet_count)] for k in idx]
-            mats.append(Matrix.from_rows(field, rows, ncols=packet_count))
-        super().__init__(field, packet_count, mats)
+            b = 0
+            for k in idx:
+                b |= 1 << k
+            bits.append(b)
+        self.field = field if field is not None else make_field(2)
+        self.N = packet_count
+        self.m = len(bits)
         self.ownership = tuple(own_sets)
+        self._bits = tuple(bits)
+        # the union of owned packets for every subset of each block of 8
+        # terminals, so a point query is one lookup per block
+        self._blocks = tuple(_subset_unions(bits[i:i + 8])
+                             for i in range(0, self.m, 8))
+
+    @cached_property
+    def matrices(self) -> Tuple[Matrix, ...]:
+        N = self.N
+        return tuple(
+            Matrix(self.field, len(owned), N,
+                   [1 if j == k else 0 for k in sorted(owned) for j in range(N)],
+                   validate=False)
+            for owned in self.ownership)
+
+    def _owned(self, mask: int) -> int:
+        owned = 0
+        for table in self._blocks:
+            owned |= table[mask & 0xFF]
+            mask >>= 8
+        return owned
 
     def _joint_scaled(self, mask: int) -> int:
-        hit = self._memo.get(mask)
-        if hit is None:
-            owned = set()
-            for i in mask_to_set(mask):
-                owned |= self.ownership[i]
-            hit = len(owned)
-            self._memo[mask] = hit
-        return hit
+        return self._owned(mask).bit_count()
+
+    def chain_scaled(self, start: int, order: Sequence[int]) -> List[int]:
+        bits = self._bits
+        out = [0] * self.m
+        owned = self._owned(start)
+        prev = owned.bit_count()
+        for j in order:
+            owned |= bits[j]
+            cur = owned.bit_count()
+            out[j] = cur - prev
+            prev = cur
+        return out
+
+
+def _subset_unions(bits: Sequence[int]) -> List[int]:
+    """table[s] = OR of bits[i] over the set bits i of s."""
+    table = [0] * (1 << len(bits))
+    for s in range(1, len(table)):
+        low = s & -s
+        table[s] = table[s ^ low] | bits[low.bit_length() - 1]
+    return table
 
 
 def raw_source(ownership: Sequence[Iterable[int]], packet_count: int,

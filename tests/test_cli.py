@@ -366,6 +366,36 @@ def test_size_guards_exit_two(tmp_path, capsys, command, m, extra, guard):
     assert guard in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["codegen", EX1, "--max-denominator", "0"], "--max-denominator must be >= 1"),
+    (["codegen", EX1, "--ext-degree", "0"], "--ext-degree must be >= 1"),
+    (["codegen", EX1, "--max-attempts", "0"], "--max-attempts must be >= 1"),
+    (["graph", EX1, "--max-denominator", "0"], "--max-denominator must be >= 1"),
+    (["codegen", EX3, "--ext-degree", "30"],
+     "field size 1073741824 exceeds the supported bound 1048576"),
+], ids=["codegen-max-denominator", "codegen-ext-degree", "codegen-attempts",
+        "graph-max-denominator", "codegen-field-size"])
+def test_codegen_usage_and_size_errors_exit_two(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in _one_line_error(capsys)
+
+
+def test_codegen_rejects_observations_short_of_all_packets(tmp_path, capsys):
+    # packet 2 is owned by nobody: the joint observation has rank 2 < N = 3
+    doc = {"format_version": 1, "field": {"characteristic": 2, "degree": 1},
+           "packet_count": 3,
+           "terminals": [{"packets": [0]}, {"packets": [1]},
+                         {"packets": [0, 1]}],
+           "users": [0, 1]}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["codegen", str(path)]) == 2
+    err = _one_line_error(capsys)
+    assert "H(X_M) = 2 < N = 3" in err and "no field size" in err
+
+
 def test_verify_rejects_rates_outside_the_domain(tmp_path, capsys):
     assert main(["verify", EX1, "--rates=-5,0,1,1,0,0"]) == 2
     assert "negative" in _one_line_error(capsys)

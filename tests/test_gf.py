@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datex.gf import (Field, Matrix, embed_map, make_field, mat_vec, rank,
-                      rref, solve_linear, stack)
+from datex.gf import (EchelonBasis, Field, Matrix, SizeLimitError, embed_map,
+                      make_field, mat_vec, rank, rref, solve_linear, stack)
 from datex.gf import _ppack  # packed encoding used for modulus ordering
 
 
@@ -81,7 +81,7 @@ def test_reducible_modulus_rejected():
 
 
 def test_field_size_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(SizeLimitError):
         make_field(2, 21)
     make_field(2, 20)  # exactly at the bound is allowed
 
@@ -291,6 +291,22 @@ def test_rank_properties(data):
     shuffled = list(A.rows())
     random.Random(0).shuffle(shuffled)
     assert rank(Matrix.from_rows(F, shuffled, ncols=A.ncols)) == rank(A)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_echelon_basis_tracks_rank_of_every_prefix(data):
+    F = data.draw(st.sampled_from([make_field(2), make_field(3), make_field(5),
+                                   make_field(2, 2), make_field(3, 2)]))
+    A = data.draw(matrix_st(field=F, nrows=data.draw(st.integers(0, 8)),
+                            ncols=data.draw(st.integers(1, 6))))
+    basis = EchelonBasis(F, A.ncols)
+    for i, row in enumerate(A.rows(), start=1):
+        before = basis.rank
+        grew = basis.absorb(row)
+        assert basis.rank == rank(Matrix.from_rows(F, A.rows()[:i], ncols=A.ncols))
+        assert grew == (basis.rank == before + 1)
+    assert basis.rank == rank(A)
 
 
 @given(st.data())

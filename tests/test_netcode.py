@@ -14,10 +14,10 @@ import pytest
 from datex.gf import Matrix, make_field
 from datex.greedy import feasible_in_region
 from datex.instance import Instance
-from datex.netcode import (DesignFailureError, InfeasibleRatesError,
-                           TransmissionScheme, build_multicast_graph,
-                           design_transmissions, graph_to_dot,
-                           min_extension_degree, rationalize,
+from datex.netcode import (DesignFailureError, IncompleteSourceError,
+                           InfeasibleRatesError, TransmissionScheme,
+                           build_multicast_graph, design_transmissions,
+                           graph_to_dot, min_extension_degree, rationalize,
                            scheme_core_from_dict, scheme_core_to_dict,
                            simulate_exchange, verify_decodability)
 from datex.oracle import build_lp, solve_exact
@@ -203,6 +203,16 @@ def test_design_validation(example3):
     restricted = Instance(example3.model, [0], transmitters=[1, 2])
     with pytest.raises(ValueError):
         design_transmissions(restricted, (1, 1, 1), 1)
+
+
+def test_design_rejects_observations_short_of_all_packets():
+    # nobody owns packet 2, so every attempt would miss it at any field size;
+    # the design stops before its first attempt instead of retrying
+    inst = Instance(raw_source([[0], [1], [0, 1]], 3), [0, 1])
+    rates = solve_exact(build_lp(inst)).rates
+    L, chunks = rationalize(rates, instance=inst)
+    with pytest.raises(IncompleteSourceError, match=r"H\(X_M\) = 2 < N = 3"):
+        design_transmissions(inst, chunks, L, ext_degree=8, max_attempts=1000)
 
 
 def test_design_rejects_tabular_models(example2):

@@ -1,7 +1,10 @@
 """Package-level checks: certificates are explicit raises that `python -O`
-keeps, and the README's library quick start runs as written."""
+keeps, the README's library quick start runs as written, and every name
+the benchmark's tracer wraps still exists."""
 
 import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -25,3 +28,24 @@ def test_readme_library_quick_start_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "2 0 1 1"
     assert lines[-1] == "True"
+
+
+def test_every_traced_site_exists():
+    """bench/spans.py wraps names inside datex; a refactor that drops one
+    fails here instead of in a traced benchmark run.  The file is only
+    read: no wrapper is installed."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    from datex import greedy
+    from datex.gf import Matrix
+    from datex.source import SourceModel
+
+    sites = [(importlib.import_module(mod), attr)
+             for mod, attr, _, _ in spans._SITES]
+    sites += [(Matrix, attr) for attr, _ in spans._MATRIX_METHODS]
+    sites += [(SourceModel, "joint_entropy_scaled"), (greedy, "_iter_cuts")]
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in sites
+               if attr not in owner.__dict__]
+    assert not missing, f"traced sites gone from datex: {missing}"

@@ -174,3 +174,70 @@ def test_conditional_entropy_nonnegative_and_bounded(seed):
         t = rng.randrange(full + 1)
         h = model.cond_entropy(s, t)
         assert 0 <= h <= model.joint_entropy(s)
+
+
+# ---------------------------------------------------------------------------
+# Chain oracle: one pass along a greedy chain equals the prefix-by-prefix
+# point queries, for every model kind and for any state of the rank memo
+# ---------------------------------------------------------------------------
+
+FIELDS = {"GF(3)": make_field(3), "GF(2^2)": make_field(2, 2)}
+
+
+def _draw_model(draw, kind, m, n):
+    if kind == "raw":
+        owned = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n),
+                              min_size=m, max_size=m))
+        return lambda: raw_source(owned, n)
+    if kind == "tabular":
+        sizes = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+        rows = [[[draw(st.integers(0, 2)) for _ in range(n)]
+                 for _ in range(r)] for r in sizes]
+        F = FIELDS["GF(3)"]
+        values = tabulate(LinearSource(
+            F, n, [Matrix.from_rows(F, r, ncols=n) for r in rows])).values
+        # rescale so that entropies are fractions with denominator 3
+        return lambda: TabularSource([v / 3 for v in values])
+    F = FIELDS[kind]
+    sizes = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    rows = [[[draw(st.integers(0, F.q - 1)) for _ in range(n)]
+             for _ in range(r)] for r in sizes]
+    return lambda: LinearSource(
+        F, n, [Matrix.from_rows(F, r, ncols=n) for r in rows])
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_chain_matches_prefix_point_queries(data):
+    draw = data.draw
+    kind = draw(st.sampled_from(["raw", "tabular", "GF(3)", "GF(2^2)"]))
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 5))
+    make = _draw_model(draw, kind, m, n)
+    start = draw(st.integers(0, (1 << m) - 1))
+    rest = [j for j in range(m) if not start >> j & 1]
+    order = draw(st.permutations(rest))
+    order = order[:draw(st.integers(0, len(order)))]
+    masks = [start]
+    for j in order:
+        masks.append(masks[-1] | 1 << j)
+
+    reference = make()
+    h = [reference.joint_entropy_scaled(mask) for mask in masks]
+    expected = [0] * m
+    for i, j in enumerate(order):
+        expected[j] = h[i + 1] - h[i]
+
+    model = make()
+    # the memo is cold, fully warm, or warm on a leading run of prefixes
+    # plus random later ones (the chain walks the run, then switches to
+    # one echelon basis at the first cold prefix)
+    warmth = draw(st.sampled_from(["cold", "warm", "partial"]))
+    run = {"cold": 0, "warm": len(masks),
+           "partial": draw(st.integers(0, len(masks)))}[warmth]
+    for i, mask in enumerate(masks):
+        if i < run or (warmth == "partial" and draw(st.booleans())):
+            model.joint_entropy_scaled(mask)
+    assert model.chain_scaled(start, order) == expected
+    # whatever the chain memoized agrees with the point queries
+    assert [model.joint_entropy_scaled(mask) for mask in masks] == h
