@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from .dual import SolverConfig, StepSchedule, solve
 from .gf import Matrix, make_field
-from .greedy import violated_cuts
+from .greedy import check_rate_domain, violated_cuts
 from .instance import Instance, InfeasibleInstanceError
 from .netcode import (DesignFailureError, IncompleteSourceError,
                       InfeasibleRatesError, build_multicast_graph,
@@ -427,9 +427,14 @@ def _cmd_verify(args) -> int:
 
 
 def _scheme_rates(args, instance: Instance):
-    """Rates for codegen/graph: --rates if given, else the exact oracle."""
+    """Rates for codegen/graph: --rates if given, on the rate region's
+    domain (exit 2 otherwise, as for verify), else the exact oracle."""
     if args.rates:
-        return _parse_rates_flag(args.rates, instance.m)
+        try:
+            return check_rate_domain(
+                instance, _parse_rates_flag(args.rates, instance.m))
+        except ValueError as exc:
+            raise CLIError(str(exc)) from exc
     return list(solve_exact(build_lp(instance)).rates)
 
 

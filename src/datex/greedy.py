@@ -13,10 +13,15 @@ conditional entropy of its observation given the receiver's side
 information plus everything visited earlier.  Equivalently, the suffix
 sets of the visiting order are exactly the tight constraints of the
 returned vertex.
+
+Checking a rate vector against the region (`violated_cuts`) is exhaustive
+over the cuts and runs in integers: the rates are scaled to one common
+denominator and compared with the integer-scaled entropies.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,6 +30,7 @@ from .source import SizeLimitError, SourceModel, mask_to_set
 
 __all__ = [
     "edmonds_allocate",
+    "check_rate_domain",
     "feasible_in_region",
     "violated_cuts",
     "tie_order",
@@ -98,43 +104,43 @@ def edmonds_allocate(instance: Instance, target: int,
     return tuple(Fraction(v, den) for v in scaled)
 
 
-def _cut_rhs_scaled(model: SourceModel, cut: int, ctx: int) -> int:
-    """Scaled H(X_cut | X_(ctx \\ cut)) for cut subseteq ctx."""
-    js = model.joint_entropy_scaled
-    return js(ctx) - js(ctx & ~cut)
+def _subset_sums(values: Sequence[int]) -> List[int]:
+    """table[s] = sum of values[i] over the set bits i of s.  Summing
+    distinct powers of two gives the subset masks themselves."""
+    table = [0] * (1 << len(values))
+    for s in range(1, len(table)):
+        low = s & -s
+        table[s] = table[s ^ low] + values[low.bit_length() - 1]
+    return table
 
 
-def _iter_cuts(instance: Instance, target: int):
-    """All nonempty cuts S subseteq transmitters \\ {target}, with scaled
-    right-hand sides conditioned on the receiver plus the spared
-    transmitters."""
+def _iter_cuts(instance: Instance, target: int, rates: Sequence[int]):
+    """All nonempty cuts S subseteq transmitters \\ {target}, ascending, as
+    (mask, need, got): need is the scaled H(X_S | X_(ctx \\ S)), with ctx
+    the receiver plus the transmitters, and got the sum of the integer
+    `rates` over S.  Masks and sums come from two half-size subset tables
+    (low senders inner), and the entropies from the trusted point query."""
     tmask = instance.transmitter_mask & ~(1 << target)
     ctx = tmask | (1 << target)
     senders = mask_to_set(tmask)
-    model = instance.model
-    for bits in range(1, 1 << len(senders)):
-        cut = 0
-        b = bits
-        i = 0
-        while b:
-            if b & 1:
-                cut |= 1 << senders[i]
-            b >>= 1
-            i += 1
-        yield cut, _cut_rhs_scaled(model, cut, ctx)
+    half = len(senders) // 2
+    lo, hi = senders[:half], senders[half:]
+    lo_cuts = list(zip(_subset_sums([1 << t for t in lo]),
+                       _subset_sums([rates[t] for t in lo])))
+    js = instance.model._joint_scaled
+    total = js(ctx)
+    for hi_cut, hi_got in zip(_subset_sums([1 << t for t in hi]),
+                              _subset_sums([rates[t] for t in hi])):
+        for lo_cut, lo_got in lo_cuts:
+            cut = hi_cut | lo_cut
+            if cut:
+                yield cut, total - js(ctx ^ cut), hi_got + lo_got
 
 
-def violated_cuts(rates: Sequence, instance: Instance, target: int,
-                  limit: Optional[int] = None) -> List[Tuple[int, Fraction, Fraction]]:
-    """Cuts the rate vector fails, as (mask, required, provided) triples.
-    Exact arithmetic; exhaustive over subsets of the transmitters.  Rates
-    must be nonnegative and zero off the transmitters (ValueError)."""
+def check_rate_domain(instance: Instance, rates: Sequence) -> List[Fraction]:
+    """The rate vector as Fractions, after checking that it has m entries,
+    none negative, and none nonzero off the transmitters (ValueError)."""
     m = instance.m
-    if m > _FEASIBILITY_GUARD_M:
-        raise SizeLimitError(
-            f"feasibility check limited to m <= {_FEASIBILITY_GUARD_M}")
-    if not 0 <= target < m:
-        raise ValueError(f"target {target} out of range")
     r = [Fraction(x) for x in rates]
     if len(r) != m:
         raise ValueError(f"expected {m} rates, got {len(r)}")
@@ -143,13 +149,29 @@ def violated_cuts(rates: Sequence, instance: Instance, target: int,
             raise ValueError(f"rate of terminal {i} is negative ({x})")
         if x and i not in instance.transmitters:
             raise ValueError(f"terminal {i} does not transmit but has rate {x}")
+    return r
+
+
+def violated_cuts(rates: Sequence, instance: Instance, target: int,
+                  limit: Optional[int] = None) -> List[Tuple[int, Fraction, Fraction]]:
+    """Cuts the rate vector fails, as (mask, required, provided) triples in
+    ascending mask order.  Exact: the rates are scaled to one common
+    denominator and every cut is compared in integers.  Exhaustive over
+    subsets of the transmitters.  Rates must pass check_rate_domain."""
+    m = instance.m
+    if m > _FEASIBILITY_GUARD_M:
+        raise SizeLimitError(
+            f"feasibility check limited to m <= {_FEASIBILITY_GUARD_M}")
+    if not 0 <= target < m:
+        raise ValueError(f"target {target} out of range")
+    r = check_rate_domain(instance, rates)
+    rden = math.lcm(*(x.denominator for x in r))
+    scaled = [x.numerator * (rden // x.denominator) for x in r]
     den = instance.model.entropy_denominator
     out = []
-    for cut, need_scaled in _iter_cuts(instance, target):
-        got = sum((r[i] for i in mask_to_set(cut)), Fraction(0))
-        need = Fraction(need_scaled, den)
-        if got < need:
-            out.append((cut, need, got))
+    for cut, need, got in _iter_cuts(instance, target, scaled):
+        if got * den < need * rden:
+            out.append((cut, Fraction(need, den), Fraction(got, rden)))
             if limit is not None and len(out) >= limit:
                 break
     return out

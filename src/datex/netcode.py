@@ -169,21 +169,29 @@ def rationalize(rates: Sequence, max_denominator: int = 64,
         if len(snapped) != instance.m:
             raise ValueError("rate vector length mismatch")
         snap_slack = Fraction(len(snapped), 2 * max_denominator)
-        for i in sorted(instance.transmitters):
-            worst = Fraction(0)
-            for l in instance.user_list:
-                for cut, need, got in violated_cuts(snapped, instance, l):
-                    deficit = need - got
-                    if deficit > snap_slack:
-                        raise InfeasibleRatesError(
-                            f"receiver {l}: cut {set(mask_to_set(cut))} is "
-                            f"short by {deficit}, more than snapping to the "
-                            f"1/{max_denominator} grid can explain")
-                    if (cut >> i) & 1 and deficit > worst:
-                        worst = deficit
-            if worst > 0:
-                snapped[i] += worst
-        _check_rates_feasible(instance, snapped)
+        # largest deficit of each violated cut over the receivers; raising
+        # a rate only shrinks deficits, so one scan per receiver finds
+        # every cut a repair has to cover
+        deficits: Dict[int, Fraction] = {}
+        for l in instance.user_list:
+            for cut, need, got in violated_cuts(snapped, instance, l):
+                deficit = need - got
+                if deficit > snap_slack:
+                    raise InfeasibleRatesError(
+                        f"receiver {l}: cut {set(mask_to_set(cut))} is "
+                        f"short by {deficit}, more than snapping to the "
+                        f"1/{max_denominator} grid can explain")
+                if deficit > deficits.get(cut, 0):
+                    deficits[cut] = deficit
+        if deficits:   # each cut's lowest terminal raises it, so rates change
+            for i in sorted(instance.transmitters):
+                through = [cut for cut in deficits if (cut >> i) & 1]
+                worst = max((deficits[cut] for cut in through), default=0)
+                if worst > 0:
+                    snapped[i] += worst
+                    for cut in through:
+                        deficits[cut] -= worst
+            _check_rates_feasible(instance, snapped)
     L = 1
     for r in snapped:
         L = math.lcm(L, r.denominator)
@@ -306,6 +314,7 @@ def simulate_exchange(scheme: TransmissionScheme, seed: int = 0) -> SimulationRe
            for i in range(instance.m)}
     sent = {i: mat_vec(scheme.matrices[i], tuple(emb[x] for x in obs[i]))
             for i in scheme.matrices}
+    coded = {i: scheme.matrices[i] @ blocks[i] for i in sent}
     successes: Dict[int, bool] = {}
     for l in instance.user_list:
         rows = [blocks[l]]
@@ -313,7 +322,7 @@ def simulate_exchange(scheme: TransmissionScheme, seed: int = 0) -> SimulationRe
         for i in sorted(sent):
             if i == l:
                 continue
-            rows.append(scheme.matrices[i] @ blocks[i])
+            rows.append(coded[i])
             rhs.extend(sent[i])
         coef = stack(*rows)
         sol = solve_linear(coef, rhs)

@@ -10,20 +10,23 @@ and minimize the weighted rate sum exactly over rationals.  Non-transmitting
 terminals are pinned to rate zero, which (given the instance decodability
 precondition) reproduces the transmitter-restricted regions.
 
-The solver is a dense simplex over Fractions with Bland's anti-cycling
-rule, run on the LP dual so the slack basis is immediately feasible; the
-primal rates are read off the optimal reduced costs.  Everything here is
+The solver is a dense, fraction-free simplex (integer rows, exact rational
+results) with Bland's anti-cycling rule, run on the LP dual so the slack
+basis is immediately feasible; the primal rates are read off the optimal
+reduced costs.  Everything here is
 exponential in m by design -- exactness over speed -- so m is guarded.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
+from .greedy import _subset_sums
 from .instance import Instance
-from .source import SizeLimitError, mask_to_set
+from .source import SizeLimitError
 
 __all__ = [
     "CutSetLP",
@@ -84,7 +87,7 @@ def build_lp(instance: Instance) -> CutSetLP:
     model = instance.model
     m = instance.m
     den = model.entropy_denominator
-    js = model.joint_entropy_scaled
+    js = model._joint_scaled
     full = model.full_mask
     total = js(full)
     users = instance.user_list
@@ -114,6 +117,12 @@ class UnboundedLPError(ValueError):
     pass
 
 
+def _primitive(row: List[int]) -> List[int]:
+    """The row divided by the gcd of its entries (a positive factor)."""
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
 def exact_simplex(c: Sequence, A: Sequence[Sequence], b: Sequence) -> SimplexResult:
     """Maximize c.x s.t. A x <= b, x >= 0 over exact rationals.
 
@@ -121,6 +130,12 @@ def exact_simplex(c: Sequence, A: Sequence[Sequence], b: Sequence) -> SimplexRes
     reduced cost; leaving: lowest basic index among the minimum ratios
     (Bland's rule, so termination is guaranteed).  Raises
     UnboundedLPError when the objective is unbounded.
+
+    Fraction-free: each constraint row is held as integers equal to the
+    true row times some positive factor (signs and ratios, all a pivot
+    reads, do not depend on it), cleared by p * row - f * pivot_row and
+    divided by the row's gcd.  The objective row keeps an explicit
+    positive denominator, so its reduced costs are exact at every step.
     """
     c = [Fraction(v) for v in c]
     b = [Fraction(v) for v in b]
@@ -128,57 +143,62 @@ def exact_simplex(c: Sequence, A: Sequence[Sequence], b: Sequence) -> SimplexRes
     ncols = len(c)
     if any(v < 0 for v in b):
         raise ValueError("exact_simplex requires b >= 0")
+    width = ncols + nrows
     rows = []
     for i, arow in enumerate(A):
-        arow = [Fraction(v) for v in arow]
-        if len(arow) != ncols:
+        arow = [Fraction(v) for v in arow] + [b[i]]
+        if len(arow) != ncols + 1:
             raise ValueError("A row length mismatch")
-        slack = [Fraction(0)] * nrows
-        slack[i] = Fraction(1)
-        rows.append(arow + slack + [b[i]])
-    zero = Fraction(0)
-    zrow = [-v for v in c] + [zero] * nrows + [zero]
+        scale = math.lcm(*(v.denominator for v in arow))
+        row = [v.numerator * (scale // v.denominator) for v in arow]
+        slack = [0] * nrows
+        slack[i] = scale
+        rows.append(_primitive(row[:ncols] + slack + row[ncols:]))
+    zden = math.lcm(*(v.denominator for v in c))
+    zrow = [-v.numerator * (zden // v.denominator) for v in c] + [0] * (nrows + 1)
     basis = [ncols + i for i in range(nrows)]
-    width = ncols + nrows
     pivots = 0
     while True:
         enter = next((j for j in range(width) if zrow[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best: Optional[Fraction] = None
         for i in range(nrows):
             a = rows[i][enter]
             if a > 0:
-                ratio = rows[i][width] / a
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                rhs = rows[i][width]
+                if leave is None:
+                    leave, best_rhs, best_a = i, rhs, a
+                    continue
+                # ratio rhs / a against best_rhs / best_a, both a > 0
+                lhs, cmp = rhs * best_a, best_rhs * a
+                if lhs < cmp or (lhs == cmp and basis[i] < basis[leave]):
+                    leave, best_rhs, best_a = i, rhs, a
         if leave is None:
             raise UnboundedLPError("objective unbounded above")
-        piv = rows[leave][enter]
-        if piv != 1:
-            inv = Fraction(1) / piv
-            rows[leave] = [v * inv for v in rows[leave]]
         prow = rows[leave]
+        p = prow[enter]
         for i in range(nrows):
             if i != leave:
                 f = rows[i][enter]
                 if f:
-                    ri = rows[i]
-                    rows[i] = [ri[j] - f * prow[j] for j in range(width + 1)]
+                    rows[i] = _primitive([p * v - f * w
+                                          for v, w in zip(rows[i], prow)])
         f = zrow[enter]
-        if f:
-            zrow = [zrow[j] - f * prow[j] for j in range(width + 1)]
+        zrow = [p * v - f * w for v, w in zip(zrow, prow)]
+        zden *= p
+        g = math.gcd(zden, *zrow)
+        if g > 1:
+            zrow = [v // g for v in zrow]
+            zden //= g
         basis[leave] = enter
         pivots += 1
-    x = [zero] * ncols
+    x = [Fraction(0)] * ncols
     for i, bj in enumerate(basis):
         if bj < ncols:
-            x[bj] = rows[i][width]
-    duals = tuple(zrow[ncols + i] for i in range(nrows))
-    return SimplexResult(zrow[width], tuple(x), duals, pivots)
+            x[bj] = Fraction(rows[i][width], rows[i][bj])
+    duals = tuple(Fraction(zrow[ncols + i], zden) for i in range(nrows))
+    return SimplexResult(Fraction(zrow[width], zden), tuple(x), duals, pivots)
 
 
 @dataclass(frozen=True)
@@ -204,8 +224,7 @@ def solve_exact(lp: CutSetLP) -> OracleSolution:
     b = [inst.weights[t] for t in lp.variables]
     A = []
     for t in lp.variables:
-        A.append([Fraction(1) if (row[0] >> t) & 1 else Fraction(0)
-                  for row in lp.constraints])
+        A.append([(row[0] >> t) & 1 for row in lp.constraints])
     try:
         res = exact_simplex(c, A, b)
     except UnboundedLPError as exc:
@@ -217,9 +236,10 @@ def solve_exact(lp: CutSetLP) -> OracleSolution:
     # certify before returning: nonnegative, every cut met, objective equal
     if any(r < 0 for r in rates):
         raise ArithmeticError("simplex returned a negative rate")
+    rden = math.lcm(*(r.denominator for r in rates))
+    got = _subset_sums([r.numerator * (rden // r.denominator) for r in rates])
     for mask, rhs, _ in lp.constraints:
-        got = sum((rates[i] for i in mask_to_set(mask)), Fraction(0))
-        if got < rhs:
+        if got[mask] * rhs.denominator < rhs.numerator * rden:
             raise ArithmeticError("simplex returned an infeasible rate vector")
     obj = sum((w * r for w, r in zip(inst.weights, rates)), Fraction(0))
     if obj != res.value:

@@ -407,6 +407,22 @@ def test_verify_rejects_rates_outside_the_domain(tmp_path, capsys):
     assert "terminal 0 does not transmit" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("command", ["codegen", "graph"])
+def test_scheme_commands_reject_rates_outside_the_domain(tmp_path, capsys,
+                                                         command):
+    """The same domain check, and exit code, as verify."""
+    assert main([command, EX1, "--rates=-5,0,1,1,0,0"]) == 2
+    assert "rate of terminal 0 is negative (-5)" in _one_line_error(capsys)
+    # a negative rate that would snap to 0 on the 1/64 grid is still refused
+    assert main([command, EX1, "--rates=-1/1000,1,1,0,0,0"]) == 2
+    assert "negative" in _one_line_error(capsys)
+    path = tmp_path / "restricted.json"
+    path.write_text(json.dumps(_doc(transmitters=[1, 2])))
+    assert main([command, str(path), "--rates", "1,1,1"]) == 2
+    assert ("terminal 0 does not transmit but has rate 1"
+            in _one_line_error(capsys))
+
+
 def test_infeasible_instance_exits_one(tmp_path, capsys):
     doc = {
         "format_version": 1,

@@ -1,0 +1,390 @@
+"""Differential tests for the integer cut-set layer.
+
+`greedy.violated_cuts`, `oracle.exact_simplex` and `netcode.rationalize`
+compute in integers scaled by a common denominator.  The Fraction versions
+they replaced are kept below as references, in the same arithmetic and
+order (the cut enumeration and the final feasibility check inlined), and
+every hypothesis case requires identical results from both:
+the same violation triples in the same order, the same simplex value,
+point, duals and pivot count (or the same UnboundedLPError), and the same
+(L, chunks) or the same error text from rationalize.
+"""
+
+import math
+import random
+from fractions import Fraction
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from datex.greedy import violated_cuts
+from datex.instance import Instance, InfeasibleInstanceError
+from datex.netcode import InfeasibleRatesError, rationalize
+from datex.oracle import UnboundedLPError, build_lp, exact_simplex, solve_exact
+from datex.source import (SizeLimitError, TabularSource, mask_to_set,
+                          raw_source, tabulate)
+from helpers import example2_instance, random_linear_instance
+
+
+# ---------------------------------------------------------------------------
+# References: the Fraction implementations
+# ---------------------------------------------------------------------------
+
+def ref_violated_cuts(rates, instance, target, limit=None):
+    m = instance.m
+    if m > 20:
+        raise SizeLimitError("feasibility check limited to m <= 20")
+    if not 0 <= target < m:
+        raise ValueError(f"target {target} out of range")
+    r = [Fraction(x) for x in rates]
+    if len(r) != m:
+        raise ValueError(f"expected {m} rates, got {len(r)}")
+    for i, x in enumerate(r):
+        if x < 0:
+            raise ValueError(f"rate of terminal {i} is negative ({x})")
+        if x and i not in instance.transmitters:
+            raise ValueError(f"terminal {i} does not transmit but has rate {x}")
+    den = instance.model.entropy_denominator
+    js = instance.model.joint_entropy_scaled
+    tmask = instance.transmitter_mask & ~(1 << target)
+    ctx = tmask | (1 << target)
+    senders = mask_to_set(tmask)
+    out = []
+    for bits in range(1, 1 << len(senders)):
+        cut = 0
+        for i, t in enumerate(senders):
+            if (bits >> i) & 1:
+                cut |= 1 << t
+        need = Fraction(js(ctx) - js(ctx & ~cut), den)
+        got = sum((r[i] for i in mask_to_set(cut)), Fraction(0))
+        if got < need:
+            out.append((cut, need, got))
+            if limit is not None and len(out) >= limit:
+                break
+    return out
+
+
+def ref_exact_simplex(c, A, b):
+    c = [Fraction(v) for v in c]
+    b = [Fraction(v) for v in b]
+    nrows = len(b)
+    ncols = len(c)
+    if any(v < 0 for v in b):
+        raise ValueError("exact_simplex requires b >= 0")
+    rows = []
+    for i, arow in enumerate(A):
+        arow = [Fraction(v) for v in arow]
+        if len(arow) != ncols:
+            raise ValueError("A row length mismatch")
+        slack = [Fraction(0)] * nrows
+        slack[i] = Fraction(1)
+        rows.append(arow + slack + [b[i]])
+    zero = Fraction(0)
+    zrow = [-v for v in c] + [zero] * nrows + [zero]
+    basis = [ncols + i for i in range(nrows)]
+    width = ncols + nrows
+    pivots = 0
+    while True:
+        enter = next((j for j in range(width) if zrow[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best: Optional[Fraction] = None
+        for i in range(nrows):
+            a = rows[i][enter]
+            if a > 0:
+                ratio = rows[i][width] / a
+                if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise UnboundedLPError("objective unbounded above")
+        piv = rows[leave][enter]
+        if piv != 1:
+            inv = Fraction(1) / piv
+            rows[leave] = [v * inv for v in rows[leave]]
+        prow = rows[leave]
+        for i in range(nrows):
+            if i != leave:
+                f = rows[i][enter]
+                if f:
+                    ri = rows[i]
+                    rows[i] = [ri[j] - f * prow[j] for j in range(width + 1)]
+        f = zrow[enter]
+        if f:
+            zrow = [zrow[j] - f * prow[j] for j in range(width + 1)]
+        basis[leave] = enter
+        pivots += 1
+    x = [zero] * ncols
+    for i, bj in enumerate(basis):
+        if bj < ncols:
+            x[bj] = rows[i][width]
+    duals = tuple(zrow[ncols + i] for i in range(nrows))
+    return zrow[width], tuple(x), duals, pivots
+
+
+def ref_rationalize(rates, max_denominator=64, instance=None):
+    """The per-terminal repair loop: every receiver's cuts are re-scanned
+    for each transmitter in turn."""
+    if max_denominator < 1:
+        raise ValueError("max_denominator must be >= 1")
+    snapped = [Fraction(r).limit_denominator(max_denominator) for r in rates]
+    if any(r < 0 for r in snapped):
+        raise ValueError("rates must be nonnegative")
+    if instance is not None:
+        if len(snapped) != instance.m:
+            raise ValueError("rate vector length mismatch")
+        snap_slack = Fraction(len(snapped), 2 * max_denominator)
+        for i in sorted(instance.transmitters):
+            worst = Fraction(0)
+            for l in instance.user_list:
+                for cut, need, got in ref_violated_cuts(snapped, instance, l):
+                    deficit = need - got
+                    if deficit > snap_slack:
+                        raise InfeasibleRatesError(
+                            f"receiver {l}: cut {set(mask_to_set(cut))} is "
+                            f"short by {deficit}, more than snapping to the "
+                            f"1/{max_denominator} grid can explain")
+                    if (cut >> i) & 1 and deficit > worst:
+                        worst = deficit
+            if worst > 0:
+                snapped[i] += worst
+        for l in instance.user_list:
+            bad = ref_violated_cuts(snapped, instance, l, limit=1)
+            if bad:
+                cut, need, got = bad[0]
+                raise InfeasibleRatesError(
+                    f"receiver {l}: cut {set(mask_to_set(cut))} needs rate "
+                    f"{need}, rates provide {got}")
+    L = 1
+    for r in snapped:
+        L = math.lcm(L, r.denominator)
+    if L > max_denominator:
+        raise ValueError(
+            f"chunk count {L} exceeds max_denominator={max_denominator}")
+    return L, tuple(int(r * L) for r in snapped)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or its exception as (type, text)."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# Instances: linear, raw and tabular, some restricted to helpers
+# ---------------------------------------------------------------------------
+
+def _tabular_instance(rng):
+    """Two random linear models on the same terminals, tabulated, scaled by
+    rationals and added: a polymatroid whose entropy denominator is > 1."""
+    a = random_linear_instance(rng, multi_user=True)
+    m = a.m
+    while True:
+        b = random_linear_instance(rng, multi_user=True)
+        if b.m == m:
+            break
+    fa = Fraction(rng.randint(1, 9), rng.randint(2, 7))
+    fb = Fraction(rng.randint(0, 5), rng.randint(1, 5))
+    values = [fa * x + fb * y for x, y in zip(tabulate(a.model).values,
+                                              tabulate(b.model).values)]
+    transmitters = None
+    if rng.random() < 0.3:
+        transmitters = [i for i in range(m) if i not in a.users]
+    return Instance(TabularSource(values), a.user_list, a.weights,
+                    transmitters=transmitters)
+
+
+def _raw_instance(rng):
+    m = rng.randint(2, 11)   # past one 8-terminal block of the raw oracle
+    n = rng.randint(1, 12)
+    owned = [[j for j in range(n) if rng.random() < 0.4] for _ in range(m)]
+    users = rng.sample(range(m), rng.randint(1, m))
+    transmitters = None
+    if rng.random() < 0.3:
+        transmitters = [i for i in range(m) if rng.random() < 0.7]
+    weights = [rng.randint(1, 4) for _ in range(m)]
+    return Instance(raw_source(owned, n), users, weights,
+                    transmitters=transmitters)
+
+
+def _instance(rng):
+    while True:
+        kind = rng.choice(["linear", "raw", "tabular"])
+        try:
+            if kind == "linear":
+                return random_linear_instance(
+                    rng, multi_user=rng.random() < 0.6,
+                    helpers_only=rng.random() < 0.3)
+            if kind == "raw":
+                return _raw_instance(rng)
+            return _tabular_instance(rng)
+        except InfeasibleInstanceError:
+            continue
+
+
+_DENOMINATORS = [1, 2, 3, 7, 64, 10 ** 9 + 7, 2 ** 61 - 1]
+
+
+def _rates(rng, instance):
+    """Random rates on the transmitters, some with large denominators."""
+    out = []
+    for i in range(instance.m):
+        if i not in instance.transmitters or rng.random() < 0.2:
+            out.append(Fraction(0))
+            continue
+        d = rng.choice(_DENOMINATORS)
+        out.append(Fraction(rng.randint(0, 4 * d), d))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# violated_cuts
+# ---------------------------------------------------------------------------
+
+@given(st.integers(0, 10 ** 9))
+@settings(max_examples=150, deadline=None)
+def test_violated_cuts_match_the_fraction_reference(seed):
+    rng = random.Random(seed)
+    inst = _instance(rng)
+    rates = _rates(rng, inst)
+    limit = rng.choice([None, None, 1, 2, 5])
+    for target in range(inst.m):
+        got = violated_cuts(rates, inst, target, limit=limit)
+        assert got == ref_violated_cuts(rates, inst, target, limit=limit)
+        assert [type(v) for t in got for v in t[1:]] == [Fraction] * (2 * len(got))
+
+
+def test_violated_cuts_on_tabular_sources_with_a_denominator():
+    rng = random.Random(7)
+    seen = 0
+    while seen < 20:
+        try:
+            inst = _tabular_instance(rng)
+        except InfeasibleInstanceError:
+            continue
+        if inst.model.entropy_denominator == 1:
+            continue
+        seen += 1
+        rates = _rates(rng, inst)
+        for target in inst.user_list:
+            assert (violated_cuts(rates, inst, target)
+                    == ref_violated_cuts(rates, inst, target))
+
+
+def test_violated_cuts_reject_the_same_rates():
+    model = raw_source([[0], [0, 1], [1], [0, 1]], 2)
+    inst = Instance(model, [0, 2])
+    restricted = Instance(model, [0, 2], transmitters=[1, 3])
+    cases = [(inst, [-1, 0, 0, 0], 0), (inst, [Fraction(-1, 10 ** 12), 0, 0, 0], 0),
+             (inst, [0, 0, 0], 0), (inst, [0] * 5, 0), (inst, [0] * 4, 4),
+             (restricted, [1, 1, 0, 0], 2)]
+    for instance, rates, target in cases:
+        got = _outcome(violated_cuts, rates, instance, target)
+        assert got == _outcome(ref_violated_cuts, rates, instance, target)
+        assert got[0] is ValueError
+    assert _outcome(violated_cuts, [1, 1, 0, 0], restricted, 2) == (
+        ValueError, "terminal 0 does not transmit but has rate 1")
+
+
+# ---------------------------------------------------------------------------
+# exact_simplex
+# ---------------------------------------------------------------------------
+
+_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def _lp(draw):
+    ncols = draw(st.integers(1, 5))
+    nrows = draw(st.integers(1, 5))
+    c = [draw(_RATIONALS) for _ in range(ncols)]
+    A = [[draw(_RATIONALS) for _ in range(ncols)] for _ in range(nrows)]
+    # b = 0 rows make the vertex degenerate, so Bland's tie-break decides
+    b = [draw(st.one_of(st.just(Fraction(0)),
+                        st.fractions(0, 6, max_denominator=12)))
+         for _ in range(nrows)]
+    if draw(st.booleans()):   # a box row bounds the region
+        A.append([Fraction(1)] * ncols)
+        b.append(draw(st.fractions(0, 8, max_denominator=12)))
+    return c, A, b
+
+
+def _simplex(c, A, b):
+    res = exact_simplex(c, A, b)
+    return res.value, res.x, res.duals, res.pivots
+
+
+@given(_lp())
+@settings(max_examples=150, deadline=None)
+def test_exact_simplex_matches_the_fraction_reference(lp):
+    c, A, b = lp
+    got = _outcome(_simplex, c, A, b)
+    assert got == _outcome(ref_exact_simplex, c, A, b)
+    if not isinstance(got[0], type):
+        assert all(type(v) is Fraction for v in (got[0], *got[1], *got[2]))
+
+
+@given(st.integers(0, 10 ** 9))
+@settings(max_examples=40, deadline=None)
+def test_exact_simplex_matches_on_cut_set_lps(seed):
+    """The LPs solve_exact actually poses: 0/1 incidence, entropy rhs."""
+    rng = random.Random(seed)
+    inst = _instance(rng)
+    while inst.m > 10:
+        inst = _instance(rng)
+    lp = build_lp(inst)
+    c = [row[1] for row in lp.constraints]
+    b = [inst.weights[t] for t in lp.variables]
+    A = [[(row[0] >> t) & 1 for row in lp.constraints] for t in lp.variables]
+    assert _outcome(_simplex, c, A, b) == _outcome(ref_exact_simplex, c, A, b)
+
+
+# ---------------------------------------------------------------------------
+# rationalize
+# ---------------------------------------------------------------------------
+
+@given(st.integers(0, 10 ** 9))
+@settings(max_examples=80, deadline=None)
+def test_rationalize_matches_the_per_terminal_loop(seed):
+    """Optimal rates moved by noise up to twice the snapping slack: some
+    snap cleanly, some need repairs, some are too short to repair."""
+    rng = random.Random(seed)
+    inst = _instance(rng)
+    while inst.m > 10:        # the exact LP's guard
+        inst = _instance(rng)
+    opt = solve_exact(build_lp(inst)).rates
+    D = rng.choice([1, 2, 3, 4, 8, 64])
+    slack = Fraction(inst.m, 2 * D)
+    rates = []
+    for i, r in enumerate(opt):
+        if i in inst.transmitters:
+            noise = slack * Fraction(rng.randint(-200, 200), 100)
+            r = max(r + noise, Fraction(0))
+        rates.append(r)
+    assert (_outcome(rationalize, rates, D, inst)
+            == _outcome(ref_rationalize, rates, D, inst))
+
+
+def test_rationalize_matches_with_several_repairs():
+    inst = example2_instance()
+    rates = [Fraction(2, 5)] * 6
+    got = rationalize(rates, max_denominator=1, instance=inst)
+    assert got == ref_rationalize(rates, max_denominator=1, instance=inst)
+    assert got == (1, (2, 2, 1, 0, 0, 0))   # three terminals raised from 0
+
+
+@pytest.mark.parametrize("rates, D", [
+    ([0] * 6, 64),                                     # short beyond the slack
+    ([Fraction(1, 4), 0, 0, Fraction(1, 2), 0, Fraction(1, 2)], 64),
+    ([Fraction(1, 3), Fraction(1, 64)] + [0] * 4, 64),  # a deficit, not L
+    ([Fraction(1, 3)] * 6, 2),                          # repaired, then L = 2
+])
+def test_rationalize_raises_the_same_errors(rates, D):
+    inst = example2_instance()
+    assert (_outcome(rationalize, rates, D, inst)
+            == _outcome(ref_rationalize, rates, D, inst))

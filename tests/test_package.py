@@ -1,11 +1,13 @@
 """Package-level checks: certificates are explicit raises that `python -O`
-keeps, the README's library quick start runs as written, and every name
-the benchmark's tracer wraps still exists."""
+keeps, the runtime imports only the standard library, the README's
+library quick start runs as written, and every name the benchmark's
+tracer wraps still exists."""
 
 import ast
 import importlib
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -18,6 +20,25 @@ def test_no_assert_statements_in_the_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements vanish under python -O: {found}"
+
+
+def test_package_imports_only_the_standard_library():
+    """The runtime stays stdlib-only: every import in src/datex names a
+    standard-library module or datex itself (relative imports included)."""
+    found = []
+    for path in sorted((ROOT / "src" / "datex").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names
+                      and name.split(".")[0] != "datex"]
+    assert not found, f"imports outside the standard library: {found}"
 
 
 def test_readme_library_quick_start_runs(capsys):
