@@ -13,21 +13,24 @@ bitmask, and all indices are 0-based.  Rationals are written as "p/q"
 strings; machine-readable output mirrors every exact value with a float.
 
 Exit codes: 0 success, 1 infeasible / failed verification / not
-converged, 2 malformed input, usage error, input beyond a size guard, or
-an instance whose observations do not span every packet (codegen).
+converged, 2 malformed input, usage error, input beyond a size guard, an
+entropy-table instance (codegen, graph), or an instance whose
+observations do not span every packet (codegen).  Every exit 2 prints one
+"error: ..." line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence
 
 from .dual import SolverConfig, StepSchedule, solve
 from .gf import Matrix, make_field
-from .greedy import check_rate_domain, violated_cuts
+from .greedy import check_rate_domain, tie_order, violated_cuts
 from .instance import Instance, InfeasibleInstanceError
 from .netcode import (DesignFailureError, IncompleteSourceError,
                       InfeasibleRatesError, build_multicast_graph,
@@ -64,6 +67,8 @@ def _frac(value: Any, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise CLIError(f"{where}: {value} is not a rational")
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -109,11 +114,13 @@ def _parse_theta(text: str) -> StepSchedule:
         raise CLIError(f"--theta: {exc}") from exc
 
 
-def _parse_tie_break(text: str) -> tuple:
+def _parse_tie_break(text: str, m: int) -> tuple:
     try:
-        return tuple(int(p.strip()) for p in text.split(",") if p.strip())
+        order = tuple(int(p.strip()) for p in text.split(",") if p.strip())
+        tie_order(m, order)   # indices in range, none repeated
     except ValueError as exc:
         raise CLIError(f"--tie-break: {exc}") from exc
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +350,7 @@ def _cmd_solve(args) -> int:
     if args.gap_tol is not None:
         kwargs["gap_tolerance"] = _frac(args.gap_tol, "--gap-tol")
     if args.tie_break:
-        kwargs["tie_break"] = _parse_tie_break(args.tie_break)
+        kwargs["tie_break"] = _parse_tie_break(args.tie_break, instance.m)
     try:
         config = SolverConfig(**kwargs)
     except ValueError as exc:
@@ -428,7 +435,11 @@ def _cmd_verify(args) -> int:
 
 def _scheme_rates(args, instance: Instance):
     """Rates for codegen/graph: --rates if given, on the rate region's
-    domain (exit 2 otherwise, as for verify), else the exact oracle."""
+    domain (exit 2 otherwise, as for verify), else the exact oracle.  Both
+    commands need observation matrices, which an entropy table lacks."""
+    if not isinstance(instance.model, LinearSource):
+        raise CLIError(f"{args.command} needs observation matrices (a 'rows' "
+                       f"or 'packets' instance), not an entropy table")
     if args.rates:
         try:
             return check_rate_domain(
@@ -523,8 +534,16 @@ def _cmd_graph(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become a CLIError (one stderr line, exit 2) instead of
+    argparse's usage text; subcommand parsers inherit this class."""
+
+    def error(self, message):
+        raise CLIError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="datex",
         description="Optimal rate allocation and coded schemes for the "
                     "cooperative data exchange problem.")
@@ -597,13 +616,11 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:   # --help
+        return int(exc.code or 0)
     except (CLIError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,8 +8,11 @@ irreducible polynomial; when none is supplied the lowest one in the packed
 integer order is chosen, so a (characteristic, degree) pair always names
 the same field.
 
-All matrix routines are exact (no floats) and dense, sized for desk-scale
-problems: a few hundred rows/columns at most.
+All matrix routines are exact (no floats) and sized for desk-scale
+problems: a few hundred rows/columns at most.  There is one Gaussian
+elimination, `EchelonBasis`, which grows a row-echelon basis row by row
+with sparse kept rows and inline mod-p row arithmetic on prime fields;
+`rank`, `solve_linear` and the source models' greedy chains all run on it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ __all__ = [
     "Matrix",
     "make_field",
     "rank",
-    "rref",
     "solve_linear",
     "stack",
     "mat_vec",
@@ -471,39 +473,6 @@ def stack(*mats: Matrix) -> Matrix:
     return Matrix(field, sum(m.nrows for m in mats), ncols, data, validate=False)
 
 
-def _eliminate(M: Matrix, reduced: bool):
-    """Gaussian elimination on a copy.  Returns (rows, pivot columns)."""
-    F = M.field
-    mul, add, inv, neg = F.mul, F.add, F.inv, F.neg
-    rows = [list(M.row(i)) for i in range(M.nrows)]
-    pivots = []
-    r = 0
-    for c in range(M.ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = inv(rows[r][c])
-        if pv != 1:
-            rows[r] = [mul(pv, a) for a in rows[r]]
-        lo = 0 if reduced else r + 1
-        for i in range(lo, len(rows)):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                nf = neg(f)
-                ri, rr = rows[i], rows[r]
-                for j in range(c, M.ncols):
-                    if rr[j]:
-                        ri[j] = add(ri[j], mul(nf, rr[j]))
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, tuple(pivots)
-
-
 class EchelonBasis:
     """Row-echelon basis grown one row at a time.
 
@@ -559,38 +528,36 @@ class EchelonBasis:
 
 def rank(M: Matrix) -> int:
     """Rank over the matrix's field (exact)."""
-    _, pivots = _eliminate(M, reduced=False)
-    return len(pivots)
-
-
-def rref(M: Matrix) -> tuple:
-    """Reduced row echelon form: (matrix, pivot column indices)."""
-    rows, pivots = _eliminate(M, reduced=True)
-    flat = [a for row in rows for a in row]
-    return Matrix(M.field, M.nrows, M.ncols, flat, validate=False), pivots
+    basis = EchelonBasis(M.field, M.ncols)
+    for i in range(M.nrows):
+        basis.absorb(M.row(i))
+    return basis.rank
 
 
 def solve_linear(M: Matrix, b: Sequence[int]) -> Optional[tuple]:
-    """One exact solution of M x = b, or None when inconsistent.
-
-    Free variables are pinned to zero, so the answer is canonical for a
-    given (M, b).
-    """
+    """The unique solution of M x = b, or None when the system is
+    inconsistent or M has rank below its column count."""
     if len(b) != M.nrows:
         raise ValueError("right-hand side length mismatch")
     F = M.field
     for v in b:
         F.check(v)
-    aug_rows = [list(M.row(i)) + [b[i]] for i in range(M.nrows)]
-    aug = Matrix(F, M.nrows, M.ncols + 1, [a for r in aug_rows for a in r],
-                 validate=False)
-    R, pivots = rref(aug)
-    if M.ncols in pivots:
+    n = M.ncols
+    basis = EchelonBasis(F, n + 1)
+    for i in range(M.nrows):
+        basis.absorb(M.row(i) + (b[i],))
+    if basis.rank != n or basis._kept[n] is not None:
         return None
-    x = [0] * M.ncols
-    for r, c in enumerate(pivots):
-        x[c] = R.row(r)[M.ncols]
-    return tuple(x)
+    # every column 0..n-1 holds a pivot: back-substitute from the last,
+    # with the right-hand side as column n and x[n] = -1
+    mul, add = F.mul, F.add
+    x = [0] * n + [F.neg(1)]
+    for c in range(n - 1, -1, -1):
+        acc = 0
+        for j, a in basis._kept[c]:
+            acc = add(acc, mul(a, x[j]))
+        x[c] = F.neg(acc)
+    return tuple(x[:n])
 
 
 def mat_vec(M: Matrix, v: Sequence[int]) -> tuple:

@@ -294,40 +294,33 @@ def simulate_exchange(scheme: TransmissionScheme, seed: int = 0) -> SimulationRe
 
     Each receiver solves the stacked linear system formed by its own
     observation and all received coded symbols; success means the system
-    determines the source uniquely and the unique solution matches the
-    truth.  This succeeds iff the receiver passes verify_decodability.
+    determines the source uniquely (one `solve_linear` call, which answers
+    None otherwise) and the unique solution matches the truth.  This
+    succeeds iff the receiver passes verify_decodability.
     """
     instance = scheme.instance
     model = instance.model
     if not isinstance(model, LinearSource):
         raise TypeError("simulation needs a linear (or raw) source model")
-    F = model.field
-    E = scheme.coding_field
-    emb = embed_map(F, E)
-    blocks, _ = _embedded_blocks(instance, scheme.L, E)
-    nl = model.N * scheme.L
+    blocks, emb = _embedded_blocks(instance, scheme.L, scheme.coding_field)
     rng = random.Random(seed)
-    w = [rng.randrange(F.q) for _ in range(nl)]
-    w_emb = tuple(emb[x] for x in w)
-    # observations over the source field, then their coded transmissions
-    obs = {i: mat_vec(model.matrices[i].kron_identity(scheme.L), w)
-           for i in range(instance.m)}
-    sent = {i: mat_vec(scheme.matrices[i], tuple(emb[x] for x in obs[i]))
-            for i in scheme.matrices}
+    w = tuple(emb[rng.randrange(model.field.q)]
+              for _ in range(model.N * scheme.L))
+    # the embedding is a field homomorphism, so observing the embedded draw
+    # through the embedded blocks gives the embedded observations
+    obs = [mat_vec(B, w) for B in blocks]
+    sent = {i: mat_vec(scheme.matrices[i], obs[i]) for i in scheme.matrices}
     coded = {i: scheme.matrices[i] @ blocks[i] for i in sent}
     successes: Dict[int, bool] = {}
     for l in instance.user_list:
         rows = [blocks[l]]
-        rhs: List[int] = [emb[x] for x in obs[l]]
+        rhs: List[int] = list(obs[l])
         for i in sorted(sent):
             if i == l:
                 continue
             rows.append(coded[i])
             rhs.extend(sent[i])
-        coef = stack(*rows)
-        sol = solve_linear(coef, rhs)
-        unique = rank(coef) == nl
-        successes[l] = unique and sol == w_emb
+        successes[l] = solve_linear(stack(*rows), rhs) == w
     return SimulationResult(successes)
 
 
@@ -417,7 +410,22 @@ def scheme_core_from_dict(data: dict, instance: Instance) -> TransmissionScheme:
     if not isinstance(model, LinearSource):
         raise TypeError("schemes need a linear (or raw) source model")
     L = int(data["L"])
+    if L < 1:
+        raise ValueError("L must be >= 1")
     chunk_rates = tuple(int(c) for c in data["chunk_rates"])
+    if len(chunk_rates) != instance.m:
+        raise ValueError(f"chunk_rates must list {instance.m} values, "
+                         f"got {len(chunk_rates)}")
+    matrices = data["matrices"]
+    if not isinstance(matrices, dict):
+        raise TypeError("matrices must map terminals to rows")
+    keys = {int(key) for key in matrices}
+    if len(keys) != len(matrices) or not keys <= set(range(instance.m)):
+        raise ValueError(f"matrix keys must be distinct terminals "
+                         f"0..{instance.m - 1}")
+    if keys != {i for i, c in enumerate(chunk_rates) if c}:
+        raise ValueError("need one matrix for each terminal with a nonzero "
+                         "chunk rate, and for no other")
     ext_degree = int(data["ext_degree"])
     cf = data["coding_field"]
     coding_field = make_field(int(cf["characteristic"]), int(cf["degree"]))
@@ -425,7 +433,7 @@ def scheme_core_from_dict(data: dict, instance: Instance) -> TransmissionScheme:
             or coding_field.degree != model.field.degree * ext_degree):
         raise ValueError("coding field does not extend the source field as stated")
     mats: Dict[int, Matrix] = {}
-    for key, rows in data["matrices"].items():
+    for key, rows in matrices.items():
         i = int(key)
         width = model.matrices[i].nrows * L
         mats[i] = Matrix.from_rows(coding_field, rows, ncols=width)

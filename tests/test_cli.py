@@ -2,13 +2,18 @@
 and serialization, every subcommand's happy path, the documented exit
 codes, and the solve -> verify and codegen -> simulate pipelines."""
 
+import contextlib
+import functools
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from datex.cli import (CLIError, FORMAT_VERSION, instance_from_dict, main,
                        parse_instance, serialize_instance)
@@ -423,6 +428,70 @@ def test_scheme_commands_reject_rates_outside_the_domain(tmp_path, capsys,
             in _one_line_error(capsys))
 
 
+TABLE_DOC = {"format_version": 1, "terminal_count": 3,
+             "entropy_table": [0, 1, 1, 2, 1, 2, 2, 2], "users": [0, 1, 2]}
+
+
+@pytest.mark.parametrize("command", ["codegen", "graph"])
+def test_scheme_commands_reject_entropy_tables(tmp_path, capsys, command):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(TABLE_DOC))
+    assert main(["oracle", str(path)]) == 0
+    capsys.readouterr()
+    assert main([command, str(path)]) == 2
+    assert "not an entropy table" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda s: s["matrices"].update({"9": [[0]]}),
+     "matrix keys must be distinct terminals 0..5"),
+    (lambda s: s.update(chunk_rates=[]),
+     "chunk_rates must list 6 values, got 0"),
+    (lambda s: s.update(matrices={}),
+     "one matrix for each terminal with a nonzero chunk rate"),
+    (lambda s: s["matrices"].update({"0": [[0]]}),
+     "one matrix for each terminal with a nonzero chunk rate"),
+    (lambda s: s.update(L=0), "L must be >= 1"),
+    (lambda s: s.update(matrices=list(s["matrices"].values())),
+     "matrices must map terminals to rows"),
+], ids=["key-out-of-range", "empty-chunk-rates", "missing-matrices",
+        "matrix-for-a-silent-terminal", "L-zero", "matrices-as-a-list"])
+def test_simulate_rejects_inconsistent_scheme_files(tmp_path, capsys, corrupt,
+                                                    message):
+    path = tmp_path / "scheme.json"
+    assert main(["codegen", EX1, "-o", str(path)]) == 0
+    rec = _read(path)
+    assert rec["scheme"]["chunk_rates"] == [0, 1, 1, 0, 0, 0]
+    corrupt(rec["scheme"])
+    path.write_text(json.dumps(rec))
+    assert main(["simulate", str(path), "--seeds", "2"]) == 2
+    assert message in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["frobnicate", EX1], "invalid choice: 'frobnicate'"),
+    (["simulate", EX1, "--seeds", "zz"], "argument --seeds: invalid int value"),
+    (["solve", EX1, "--tie-break", "9"], "tie_break index 9 out of range"),
+    (["solve", EX1, "--tie-break", "1,1"], "tie_break repeats terminal 1"),
+], ids=["no-command", "bad-command", "bad-int-flag", "tie-break-range",
+        "tie-break-repeat"])
+def test_usage_errors_are_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("doc", [
+    dict(TABLE_DOC, entropy_table=[0, 1, 1, 2, 1, 2, 2, float("nan")]),
+    _doc(weights=[1, float("inf"), 1]),
+], ids=["nan-entropy", "infinite-weight"])
+def test_non_finite_json_numbers_exit_two(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))   # NaN / Infinity: Python's JSON accepts them
+    assert main(["oracle", str(path)]) == 2
+    assert "is not a rational" in _one_line_error(capsys)
+
+
 def test_infeasible_instance_exits_one(tmp_path, capsys):
     doc = {
         "format_version": 1,
@@ -442,3 +511,137 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "solve" in proc.stdout and "codegen" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Contract fuzz: every input ends in 0, 1 or 2 with at most one stderr line
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _base_documents():
+    """The shipped instances (rows and packets forms), an entropy table,
+    and codegen scheme files for two of them (as JSON text, so every draw
+    starts fresh)."""
+    docs = [_read(Path(p)) for p in (EX1, EX2, EX3)] + [TABLE_DOC]
+    with tempfile.TemporaryDirectory() as tmp:
+        for src in (EX1, EX3):
+            out = Path(tmp) / "scheme.json"
+            if main(["codegen", src, "-o", str(out)]) != 0:
+                raise RuntimeError(f"codegen failed on {src}")
+            docs.append(_read(out))
+    return tuple(json.dumps(d) for d in docs)
+
+
+_KEYS = st.sampled_from([
+    "format_version", "field", "characteristic", "degree", "packet_count",
+    "terminals", "rows", "packets", "users", "weights", "transmitters",
+    "entropy_table", "terminal_count", "kind", "instance", "scheme", "L",
+    "chunk_rates", "ext_degree", "coding_field", "matrices", "seed", "0",
+    "1", "2", "9"])
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 8),
+    st.floats(-3, 9) | st.sampled_from([float("nan"), float("inf")]),
+    st.sampled_from(["", "x", "1/2", "-1", "3/0", "1e9", "scheme"]))
+_JSON = st.recursive(
+    _LEAVES, lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(_KEYS, kids, max_size=3), max_leaves=6)
+
+
+def _mutate(draw, doc):
+    """Replace, delete or add one value at a random depth of doc."""
+    node, key = doc, None
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:   # only an empty document: nothing to descend into
+            break
+        key = draw(st.sampled_from(keys))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child
+                and draw(st.booleans())):
+            break
+        node = child
+    op = draw(st.sampled_from(["replace", "delete", "add"]))
+    if op == "add" or key is None:
+        if isinstance(node, dict):
+            node[draw(_KEYS)] = draw(_JSON)
+        else:
+            node.append(draw(_JSON))
+    elif op == "delete":
+        del node[key]
+    else:
+        node[key] = draw(_JSON)
+
+
+def _int_flag(lo, hi):
+    """Mostly integers in lo..hi (bad ones included), sometimes not one."""
+    return st.sampled_from([str(i) for i in range(lo, hi + 1)] + ["x", "1.5"])
+
+
+_FLAGS = {
+    "--field-char": st.sampled_from(["2", "3", "5", "7", "0", "4", "x"]),
+    "--max-iters": _int_flag(-1, 50),
+    "--gap-tol": st.sampled_from(["1/100", "0", "-1", "x", "1/0", "1e-9"]),
+    "--theta": st.sampled_from(["1,1,1", "pow:1/2", "pow:2", "0,0,0", "x",
+                                "1,2"]),
+    "--tie-break": st.sampled_from(["0", "5,4,3", "9", "1,1", "x", ""]),
+    "--max-denominator": _int_flag(-1, 16),
+    "--ext-degree": _int_flag(-1, 4),
+    "--seed": _int_flag(-3, 1000),
+    "--max-attempts": _int_flag(-1, 4),
+    "--seeds": _int_flag(-1, 3),
+}
+_COMMAND_FLAGS = {
+    "solve": ["--field-char", "--max-iters", "--gap-tol", "--theta",
+              "--tie-break"],
+    "oracle": ["--field-char"],
+    "verify": ["--field-char", "--rates"],
+    "codegen": ["--field-char", "--rates", "--max-denominator",
+                "--ext-degree", "--seed", "--max-attempts"],
+    "simulate": ["--seeds", "--seed"],
+    "graph": ["--field-char", "--rates", "--max-denominator"],
+}
+_RATE = st.sampled_from(["0", "1", "1/2", "2/3", "-1", "2", "x", "nan",
+                         "1e9", "3/0", ""])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_cli_contract_under_fuzzing(data):
+    """main never raises, exits 0, 1 or 2, and writes at most one stderr
+    line: exactly one `error: ` line on exit 2, and on exit 1 either one
+    line or a result record on stdout with nothing on stderr."""
+    draw = data.draw
+    doc = json.loads(draw(st.sampled_from(_base_documents())))
+    for _ in range(draw(st.integers(0, 2))):
+        _mutate(draw, doc)
+    # a scheme file is simulate's input; instance documents go to all six
+    command = "simulate" if "scheme" in doc else draw(
+        st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = []
+    for flag in _COMMAND_FLAGS[command]:
+        if flag == "--rates":
+            if command == "verify" or draw(st.booleans()):
+                count = draw(st.integers(2, 7))
+                flags.append("--rates=" + ",".join(
+                    draw(_RATE) for _ in range(count)))
+        elif draw(st.booleans()):
+            flags.append(f"{flag}={draw(_FLAGS[flag])}")
+    if command == "solve" and not any(f.startswith("--max-iters") for f in flags):
+        flags.append("--max-iters=50")
+    if command == "simulate" and not any(f.startswith("--seeds=") for f in flags):
+        flags.append("--seeds=3")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), *flags])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    lines = err.splitlines()
+    if code == 0:
+        assert err == "" and out
+    elif code == 2:
+        assert len(lines) == 1 and err.startswith("error: "), err
+    else:
+        assert (out and not err) or (not out and len(lines) == 1), (out, err)

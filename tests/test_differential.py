@@ -1,4 +1,5 @@
-"""Differential tests for the integer cut-set layer.
+"""Differential tests for the integer cut-set layer and the elimination
+kernel.
 
 `greedy.violated_cuts`, `oracle.exact_simplex` and `netcode.rationalize`
 compute in integers scaled by a common denominator.  The Fraction versions
@@ -8,6 +9,13 @@ every hypothesis case requires identical results from both:
 the same violation triples in the same order, the same simplex value,
 point, duals and pivot count (or the same UnboundedLPError), and the same
 (L, chunks) or the same error text from rationalize.
+
+`gf.rank` and `gf.solve_linear` run on `gf.EchelonBasis`.  The dense
+elimination they replaced (every entry through `Field.mul`/`Field.add`,
+reduced row echelon form for solving, free variables pinned to zero) is
+kept as `ref_rank` and `ref_solve_linear`; ranks must agree, and
+`solve_linear` must return the reference's solution exactly when the
+system is consistent with full column rank, and None otherwise.
 """
 
 import math
@@ -18,6 +26,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from datex.gf import Matrix, make_field, mat_vec, rank, solve_linear
 from datex.greedy import violated_cuts
 from datex.instance import Instance, InfeasibleInstanceError
 from datex.netcode import InfeasibleRatesError, rationalize
@@ -165,6 +174,57 @@ def ref_rationalize(rates, max_denominator=64, instance=None):
         raise ValueError(
             f"chunk count {L} exceeds max_denominator={max_denominator}")
     return L, tuple(int(r * L) for r in snapped)
+
+
+def _ref_eliminate(M, reduced):
+    """Dense Gaussian elimination on a copy: (rows, pivot columns)."""
+    F = M.field
+    mul, add, inv, neg = F.mul, F.add, F.inv, F.neg
+    rows = [list(M.row(i)) for i in range(M.nrows)]
+    pivots = []
+    r = 0
+    for c in range(M.ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = inv(rows[r][c])
+        if pv != 1:
+            rows[r] = [mul(pv, a) for a in rows[r]]
+        lo = 0 if reduced else r + 1
+        for i in range(lo, len(rows)):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f:
+                nf = neg(f)
+                ri, rr = rows[i], rows[r]
+                for j in range(c, M.ncols):
+                    if rr[j]:
+                        ri[j] = add(ri[j], mul(nf, rr[j]))
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, tuple(pivots)
+
+
+def ref_rank(M):
+    return len(_ref_eliminate(M, reduced=False)[1])
+
+
+def ref_solve_linear(M, b):
+    """One solution of M x = b with free variables pinned to zero, or None
+    when inconsistent."""
+    aug = Matrix(M.field, M.nrows, M.ncols + 1,
+                 [a for i in range(M.nrows) for a in M.row(i) + (b[i],)])
+    rows, pivots = _ref_eliminate(aug, reduced=True)
+    if M.ncols in pivots:
+        return None
+    x = [0] * M.ncols
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][M.ncols]
+    return tuple(x)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -388,3 +448,61 @@ def test_rationalize_raises_the_same_errors(rates, D):
     inst = example2_instance()
     assert (_outcome(rationalize, rates, D, inst)
             == _outcome(ref_rationalize, rates, D, inst))
+
+
+# ---------------------------------------------------------------------------
+# rank and solve_linear
+# ---------------------------------------------------------------------------
+
+_FIELDS = [make_field(2), make_field(3), make_field(5), make_field(2, 2),
+           make_field(3, 2), make_field(2, 8)]
+
+
+@st.composite
+def _system(draw):
+    """(M, b) over one of the fields: no rows, no columns, tall, wide, or
+    rank-deficient (a product through a narrower inner dimension); b is
+    planted (consistent) or drawn at random (often inconsistent)."""
+    F = draw(st.sampled_from(_FIELDS))
+    shape = draw(st.sampled_from(["no rows", "no columns", "tall", "wide",
+                                  "deficient"]))
+    small, large = st.integers(1, 3), st.integers(4, 7)
+    if shape == "no rows":
+        n, m = 0, draw(st.integers(0, 5))
+    elif shape == "no columns":
+        n, m = draw(st.integers(0, 5)), 0
+    elif shape == "tall":
+        n, m = draw(large), draw(small)
+    elif shape == "wide":
+        n, m = draw(small), draw(large)
+    else:
+        n, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+
+    def entries(count):
+        return draw(st.lists(st.integers(0, F.q - 1), min_size=count,
+                             max_size=count))
+
+    if shape == "deficient":
+        r = draw(st.integers(0, min(n, m) - 1))
+        M = Matrix(F, n, r, entries(n * r)) @ Matrix(F, r, m, entries(r * m))
+    else:
+        M = Matrix(F, n, m, entries(n * m))
+    b = mat_vec(M, entries(m)) if draw(st.booleans()) else tuple(entries(n))
+    return M, b
+
+
+@given(_system())
+@settings(max_examples=300, deadline=None)
+def test_rank_matches_the_dense_reference(system):
+    M, _ = system
+    assert rank(M) == ref_rank(M)
+
+
+@given(_system())
+@settings(max_examples=300, deadline=None)
+def test_solve_linear_matches_the_dense_reference(system):
+    M, b = system
+    expected = ref_solve_linear(M, b)
+    if ref_rank(M) < M.ncols:
+        expected = None   # consistent or not, no unique solution
+    assert solve_linear(M, b) == expected

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from datex.gf import (EchelonBasis, Field, Matrix, SizeLimitError, embed_map,
-                      make_field, mat_vec, rank, rref, solve_linear, stack)
+                      make_field, mat_vec, rank, solve_linear, stack)
 from datex.gf import _ppack  # packed encoding used for modulus ordering
 
 
@@ -197,10 +197,8 @@ def test_rank_depends_on_field():
 def test_solve_linear_canonical_solution():
     F = make_field(2)
     M = Matrix.from_rows(F, [[1, 1, 0], [0, 1, 1]])
-    x = solve_linear(M, (1, 1))
-    # free variable (third column) pinned to zero
-    assert x == (0, 1, 0)
-    assert mat_vec(M, x) == (1, 1)
+    # consistent, but the third column is free: no unique solution
+    assert solve_linear(M, (1, 1)) is None
 
 
 def test_solve_linear_inconsistent():
@@ -216,14 +214,17 @@ def test_solve_linear_unique_system():
     assert x is not None and mat_vec(M, x) == (4, 0)
 
 
-def test_rref_reference():
-    # hand elimination over GF(3): normalize (2,1,1) to (1,2,2); subtract it
-    # from (1,2,0) leaving (0,0,1); clear the top row's last entry
+def test_hand_elimination_over_gf3():
+    # normalize (2,1,1) to (1,2,2); subtracting it from (1,2,0) leaves
+    # (0,0,1): pivots in columns 0 and 2, column 1 free
     F = make_field(3)
     M = Matrix.from_rows(F, [[2, 1, 1], [1, 2, 0]])
-    R, pivots = rref(M)
-    assert pivots == (0, 2)
-    assert R.rows() == [(1, 2, 0), (0, 0, 1)]
+    assert rank(M) == 2
+    assert solve_linear(M, (1, 1)) is None
+    # the pivot columns alone: (2,1|1) becomes (1,2|2), and subtracting it
+    # from (1,0|2) leaves (0,1|0), so x1 = 0 and x0 = 2 - 2*0 = 2
+    A = Matrix.from_rows(F, [[2, 1], [1, 0]])
+    assert solve_linear(A, (1, 2)) == (2, 0)
 
 
 def test_matmul_and_identity():
@@ -329,8 +330,8 @@ def test_solve_linear_finds_planted_solution(data):
                             max_size=A.ncols))
     b = mat_vec(A, x0)
     x = solve_linear(A, b)
-    assert x is not None
-    assert mat_vec(A, x) == b
+    # a planted system is consistent: unique exactly at full column rank
+    assert x == (tuple(x0) if rank(A) == A.ncols else None)
 
 
 @given(st.data())
