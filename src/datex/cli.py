@@ -14,6 +14,7 @@ strings; machine-readable output mirrors every exact value with a float.
 
 Exit codes: 0 success, 1 infeasible / failed verification / not
 converged, 2 malformed input, usage error, input beyond a size guard, an
+entropy table that is not grounded, monotone and submodular, an
 entropy-table instance (codegen, graph), or an instance whose
 observations do not span every packet (codegen).  Every exit 2 prints one
 "error: ..." line on stderr.
@@ -419,8 +420,7 @@ def _cmd_verify(args) -> int:
                 "required": _frac_str(need),
                 "provided": _frac_str(got),
             })
-    objective = sum((w * r for w, r in zip(instance.weights, rates)),
-                    Fraction(0))
+    objective = instance.objective(rates)
     _emit({
         "format_version": FORMAT_VERSION,
         "command": "verify",
@@ -461,7 +461,7 @@ def _cmd_codegen(args) -> int:
     instance = parse_instance(args.instance, args.field_char)
     rates = _scheme_rates(args, instance)
     try:
-        L, chunks = rationalize(rates, args.max_denominator, instance)
+        L, chunks = rationalize(rates, instance, args.max_denominator)
         scheme = design_transmissions(instance, chunks, L,
                                       ext_degree=args.ext_degree,
                                       seed=args.seed,
@@ -475,8 +475,8 @@ def _cmd_codegen(args) -> int:
         return 1
     if not verify_decodability(scheme).ok:
         raise RuntimeError("the designed scheme failed its decodability re-check")
-    objective = sum((w * Fraction(c, L) for w, c in
-                     zip(instance.weights, chunks)), Fraction(0))
+    rates = [Fraction(c, L) for c in chunks]
+    objective = instance.objective(rates)
     _emit({
         "format_version": FORMAT_VERSION,
         "kind": "scheme",
@@ -484,7 +484,7 @@ def _cmd_codegen(args) -> int:
         "instance": serialize_instance(instance),
         "objective": _frac_str(objective),
         "objective_float": float(objective),
-        "rates": _frac_list(Fraction(c, L) for c in chunks),
+        "rates": _frac_list(rates),
         "total_chunk_symbols": scheme.total_symbols,
         "scheme": scheme_core_to_dict(scheme),
     }, args.output)
@@ -519,7 +519,7 @@ def _cmd_graph(args) -> int:
     instance = parse_instance(args.instance, args.field_char)
     rates = _scheme_rates(args, instance)
     try:
-        L, chunks = rationalize(rates, args.max_denominator, instance)
+        L, chunks = rationalize(rates, instance, args.max_denominator)
     except SizeLimitError:
         raise
     except (InfeasibleRatesError, ValueError) as exc:

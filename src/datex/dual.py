@@ -33,7 +33,6 @@ __all__ = [
     "StepSchedule",
     "SolverConfig",
     "Solution",
-    "primal_value",
     "dual_value",
     "duality_gap",
     "solve",
@@ -129,11 +128,6 @@ class Solution:
     averaged_matrix: DualMatrix
 
 
-def primal_value(instance: Instance, rates: Sequence) -> Fraction:
-    return sum((w * Fraction(r) for w, r in zip(instance.weights, rates)),
-               Fraction(0))
-
-
 def dual_value(instance: Instance, lam: Sequence[Sequence],
                tie_break: Optional[Sequence[int]] = None) -> Fraction:
     """Sum of subproblem optima at the given multipliers: a lower bound on
@@ -150,7 +144,7 @@ def dual_value(instance: Instance, lam: Sequence[Sequence],
 def duality_gap(solution: Solution) -> Fraction:
     """Primal minus dual objective, both recomputed from the solution's
     own certificate (fresh greedy calls).  Nonnegative by weak duality."""
-    p = primal_value(solution.instance, solution.rates)
+    p = solution.instance.objective(solution.rates)
     d = dual_value(solution.instance, solution.dual_matrix,
                    solution.config.tie_break)
     gap = p - d
@@ -209,7 +203,7 @@ def _project_grid(vfine: List[int], refine: int, budget_grid: int,
 def _single_user_solution(instance: Instance, config: SolverConfig) -> Solution:
     (target,) = instance.user_list
     rates = edmonds_allocate(instance, target, tie_break=config.tie_break)
-    obj = primal_value(instance, rates)
+    obj = instance.objective(rates)
     lam_row = tuple(Fraction(0) if i == target else instance.weights[i]
                     for i in range(instance.m))
     return Solution(

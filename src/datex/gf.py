@@ -3,10 +3,9 @@
 Fields GF(p^w) are represented with elements packed into the integers
 0 .. p^w - 1: the element with polynomial coordinates (c_0, ..., c_{w-1})
 over GF(p) is stored as sum(c_i * p**i).  For prime fields (w = 1) this is
-plain modular arithmetic.  Extension fields reduce modulo a monic
-irreducible polynomial; when none is supplied the lowest one in the packed
-integer order is chosen, so a (characteristic, degree) pair always names
-the same field.
+plain modular arithmetic.  Extension fields reduce modulo the monic
+irreducible polynomial that is lowest in the packed integer order, so a
+(characteristic, degree) pair always names the same field.
 
 All matrix routines are exact (no floats) and sized for desk-scale
 problems: a few hundred rows/columns at most.  There is one Gaussian
@@ -17,7 +16,7 @@ with sparse kept rows and inline mod-p row arithmetic on prime fields;
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 __all__ = [
     "SizeLimitError",
@@ -155,8 +154,7 @@ class Field:
     elements), so repeated multiplications are O(1).
     """
 
-    def __init__(self, characteristic: int, degree: int = 1,
-                 modulus: Optional[Sequence[int]] = None):
+    def __init__(self, characteristic: int, degree: int = 1):
         if not _is_prime(characteristic):
             raise ValueError(f"characteristic {characteristic} is not prime")
         if degree < 1:
@@ -164,23 +162,12 @@ class Field:
         self.p = characteristic
         self.degree = degree
         self.q = characteristic ** degree
-        if degree == 1:
-            if modulus is not None:
-                raise ValueError("prime fields take no modulus polynomial")
-            self.modulus: Optional[tuple] = None
-        else:
+        self.modulus: Optional[tuple] = None
+        if degree > 1:
             if self.q > _MAX_FIELD_SIZE:
                 raise SizeLimitError(
                     f"field size {self.q} exceeds the supported bound {_MAX_FIELD_SIZE}")
-            if modulus is None:
-                mod = _lowest_irreducible(self.p, degree)
-            else:
-                mod = _ptrim(tuple(c % self.p for c in modulus))
-                if len(mod) - 1 != degree or mod[-1] != 1:
-                    raise ValueError("modulus must be monic of the stated degree")
-                if not _is_irreducible(mod, self.p):
-                    raise ValueError("modulus polynomial is reducible")
-            self.modulus = mod
+            self.modulus = _lowest_irreducible(self.p, degree)
         self._exp: Optional[list] = None
         self._log: Optional[list] = None
 
@@ -190,9 +177,6 @@ class Field:
         if not isinstance(a, int) or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not an element of {self}")
         return a
-
-    def elements(self) -> range:
-        return range(self.q)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -221,9 +205,6 @@ class Field:
             mult *= self.p
         return out
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if self.degree == 1:
             return (a * b) % self.p
@@ -241,21 +222,6 @@ class Field:
         if self._exp is None:
             self._build_tables()
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
 
     # -- extension-field internals ------------------------------------------
 
@@ -337,15 +303,11 @@ class Field:
         return f"GF({self.p}^{self.degree})"
 
 
-def make_field(characteristic: int, degree: int = 1,
-               modulus: Optional[Sequence[int]] = None) -> Field:
-    """Construct GF(characteristic ** degree).
-
-    With no modulus given, the monic irreducible polynomial with the
-    smallest packed base-p encoding is selected, so the construction is
-    deterministic.  A supplied modulus is verified irreducible.
-    """
-    return Field(characteristic, degree, modulus)
+def make_field(characteristic: int, degree: int = 1) -> Field:
+    """Construct GF(characteristic ** degree).  An extension field reduces
+    modulo the monic irreducible polynomial with the smallest packed
+    base-p encoding, so the construction is deterministic."""
+    return Field(characteristic, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +345,6 @@ class Matrix:
             raise ValueError(f"rows have length {width}, expected {ncols}")
         flat = [a for r in rows for a in r]
         return cls(field, len(rows), width, flat)
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        data = [0] * (n * n)
-        for i in range(n):
-            data[i * n + i] = 1
-        return cls(field, n, n, data, validate=False)
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":

@@ -89,3 +89,8 @@ class Instance:
         for t in self.transmitters:
             mask |= 1 << t
         return mask
+
+    def objective(self, rates: Iterable) -> Fraction:
+        """The weighted rate sum: sum of weights[i] * rates[i], exact."""
+        return sum((w * Fraction(r) for w, r in zip(self.weights, rates)),
+                   Fraction(0))

@@ -15,6 +15,11 @@ column rank.  `simulate_exchange` runs the whole exchange on a concrete
 random source draw and checks each receiver actually reconstructs it
 uniquely, which succeeds exactly when the rank condition holds.
 
+Both read a scheme's coding view: the replicated, embedded observation
+blocks, built once by `design_transmissions` (shared by all attempts) or by
+`scheme_core_from_dict`, and the coded rows, built on first use.  The
+source kind is checked where an Instance enters this module.
+
 The multicast graph view (super-source, per-terminal sender/relay nodes,
 per-receiver sinks) is exported for DOT rendering; with feasible chunk
 rates its min-cut to every receiver is at least the total chunk count.
@@ -24,8 +29,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gf import Field, Matrix, embed_map, make_field, mat_vec, rank, solve_linear, stack
@@ -73,7 +79,10 @@ class TransmissionScheme:
     Terminal i sends matrices[i] . X'_i where X'_i is its observation
     replicated over L chunks and embedded into the coding field (an
     extension of the source field of the stated degree).  chunk_rates[i]
-    is the number of coding-field symbols terminal i sends.
+    is the number of coding-field symbols terminal i sends.  `embed` (the
+    source-to-coding-field map) and `blocks` (the replicated, embedded
+    observation matrices) follow from the instance, L and the coding field,
+    so they take no part in equality.
     """
 
     instance: Instance
@@ -82,16 +91,19 @@ class TransmissionScheme:
     ext_degree: int
     coding_field: Field
     matrices: Dict[int, Matrix]
-    seed: int = 0
-    attempt: int = 0
-
-    @property
-    def source_field(self) -> Field:
-        return self.instance.model.field
+    seed: int
+    attempt: int
+    embed: Tuple[int, ...] = field(compare=False, repr=False)
+    blocks: Tuple[Matrix, ...] = field(compare=False, repr=False)
 
     @property
     def total_symbols(self) -> int:
         return sum(self.chunk_rates)
+
+    @cached_property
+    def coded(self) -> Dict[int, Matrix]:
+        """Each transmitter's coded rows over the chunked packets."""
+        return {i: M @ self.blocks[i] for i, M in self.matrices.items()}
 
 
 @dataclass
@@ -104,10 +116,6 @@ class DecodabilityReport:
     @property
     def ok(self) -> bool:
         return all(d == 0 for d in self.deficits.values())
-
-    @property
-    def per_user(self) -> Dict[int, bool]:
-        return {l: d == 0 for l, d in self.deficits.items()}
 
 
 @dataclass
@@ -143,14 +151,14 @@ def _check_rates_feasible(instance: Instance, rates: Sequence[Fraction]) -> None
                 f"{need}, rates provide {got}")
 
 
-def rationalize(rates: Sequence, max_denominator: int = 64,
-                instance: Optional[Instance] = None) -> Tuple[int, Tuple[int, ...]]:
+def rationalize(rates: Sequence, instance: Instance,
+                max_denominator: int = 64) -> Tuple[int, Tuple[int, ...]]:
     """Chunk count L and integer per-terminal chunk rates for a rate vector.
 
     Each rate is snapped to the nearest rational with denominator at most
     max_denominator (this is where slightly-off solver output lands back
-    on the exact optimum).  When an instance is supplied the snapped
-    vector is re-verified against every receiver's cuts.  Deficits small
+    on the exact optimum), and the snapped vector is re-verified against
+    every receiver's cuts of the instance.  Deficits small
     enough to be snapping artifacts (at most m/(2*max_denominator), the
     most a cut sum can move when every coordinate shifts to its nearest
     grid point) are repaired: each terminal in ascending order is raised
@@ -165,33 +173,32 @@ def rationalize(rates: Sequence, max_denominator: int = 64,
     snapped = [Fraction(r).limit_denominator(max_denominator) for r in rates]
     if any(r < 0 for r in snapped):
         raise ValueError("rates must be nonnegative")
-    if instance is not None:
-        if len(snapped) != instance.m:
-            raise ValueError("rate vector length mismatch")
-        snap_slack = Fraction(len(snapped), 2 * max_denominator)
-        # largest deficit of each violated cut over the receivers; raising
-        # a rate only shrinks deficits, so one scan per receiver finds
-        # every cut a repair has to cover
-        deficits: Dict[int, Fraction] = {}
-        for l in instance.user_list:
-            for cut, need, got in violated_cuts(snapped, instance, l):
-                deficit = need - got
-                if deficit > snap_slack:
-                    raise InfeasibleRatesError(
-                        f"receiver {l}: cut {set(mask_to_set(cut))} is "
-                        f"short by {deficit}, more than snapping to the "
-                        f"1/{max_denominator} grid can explain")
-                if deficit > deficits.get(cut, 0):
-                    deficits[cut] = deficit
-        if deficits:   # each cut's lowest terminal raises it, so rates change
-            for i in sorted(instance.transmitters):
-                through = [cut for cut in deficits if (cut >> i) & 1]
-                worst = max((deficits[cut] for cut in through), default=0)
-                if worst > 0:
-                    snapped[i] += worst
-                    for cut in through:
-                        deficits[cut] -= worst
-            _check_rates_feasible(instance, snapped)
+    if len(snapped) != instance.m:
+        raise ValueError("rate vector length mismatch")
+    snap_slack = Fraction(len(snapped), 2 * max_denominator)
+    # largest deficit of each violated cut over the receivers; raising a
+    # rate only shrinks deficits, so one scan per receiver finds every cut
+    # a repair has to cover
+    deficits: Dict[int, Fraction] = {}
+    for l in instance.user_list:
+        for cut, need, got in violated_cuts(snapped, instance, l):
+            deficit = need - got
+            if deficit > snap_slack:
+                raise InfeasibleRatesError(
+                    f"receiver {l}: cut {set(mask_to_set(cut))} is "
+                    f"short by {deficit}, more than snapping to the "
+                    f"1/{max_denominator} grid can explain")
+            if deficit > deficits.get(cut, 0):
+                deficits[cut] = deficit
+    if deficits:   # each cut's lowest terminal raises it, so rates change
+        for i in sorted(instance.transmitters):
+            through = [cut for cut in deficits if (cut >> i) & 1]
+            worst = max((deficits[cut] for cut in through), default=0)
+            if worst > 0:
+                snapped[i] += worst
+                for cut in through:
+                    deficits[cut] -= worst
+        _check_rates_feasible(instance, snapped)
     L = 1
     for r in snapped:
         L = math.lcm(L, r.denominator)
@@ -201,15 +208,21 @@ def rationalize(rates: Sequence, max_denominator: int = 64,
     return L, tuple(int(r * L) for r in snapped)
 
 
-def _embedded_blocks(instance: Instance, L: int, coding_field: Field
-                     ) -> Tuple[List[Matrix], Tuple[int, ...]]:
+def _linear_model(instance: Instance) -> LinearSource:
+    """The instance's source model, which must carry observation matrices."""
     model = instance.model
     if not isinstance(model, LinearSource):
-        raise TypeError("transmission design needs a linear (or raw) source model")
+        raise TypeError("transmission schemes need a linear (or raw) source model")
+    return model
+
+
+def _coding_view(model: LinearSource, L: int, coding_field: Field
+                 ) -> Tuple[Tuple[int, ...], Tuple[Matrix, ...]]:
+    """The source-to-coding-field map and every terminal's observation
+    matrix replicated over L chunks and embedded into the coding field."""
     emb = embed_map(model.field, coding_field)
-    blocks = [A.kron_identity(L).map_to_field(coding_field, emb)
-              for A in model.matrices]
-    return blocks, emb
+    return emb, tuple(A.kron_identity(L).map_to_field(coding_field, emb)
+                      for A in model.matrices)
 
 
 def design_transmissions(instance: Instance, chunk_rates: Sequence[int], L: int,
@@ -225,9 +238,7 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int], L: int,
     instance whose joint observation does not span all N packets raises
     IncompleteSourceError before any attempt: that is structural.
     """
-    model = instance.model
-    if not isinstance(model, LinearSource):
-        raise TypeError("transmission design needs a linear (or raw) source model")
+    model = _linear_model(instance)
     joint = model.joint_entropy_scaled(model.full_mask)
     if joint < model.N:
         raise IncompleteSourceError(
@@ -237,11 +248,6 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int], L: int,
     if L < 1:
         raise ValueError("L must be >= 1")
     chunk_rates = tuple(int(c) for c in chunk_rates)
-    if len(chunk_rates) != instance.m or any(c < 0 for c in chunk_rates):
-        raise ValueError("chunk_rates must be m nonnegative integers")
-    for i, c in enumerate(chunk_rates):
-        if c and i not in instance.transmitters:
-            raise ValueError(f"terminal {i} does not transmit but has chunk rate {c}")
     _check_rates_feasible(instance, [Fraction(c, L) for c in chunk_rates])
 
     if ext_degree is None:
@@ -249,7 +255,7 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int], L: int,
     if ext_degree < 1:
         raise ValueError("ext_degree must be >= 1")
     coding_field = make_field(model.field.p, model.field.degree * ext_degree)
-    blocks, _ = _embedded_blocks(instance, L, coding_field)
+    emb, blocks = _coding_view(model, L, coding_field)
 
     q = coding_field.q
     for attempt in range(max_attempts):
@@ -264,7 +270,8 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int], L: int,
                              [rng.randrange(q) for _ in range(r * ncols)],
                              validate=False)
         scheme = TransmissionScheme(instance, L, chunk_rates, ext_degree,
-                                    coding_field, mats, seed, attempt)
+                                    coding_field, mats, seed, attempt,
+                                    emb, blocks)
         if verify_decodability(scheme).ok:
             return scheme
     raise DesignFailureError(
@@ -276,13 +283,11 @@ def verify_decodability(scheme: TransmissionScheme) -> DecodabilityReport:
     """Exact rank check per receiver: own replicated observation stacked
     with every other terminal's coded rows must span all chunked packets."""
     instance = scheme.instance
-    model = instance.model
-    blocks, _ = _embedded_blocks(instance, scheme.L, scheme.coding_field)
-    target = model.N * scheme.L
-    coded = {i: scheme.matrices[i] @ blocks[i] for i in scheme.matrices}
+    target = instance.model.N * scheme.L
+    coded = scheme.coded
     deficits: Dict[int, int] = {}
     for l in instance.user_list:
-        parts = [blocks[l]]
+        parts = [scheme.blocks[l]]
         parts.extend(coded[i] for i in sorted(coded) if i != l)
         got = rank(stack(*parts))
         deficits[l] = target - got
@@ -300,9 +305,7 @@ def simulate_exchange(scheme: TransmissionScheme, seed: int = 0) -> SimulationRe
     """
     instance = scheme.instance
     model = instance.model
-    if not isinstance(model, LinearSource):
-        raise TypeError("simulation needs a linear (or raw) source model")
-    blocks, emb = _embedded_blocks(instance, scheme.L, scheme.coding_field)
+    blocks, emb, coded = scheme.blocks, scheme.embed, scheme.coded
     rng = random.Random(seed)
     w = tuple(emb[rng.randrange(model.field.q)]
               for _ in range(model.N * scheme.L))
@@ -310,7 +313,6 @@ def simulate_exchange(scheme: TransmissionScheme, seed: int = 0) -> SimulationRe
     # through the embedded blocks gives the embedded observations
     obs = [mat_vec(B, w) for B in blocks]
     sent = {i: mat_vec(scheme.matrices[i], obs[i]) for i in scheme.matrices}
-    coded = {i: scheme.matrices[i] @ blocks[i] for i in sent}
     successes: Dict[int, bool] = {}
     for l in instance.user_list:
         rows = [blocks[l]]
@@ -344,9 +346,7 @@ class MulticastGraph:
 
 def build_multicast_graph(instance: Instance, chunk_rates: Sequence[int],
                           L: int) -> MulticastGraph:
-    model = instance.model
-    if not isinstance(model, LinearSource):
-        raise TypeError("the multicast graph needs a linear (or raw) source model")
+    model = _linear_model(instance)
     chunk_rates = tuple(int(c) for c in chunk_rates)
     if len(chunk_rates) != instance.m:
         raise ValueError("chunk_rates must have one entry per terminal")
@@ -406,9 +406,7 @@ def scheme_core_to_dict(scheme: TransmissionScheme) -> dict:
 
 
 def scheme_core_from_dict(data: dict, instance: Instance) -> TransmissionScheme:
-    model = instance.model
-    if not isinstance(model, LinearSource):
-        raise TypeError("schemes need a linear (or raw) source model")
+    model = _linear_model(instance)
     L = int(data["L"])
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -439,6 +437,8 @@ def scheme_core_from_dict(data: dict, instance: Instance) -> TransmissionScheme:
         mats[i] = Matrix.from_rows(coding_field, rows, ncols=width)
         if mats[i].nrows != chunk_rates[i]:
             raise ValueError(f"terminal {i}: matrix rows != chunk rate")
+    emb, blocks = _coding_view(model, L, coding_field)
     return TransmissionScheme(instance, L, chunk_rates, ext_degree,
                               coding_field, mats,
-                              int(data.get("seed", 0)), int(data.get("attempt", 0)))
+                              int(data.get("seed", 0)), int(data.get("attempt", 0)),
+                              emb, blocks)

@@ -13,8 +13,8 @@ precondition) reproduces the transmitter-restricted regions.
 The solver is a dense, fraction-free simplex (integer rows, exact rational
 results) with Bland's anti-cycling rule, run on the LP dual so the slack
 basis is immediately feasible; the primal rates are read off the optimal
-reduced costs.  Everything here is
-exponential in m by design -- exactness over speed -- so m is guarded.
+reduced costs.  Everything here is exponential in m by design -- exactness
+over speed -- so cut enumeration, where every LP starts, takes m <= 10.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ __all__ = [
     "SimplexResult",
 ]
 
-_ENUM_GUARD_M = 12
-_SOLVE_GUARD_M = 10
+_GUARD_M = 10
 
 
 class InfeasibleLPError(ValueError):
@@ -49,17 +48,12 @@ class InfeasibleLPError(ValueError):
 
 @dataclass(frozen=True)
 class CutSetLP:
-    """The explicit LP: one (mask, rhs, owner) row per cut-set, variables
-    only for transmitting terminals, weights as costs.  `owner` is the
-    lowest-index user outside the cut (the receiver the cut starves)."""
+    """The explicit LP: one (mask, rhs) row per cut-set, variables only for
+    transmitting terminals, the instance's weights as costs."""
 
     instance: Instance
     variables: Tuple[int, ...]
-    constraints: Tuple[Tuple[int, Fraction, int], ...]
-
-    @property
-    def weights(self) -> Tuple[Fraction, ...]:
-        return self.instance.weights
+    constraints: Tuple[Tuple[int, Fraction], ...]
 
 
 def enumerate_cutsets(m: int, users: Sequence[int]) -> List[int]:
@@ -67,9 +61,8 @@ def enumerate_cutsets(m: int, users: Sequence[int]) -> List[int]:
 
     The count is 2^m - 2^(m-|users|) - 1.
     """
-    if m > _ENUM_GUARD_M:
-        raise SizeLimitError(
-            f"cut-set enumeration limited to m <= {_ENUM_GUARD_M}")
+    if m > _GUARD_M:
+        raise SizeLimitError(f"exact solve limited to m <= {_GUARD_M}")
     amask = 0
     for u in set(users):
         if not 0 <= u < m:
@@ -83,21 +76,16 @@ def enumerate_cutsets(m: int, users: Sequence[int]) -> List[int]:
 
 def build_lp(instance: Instance) -> CutSetLP:
     """Materialize the cut-set LP for an instance.  Right-hand sides are
-    conditional entropies given the entire complement."""
+    conditional entropies given the entire complement.  The size guard
+    fires before any entropy is queried."""
+    cuts = enumerate_cutsets(instance.m, instance.user_list)
     model = instance.model
-    m = instance.m
     den = model.entropy_denominator
     js = model._joint_scaled
     full = model.full_mask
     total = js(full)
-    users = instance.user_list
-    rows = []
-    for s in enumerate_cutsets(m, users):
-        rhs_scaled = total - js(full & ~s)
-        owner = next(u for u in users if not (s >> u) & 1)
-        rows.append((s, Fraction(rhs_scaled, den), owner))
-    variables = tuple(sorted(instance.transmitters))
-    return CutSetLP(instance, variables, tuple(rows))
+    rows = tuple((s, Fraction(total - js(full & ~s), den)) for s in cuts)
+    return CutSetLP(instance, tuple(sorted(instance.transmitters)), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +205,6 @@ def solve_exact(lp: CutSetLP) -> OracleSolution:
     re-checked against every constraint before returning.
     """
     inst = lp.instance
-    if inst.m > _SOLVE_GUARD_M:
-        raise SizeLimitError(f"exact solve limited to m <= {_SOLVE_GUARD_M}")
     var_index = {t: i for i, t in enumerate(lp.variables)}
     c = [row[1] for row in lp.constraints]
     b = [inst.weights[t] for t in lp.variables]
@@ -238,10 +224,9 @@ def solve_exact(lp: CutSetLP) -> OracleSolution:
         raise ArithmeticError("simplex returned a negative rate")
     rden = math.lcm(*(r.denominator for r in rates))
     got = _subset_sums([r.numerator * (rden // r.denominator) for r in rates])
-    for mask, rhs, _ in lp.constraints:
+    for mask, rhs in lp.constraints:
         if got[mask] * rhs.denominator < rhs.numerator * rden:
             raise ArithmeticError("simplex returned an infeasible rate vector")
-    obj = sum((w * r for w, r in zip(inst.weights, rates)), Fraction(0))
-    if obj != res.value:
+    if inst.objective(rates) != res.value:
         raise ArithmeticError("rate vector does not match the optimal value")
     return OracleSolution(res.value, tuple(rates), res.pivots)

@@ -1,7 +1,7 @@
 """Side-information models and their entropy oracles.
 
-Every model answers joint/conditional entropy queries for subsets of the
-m terminals.  Subsets are integer bitmasks: terminal i (0-indexed) is bit
+Every model answers joint entropy queries for subsets of the m
+terminals.  Subsets are integer bitmasks: terminal i (0-indexed) is bit
 i, so the first terminal is the least significant bit.  That convention is
 shared with the instance file format.  Entropies are reported in symbols
 (one symbol = log q bits for a field of size q) and are exact: integers
@@ -16,7 +16,9 @@ Three model kinds:
   count of distinct owned packets (a LinearSource over basis rows, with a
   faster oracle).
 * TabularSource -- an explicit table of 2^m subset entropies for sources
-  that do not arise from any matrix description.
+  that do not arise from any matrix description.  The table must be an
+  entropy function: zero at the empty set, monotone and submodular (the
+  greedy is exact only for submodular tables).
 
 Besides point queries, every model answers a chain query: `chain_scaled`
 returns the entropy increments along the nested subsets start, start + j1,
@@ -51,7 +53,6 @@ __all__ = [
     "TableReport",
     "raw_source",
     "validate_table",
-    "tabulate",
     "as_mask",
     "mask_to_set",
 ]
@@ -122,16 +123,6 @@ class SourceModel:
 
     def joint_entropy(self, subset: SubsetLike) -> Fraction:
         v = self.joint_entropy_scaled(subset)
-        d = self.entropy_denominator
-        return Fraction(v) if d == 1 else Fraction(v, d)
-
-    def cond_entropy(self, subset: SubsetLike, given: SubsetLike) -> Fraction:
-        """H(X_S | X_T) = H(X_{S u T}) - H(X_T)."""
-        s = as_mask(self.m, subset)
-        t = as_mask(self.m, given)
-        v = self._joint_scaled(s | t) - self._joint_scaled(t)
-        if v < 0:
-            raise ArithmeticError("conditional entropy must be nonnegative")
         d = self.entropy_denominator
         return Fraction(v) if d == 1 else Fraction(v, d)
 
@@ -299,22 +290,18 @@ def raw_source(ownership: Sequence[Iterable[int]], packet_count: int,
 
 @dataclass
 class TableReport:
-    """Outcome of entropy-table validation.  Hard errors make the table
-    unusable; submodularity violations only void optimality guarantees."""
+    """Outcome of entropy-table validation: any error makes the table
+    unusable."""
 
     ok: bool
     errors: List[str] = dc_field(default_factory=list)
-    submodularity_violations: List[Tuple[int, int, int]] = dc_field(default_factory=list)
-
-    @property
-    def submodular(self) -> bool:
-        return not self.submodularity_violations
 
 
 def validate_table(values: Sequence[Fraction]) -> TableReport:
-    """Check an entropy table: length 2^m, zero at the empty set,
-    monotone (hard errors); submodularity violations are reported as
-    (mask, i, j) triples where H(S+i) + H(S+j) < H(S+i+j) + H(S)."""
+    """Check an entropy table: length 2^m, zero at the empty set, no
+    negative entry, monotone, and -- when all that holds -- submodular,
+    reporting the first triple (S, i, j) in ascending order with
+    H(S+i) + H(S+j) < H(S+i+j) + H(S)."""
     n = len(values)
     m = n.bit_length() - 1
     errors: List[str] = []
@@ -333,19 +320,25 @@ def validate_table(values: Sequence[Fraction]) -> TableReport:
             if values[mask | (1 << i)] < values[mask]:
                 errors.append(
                     f"monotonicity violated: H({mask | (1 << i):#x}) < H({mask:#x})")
-    violations: List[Tuple[int, int, int]] = []
-    for mask in range(n):
+    if not errors:
+        errors = _first_submodularity_violation(values, m)
+    return TableReport(not errors, errors)
+
+
+def _first_submodularity_violation(values: Sequence[Fraction],
+                                   m: int) -> List[str]:
+    for mask in range(len(values)):
         for i in range(m):
             if mask & (1 << i):
                 continue
             for j in range(i + 1, m):
                 if mask & (1 << j):
                     continue
-                lhs = values[mask | (1 << i)] + values[mask | (1 << j)]
-                rhs = values[mask | (1 << i) | (1 << j)] + values[mask]
-                if lhs < rhs:
-                    violations.append((mask, i, j))
-    return TableReport(not errors, errors, violations)
+                si, sj = mask | (1 << i), mask | (1 << j)
+                if values[si] + values[sj] < values[si | sj] + values[mask]:
+                    return [f"submodularity violated: H({si:#x}) + H({sj:#x}) "
+                            f"< H({si | sj:#x}) + H({mask:#x})"]
+    return []
 
 
 class TabularSource(SourceModel):
@@ -359,7 +352,6 @@ class TabularSource(SourceModel):
         if not report.ok:
             raise ValueError("invalid entropy table: " + "; ".join(report.errors))
         self.m = len(vals).bit_length() - 1
-        self.report = report
         den = 1
         for v in vals:
             den = den * v.denominator // math.gcd(den, v.denominator)
@@ -369,11 +361,3 @@ class TabularSource(SourceModel):
 
     def _joint_scaled(self, mask: int) -> int:
         return self._scaled[mask]
-
-
-def tabulate(model: SourceModel) -> TabularSource:
-    """Materialize any model as an explicit table (m <= 16 guard)."""
-    if model.m > 16:
-        raise SizeLimitError("refusing to tabulate more than 2^16 subsets")
-    vals = [model.joint_entropy(mask) for mask in range(1 << model.m)]
-    return TabularSource(vals)

@@ -1,12 +1,15 @@
-"""Shared builders for the test suite: the worked example instances and a
-random-instance generator used by the equivalence and property suites."""
+"""Shared builders for the test suite: the worked example instances, a
+random-instance generator used by the equivalence and property suites, and
+test-side references (weighted objective, conditional entropy, explicit
+entropy tables)."""
 
 import random
 from fractions import Fraction
 
-from datex.gf import Matrix, make_field
+from datex.gf import Matrix, SizeLimitError, make_field
 from datex.instance import Instance
-from datex.source import LinearSource, raw_source
+from datex.source import (LinearSource, SourceModel, TabularSource, as_mask,
+                          raw_source)
 
 # Six terminals observing single linear combinations of three packets; the
 # first three see sums of pairs, the last three see single packets.
@@ -72,3 +75,17 @@ def random_linear_instance(rng: random.Random, multi_user: bool,
 def objective(instance: Instance, rates) -> Fraction:
     return sum((w * Fraction(r) for w, r in zip(instance.weights, rates)),
                Fraction(0))
+
+
+def cond_entropy(model: SourceModel, subset, given) -> Fraction:
+    """H(X_S | X_T) = H(X_(S u T)) - H(X_T), subsets as masks or index lists."""
+    s, t = as_mask(model.m, subset), as_mask(model.m, given)
+    return model.joint_entropy(s | t) - model.joint_entropy(t)
+
+
+def tabulate(model: SourceModel) -> TabularSource:
+    """Materialize any model as an explicit table (m <= 16 guard)."""
+    if model.m > 16:
+        raise SizeLimitError("refusing to tabulate more than 2^16 subsets")
+    return TabularSource([model.joint_entropy(mask)
+                          for mask in range(1 << model.m)])

@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from datex.cli import (CLIError, FORMAT_VERSION, instance_from_dict, main,
                        parse_instance, serialize_instance)
 from datex.instance import Instance, InfeasibleInstanceError
-from datex.source import TabularSource, tabulate
-from helpers import example2_instance, example3_instance
+from datex.source import TabularSource
+from helpers import example2_instance, example3_instance, tabulate
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 
@@ -356,7 +356,7 @@ def _one_line_error(capsys):
     ("oracle", 11, [], "exact solve limited to m <= 10"),
     ("verify", 21, ["--rates", ",".join(["1"] * 21)],
      "feasibility check limited to m <= 20"),
-    ("codegen", 13, [], "cut-set enumeration limited to m <= 12"),
+    ("codegen", 11, [], "exact solve limited to m <= 10"),
     ("codegen", 21, ["--rates", ",".join(["1"] * 21)],
      "feasibility check limited to m <= 20"),
     ("graph", 21, ["--rates", ",".join(["1"] * 21)],
@@ -440,6 +440,21 @@ def test_scheme_commands_reject_entropy_tables(tmp_path, capsys, command):
     capsys.readouterr()
     assert main([command, str(path)]) == 2
     assert "not an entropy table" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("table", [
+    [0, 0, 2, 2, 1, 1, 3, 4],   # solve certified 5 (optimum 6) at rates 0,3,2
+    [0, 1, 2, 4, 2, 4, 2, 5],   # solve died on a weak-duality ArithmeticError
+], ids=["false-certificate", "weak-duality-traceback"])
+@pytest.mark.parametrize("argv", [["solve"], ["oracle"],
+                                  ["verify", "--rates", "0,3,2"]],
+                         ids=["solve", "oracle", "verify"])
+def test_non_submodular_tables_exit_two(tmp_path, capsys, table, argv):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(dict(TABLE_DOC, entropy_table=table)))
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert "submodularity violated" in _one_line_error(capsys)
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("corrupt, message", [

@@ -31,9 +31,8 @@ from datex.greedy import violated_cuts
 from datex.instance import Instance, InfeasibleInstanceError
 from datex.netcode import InfeasibleRatesError, rationalize
 from datex.oracle import UnboundedLPError, build_lp, exact_simplex, solve_exact
-from datex.source import (SizeLimitError, TabularSource, mask_to_set,
-                          raw_source, tabulate)
-from helpers import example2_instance, random_linear_instance
+from datex.source import SizeLimitError, TabularSource, mask_to_set, raw_source
+from helpers import example2_instance, random_linear_instance, tabulate
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +425,7 @@ def test_rationalize_matches_the_per_terminal_loop(seed):
             noise = slack * Fraction(rng.randint(-200, 200), 100)
             r = max(r + noise, Fraction(0))
         rates.append(r)
-    assert (_outcome(rationalize, rates, D, inst)
+    assert (_outcome(rationalize, rates, inst, D)
             == _outcome(ref_rationalize, rates, D, inst))
 
 
@@ -446,7 +445,7 @@ def test_rationalize_matches_with_several_repairs():
 ])
 def test_rationalize_raises_the_same_errors(rates, D):
     inst = example2_instance()
-    assert (_outcome(rationalize, rates, D, inst)
+    assert (_outcome(rationalize, rates, inst, D)
             == _outcome(ref_rationalize, rates, D, inst))
 
 

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from datex.greedy import (edmonds_allocate, feasible_in_region, tie_order,
                           violated_cuts)
 from datex.instance import Instance, InfeasibleInstanceError
-from datex.source import SizeLimitError, mask_to_set, raw_source, tabulate
+from datex.source import SizeLimitError, mask_to_set, raw_source
 from helpers import (example_model, example1_instance, objective,
-                     random_linear_instance)
+                     random_linear_instance, tabulate)
 
 
 # ---------------------------------------------------------------------------

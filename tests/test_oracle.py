@@ -47,7 +47,7 @@ def test_enumerate_small_exact_masks():
 
 def test_enumerate_validation():
     with pytest.raises(SizeLimitError):
-        enumerate_cutsets(13, [0])  # enumeration guard
+        enumerate_cutsets(11, [0])  # the exact LP's one size guard
     with pytest.raises(ValueError):
         enumerate_cutsets(4, [])
     with pytest.raises(ValueError):
@@ -62,30 +62,20 @@ def test_build_lp_single_user_shape(example1):
     lp = build_lp(example1)
     assert lp.variables == (0, 1, 2, 3, 4, 5)
     assert len(lp.constraints) == 31
-    rows = {mask: (rhs, owner) for mask, rhs, owner in lp.constraints}
+    rows = dict(lp.constraints)
     # the everything-but-the-receiver cut needs the file minus what the
     # receiver already holds: 3 - 1 = 2 packets' worth
-    assert rows[0b111110] == (Fraction(2), 0)
+    assert rows[0b111110] == Fraction(2)
     # a single helper that the rest of the room can reconstruct adds nothing
-    assert rows[0b001000][0] == F0
-    # with one user every cut starves that user
-    assert all(owner == 0 for _, _, owner in lp.constraints)
-    assert lp.weights == example1.weights
-
-
-def test_build_lp_owner_is_lowest_starved_user(example2):
-    lp = build_lp(example2)
-    assert len(lp.constraints) == 55
-    rows = {mask: owner for mask, _, owner in lp.constraints}
-    assert rows[0b000110] == 0  # cut {1,2}: user 0 outside
-    assert rows[0b000101] == 1  # cut {0,2}: user 0 inside, 1 outside
-    assert rows[0b000011] == 2  # cut {0,1}: users 0,1 inside
-    assert rows[0b001000] == 0  # helper-only cut: lowest user owns it
+    assert rows[0b001000] == F0
+    # with one user every cut leaves that user out
+    assert all(not mask & 1 for mask in rows)
 
 
 def test_build_lp_rhs_values(example2):
     lp = build_lp(example2)
-    rows = {mask: rhs for mask, rhs, _ in lp.constraints}
+    assert len(lp.constraints) == 55
+    rows = dict(lp.constraints)
     # complement {0} sees one combination: 3 - 1 = 2
     assert rows[0b111110] == Fraction(2)
     # complement {2,5} spans two dimensions: 3 - 2 = 1
@@ -277,13 +267,27 @@ def test_oracle_matches_greedy_helpers_only():
 # ---------------------------------------------------------------------------
 
 def test_solve_guard_rejects_large_instances():
-    m = 11
-    model = raw_source([[0] for _ in range(m)], 1)
-    inst = Instance(model, [0])
-    lp = build_lp(inst)  # enumeration still within its own guard
-    assert len(lp.constraints) == 2 ** 11 - 2 ** 10 - 1
+    # one guard, m <= 10, where enumeration starts: m = 10 builds and
+    # solves, m = 11 stops before the first LP row
+    for m, ok in ((10, True), (11, False)):
+        inst = Instance(raw_source([[0] for _ in range(m)], 1), [0])
+        if ok:
+            lp = build_lp(inst)
+            assert len(lp.constraints) == 2 ** 10 - 2 ** 9 - 1
+            assert solve_exact(lp).value == 0
+        else:
+            with pytest.raises(SizeLimitError, match="m <= 10"):
+                build_lp(inst)
+
+
+def test_build_lp_guard_fires_before_any_entropy_query(monkeypatch):
+    inst = Instance(raw_source([[i] for i in range(11)], 11), [0])
+    calls = []
+    monkeypatch.setattr(inst.model, "_joint_scaled",
+                        lambda mask: calls.append(mask))
     with pytest.raises(SizeLimitError):
-        solve_exact(lp)
+        build_lp(inst)
+    assert calls == []
 
 
 def test_infeasible_error_is_value_error():

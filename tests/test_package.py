@@ -1,5 +1,6 @@
 """Package-level checks: certificates are explicit raises that `python -O`
-keeps, the runtime imports only the standard library, the README's
+keeps, the runtime imports only the standard library, every exported name
+has a caller in the package or a mention in the README, the README's
 library quick start runs as written, and every name the benchmark's
 tracer wraps still exists."""
 
@@ -39,6 +40,51 @@ def test_package_imports_only_the_standard_library():
                       if name.split(".")[0] not in sys.stdlib_module_names
                       and name.split(".")[0] != "datex"]
     assert not found, f"imports outside the standard library: {found}"
+
+
+def _defines(stmt, name):
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return stmt.name == name
+    targets = (stmt.targets if isinstance(stmt, ast.Assign) else
+               [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+def _names_used(tree, skip=None):
+    """Every identifier a module reads, imports or looks up as an
+    attribute, outside the top-level statement that defines `skip`."""
+    used = set()
+    for stmt in tree.body:
+        if skip is not None and _defines(stmt, skip):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
+def test_exported_names_have_a_caller_or_a_readme_mention():
+    """The public API is what the package itself and the README use: a
+    name in a module's __all__ whose only callers are tests does not
+    belong in src/datex."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "datex").glob("*.py"))}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    unused = []
+    for module, tree in trees.items():
+        exported = [ast.literal_eval(stmt.value) for stmt in tree.body
+                    if _defines(stmt, "__all__")]
+        for name in (exported[0] if exported else []):
+            if any(name in _names_used(other, name if mod == module else None)
+                   for mod, other in trees.items()):
+                continue
+            if not re.search(rf"\b{re.escape(name)}\b", readme):
+                unused.append(f"{module}.{name}")
+    assert not unused, f"exported but used only by tests: {unused}"
 
 
 def test_readme_library_quick_start_runs(capsys):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from datex.gf import Matrix, make_field
-from datex.source import (LinearSource, RawSource, TabularSource, as_mask,
-                          mask_to_set, raw_source, tabulate, validate_table)
-from helpers import example_model, example3_instance, random_linear_instance
+from datex.source import (LinearSource, RawSource, TableReport, TabularSource,
+                          as_mask, mask_to_set, raw_source, validate_table)
+from helpers import (cond_entropy, example_model, example3_instance,
+                     random_linear_instance, tabulate)
 
 
 # ---------------------------------------------------------------------------
@@ -56,12 +57,12 @@ def test_example_model_entropies_gf2():
 def test_conditional_entropy_values():
     model = example_model(3)
     # terminal 3 observes a packet that terminal 0's sum involves
-    assert model.cond_entropy([3], [0]) == 1
-    assert model.cond_entropy([0], [3, 4]) == 0
-    assert model.cond_entropy([0], []) == 1
+    assert cond_entropy(model, [3], [0]) == 1
+    assert cond_entropy(model, [0], [3, 4]) == 0
+    assert cond_entropy(model, [0], []) == 1
     # chain rule spot check: H(0,1) = H(0) + H(1|0)
     assert (model.joint_entropy([0, 1])
-            == model.joint_entropy([0]) + model.cond_entropy([1], [0]))
+            == model.joint_entropy([0]) + cond_entropy(model, [1], [0]))
 
 
 def test_linear_source_validation():
@@ -116,15 +117,20 @@ def test_validate_table_hard_errors():
     assert not r.ok and any("monotonicity" in e for e in r.errors)
 
 
-def test_validate_table_submodularity_is_soft():
+def test_validate_table_rejects_non_submodular_tables():
     # monotone and grounded but not submodular: H(0)+H(1) < H(01)+H(empty)
     r = validate_table([Fraction(0), Fraction(1), Fraction(1), Fraction(3)])
-    assert r.ok
-    assert not r.submodular
-    assert r.submodularity_violations == [(0, 0, 1)]
+    assert not r.ok
+    assert r.errors == ["submodularity violated: H(0x1) + H(0x2) "
+                        "< H(0x3) + H(0x0)"]
+    # only the first violating triple (S, i, j) in ascending order is named:
+    # S = {0}, i = 1, j = 2 here, though S = {1}, i = 0, j = 2 fails too
+    r = validate_table([0, 0, 2, 2, 1, 1, 3, 4])
+    assert r.errors == ["submodularity violated: H(0x3) + H(0x5) "
+                        "< H(0x7) + H(0x1)"]
     # a genuinely entropic table is clean
-    good = validate_table([Fraction(0), Fraction(1), Fraction(1), Fraction(2)])
-    assert good.ok and good.submodular
+    assert validate_table([Fraction(0), Fraction(1), Fraction(1),
+                           Fraction(2)]) == TableReport(True, [])
 
 
 def test_tabular_source_accepts_strings_and_fractions():
@@ -133,8 +139,9 @@ def test_tabular_source_accepts_strings_and_fractions():
     assert t.entropy_denominator == 4
     assert t.joint_entropy(0b11) == Fraction(3, 4)
     assert t.joint_entropy_scaled(0b01) == 2
-    # non-submodular tables are allowed; hard errors are not
-    TabularSource([0, 1, 1, 3])
+    # every failed check is a hard error, submodularity included
+    with pytest.raises(ValueError, match="submodularity violated"):
+        TabularSource([0, 1, 1, 3])
     with pytest.raises(ValueError):
         TabularSource([0, 2, 1, 1])
 
@@ -145,7 +152,6 @@ def test_tabulate_round_trip_matches_linear_model():
     assert table.m == model.m
     for mask in range(1 << model.m):
         assert table.joint_entropy(mask) == model.joint_entropy(mask)
-    assert table.report.submodular
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +164,9 @@ def test_tabulate_round_trip_matches_linear_model():
 def test_linear_entropy_is_polymatroidal(seed):
     rng = random.Random(seed)
     inst = random_linear_instance(rng, multi_user=rng.random() < 0.5)
-    report = tabulate(inst.model).report
-    assert report.ok and report.submodular
+    model = inst.model
+    values = [model.joint_entropy(mask) for mask in range(1 << model.m)]
+    assert validate_table(values).ok
 
 
 @given(st.integers(0, 10 ** 9))
@@ -172,7 +179,7 @@ def test_conditional_entropy_nonnegative_and_bounded(seed):
     for _ in range(20):
         s = rng.randrange(full + 1)
         t = rng.randrange(full + 1)
-        h = model.cond_entropy(s, t)
+        h = cond_entropy(model, s, t)
         assert 0 <= h <= model.joint_entropy(s)
 
 
