@@ -222,6 +222,8 @@ def instance_from_dict(data: Any, field_char: Optional[int] = None,
                 rows = t["rows"]
                 if not isinstance(rows, list):
                     raise CLIError(f"{where}: terminals[{i}].rows must be a list")
+                rows = [_require_int_list(r, f"{where}: terminals[{i}].rows[{j}]")
+                        for j, r in enumerate(rows)]
                 try:
                     mats.append(Matrix.from_rows(field, rows, ncols=N))
                 except ValueError as exc:

@@ -106,6 +106,8 @@ def test_document_validation_errors():
         {"format_version": 1, "users": [0]},     # neither source form
         _doc(terminals=[{"rows": [[1, 0]]}, {"packets": [1]}]),  # mixed
         _doc(terminals=[{"nonsense": 1}]),
+        _doc(terminals=[{"rows": [None]}]),      # a row that is not a list
+        _doc(terminals=[{"rows": [[1, True]]}]),  # a bool is not an element
         _doc(packet_count=None),
         _doc(users=None),
         _doc(users=[0, 0]),                      # duplicate user
