@@ -327,9 +327,16 @@ def _load_scheme(path: str):
 # Output plumbing
 # ---------------------------------------------------------------------------
 
+def _open_for_writing(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise CLIError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_out(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _open_for_writing(out_path) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -362,7 +369,7 @@ def _cmd_solve(args) -> int:
     trace_fh = None
     trace_cb = None
     if args.trace:
-        trace_fh = open(args.trace, "w", encoding="utf-8")
+        trace_fh = _open_for_writing(args.trace)
 
         def trace_cb(n, primal, dual, gap):
             trace_fh.write(json.dumps({

@@ -174,7 +174,8 @@ class Field:
     # -- basic queries ----------------------------------------------------
 
     def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
+        if (not isinstance(a, int) or isinstance(a, bool)
+                or not 0 <= a < self.q):
             raise ValueError(f"{a!r} is not an element of {self}")
         return a
 

@@ -14,8 +14,10 @@ information plus everything visited earlier.  Equivalently, the suffix
 sets of the visiting order are exactly the tight constraints of the
 returned vertex.
 
-Checking a rate vector against the region (`violated_cuts`) is exhaustive
-over the cuts and runs in integers: the rates are scaled to one common
+`_iter_cuts` is the package's one enumeration of a receiver's cuts and
+their right-hand sides: `violated_cuts` checks a rate vector against them,
+and the exact LP (`oracle.build_lp`) takes its rows from them.  The check
+is exhaustive and runs in integers: the rates are scaled to one common
 denominator and compared with the integer-scaled entropies.
 """
 
@@ -31,7 +33,6 @@ from .source import SizeLimitError, SourceModel, mask_to_set
 __all__ = [
     "edmonds_allocate",
     "check_rate_domain",
-    "feasible_in_region",
     "violated_cuts",
     "tie_order",
 ]
@@ -176,8 +177,3 @@ def violated_cuts(rates: Sequence, instance: Instance, target: int,
                 break
     return out
 
-
-def feasible_in_region(rates: Sequence, instance: Instance, target: int) -> bool:
-    """True iff the rate vector satisfies every cut of the receiver's
-    region (exact rational comparison)."""
-    return not violated_cuts(rates, instance, target, limit=1)

@@ -405,28 +405,43 @@ def scheme_core_to_dict(scheme: TransmissionScheme) -> dict:
     }
 
 
+def _int_entry(value, where: str) -> int:
+    """A scheme-file integer: an int, not a bool, float or string."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{where} must be an integer, "
+                        f"not {type(value).__name__}")
+    return value
+
+
 def scheme_core_from_dict(data: dict, instance: Instance) -> TransmissionScheme:
     model = _linear_model(instance)
-    L = int(data["L"])
+    L = _int_entry(data["L"], "L")
     if L < 1:
         raise ValueError("L must be >= 1")
-    chunk_rates = tuple(int(c) for c in data["chunk_rates"])
+    if not isinstance(data["chunk_rates"], list):
+        raise TypeError("chunk_rates must be a list")
+    chunk_rates = tuple(_int_entry(c, "chunk_rates entry")
+                        for c in data["chunk_rates"])
     if len(chunk_rates) != instance.m:
         raise ValueError(f"chunk_rates must list {instance.m} values, "
                          f"got {len(chunk_rates)}")
     matrices = data["matrices"]
     if not isinstance(matrices, dict):
         raise TypeError("matrices must map terminals to rows")
-    keys = {int(key) for key in matrices}
-    if len(keys) != len(matrices) or not keys <= set(range(instance.m)):
+    if not set(matrices) <= {str(i) for i in range(instance.m)}:
         raise ValueError(f"matrix keys must be distinct terminals "
                          f"0..{instance.m - 1}")
+    keys = {int(key) for key in matrices}
     if keys != {i for i, c in enumerate(chunk_rates) if c}:
         raise ValueError("need one matrix for each terminal with a nonzero "
                          "chunk rate, and for no other")
-    ext_degree = int(data["ext_degree"])
+    ext_degree = _int_entry(data["ext_degree"], "ext_degree")
+    seed = _int_entry(data.get("seed", 0), "seed")
+    attempt = _int_entry(data.get("attempt", 0), "attempt")
     cf = data["coding_field"]
-    coding_field = make_field(int(cf["characteristic"]), int(cf["degree"]))
+    coding_field = make_field(
+        _int_entry(cf["characteristic"], "coding_field.characteristic"),
+        _int_entry(cf["degree"], "coding_field.degree"))
     if (coding_field.p != model.field.p
             or coding_field.degree != model.field.degree * ext_degree):
         raise ValueError("coding field does not extend the source field as stated")
@@ -439,6 +454,4 @@ def scheme_core_from_dict(data: dict, instance: Instance) -> TransmissionScheme:
             raise ValueError(f"terminal {i}: matrix rows != chunk rate")
     emb, blocks = _coding_view(model, L, coding_field)
     return TransmissionScheme(instance, L, chunk_rates, ext_degree,
-                              coding_field, mats,
-                              int(data.get("seed", 0)), int(data.get("attempt", 0)),
-                              emb, blocks)
+                              coding_field, mats, seed, attempt, emb, blocks)

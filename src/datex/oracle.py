@@ -1,20 +1,21 @@
 """Exact cut-set linear program for multi-receiver rate allocation.
 
-The baseline optimum that certifies every other solver in the package:
-enumerate all cut-sets S (nonempty proper subsets of the terminals that do
-not contain all users), require
+The baseline optimum that certifies every other solver in the package.
+Its rows are the receivers' cuts (`greedy._iter_cuts`, which `verify`
+checks too): for every user l and nonempty S within the transmitters T
+other than l,
 
-    sum_{i in S, i transmitting} R_i >= H(X_S | X_(M \\ S)),
+    sum_{i in S} R_i >= H(X_S | X_((T u {l}) \\ S)),
 
-and minimize the weighted rate sum exactly over rationals.  Non-transmitting
-terminals are pinned to rate zero, which (given the instance decodability
-precondition) reproduces the transmitter-restricted regions.
+one row per mask S with the largest right-hand side any user puts on it,
+at most 2^|T| - 1 rows.  It minimizes the weighted rate sum exactly over
+rationals, with non-transmitting terminals pinned to rate zero.
 
 The solver is a dense, fraction-free simplex (integer rows, exact rational
 results) with Bland's anti-cycling rule, run on the LP dual so the slack
 basis is immediately feasible; the primal rates are read off the optimal
 reduced costs.  Everything here is exponential in m by design -- exactness
-over speed -- so cut enumeration, where every LP starts, takes m <= 10.
+over speed -- so building the LP, where every solve starts, takes m <= 10.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .greedy import _subset_sums
+from .greedy import _iter_cuts, violated_cuts
 from .instance import Instance
 from .source import SizeLimitError
 
@@ -32,7 +33,6 @@ __all__ = [
     "CutSetLP",
     "OracleSolution",
     "InfeasibleLPError",
-    "enumerate_cutsets",
     "build_lp",
     "solve_exact",
     "exact_simplex",
@@ -56,35 +56,20 @@ class CutSetLP:
     constraints: Tuple[Tuple[int, Fraction], ...]
 
 
-def enumerate_cutsets(m: int, users: Sequence[int]) -> List[int]:
-    """All masks S with 0 != S != M and users not a subset of S, ascending.
-
-    The count is 2^m - 2^(m-|users|) - 1.
-    """
-    if m > _GUARD_M:
-        raise SizeLimitError(f"exact solve limited to m <= {_GUARD_M}")
-    amask = 0
-    for u in set(users):
-        if not 0 <= u < m:
-            raise ValueError(f"user index {u} out of range")
-        amask |= 1 << u
-    if amask == 0:
-        raise ValueError("at least one user is required")
-    full = (1 << m) - 1
-    return [s for s in range(1, full) if (s & amask) != amask]
-
-
 def build_lp(instance: Instance) -> CutSetLP:
-    """Materialize the cut-set LP for an instance.  Right-hand sides are
-    conditional entropies given the entire complement.  The size guard
-    fires before any entropy is queried."""
-    cuts = enumerate_cutsets(instance.m, instance.user_list)
-    model = instance.model
-    den = model.entropy_denominator
-    js = model._joint_scaled
-    full = model.full_mask
-    total = js(full)
-    rows = tuple((s, Fraction(total - js(full & ~s), den)) for s in cuts)
+    """Materialize the cut-set LP for an instance: the union of the users'
+    cuts, one row per mask in ascending order, each with the largest
+    right-hand side any user puts on it.  The size guard fires before any
+    entropy is queried."""
+    if instance.m > _GUARD_M:
+        raise SizeLimitError(f"exact solve limited to m <= {_GUARD_M}")
+    zero = [0] * instance.m
+    need = {}
+    for l in instance.user_list:
+        for cut, rhs, _ in _iter_cuts(instance, l, zero):
+            need[cut] = max(need.get(cut, 0), rhs)
+    den = instance.model.entropy_denominator
+    rows = tuple((s, Fraction(need[s], den)) for s in sorted(need))
     return CutSetLP(instance, tuple(sorted(instance.transmitters)), rows)
 
 
@@ -202,7 +187,8 @@ def solve_exact(lp: CutSetLP) -> OracleSolution:
     Internally solves the LP dual (max sum rhs_S y_S s.t. per-terminal
     column sums <= weight) whose slack basis is feasible, then reads the
     primal rates off the optimal reduced costs.  The returned vector is
-    re-checked against every constraint before returning.
+    re-checked against every user's cuts (`violated_cuts`, as `verify`
+    does) before returning.
     """
     inst = lp.instance
     var_index = {t: i for i, t in enumerate(lp.variables)}
@@ -222,11 +208,8 @@ def solve_exact(lp: CutSetLP) -> OracleSolution:
     # certify before returning: nonnegative, every cut met, objective equal
     if any(r < 0 for r in rates):
         raise ArithmeticError("simplex returned a negative rate")
-    rden = math.lcm(*(r.denominator for r in rates))
-    got = _subset_sums([r.numerator * (rden // r.denominator) for r in rates])
-    for mask, rhs in lp.constraints:
-        if got[mask] * rhs.denominator < rhs.numerator * rden:
-            raise ArithmeticError("simplex returned an infeasible rate vector")
+    if any(violated_cuts(rates, inst, l, limit=1) for l in inst.user_list):
+        raise ArithmeticError("simplex returned an infeasible rate vector")
     if inst.objective(rates) != res.value:
         raise ArithmeticError("rate vector does not match the optimal value")
     return OracleSolution(res.value, tuple(rates), res.pivots)

@@ -297,45 +297,59 @@ class TableReport:
     errors: List[str] = dc_field(default_factory=list)
 
 
+def _scale_table(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """The lcm of the table's denominators and every entry times it."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def validate_table(values: Sequence[Fraction]) -> TableReport:
     """Check an entropy table: length 2^m, zero at the empty set, no
     negative entry, monotone, and -- when all that holds -- submodular,
     reporting the first triple (S, i, j) in ascending order with
     H(S+i) + H(S+j) < H(S+i+j) + H(S)."""
-    n = len(values)
+    return _check_table(values, _scale_table(values)[1])
+
+
+def _check_table(values: Sequence[Fraction], scaled: Sequence[int]
+                 ) -> TableReport:
+    """validate_table on the entries scaled to integers by one common
+    factor; `values` only supplies the numbers quoted in error texts."""
+    n = len(scaled)
     m = n.bit_length() - 1
     errors: List[str] = []
     if n == 0 or n != (1 << m):
         return TableReport(False, [f"table length {n} is not a power of two"])
-    if values[0] != 0:
+    if scaled[0] != 0:
         errors.append(f"entropy of the empty set is {values[0]}, expected 0")
-    for v in values:
-        if v < 0:
+    for v, h in zip(values, scaled):
+        if h < 0:
             errors.append(f"negative entropy {v}")
             break
     for mask in range(n):
+        h = scaled[mask]
         for i in range(m):
             if mask & (1 << i):
                 continue
-            if values[mask | (1 << i)] < values[mask]:
+            if scaled[mask | (1 << i)] < h:
                 errors.append(
                     f"monotonicity violated: H({mask | (1 << i):#x}) < H({mask:#x})")
     if not errors:
-        errors = _first_submodularity_violation(values, m)
+        errors = _first_submodularity_violation(scaled, m)
     return TableReport(not errors, errors)
 
 
-def _first_submodularity_violation(values: Sequence[Fraction],
+def _first_submodularity_violation(scaled: Sequence[int],
                                    m: int) -> List[str]:
-    for mask in range(len(values)):
-        for i in range(m):
-            if mask & (1 << i):
-                continue
-            for j in range(i + 1, m):
-                if mask & (1 << j):
-                    continue
-                si, sj = mask | (1 << i), mask | (1 << j)
-                if values[si] + values[sj] < values[si | sj] + values[mask]:
+    bits = [1 << i for i in range(m)]
+    for mask, h in enumerate(scaled):
+        free = [b for b in bits if not mask & b]
+        for x, bi in enumerate(free):
+            si = mask | bi
+            hi = scaled[si] - h
+            for bj in free[x + 1:]:
+                sj = mask | bj
+                if hi + scaled[sj] < scaled[si | bj]:
                     return [f"submodularity violated: H({si:#x}) + H({sj:#x}) "
                             f"< H({si | sj:#x}) + H({mask:#x})"]
     return []
@@ -348,15 +362,13 @@ class TabularSource(SourceModel):
 
     def __init__(self, values: Sequence[Union[Fraction, int, str]]):
         vals = [Fraction(v) for v in values]
-        report = validate_table(vals)
+        den, scaled = _scale_table(vals)
+        report = _check_table(vals, scaled)
         if not report.ok:
             raise ValueError("invalid entropy table: " + "; ".join(report.errors))
         self.m = len(vals).bit_length() - 1
-        den = 1
-        for v in vals:
-            den = den * v.denominator // math.gcd(den, v.denominator)
         self.entropy_denominator = den
-        self._scaled = tuple(int(v * den) for v in vals)
+        self._scaled = tuple(scaled)
         self.values = tuple(vals)
 
     def _joint_scaled(self, mask: int) -> int:

@@ -1,7 +1,7 @@
 """Shared builders for the test suite: the worked example instances, a
 random-instance generator used by the equivalence and property suites, and
 test-side references (weighted objective, conditional entropy, explicit
-entropy tables)."""
+entropy tables, the all-terminal cut-set rows)."""
 
 import random
 from fractions import Fraction
@@ -81,6 +81,18 @@ def cond_entropy(model: SourceModel, subset, given) -> Fraction:
     """H(X_S | X_T) = H(X_(S u T)) - H(X_T), subsets as masks or index lists."""
     s, t = as_mask(model.m, subset), as_mask(model.m, given)
     return model.joint_entropy(s | t) - model.joint_entropy(t)
+
+
+def all_terminal_cut_rows(instance: Instance):
+    """The cut-set LP's rows written over all terminals: every mask S with
+    0 != S != M that leaves some user out, ascending, with right-hand side
+    H(X_S | X_(M \\ S)) = H(X_M) - H(X_(M \\ S))."""
+    model = instance.model
+    full = model.full_mask
+    users = sum(1 << u for u in instance.users)
+    total = model.joint_entropy(full)
+    return [(s, total - model.joint_entropy(full & ~s))
+            for s in range(1, full) if s & users != users]
 
 
 def tabulate(model: SourceModel) -> TabularSource:

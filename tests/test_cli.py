@@ -471,8 +471,30 @@ def test_non_submodular_tables_exit_two(tmp_path, capsys, table, argv):
     (lambda s: s.update(L=0), "L must be >= 1"),
     (lambda s: s.update(matrices=list(s["matrices"].values())),
      "matrices must map terminals to rows"),
+    (lambda s: s.update(L=1.7), "L must be an integer, not float"),
+    (lambda s: s.update(L="1"), "L must be an integer, not str"),
+    (lambda s: s.update(L=True), "L must be an integer, not bool"),
+    (lambda s: s.update(chunk_rates=[0, 1.6, 1, 0, 0, 0]),
+     "chunk_rates entry must be an integer, not float"),
+    (lambda s: s.update(chunk_rates="011000"), "chunk_rates must be a list"),
+    (lambda s: s.update(ext_degree=2.0),
+     "ext_degree must be an integer, not float"),
+    (lambda s: s["coding_field"].update(characteristic="3"),
+     "coding_field.characteristic must be an integer, not str"),
+    (lambda s: s["coding_field"].update(degree="2"),
+     "coding_field.degree must be an integer, not str"),
+    (lambda s: s.update(seed=0.5), "seed must be an integer, not float"),
+    (lambda s: s.update(attempt=False), "attempt must be an integer, not bool"),
+    (lambda s: s["matrices"].update({"1": [[True]]}),
+     "True is not an element of GF(3^2)"),
+    (lambda s: s["matrices"].update({"01": s["matrices"].pop("1")}),
+     "matrix keys must be distinct terminals 0..5"),
 ], ids=["key-out-of-range", "empty-chunk-rates", "missing-matrices",
-        "matrix-for-a-silent-terminal", "L-zero", "matrices-as-a-list"])
+        "matrix-for-a-silent-terminal", "L-zero", "matrices-as-a-list",
+        "L-float", "L-string", "L-bool", "chunk-rate-float",
+        "chunk-rates-string", "ext-degree-float", "characteristic-string",
+        "degree-string", "seed-float", "attempt-bool", "matrix-entry-bool",
+        "key-not-canonical"])
 def test_simulate_rejects_inconsistent_scheme_files(tmp_path, capsys, corrupt,
                                                     message):
     path = tmp_path / "scheme.json"
@@ -507,6 +529,30 @@ def test_non_finite_json_numbers_exit_two(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))   # NaN / Infinity: Python's JSON accepts them
     assert main(["oracle", str(path)]) == 2
     assert "is not a rational" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", EX3, "--max-iters", "5", "-o"],
+    ["solve", EX3, "--max-iters", "5", "--trace"],
+    ["oracle", EX3, "-o"],
+    ["verify", EX3, "--rates", "0,1,1", "-o"],
+    ["codegen", EX3, "-o"],
+    ["simulate", "scheme.json", "--seeds", "1", "-o"],
+    ["graph", EX3, "-o"],
+], ids=["solve", "solve-trace", "oracle", "verify", "codegen", "simulate",
+        "graph"])
+@pytest.mark.parametrize("target", ["missing/out.json", "."],
+                         ids=["missing-directory", "a-directory"])
+def test_unwritable_output_paths_exit_two(tmp_path, capsys, argv, target):
+    if argv[0] == "simulate":
+        argv = ["simulate", str(tmp_path / argv[1]), *argv[2:]]
+        assert main(["codegen", EX3, "-o", argv[1]]) == 0
+    path = str(tmp_path / target)
+    assert main([*argv, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_infeasible_instance_exits_one(tmp_path, capsys):

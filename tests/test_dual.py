@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from datex.dual import (_QUANTUM, SolverConfig, StepSchedule, _project_grid,
                         dual_value, duality_gap, solve)
-from datex.greedy import edmonds_allocate, feasible_in_region
+from datex.greedy import edmonds_allocate, violated_cuts
 from datex.instance import Instance
 from datex.oracle import build_lp, exact_simplex, solve_exact
 from helpers import example2_instance, random_linear_instance
@@ -440,8 +440,8 @@ def test_solve_three_user_example(example2):
     # the shared rates are the per-terminal maximum over the receivers' plans
     assert sol.rates == tuple(max(col) for col in zip(*sol.averaged_matrix))
     for r, l in enumerate(example2.user_list):
-        assert feasible_in_region(sol.averaged_matrix[r], example2, l)
-        assert feasible_in_region(sol.rates, example2, l)
+        assert not violated_cuts(sol.averaged_matrix[r], example2, l, limit=1)
+        assert not violated_cuts(sol.rates, example2, l, limit=1)
     assert sol.iterations <= 1000
     # the certificate re-verifies from scratch
     assert duality_gap(sol) == sol.gap
@@ -522,7 +522,7 @@ def test_solve_brackets_oracle_on_random_instances():
         assert sol.dual_objective <= opt <= sol.primal_objective
         assert sol.gap == sol.primal_objective - sol.dual_objective
         for r, l in enumerate(inst.user_list):
-            assert feasible_in_region(sol.averaged_matrix[r], inst, l)
+            assert not violated_cuts(sol.averaged_matrix[r], inst, l, limit=1)
 
 
 def test_solve_tie_break_passthrough(example2):

@@ -240,6 +240,8 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         Matrix.from_rows(F, [[0, 2]])  # 2 is not a GF(2) element
     with pytest.raises(ValueError):
+        Matrix.from_rows(F, [[0, True]])  # nor is a bool
+    with pytest.raises(ValueError):
         Matrix.from_rows(F, [[1, 0], [1]])  # ragged
     with pytest.raises(ValueError):
         Matrix.from_rows(F, [[1, 0]], ncols=3)

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datex.greedy import (edmonds_allocate, feasible_in_region, tie_order,
-                          violated_cuts)
+from datex.greedy import edmonds_allocate, tie_order, violated_cuts
 from datex.instance import Instance, InfeasibleInstanceError
 from datex.source import SizeLimitError, mask_to_set, raw_source
 from helpers import (example_model, example1_instance, objective,
@@ -107,13 +106,13 @@ def test_example1_all_tie_breaks_same_objective(example1):
     for perm in perms:
         rates = edmonds_allocate(example1, 0, tie_break=perm)
         assert objective(example1, rates) == 2
-        assert feasible_in_region(rates, example1, 0)
+        assert not violated_cuts(rates, example1, 0, limit=1)
 
 
 def test_example1_greedy_output_feasible(example1):
     rates = edmonds_allocate(example1, 0, tie_break=(3, 4, 5, 1, 2))
-    assert feasible_in_region(rates, example1, 0)
-    assert not feasible_in_region([0] * 6, example1, 0)
+    assert not violated_cuts(rates, example1, 0, limit=1)
+    assert violated_cuts([0] * 6, example1, 0, limit=1)
 
 
 def test_weight_override_changes_vertex(example1):
@@ -128,7 +127,7 @@ def test_identical_observations_need_nothing():
     model = raw_source([[0], [0], [0]], 1)
     inst = Instance(model, [0])
     assert edmonds_allocate(inst, 0) == (0, 0, 0)
-    assert feasible_in_region((0, 0, 0), inst, 0)
+    assert not violated_cuts((0, 0, 0), inst, 0, limit=1)
 
 
 def test_greedy_on_tabular_model(example1):
@@ -169,11 +168,11 @@ def test_violated_cuts_rejects_rates_off_the_domain(example1):
     with pytest.raises(ValueError, match="negative"):
         violated_cuts([-5, 0, 1, 1, 0, 0], example1, 0)
     with pytest.raises(ValueError, match="negative"):
-        feasible_in_region([-5, 0, 1, 1, 0, 0], example1, 0)
+        violated_cuts([-5, 0, 1, 1, 0, 0], example1, 0, limit=1)
     inst = Instance(example_model(3), [0], transmitters=[1, 2, 3])
-    assert feasible_in_region([0, 1, 1, 0, 0, 0], inst, 0)
+    assert not violated_cuts([0, 1, 1, 0, 0, 0], inst, 0, limit=1)
     with pytest.raises(ValueError, match="terminal 4 does not transmit"):
-        feasible_in_region([0, 1, 1, 0, 1, 0], inst, 0)
+        violated_cuts([0, 1, 1, 0, 1, 0], inst, 0, limit=1)
 
 
 def test_size_guards_raise_one_typed_error():
@@ -218,7 +217,7 @@ def test_greedy_vertex_properties(seed):
     assert all(r >= 0 for r in rates)
     assert rates[target] == 0
     # feasible in the receiver's cut region
-    assert feasible_in_region(rates, inst, target)
+    assert not violated_cuts(rates, inst, target, limit=1)
     # the visiting order's suffix cuts are all tight
     ranks = tie_order(inst.m, tb)
     senders = sorted((t for t in inst.transmitters if t != target),

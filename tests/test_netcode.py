@@ -12,7 +12,7 @@ import networkx as nx
 import pytest
 
 from datex.gf import Matrix, make_field
-from datex.greedy import feasible_in_region
+from datex.greedy import violated_cuts
 from datex.instance import Instance
 from datex.netcode import (DesignFailureError, IncompleteSourceError,
                            InfeasibleRatesError, build_multicast_graph,
@@ -66,7 +66,7 @@ def test_rationalize_repairs_snap_breakage(example2):
     assert (L, chunks) == (1, (2, 2, 1, 0, 0, 0))
     rates = [Fraction(c) for c in chunks]
     for l in example2.user_list:
-        assert feasible_in_region(rates, example2, l)
+        assert not violated_cuts(rates, example2, l, limit=1)
 
 
 def test_rationalize_rejects_infeasible_input(example2):
@@ -279,7 +279,7 @@ def test_designed_rates_feasible_on_chunked_model(example2):
                             instance=example2)
     rates = [Fraction(c, L) for c in chunks]
     for l in example2.user_list:
-        assert feasible_in_region(rates, example2, l)
+        assert not violated_cuts(rates, example2, l, limit=1)
 
 
 # ---------------------------------------------------------------------------

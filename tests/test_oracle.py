@@ -1,6 +1,6 @@
-"""Tests for the exact cut-set LP oracle: cut enumeration, LP assembly,
-the dense rational simplex, and full solves cross-checked against the
-greedy allocator and hand-verified optima."""
+"""Tests for the exact cut-set LP oracle: LP assembly from the receivers'
+cuts, the dense rational simplex, and full solves cross-checked against
+the greedy allocator and hand-verified optima."""
 
 import random
 from fractions import Fraction
@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from datex.greedy import edmonds_allocate, violated_cuts
 from datex.instance import Instance, InfeasibleInstanceError
-from datex.oracle import (InfeasibleLPError, UnboundedLPError, build_lp,
-                          enumerate_cutsets, exact_simplex, solve_exact)
+from datex import oracle
+from datex.oracle import (InfeasibleLPError, SimplexResult, UnboundedLPError,
+                          build_lp, exact_simplex, solve_exact)
 from datex.source import SizeLimitError, raw_source
-from helpers import (example1_instance, example2_instance, example3_instance,
-                     objective, random_linear_instance)
+from helpers import (all_terminal_cut_rows, example1_instance,
+                     example2_instance, example3_instance, objective,
+                     random_linear_instance)
 
 F0 = Fraction(0)
 
@@ -22,36 +24,6 @@ F0 = Fraction(0)
 def _assert_feasible_for_all_users(instance, rates):
     for target in instance.user_list:
         assert violated_cuts(rates, instance, target) == []
-
-
-# ---------------------------------------------------------------------------
-# Cut-set enumeration
-# ---------------------------------------------------------------------------
-
-def test_enumerate_counts_match_closed_form():
-    assert len(enumerate_cutsets(6, [0])) == 2 ** 6 - 2 ** 5 - 1  # 31
-    assert len(enumerate_cutsets(6, [0, 1, 2])) == 2 ** 6 - 2 ** 3 - 1  # 55
-    assert len(enumerate_cutsets(4, [0, 1, 2, 3])) == 2 ** 4 - 2  # all proper
-
-
-def test_enumerate_small_exact_masks():
-    # m=3, users {0,1}: every nonempty proper subset that misses a user
-    assert enumerate_cutsets(3, [0, 1]) == [1, 2, 4, 5, 6]
-    # ascending order in general
-    masks = enumerate_cutsets(5, [2])
-    assert masks == sorted(masks)
-    assert all(0 < s < 31 for s in masks)
-    # none may contain the lone user, terminal 2
-    assert all(not (s >> 2) & 1 for s in masks)
-
-
-def test_enumerate_validation():
-    with pytest.raises(SizeLimitError):
-        enumerate_cutsets(11, [0])  # the exact LP's one size guard
-    with pytest.raises(ValueError):
-        enumerate_cutsets(4, [])
-    with pytest.raises(ValueError):
-        enumerate_cutsets(4, [4])
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +54,78 @@ def test_build_lp_rhs_values(example2):
     assert rows[0b011011] == Fraction(1)
     # complement {0,1,2} already spans everything: nothing is required
     assert rows[0b111000] == F0
+
+
+def _packet_instance(m, users):
+    """m terminals, each owning a packet of its own; all of them transmit."""
+    return Instance(raw_source([[i] for i in range(m)], m), users)
+
+
+def test_build_lp_count_matches_closed_form():
+    # 2^m - 2^(m-k) - 1 rows when every terminal transmits
+    for m, users in ((6, [0]), (6, [0, 1, 2]), (4, [0, 1, 2, 3])):
+        lp = build_lp(_packet_instance(m, users))
+        assert len(lp.constraints) == 2 ** m - 2 ** (m - len(users)) - 1
+    # m=3, users {0,1}: every nonempty proper subset that misses a user
+    lp = build_lp(_packet_instance(3, [0, 1]))
+    assert [mask for mask, _ in lp.constraints] == [1, 2, 4, 5, 6]
+
+
+def _unrestricted_instances():
+    yield example1_instance()
+    yield example2_instance()
+    yield example2_instance(characteristic=2)
+    yield example3_instance()
+    rng = random.Random(20261018)
+    for n in range(30):
+        yield random_linear_instance(rng, multi_user=n % 3 != 0)
+
+
+def test_build_lp_rows_equal_the_all_terminal_rows():
+    """With every terminal transmitting, the union of the receivers' cuts
+    is exactly the all-terminal enumeration: same masks, same right-hand
+    sides, same (ascending) order."""
+    for inst in _unrestricted_instances():
+        rows = build_lp(inst).constraints
+        assert list(rows) == all_terminal_cut_rows(inst)
+        assert len(rows) == 2 ** inst.m - 2 ** (inst.m - inst.k) - 1
+
+
+def _restricted_instances(count):
+    rng = random.Random(5)
+    while count:
+        base = random_linear_instance(rng, multi_user=rng.random() < 0.7)
+        senders = [t for t in range(base.m) if rng.random() < 0.6]
+        try:
+            inst = Instance(base.model, base.users, base.weights, senders)
+        except InfeasibleInstanceError:
+            continue
+        if len(inst.transmitters) == inst.m:
+            continue
+        count -= 1
+        yield inst
+
+
+def test_build_lp_restricted_rows_stay_within_the_transmitters():
+    """With a transmitters list, every row is a receiver's cut, so it lies
+    within the transmitters; the optimum equals that of the all-terminal
+    LP (whose extra rows hold silent terminals), solved here directly."""
+    for inst in _restricted_instances(40):
+        lp = build_lp(inst)
+        tmask = inst.transmitter_mask
+        masks = [mask for mask, _ in lp.constraints]
+        assert masks == sorted(masks)
+        assert all(mask and mask & ~tmask == 0 for mask in masks)
+        assert len(masks) <= 2 ** len(inst.transmitters) - 1
+        rows = all_terminal_cut_rows(inst)
+        senders = lp.variables
+        reference = exact_simplex(
+            [rhs for _, rhs in rows],
+            [[(mask >> t) & 1 for mask, _ in rows] for t in senders],
+            [inst.weights[t] for t in senders])
+        sol = solve_exact(lp)
+        assert sol.value == reference.value
+        _assert_feasible_for_all_users(inst, sol.rates)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +256,19 @@ def test_solve_two_user_packet_example(example3):
     _assert_feasible_for_all_users(example3, sol.rates)
 
 
+@pytest.mark.parametrize("rates, value, message", [
+    ((0, -1, 3), 2, "negative rate"),
+    ((0, 0, 1), 1, "infeasible rate vector"),   # no one sends packet 3
+    ((0, 1, 1), 3, "does not match the optimal value"),
+], ids=["negative", "infeasible", "objective-mismatch"])
+def test_solve_exact_certificate_rejects_a_wrong_simplex_answer(
+        monkeypatch, example3, rates, value, message):
+    wrong = SimplexResult(Fraction(value), (), tuple(map(Fraction, rates)), 0)
+    monkeypatch.setattr(oracle, "exact_simplex", lambda c, A, b: wrong)
+    with pytest.raises(ArithmeticError, match=message):
+        solve_exact(build_lp(example3))
+
+
 def test_solve_with_transmitter_restriction():
     # two packets; terminal 0 sees the first, 1 the second, 2 their sum;
     # only terminals 1 and 2 may speak
@@ -283,9 +340,10 @@ def test_solve_guard_rejects_large_instances():
 def test_build_lp_guard_fires_before_any_entropy_query(monkeypatch):
     inst = Instance(raw_source([[i] for i in range(11)], 11), [0])
     calls = []
-    monkeypatch.setattr(inst.model, "_joint_scaled",
-                        lambda mask: calls.append(mask))
-    with pytest.raises(SizeLimitError):
+    for query in ("_joint_scaled", "joint_entropy_scaled", "chain_scaled"):
+        monkeypatch.setattr(inst.model, query,
+                            lambda *args, query=query: calls.append(query))
+    with pytest.raises(SizeLimitError, match="m <= 10"):
         build_lp(inst)
     assert calls == []
 
