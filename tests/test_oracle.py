@@ -348,5 +348,18 @@ def test_build_lp_guard_fires_before_any_entropy_query(monkeypatch):
     assert calls == []
 
 
+def test_enumerate_validation():
+    # the receivers' cuts are enumerated inside build_lp: m = 11 trips the
+    # exact LP's one size guard, and a user set that names no terminal or
+    # one outside 0..m-1 is refused before any cut can be built
+    with pytest.raises(SizeLimitError):
+        build_lp(Instance(raw_source([[0] for _ in range(11)], 1), [0]))
+    model = raw_source([[0] for _ in range(4)], 1)
+    with pytest.raises(ValueError):
+        build_lp(Instance(model, []))
+    with pytest.raises(ValueError):
+        build_lp(Instance(model, [4]))
+
+
 def test_infeasible_error_is_value_error():
     assert issubclass(InfeasibleLPError, ValueError)
