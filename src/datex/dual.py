@@ -22,12 +22,11 @@ never enter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .greedy import edmonds_allocate, tie_order, _greedy_rates_scaled
-from .instance import Instance
+from .instance import Instance, _Frozen
 
 __all__ = [
     "StepSchedule",
@@ -47,30 +46,28 @@ TraceFn = Callable[[int, Fraction, Fraction, Fraction], None]
 _QUANTUM = Fraction(1, 10 ** 12)
 
 
-@dataclass(frozen=True)
-class StepSchedule:
+class StepSchedule(_Frozen):
     """Diminishing step size.  kind "harmonic" is a/(b + c*n); kind
     "power" is n**(-a) with 0 < a < 1 (evaluated in floating point and
     snapped to the 1e-9 rational grid, which preserves the diminishing
     property and keeps the solver rational)."""
 
-    kind: str = "harmonic"
-    a: Fraction = Fraction(1)
-    b: Fraction = Fraction(1)
-    c: Fraction = Fraction(1)
+    __slots__ = ("kind", "a", "b", "c")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "c", Fraction(self.c))
-        if self.kind == "harmonic":
-            if self.a <= 0 or self.b < 0 or self.c <= 0:
+    def __init__(self, kind: str = "harmonic", a=1, b=1, c=1):
+        a, b, c = Fraction(a), Fraction(b), Fraction(c)
+        if kind == "harmonic":
+            if a <= 0 or b < 0 or c <= 0:
                 raise ValueError("harmonic schedule needs a > 0, b >= 0, c > 0")
-        elif self.kind == "power":
-            if not 0 < self.a < 1:
+        elif kind == "power":
+            if not 0 < a < 1:
                 raise ValueError("power schedule needs 0 < a < 1")
         else:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+            raise ValueError(f"unknown schedule kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     def theta(self, n: int) -> Fraction:
         if self.kind == "harmonic":
@@ -81,38 +78,39 @@ class StepSchedule:
 
     @classmethod
     def harmonic(cls, a=1, b=1, c=1) -> "StepSchedule":
-        return cls("harmonic", Fraction(a), Fraction(b), Fraction(c))
+        return cls("harmonic", a, b, c)
 
     @classmethod
     def power(cls, a) -> "StepSchedule":
-        return cls("power", Fraction(a))
+        return cls("power", a)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Frozen):
     """Solver knobs.  schedule None means the weight-scaled harmonic step
     max(1, max alpha)/(1+n), which reduces to 1/(1+n) for unit weights;
     heavier weights need proportionally longer dual steps to converge.
     Other defaults: uniform averaging, stop at duality gap <= 1e-3 or
     50000 iterations."""
 
-    schedule: Optional[StepSchedule] = None
-    max_iterations: int = 50_000
-    gap_tolerance: Fraction = Fraction(1, 1000)
-    tie_break: Optional[Tuple[int, ...]] = None
+    __slots__ = ("schedule", "max_iterations", "gap_tolerance", "tie_break")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gap_tolerance", Fraction(self.gap_tolerance))
-        if self.max_iterations < 1:
+    def __init__(self, schedule: Optional[StepSchedule] = None,
+                 max_iterations: int = 50_000,
+                 gap_tolerance: Fraction = Fraction(1, 1000),
+                 tie_break: Optional[Sequence[int]] = None):
+        gap_tolerance = Fraction(gap_tolerance)
+        if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.gap_tolerance <= 0:
+        if gap_tolerance <= 0:
             raise ValueError("gap_tolerance must be positive")
-        if self.tie_break is not None:
-            object.__setattr__(self, "tie_break", tuple(self.tie_break))
+        object.__setattr__(self, "schedule", schedule)
+        object.__setattr__(self, "max_iterations", max_iterations)
+        object.__setattr__(self, "gap_tolerance", gap_tolerance)
+        object.__setattr__(self, "tie_break",
+                           None if tie_break is None else tuple(tie_break))
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """A certified outcome: primal rates plus the multiplier matrix whose
     dual value witnesses the reported gap."""
 

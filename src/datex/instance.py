@@ -3,7 +3,6 @@ may transmit, and what each transmitted symbol costs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -16,8 +15,23 @@ class InfeasibleInstanceError(ValueError):
     """The stated transmitters cannot satisfy some user even jointly."""
 
 
-@dataclass(frozen=True)
-class Instance:
+class _Frozen:
+    """Immutable after __init__, which sets each attribute through
+    object.__setattr__ (or the instance __dict__ of a subclass that has
+    one); assigning or deleting an attribute later raises AttributeError.
+    A plain class instead of a frozen dataclass keeps `dataclasses` (and
+    the `inspect` it imports) out of every command's start-up."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Instance(_Frozen):
     """A data-exchange problem: who wants the file, who may transmit, and
     what each transmitted symbol costs.
 
@@ -30,10 +44,7 @@ class Instance:
     user l.
     """
 
-    model: SourceModel
-    users: frozenset
-    weights: Tuple[Fraction, ...]
-    transmitters: frozenset
+    __slots__ = ("model", "users", "weights", "transmitters")
 
     def __init__(self, model: SourceModel, users: Iterable[int],
                  weights: Optional[Sequence] = None,

@@ -17,8 +17,10 @@ uniquely, which succeeds exactly when the rank condition holds.
 
 Both read a scheme's coding view: the replicated, embedded observation
 blocks, built once by `design_transmissions` (shared by all attempts) or by
-`scheme_core_from_dict`, and the coded rows, built on first use.  The
-source kind is checked where an Instance enters this module.
+`scheme_core_from_dict`, and the coded rows, built on first use.  Those
+two functions check the view's size, sum(rows) * L x N * L field
+entries, against one bound before building it.  The source kind is
+checked where an Instance enters this module.
 
 The multicast graph view (super-source, per-terminal sender/relay nodes,
 per-receiver sinks) is exported for DOT rendering; with feasible chunk
@@ -29,15 +31,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gf import Field, Matrix, embed_map, make_field, mat_vec, rank, solve_linear, stack
 from .greedy import violated_cuts
-from .instance import Instance
-from .source import LinearSource, mask_to_set
+from .instance import Instance, _Frozen
+from .source import LinearSource, SizeLimitError, mask_to_set
 
 __all__ = [
     "TransmissionScheme",
@@ -59,6 +60,14 @@ __all__ = [
 ]
 
 
+# Largest coding view accepted: the field entries of every terminal's
+# observation matrix replicated over L chunks, sum(rows) * L x N * L.  A
+# scheme holds that many references (8 bytes each), and building it takes
+# about twice that transiently, so 2^22 entries is some 32 MB; the largest
+# benchmark or golden scheme has about 7000.
+_MAX_CODING_VIEW = 1 << 22
+
+
 class InfeasibleRatesError(ValueError):
     """The requested rates fail some receiver's cut-set constraint."""
 
@@ -72,8 +81,7 @@ class IncompleteSourceError(ValueError):
     over any field can let a user decode every packet."""
 
 
-@dataclass(frozen=True)
-class TransmissionScheme:
+class TransmissionScheme(_Frozen):
     """A concrete linear exchange scheme.
 
     Terminal i sends matrices[i] . X'_i where X'_i is its observation
@@ -85,16 +93,25 @@ class TransmissionScheme:
     so they take no part in equality.
     """
 
-    instance: Instance
-    L: int
-    chunk_rates: Tuple[int, ...]
-    ext_degree: int
-    coding_field: Field
-    matrices: Dict[int, Matrix]
-    seed: int
-    attempt: int
-    embed: Tuple[int, ...] = field(compare=False, repr=False)
-    blocks: Tuple[Matrix, ...] = field(compare=False, repr=False)
+    def __init__(self, instance: Instance, L: int,
+                 chunk_rates: Tuple[int, ...], ext_degree: int,
+                 coding_field: Field, matrices: Dict[int, Matrix], seed: int,
+                 attempt: int, embed: Tuple[int, ...],
+                 blocks: Tuple[Matrix, ...]):
+        self.__dict__.update(
+            instance=instance, L=L, chunk_rates=chunk_rates,
+            ext_degree=ext_degree, coding_field=coding_field,
+            matrices=matrices, seed=seed, attempt=attempt, embed=embed,
+            blocks=blocks)
+
+    def _key(self) -> tuple:
+        return (self.instance, self.L, self.chunk_rates, self.ext_degree,
+                self.coding_field, self.matrices, self.seed, self.attempt)
+
+    def __eq__(self, other):
+        if not isinstance(other, TransmissionScheme):
+            return NotImplemented
+        return self._key() == other._key()
 
     @property
     def total_symbols(self) -> int:
@@ -106,8 +123,7 @@ class TransmissionScheme:
         return {i: M @ self.blocks[i] for i, M in self.matrices.items()}
 
 
-@dataclass
-class DecodabilityReport:
+class DecodabilityReport(NamedTuple):
     """Per-receiver rank deficits (0 means decodable)."""
 
     target_rank: int
@@ -118,8 +134,7 @@ class DecodabilityReport:
         return all(d == 0 for d in self.deficits.values())
 
 
-@dataclass
-class SimulationResult:
+class SimulationResult(NamedTuple):
     """Outcome of one simulated exchange on a random source draw."""
 
     successes: Dict[int, bool]
@@ -151,26 +166,54 @@ def _check_rates_feasible(instance: Instance, rates: Sequence[Fraction]) -> None
                 f"{need}, rates provide {got}")
 
 
+def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The simplest rational in [lo, hi] (smallest denominator, then
+    smallest absolute numerator), found by descending the Stern-Brocot
+    tree: the continued fraction of the two ends up to where they part."""
+    if lo <= 0 <= hi:
+        return Fraction(0)
+    if hi < 0:
+        return -_simplest_between(-hi, -lo)
+    whole = math.floor(lo)
+    if whole == lo or whole + 1 <= hi:
+        return Fraction(math.ceil(lo))
+    # lo and hi share the integer part and neither is an integer
+    return whole + 1 / _simplest_between(1 / (hi - whole), 1 / (lo - whole))
+
+
+def _snap(rate: Fraction, max_denominator: int) -> Fraction:
+    """`rate` itself if its denominator is at most max_denominator, else
+    the simplest rational within 1/(2*max_denominator) of it, whose
+    denominator is at most max_denominator too (that interval holds a
+    multiple of 1/max_denominator)."""
+    if rate.denominator <= max_denominator:
+        return rate
+    half = Fraction(1, 2 * max_denominator)
+    return _simplest_between(rate - half, rate + half)
+
+
 def rationalize(rates: Sequence, instance: Instance,
                 max_denominator: int = 64) -> Tuple[int, Tuple[int, ...]]:
     """Chunk count L and integer per-terminal chunk rates for a rate vector.
 
-    Each rate is snapped to the nearest rational with denominator at most
-    max_denominator (this is where slightly-off solver output lands back
-    on the exact optimum), and the snapped vector is re-verified against
-    every receiver's cuts of the instance.  Deficits small
-    enough to be snapping artifacts (at most m/(2*max_denominator), the
-    most a cut sum can move when every coordinate shifts to its nearest
-    grid point) are repaired: each terminal in ascending order is raised
-    by the largest remaining deficit of the violated cuts through it,
-    which restores all cuts in one pass.  A larger deficit means the
-    requested rates were infeasible before snapping, which raises
-    InfeasibleRatesError.  L is the lcm of the final denominators and
-    must not exceed max_denominator.
+    A rate with denominator at most max_denominator is kept; any other
+    is snapped to the simplest rational within 1/(2*max_denominator) of
+    it.  This is where slightly-off solver output lands back on the exact
+    optimum, whose denominators are small; the closest fraction with a
+    bounded denominator is often a more complex one, and its lcm then
+    inflates L.  The snapped vector is re-verified against every
+    receiver's cuts of the instance.  Deficits small enough to be
+    snapping artifacts (at most m/(2*max_denominator), the most a cut sum
+    can move when every coordinate moves by at most that much) are
+    repaired: each terminal in ascending order is raised by the largest
+    remaining deficit of the violated cuts through it, which restores all
+    cuts in one pass.  A larger deficit means the requested rates were
+    infeasible before snapping, which raises InfeasibleRatesError.  L is
+    the lcm of the final denominators and must not exceed max_denominator.
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    snapped = [Fraction(r).limit_denominator(max_denominator) for r in rates]
+    snapped = [_snap(Fraction(r), max_denominator) for r in rates]
     if any(r < 0 for r in snapped):
         raise ValueError("rates must be nonnegative")
     if len(snapped) != instance.m:
@@ -216,6 +259,18 @@ def _linear_model(instance: Instance) -> LinearSource:
     return model
 
 
+def _check_coding_view_size(model: LinearSource, L: int) -> None:
+    """Raise SizeLimitError before a coding view above _MAX_CODING_VIEW
+    entries is built; `design_transmissions` and `scheme_core_from_dict`
+    both call it as soon as L is known."""
+    entries = sum(A.nrows for A in model.matrices) * L * model.N * L
+    if entries > _MAX_CODING_VIEW:
+        raise SizeLimitError(
+            f"coding view of {entries} field entries (observation rows x "
+            f"packets x L^2, L = {L}) exceeds the supported bound "
+            f"{_MAX_CODING_VIEW}")
+
+
 def _coding_view(model: LinearSource, L: int, coding_field: Field
                  ) -> Tuple[Tuple[int, ...], Tuple[Matrix, ...]]:
     """The source-to-coding-field map and every terminal's observation
@@ -247,6 +302,7 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int], L: int,
             f"size can help")
     if L < 1:
         raise ValueError("L must be >= 1")
+    _check_coding_view_size(model, L)
     chunk_rates = tuple(int(c) for c in chunk_rates)
     _check_rates_feasible(instance, [Fraction(c, L) for c in chunk_rates])
 
@@ -330,8 +386,7 @@ def simulate_exchange(scheme: TransmissionScheme, seed: int = 0) -> SimulationRe
 # Multicast graph view
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MulticastGraph:
+class MulticastGraph(NamedTuple):
     """Super-source S owns all chunked packets; sender s_i carries terminal
     i's side information (capacity = observed symbols); relay t_i carries
     its broadcast (capacity = chunk rate) to every other receiver; each
@@ -418,6 +473,7 @@ def scheme_core_from_dict(data: dict, instance: Instance) -> TransmissionScheme:
     L = _int_entry(data["L"], "L")
     if L < 1:
         raise ValueError("L must be >= 1")
+    _check_coding_view_size(model, L)
     if not isinstance(data["chunk_rates"], list):
         raise TypeError("chunk_rates must be a list")
     chunk_rates = tuple(_int_entry(c, "chunk_rates entry")

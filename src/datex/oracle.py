@@ -21,9 +21,8 @@ over speed -- so building the LP, where every solve starts, takes m <= 10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .greedy import _iter_cuts, violated_cuts
 from .instance import Instance
@@ -46,8 +45,7 @@ class InfeasibleLPError(ValueError):
     """The cut-set constraints cannot be met (the dual is unbounded)."""
 
 
-@dataclass(frozen=True)
-class CutSetLP:
+class CutSetLP(NamedTuple):
     """The explicit LP: one (mask, rhs) row per cut-set, variables only for
     transmitting terminals, the instance's weights as costs."""
 
@@ -78,8 +76,7 @@ def build_lp(instance: Instance) -> CutSetLP:
 # so that the slack basis is feasible.  Bland's rule throughout.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SimplexResult:
+class SimplexResult(NamedTuple):
     value: Fraction
     x: Tuple[Fraction, ...]
     duals: Tuple[Fraction, ...]  # optimal reduced costs of the slack columns
@@ -174,8 +171,7 @@ def exact_simplex(c: Sequence, A: Sequence[Sequence], b: Sequence) -> SimplexRes
     return SimplexResult(Fraction(zrow[width], zden), tuple(x), duals, pivots)
 
 
-@dataclass(frozen=True)
-class OracleSolution:
+class OracleSolution(NamedTuple):
     value: Fraction
     rates: Tuple[Fraction, ...]
     pivots: int

@@ -36,10 +36,10 @@ per prefix.  Tabular sources look each prefix up in their table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from .gf import (EchelonBasis, Field, Matrix, SizeLimitError, make_field, rank,
                  stack)
@@ -288,13 +288,12 @@ def raw_source(ownership: Sequence[Iterable[int]], packet_count: int,
     return RawSource(ownership, packet_count, field)
 
 
-@dataclass
-class TableReport:
+class TableReport(NamedTuple):
     """Outcome of entropy-table validation: any error makes the table
     unusable."""
 
     ok: bool
-    errors: List[str] = dc_field(default_factory=list)
+    errors: Sequence[str] = ()
 
 
 def _scale_table(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
@@ -305,9 +304,10 @@ def _scale_table(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
 
 def validate_table(values: Sequence[Fraction]) -> TableReport:
     """Check an entropy table: length 2^m, zero at the empty set, no
-    negative entry, monotone, and -- when all that holds -- submodular,
-    reporting the first triple (S, i, j) in ascending order with
-    H(S+i) + H(S+j) < H(S+i+j) + H(S)."""
+    negative entry, monotone, and -- when all that holds -- submodular.
+    The last two checks each report only their first violation in
+    ascending order: the pair (S, i) with H(S+i) < H(S), or the triple
+    (S, i, j) with H(S+i) + H(S+j) < H(S+i+j) + H(S)."""
     return _check_table(values, _scale_table(values)[1])
 
 
@@ -326,14 +326,11 @@ def _check_table(values: Sequence[Fraction], scaled: Sequence[int]
         if h < 0:
             errors.append(f"negative entropy {v}")
             break
-    for mask in range(n):
-        h = scaled[mask]
-        for i in range(m):
-            if mask & (1 << i):
-                continue
-            if scaled[mask | (1 << i)] < h:
-                errors.append(
-                    f"monotonicity violated: H({mask | (1 << i):#x}) < H({mask:#x})")
+    drop = next(((mask, mask | (1 << i)) for mask in range(n) for i in range(m)
+                 if not mask & (1 << i) and scaled[mask | (1 << i)] < scaled[mask]),
+                None)
+    if drop is not None:
+        errors.append(f"monotonicity violated: H({drop[1]:#x}) < H({drop[0]:#x})")
     if not errors:
         errors = _first_submodularity_violation(scaled, m)
     return TableReport(not errors, errors)

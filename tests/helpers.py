@@ -1,13 +1,15 @@
 """Shared builders for the test suite: the worked example instances, a
 random-instance generator used by the equivalence and property suites, and
 test-side references (weighted objective, conditional entropy, explicit
-entropy tables, the all-terminal cut-set rows)."""
+entropy tables, the all-terminal cut-set rows), and a scheme copy with
+replaced coding matrices."""
 
 import random
 from fractions import Fraction
 
 from datex.gf import Matrix, SizeLimitError, make_field
 from datex.instance import Instance
+from datex.netcode import TransmissionScheme
 from datex.source import (LinearSource, SourceModel, TabularSource, as_mask,
                           raw_source)
 
@@ -101,3 +103,12 @@ def tabulate(model: SourceModel) -> TabularSource:
         raise SizeLimitError("refusing to tabulate more than 2^16 subsets")
     return TabularSource([model.joint_entropy(mask)
                           for mask in range(1 << model.m)])
+
+
+def with_matrices(scheme: TransmissionScheme, matrices) -> TransmissionScheme:
+    """`scheme` with its coding matrices replaced and every other field,
+    the coding view included, kept."""
+    return TransmissionScheme(scheme.instance, scheme.L, scheme.chunk_rates,
+                              scheme.ext_degree, scheme.coding_field, matrices,
+                              scheme.seed, scheme.attempt, scheme.embed,
+                              scheme.blocks)

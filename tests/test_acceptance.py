@@ -2,7 +2,6 @@
 and wall-clock budget, printing one PASS line per criterion (visible with
 pytest -s; pytest -v shows the same pass/fail status per test)."""
 
-import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -15,7 +14,7 @@ from datex.netcode import (design_transmissions, rationalize,
                            simulate_exchange, verify_decodability)
 from datex.oracle import build_lp, solve_exact
 from helpers import (example1_instance, example2_instance, example3_instance,
-                     objective, random_linear_instance)
+                     objective, random_linear_instance, with_matrices)
 
 MILLI = Fraction(1, 1000)
 
@@ -161,8 +160,8 @@ def test_criterion_6_property_suites():
             victim = rng.choice(sorted(scheme.matrices))
             old = scheme.matrices[victim]
             zero = Matrix.zeros(scheme.coding_field, old.nrows, old.ncols)
-            scheme = dataclasses.replace(
-                scheme, matrices={**scheme.matrices, victim: zero})
+            scheme = with_matrices(scheme,
+                                   {**scheme.matrices, victim: zero})
         report = verify_decodability(scheme)
         for seed in (0, 1):
             assert simulate_exchange(scheme, seed=seed).successes \

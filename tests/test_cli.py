@@ -507,6 +507,34 @@ def test_simulate_rejects_inconsistent_scheme_files(tmp_path, capsys, corrupt,
     assert message in _one_line_error(capsys)
 
 
+def test_coding_view_size_guard_exits_two(tmp_path, capsys):
+    # with every chunk rate 0 no matrix pins L, and the sum(rows)*L x N*L
+    # coding view would hold 2.8e9 entries at L = 10^4
+    path = tmp_path / "scheme.json"
+    assert main(["codegen", EX3, "-o", str(path)]) == 0
+    rec = _read(path)
+    rec["scheme"].update(L=10 ** 4, chunk_rates=[0, 0, 0], matrices={})
+    path.write_text(json.dumps(rec))
+    assert main(["simulate", str(path), "--seeds", "1"]) == 2
+    assert "coding view of 2800000000 field entries" in _one_line_error(capsys)
+    # codegen meets the same guard when the rates need many chunks
+    assert main(["codegen", EX3, "--rates", "1/9973,1,1",
+                 "--max-denominator", "10000"]) == 2
+    assert "exceeds the supported bound" in _one_line_error(capsys)
+
+
+def test_non_monotone_table_names_one_violation(tmp_path, capsys):
+    # 24564 violating pairs; the error line names the first one only
+    table = [0] + [12 - bin(s).count("1") for s in range(1, 1 << 12)]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"format_version": 1, "terminal_count": 12,
+                                "entropy_table": table, "users": [0]}))
+    assert main(["oracle", str(path)]) == 2
+    err = _one_line_error(capsys)
+    assert err.endswith("monotonicity violated: H(0x3) < H(0x1)\n")
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize("argv, message", [
     ([], "the following arguments are required: command"),
     (["frobnicate", EX1], "invalid choice: 'frobnicate'"),

@@ -8,7 +8,9 @@ order (the cut enumeration and the final feasibility check inlined), and
 every hypothesis case requires identical results from both:
 the same violation triples in the same order, the same simplex value,
 point, duals and pivot count (or the same UnboundedLPError), and the same
-(L, chunks) or the same error text from rationalize.
+(L, chunks) or the same error text from rationalize.  The reference
+rationalize snaps each rate by trying every denominator in turn, where
+`rationalize` descends the Stern-Brocot tree.
 
 `gf.rank` and `gf.solve_linear` run on `gf.EchelonBasis`.  The dense
 elimination they replaced (every entry through `Field.mul`/`Field.add`,
@@ -29,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 from datex.gf import Matrix, make_field, mat_vec, rank, solve_linear
 from datex.greedy import violated_cuts
 from datex.instance import Instance, InfeasibleInstanceError
-from datex.netcode import InfeasibleRatesError, rationalize
+from datex.netcode import InfeasibleRatesError, _snap, rationalize
 from datex.oracle import UnboundedLPError, build_lp, exact_simplex, solve_exact
 from datex.source import SizeLimitError, TabularSource, mask_to_set, raw_source
 from helpers import example2_instance, random_linear_instance, tabulate
@@ -133,12 +135,28 @@ def ref_exact_simplex(c, A, b):
     return zrow[width], tuple(x), duals, pivots
 
 
+def ref_snap(rate, max_denominator):
+    """The rate if its denominator is at most max_denominator, else the
+    fraction within 1/(2*max_denominator) of it with the smallest
+    denominator and then the smallest absolute numerator, found by trying
+    every denominator in turn."""
+    rate = Fraction(rate)
+    if rate.denominator <= max_denominator:
+        return rate
+    half = Fraction(1, 2 * max_denominator)
+    for q in range(1, max_denominator + 1):
+        lo, hi = math.ceil((rate - half) * q), math.floor((rate + half) * q)
+        if lo <= hi:
+            return Fraction(lo if lo > 0 else hi if hi < 0 else 0, q)
+    raise AssertionError("an interval of width 1/D holds a multiple of 1/D")
+
+
 def ref_rationalize(rates, max_denominator=64, instance=None):
     """The per-terminal repair loop: every receiver's cuts are re-scanned
     for each transmitter in turn."""
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    snapped = [Fraction(r).limit_denominator(max_denominator) for r in rates]
+    snapped = [ref_snap(r, max_denominator) for r in rates]
     if any(r < 0 for r in snapped):
         raise ValueError("rates must be nonnegative")
     if instance is not None:
@@ -427,6 +445,14 @@ def test_rationalize_matches_the_per_terminal_loop(seed):
         rates.append(r)
     assert (_outcome(rationalize, rates, inst, D)
             == _outcome(ref_rationalize, rates, D, inst))
+
+
+@given(st.fractions(), st.integers(1, 100))
+@settings(max_examples=300, deadline=None)
+def test_snap_takes_the_simplest_fraction_nearby(rate, D):
+    assert _snap(rate, D) == ref_snap(rate, D)
+    assert _snap(rate, D).denominator <= D
+    assert abs(_snap(rate, D) - rate) <= Fraction(1, 2 * D)
 
 
 def test_rationalize_matches_with_several_repairs():

@@ -3,7 +3,7 @@ multipliers, the grid projection against an exact test-side reference,
 weak/strong duality against the LP oracle, and the solver's certificates
 on the worked examples."""
 
-import dataclasses
+import inspect
 import random
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -125,8 +125,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(gap_tolerance=0)
     assert SolverConfig(tie_break=[2, 0]).tie_break == (2, 0)
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "schedule", "max_iterations", "gap_tolerance", "tie_break"]
+    assert list(inspect.signature(SolverConfig).parameters) \
+        == list(SolverConfig.__slots__) \
+        == ["schedule", "max_iterations", "gap_tolerance", "tie_break"]
 
 
 # ---------------------------------------------------------------------------

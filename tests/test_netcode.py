@@ -3,7 +3,6 @@ sizing, randomized coding-matrix design, the exact decodability check and
 its agreement with end-to-end simulation, the multicast graph view, and
 scheme serialization."""
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -23,7 +22,7 @@ from datex.netcode import (DesignFailureError, IncompleteSourceError,
 from datex.oracle import build_lp, solve_exact
 from datex.source import TabularSource, raw_source
 from helpers import (example2_instance, example3_instance,
-                     random_linear_instance, tabulate)
+                     random_linear_instance, tabulate, with_matrices)
 
 F0 = Fraction(0)
 
@@ -56,6 +55,30 @@ def test_rationalize_lcm():
 def test_rationalize_snaps_solver_noise(example2):
     noisy = [0.2500000001, 0.25, 0.2499999999, 0.5000000002, 0.5, 0.5]
     assert rationalize(noisy, instance=example2) == (4, (1, 1, 1, 2, 2, 2))
+
+
+def test_rationalize_snaps_to_the_simplest_nearby_fraction():
+    # raw m = 10 ladder draw (seed 2): its oracle rates are 17/3, 0, 8/3,
+    # 8/3, 8/3, 3, 0, 0, 0, 0.  Lowered by 1/200, the closest fractions
+    # with denominator <= 64 are 351/62 and 165/62 and gave L = 62; the
+    # simplest ones within 1/128 are the optimum again.
+    packets = [[1, 3, 4, 5, 9, 10, 12, 13, 14, 17, 18, 20, 23, 24],
+               [2, 3, 4, 8, 9, 10, 15, 17, 20, 22, 24],
+               [0, 2, 5, 6, 9, 11, 13, 16, 18, 21, 22],
+               [0, 3, 6, 7, 8, 14, 15, 16, 19, 20, 22],
+               [0, 3, 5, 8, 11, 12, 15, 16, 18, 19, 23, 24],
+               [0, 3, 5, 10, 12, 16, 22],
+               [2, 3, 9, 10, 11, 13, 17, 19, 20, 21, 23, 24],
+               [0, 4, 5, 7, 10, 12, 13, 14, 16, 17, 21, 22, 23, 24],
+               [5, 7, 10, 12, 13, 18],
+               [3, 7, 8, 10, 14, 15, 16, 21, 23, 24]]
+    inst = Instance(raw_source(packets, 25), range(5),
+                    weights=[2, 3, 1, 2, 2, 1, 3, 4, 4, 4])
+    opt = solve_exact(build_lp(inst)).rates
+    assert opt == (Fraction(17, 3), 0, Fraction(8, 3), Fraction(8, 3),
+                   Fraction(8, 3), 3, 0, 0, 0, 0)
+    lowered = [r - Fraction(1, 200) if r else r for r in opt]
+    assert rationalize(lowered, inst) == (3, (17, 0, 8, 8, 8, 9, 0, 0, 0, 0))
 
 
 def test_rationalize_repairs_snap_breakage(example2):
@@ -266,8 +289,7 @@ def test_verification_predicts_simulation():
         old = scheme.matrices[victim]
         zero = Matrix(scheme.coding_field, old.nrows, old.ncols,
                       [0] * (old.nrows * old.ncols), validate=False)
-        mutated = dataclasses.replace(
-            scheme, matrices={**scheme.matrices, victim: zero})
+        mutated = with_matrices(scheme, {**scheme.matrices, victim: zero})
         report = verify_decodability(mutated)
         for seed in (0, 1):
             assert simulate_exchange(mutated, seed=seed).successes \

@@ -1,13 +1,16 @@
 """Package-level checks: certificates are explicit raises that `python -O`
-keeps, the runtime imports only the standard library, every exported name
-has a caller in the package or a mention in the README, the README's
-library quick start runs as written, and every name the benchmark's
-tracer wraps still exists."""
+keeps, the runtime imports only the standard library, importing the CLI
+loads neither `dataclasses` nor `inspect`, every exported name has a
+caller in the package or a mention in the README, the README's library
+quick start runs as written, and every name the benchmark's tracer wraps
+still exists."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,6 +43,20 @@ def test_package_imports_only_the_standard_library():
                       if name.split(".")[0] not in sys.stdlib_module_names
                       and name.split(".")[0] != "datex"]
     assert not found, f"imports outside the standard library: {found}"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """Every CLI command runs in a fresh interpreter, and importing
+    `dataclasses` (which imports `inspect`, and that `ast`, `dis` and
+    `tokenize`) plus generating the decorated classes' methods costs
+    more start-up than most commands compute; src/datex uses plain
+    classes and NamedTuples instead."""
+    code = ("import sys, datex.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.stdout.strip() == "[]"
 
 
 def _defines(stmt, name):

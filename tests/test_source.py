@@ -117,6 +117,13 @@ def test_validate_table_hard_errors():
     assert not r.ok and any("monotonicity" in e for e in r.errors)
 
 
+def test_validate_table_names_only_the_first_monotonicity_violation():
+    # decreasing in every direction at m = 12: 24564 violating pairs
+    table = [0] + [12 - bin(s).count("1") for s in range(1, 1 << 12)]
+    assert validate_table(table).errors == [
+        "monotonicity violated: H(0x3) < H(0x1)"]
+
+
 def test_validate_table_rejects_non_submodular_tables():
     # monotone and grounded but not submodular: H(0)+H(1) < H(01)+H(empty)
     r = validate_table([Fraction(0), Fraction(1), Fraction(1), Fraction(3)])
