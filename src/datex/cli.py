@@ -318,6 +318,8 @@ def _load_scheme(path: str):
     instance = instance_from_dict(data.get("instance"), where=f"{path}: instance")
     try:
         scheme = scheme_core_from_dict(data.get("scheme"), instance)
+    except SizeLimitError:
+        raise   # a size guard, not a malformed block: main reports it as is
     except (KeyError, TypeError, ValueError) as exc:
         raise CLIError(f"{path}: bad scheme block: {exc}") from exc
     return scheme

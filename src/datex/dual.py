@@ -22,6 +22,7 @@ never enter.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -71,7 +72,11 @@ class StepSchedule(_Frozen):
 
     def theta(self, n: int) -> Fraction:
         if self.kind == "harmonic":
-            return self.a / (self.b + self.c * n)
+            # a/(b + c*n) over one common denominator: one Fraction built
+            a, b, c = self.a, self.b, self.c
+            bd, cd = b.denominator, c.denominator
+            return Fraction(a.numerator * bd * cd, a.denominator
+                            * (b.numerator * cd + c.numerator * bd * n))
         snapped = Fraction(max(1, round(float(n) ** (-float(self.a)) * 10 ** 9)),
                            10 ** 9)
         return snapped
@@ -123,19 +128,31 @@ class Solution(NamedTuple):
     iterations: int
     converged: bool
     dual_matrix: DualMatrix
-    averaged_matrix: DualMatrix
 
 
 def dual_value(instance: Instance, lam: Sequence[Sequence],
                tie_break: Optional[Sequence[int]] = None) -> Fraction:
     """Sum of subproblem optima at the given multipliers: a lower bound on
     the optimal weighted rate sum whenever lam is dual feasible.  Each
-    subproblem is re-solved greedily from scratch."""
+    subproblem is re-solved greedily from scratch, in integers: each row
+    is scaled by the lcm of its denominators before the senders are
+    ordered by it."""
+    m = instance.m
+    model = instance.model
+    ranks = tie_order(m, tie_break)
     total = Fraction(0)
     for r, l in enumerate(instance.user_list):
         row = [Fraction(x) for x in lam[r]]
-        rates = edmonds_allocate(instance, l, weights=row, tie_break=tie_break)
-        total += sum((a * b for a, b in zip(row, rates)), Fraction(0))
+        if len(row) != m:
+            raise ValueError(f"expected {m} multipliers, got {len(row)}")
+        den = math.lcm(*(x.denominator for x in row))
+        scaled = [x.numerator * (den // x.denominator) for x in row]
+        order = sorted((t for t in instance.transmitters if t != l),
+                       key=ranks.__getitem__)
+        order.sort(key=scaled.__getitem__)
+        rates = _greedy_rates_scaled(model, l, order)
+        total += Fraction(sum(map(operator.mul, scaled, rates)),
+                          den * model.entropy_denominator)
     return total
 
 
@@ -157,38 +174,45 @@ def duality_gap(solution: Solution) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _project_grid(vfine: List[int], refine: int, budget_grid: int,
-                  pinned: Optional[int]) -> List[int]:
+                  pinned: Optional[int],
+                  free: Optional[Sequence[int]] = None) -> List[int]:
     """Integer-arithmetic projection of a column onto the weight simplex,
     then snap onto the grid.  `vfine` entries are in units of
     1/(grid*refine); the result is in units of 1/grid summing exactly to
-    budget_grid."""
+    budget_grid.  `free` lists the rows other than `pinned` (computed when
+    not given).
+
+    Sort-and-threshold (Duchi et al., 2008): with the free rows sorted by
+    descending entry, the prefixes whose entries all stay above their own
+    threshold form a run from the top, so the scan stops at the first
+    prefix that fails, and only the rows of the run get mass."""
     k = len(vfine)
     out = [0] * k
     if budget_grid == 0:
         return out
-    free = [r for r in range(k) if r != pinned]
+    if free is None:
+        free = [r for r in range(k) if r != pinned]
     bfine = budget_grid * refine
-    u = [vfine[r] for r in free]
-    u.sort(reverse=True)
+    desc = sorted(free, key=vfine.__getitem__, reverse=True)
     prefix = 0
     tau_num = 0
-    tau_den = 1
-    for j, uj in enumerate(u, start=1):
+    tau_den = 0
+    for r in desc:
+        uj = vfine[r]
         prefix += uj
-        if uj * j > prefix - bfine:
-            tau_num = prefix - bfine
-            tau_den = j
+        if uj * (tau_den + 1) <= prefix - bfine:
+            break
+        tau_num = prefix - bfine
+        tau_den += 1
     acc = 0
     rem = []
     denom = tau_den * refine
-    for r in free:
-        d = vfine[r] * tau_den - tau_num
-        if d > 0:
-            q, rr = divmod(d, denom)
-            out[r] = q
-            acc += q
-            if rr:
-                rem.append((-rr, r))
+    for r in desc[:tau_den]:
+        q, rr = divmod(vfine[r] * tau_den - tau_num, denom)
+        out[r] = q
+        acc += q
+        if rr:
+            rem.append((-rr, r))
     deficit = budget_grid - acc
     if not 0 <= deficit <= len(rem):
         raise ArithmeticError("grid projection lost mass")
@@ -207,8 +231,7 @@ def _single_user_solution(instance: Instance, config: SolverConfig) -> Solution:
     return Solution(
         instance=instance, config=config, rates=rates,
         primal_objective=obj, dual_objective=obj, gap=Fraction(0),
-        iterations=0, converged=True,
-        dual_matrix=(lam_row,), averaged_matrix=(rates,))
+        iterations=0, converged=True, dual_matrix=(lam_row,))
 
 
 def solve(instance: Instance, config: Optional[SolverConfig] = None,
@@ -248,6 +271,8 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
     senders_of = [sorted((t for t in instance.transmitters if t != l),
                          key=ranks.__getitem__) for l in users]
     columns = sorted(instance.transmitters)
+    pinned_of = [row_of_user.get(i) for i in range(m)]
+    free_of = [[r for r in range(k) if r != pinned_of[i]] for i in range(m)]
 
     d_alpha = 1
     for w in instance.weights:
@@ -255,16 +280,20 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
     alpha_scaled = [int(w * d_alpha) for w in instance.weights]
     grid = _QUANTUM.denominator * d_alpha
     budget_grid = [int(w * grid) for w in instance.weights]
+    # a primal value p is held as the integer p * d_alpha * de * (its count
+    # of iterates); a dual value d as d * grid * de
+    pden = d_alpha * de
+    tol_num = config.gap_tolerance.numerator
+    tol_den = config.gap_tolerance.denominator
 
-    # start from an equal split of each column over its free rows; that
-    # point is on the simplex, so projecting it only snaps it to the grid
-    lam: List[List[int]] = [[0] * m for _ in range(k)]
-    for i in range(m):
-        pin = row_of_user.get(i)
-        col = _project_grid([budget_grid[i]] * k, k - (pin is not None),
-                            budget_grid[i], pin)
-        for r in range(k):
-            lam[r][i] = col[r]
+    # multipliers column-major: lam[i] holds column i.  Start from an equal
+    # split of each column over its free rows; that point is on the
+    # simplex, so projecting it only snaps it to the grid.  A projection
+    # returns a new list, so a shallow copy keeps a snapshot.
+    lam: List[List[int]] = [
+        _project_grid([budget_grid[i]] * k, len(free_of[i]), budget_grid[i],
+                      pinned_of[i], free_of[i])
+        for i in range(m)]
 
     sums = [[0] * m for _ in range(k)]
     wsums = [[0] * m for _ in range(k)]     # window since last restart
@@ -274,13 +303,11 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
     wtop = [0] * m
     wstart = 0
     next_restart = 1
-    best_dual_num: Optional[int] = None     # units 1/(grid*de)
+    best_dual_num: Optional[int] = None
     best_dual_lam: Optional[List[List[int]]] = None
-    best_primal: Optional[Fraction] = None
-    best_primal_sums: Optional[List[List[int]]] = None
+    best_primal_num = 0
+    best_primal_top: Optional[List[int]] = None
     best_primal_count = 0
-    tol = config.gap_tolerance
-    gap = None
     converged = False
     n = 0
 
@@ -295,13 +322,13 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
         dual_num = 0
         rt: List[List[int]] = []
         moved = [False] * m     # columns with a nonzero subgradient entry
-        for r in range(k):
-            lamr = lam[r]
+        for r, lamr in enumerate(zip(*lam)):
             order = sorted(senders_of[r], key=lamr.__getitem__)
             row = _greedy_rates_scaled(model, users[r], order)
             srow = sums[r]
             wrow = wsums[r]
             acc = 0
+            rest = sum(row)     # once it is spent, the rest of the row is 0
             for j in order:
                 v = row[j]
                 if v:
@@ -313,36 +340,36 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
                     if s > wtop[j]:
                         wtop[j] = s
                     acc += lamr[j] * v
+                    rest -= v
+                    if not rest:
+                        break
             dual_num += acc
             rt.append(row)
 
         if best_dual_num is None or dual_num > best_dual_num:
             best_dual_num = dual_num
-            best_dual_lam = [list(r_) for r_ in lam]
+            best_dual_lam = list(lam)
 
         wn = n - wstart
-        primal_num = 0
-        wprimal_num = 0
-        for i in columns:
-            a = alpha_scaled[i]
-            if a:
-                primal_num += a * top[i]
-                wprimal_num += a * wtop[i]
-        primal = Fraction(primal_num, d_alpha * de * n)
-        if best_primal is None or primal < best_primal:
-            best_primal = primal
-            best_primal_sums = [list(r_) for r_ in sums]
+        primal_num = sum(map(operator.mul, alpha_scaled, top))
+        wprimal_num = sum(map(operator.mul, alpha_scaled, wtop))
+        if (best_primal_top is None
+                or primal_num * best_primal_count < best_primal_num * n):
+            best_primal_num = primal_num
+            best_primal_top = list(top)
             best_primal_count = n
-        wprimal = Fraction(wprimal_num, d_alpha * de * wn)
-        if wprimal < best_primal:
-            best_primal = wprimal
-            best_primal_sums = [list(r_) for r_ in wsums]
+        if wprimal_num * best_primal_count < best_primal_num * wn:
+            best_primal_num = wprimal_num
+            best_primal_top = list(wtop)
             best_primal_count = wn
 
-        gap = best_primal - Fraction(best_dual_num, grid * de)
+        gap_num = (best_primal_num * grid
+                   - best_dual_num * d_alpha * best_primal_count)
+        gap_den = pden * best_primal_count * grid
         if trace is not None:
-            trace(n, primal, Fraction(dual_num, grid * de), gap)
-        if gap <= tol:
+            trace(n, Fraction(primal_num, pden * n),
+                  Fraction(dual_num, grid * de), Fraction(gap_num, gap_den))
+        if gap_num * tol_den <= tol_num * gap_den:
             converged = True
             break
         if n == config.max_iterations:
@@ -352,30 +379,27 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
         tn, td = theta.numerator, theta.denominator
         refine = td * de
         qmul = tn * grid
+        rt_cols = list(zip(*rt))
         for i in columns:
             # a column with a zero subgradient is an on-grid point of its
             # simplex, which the projection leaves fixed
             if not moved[i]:
                 continue
-            pin = row_of_user.get(i)
-            vfine = [lam[r][i] * refine + qmul * rt[r][i] for r in range(k)]
-            col = _project_grid(vfine, refine, budget_grid[i], pin)
-            for r in range(k):
-                lam[r][i] = col[r]
+            vfine = [x * refine + qmul * g for x, g in zip(lam[i], rt_cols[i])]
+            lam[i] = _project_grid(vfine, refine, budget_grid[i],
+                                   pinned_of[i], free_of[i])
 
+    primal_obj = Fraction(best_primal_num, pden * best_primal_count)
     dual_obj = Fraction(best_dual_num, grid * de)
-    gap = best_primal - dual_obj
+    gap = primal_obj - dual_obj
     nden = de * best_primal_count
-    avg = tuple(tuple(Fraction(best_primal_sums[r][i], nden) for i in range(m))
-                for r in range(k))
-    zvec = tuple(max(avg[r][i] for r in range(k)) for i in range(m))
-    dmat = tuple(tuple(Fraction(best_dual_lam[r][i], grid) for i in range(m))
-                 for r in range(k))
+    zvec = tuple(Fraction(t, nden) for t in best_primal_top)
+    dmat = tuple(tuple(Fraction(x, grid) for x in row)
+                 for row in zip(*best_dual_lam))
     solution = Solution(
         instance=instance, config=config, rates=zvec,
-        primal_objective=best_primal, dual_objective=dual_obj, gap=gap,
-        iterations=n, converged=converged,
-        dual_matrix=dmat, averaged_matrix=avg)
+        primal_objective=primal_obj, dual_objective=dual_obj, gap=gap,
+        iterations=n, converged=converged, dual_matrix=dmat)
     # re-derive both bounds from the certificate; raises if gap < 0
     if duality_gap(solution) != gap:
         raise ArithmeticError("the certificate does not reproduce the gap")

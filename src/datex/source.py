@@ -30,7 +30,9 @@ memo.  A linear source walks its rank memo while the prefixes are known
 and, from the first unknown prefix on, absorbs the remaining terminals'
 rows into one incremental echelon basis (`gf.EchelonBasis`), memoizing
 every prefix rank on the way -- one elimination per chain instead of one
-per prefix.  Tabular sources look each prefix up in their table.
+per prefix.  Raw and linear chains stop at the first prefix that holds
+H(X_M), since every later increment is zero.  Tabular sources look each
+prefix up in their table.
 """
 
 from __future__ import annotations
@@ -169,17 +171,26 @@ class LinearSource(SourceModel):
             self._memo[mask] = hit
         return hit
 
+    @cached_property
+    def _full_rank(self) -> int:
+        return self._joint_scaled(self.full_mask)
+
     def chain_scaled(self, start: int, order: Sequence[int]) -> List[int]:
         """Walk the memo while the prefixes are known; from the first
         unknown prefix on, absorb the rows into one echelon basis and
-        memoize every prefix rank it yields."""
+        memoize every prefix rank it yields.  Once a prefix reaches the
+        full rank H(X_M) every later increment is zero, so the chain
+        stops there."""
         memo = self._memo
+        full = self._full_rank
         out = [0] * self.m
         mask = start
         prev = memo.get(mask)
         pos = 0
         if prev is not None:
             for j in order:
+                if prev == full:
+                    return out
                 cur = memo.get(mask | (1 << j))
                 if cur is None:
                     break
@@ -197,6 +208,8 @@ class LinearSource(SourceModel):
         if prev is None:
             prev = memo[mask] = basis.rank
         for j in order[pos:]:
+            if prev == full:
+                break
             mask |= 1 << j
             for row in rows[j]:
                 basis.absorb(row)
@@ -261,14 +274,21 @@ class RawSource(LinearSource):
         return self._owned(mask).bit_count()
 
     def chain_scaled(self, start: int, order: Sequence[int]) -> List[int]:
+        """One running OR of the owned packets; it stops once the prefix
+        owns every packet any terminal owns."""
         bits = self._bits
+        full = self._full_rank
         out = [0] * self.m
         owned = self._owned(start)
         prev = owned.bit_count()
+        if prev == full:
+            return out
         for j in order:
             owned |= bits[j]
             cur = owned.bit_count()
             out[j] = cur - prev
+            if cur == full:
+                break
             prev = cur
         return out
 

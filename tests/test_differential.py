@@ -18,6 +18,13 @@ reduced row echelon form for solving, free variables pinned to zero) is
 kept as `ref_rank` and `ref_solve_linear`; ranks must agree, and
 `solve_linear` must return the reference's solution exactly when the
 system is consistent with full column rank, and None otherwise.
+
+`dual.solve` holds its multipliers column-major, stops chains and their
+accumulation once saturated, projects with an early-stopping threshold
+scan and compares bounds in integers.  `ref_solve` is the plain loop:
+row-major multipliers, one point query per chain prefix, the full
+threshold scan, `Fraction` bounds and the averaged subproblem vertices per
+receiver.  Every `Solution` field and every trace call must agree.
 """
 
 import math
@@ -28,12 +35,14 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from datex.dual import _QUANTUM, SolverConfig, StepSchedule, solve
 from datex.gf import Matrix, make_field, mat_vec, rank, solve_linear
-from datex.greedy import violated_cuts
+from datex.greedy import edmonds_allocate, tie_order, violated_cuts
 from datex.instance import Instance, InfeasibleInstanceError
 from datex.netcode import InfeasibleRatesError, _snap, rationalize
 from datex.oracle import UnboundedLPError, build_lp, exact_simplex, solve_exact
-from datex.source import SizeLimitError, TabularSource, mask_to_set, raw_source
+from datex.source import (LinearSource, SizeLimitError, SourceModel,
+                          TabularSource, mask_to_set, raw_source)
 from helpers import example2_instance, random_linear_instance, tabulate
 
 
@@ -242,6 +251,169 @@ def ref_solve_linear(M, b):
     for r, c in enumerate(pivots):
         x[c] = rows[r][M.ncols]
     return tuple(x)
+
+
+def ref_project_grid(vfine, refine, budget_grid, pinned):
+    """The grid projection with a full sort and a threshold scan over
+    every free row."""
+    k = len(vfine)
+    out = [0] * k
+    if budget_grid == 0:
+        return out
+    free = [r for r in range(k) if r != pinned]
+    bfine = budget_grid * refine
+    u = sorted((vfine[r] for r in free), reverse=True)
+    prefix = 0
+    tau_num = 0
+    tau_den = 1
+    for j, uj in enumerate(u, start=1):
+        prefix += uj
+        if uj * j > prefix - bfine:
+            tau_num = prefix - bfine
+            tau_den = j
+    acc = 0
+    rem = []
+    denom = tau_den * refine
+    for r in free:
+        d = vfine[r] * tau_den - tau_num
+        if d > 0:
+            q, rr = divmod(d, denom)
+            out[r] = q
+            acc += q
+            if rr:
+                rem.append((-rr, r))
+    deficit = budget_grid - acc
+    if not 0 <= deficit <= len(rem):
+        raise ArithmeticError("grid projection lost mass")
+    rem.sort()
+    for j in range(deficit):
+        out[rem[j][1]] += 1
+    return out
+
+
+def ref_dual_value(instance, lam, tie_break=None):
+    """Sum of the subproblem optima, each from `edmonds_allocate` on the
+    Fraction multipliers."""
+    total = Fraction(0)
+    for r, l in enumerate(instance.user_list):
+        row = [Fraction(x) for x in lam[r]]
+        rates = edmonds_allocate(instance, l, weights=row, tie_break=tie_break)
+        total += sum((a * b for a, b in zip(row, rates)), Fraction(0))
+    return total
+
+
+def ref_solve(instance, config, trace=None):
+    """The dual solver with row-major multipliers, chains from one point
+    query per prefix (walked to the end), Fraction primal bounds and gap,
+    and the averaged subproblem vertices of the best primal point kept per
+    receiver; returns the Solution fields (and averaged_matrix) as a dict.
+    Multi-receiver instances only."""
+    users = instance.user_list
+    k = len(users)
+    schedule = config.schedule
+    if schedule is None:
+        schedule = StepSchedule.harmonic(
+            max(Fraction(1), max(instance.weights)), 1, 1)
+    model = instance.model
+    m = instance.m
+    de = model.entropy_denominator
+    ranks = tie_order(m, config.tie_break)
+    row_of_user = {u: r for r, u in enumerate(users)}
+    senders_of = [sorted((t for t in instance.transmitters if t != l),
+                         key=ranks.__getitem__) for l in users]
+    columns = sorted(instance.transmitters)
+    d_alpha = 1
+    for w in instance.weights:
+        d_alpha = math.lcm(d_alpha, w.denominator)
+    alpha_scaled = [int(w * d_alpha) for w in instance.weights]
+    grid = _QUANTUM.denominator * d_alpha
+    budget_grid = [int(w * grid) for w in instance.weights]
+    lam = [[0] * m for _ in range(k)]
+    for i in range(m):
+        pin = row_of_user.get(i)
+        col = ref_project_grid([budget_grid[i]] * k, k - (pin is not None),
+                               budget_grid[i], pin)
+        for r in range(k):
+            lam[r][i] = col[r]
+    sums = [[0] * m for _ in range(k)]
+    wsums = [[0] * m for _ in range(k)]
+    wstart = 0
+    next_restart = 1
+    best_dual_num = None
+    best_dual_lam = None
+    best_primal = None
+    best_primal_sums = None
+    best_primal_count = 0
+    converged = False
+    n = 0
+    while n < config.max_iterations:
+        n += 1
+        if n == next_restart:
+            wsums = [[0] * m for _ in range(k)]
+            wstart = n - 1
+            next_restart *= 2
+        dual_num = 0
+        rt = []
+        for r in range(k):
+            order = sorted(senders_of[r], key=lam[r].__getitem__)
+            row = SourceModel.chain_scaled(model, 1 << users[r], order)
+            for j in order:
+                sums[r][j] += row[j]
+                wsums[r][j] += row[j]
+                dual_num += lam[r][j] * row[j]
+            rt.append(row)
+        if best_dual_num is None or dual_num > best_dual_num:
+            best_dual_num = dual_num
+            best_dual_lam = [list(r_) for r_ in lam]
+        wn = n - wstart
+        primal_num = sum(alpha_scaled[i] * max(sums[r][i] for r in range(k))
+                         for i in columns)
+        wprimal_num = sum(alpha_scaled[i] * max(wsums[r][i] for r in range(k))
+                          for i in columns)
+        primal = Fraction(primal_num, d_alpha * de * n)
+        if best_primal is None or primal < best_primal:
+            best_primal = primal
+            best_primal_sums = [list(r_) for r_ in sums]
+            best_primal_count = n
+        wprimal = Fraction(wprimal_num, d_alpha * de * wn)
+        if wprimal < best_primal:
+            best_primal = wprimal
+            best_primal_sums = [list(r_) for r_ in wsums]
+            best_primal_count = wn
+        gap = best_primal - Fraction(best_dual_num, grid * de)
+        if trace is not None:
+            trace(n, primal, Fraction(dual_num, grid * de), gap)
+        if gap <= config.gap_tolerance:
+            converged = True
+            break
+        if n == config.max_iterations:
+            break
+        theta = schedule.theta(n)
+        refine = theta.denominator * de
+        qmul = theta.numerator * grid
+        for i in columns:
+            if not any(rt[r][i] for r in range(k)):
+                continue
+            vfine = [lam[r][i] * refine + qmul * rt[r][i] for r in range(k)]
+            col = ref_project_grid(vfine, refine, budget_grid[i],
+                                   row_of_user.get(i))
+            for r in range(k):
+                lam[r][i] = col[r]
+    dual_obj = Fraction(best_dual_num, grid * de)
+    nden = de * best_primal_count
+    avg = tuple(tuple(Fraction(best_primal_sums[r][i], nden) for i in range(m))
+                for r in range(k))
+    rates = tuple(max(avg[r][i] for r in range(k)) for i in range(m))
+    dmat = tuple(tuple(Fraction(best_dual_lam[r][i], grid) for i in range(m))
+                 for r in range(k))
+    gap = best_primal - dual_obj
+    if instance.objective(rates) - ref_dual_value(
+            instance, dmat, config.tie_break) != gap:
+        raise ArithmeticError("the certificate does not reproduce the gap")
+    return {"rates": rates, "primal_objective": best_primal,
+            "dual_objective": dual_obj, "gap": gap, "iterations": n,
+            "converged": converged, "dual_matrix": dmat,
+            "averaged_matrix": avg}
 
 
 def _outcome(fn, *args, **kwargs):
@@ -531,3 +703,89 @@ def test_solve_linear_matches_the_dense_reference(system):
     if ref_rank(M) < M.ncols:
         expected = None   # consistent or not, no unique solution
     assert solve_linear(M, b) == expected
+
+
+# ---------------------------------------------------------------------------
+# dual.solve
+# ---------------------------------------------------------------------------
+
+def _solve_case(rng):
+    """A multi-receiver instance and solver settings: a raw, GF(3),
+    GF(2^2) or tabular source; integer or fractional weights; sometimes
+    restricted transmitters and a tie order; a harmonic, power or default
+    schedule; 1 to 60 iterations.  Sometimes one terminal sees the whole
+    file, so every chain that visits it saturates there; given weight 0
+    and the first tie rank, it leads every chain that visits it, so those
+    chains saturate at the first sender."""
+    while True:
+        kind = rng.choice(["raw", "GF(3)", "GF(2^2)", "tabular"])
+        m = rng.randint(3, 8)
+        n = rng.randint(2, 3 * m if kind == "raw" else m)
+        whole = rng.randrange(m) if rng.random() < 0.3 else None
+        if kind == "raw":
+            owned = [[j for j in range(n) if rng.random() < 0.5]
+                     for _ in range(m)]
+            if whole is not None:
+                owned[whole] = list(range(n))
+            model = raw_source(owned, n)
+        else:
+            F = make_field(2, 2) if kind == "GF(2^2)" else make_field(3)
+            rows = [[[rng.randrange(F.q) for _ in range(n)]
+                     for _ in range(rng.randint(1, 2))] for _ in range(m)]
+            if whole is not None:
+                rows[whole] = [[int(a == b) for a in range(n)]
+                               for b in range(n)]
+            model = LinearSource(F, n, [Matrix.from_rows(F, r, ncols=n)
+                                        for r in rows])
+            if kind == "tabular":
+                scale = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+                model = TabularSource([scale * v
+                                       for v in tabulate(model).values])
+        users = rng.sample(range(m), rng.randint(2, m // 2 + 1))
+        if rng.random() < 0.5:
+            weights = [rng.randint(1, 4) for _ in range(m)]
+        else:
+            dens = [rng.randint(1, 7) for _ in range(m)]
+            weights = [Fraction(rng.randint(d, 4 * d), d) for d in dens]
+        transmitters = None
+        if rng.random() < 0.3:
+            transmitters = [i for i in range(m) if rng.random() < 0.7]
+        tie_break = None
+        if rng.random() < 0.4:
+            tie_break = rng.sample(range(m), rng.randint(1, m))
+        if whole is not None and rng.random() < 0.5:
+            if transmitters is not None and whole not in transmitters:
+                transmitters.append(whole)
+            weights[whole] = 0
+            tie_break = [whole] + [t for t in tie_break or () if t != whole]
+        try:
+            inst = Instance(model, users, weights, transmitters=transmitters)
+        except InfeasibleInstanceError:
+            continue
+        schedule = rng.choice([
+            None, StepSchedule.harmonic(rng.randint(1, 3), rng.randint(0, 2),
+                                        Fraction(1, rng.randint(1, 3))),
+            StepSchedule.power(Fraction(rng.randint(1, 9), 10))])
+        config = SolverConfig(
+            schedule=schedule, max_iterations=rng.randint(1, 60),
+            gap_tolerance=rng.choice([Fraction(1, 10 ** 9), Fraction(1, 10 ** 9),
+                                      Fraction(1, 1000), Fraction(1, 10)]),
+            tie_break=tie_break)
+        return inst, config
+
+
+@given(st.integers(0, 10 ** 9))
+@settings(max_examples=150, deadline=None)
+def test_solve_matches_the_row_major_reference(seed):
+    """Every Solution field and every trace call agree, and the reference's
+    averaged vertex of each receiver meets that receiver's cuts."""
+    inst, config = _solve_case(random.Random(seed))
+    got_trace, ref_trace = [], []
+    sol = solve(inst, config, trace=lambda *a: got_trace.append(a))
+    ref = ref_solve(inst, config, trace=lambda *a: ref_trace.append(a))
+    assert got_trace == ref_trace
+    assert all(type(x) is Fraction for row in got_trace for x in row[1:])
+    assert {f: getattr(sol, f) for f in ref if f != "averaged_matrix"} \
+        == {f: v for f, v in ref.items() if f != "averaged_matrix"}
+    for row, l in zip(ref["averaged_matrix"], inst.user_list):
+        assert not violated_cuts(row, inst, l, limit=1)

@@ -11,12 +11,13 @@ from typing import Optional, Sequence, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import datex.dual as dual_module
 from datex.dual import (_QUANTUM, SolverConfig, StepSchedule, _project_grid,
                         dual_value, duality_gap, solve)
 from datex.greedy import edmonds_allocate, violated_cuts
 from datex.instance import Instance
 from datex.oracle import build_lp, exact_simplex, solve_exact
-from helpers import example2_instance, random_linear_instance
+from helpers import example2_instance, example3_instance, random_linear_instance
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -438,10 +439,8 @@ def test_solve_three_user_example(example2):
     assert sol.gap <= Fraction(1, 1000)
     assert sol.dual_objective <= Fraction(9, 4) <= sol.primal_objective
     assert sol.gap == sol.primal_objective - sol.dual_objective
-    # the shared rates are the per-terminal maximum over the receivers' plans
-    assert sol.rates == tuple(max(col) for col in zip(*sol.averaged_matrix))
-    for r, l in enumerate(example2.user_list):
-        assert not violated_cuts(sol.averaged_matrix[r], example2, l, limit=1)
+    # the shared rates meet every receiver's cuts
+    for l in example2.user_list:
         assert not violated_cuts(sol.rates, example2, l, limit=1)
     assert sol.iterations <= 1000
     # the certificate re-verifies from scratch
@@ -473,7 +472,7 @@ def test_solve_single_user_short_circuit():
     assert sol.gap == F0
     assert sol.rates == edmonds_allocate(inst, target)
     assert sol.primal_objective == sol.dual_objective
-    assert sol.averaged_matrix == (sol.rates,)
+    assert not violated_cuts(sol.rates, inst, target, limit=1)
     assert duality_gap(sol) == F0
 
 
@@ -522,8 +521,8 @@ def test_solve_brackets_oracle_on_random_instances():
         sol = solve(inst, SolverConfig(max_iterations=300))
         assert sol.dual_objective <= opt <= sol.primal_objective
         assert sol.gap == sol.primal_objective - sol.dual_objective
-        for r, l in enumerate(inst.user_list):
-            assert not violated_cuts(sol.averaged_matrix[r], inst, l, limit=1)
+        for l in inst.user_list:
+            assert not violated_cuts(sol.rates, inst, l, limit=1)
 
 
 def test_solve_tie_break_passthrough(example2):
@@ -532,3 +531,29 @@ def test_solve_tie_break_passthrough(example2):
                                        gap_tolerance=Fraction(1, 10 ** 9)))
     assert sol.dual_objective <= Fraction(9, 4) <= sol.primal_objective
     assert duality_gap(sol) == sol.gap  # replays with the same tie order
+
+
+@pytest.mark.parametrize("make, config", [
+    (example2_instance, SolverConfig(max_iterations=25,
+                                     gap_tolerance=Fraction(1, 10 ** 9))),
+    (example2_instance, SolverConfig()),
+    (example3_instance, SolverConfig(tie_break=[2, 1, 0])),
+], ids=["budget", "converged", "raw"])
+def test_solve_calls_the_traced_greedy_once_per_receiver(monkeypatch, make,
+                                                         config):
+    # the benchmark's tracer counts chains at datex.dual._greedy_rates_scaled:
+    # k per iteration, however early the chains saturate, plus k for the
+    # certificate's re-check
+    inst = make()
+    calls = []
+    real = dual_module._greedy_rates_scaled
+
+    def counted(model, target, order):
+        calls.append(target)
+        return real(model, target, order)
+
+    monkeypatch.setattr(dual_module, "_greedy_rates_scaled", counted)
+    sol = solve(inst, config)
+    k = len(inst.user_list)
+    assert len(calls) == k * sol.iterations + k
+    assert calls[-k:] == list(inst.user_list)

@@ -192,21 +192,28 @@ def test_conditional_entropy_nonnegative_and_bounded(seed):
 
 # ---------------------------------------------------------------------------
 # Chain oracle: one pass along a greedy chain equals the prefix-by-prefix
-# point queries, for every model kind and for any state of the rank memo
+# point queries, for every model kind and for any state of the rank memo,
+# also when a prefix reaches H(X_M) early and the chain stops there
 # ---------------------------------------------------------------------------
 
 FIELDS = {"GF(3)": make_field(3), "GF(2^2)": make_field(2, 2)}
 
 
-def _draw_model(draw, kind, m, n):
+def _draw_model(draw, kind, m, n, full=None):
+    """A model of the given kind; terminal `full`, when given, observes
+    the whole file (owns every packet, or holds n independent rows)."""
     if kind == "raw":
         owned = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n),
                               min_size=m, max_size=m))
+        if full is not None:
+            owned[full] = list(range(n))
         return lambda: raw_source(owned, n)
     if kind == "tabular":
         sizes = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
         rows = [[[draw(st.integers(0, 2)) for _ in range(n)]
                  for _ in range(r)] for r in sizes]
+        if full is not None:
+            rows[full] = [[int(a == b) for a in range(n)] for b in range(n)]
         F = FIELDS["GF(3)"]
         values = tabulate(LinearSource(
             F, n, [Matrix.from_rows(F, r, ncols=n) for r in rows])).values
@@ -216,6 +223,8 @@ def _draw_model(draw, kind, m, n):
     sizes = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
     rows = [[[draw(st.integers(0, F.q - 1)) for _ in range(n)]
              for _ in range(r)] for r in sizes]
+    if full is not None:
+        rows[full] = [[int(a == b) for a in range(n)] for b in range(n)]
     return lambda: LinearSource(
         F, n, [Matrix.from_rows(F, r, ncols=n) for r in rows])
 
@@ -227,11 +236,22 @@ def test_chain_matches_prefix_point_queries(data):
     kind = draw(st.sampled_from(["raw", "tabular", "GF(3)", "GF(2^2)"]))
     m = draw(st.integers(1, 6))
     n = draw(st.integers(1, 5))
-    make = _draw_model(draw, kind, m, n)
+    # optionally one terminal sees the whole file and sits in the start
+    # mask (a raw target owning every packet) or leads the order (full
+    # rank after one sender), so the chain saturates at once
+    saturate = draw(st.sampled_from(["no", "start", "first"]))
+    full = None if saturate == "no" else draw(st.integers(0, m - 1))
+    make = _draw_model(draw, kind, m, n, full)
     start = draw(st.integers(0, (1 << m) - 1))
+    if saturate == "start":
+        start |= 1 << full
+    elif saturate == "first":
+        start &= ~(1 << full)
     rest = [j for j in range(m) if not start >> j & 1]
     order = draw(st.permutations(rest))
     order = order[:draw(st.integers(0, len(order)))]
+    if saturate == "first":
+        order = [full] + [j for j in order if j != full]
     masks = [start]
     for j in order:
         masks.append(masks[-1] | 1 << j)
@@ -253,5 +273,24 @@ def test_chain_matches_prefix_point_queries(data):
         if i < run or (warmth == "partial" and draw(st.booleans())):
             model.joint_entropy_scaled(mask)
     assert model.chain_scaled(start, order) == expected
-    # whatever the chain memoized agrees with the point queries
+    # every rank a linear chain memoized is right, and so is every prefix
+    for mask, value in getattr(model, "_memo", {}).items():
+        assert value == reference.joint_entropy_scaled(mask)
     assert [model.joint_entropy_scaled(mask) for mask in masks] == h
+
+
+def test_chains_stop_once_the_prefix_holds_the_whole_file():
+    # terminal 1 sees the whole file: from the prefix that adds it on,
+    # every increment is zero and a linear chain ranks nothing further
+    F = make_field(3)
+    rows = [[[1, 1, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2]],
+            [[2, 0, 1]]]
+    linear = LinearSource(F, 3, [Matrix.from_rows(F, r, ncols=3)
+                                 for r in rows])
+    assert linear.chain_scaled(0b0001, [1, 2, 3]) == [0, 2, 0, 0]
+    assert linear._memo == {0: 0, 0b1111: 3, 0b0001: 1, 0b0011: 3}
+    assert linear.chain_scaled(0b0010, [0, 2, 3]) == [0, 0, 0, 0]
+    # a raw target that owns every packet receives nothing
+    raw = raw_source([[0, 1, 2, 3], [1], [2, 3]], 4)
+    assert raw.chain_scaled(0b001, [1, 2]) == [0, 0, 0]
+    assert raw.chain_scaled(0b010, [0, 2]) == [3, 0, 0]
