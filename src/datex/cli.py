@@ -128,6 +128,11 @@ def _parse_tie_break(text: str, m: int) -> tuple:
 # Instance files
 # ---------------------------------------------------------------------------
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_field(data: Any, where: str, override_char: Optional[int]):
     """A field descriptor: {"characteristic": p, "degree": w} or a bare prime."""
     if data is None:
@@ -137,9 +142,9 @@ def _parse_field(data: Any, where: str, override_char: Optional[int]):
     elif isinstance(data, dict):
         char = data.get("characteristic")
         degree = data.get("degree", 1)
-        if not isinstance(char, int) or isinstance(char, bool):
+        if not _is_int(char):
             raise CLIError(f"{where}: field.characteristic must be an integer")
-        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
+        if not _is_int(degree) or degree < 1:
             raise CLIError(f"{where}: field.degree must be a positive integer")
     else:
         raise CLIError(f"{where}: field must be an object or an integer")
@@ -152,8 +157,7 @@ def _parse_field(data: Any, where: str, override_char: Optional[int]):
 
 
 def _require_int_list(data: Any, where: str) -> List[int]:
-    if not isinstance(data, list) or any(
-            not isinstance(v, int) or isinstance(v, bool) for v in data):
+    if not isinstance(data, list) or not all(map(_is_int, data)):
         raise CLIError(f"{where}: expected a list of integers")
     return list(data)
 
@@ -183,7 +187,7 @@ def instance_from_dict(data: Any, field_char: Optional[int] = None,
             raise CLIError(f"{where}: --field-char does not apply to "
                            f"entropy-table instances")
         m = data.get("terminal_count")
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        if not _is_int(m) or m < 1:
             raise CLIError(f"{where}: terminal_count must be a positive integer")
         table = data["entropy_table"]
         if not isinstance(table, list) or len(table) != 1 << m:
@@ -210,7 +214,7 @@ def instance_from_dict(data: Any, field_char: Optional[int] = None,
         if len(forms) > 1:
             raise CLIError(f"{where}: terminals mix 'rows' and 'packets' forms")
         N = data.get("packet_count")
-        if not isinstance(N, int) or isinstance(N, bool) or N < 0:
+        if not _is_int(N) or N < 0:
             raise CLIError(f"{where}: packet_count must be a nonnegative "
                            f"integer")
         if forms == {"rows"}:
@@ -301,7 +305,7 @@ def serialize_instance(instance: Instance) -> dict:
         out["entropy_table"] = [_frac_str(model.joint_entropy(mask))
                                 for mask in range(1 << model.m)]
     else:
-        raise CLIError(f"cannot serialize source model kind {model.kind!r}")
+        raise CLIError(f"cannot serialize source model {type(model).__name__}")
     out["users"] = list(instance.user_list)
     out["weights"] = _frac_list(instance.weights)
     if len(instance.transmitters) != instance.m:
@@ -560,14 +564,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "cooperative data exchange problem.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, field_char=True):
+    def common(p):
         p.add_argument("instance", help="instance file (JSON)")
         p.add_argument("-o", "--output", help="write the result here instead "
                                               "of stdout")
-        if field_char:
-            p.add_argument("--field-char", type=int, default=None,
-                           help="override the field characteristic of a "
-                                "matrix/packet instance")
+        p.add_argument("--field-char", type=int, default=None,
+                       help="override the field characteristic of a "
+                            "matrix/packet instance")
 
     p = sub.add_parser("solve", help="iterative multi-receiver solver")
     common(p)

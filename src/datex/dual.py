@@ -21,13 +21,14 @@ never enter.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .greedy import edmonds_allocate, tie_order, _greedy_rates_scaled
+from .greedy import (edmonds_allocate, senders_by_tie, tie_order,
+                     _greedy_rates_scaled)
 from .instance import Instance, _Frozen
+from .source import scale_to_int
 
 __all__ = [
     "StepSchedule",
@@ -145,10 +146,8 @@ def dual_value(instance: Instance, lam: Sequence[Sequence],
         row = [Fraction(x) for x in lam[r]]
         if len(row) != m:
             raise ValueError(f"expected {m} multipliers, got {len(row)}")
-        den = math.lcm(*(x.denominator for x in row))
-        scaled = [x.numerator * (den // x.denominator) for x in row]
-        order = sorted((t for t in instance.transmitters if t != l),
-                       key=ranks.__getitem__)
+        den, scaled = scale_to_int(row)
+        order = senders_by_tie(instance, l, ranks)
         order.sort(key=scaled.__getitem__)
         rates = _greedy_rates_scaled(model, l, order)
         total += Fraction(sum(map(operator.mul, scaled, rates)),
@@ -266,20 +265,15 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
     de = model.entropy_denominator
     ranks = tie_order(m, config.tie_break)
     row_of_user = {u: r for r, u in enumerate(users)}
-    # senders in tie-rank order: a stable sort on the multipliers alone
-    # then orders them by (multiplier, tie rank)
-    senders_of = [sorted((t for t in instance.transmitters if t != l),
-                         key=ranks.__getitem__) for l in users]
+    # a stable sort by the multipliers gives (multiplier, tie rank) order
+    senders_of = [senders_by_tie(instance, l, ranks) for l in users]
     columns = sorted(instance.transmitters)
     pinned_of = [row_of_user.get(i) for i in range(m)]
     free_of = [[r for r in range(k) if r != pinned_of[i]] for i in range(m)]
 
-    d_alpha = 1
-    for w in instance.weights:
-        d_alpha = math.lcm(d_alpha, w.denominator)
-    alpha_scaled = [int(w * d_alpha) for w in instance.weights]
+    d_alpha, alpha_scaled = scale_to_int(instance.weights)
     grid = _QUANTUM.denominator * d_alpha
-    budget_grid = [int(w * grid) for w in instance.weights]
+    budget_grid = [a * _QUANTUM.denominator for a in alpha_scaled]
     # a primal value p is held as the integer p * d_alpha * de * (its count
     # of iterates); a dual value d as d * grid * de
     pden = d_alpha * de

@@ -347,10 +347,6 @@ class Matrix:
         flat = [a for r in rows for a in r]
         return cls(field, len(rows), width, flat)
 
-    @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, nrows, ncols, [0] * (nrows * ncols), validate=False)
-
     def row(self, i: int) -> tuple:
         return self.data[i * self.ncols:(i + 1) * self.ncols]
 
@@ -405,9 +401,6 @@ class Matrix:
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.nrows == other.nrows and self.ncols == other.ncols
                 and self.data == other.data)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.nrows, self.ncols, self.data))
 
     def __repr__(self) -> str:
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"

@@ -23,18 +23,20 @@ denominator and compared with the integer-scaled entropies.
 
 from __future__ import annotations
 
-import math
+import operator
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .instance import Instance
-from .source import SizeLimitError, SourceModel, mask_to_set
+from .source import (SizeLimitError, SourceModel, mask_to_set, scale_to_int,
+                     subset_table)
 
 __all__ = [
     "edmonds_allocate",
     "check_rate_domain",
     "violated_cuts",
     "tie_order",
+    "senders_by_tie",
 ]
 
 RateVector = Tuple[Fraction, ...]
@@ -69,6 +71,14 @@ def tie_order(m: int, tie_break: Optional[Sequence[int]]) -> List[int]:
     return rank_of
 
 
+def senders_by_tie(instance: Instance, target: int,
+                   ranks: Sequence[int]) -> List[int]:
+    """The transmitters other than `target` in tie-rank order, so a
+    stable sort by a key then orders them by (key, tie rank)."""
+    return sorted((t for t in instance.transmitters if t != target),
+                  key=ranks.__getitem__)
+
+
 def _greedy_rates_scaled(model: SourceModel, target: int,
                          order: Sequence[int]) -> List[int]:
     """Scaled rates for the given visiting order: entry for order[i] is
@@ -97,22 +107,11 @@ def edmonds_allocate(instance: Instance, target: int,
         w = [Fraction(x) for x in weights]
         if len(w) != m:
             raise ValueError(f"expected {m} weights, got {len(w)}")
-    ranks = tie_order(m, tie_break)
-    senders = sorted((t for t in instance.transmitters if t != target),
-                     key=lambda j: (w[j], ranks[j]))
+    senders = senders_by_tie(instance, target, tie_order(m, tie_break))
+    senders.sort(key=w.__getitem__)
     scaled = _greedy_rates_scaled(instance.model, target, senders)
     den = instance.model.entropy_denominator
     return tuple(Fraction(v, den) for v in scaled)
-
-
-def _subset_sums(values: Sequence[int]) -> List[int]:
-    """table[s] = sum of values[i] over the set bits i of s.  Summing
-    distinct powers of two gives the subset masks themselves."""
-    table = [0] * (1 << len(values))
-    for s in range(1, len(table)):
-        low = s & -s
-        table[s] = table[s ^ low] + values[low.bit_length() - 1]
-    return table
 
 
 def _iter_cuts(instance: Instance, target: int, rates: Sequence[int]):
@@ -120,18 +119,20 @@ def _iter_cuts(instance: Instance, target: int, rates: Sequence[int]):
     (mask, need, got): need is the scaled H(X_S | X_(ctx \\ S)), with ctx
     the receiver plus the transmitters, and got the sum of the integer
     `rates` over S.  Masks and sums come from two half-size subset tables
-    (low senders inner), and the entropies from the trusted point query."""
+    (low senders inner; summing distinct powers of two gives the subset
+    masks themselves), and the entropies from the trusted point query."""
     tmask = instance.transmitter_mask & ~(1 << target)
     ctx = tmask | (1 << target)
     senders = mask_to_set(tmask)
     half = len(senders) // 2
     lo, hi = senders[:half], senders[half:]
-    lo_cuts = list(zip(_subset_sums([1 << t for t in lo]),
-                       _subset_sums([rates[t] for t in lo])))
+    add = operator.add
+    lo_cuts = list(zip(subset_table([1 << t for t in lo], add),
+                       subset_table([rates[t] for t in lo], add)))
     js = instance.model._joint_scaled
     total = js(ctx)
-    for hi_cut, hi_got in zip(_subset_sums([1 << t for t in hi]),
-                              _subset_sums([rates[t] for t in hi])):
+    for hi_cut, hi_got in zip(subset_table([1 << t for t in hi], add),
+                              subset_table([rates[t] for t in hi], add)):
         for lo_cut, lo_got in lo_cuts:
             cut = hi_cut | lo_cut
             if cut:
@@ -165,9 +166,7 @@ def violated_cuts(rates: Sequence, instance: Instance, target: int,
             f"feasibility check limited to m <= {_FEASIBILITY_GUARD_M}")
     if not 0 <= target < m:
         raise ValueError(f"target {target} out of range")
-    r = check_rate_domain(instance, rates)
-    rden = math.lcm(*(x.denominator for x in r))
-    scaled = [x.numerator * (rden // x.denominator) for x in r]
+    rden, scaled = scale_to_int(check_rate_domain(instance, rates))
     den = instance.model.entropy_denominator
     out = []
     for cut, need, got in _iter_cuts(instance, target, scaled):

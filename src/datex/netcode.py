@@ -38,7 +38,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .gf import Field, Matrix, embed_map, make_field, mat_vec, rank, solve_linear, stack
 from .greedy import violated_cuts
 from .instance import Instance, _Frozen
-from .source import LinearSource, SizeLimitError, mask_to_set
+from .source import LinearSource, SizeLimitError, mask_to_set, scale_to_int
 
 __all__ = [
     "TransmissionScheme",
@@ -126,7 +126,6 @@ class TransmissionScheme(_Frozen):
 class DecodabilityReport(NamedTuple):
     """Per-receiver rank deficits (0 means decodable)."""
 
-    target_rank: int
     deficits: Dict[int, int]
 
     @property
@@ -242,13 +241,11 @@ def rationalize(rates: Sequence, instance: Instance,
                 for cut in through:
                     deficits[cut] -= worst
         _check_rates_feasible(instance, snapped)
-    L = 1
-    for r in snapped:
-        L = math.lcm(L, r.denominator)
+    L, chunks = scale_to_int(snapped)
     if L > max_denominator:
         raise ValueError(
             f"chunk count {L} exceeds max_denominator={max_denominator}")
-    return L, tuple(int(r * L) for r in snapped)
+    return L, tuple(chunks)
 
 
 def _linear_model(instance: Instance) -> LinearSource:
@@ -347,7 +344,7 @@ def verify_decodability(scheme: TransmissionScheme) -> DecodabilityReport:
         parts.extend(coded[i] for i in sorted(coded) if i != l)
         got = rank(stack(*parts))
         deficits[l] = target - got
-    return DecodabilityReport(target, deficits)
+    return DecodabilityReport(deficits)
 
 
 def simulate_exchange(scheme: TransmissionScheme, seed: int = 0) -> SimulationResult:

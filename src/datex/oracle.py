@@ -26,7 +26,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from .greedy import _iter_cuts, violated_cuts
 from .instance import Instance
-from .source import SizeLimitError
+from .source import SizeLimitError, scale_to_int
 
 __all__ = [
     "CutSetLP",
@@ -119,13 +119,12 @@ def exact_simplex(c: Sequence, A: Sequence[Sequence], b: Sequence) -> SimplexRes
         arow = [Fraction(v) for v in arow] + [b[i]]
         if len(arow) != ncols + 1:
             raise ValueError("A row length mismatch")
-        scale = math.lcm(*(v.denominator for v in arow))
-        row = [v.numerator * (scale // v.denominator) for v in arow]
+        scale, row = scale_to_int(arow)
         slack = [0] * nrows
         slack[i] = scale
         rows.append(_primitive(row[:ncols] + slack + row[ncols:]))
-    zden = math.lcm(*(v.denominator for v in c))
-    zrow = [-v.numerator * (zden // v.denominator) for v in c] + [0] * (nrows + 1)
+    zden, zc = scale_to_int(c)
+    zrow = [-v for v in zc] + [0] * (nrows + 1)
     basis = [ncols + i for i in range(nrows)]
     pivots = 0
     while True:

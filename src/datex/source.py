@@ -33,15 +33,20 @@ every prefix rank on the way -- one elimination per chain instead of one
 per prefix.  Raw and linear chains stop at the first prefix that holds
 H(X_M), since every later increment is zero.  Tabular sources look each
 prefix up in their table.
+
+The module also holds two helpers every layer shares: `scale_to_int`,
+the integer view of a rational vector, and `subset_table`, a table over
+all subsets of a short list folded by a given operation.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property
-from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from .gf import (EchelonBasis, Field, Matrix, SizeLimitError, make_field, rank,
                  stack)
@@ -57,6 +62,8 @@ __all__ = [
     "validate_table",
     "as_mask",
     "mask_to_set",
+    "scale_to_int",
+    "subset_table",
 ]
 
 SubsetLike = Union[int, Iterable[int]]
@@ -88,10 +95,27 @@ def mask_to_set(mask: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def scale_to_int(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """The integer view of a rational vector: the lcm `den` of its
+    denominators and every value times `den`."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def subset_table(values: Sequence[int],
+                 op: Callable[[int, int], int]) -> List[int]:
+    """table[s] = values[i] folded by `op` over the set bits i of s, and
+    table[0] = 0: each entry extends the entry without its lowest bit."""
+    table = [0] * (1 << len(values))
+    for s in range(1, len(table)):
+        low = s & -s
+        table[s] = op(table[s ^ low], values[low.bit_length() - 1])
+    return table
+
+
 class SourceModel:
     """Base entropy oracle.  Subclasses fill in _joint_scaled."""
 
-    kind = "abstract"
     m: int
 
     # Every entropy equals an integer multiple of 1/entropy_denominator.
@@ -138,8 +162,6 @@ class LinearSource(SourceModel):
     field^N.  Joint entropy of a subset is the rank of the stacked rows,
     in symbols."""
 
-    kind = "linear"
-
     def __init__(self, field: Field, packet_count: int,
                  matrices: Sequence[Matrix]):
         if packet_count < 0:
@@ -157,17 +179,11 @@ class LinearSource(SourceModel):
         self._memo: Dict[int, int] = {0: 0}
         self._rows = tuple(M.rows() for M in self.matrices)
 
-    def stacked(self, subset: SubsetLike) -> Matrix:
-        mask = as_mask(self.m, subset)
-        blocks = [self.matrices[i] for i in mask_to_set(mask)]
-        if not blocks:
-            return Matrix.zeros(self.field, 0, self.N)
-        return stack(*blocks)
-
     def _joint_scaled(self, mask: int) -> int:
+        # the memo holds mask 0, so every stacked subset is nonempty
         hit = self._memo.get(mask)
         if hit is None:
-            hit = rank(self.stacked(mask))
+            hit = rank(stack(*(self.matrices[i] for i in mask_to_set(mask))))
             self._memo[mask] = hit
         return hit
 
@@ -227,8 +243,6 @@ class RawSource(LinearSource):
     design, simulation, the multicast graph, scheme files); entropy
     queries never need them."""
 
-    kind = "raw"
-
     def __init__(self, ownership: Sequence[Iterable[int]], packet_count: int,
                  field: Optional[Field] = None):
         if packet_count < 0:
@@ -250,8 +264,9 @@ class RawSource(LinearSource):
         self.ownership = tuple(own_sets)
         self._bits = tuple(bits)
         # the union of owned packets for every subset of each block of 8
-        # terminals, so a point query is one lookup per block
-        self._blocks = tuple(_subset_unions(bits[i:i + 8])
+        # terminals, so a point query is one lookup per block; packet sets
+        # of different terminals overlap, so the fold is OR, not a sum
+        self._blocks = tuple(subset_table(bits[i:i + 8], operator.or_)
                              for i in range(0, self.m, 8))
 
     @cached_property
@@ -293,15 +308,6 @@ class RawSource(LinearSource):
         return out
 
 
-def _subset_unions(bits: Sequence[int]) -> List[int]:
-    """table[s] = OR of bits[i] over the set bits i of s."""
-    table = [0] * (1 << len(bits))
-    for s in range(1, len(table)):
-        low = s & -s
-        table[s] = table[s ^ low] | bits[low.bit_length() - 1]
-    return table
-
-
 def raw_source(ownership: Sequence[Iterable[int]], packet_count: int,
                field: Optional[Field] = None) -> RawSource:
     """Build the packet-ownership model (terminal i owns ownership[i])."""
@@ -316,19 +322,13 @@ class TableReport(NamedTuple):
     errors: Sequence[str] = ()
 
 
-def _scale_table(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
-    """The lcm of the table's denominators and every entry times it."""
-    den = math.lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
-
-
 def validate_table(values: Sequence[Fraction]) -> TableReport:
     """Check an entropy table: length 2^m, zero at the empty set, no
     negative entry, monotone, and -- when all that holds -- submodular.
     The last two checks each report only their first violation in
     ascending order: the pair (S, i) with H(S+i) < H(S), or the triple
     (S, i, j) with H(S+i) + H(S+j) < H(S+i+j) + H(S)."""
-    return _check_table(values, _scale_table(values)[1])
+    return _check_table(values, scale_to_int(values)[1])
 
 
 def _check_table(values: Sequence[Fraction], scaled: Sequence[int]
@@ -375,18 +375,15 @@ def _first_submodularity_violation(scaled: Sequence[int],
 class TabularSource(SourceModel):
     """Entropy oracle backed by an explicit 2^m table of rationals."""
 
-    kind = "tabular"
-
     def __init__(self, values: Sequence[Union[Fraction, int, str]]):
         vals = [Fraction(v) for v in values]
-        den, scaled = _scale_table(vals)
+        den, scaled = scale_to_int(vals)
         report = _check_table(vals, scaled)
         if not report.ok:
             raise ValueError("invalid entropy table: " + "; ".join(report.errors))
         self.m = len(vals).bit_length() - 1
         self.entropy_denominator = den
         self._scaled = tuple(scaled)
-        self.values = tuple(vals)
 
     def _joint_scaled(self, mask: int) -> int:
         return self._scaled[mask]

@@ -6,6 +6,7 @@ replaced coding matrices."""
 
 import random
 from fractions import Fraction
+from typing import List
 
 from datex.gf import Matrix, SizeLimitError, make_field
 from datex.instance import Instance
@@ -97,12 +98,17 @@ def all_terminal_cut_rows(instance: Instance):
             for s in range(1, full) if s & users != users]
 
 
-def tabulate(model: SourceModel) -> TabularSource:
-    """Materialize any model as an explicit table (m <= 16 guard)."""
+def table_values(model: SourceModel) -> List[Fraction]:
+    """Every joint entropy of a model, indexed by subset mask (m <= 16
+    guard)."""
     if model.m > 16:
         raise SizeLimitError("refusing to tabulate more than 2^16 subsets")
-    return TabularSource([model.joint_entropy(mask)
-                          for mask in range(1 << model.m)])
+    return [model.joint_entropy(mask) for mask in range(1 << model.m)]
+
+
+def tabulate(model: SourceModel) -> TabularSource:
+    """Materialize any model as an explicit table (m <= 16 guard)."""
+    return TabularSource(table_values(model))
 
 
 def with_matrices(scheme: TransmissionScheme, matrices) -> TransmissionScheme:

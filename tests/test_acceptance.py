@@ -159,7 +159,9 @@ def test_criterion_6_property_suites():
         if built % 2 and scheme.matrices:
             victim = rng.choice(sorted(scheme.matrices))
             old = scheme.matrices[victim]
-            zero = Matrix.zeros(scheme.coding_field, old.nrows, old.ncols)
+            zero = Matrix.from_rows(scheme.coding_field,
+                                    [[0] * old.ncols] * old.nrows,
+                                    ncols=old.ncols)
             scheme = with_matrices(scheme,
                                    {**scheme.matrices, victim: zero})
         report = verify_decodability(scheme)

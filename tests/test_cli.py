@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from datex.cli import (CLIError, FORMAT_VERSION, instance_from_dict, main,
                        parse_instance, serialize_instance)
 from datex.instance import Instance, InfeasibleInstanceError
-from datex.source import TabularSource
 from helpers import example2_instance, example3_instance, tabulate
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
@@ -73,7 +72,7 @@ def test_packets_form_defaults_to_binary_field():
 
 
 def test_round_trip_all_three_forms(example2, example3):
-    table_inst = Instance(TabularSource(tabulate(example2.model).values),
+    table_inst = Instance(tabulate(example2.model),
                           [0, 2], weights=[Fraction(1, 2)] * 6,
                           transmitters=[0, 1, 2, 3, 5])
     restricted = Instance(example3.model, [0, 1],

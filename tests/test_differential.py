@@ -43,7 +43,7 @@ from datex.netcode import InfeasibleRatesError, _snap, rationalize
 from datex.oracle import UnboundedLPError, build_lp, exact_simplex, solve_exact
 from datex.source import (LinearSource, SizeLimitError, SourceModel,
                           TabularSource, mask_to_set, raw_source)
-from helpers import example2_instance, random_linear_instance, tabulate
+from helpers import example2_instance, random_linear_instance, table_values
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +439,8 @@ def _tabular_instance(rng):
             break
     fa = Fraction(rng.randint(1, 9), rng.randint(2, 7))
     fb = Fraction(rng.randint(0, 5), rng.randint(1, 5))
-    values = [fa * x + fb * y for x, y in zip(tabulate(a.model).values,
-                                              tabulate(b.model).values)]
+    values = [fa * x + fb * y for x, y in zip(table_values(a.model),
+                                              table_values(b.model))]
     transmitters = None
     if rng.random() < 0.3:
         transmitters = [i for i in range(m) if i not in a.users]
@@ -740,7 +740,7 @@ def _solve_case(rng):
             if kind == "tabular":
                 scale = Fraction(rng.randint(1, 5), rng.randint(1, 4))
                 model = TabularSource([scale * v
-                                       for v in tabulate(model).values])
+                                       for v in table_values(model)])
         users = rng.sample(range(m), rng.randint(2, m // 2 + 1))
         if rng.random() < 0.5:
             weights = [rng.randint(1, 4) for _ in range(m)]

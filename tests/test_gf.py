@@ -229,7 +229,7 @@ def test_kron_identity_structure():
 def test_stack_and_empty_matrices():
     F = make_field(2)
     A = Matrix.from_rows(F, [[1, 0]])
-    E = Matrix.zeros(F, 0, 2)
+    E = Matrix.from_rows(F, [], ncols=2)
     S = stack(A, E, A)
     assert S.nrows == 2 and rank(S) == 1
     assert rank(E) == 0

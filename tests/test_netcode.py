@@ -20,7 +20,7 @@ from datex.netcode import (DesignFailureError, IncompleteSourceError,
                            scheme_core_from_dict, scheme_core_to_dict,
                            simulate_exchange, verify_decodability)
 from datex.oracle import build_lp, solve_exact
-from datex.source import TabularSource, raw_source
+from datex.source import raw_source
 from helpers import (example2_instance, example3_instance,
                      random_linear_instance, tabulate, with_matrices)
 
@@ -151,7 +151,6 @@ def test_hand_scheme_decodes():
     _, scheme = _hand_scheme([1, 1])  # sum of the helper's two packets
     report = verify_decodability(scheme)
     assert report.ok
-    assert report.target_rank == 4
     assert report.deficits == {0: 0, 1: 0}
     assert _decodable(report) == {0: True, 1: True}
     for seed in range(5):
@@ -249,8 +248,7 @@ def test_design_rejects_observations_short_of_all_packets():
 
 
 def test_design_rejects_tabular_models(example2):
-    table = tabulate(example2.model)
-    inst = Instance(TabularSource(table.values), [0, 1, 2])
+    inst = Instance(tabulate(example2.model), [0, 1, 2])
     with pytest.raises(TypeError):
         design_transmissions(inst, (1, 1, 1, 2, 2, 2), 4)
     with pytest.raises(TypeError):

@@ -1,9 +1,10 @@
 """Package-level checks: certificates are explicit raises that `python -O`
 keeps, the runtime imports only the standard library, importing the CLI
 loads neither `dataclasses` nor `inspect`, every exported name has a
-caller in the package or a mention in the README, the README's library
-quick start runs as written, and every name the benchmark's tracer wraps
-still exists."""
+caller in the package or a mention in the README, every result field and
+assigned attribute is read in the package or named in the README, the
+README's library quick start runs as written, and every name the
+benchmark's tracer wraps still exists."""
 
 import ast
 import importlib
@@ -102,6 +103,58 @@ def test_exported_names_have_a_caller_or_a_readme_mention():
             if not re.search(rf"\b{re.escape(name)}\b", readme):
                 unused.append(f"{module}.{name}")
     assert not unused, f"exported but used only by tests: {unused}"
+
+
+def _assigned_attributes(tree):
+    """(class, attribute) for every NamedTuple field and every attribute a
+    class assigns: `self.a = ...` (tuple targets included),
+    `object.__setattr__(self, "a", ...)` and `self.__dict__.update(a=...)`."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if any(isinstance(b, ast.Name) and b.id == "NamedTuple"
+               for b in cls.bases):
+            yield from ((cls.name, stmt.target.id) for stmt in cls.body
+                        if isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name))
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                yield cls.name, node.attr
+            elif isinstance(node, ast.Call) and isinstance(node.func,
+                                                           ast.Attribute):
+                func = node.func
+                if (func.attr == "__setattr__"
+                        and isinstance(func.value, ast.Name)
+                        and func.value.id == "object"):
+                    yield cls.name, ast.literal_eval(node.args[1])
+                elif (func.attr == "update"
+                      and isinstance(func.value, ast.Attribute)
+                      and func.value.attr == "__dict__"):
+                    yield from ((cls.name, kw.arg) for kw in node.keywords)
+
+
+def test_result_fields_are_read_in_the_package_or_named_in_the_readme():
+    """Every NamedTuple field and every attribute a class in src/datex
+    assigns is read as an attribute somewhere in src/datex, or the README
+    names it as `Class.attribute`, a public result field; state that only
+    tests read does not belong in the package.  The probe matches names,
+    not owners: an attribute that shares its name with a method read
+    elsewhere (`values` and `dict.values()`, say) passes unread, so such a
+    field needs checking by hand."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "datex").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = sorted({f"{cls}.{attr}" for tree in trees
+                     for cls, attr in _assigned_attributes(tree)
+                     if attr not in read
+                     and not re.search(rf"\b{cls}\.{attr}\b", readme)})
+    assert not unread, f"assigned but read only by tests: {unread}"
 
 
 def test_readme_library_quick_start_runs(capsys):

@@ -1,14 +1,18 @@
+import math
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from datex.gf import Matrix, make_field
 from datex.source import (LinearSource, RawSource, TableReport, TabularSource,
-                          as_mask, mask_to_set, raw_source, validate_table)
+                          as_mask, mask_to_set, raw_source, scale_to_int,
+                          subset_table, validate_table)
 from helpers import (cond_entropy, example_model, example3_instance,
-                     random_linear_instance, tabulate)
+                     random_linear_instance, table_values, tabulate)
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +38,29 @@ def test_as_mask_range_checks():
 # ---------------------------------------------------------------------------
 # Linear sources: the six-terminal worked model
 # ---------------------------------------------------------------------------
+
+@given(st.lists(st.fractions(max_denominator=60), max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_scale_to_int_is_the_lcm_view(values):
+    den, ints = scale_to_int(values)
+    assert den == reduce(lambda a, b: a * b // math.gcd(a, b),
+                         (v.denominator for v in values), 1)
+    assert len(ints) == len(values)
+    assert all(type(n) is int and n == v * den for n, v in zip(ints, values))
+
+
+@given(st.lists(st.integers(0, 15), max_size=7),
+       st.sampled_from([operator.add, operator.or_]))
+@settings(max_examples=150, deadline=None)
+def test_subset_table_folds_the_set_bits(values, op):
+    """Against a brute-force fold over each mask's set bits; values drawn
+    from 0..15 overlap as bitmasks, where OR and sum part ways."""
+    table = subset_table(values, op)
+    assert len(table) == 1 << len(values)
+    for s, got in enumerate(table):
+        assert got == reduce(op, (v for i, v in enumerate(values)
+                                  if s >> i & 1), 0)
+
 
 def test_example_model_entropies_gf3():
     model = example_model(3)
@@ -215,8 +242,8 @@ def _draw_model(draw, kind, m, n, full=None):
         if full is not None:
             rows[full] = [[int(a == b) for a in range(n)] for b in range(n)]
         F = FIELDS["GF(3)"]
-        values = tabulate(LinearSource(
-            F, n, [Matrix.from_rows(F, r, ncols=n) for r in rows])).values
+        values = table_values(LinearSource(
+            F, n, [Matrix.from_rows(F, r, ncols=n) for r in rows]))
         # rescale so that entropies are fractions with denominator 3
         return lambda: TabularSource([v / 3 for v in values])
     F = FIELDS[kind]
