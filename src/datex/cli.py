@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence
 
 from .dual import SolverConfig, StepSchedule, solve
-from .gf import Matrix, make_field
+from .gf import Matrix, is_int, make_field
 from .greedy import check_rate_domain, tie_order, violated_cuts
 from .instance import Instance, InfeasibleInstanceError
 from .netcode import (DesignFailureError, IncompleteSourceError,
@@ -128,23 +128,18 @@ def _parse_tie_break(text: str, m: int) -> tuple:
 # Instance files
 # ---------------------------------------------------------------------------
 
-def _is_int(value: Any) -> bool:
-    """A JSON integer: an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_field(data: Any, where: str, override_char: Optional[int]):
     """A field descriptor: {"characteristic": p, "degree": w} or a bare prime."""
     if data is None:
         char, degree = 2, 1
-    elif isinstance(data, int):
+    elif is_int(data):
         char, degree = data, 1
     elif isinstance(data, dict):
         char = data.get("characteristic")
         degree = data.get("degree", 1)
-        if not _is_int(char):
+        if not is_int(char):
             raise CLIError(f"{where}: field.characteristic must be an integer")
-        if not _is_int(degree) or degree < 1:
+        if not is_int(degree) or degree < 1:
             raise CLIError(f"{where}: field.degree must be a positive integer")
     else:
         raise CLIError(f"{where}: field must be an object or an integer")
@@ -157,7 +152,7 @@ def _parse_field(data: Any, where: str, override_char: Optional[int]):
 
 
 def _require_int_list(data: Any, where: str) -> List[int]:
-    if not isinstance(data, list) or not all(map(_is_int, data)):
+    if not isinstance(data, list) or not all(map(is_int, data)):
         raise CLIError(f"{where}: expected a list of integers")
     return list(data)
 
@@ -187,7 +182,7 @@ def instance_from_dict(data: Any, field_char: Optional[int] = None,
             raise CLIError(f"{where}: --field-char does not apply to "
                            f"entropy-table instances")
         m = data.get("terminal_count")
-        if not _is_int(m) or m < 1:
+        if not is_int(m) or m < 1:
             raise CLIError(f"{where}: terminal_count must be a positive integer")
         table = data["entropy_table"]
         if not isinstance(table, list) or len(table) != 1 << m:
@@ -214,7 +209,7 @@ def instance_from_dict(data: Any, field_char: Optional[int] = None,
         if len(forms) > 1:
             raise CLIError(f"{where}: terminals mix 'rows' and 'packets' forms")
         N = data.get("packet_count")
-        if not _is_int(N) or N < 0:
+        if not is_int(N) or N < 0:
             raise CLIError(f"{where}: packet_count must be a nonnegative "
                            f"integer")
         if forms == {"rows"}:
@@ -287,19 +282,17 @@ def serialize_instance(instance: Instance) -> dict:
     oracle exactly; raw-packet instances keep the packets form)."""
     model = instance.model
     out: Dict[str, Any] = {"format_version": FORMAT_VERSION}
-    if isinstance(model, RawSource):
+    if isinstance(model, LinearSource):   # a RawSource is one too
         out["field"] = {"characteristic": model.field.p,
                         "degree": model.field.degree}
         out["packet_count"] = model.N
-        out["terminals"] = [{"name": f"t{i}", "packets": sorted(model.ownership[i])}
-                            for i in range(model.m)]
-    elif isinstance(model, LinearSource):
-        out["field"] = {"characteristic": model.field.p,
-                        "degree": model.field.degree}
-        out["packet_count"] = model.N
-        out["terminals"] = [{"name": f"t{i}",
-                             "rows": [list(r) for r in model.matrices[i].rows()]}
-                            for i in range(model.m)]
+        if isinstance(model, RawSource):
+            form = [("packets", sorted(owned)) for owned in model.ownership]
+        else:
+            form = [("rows", [list(r) for r in M.rows()])
+                    for M in model.matrices]
+        out["terminals"] = [{"name": f"t{i}", key: value}
+                            for i, (key, value) in enumerate(form)]
     elif isinstance(model, TabularSource):
         out["terminal_count"] = model.m
         out["entropy_table"] = [_frac_str(model.joint_entropy(mask))
@@ -507,10 +500,9 @@ def _cmd_codegen(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _require_positive(args.seeds, "--seeds")
     scheme = _load_scheme(args.instance)
     runs = args.seeds
-    if runs < 1:
-        raise CLIError("--seeds must be >= 1")
     per_user = {l: 0 for l in scheme.instance.user_list}
     good = 0
     for s in range(args.seed, args.seed + runs):

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 __all__ = [
     "SizeLimitError",
+    "is_int",
     "Field",
     "Matrix",
     "make_field",
@@ -38,6 +39,11 @@ _MAX_FIELD_SIZE = 1 << 20
 class SizeLimitError(ValueError):
     """The input is larger than a size guard of the package accepts (an
     exhaustive 2^m routine, or a field too large to tabulate)."""
+
+
+def is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_prime(n: int) -> bool:
@@ -122,11 +128,9 @@ def _is_irreducible(coeffs: tuple, p: int) -> bool:
     if deg == 1:
         return True
     for d in range(1, deg // 2 + 1):
+        # the packed values in [p^d, 2p^d) are the monic degree-d polynomials
         for packed in range(p ** d, 2 * p ** d):
-            divisor = _pdigits(packed, p)
-            if len(divisor) - 1 != d or divisor[-1] != 1:
-                continue
-            _, rem = _poly_divmod(coeffs, divisor, p)
+            _, rem = _poly_divmod(coeffs, _pdigits(packed, p), p)
             if not rem:
                 return False
     return True
@@ -174,8 +178,7 @@ class Field:
     # -- basic queries ----------------------------------------------------
 
     def check(self, a: int) -> int:
-        if (not isinstance(a, int) or isinstance(a, bool)
-                or not 0 <= a < self.q):
+        if not is_int(a) or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not an element of {self}")
         return a
 

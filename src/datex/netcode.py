@@ -35,7 +35,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .gf import Field, Matrix, embed_map, make_field, mat_vec, rank, solve_linear, stack
+from .gf import (Field, Matrix, embed_map, is_int, make_field, mat_vec, rank,
+                 solve_linear, stack)
 from .greedy import violated_cuts
 from .instance import Instance, _Frozen
 from .source import LinearSource, SizeLimitError, mask_to_set, scale_to_int
@@ -459,7 +460,7 @@ def scheme_core_to_dict(scheme: TransmissionScheme) -> dict:
 
 def _int_entry(value, where: str) -> int:
     """A scheme-file integer: an int, not a bool, float or string."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_int(value):
         raise TypeError(f"{where} must be an integer, "
                         f"not {type(value).__name__}")
     return value

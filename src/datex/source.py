@@ -328,13 +328,7 @@ def validate_table(values: Sequence[Fraction]) -> TableReport:
     The last two checks each report only their first violation in
     ascending order: the pair (S, i) with H(S+i) < H(S), or the triple
     (S, i, j) with H(S+i) + H(S+j) < H(S+i+j) + H(S)."""
-    return _check_table(values, scale_to_int(values)[1])
-
-
-def _check_table(values: Sequence[Fraction], scaled: Sequence[int]
-                 ) -> TableReport:
-    """validate_table on the entries scaled to integers by one common
-    factor; `values` only supplies the numbers quoted in error texts."""
+    scaled = scale_to_int(values)[1]
     n = len(scaled)
     m = n.bit_length() - 1
     errors: List[str] = []
@@ -377,11 +371,11 @@ class TabularSource(SourceModel):
 
     def __init__(self, values: Sequence[Union[Fraction, int, str]]):
         vals = [Fraction(v) for v in values]
-        den, scaled = scale_to_int(vals)
-        report = _check_table(vals, scaled)
+        report = validate_table(vals)
         if not report.ok:
             raise ValueError("invalid entropy table: " + "; ".join(report.errors))
         self.m = len(vals).bit_length() - 1
+        den, scaled = scale_to_int(vals)
         self.entropy_denominator = den
         self._scaled = tuple(scaled)
 

@@ -379,11 +379,22 @@ def test_size_guards_exit_two(tmp_path, capsys, command, m, extra, guard):
     (["graph", EX1, "--max-denominator", "0"], "--max-denominator must be >= 1"),
     (["codegen", EX3, "--ext-degree", "30"],
      "field size 1073741824 exceeds the supported bound 1048576"),
+    # the count flag is checked before the scheme file is read
+    (["simulate", "missing.json", "--seeds", "0"], "--seeds must be >= 1"),
 ], ids=["codegen-max-denominator", "codegen-ext-degree", "codegen-attempts",
-        "graph-max-denominator", "codegen-field-size"])
+        "graph-max-denominator", "codegen-field-size", "simulate-seeds"])
 def test_codegen_usage_and_size_errors_exit_two(capsys, argv, message):
     assert main(argv) == 2
     assert message in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("field", [True, False])
+def test_boolean_field_exits_two(tmp_path, capsys, field):
+    """A JSON boolean is not a bare prime: `true` is not characteristic 1."""
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(_doc(field=field)))
+    assert main(["oracle", str(path)]) == 2
+    assert "field must be an object or an integer" in _one_line_error(capsys)
 
 
 def test_codegen_rejects_observations_short_of_all_packets(tmp_path, capsys):

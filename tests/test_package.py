@@ -3,8 +3,8 @@ keeps, the runtime imports only the standard library, importing the CLI
 loads neither `dataclasses` nor `inspect`, every exported name has a
 caller in the package or a mention in the README, every result field and
 assigned attribute is read in the package or named in the README, the
-README's library quick start runs as written, and every name the
-benchmark's tracer wraps still exists."""
+JSON-integer test is written once, the README's library quick start runs
+as written, and every name the benchmark's tracer wraps still exists."""
 
 import ast
 import importlib
@@ -155,6 +155,43 @@ def test_result_fields_are_read_in_the_package_or_named_in_the_readme():
                      if attr not in read
                      and not re.search(rf"\b{cls}\.{attr}\b", readme)})
     assert not unread, f"assigned but read only by tests: {unread}"
+
+
+def _isinstance_types(node):
+    """The type names an `isinstance(x, T)` call tests, else none."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return set()
+    arg = node.args[1]
+    return {e.id for e in (arg.elts if isinstance(arg, ast.Tuple) else [arg])
+            if isinstance(e, ast.Name)}
+
+
+def _int_and_bool_tests(node, func):
+    """(function, line) of each outermost boolean expression below `node`
+    that calls isinstance against both int and bool."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    if isinstance(node, ast.BoolOp):
+        tested = set().union(*map(_isinstance_types, ast.walk(node)))
+        if {"int", "bool"} <= tested:
+            yield func, node.lineno
+            return
+    for child in ast.iter_child_nodes(node):
+        yield from _int_and_bool_tests(child, func)
+
+
+def test_json_integer_test_is_written_once():
+    """The JSON-integer test, an int that is not a bool, has one
+    implementation, `gf.is_int`; every other reader of an outside
+    integer calls it.  A check that tests bool and int in separate
+    statements, for a message of its own (`cli._frac`), is not flagged."""
+    sites = []
+    for path in sorted((ROOT / "src" / "datex").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        sites += [f"{path.stem}.{func}:{line}"
+                  for func, line in _int_and_bool_tests(tree, "<module>")]
+    assert [site.split(":")[0] for site in sites] == ["gf.is_int"], sites
 
 
 def test_readme_library_quick_start_runs(capsys):
