@@ -91,28 +91,38 @@ def _float_list(xs) -> List[float]:
     return [float(x) for x in xs]
 
 
-def _parse_rates_flag(text: str, m: int) -> List[Fraction]:
+def _parse_rates_flag(text: str, instance: Instance) -> List[Fraction]:
+    """--rates for verify, codegen and graph: m rationals on the rate
+    region's domain (none negative, none nonzero off the transmitters)."""
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != m:
-        raise CLIError(f"--rates expects {m} comma-separated values, got {len(parts)}")
-    return [_frac(p, f"--rates entry {i}") for i, p in enumerate(parts)]
+    if len(parts) != instance.m:
+        raise CLIError(f"--rates expects {instance.m} comma-separated values, "
+                       f"got {len(parts)}")
+    rates = [_frac(p, f"--rates entry {i}") for i, p in enumerate(parts)]
+    try:
+        return check_rate_domain(instance, rates)
+    except ValueError as exc:
+        raise CLIError(str(exc)) from exc
 
 
 def _parse_theta(text: str) -> StepSchedule:
     """--theta "a,b,c" is the diminishing step a/(b + c*n); --theta
     "pow:a" is n**(-a)."""
+    power = text.startswith("pow:")
+    parts = [p.strip() for p in text.split(",")]
+    if not power and len(parts) != 3:
+        raise CLIError("--theta expects 'a,b,c' or 'pow:a'")
     try:
-        if text.startswith("pow:"):
+        if power:
             return StepSchedule.power(Fraction(text[len("pow:"):].strip()))
-        parts = [p.strip() for p in text.split(",")]
-        if len(parts) != 3:
-            raise CLIError("--theta expects 'a,b,c' or 'pow:a'")
-        a, b, c = (Fraction(p) for p in parts)
-        return StepSchedule.harmonic(a, b, c)
-    except CLIError:
-        raise
+        return StepSchedule.harmonic(*map(Fraction, parts))
     except (ValueError, ZeroDivisionError) as exc:
         raise CLIError(f"--theta: {exc}") from exc
+
+
+def _require_positive(value: Optional[int], flag: str) -> None:
+    if value is not None and value < 1:
+        raise CLIError(f"{flag} must be >= 1")
 
 
 def _parse_tie_break(text: str, m: int) -> tuple:
@@ -273,7 +283,13 @@ def _read_json(path: str) -> Any:
 
 
 def parse_instance(path: str, field_char: Optional[int] = None) -> Instance:
-    """Load and validate a JSON instance file."""
+    """Load and validate a JSON instance file; a --field-char override is
+    judged before the file is read."""
+    if field_char is not None:
+        try:
+            make_field(field_char)
+        except ValueError as exc:
+            raise CLIError(f"--field-char: {exc}") from exc
     return instance_from_dict(_read_json(path), field_char, where=path)
 
 
@@ -350,20 +366,20 @@ def _emit(record: dict, out_path: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    instance = parse_instance(args.instance, args.field_char)
+    _require_positive(args.max_iters, "--max-iters")
     kwargs: Dict[str, Any] = {}
-    if args.theta:
-        kwargs["schedule"] = _parse_theta(args.theta)
     if args.max_iters is not None:
         kwargs["max_iterations"] = args.max_iters
     if args.gap_tol is not None:
         kwargs["gap_tolerance"] = _frac(args.gap_tol, "--gap-tol")
+        if kwargs["gap_tolerance"] <= 0:
+            raise CLIError("--gap-tol must be positive")
+    if args.theta:
+        kwargs["schedule"] = _parse_theta(args.theta)
+    instance = parse_instance(args.instance, args.field_char)
     if args.tie_break:
         kwargs["tie_break"] = _parse_tie_break(args.tie_break, instance.m)
-    try:
-        config = SolverConfig(**kwargs)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    config = SolverConfig(**kwargs)
 
     trace_fh = None
     trace_cb = None
@@ -414,14 +430,10 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     instance = parse_instance(args.instance, args.field_char)
-    rates = _parse_rates_flag(args.rates, instance.m)
+    rates = _parse_rates_flag(args.rates, instance)
     violations = []
     for l in instance.user_list:
-        try:
-            cuts = violated_cuts(rates, instance, l)
-        except ValueError as exc:  # rates off the region's domain, or too big
-            raise CLIError(str(exc)) from exc
-        for cut, need, got in cuts:
+        for cut, need, got in violated_cuts(rates, instance, l):
             violations.append({
                 "receiver": l,
                 "cut": list(mask_to_set(cut)),
@@ -441,25 +453,16 @@ def _cmd_verify(args) -> int:
     return 0 if not violations else 1
 
 
-def _scheme_rates(args, instance: Instance):
-    """Rates for codegen/graph: --rates if given, on the rate region's
-    domain (exit 2 otherwise, as for verify), else the exact oracle.  Both
-    commands need observation matrices, which an entropy table lacks."""
+def _scheme_chunks(args, instance: Instance) -> tuple:
+    """Chunk count L and chunk rates for codegen/graph: --rates if given,
+    else the exact oracle's, rationalized.  Both commands need observation
+    matrices, which an entropy table lacks."""
     if not isinstance(instance.model, LinearSource):
         raise CLIError(f"{args.command} needs observation matrices (a 'rows' "
                        f"or 'packets' instance), not an entropy table")
-    if args.rates:
-        try:
-            return check_rate_domain(
-                instance, _parse_rates_flag(args.rates, instance.m))
-        except ValueError as exc:
-            raise CLIError(str(exc)) from exc
-    return list(solve_exact(build_lp(instance)).rates)
-
-
-def _require_positive(value: Optional[int], flag: str) -> None:
-    if value is not None and value < 1:
-        raise CLIError(f"{flag} must be >= 1")
+    rates = (_parse_rates_flag(args.rates, instance) if args.rates
+             else solve_exact(build_lp(instance)).rates)
+    return rationalize(rates, instance, args.max_denominator)
 
 
 def _cmd_codegen(args) -> int:
@@ -467,20 +470,10 @@ def _cmd_codegen(args) -> int:
     _require_positive(args.ext_degree, "--ext-degree")
     _require_positive(args.max_attempts, "--max-attempts")
     instance = parse_instance(args.instance, args.field_char)
-    rates = _scheme_rates(args, instance)
-    try:
-        L, chunks = rationalize(rates, instance, args.max_denominator)
-        scheme = design_transmissions(instance, chunks, L,
-                                      ext_degree=args.ext_degree,
-                                      seed=args.seed,
-                                      max_attempts=args.max_attempts)
-    except SizeLimitError:
-        raise
-    except IncompleteSourceError as exc:
-        raise CLIError(str(exc)) from exc
-    except (InfeasibleRatesError, DesignFailureError, ValueError) as exc:
-        print(f"codegen failed: {exc}", file=sys.stderr)
-        return 1
+    L, chunks = _scheme_chunks(args, instance)
+    scheme = design_transmissions(instance, chunks, L,
+                                  ext_degree=args.ext_degree, seed=args.seed,
+                                  max_attempts=args.max_attempts)
     if not verify_decodability(scheme).ok:
         raise RuntimeError("the designed scheme failed its decodability re-check")
     rates = [Fraction(c, L) for c in chunks]
@@ -524,14 +517,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_graph(args) -> int:
     _require_positive(args.max_denominator, "--max-denominator")
     instance = parse_instance(args.instance, args.field_char)
-    rates = _scheme_rates(args, instance)
-    try:
-        L, chunks = rationalize(rates, instance, args.max_denominator)
-    except SizeLimitError:
-        raise
-    except (InfeasibleRatesError, ValueError) as exc:
-        print(f"graph failed: {exc}", file=sys.stderr)
-        return 1
+    L, chunks = _scheme_chunks(args, instance)
     graph = build_multicast_graph(instance, chunks, L)
     _write_out(graph_to_dot(graph) + "\n", args.output)
     return 0
@@ -627,11 +613,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:   # --help
         return int(exc.code or 0)
-    except (CLIError, SizeLimitError) as exc:
+    except (CLIError, SizeLimitError, IncompleteSourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleInstanceError as exc:
         print(f"infeasible instance: {exc}", file=sys.stderr)
+        return 1
+    except (InfeasibleRatesError, DesignFailureError) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 1
 
 

@@ -70,7 +70,8 @@ _MAX_CODING_VIEW = 1 << 22
 
 
 class InfeasibleRatesError(ValueError):
-    """The requested rates fail some receiver's cut-set constraint."""
+    """The requested rates fail some receiver's cut-set constraint, or
+    need more than max_denominator chunks per packet."""
 
 
 class DesignFailureError(RuntimeError):
@@ -209,7 +210,8 @@ def rationalize(rates: Sequence, instance: Instance,
     remaining deficit of the violated cuts through it, which restores all
     cuts in one pass.  A larger deficit means the requested rates were
     infeasible before snapping, which raises InfeasibleRatesError.  L is
-    the lcm of the final denominators and must not exceed max_denominator.
+    the lcm of the final denominators; one above max_denominator raises
+    InfeasibleRatesError too.
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
@@ -244,7 +246,7 @@ def rationalize(rates: Sequence, instance: Instance,
         _check_rates_feasible(instance, snapped)
     L, chunks = scale_to_int(snapped)
     if L > max_denominator:
-        raise ValueError(
+        raise InfeasibleRatesError(
             f"chunk count {L} exceeds max_denominator={max_denominator}")
     return L, tuple(chunks)
 

@@ -31,7 +31,6 @@ from .source import SizeLimitError, scale_to_int
 __all__ = [
     "CutSetLP",
     "OracleSolution",
-    "InfeasibleLPError",
     "build_lp",
     "solve_exact",
     "exact_simplex",
@@ -39,10 +38,6 @@ __all__ = [
 ]
 
 _GUARD_M = 10
-
-
-class InfeasibleLPError(ValueError):
-    """The cut-set constraints cannot be met (the dual is unbounded)."""
 
 
 class CutSetLP(NamedTuple):
@@ -192,11 +187,8 @@ def solve_exact(lp: CutSetLP) -> OracleSolution:
     A = []
     for t in lp.variables:
         A.append([(row[0] >> t) & 1 for row in lp.constraints])
-    try:
-        res = exact_simplex(c, A, b)
-    except UnboundedLPError as exc:
-        raise InfeasibleLPError(
-            "cut-set constraints are unsatisfiable for this instance") from exc
+    # bounded: each column y_S has a 1 in the row of some t in S, capped by w_t
+    res = exact_simplex(c, A, b)
     rates = [Fraction(0)] * inst.m
     for t, i in var_index.items():
         rates[t] = res.duals[i]

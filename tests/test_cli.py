@@ -379,13 +379,64 @@ def test_size_guards_exit_two(tmp_path, capsys, command, m, extra, guard):
     (["graph", EX1, "--max-denominator", "0"], "--max-denominator must be >= 1"),
     (["codegen", EX3, "--ext-degree", "30"],
      "field size 1073741824 exceeds the supported bound 1048576"),
-    # the count flag is checked before the scheme file is read
+    # each flag is checked before the instance or scheme file is read
     (["simulate", "missing.json", "--seeds", "0"], "--seeds must be >= 1"),
+    (["solve", "missing.json", "--max-iters", "0"], "--max-iters must be >= 1"),
+    (["solve", "missing.json", "--gap-tol", "0"], "--gap-tol must be positive"),
+    (["oracle", "missing.json", "--field-char", "4"],
+     "--field-char: characteristic 4 is not prime"),
 ], ids=["codegen-max-denominator", "codegen-ext-degree", "codegen-attempts",
-        "graph-max-denominator", "codegen-field-size", "simulate-seeds"])
+        "graph-max-denominator", "codegen-field-size", "simulate-seeds",
+        "solve-max-iters", "solve-gap-tol", "oracle-field-char"])
 def test_codegen_usage_and_size_errors_exit_two(capsys, argv, message):
     assert main(argv) == 2
     assert message in _one_line_error(capsys)
+
+
+# Four raw terminals; the helper 3 owns every packet and costs nothing.
+HELPER_DOC = {"format_version": 1, "packet_count": 3,
+              "terminals": [{"packets": [0]}, {"packets": [1]},
+                            {"packets": [2]}, {"packets": [0, 1, 2]}],
+              "users": [0, 1, 2], "weights": [1, 1, 1, 0]}
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["codegen", "HELPER", "--rates", "1/61,1/44,0,3"],
+     "codegen failed: chunk count 2684 exceeds max_denominator=64"),
+    (["graph", "HELPER", "--rates", "1/61,1/44,0,3"],
+     "graph failed: chunk count 2684 exceeds max_denominator=64"),
+    (["graph", "HELPER", "--rates", "1/3,1/5,1/7,0"],
+     "graph failed: receiver 0: cut {1, 3} is short by 4/5, more than "
+     "snapping to the 1/64 grid can explain"),
+    (["codegen", EX3, "--rates", "0,1,1", "--ext-degree", "1",
+      "--max-attempts", "1", "--seed", "0"],
+     "codegen failed: no decodable scheme in 1 attempts; try a larger "
+     "extension degree (used 1)"),
+], ids=["codegen-chunk-count", "graph-chunk-count", "graph-infeasible",
+        "codegen-design"])
+def test_scheme_failures_exit_one_with_one_line(tmp_path, capsys, argv, line):
+    path = tmp_path / "helper.json"
+    path.write_text(json.dumps(HELPER_DOC))
+    assert main([str(path) if a == "HELPER" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
+def test_codegen_on_an_extension_source_field(tmp_path, capsys):
+    """GF(4) observations embed into a larger coding field GF(2^(2t))."""
+    doc = {"format_version": 1, "field": {"characteristic": 2, "degree": 2},
+           "packet_count": 2,
+           "terminals": [{"rows": [[1, 2]]}, {"rows": [[3, 1]]},
+                         {"rows": [[1, 0], [0, 1]]}],
+           "users": [0, 1]}
+    path = tmp_path / "gf4.json"
+    path.write_text(json.dumps(doc))
+    scheme = tmp_path / "scheme.json"
+    assert main(["codegen", str(path), "-o", str(scheme)]) == 0
+    assert _read(scheme)["scheme"]["coding_field"]["degree"] > 2
+    assert main(["simulate", str(scheme), "--seeds", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 @pytest.mark.parametrize("field", [True, False])

@@ -197,7 +197,7 @@ def ref_rationalize(rates, max_denominator=64, instance=None):
     for r in snapped:
         L = math.lcm(L, r.denominator)
     if L > max_denominator:
-        raise ValueError(
+        raise InfeasibleRatesError(
             f"chunk count {L} exceeds max_denominator={max_denominator}")
     return L, tuple(int(r * L) for r in snapped)
 

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from datex.greedy import edmonds_allocate, violated_cuts
 from datex.instance import Instance, InfeasibleInstanceError
 from datex import oracle
-from datex.oracle import (InfeasibleLPError, SimplexResult, UnboundedLPError,
-                          build_lp, exact_simplex, solve_exact)
+from datex.oracle import (SimplexResult, UnboundedLPError, build_lp,
+                          exact_simplex, solve_exact)
 from datex.source import SizeLimitError, raw_source
 from helpers import (all_terminal_cut_rows, example1_instance,
                      example2_instance, example3_instance, objective,
@@ -360,6 +360,3 @@ def test_enumerate_validation():
     with pytest.raises(ValueError):
         build_lp(Instance(model, [4]))
 
-
-def test_infeasible_error_is_value_error():
-    assert issubclass(InfeasibleLPError, ValueError)

@@ -3,8 +3,10 @@ keeps, the runtime imports only the standard library, importing the CLI
 loads neither `dataclasses` nor `inspect`, every exported name has a
 caller in the package or a mention in the README, every result field and
 assigned attribute is read in the package or named in the README, the
-JSON-integer test is written once, the README's library quick start runs
-as written, and every name the benchmark's tracer wraps still exists."""
+JSON-integer test is written once, no CLI command body catches an
+exception (`main` alone maps failures to exit codes), the README's library
+quick start runs as written, and every name the benchmark's tracer wraps
+still exists."""
 
 import ast
 import importlib
@@ -192,6 +194,19 @@ def test_json_integer_test_is_written_once():
         sites += [f"{path.stem}.{func}:{line}"
                   for func, line in _int_and_bool_tests(tree, "<module>")]
     assert [site.split(":")[0] for site in sites] == ["gf.is_int"], sites
+
+
+def test_cli_commands_leave_failures_to_main():
+    """Each `_cmd_*` body reads, computes and emits; `main` alone turns an
+    exception into an exit code and a stderr line.  A try/finally that
+    only closes a file has no handler and passes."""
+    path = ROOT / "src" / "datex" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"{func.name}:{node.lineno}" for func in tree.body
+             if isinstance(func, ast.FunctionDef)
+             and func.name.startswith("_cmd_")
+             for node in ast.walk(func) if isinstance(node, ast.ExceptHandler)]
+    assert not found, f"command bodies that catch exceptions: {found}"
 
 
 def test_readme_library_quick_start_runs(capsys):
