@@ -22,11 +22,11 @@ observations do not span every packet (codegen).  Every exit 2 prints one
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence
 
 from .dual import SolverConfig, StepSchedule, solve
@@ -494,7 +494,7 @@ def _cmd_codegen(args) -> int:
 
 def _cmd_simulate(args) -> int:
     _require_positive(args.seeds, "--seeds")
-    scheme = _load_scheme(args.instance)
+    scheme = _load_scheme(args.scheme)
     runs = args.seeds
     per_user = {l: 0 for l in scheme.instance.user_list}
     good = 0
@@ -527,92 +527,112 @@ def _cmd_graph(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors become a CLIError (one stderr line, exit 2) instead of
-    argparse's usage text; subcommand parsers inherit this class."""
+_REQUIRED = object()   # the default of a positional or flag that must be given
+_HELP = ("-h", "--help")
+_OUTPUT = ("--output", str, None, "write the result here instead of stdout")
+_COMMON = (_OUTPUT, ("--field-char", int, None,
+                     "override the field characteristic of the instance"))
 
-    def error(self, message):
-        raise CLIError(message)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="datex",
-        description="Optimal rate allocation and coded schemes for the "
-                    "cooperative data exchange problem.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("instance", help="instance file (JSON)")
-        p.add_argument("-o", "--output", help="write the result here instead "
-                                              "of stdout")
-        p.add_argument("--field-char", type=int, default=None,
-                       help="override the field characteristic of a "
-                            "matrix/packet instance")
-
-    p = sub.add_parser("solve", help="iterative multi-receiver solver")
-    common(p)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--gap-tol", default=None,
-                   help="stop when the duality gap is at most this (rational)")
-    p.add_argument("--theta", default=None,
-                   help="step size: 'a,b,c' for a/(b+c*n), or 'pow:a' for n^-a")
-    p.add_argument("--tie-break", default=None,
-                   help="comma-separated terminal priority for equal weights")
-    p.add_argument("--trace", default=None,
-                   help="write per-iteration JSON lines here")
-
-    p = sub.add_parser("oracle", help="exact LP optimum (rational arithmetic)")
-    common(p)
-
-    p = sub.add_parser("verify", help="check a rate vector against every cut")
-    common(p)
-    p.add_argument("--rates", required=True,
-                   help="comma-separated per-terminal rates (rationals)")
-
-    p = sub.add_parser("codegen", help="build and verify a transmission scheme")
-    common(p)
-    p.add_argument("--rates", default=None,
-                   help="per-terminal rates to realize (default: exact oracle)")
-    p.add_argument("--max-denominator", type=int, default=64)
-    p.add_argument("--ext-degree", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-attempts", type=int, default=32)
-
-    p = sub.add_parser("simulate", help="run a scheme file on random draws")
-    p.add_argument("instance", metavar="scheme",
-                   help="scheme file produced by codegen")
-    p.add_argument("-o", "--output", help="write the result here instead of "
-                                          "stdout")
-    p.add_argument("--seeds", type=int, default=100,
-                   help="number of consecutive seeds to run")
-    p.add_argument("--seed", type=int, default=0, help="first seed")
-
-    p = sub.add_parser("graph", help="emit the multicast network as DOT")
-    common(p)
-    p.add_argument("--rates", default=None,
-                   help="per-terminal rates (default: exact oracle)")
-    p.add_argument("--max-denominator", type=int, default=64)
-
-    return parser
-
-
+# command -> (handler, positional, help, flags).  A flag is (name,
+# converter, default, help) and sets the attribute its name spells
+# (--max-iters -> args.max_iters); -o is short for --output.
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "oracle": _cmd_oracle,
-    "verify": _cmd_verify,
-    "codegen": _cmd_codegen,
-    "simulate": _cmd_simulate,
-    "graph": _cmd_graph,
+    "solve": (_cmd_solve, "instance", "multi-receiver dual solver", _COMMON + (
+        ("--max-iters", int, None, "stop after this many iterations"),
+        ("--gap-tol", str, None, "stop once the duality gap is this small"),
+        ("--theta", str, None, "step 'a,b,c' = a/(b+c*n), or 'pow:a' = n^-a"),
+        ("--tie-break", str, None, "terminal priority among equal weights"),
+        ("--trace", str, None, "write per-iteration JSON lines here"))),
+    "oracle": (_cmd_oracle, "instance", "exact LP optimum and rates", _COMMON),
+    "verify": (_cmd_verify, "instance", "check a rate vector against every cut",
+               _COMMON + (("--rates", str, _REQUIRED, "r0,r1,... rationals"),)),
+    "codegen": (_cmd_codegen, "instance", "build and verify a coding scheme",
+                _COMMON + (
+        ("--rates", str, None, "rates to realize (default: the oracle's)"),
+        ("--max-denominator", int, 64, "largest chunk count L"),
+        ("--ext-degree", int, None, "coding field degree over the source field"),
+        ("--seed", int, 0, "seed of the first design attempt"),
+        ("--max-attempts", int, 32, "design attempts before giving up"))),
+    "simulate": (_cmd_simulate, "scheme", "run a scheme file on random draws", (
+        _OUTPUT,
+        ("--seeds", int, 100, "number of consecutive seeds to run"),
+        ("--seed", int, 0, "first seed"))),
+    "graph": (_cmd_graph, "instance", "emit the multicast network as DOT",
+              _COMMON + (
+        ("--rates", str, None, "rates to draw (default: the oracle's)"),
+        ("--max-denominator", int, 64, "largest chunk count L"))),
 }
+
+
+def _help(command: Optional[str] = None) -> str:
+    if command is None:
+        return "usage: datex COMMAND FILE [flags]\n\ncommands:\n" + "\n".join(
+            f"  {name:<10}{spec[2]}" for name, spec in _COMMANDS.items())
+    _, positional, text, flags = _COMMANDS[command]
+    lines = [f"usage: datex {command} {positional} [flags]", "", text, "",
+             f"  {positional:<20}the {positional} file (JSON)",
+             f"  {'-h, --help':<20}show this help and exit"]
+    for name, _, default, help_text in flags:
+        note = (" (required)" if default is _REQUIRED else
+                "" if default is None else f" (default: {default})")
+        name = "-o, --output" if name == "--output" else name
+        lines.append(f"  {name:<20}{help_text}{note}")
+    return "\n".join(lines)
+
+
+def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The command's arguments, or None once a help text is printed.  A
+    flag's value is the text after '=', else the next token, even one that
+    starts with '-'; order is free, and a repeated flag keeps its last."""
+    if not argv:
+        raise CLIError("the following arguments are required: command")
+    command, *rest = argv
+    if command in _HELP:
+        print(_help())
+        return None
+    if command not in _COMMANDS:
+        raise CLIError(f"argument command: invalid choice: {command!r} "
+                       f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    _, positional, _, flags = _COMMANDS[command]
+    convert = {name: conv for name, conv, _, _ in flags}
+    values = {positional: _REQUIRED,
+              **{name: default for name, _, default, _ in flags}}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP:
+            print(_help(command))
+            return None
+        if not token.startswith("-"):
+            if values[positional] is not _REQUIRED:
+                raise CLIError(f"unrecognized arguments: {token}")
+            values[positional] = token
+            continue
+        name, eq, value = token.partition("=")
+        name = "--output" if name == "-o" else name
+        if name not in convert:
+            raise CLIError(f"unrecognized arguments: {token}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise CLIError(f"argument {token}: expected one argument")
+        try:
+            values[name] = convert[name](value)
+        except ValueError:
+            raise CLIError(f"argument {name}: invalid {convert[name].__name__} "
+                           f"value: {value!r}") from None
+    missing = [name for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise CLIError("the following arguments are required: "
+                       + ", ".join(missing))
+    return SimpleNamespace(command=command, **{
+        name.lstrip("-").replace("-", "_"): value
+        for name, value in values.items()})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except SystemExit as exc:   # --help
-        return int(exc.code or 0)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        return 0 if args is None else _COMMANDS[args.command][0](args)
     except (CLIError, SizeLimitError, IncompleteSourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

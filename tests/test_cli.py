@@ -605,11 +605,40 @@ def test_non_monotone_table_names_one_violation(tmp_path, capsys):
     (["simulate", EX1, "--seeds", "zz"], "argument --seeds: invalid int value"),
     (["solve", EX1, "--tie-break", "9"], "tie_break index 9 out of range"),
     (["solve", EX1, "--tie-break", "1,1"], "tie_break repeats terminal 1"),
+    # a flag's value is the next token, even one that starts with '-'
+    (["verify", EX3, "--rates", "-1,1,1"], "rate of terminal 0 is negative (-1)"),
+    (["solve", EX1, "--gap-tol", "-1/100"], "--gap-tol must be positive"),
+    (["solve", EX1, "--theta", "-1,1,1"],
+     "--theta: harmonic schedule needs a > 0, b >= 0, c > 0"),
+    (["solve", EX1, "--bogus", "1"], "unrecognized arguments: --bogus"),
+    (["solve", EX1, "--max-it", "5"], "unrecognized arguments: --max-it"),
+    (["solve", EX1, "--max-iters"], "argument --max-iters: expected one argument"),
+    (["verify", EX3], "the following arguments are required: --rates"),
+    (["oracle", EX1, EX2], "unrecognized arguments"),
 ], ids=["no-command", "bad-command", "bad-int-flag", "tie-break-range",
-        "tie-break-repeat"])
+        "tie-break-repeat", "negative-rates-value", "negative-gap-tol-value",
+        "negative-theta-value", "unknown-flag", "abbreviated-flag",
+        "missing-value", "missing-required-flag", "two-positionals"])
 def test_usage_errors_are_one_line(capsys, argv, message):
     assert main(argv) == 2
     assert message in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("solve", ["--output", "--field-char", "--max-iters", "--gap-tol",
+               "--theta", "--tie-break", "--trace"]),
+    ("oracle", ["--output", "--field-char"]),
+    ("verify", ["--output", "--field-char", "--rates"]),
+    ("codegen", ["--output", "--field-char", "--rates", "--max-denominator",
+                 "--ext-degree", "--seed", "--max-attempts"]),
+    ("simulate", ["--output", "--seeds", "--seed"]),
+    ("graph", ["--output", "--field-char", "--rates", "--max-denominator"]),
+])
+def test_command_help_lists_every_flag(capsys, command, flags):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: datex {command} ")
+    assert all(flag in out for flag in ["-o", "--help", *flags]), out
 
 
 @pytest.mark.parametrize("doc", [

@@ -1,18 +1,21 @@
 """Package-level checks: certificates are explicit raises that `python -O`
-keeps, the runtime imports only the standard library, importing the CLI
-loads neither `dataclasses` nor `inspect`, every exported name has a
+keeps, the runtime imports only the standard library, a CLI command
+loads none of `dataclasses`, `inspect`, `argparse`, `gettext` and
+`locale`, every exported name has a
 caller in the package or a mention in the README, every result field and
 assigned attribute is read in the package or named in the README, the
 JSON-integer test is written once, no CLI command body catches an
 exception (`main` alone maps failures to exit codes), the README's library
-quick start runs as written, and every name the benchmark's tracer wraps
-still exists."""
+and CLI quick starts run as written, and every name the benchmark's tracer
+wraps still exists."""
 
 import ast
 import importlib
 import importlib.util
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -48,18 +51,23 @@ def test_package_imports_only_the_standard_library():
     assert not found, f"imports outside the standard library: {found}"
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
+def test_cli_command_loads_no_dataclasses_inspect_or_argparse():
     """Every CLI command runs in a fresh interpreter, and importing
     `dataclasses` (which imports `inspect`, and that `ast`, `dis` and
     `tokenize`) plus generating the decorated classes' methods costs
     more start-up than most commands compute; src/datex uses plain
-    classes and NamedTuples instead."""
+    classes and NamedTuples instead.  `argparse` (with the `gettext` and
+    `locale` it loads) and building its parsers cost a command about
+    8 ms more; `cli.main` reads argv with one flag table instead."""
+    example = ROOT / "instances" / "example3.json"
     code = ("import sys, datex.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            f"code = datex.cli.main(['oracle', {str(example)!r}]); "
+            "print(code, sorted({'dataclasses', 'inspect', 'argparse', "
+            "'gettext', 'locale'} & set(sys.modules)))")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
 def _defines(stmt, name):
@@ -217,6 +225,25 @@ def test_readme_library_quick_start_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "2 0 1 1"
     assert lines[-1] == "True"
+
+
+def test_readme_cli_quick_start_runs(tmp_path, monkeypatch, capsys):
+    """Each `datex ...` line of the README's CLI quick start exits 0, run in
+    order in a copy of instances/ (simulate reads codegen's scheme.json)."""
+    from datex.cli import main
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (CLI)", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("datex ")]
+    assert [argv[1] for argv in commands] == [
+        "oracle", "verify", "solve", "codegen", "simulate", "graph"]
+    shutil.copytree(ROOT / "instances", tmp_path / "instances")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+    assert (tmp_path / "solution.json").is_file()
 
 
 def test_every_traced_site_exists():
