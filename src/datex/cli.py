@@ -495,23 +495,17 @@ def _cmd_codegen(args) -> int:
 def _cmd_simulate(args) -> int:
     _require_positive(args.seeds, "--seeds")
     scheme = _load_scheme(args.scheme)
-    runs = args.seeds
-    per_user = {l: 0 for l in scheme.instance.user_list}
-    good = 0
-    for s in range(args.seed, args.seed + runs):
-        result = simulate_exchange(scheme, seed=s)
-        good += result.ok
-        for l, ok in result.successes.items():
-            per_user[l] += ok
+    result = simulate_exchange(scheme, seed=args.seed, runs=args.seeds)
     _emit({
         "format_version": FORMAT_VERSION,
         "command": "simulate",
-        "runs": runs,
-        "successes": good,
-        "per_user_successes": {str(l): n for l, n in sorted(per_user.items())},
-        "ok": good == runs,
+        "runs": result.runs,
+        "successes": result.all_decoded,
+        "per_user_successes": {str(l): n
+                               for l, n in sorted(result.decoded.items())},
+        "ok": result.ok,
     }, args.output)
-    return 0 if good == runs else 1
+    return 0 if result.ok else 1
 
 
 def _cmd_graph(args) -> int:

@@ -5,17 +5,22 @@ Fields GF(p^w) are represented with elements packed into the integers
 over GF(p) is stored as sum(c_i * p**i).  For prime fields (w = 1) this is
 plain modular arithmetic.  Extension fields reduce modulo the monic
 irreducible polynomial that is lowest in the packed integer order, so a
-(characteristic, degree) pair always names the same field.
+(characteristic, degree) pair always names the same field.  Building one
+runs in integer bit arithmetic over GF(2) (the modulus search and the
+log/antilog tables); over odd characteristic each antilog entry is one
+multiply-by-generator step on the previous entry's digits.
 
 All matrix routines are exact (no floats) and sized for desk-scale
 problems: a few hundred rows/columns at most.  There is one Gaussian
 elimination, `EchelonBasis`, which grows a row-echelon basis row by row
 with sparse kept rows and inline mod-p row arithmetic on prime fields;
-`rank`, `solve_linear` and the source models' greedy chains all run on it.
+`rank`, `solve_linear` (for one right-hand side or many at once), the
+source models' greedy chains and their cut-lattice walks all run on it.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Sequence
 
 __all__ = [
@@ -60,16 +65,10 @@ def _is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over GF(p).  A polynomial is a tuple of coefficients in
-# ascending power order with no trailing zeros (the zero polynomial is ()).
+# Polynomial helpers over GF(p).  A polynomial is a sequence of coefficients
+# in ascending power order, or its packed integer (`_ppack`, `_pdigits`);
+# over GF(2) the packed integer's bit i is the coefficient of x^i.
 # ---------------------------------------------------------------------------
-
-def _ptrim(f: Sequence[int]) -> tuple:
-    i = len(f)
-    while i > 0 and f[i - 1] == 0:
-        i -= 1
-    return tuple(f[:i])
-
 
 def _pdigits(packed: int, p: int) -> tuple:
     """Unpack an integer into base-p coefficient digits (ascending)."""
@@ -87,51 +86,41 @@ def _ppack(f: Sequence[int], p: int) -> int:
     return v
 
 
-def _poly_divmod(f: tuple, g: tuple, p: int) -> tuple:
-    """(quotient, remainder) of f by g over GF(p); g must be nonzero."""
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
-    dg = len(g) - 1
-    ginv = pow(g[-1], p - 2, p)
-    q = [0] * max(len(f) - dg, 0)
-    while len(f) - 1 >= dg and any(f):
-        df = len(f) - 1
-        if f[-1] == 0:
-            f.pop()
-            continue
-        coef = (f[-1] * ginv) % p
-        q[df - dg] = coef
-        for i, gc in enumerate(g):
-            f[df - dg + i] = (f[df - dg + i] - coef * gc) % p
-        f.pop()
-    return _ptrim(q), _ptrim(f)
+def _divides(g: Sequence[int], f: Sequence[int], p: int) -> bool:
+    """Whether the monic polynomial g divides f over GF(p), both given as
+    ascending coefficient sequences: long division, remainder tested."""
+    r = list(f)
+    d = len(g) - 1
+    for k in range(len(r) - 1, d - 1, -1):
+        t = r[k] % p
+        if t:
+            for i in range(d):
+                r[k - d + i] -= t * g[i]
+    return not any(c % p for c in r[:d])
 
 
-def _poly_mul(f: tuple, g: tuple, p: int) -> tuple:
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _ptrim(out)
+def _cl_rem(a: int, b: int) -> int:
+    """Remainder of a by b as polynomials over GF(2) packed into ints (bit
+    i is the coefficient of x^i): carry-less long division."""
+    db = b.bit_length()
+    while a.bit_length() >= db:
+        a ^= b << (a.bit_length() - db)
+    return a
 
 
-def _is_irreducible(coeffs: tuple, p: int) -> bool:
-    """Exhaustive trial division by every monic polynomial of degree
-    1 .. deg/2.  Fine for desk-scale degrees."""
+def _is_irreducible(packed: int, p: int) -> bool:
+    """Exhaustive trial division of a packed polynomial by every monic
+    polynomial of degree 1 .. deg/2.  Fine for desk-scale degrees; over
+    GF(2) it runs in integer bit arithmetic."""
+    coeffs = _pdigits(packed, p)
     deg = len(coeffs) - 1
-    if deg < 1 or coeffs[-1] == 0:
+    if deg < 1:
         return False
-    if deg == 1:
-        return True
     for d in range(1, deg // 2 + 1):
         # the packed values in [p^d, 2p^d) are the monic degree-d polynomials
-        for packed in range(p ** d, 2 * p ** d):
-            _, rem = _poly_divmod(coeffs, _pdigits(packed, p), p)
-            if not rem:
+        for g in range(p ** d, 2 * p ** d):
+            if (not _cl_rem(packed, g) if p == 2
+                    else _divides(_pdigits(g, p), coeffs, p)):
                 return False
     return True
 
@@ -140,9 +129,8 @@ def _lowest_irreducible(p: int, w: int) -> tuple:
     """The monic irreducible of degree w over GF(p) whose packed integer
     encoding is smallest.  Deterministic by construction."""
     for packed in range(p ** w, 2 * p ** w):
-        f = _pdigits(packed, p)
-        if _is_irreducible(f, p):
-            return f
+        if _is_irreducible(packed, p):
+            return _pdigits(packed, p)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -229,32 +217,42 @@ class Field:
 
     # -- extension-field internals ------------------------------------------
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Polynomial product with modular reduction, no tables."""
-        p, w = self.p, self.degree
-        if p == 2:
-            # carry-less multiply then reduce by the packed modulus
-            res = 0
-            x = a
-            while b:
-                if b & 1:
-                    res ^= x
-                x <<= 1
-                b >>= 1
-            modpacked = _ppack(self.modulus, 2)
-            top = res.bit_length()
-            while top > w:
-                res ^= modpacked << (top - 1 - w)
-                top = res.bit_length()
-            return res
-        fa = _pdigits(a, p)
-        fb = _pdigits(b, p)
-        prod = _poly_mul(fa, fb, p)
-        _, rem = _poly_divmod(prod, self.modulus, p)
-        return _ppack(rem, p)
-
     def _build_tables(self) -> None:
-        q = self.q
+        """Antilog (exp) and log tables over the powers of the smallest
+        generator.  The products and inverses read from them depend on the
+        modulus alone.  The local `mul`, a polynomial product reduced by
+        the modulus, serves the generator search and the table steps."""
+        p, w, q = self.p, self.degree, self.q
+        mod = self.modulus
+        if p == 2:
+            packed_mod = _ppack(mod, 2)
+
+            def mul(a: int, b: int) -> int:
+                # carry-less multiply, then reduce by the packed modulus
+                res = 0
+                while b:
+                    if b & 1:
+                        res ^= a
+                    a <<= 1
+                    b >>= 1
+                return _cl_rem(res, packed_mod)
+        else:
+            low = mod[:w]   # the modulus is monic: x^w = -low
+
+            def mul(a: int, b: int) -> int:
+                prod = [0] * (2 * w - 1)
+                db = _pdigits(b, p)
+                for i, x in enumerate(_pdigits(a, p)):
+                    if x:
+                        for j, y in enumerate(db):
+                            prod[i + j] += x * y
+                for k in range(2 * w - 2, w - 1, -1):
+                    t = prod[k] % p
+                    if t:
+                        for i, c in enumerate(low):
+                            prod[k - w + i] -= t * c
+                return _ppack([c % p for c in prod[:w]], p)
+
         # factor the group order once, then scan for a generator
         n = q - 1
         factors = []
@@ -275,21 +273,43 @@ class Field:
                 base = g
                 while e:
                     if e & 1:
-                        acc = self._mul_raw(acc, base)
-                    base = self._mul_raw(base, base)
+                        acc = mul(acc, base)
+                    base = mul(base, base)
                     e >>= 1
                 if acc == 1:
                     return False
             return True
 
-        gen = next(g for g in range(2, q) if order_ok(g))
+        # the constants 1 .. p-1 have orders dividing p - 1 < q - 1, so the
+        # scan starts at x, packed as p
+        gen = next(g for g in range(p, q) if order_ok(g))
         exp = [1] * (q - 1)
         log = [0] * q
-        acc = 1
-        for i in range(1, q - 1):
-            acc = self._mul_raw(acc, gen)
-            exp[i] = acc
-            log[acc] = i
+        if p == 2:
+            # gen is small, so each step is a few shifts and XORs
+            acc = 1
+            for i in range(1, q - 1):
+                acc = mul(acc, gen)
+                exp[i] = acc
+                log[acc] = i
+        else:
+            # times gen is GF(p)-linear in the digits: digit i of an element
+            # adds that digit times x^i * gen, whose nonzero digits are
+            # row i
+            rows = [[(k, c) for k, c in enumerate(_pdigits(mul(p ** i, gen), p))
+                     if c] for i in range(w)]
+            powers = [p ** i for i in range(w)]
+            digits = [1] + [0] * (w - 1)
+            for i in range(1, q - 1):
+                nxt = [0] * w
+                for x, row in zip(digits, rows):
+                    if x:
+                        for k, c in row:
+                            nxt[k] += x * c
+                digits = [c % p for c in nxt]
+                acc = sum(map(operator.mul, digits, powers))
+                exp[i] = acc
+                log[acc] = i
         self._exp, self._log = exp, log
 
     # -- misc ---------------------------------------------------------------
@@ -445,6 +465,15 @@ class EchelonBasis:
         # of the pivot; its pivot entry is 1
         self._kept: list = [None] * ncols
 
+    def copy(self) -> "EchelonBasis":
+        """A basis holding the same rows that absorbs independently of this
+        one.  Kept tails are never mutated, so the twin shares them: the
+        copy is the pivot list and the rank."""
+        twin = EchelonBasis.__new__(EchelonBasis)
+        twin.field, twin.ncols, twin.rank = self.field, self.ncols, self.rank
+        twin._kept = self._kept.copy()
+        return twin
+
     def absorb(self, row: Sequence[int]) -> bool:
         """Reduce one row against the basis; keep it (and return True) when
         it is independent of the rows kept so far."""
@@ -462,10 +491,11 @@ class EchelonBasis:
                 continue
             tail = kept[c]
             if tail is None:
+                rest = [(j, v[j]) for j in range(c + 1, self.ncols) if v[j]]
                 if a != 1:
                     ia = F.inv(a)
-                    v = [mul(ia, x) for x in v]
-                kept[c] = [(j, v[j]) for j in range(c + 1, self.ncols) if v[j]]
+                    rest = [(j, mul(ia, x)) for j, x in rest]
+                kept[c] = rest
                 self.rank += 1
                 return True
             if prime:
@@ -486,30 +516,62 @@ def rank(M: Matrix) -> int:
     return basis.rank
 
 
-def solve_linear(M: Matrix, b: Sequence[int]) -> Optional[tuple]:
+def solve_linear(M: Matrix, b):
     """The unique solution of M x = b, or None when the system is
-    inconsistent or M has rank below its column count."""
-    if len(b) != M.nrows:
-        raise ValueError("right-hand side length mismatch")
+    inconsistent or M has rank below its column count.
+
+    `b` is one right-hand side, a sequence of M.nrows field elements, or
+    several at once, a Matrix over M's field with M.nrows rows and one
+    right-hand side per column.  Several are solved with one elimination
+    of the rows of M augmented by all of them, and the answer is a list
+    with one solution, or None, per column."""
     F = M.field
-    for v in b:
-        F.check(v)
-    n = M.ncols
-    basis = EchelonBasis(F, n + 1)
+    several = isinstance(b, Matrix)
+    if several:
+        if b.field != F:
+            raise ValueError("field mismatch")
+        B = b
+    else:
+        for v in b:
+            F.check(v)
+        B = Matrix(F, len(b), 1, b, validate=False)
+    if B.nrows != M.nrows:
+        raise ValueError("right-hand side length mismatch")
+    n, r = M.ncols, B.ncols
+    basis = EchelonBasis(F, n + r)
     for i in range(M.nrows):
-        basis.absorb(M.row(i) + (b[i],))
-    if basis.rank != n or basis._kept[n] is not None:
-        return None
-    # every column 0..n-1 holds a pivot: back-substitute from the last,
-    # with the right-hand side as column n and x[n] = -1
-    mul, add = F.mul, F.add
-    x = [0] * n + [F.neg(1)]
-    for c in range(n - 1, -1, -1):
-        acc = 0
-        for j, a in basis._kept[c]:
-            acc = add(acc, mul(a, x[j]))
-        x[c] = F.neg(acc)
-    return tuple(x[:n])
+        basis.absorb(M.row(i) + B.row(i))
+    kept = basis._kept
+    if any(tail is None for tail in kept[:n]):
+        out = [None] * r
+    else:
+        # a kept row whose pivot lies among the right-hand sides is zero on
+        # M's columns: a combination of equations that M cancels, so every
+        # right-hand side it touches is inconsistent
+        bad = set()
+        for c in range(n, n + r):
+            if kept[c] is not None:
+                bad.add(c)
+                bad.update(j for j, _ in kept[c])
+        # every column 0..n-1 holds a pivot: back-substitute from the last,
+        # x[c] = rhs_c - sum_j a_j x[j] for all right-hand sides at once
+        p, prime = F.p, F.degree == 1
+        mul, add, neg = F.mul, F.add, F.neg
+        x: list = [None] * n
+        for c in range(n - 1, -1, -1):
+            acc = [0] * r
+            for j, a in kept[c]:
+                if j >= n:
+                    acc[j - n] = add(acc[j - n], a)
+                elif prime:
+                    acc = [(u - a * v) % p for u, v in zip(acc, x[j])]
+                else:
+                    na = neg(a)
+                    acc = [add(u, mul(na, v)) for u, v in zip(acc, x[j])]
+            x[c] = acc
+        solutions = list(zip(*x)) if n else [()] * r
+        out = [None if n + k in bad else solutions[k] for k in range(r)]
+    return out if several else out[0]
 
 
 def mat_vec(M: Matrix, v: Sequence[int]) -> tuple:

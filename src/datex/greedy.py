@@ -18,7 +18,8 @@ returned vertex.
 their right-hand sides: `violated_cuts` checks a rate vector against them,
 and the exact LP (`oracle.build_lp`) takes its rows from them.  The check
 is exhaustive and runs in integers: the rates are scaled to one common
-denominator and compared with the integer-scaled entropies.
+denominator and compared with the integer-scaled entropies, read from the
+source's lattice query (`SourceModel.lattice_scaled`).
 """
 
 from __future__ import annotations
@@ -120,7 +121,11 @@ def _iter_cuts(instance: Instance, target: int, rates: Sequence[int]):
     the receiver plus the transmitters, and got the sum of the integer
     `rates` over S.  Masks and sums come from two half-size subset tables
     (low senders inner; summing distinct powers of two gives the subset
-    masks themselves), and the entropies from the trusted point query."""
+    masks themselves).  The entropies come from the model's lattice query
+    for the receiver plus any subset of its senders: a linear source
+    memoizes that whole lattice in one walk the first time, so every
+    later enumeration of the receiver's cuts, by `violated_cuts` or
+    `oracle.build_lp`, reads only memo hits."""
     tmask = instance.transmitter_mask & ~(1 << target)
     ctx = tmask | (1 << target)
     senders = mask_to_set(tmask)
@@ -129,7 +134,7 @@ def _iter_cuts(instance: Instance, target: int, rates: Sequence[int]):
     add = operator.add
     lo_cuts = list(zip(subset_table([1 << t for t in lo], add),
                        subset_table([rates[t] for t in lo], add)))
-    js = instance.model._joint_scaled
+    js = instance.model.lattice_scaled(1 << target, tmask)
     total = js(ctx)
     for hi_cut, hi_got in zip(subset_table([1 << t for t in hi], add),
                               subset_table([rates[t] for t in hi], add)):

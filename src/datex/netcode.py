@@ -11,9 +11,11 @@ observation.
 
 Decodability is a rank condition: receiver l recovers everything iff its
 own replicated observation stacked with all coded transmissions has full
-column rank.  `simulate_exchange` runs the whole exchange on a concrete
-random source draw and checks each receiver actually reconstructs it
-uniquely, which succeeds exactly when the rank condition holds.
+column rank.  `simulate_exchange` runs the whole exchange on concrete
+seeded random source draws and checks each receiver actually reconstructs
+every one uniquely, which succeeds exactly when the rank condition holds.
+A receiver's stacked system is the same for every draw, so it is
+eliminated once per block of seeds, with one right-hand side per seed.
 
 Both read a scheme's coding view: the replicated, embedded observation
 blocks, built once by `design_transmissions` (shared by all attempts) or by
@@ -33,7 +35,8 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .gf import (Field, Matrix, embed_map, is_int, make_field, mat_vec, rank,
                  solve_linear, stack)
@@ -136,13 +139,22 @@ class DecodabilityReport(NamedTuple):
 
 
 class SimulationResult(NamedTuple):
-    """Outcome of one simulated exchange on a random source draw."""
+    """Outcome of simulated exchanges on `runs` seeded source draws:
+    decoded[l] counts the draws receiver l decoded, and all_decoded the
+    draws every receiver decoded."""
 
-    successes: Dict[int, bool]
+    runs: int
+    decoded: Dict[int, int]
+    all_decoded: int
+
+    @property
+    def successes(self) -> Dict[int, bool]:
+        """Whether each receiver decoded every draw."""
+        return {l: n == self.runs for l, n in self.decoded.items()}
 
     @property
     def ok(self) -> bool:
-        return all(self.successes.values())
+        return self.all_decoded == self.runs
 
 
 def min_extension_degree(field: Field, users: int, packets: int, L: int) -> int:
@@ -350,36 +362,77 @@ def verify_decodability(scheme: TransmissionScheme) -> DecodabilityReport:
     return DecodabilityReport(deficits)
 
 
-def simulate_exchange(scheme: TransmissionScheme, seed: int = 0) -> SimulationResult:
-    """Run the exchange once on a uniformly drawn source.
+# Seeds decoded per elimination, one right-hand-side column each: the
+# decode memory stays bounded however many seeds a run asks for, and past
+# a few dozen columns the shared elimination of the coded rows is a small
+# part of each seed's cost.
+_DECODE_BLOCK = 64
 
-    Each receiver solves the stacked linear system formed by its own
-    observation and all received coded symbols; success means the system
-    determines the source uniquely (one `solve_linear` call, which answers
-    None otherwise) and the unique solution matches the truth.  This
-    succeeds iff the receiver passes verify_decodability.
-    """
+
+def _decoded_draws(scheme: TransmissionScheme, seed: int, runs: int
+                   ) -> Iterator[Dict[int, bool]]:
+    """For each seed of seed .. seed + runs - 1, in order, whether each
+    receiver decoded that seed's source draw.  The seeds are taken in
+    blocks of at most _DECODE_BLOCK; each receiver decodes a block with
+    one `solve_linear` call, a right-hand side per seed, since its stacked
+    system is the same for every draw."""
     instance = scheme.instance
     model = instance.model
     blocks, emb, coded = scheme.blocks, scheme.embed, scheme.coded
-    rng = random.Random(seed)
-    w = tuple(emb[rng.randrange(model.field.q)]
-              for _ in range(model.N * scheme.L))
-    # the embedding is a field homomorphism, so observing the embedded draw
-    # through the embedded blocks gives the embedded observations
-    obs = [mat_vec(B, w) for B in blocks]
-    sent = {i: mat_vec(scheme.matrices[i], obs[i]) for i in scheme.matrices}
-    successes: Dict[int, bool] = {}
-    for l in instance.user_list:
-        rows = [blocks[l]]
-        rhs: List[int] = list(obs[l])
-        for i in sorted(sent):
-            if i == l:
-                continue
-            rows.append(coded[i])
-            rhs.extend(sent[i])
-        successes[l] = solve_linear(stack(*rows), rhs) == w
-    return SimulationResult(successes)
+    users = instance.user_list
+    senders = sorted(scheme.matrices)
+    systems = {l: stack(blocks[l], *(coded[i] for i in senders if i != l))
+               for l in users}
+    for start in range(seed, seed + runs, _DECODE_BLOCK):
+        draws = []
+        rhs: Dict[int, List[List[int]]] = {l: [] for l in users}
+        for s in range(start, min(start + _DECODE_BLOCK, seed + runs)):
+            rng = random.Random(s)
+            w = tuple(emb[rng.randrange(model.field.q)]
+                      for _ in range(model.N * scheme.L))
+            # the embedding is a field homomorphism, so observing the
+            # embedded draw through the embedded blocks gives the embedded
+            # observations
+            obs = [mat_vec(B, w) for B in blocks]
+            sent = {i: mat_vec(scheme.matrices[i], obs[i]) for i in senders}
+            draws.append(w)
+            for l in users:
+                col = list(obs[l])
+                for i in senders:
+                    if i != l:
+                        col.extend(sent[i])
+                rhs[l].append(col)
+        found = {}
+        for l in users:
+            M = systems[l]
+            B = Matrix(scheme.coding_field, M.nrows, len(draws),
+                       [v for row in zip(*rhs[l]) for v in row],
+                       validate=False)
+            found[l] = solve_linear(M, B)
+        for k, w in enumerate(draws):
+            yield {l: found[l][k] == w for l in users}
+
+
+def simulate_exchange(scheme: TransmissionScheme, seed: int = 0,
+                      runs: int = 1) -> SimulationResult:
+    """Run the exchange on the uniformly drawn sources of seeds seed ..
+    seed + runs - 1.
+
+    Each receiver solves the stacked linear system formed by its own
+    observation and all received coded symbols; it decodes a draw when
+    the system determines the source uniquely (`solve_linear` answers
+    None otherwise) and the unique solution matches the truth.  This
+    succeeds iff the receiver passes verify_decodability.  The draws are
+    decoded in blocks, one elimination per receiver and block, so the
+    memory a run uses does not grow with `runs`.
+    """
+    decoded = dict.fromkeys(scheme.instance.user_list, 0)
+    all_decoded = 0
+    for result in _decoded_draws(scheme, seed, runs):
+        for l, ok in result.items():
+            decoded[l] += ok
+        all_decoded += all(result.values())
+    return SimulationResult(runs, decoded, all_decoded)
 
 
 # ---------------------------------------------------------------------------

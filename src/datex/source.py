@@ -20,19 +20,31 @@ Three model kinds:
   entropy function: zero at the empty set, monotone and submodular (the
   greedy is exact only for submodular tables).
 
-Besides point queries, every model answers a chain query: `chain_scaled`
-returns the entropy increments along the nested subsets start, start + j1,
-start + j1 + j2, ... of one visiting order, which is all the greedy ever
-asks for.  A raw source keeps one int bitmask of owned packets per
-terminal, so a chain is one running OR and a `bit_count` per step, and a
-point query ORs precomputed unions of 8-terminal blocks; neither needs a
-memo.  A linear source walks its rank memo while the prefixes are known
-and, from the first unknown prefix on, absorbs the remaining terminals'
-rows into one incremental echelon basis (`gf.EchelonBasis`), memoizing
-every prefix rank on the way -- one elimination per chain instead of one
-per prefix.  Raw and linear chains stop at the first prefix that holds
-H(X_M), since every later increment is zero.  Tabular sources look each
-prefix up in their table.
+Besides point queries, every model answers two structured queries.
+
+* A chain query: `chain_scaled` returns the entropy increments along the
+  nested subsets start, start + j1, start + j1 + j2, ... of one visiting
+  order, which is all the greedy ever asks for.
+* A lattice query: `lattice_scaled(base, free)` returns a point query
+  trusted on the masks base | T for every T within `free`, which are the
+  subsets one receiver's cuts read (`greedy._iter_cuts`).
+
+A raw source keeps one int bitmask of owned packets per terminal, so a
+chain is one running OR and a `bit_count` per step, and a point query ORs
+precomputed unions of 8-terminal blocks; neither needs a memo, and the
+lattice query is that point query.  A linear source memoizes ranks.  A
+chain walks the memo while the prefixes are known and, from the first
+unknown prefix on, absorbs the remaining terminals' rows into one
+incremental echelon basis (`gf.EchelonBasis`), memoizing every prefix
+rank on the way -- one elimination per chain instead of one per prefix.
+The first lattice query for a (base, free) pair memoizes the whole
+lattice in one depth-first walk: each child copies its parent's basis
+(the pivot list and rank; kept rows are never mutated, so they are
+shared) and absorbs one terminal's rows, so every subset costs one
+terminal's rows instead of a stack of all of them.  Later queries are
+plain memo lookups.  Raw and linear chains, and the walk, stop at the
+first subset that holds H(X_M), since every superset holds it too.
+Tabular sources look each subset up in their table.
 
 The module also holds two helpers every layer shares: `scale_to_int`,
 the integer view of a rational vector, and `subset_table`, a table over
@@ -46,7 +58,7 @@ import operator
 from fractions import Fraction
 from functools import cached_property
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Set, Tuple, Union)
 
 from .gf import (EchelonBasis, Field, Matrix, SizeLimitError, make_field, rank,
                  stack)
@@ -144,6 +156,12 @@ class SourceModel:
             prev = cur
         return out
 
+    def lattice_scaled(self, base: int, free: int) -> Callable[[int], int]:
+        """A scaled point query trusted on the masks base | T, T a subset
+        of `free` (disjoint from base): the lattice of one receiver's cuts.
+        Here it is the model's own point query."""
+        return self._joint_scaled
+
     def joint_entropy_scaled(self, subset: SubsetLike) -> int:
         return self._joint_scaled(as_mask(self.m, subset))
 
@@ -177,6 +195,7 @@ class LinearSource(SourceModel):
         self.matrices = tuple(matrices)
         self.m = len(self.matrices)
         self._memo: Dict[int, int] = {0: 0}
+        self._walked: Set[Tuple[int, int]] = set()
         self._rows = tuple(M.rows() for M in self.matrices)
 
     def _joint_scaled(self, mask: int) -> int:
@@ -190,6 +209,41 @@ class LinearSource(SourceModel):
     @cached_property
     def _full_rank(self) -> int:
         return self._joint_scaled(self.full_mask)
+
+    def lattice_scaled(self, base: int, free: int) -> Callable[[int], int]:
+        """The first query of a lattice memoizes all of it in one
+        depth-first walk; every later one is a memo lookup."""
+        if (base, free) not in self._walked:
+            self._walk(base, free)
+            self._walked.add((base, free))
+        return self._memo.__getitem__
+
+    def _walk(self, base: int, free: int) -> None:
+        """Memoize the rank of base | T for every T within `free`.  A node
+        adds only senders after its last one, so each subset is reached
+        once; a child copies its parent's echelon basis and absorbs one
+        terminal's rows.  A node at the full rank H(X_M) fills its whole
+        subtree with that rank."""
+        memo, rows, full = self._memo, self._rows, self._full_rank
+        senders = mask_to_set(free)
+        root = EchelonBasis(self.field, self.N)
+        for i in mask_to_set(base):
+            for row in rows[i]:
+                root.absorb(row)
+        todo = [(base, root, 0)]   # (mask, basis, first sender it may add)
+        while todo:
+            mask, basis, x = todo.pop()
+            if basis.rank == full:
+                for sub in subset_table([1 << t for t in senders[x:]],
+                                        operator.or_):
+                    memo[mask | sub] = full
+                continue
+            memo[mask] = basis.rank
+            for y in range(x, len(senders)):
+                child = basis.copy()
+                for row in rows[senders[y]]:
+                    child.absorb(row)
+                todo.append((mask | 1 << senders[y], child, y + 1))
 
     def chain_scaled(self, start: int, order: Sequence[int]) -> List[int]:
         """Walk the memo while the prefixes are known; from the first
@@ -277,6 +331,9 @@ class RawSource(LinearSource):
                    [1 if j == k else 0 for k in sorted(owned) for j in range(N)],
                    validate=False)
             for owned in self.ownership)
+
+    # the point query is a few table lookups, with no memo to fill
+    lattice_scaled = SourceModel.lattice_scaled
 
     def _owned(self, mask: int) -> int:
         owned = 0

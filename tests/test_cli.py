@@ -279,6 +279,52 @@ def test_codegen_chunked_scheme(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
+def test_simulate_eliminates_once_per_receiver_and_block(tmp_path, capsys,
+                                                         monkeypatch):
+    """simulate decodes a run's seeds with one `solve_linear` call per
+    receiver and block of at most netcode._DECODE_BLOCK seeds, one
+    right-hand-side column per seed, so no call grows with --seeds."""
+    from datex import netcode
+    scheme = tmp_path / "scheme.json"
+    assert main(["codegen", EX2, "--ext-degree", "2", "-o", str(scheme)]) == 0
+    widths = []
+    solve = netcode.solve_linear
+
+    def counted(M, B):
+        widths.append(B.ncols)
+        return solve(M, B)
+    monkeypatch.setattr(netcode, "solve_linear", counted)
+    assert main(["simulate", str(scheme), "--seeds", "8"]) == 0
+    assert widths == [8, 8, 8]                  # three receivers
+    capsys.readouterr()
+    widths.clear()
+    assert main(["simulate", str(scheme), "--seeds", "1000"]) == 0
+    assert max(widths) <= netcode._DECODE_BLOCK
+    assert sum(widths) == 3 * 1000
+    assert len(widths) == 3 * -(-1000 // netcode._DECODE_BLOCK)
+    assert json.loads(capsys.readouterr().out)["per_user_successes"] == {
+        "0": 1000, "1": 1000, "2": 1000}
+
+
+def test_verify_ranks_no_cut(capsys, monkeypatch):
+    """Checking every cut of a linear m=8 instance reads one walked lattice
+    per receiver: the only point-query ranks are the instance's own
+    decodability checks, H(X_M) and one per user."""
+    from datex import source
+    path = Path(__file__).resolve().parent / "golden" / "linear_m8.json"
+    ranked = []
+    point_rank = source.rank
+
+    def counted(M):
+        ranked.append(M)
+        return point_rank(M)
+    monkeypatch.setattr(source, "rank", counted)
+    assert main(["verify", str(path), "--rates", "0,0,2,2,2,0,0,2"]) == 0
+    k = len(_read(path)["users"])
+    assert 1 <= len(ranked) <= 1 + k
+    assert json.loads(capsys.readouterr().out)["feasible"] is True
+
+
 def test_codegen_infeasible_rates(capsys):
     assert main(["codegen", EX3, "--rates", "0,0,1"]) == 1
     assert "codegen failed" in capsys.readouterr().err

@@ -657,9 +657,10 @@ _FIELDS = [make_field(2), make_field(3), make_field(5), make_field(2, 2),
 
 @st.composite
 def _system(draw):
-    """(M, b) over one of the fields: no rows, no columns, tall, wide, or
-    rank-deficient (a product through a narrower inner dimension); b is
-    planted (consistent) or drawn at random (often inconsistent)."""
+    """(M, bs) over one of the fields: no rows, no columns, tall, wide, or
+    rank-deficient (a product through a narrower inner dimension); each of
+    the zero to four right-hand sides in bs is planted (consistent) or
+    drawn at random (often inconsistent)."""
     F = draw(st.sampled_from(_FIELDS))
     shape = draw(st.sampled_from(["no rows", "no columns", "tall", "wide",
                                   "deficient"]))
@@ -684,8 +685,9 @@ def _system(draw):
         M = Matrix(F, n, r, entries(n * r)) @ Matrix(F, r, m, entries(r * m))
     else:
         M = Matrix(F, n, m, entries(n * m))
-    b = mat_vec(M, entries(m)) if draw(st.booleans()) else tuple(entries(n))
-    return M, b
+    bs = [mat_vec(M, entries(m)) if draw(st.booleans()) else tuple(entries(n))
+          for _ in range(draw(st.integers(0, 4)))]
+    return M, bs
 
 
 @given(_system())
@@ -698,11 +700,15 @@ def test_rank_matches_the_dense_reference(system):
 @given(_system())
 @settings(max_examples=300, deadline=None)
 def test_solve_linear_matches_the_dense_reference(system):
-    M, b = system
-    expected = ref_solve_linear(M, b)
-    if ref_rank(M) < M.ncols:
-        expected = None   # consistent or not, no unique solution
-    assert solve_linear(M, b) == expected
+    """One right-hand side at a time, and all of them as the columns of one
+    matrix, solved with one elimination."""
+    M, bs = system
+    expected = [None if ref_rank(M) < M.ncols   # no unique solution
+                else ref_solve_linear(M, b) for b in bs]
+    assert [solve_linear(M, b) for b in bs] == expected
+    B = Matrix(M.field, M.nrows, len(bs),
+               [v for row in zip(*bs) for v in row] if bs else [])
+    assert solve_linear(M, B) == expected
 
 
 # ---------------------------------------------------------------------------

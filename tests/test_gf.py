@@ -72,6 +72,40 @@ def test_odd_prime_moduli_minimal(p, degree):
         assert small_poly_has_root(coeffs, p)
 
 
+def _ref_ext_mul(F, a, b):
+    """The product of two packed polynomials modulo F's modulus, by
+    schoolbook multiplication and long division over GF(p)."""
+    p, w = F.p, F.degree
+    da = [a // p ** i % p for i in range(w)]
+    db = [b // p ** i % p for i in range(w)]
+    prod = [0] * (2 * w - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for k in range(2 * w - 2, w - 1, -1):
+        t, prod[k] = prod[k], 0
+        for i in range(w):
+            prod[k - w + i] = (prod[k - w + i] - t * F.modulus[i]) % p
+    return sum(c * p ** i for i, c in enumerate(prod[:w]))
+
+
+@pytest.mark.parametrize("p,degree", [(2, 7), (2, 8), (2, 9), (3, 2), (3, 4),
+                                      (3, 5), (5, 3)])
+def test_extension_tables_multiply_as_polynomials(p, degree):
+    """The log/antilog tables give the product of the packed polynomials
+    modulo the field's modulus, whichever generator they start from: x
+    generates GF(2^7), GF(3^4) and GF(3^5), and not GF(2^8), GF(2^9),
+    GF(3^2) or GF(5^3), whose tables start from another element."""
+    F = make_field(p, degree)
+    rng = random.Random(p * 100 + degree)
+    pairs = [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(3000)]
+    pairs += [(p, b) for b in range(F.q)]   # x times every element
+    for a, b in pairs:
+        assert F.mul(a, b) == _ref_ext_mul(F, a, b)
+    for a in range(1, F.q):
+        assert F.mul(a, F.inv(a)) == 1
+
+
 def test_field_size_guard():
     with pytest.raises(SizeLimitError):
         make_field(2, 21)
@@ -133,6 +167,26 @@ def test_field_equality_and_hash():
     assert make_field(2, 3) == make_field(2, 3)
     assert make_field(2, 3) != make_field(2, 2)
     assert hash(make_field(3)) == hash(make_field(3))
+
+
+def test_a_copied_basis_absorbs_without_touching_its_parent():
+    F = make_field(3)
+    parent = EchelonBasis(F, 4)
+    for row in [(1, 2, 0, 1), (0, 0, 1, 2)]:
+        assert parent.absorb(row)
+    kept = list(parent._kept)
+    probes = [(2, 1, 0, 2), (1, 2, 1, 0), (0, 1, 0, 0), (0, 0, 2, 1)]
+    verdicts = [parent.copy().absorb(row) for row in probes]
+    assert verdicts == [False, False, True, False]
+    child = parent.copy()
+    for row in [(0, 1, 0, 0), (0, 0, 0, 1)]:
+        assert child.absorb(row)
+    assert child.rank == 4 and not child.absorb((1, 1, 1, 1))
+    # the parent keeps its rank, its kept rows (shared with the child,
+    # which never mutates them) and so every reduction against them
+    assert parent.rank == 2
+    assert parent._kept == kept and child._kept[0] is kept[0]
+    assert [parent.copy().absorb(row) for row in probes] == verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,14 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from datex.gf import Matrix, make_field
+from datex import netcode
+from datex.gf import Matrix, make_field, mat_vec, solve_linear, stack
 from datex.greedy import violated_cuts
 from datex.instance import Instance
 from datex.netcode import (DesignFailureError, IncompleteSourceError,
-                           InfeasibleRatesError, build_multicast_graph,
-                           design_transmissions, graph_to_dot,
-                           min_extension_degree, rationalize,
+                           InfeasibleRatesError, _decoded_draws,
+                           build_multicast_graph, design_transmissions,
+                           graph_to_dot, min_extension_degree, rationalize,
                            scheme_core_from_dict, scheme_core_to_dict,
                            simulate_exchange, verify_decodability)
 from datex.oracle import build_lp, solve_exact
@@ -292,6 +293,54 @@ def test_verification_predicts_simulation():
         for seed in (0, 1):
             assert simulate_exchange(mutated, seed=seed).successes \
                 == _decodable(report)
+
+
+def _decodes_one_seed(scheme, seed):
+    """Receiver -> whether it decodes the draw of `seed`: the draw, the
+    observations and the transmissions recomputed here, and each
+    receiver's stacked system solved for this one right-hand side."""
+    model = scheme.instance.model
+    rng = random.Random(seed)
+    w = tuple(scheme.embed[rng.randrange(model.field.q)]
+              for _ in range(model.N * scheme.L))
+    obs = [mat_vec(B, w) for B in scheme.blocks]
+    out = {}
+    for l in scheme.instance.user_list:
+        parts, rhs = [scheme.blocks[l]], list(obs[l])
+        for i in sorted(scheme.matrices):
+            if i != l:
+                parts.append(scheme.matrices[i] @ scheme.blocks[i])
+                rhs.extend(mat_vec(scheme.matrices[i], obs[i]))
+        out[l] = solve_linear(stack(*parts), rhs) == w
+    return out
+
+
+def test_batched_decoding_matches_one_solve_per_seed(example2, example3):
+    """Seventy seeds span two decode blocks; the block's elimination must
+    answer each seed and receiver as its own solve does, on designed
+    schemes and on rank-deficient ones, where every seed fails."""
+    good3 = design_transmissions(example3, (0, 1, 1), 1, seed=0)
+    good2 = design_transmissions(example2, (1, 1, 1, 2, 2, 2), 4,
+                                 ext_degree=2, seed=0)
+    _, starved = _hand_scheme([1, 0])    # user 1 never sees packet 1
+    old = good3.matrices[2]
+    zero = Matrix(good3.coding_field, old.nrows, old.ncols,
+                  [0] * (old.nrows * old.ncols), validate=False)
+    silenced = with_matrices(good3, {**good3.matrices, 2: zero})
+    runs = netcode._DECODE_BLOCK + 6
+    for scheme, deficient in ((good3, False), (good2, False),
+                              (starved, True), (silenced, True)):
+        expected = [_decodes_one_seed(scheme, s) for s in range(5, 5 + runs)]
+        assert list(_decoded_draws(scheme, 5, runs)) == expected
+        deficits = verify_decodability(scheme).deficits
+        assert any(deficits.values()) == deficient
+        for l, deficit in deficits.items():
+            assert all(e[l] == (deficit == 0) for e in expected)
+        result = simulate_exchange(scheme, seed=5, runs=runs)
+        assert result.decoded == {l: sum(e[l] for e in expected)
+                                  for l in deficits}
+        assert result.all_decoded == sum(all(e.values()) for e in expected)
+        assert result.ok == (not any(deficits.values()))
 
 
 def test_designed_rates_feasible_on_chunked_model(example2):

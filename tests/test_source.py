@@ -7,7 +7,10 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datex.gf import Matrix, make_field
+from datex.gf import Matrix, make_field, rank, stack
+from datex.greedy import violated_cuts
+from datex.instance import Instance
+from datex.oracle import build_lp
 from datex.source import (LinearSource, RawSource, TableReport, TabularSource,
                           as_mask, mask_to_set, raw_source, scale_to_int,
                           subset_table, validate_table)
@@ -321,3 +324,95 @@ def test_chains_stop_once_the_prefix_holds_the_whole_file():
     raw = raw_source([[0, 1, 2, 3], [1], [2, 3]], 4)
     assert raw.chain_scaled(0b001, [1, 2]) == [0, 0, 0]
     assert raw.chain_scaled(0b010, [0, 2]) == [3, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# The cut-lattice walk
+# ---------------------------------------------------------------------------
+
+def _fresh_rank(model, mask):
+    """rank(stack(...)) of the mask's observation matrices, memo unread."""
+    if not mask:
+        return 0
+    return rank(stack(*(model.matrices[i] for i in mask_to_set(mask))))
+
+
+def _reference_cuts(model, tmask, target):
+    """(cut, need) for every cut of `target`, ascending, from fresh ranks:
+    need = H(X_ctx) - H(X_(ctx \\ S)), ctx the target plus the senders."""
+    senders = tmask & ~(1 << target)
+    ctx = senders | 1 << target
+    total = _fresh_rank(model, ctx)
+    return [(cut, total - _fresh_rank(model, ctx & ~cut))
+            for cut in range(1, senders + 1) if not cut & ~senders]
+
+
+WALK_FIELDS = [make_field(3), make_field(5), make_field(2, 2),
+               make_field(3, 2)]
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_the_cut_walk_memoizes_fresh_ranks(data):
+    """build_lp and violated_cuts read each receiver's cut lattice from one
+    depth-first walk: every rank it memoizes equals a fresh
+    rank(stack(...)), and the LP rows and violated cuts equal a reference
+    built from fresh point queries.  Terminals may hold no rows, repeat a
+    row or copy another terminal's rows; with a transmitters list, a
+    transmitting hub sees the whole file so that every user can decode."""
+    draw = data.draw
+    F = draw(st.sampled_from(WALK_FIELDS))
+    m = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, F.q - 1), min_size=n, max_size=n)
+    rows = [draw(st.lists(row, max_size=3)) for _ in range(m)]
+    for i in range(m):
+        how = draw(st.sampled_from(["keep", "repeat", "copy"]))
+        if how == "repeat" and rows[i]:
+            rows[i].append(rows[i][0])
+        elif how == "copy":
+            rows[i] = list(rows[draw(st.integers(0, m - 1))])
+    transmitters = None
+    if draw(st.booleans()):
+        transmitters = draw(st.lists(st.integers(0, m - 1), unique=True))
+        hub = draw(st.integers(0, m - 1))
+        rows[hub] = [[int(a == b) for a in range(n)] for b in range(n)]
+        transmitters.append(hub)
+    model = LinearSource(F, n, [Matrix.from_rows(F, r, ncols=n)
+                                for r in rows])
+    users = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m,
+                          unique=True))
+    inst = Instance(model, users, transmitters=set(transmitters or range(m)))
+    tmask = inst.transmitter_mask
+
+    need = {}
+    for l in inst.user_list:
+        for cut, rhs in _reference_cuts(model, tmask, l):
+            need[cut] = max(need.get(cut, 0), rhs)
+    assert build_lp(inst).constraints == tuple(
+        (cut, Fraction(rhs)) for cut, rhs in sorted(need.items()))
+
+    rates = [draw(st.fractions(0, 3, max_denominator=4))
+             if t in inst.transmitters else Fraction(0) for t in range(m)]
+    for target in range(m):
+        expected = []
+        for cut, rhs in _reference_cuts(model, tmask, target):
+            got = sum((rates[i] for i in mask_to_set(cut)), Fraction(0))
+            if got < rhs:
+                expected.append((cut, Fraction(rhs), got))
+        assert violated_cuts(rates, inst, target) == expected
+
+    assert model._walked == {(1 << t, tmask & ~(1 << t)) for t in range(m)}
+    for mask, value in model._memo.items():
+        assert value == _fresh_rank(model, mask)
+
+
+def test_raw_and_tabular_sources_answer_cuts_by_point_query():
+    """Only a linear source walks: a raw source's point query is a few
+    table lookups and it keeps no memo, and a tabular one reads its
+    table."""
+    raw = raw_source([[0, 1], [1], [0, 2]], 3)
+    assert raw.lattice_scaled(0b001, 0b110) == raw._joint_scaled
+    assert not hasattr(raw, "_memo")
+    table = tabulate(example_model(3))
+    assert table.lattice_scaled(0b1, 0b111110) == table._joint_scaled
