@@ -212,10 +212,11 @@ def instance_from_dict(data: Any, field_char: Optional[int] = None,
         for i, t in enumerate(terminals):
             if not isinstance(t, dict):
                 raise CLIError(f"{where}: terminals[{i}] must be an object")
-            forms.add("rows" if "rows" in t else
-                      "packets" if "packets" in t else "?")
-        if "?" in forms:
-            raise CLIError(f"{where}: every terminal needs 'rows' or 'packets'")
+            given = {"rows", "packets"} & t.keys()
+            if len(given) != 1:
+                raise CLIError(f"{where}: terminals[{i}] must give exactly "
+                               f"one of 'rows' or 'packets'")
+            forms |= given
         if len(forms) > 1:
             raise CLIError(f"{where}: terminals mix 'rows' and 'packets' forms")
         N = data.get("packet_count")

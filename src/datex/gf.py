@@ -14,8 +14,9 @@ All matrix routines are exact (no floats) and sized for desk-scale
 problems: a few hundred rows/columns at most.  There is one Gaussian
 elimination, `EchelonBasis`, which grows a row-echelon basis row by row
 with sparse kept rows and inline mod-p row arithmetic on prime fields;
-`rank`, `solve_linear` (for one right-hand side or many at once), the
-source models' greedy chains and their cut-lattice walks all run on it.
+`rank`, `solve_linear` (every column of a right-hand-side matrix at
+once), the source models' greedy chains and their cut-lattice walks all
+run on it.
 """
 
 from __future__ import annotations
@@ -431,7 +432,6 @@ class Matrix:
 
 def stack(*mats: Matrix) -> Matrix:
     """Vertical concatenation; all blocks must share field and width."""
-    mats = [m for m in mats]
     if not mats:
         raise ValueError("stack of nothing")
     field = mats[0].field
@@ -516,25 +516,15 @@ def rank(M: Matrix) -> int:
     return basis.rank
 
 
-def solve_linear(M: Matrix, b):
-    """The unique solution of M x = b, or None when the system is
-    inconsistent or M has rank below its column count.
-
-    `b` is one right-hand side, a sequence of M.nrows field elements, or
-    several at once, a Matrix over M's field with M.nrows rows and one
-    right-hand side per column.  Several are solved with one elimination
-    of the rows of M augmented by all of them, and the answer is a list
-    with one solution, or None, per column."""
+def solve_linear(M: Matrix, B: Matrix) -> list:
+    """The unique solution of M x = b for each column b of B, or None for
+    a column where the system is inconsistent or M has rank below its
+    column count.  All columns are solved with one elimination of the rows
+    of M augmented by B; the answer is a list with one solution tuple, or
+    None, per column."""
     F = M.field
-    several = isinstance(b, Matrix)
-    if several:
-        if b.field != F:
-            raise ValueError("field mismatch")
-        B = b
-    else:
-        for v in b:
-            F.check(v)
-        B = Matrix(F, len(b), 1, b, validate=False)
+    if B.field != F:
+        raise ValueError("field mismatch")
     if B.nrows != M.nrows:
         raise ValueError("right-hand side length mismatch")
     n, r = M.ncols, B.ncols
@@ -543,35 +533,33 @@ def solve_linear(M: Matrix, b):
         basis.absorb(M.row(i) + B.row(i))
     kept = basis._kept
     if any(tail is None for tail in kept[:n]):
-        out = [None] * r
-    else:
-        # a kept row whose pivot lies among the right-hand sides is zero on
-        # M's columns: a combination of equations that M cancels, so every
-        # right-hand side it touches is inconsistent
-        bad = set()
-        for c in range(n, n + r):
-            if kept[c] is not None:
-                bad.add(c)
-                bad.update(j for j, _ in kept[c])
-        # every column 0..n-1 holds a pivot: back-substitute from the last,
-        # x[c] = rhs_c - sum_j a_j x[j] for all right-hand sides at once
-        p, prime = F.p, F.degree == 1
-        mul, add, neg = F.mul, F.add, F.neg
-        x: list = [None] * n
-        for c in range(n - 1, -1, -1):
-            acc = [0] * r
-            for j, a in kept[c]:
-                if j >= n:
-                    acc[j - n] = add(acc[j - n], a)
-                elif prime:
-                    acc = [(u - a * v) % p for u, v in zip(acc, x[j])]
-                else:
-                    na = neg(a)
-                    acc = [add(u, mul(na, v)) for u, v in zip(acc, x[j])]
-            x[c] = acc
-        solutions = list(zip(*x)) if n else [()] * r
-        out = [None if n + k in bad else solutions[k] for k in range(r)]
-    return out if several else out[0]
+        return [None] * r
+    # a kept row whose pivot lies among the right-hand sides is zero on M's
+    # columns: a combination of equations that M cancels, so every
+    # right-hand side it touches is inconsistent
+    bad = set()
+    for c in range(n, n + r):
+        if kept[c] is not None:
+            bad.add(c)
+            bad.update(j for j, _ in kept[c])
+    # every column 0..n-1 holds a pivot: back-substitute from the last,
+    # x[c] = rhs_c - sum_j a_j x[j] for all right-hand sides at once
+    p, prime = F.p, F.degree == 1
+    mul, add, neg = F.mul, F.add, F.neg
+    x: list = [None] * n
+    for c in range(n - 1, -1, -1):
+        acc = [0] * r
+        for j, a in kept[c]:
+            if j >= n:
+                acc[j - n] = add(acc[j - n], a)
+            elif prime:
+                acc = [(u - a * v) % p for u, v in zip(acc, x[j])]
+            else:
+                na = neg(a)
+                acc = [add(u, mul(na, v)) for u, v in zip(acc, x[j])]
+        x[c] = acc
+    solutions = list(zip(*x)) if n else [()] * r
+    return [None if n + k in bad else solutions[k] for k in range(r)]
 
 
 def mat_vec(M: Matrix, v: Sequence[int]) -> tuple:

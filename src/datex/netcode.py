@@ -10,19 +10,21 @@ fresh randomness until it holds.  Every terminal codes only over its own
 observation.
 
 Decodability is a rank condition: receiver l recovers everything iff its
-own replicated observation stacked with all coded transmissions has full
-column rank.  `simulate_exchange` runs the whole exchange on concrete
-seeded random source draws and checks each receiver actually reconstructs
-every one uniquely, which succeeds exactly when the rank condition holds.
-A receiver's stacked system is the same for every draw, so it is
-eliminated once per block of seeds, with one right-hand side per seed.
+decoding system, `TransmissionScheme.system(l)` (its own replicated
+observation stacked with the other senders' coded rows), has full column
+rank.  `simulate_exchange` runs the whole exchange on concrete seeded
+random source draws and checks each receiver actually reconstructs every
+one uniquely, which succeeds exactly when the rank condition holds.  The
+system is the same for every draw, so it is eliminated once per block of
+seeds, with one right-hand side per seed.
 
 Both read a scheme's coding view: the replicated, embedded observation
 blocks, built once by `design_transmissions` (shared by all attempts) or by
 `scheme_core_from_dict`, and the coded rows, built on first use.  Those
 two functions check the view's size, sum(rows) * L x N * L field
-entries, against one bound before building it.  The source kind is
-checked where an Instance enters this module.
+entries, against one bound before building it, from the model's row
+counts alone.  The source kind is checked where an Instance enters this
+module.
 
 The multicast graph view (super-source, per-terminal sender/relay nodes,
 per-receiver sinks) is exported for DOT rendering; with feasible chunk
@@ -35,8 +37,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gf import (Field, Matrix, embed_map, is_int, make_field, mat_vec, rank,
                  solve_linear, stack)
@@ -94,8 +95,7 @@ class TransmissionScheme(_Frozen):
     extension of the source field of the stated degree).  chunk_rates[i]
     is the number of coding-field symbols terminal i sends.  `embed` (the
     source-to-coding-field map) and `blocks` (the replicated, embedded
-    observation matrices) follow from the instance, L and the coding field,
-    so they take no part in equality.
+    observation matrices) follow from the instance, L and the coding field.
     """
 
     def __init__(self, instance: Instance, L: int,
@@ -109,15 +109,6 @@ class TransmissionScheme(_Frozen):
             matrices=matrices, seed=seed, attempt=attempt, embed=embed,
             blocks=blocks)
 
-    def _key(self) -> tuple:
-        return (self.instance, self.L, self.chunk_rates, self.ext_degree,
-                self.coding_field, self.matrices, self.seed, self.attempt)
-
-    def __eq__(self, other):
-        if not isinstance(other, TransmissionScheme):
-            return NotImplemented
-        return self._key() == other._key()
-
     @property
     def total_symbols(self) -> int:
         return sum(self.chunk_rates)
@@ -126,6 +117,16 @@ class TransmissionScheme(_Frozen):
     def coded(self) -> Dict[int, Matrix]:
         """Each transmitter's coded rows over the chunked packets."""
         return {i: M @ self.blocks[i] for i, M in self.matrices.items()}
+
+    def senders(self, l: int) -> List[int]:
+        """The terminals whose transmissions receiver l hears, ascending."""
+        return [i for i in sorted(self.matrices) if i != l]
+
+    def system(self, l: int) -> Matrix:
+        """Receiver l's decoding system: its replicated observation block
+        stacked with the coded rows of `senders(l)`, in that order."""
+        coded = self.coded
+        return stack(self.blocks[l], *(coded[i] for i in self.senders(l)))
 
 
 class DecodabilityReport(NamedTuple):
@@ -146,11 +147,6 @@ class SimulationResult(NamedTuple):
     runs: int
     decoded: Dict[int, int]
     all_decoded: int
-
-    @property
-    def successes(self) -> Dict[int, bool]:
-        """Whether each receiver decoded every draw."""
-        return {l: n == self.runs for l, n in self.decoded.items()}
 
     @property
     def ok(self) -> bool:
@@ -275,7 +271,7 @@ def _check_coding_view_size(model: LinearSource, L: int) -> None:
     """Raise SizeLimitError before a coding view above _MAX_CODING_VIEW
     entries is built; `design_transmissions` and `scheme_core_from_dict`
     both call it as soon as L is known."""
-    entries = sum(A.nrows for A in model.matrices) * L * model.N * L
+    entries = sum(model.row_counts) * L * model.N * L
     if entries > _MAX_CODING_VIEW:
         raise SizeLimitError(
             f"coding view of {entries} field entries (observation rows x "
@@ -348,18 +344,11 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int], L: int,
 
 
 def verify_decodability(scheme: TransmissionScheme) -> DecodabilityReport:
-    """Exact rank check per receiver: own replicated observation stacked
-    with every other terminal's coded rows must span all chunked packets."""
-    instance = scheme.instance
-    target = instance.model.N * scheme.L
-    coded = scheme.coded
-    deficits: Dict[int, int] = {}
-    for l in instance.user_list:
-        parts = [scheme.blocks[l]]
-        parts.extend(coded[i] for i in sorted(coded) if i != l)
-        got = rank(stack(*parts))
-        deficits[l] = target - got
-    return DecodabilityReport(deficits)
+    """Exact rank check per receiver: its decoding system
+    (`TransmissionScheme.system`) must span all chunked packets."""
+    target = scheme.instance.model.N * scheme.L
+    return DecodabilityReport({l: target - rank(scheme.system(l))
+                               for l in scheme.instance.user_list})
 
 
 # Seeds decoded per elimination, one right-hand-side column each: the
@@ -369,20 +358,29 @@ def verify_decodability(scheme: TransmissionScheme) -> DecodabilityReport:
 _DECODE_BLOCK = 64
 
 
-def _decoded_draws(scheme: TransmissionScheme, seed: int, runs: int
-                   ) -> Iterator[Dict[int, bool]]:
-    """For each seed of seed .. seed + runs - 1, in order, whether each
-    receiver decoded that seed's source draw.  The seeds are taken in
-    blocks of at most _DECODE_BLOCK; each receiver decodes a block with
-    one `solve_linear` call, a right-hand side per seed, since its stacked
-    system is the same for every draw."""
-    instance = scheme.instance
-    model = instance.model
-    blocks, emb, coded = scheme.blocks, scheme.embed, scheme.coded
-    users = instance.user_list
-    senders = sorted(scheme.matrices)
-    systems = {l: stack(blocks[l], *(coded[i] for i in senders if i != l))
-               for l in users}
+def simulate_exchange(scheme: TransmissionScheme, seed: int = 0,
+                      runs: int = 1) -> SimulationResult:
+    """Run the exchange on the uniformly drawn sources of seeds seed ..
+    seed + runs - 1.
+
+    Every terminal observes its draw and sends its coded symbols; each
+    receiver solves its decoding system (`TransmissionScheme.system`)
+    against its own observation and the symbols it hears.  It decodes a
+    draw when the system determines the source uniquely (`solve_linear`
+    answers None otherwise) and the unique solution matches the truth.
+    This succeeds iff the receiver passes verify_decodability.  The
+    system is the same for every draw, so the seeds are taken in blocks
+    of at most _DECODE_BLOCK and each receiver decodes a block with one
+    `solve_linear` call, a right-hand side per seed: the memory a run
+    uses does not grow with `runs`.
+    """
+    model = scheme.instance.model
+    users = scheme.instance.user_list
+    blocks, emb = scheme.blocks, scheme.embed
+    systems = {l: scheme.system(l) for l in users}
+    heard = {l: scheme.senders(l) for l in users}
+    decoded = dict.fromkeys(users, 0)
+    all_decoded = 0
     for start in range(seed, seed + runs, _DECODE_BLOCK):
         draws = []
         rhs: Dict[int, List[List[int]]] = {l: [] for l in users}
@@ -394,44 +392,24 @@ def _decoded_draws(scheme: TransmissionScheme, seed: int, runs: int
             # embedded draw through the embedded blocks gives the embedded
             # observations
             obs = [mat_vec(B, w) for B in blocks]
-            sent = {i: mat_vec(scheme.matrices[i], obs[i]) for i in senders}
+            sent = {i: mat_vec(M, obs[i]) for i, M in scheme.matrices.items()}
             draws.append(w)
             for l in users:
                 col = list(obs[l])
-                for i in senders:
-                    if i != l:
-                        col.extend(sent[i])
+                for i in heard[l]:
+                    col.extend(sent[i])
                 rhs[l].append(col)
-        found = {}
+        every = [True] * len(draws)
         for l in users:
             M = systems[l]
             B = Matrix(scheme.coding_field, M.nrows, len(draws),
                        [v for row in zip(*rhs[l]) for v in row],
                        validate=False)
-            found[l] = solve_linear(M, B)
-        for k, w in enumerate(draws):
-            yield {l: found[l][k] == w for l in users}
-
-
-def simulate_exchange(scheme: TransmissionScheme, seed: int = 0,
-                      runs: int = 1) -> SimulationResult:
-    """Run the exchange on the uniformly drawn sources of seeds seed ..
-    seed + runs - 1.
-
-    Each receiver solves the stacked linear system formed by its own
-    observation and all received coded symbols; it decodes a draw when
-    the system determines the source uniquely (`solve_linear` answers
-    None otherwise) and the unique solution matches the truth.  This
-    succeeds iff the receiver passes verify_decodability.  The draws are
-    decoded in blocks, one elimination per receiver and block, so the
-    memory a run uses does not grow with `runs`.
-    """
-    decoded = dict.fromkeys(scheme.instance.user_list, 0)
-    all_decoded = 0
-    for result in _decoded_draws(scheme, seed, runs):
-        for l, ok in result.items():
-            decoded[l] += ok
-        all_decoded += all(result.values())
+            for k, x in enumerate(solve_linear(M, B)):
+                hit = x == draws[k]
+                decoded[l] += hit
+                every[k] &= hit
+        all_decoded += sum(every)
     return SimulationResult(runs, decoded, all_decoded)
 
 
@@ -466,7 +444,7 @@ def build_multicast_graph(instance: Instance, chunk_rates: Sequence[int],
     nodes += [f"r{j}" for j in users]
     edges: List[Tuple[str, str, int]] = []
     for i in range(m):
-        own = model.matrices[i].nrows * L
+        own = model.row_counts[i] * L
         edges.append(("S", f"s{i}", own))
         if i in instance.users:
             edges.append((f"s{i}", f"r{i}", own))
@@ -557,7 +535,7 @@ def scheme_core_from_dict(data: dict, instance: Instance) -> TransmissionScheme:
     mats: Dict[int, Matrix] = {}
     for key, rows in matrices.items():
         i = int(key)
-        width = model.matrices[i].nrows * L
+        width = model.row_counts[i] * L
         mats[i] = Matrix.from_rows(coding_field, rows, ncols=width)
         if mats[i].nrows != chunk_rates[i]:
             raise ValueError(f"terminal {i}: matrix rows != chunk rate")

@@ -194,6 +194,8 @@ class LinearSource(SourceModel):
         self.N = packet_count
         self.matrices = tuple(matrices)
         self.m = len(self.matrices)
+        # each terminal's observation row count; size checks read these
+        self.row_counts = tuple(M.nrows for M in self.matrices)
         self._memo: Dict[int, int] = {0: 0}
         self._walked: Set[Tuple[int, int]] = set()
         self._rows = tuple(M.rows() for M in self.matrices)
@@ -294,8 +296,8 @@ class RawSource(LinearSource):
     rows are standard basis vectors, but each terminal is held as one int
     bitmask of its packets and the entropy oracle counts the bits of their
     union.  The one-hot observation matrices are built on first use (code
-    design, simulation, the multicast graph, scheme files); entropy
-    queries never need them."""
+    design, simulation, scheme files); entropy queries and size checks
+    never need them."""
 
     def __init__(self, ownership: Sequence[Iterable[int]], packet_count: int,
                  field: Optional[Field] = None):
@@ -316,6 +318,7 @@ class RawSource(LinearSource):
         self.N = packet_count
         self.m = len(bits)
         self.ownership = tuple(own_sets)
+        self.row_counts = tuple(len(owned) for owned in own_sets)
         self._bits = tuple(bits)
         # the union of owned packets for every subset of each block of 8
         # terminals, so a point query is one lookup per block; packet sets

@@ -1,14 +1,14 @@
 """Shared builders for the test suite: the worked example instances, a
 random-instance generator used by the equivalence and property suites, and
 test-side references (weighted objective, conditional entropy, explicit
-entropy tables, the all-terminal cut-set rows), and a scheme copy with
-replaced coding matrices."""
+entropy tables, the all-terminal cut-set rows), a one-right-hand-side
+solve, and a scheme copy with replaced coding matrices."""
 
 import random
 from fractions import Fraction
 from typing import List
 
-from datex.gf import Matrix, SizeLimitError, make_field
+from datex.gf import Matrix, SizeLimitError, make_field, solve_linear
 from datex.instance import Instance
 from datex.netcode import TransmissionScheme
 from datex.source import (LinearSource, SourceModel, TabularSource, as_mask,
@@ -118,3 +118,9 @@ def with_matrices(scheme: TransmissionScheme, matrices) -> TransmissionScheme:
                               scheme.ext_degree, scheme.coding_field, matrices,
                               scheme.seed, scheme.attempt, scheme.embed,
                               scheme.blocks)
+
+
+def solve_one(M: Matrix, b):
+    """`solve_linear` for one right-hand side b, passed as a one-column
+    matrix: the unique solution of M x = b, or None."""
+    return solve_linear(M, Matrix(M.field, len(b), 1, list(b)))[0]

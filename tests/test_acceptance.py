@@ -166,8 +166,8 @@ def test_criterion_6_property_suites():
                                    {**scheme.matrices, victim: zero})
         report = verify_decodability(scheme)
         for seed in (0, 1):
-            assert simulate_exchange(scheme, seed=seed).successes \
-                == {l: d == 0 for l, d in report.deficits.items()}
+            assert simulate_exchange(scheme, seed=seed).decoded \
+                == {l: int(d == 0) for l, d in report.deficits.items()}
         built += 1
     _report(6, "entropy/cut curvature, tie-break invariance, and "
                "decode==simulate on 50 schemes",

@@ -370,6 +370,29 @@ def test_graph_command(tmp_path, capsys):
     assert 't3 -> r0 [label="2"];' in text
 
 
+def _cap_memory():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_graph_reads_no_one_hot_matrix(tmp_path):
+    # the graph needs each terminal's row count, not its N-wide one-hot
+    # matrix, so a billion packets cost no more than a few; the run is
+    # capped at 1 GiB of address space, where building the one-hot
+    # matrices fails instead of exhausting the host
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "field": 2, "packet_count": 10 ** 9,
+        "terminals": [{"packets": [0]}, {"packets": [1]},
+                      {"packets": [0, 1]}],
+        "users": [0, 1]}))
+    proc = subprocess.run([sys.executable, "-m", "datex.cli", "graph",
+                           str(path)], capture_output=True, text=True,
+                          preexec_fn=_cap_memory)
+    assert proc.returncode == 0, proc.stderr
+    assert 'S -> s2 [label="2"];' in proc.stdout
+
+
 def test_graph_failure_exit_code(capsys):
     assert main(["graph", EX2, "--rates", "1/3,0,0,0,0,1/64"]) == 1
     assert "graph failed" in capsys.readouterr().err
@@ -397,6 +420,18 @@ def _one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return err
+
+
+@pytest.mark.parametrize("other", [{"rows": [[0, 1]]}, {"packets": [1]}],
+                         ids=["with-rows", "with-packets"])
+def test_terminal_with_both_forms_exits_two(tmp_path, capsys, other):
+    # neither form may win silently, whichever form the others use
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(_doc(
+        terminals=[other, {"rows": [[1, 0]], "packets": [1]}], users=[0, 1])))
+    assert main(["oracle", str(path)]) == 2
+    assert "terminals[1] must give exactly one of 'rows' or 'packets'" \
+        in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("command, m, extra, guard", [

@@ -43,7 +43,8 @@ from datex.netcode import InfeasibleRatesError, _snap, rationalize
 from datex.oracle import UnboundedLPError, build_lp, exact_simplex, solve_exact
 from datex.source import (LinearSource, SizeLimitError, SourceModel,
                           TabularSource, mask_to_set, raw_source)
-from helpers import example2_instance, random_linear_instance, table_values
+from helpers import (example2_instance, random_linear_instance, solve_one,
+                     table_values)
 
 
 # ---------------------------------------------------------------------------
@@ -700,12 +701,12 @@ def test_rank_matches_the_dense_reference(system):
 @given(_system())
 @settings(max_examples=300, deadline=None)
 def test_solve_linear_matches_the_dense_reference(system):
-    """One right-hand side at a time, and all of them as the columns of one
-    matrix, solved with one elimination."""
+    """One right-hand side at a time, as a one-column matrix, and all of
+    them as the columns of one matrix, solved with one elimination."""
     M, bs = system
     expected = [None if ref_rank(M) < M.ncols   # no unique solution
                 else ref_solve_linear(M, b) for b in bs]
-    assert [solve_linear(M, b) for b in bs] == expected
+    assert [solve_one(M, b) for b in bs] == expected
     B = Matrix(M.field, M.nrows, len(bs),
                [v for row in zip(*bs) for v in row] if bs else [])
     assert solve_linear(M, B) == expected

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from datex.gf import (EchelonBasis, Field, Matrix, SizeLimitError, embed_map,
                       make_field, mat_vec, rank, solve_linear, stack)
 from datex.gf import _ppack  # packed encoding used for modulus ordering
+from helpers import solve_one
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +235,29 @@ def test_solve_linear_canonical_solution():
     F = make_field(2)
     M = Matrix.from_rows(F, [[1, 1, 0], [0, 1, 1]])
     # consistent, but the third column is free: no unique solution
-    assert solve_linear(M, (1, 1)) is None
+    assert solve_one(M, (1, 1)) is None
 
 
 def test_solve_linear_inconsistent():
     F = make_field(2)
     M = Matrix.from_rows(F, [[1, 1, 0], [1, 1, 0]])
-    assert solve_linear(M, (1, 0)) is None
+    assert solve_one(M, (1, 0)) is None
 
 
 def test_solve_linear_unique_system():
     F = make_field(5)
     M = Matrix.from_rows(F, [[2, 0], [1, 3]])
-    x = solve_linear(M, (4, 0))
+    x = solve_one(M, (4, 0))
     assert x is not None and mat_vec(M, x) == (4, 0)
+
+
+def test_solve_linear_rejects_a_mismatched_right_hand_side():
+    F = make_field(5)
+    M = Matrix.from_rows(F, [[2, 0], [1, 3]])
+    with pytest.raises(ValueError, match="field mismatch"):
+        solve_linear(M, Matrix.from_rows(make_field(3), [[1], [1]]))
+    with pytest.raises(ValueError, match="length mismatch"):
+        solve_linear(M, Matrix.from_rows(F, [[1]]))
 
 
 def test_hand_elimination_over_gf3():
@@ -256,11 +266,11 @@ def test_hand_elimination_over_gf3():
     F = make_field(3)
     M = Matrix.from_rows(F, [[2, 1, 1], [1, 2, 0]])
     assert rank(M) == 2
-    assert solve_linear(M, (1, 1)) is None
+    assert solve_one(M, (1, 1)) is None
     # the pivot columns alone: (2,1|1) becomes (1,2|2), and subtracting it
     # from (1,0|2) leaves (0,1|0), so x1 = 0 and x0 = 2 - 2*0 = 2
     A = Matrix.from_rows(F, [[2, 1], [1, 0]])
-    assert solve_linear(A, (1, 2)) == (2, 0)
+    assert solve_one(A, (1, 2)) == (2, 0)
 
 
 def test_matmul_and_identity():
@@ -367,7 +377,7 @@ def test_solve_linear_finds_planted_solution(data):
     x0 = data.draw(st.lists(st.integers(0, F.q - 1), min_size=A.ncols,
                             max_size=A.ncols))
     b = mat_vec(A, x0)
-    x = solve_linear(A, b)
+    x = solve_one(A, b)
     # a planted system is consistent: unique exactly at full column rank
     assert x == (tuple(x0) if rank(A) == A.ncols else None)
 

@@ -11,19 +11,20 @@ import networkx as nx
 import pytest
 
 from datex import netcode
-from datex.gf import Matrix, make_field, mat_vec, solve_linear, stack
+from datex.gf import Matrix, make_field, mat_vec, stack
 from datex.greedy import violated_cuts
 from datex.instance import Instance
 from datex.netcode import (DesignFailureError, IncompleteSourceError,
-                           InfeasibleRatesError, _decoded_draws,
-                           build_multicast_graph, design_transmissions,
-                           graph_to_dot, min_extension_degree, rationalize,
+                           InfeasibleRatesError, build_multicast_graph,
+                           design_transmissions, graph_to_dot,
+                           min_extension_degree, rationalize,
                            scheme_core_from_dict, scheme_core_to_dict,
                            simulate_exchange, verify_decodability)
 from datex.oracle import build_lp, solve_exact
-from datex.source import raw_source
+from datex.source import SizeLimitError, raw_source
 from helpers import (example2_instance, example3_instance,
-                     random_linear_instance, tabulate, with_matrices)
+                     random_linear_instance, solve_one, tabulate,
+                     with_matrices)
 
 F0 = Fraction(0)
 
@@ -167,7 +168,7 @@ def test_hand_scheme_deficient_helper():
     assert _decodable(report) == {0: True, 1: False}
     for seed in range(5):
         result = simulate_exchange(scheme, seed=seed)
-        assert result.successes == {0: True, 1: False}
+        assert result.decoded == {0: 1, 1: 0}
         assert not result.ok
 
 
@@ -196,7 +197,7 @@ def test_design_two_user_example(example3):
 def test_design_is_deterministic(example3):
     a = design_transmissions(example3, (0, 1, 1), 1, seed=7)
     b = design_transmissions(example3, (0, 1, 1), 1, seed=7)
-    assert a == b
+    assert scheme_core_to_dict(a) == scheme_core_to_dict(b)
     c = design_transmissions(example3, (0, 1, 1), 1, seed=8)
     assert c.matrices != a.matrices
 
@@ -291,8 +292,8 @@ def test_verification_predicts_simulation():
         mutated = with_matrices(scheme, {**scheme.matrices, victim: zero})
         report = verify_decodability(mutated)
         for seed in (0, 1):
-            assert simulate_exchange(mutated, seed=seed).successes \
-                == _decodable(report)
+            assert simulate_exchange(mutated, seed=seed).decoded \
+                == {l: int(ok) for l, ok in _decodable(report).items()}
 
 
 def _decodes_one_seed(scheme, seed):
@@ -311,14 +312,15 @@ def _decodes_one_seed(scheme, seed):
             if i != l:
                 parts.append(scheme.matrices[i] @ scheme.blocks[i])
                 rhs.extend(mat_vec(scheme.matrices[i], obs[i]))
-        out[l] = solve_linear(stack(*parts), rhs) == w
+        out[l] = solve_one(stack(*parts), rhs) == w
     return out
 
 
 def test_batched_decoding_matches_one_solve_per_seed(example2, example3):
-    """Seventy seeds span two decode blocks; the block's elimination must
-    answer each seed and receiver as its own solve does, on designed
-    schemes and on rank-deficient ones, where every seed fails."""
+    """Seventy seeds span two decode blocks.  A run over all of them must
+    count, per receiver, exactly the seeds it decodes in seventy one-seed
+    runs and in the per-seed reference, on designed schemes and on
+    rank-deficient ones, where every seed fails."""
     good3 = design_transmissions(example3, (0, 1, 1), 1, seed=0)
     good2 = design_transmissions(example2, (1, 1, 1, 2, 2, 2), 4,
                                  ext_degree=2, seed=0)
@@ -330,16 +332,22 @@ def test_batched_decoding_matches_one_solve_per_seed(example2, example3):
     runs = netcode._DECODE_BLOCK + 6
     for scheme, deficient in ((good3, False), (good2, False),
                               (starved, True), (silenced, True)):
-        expected = [_decodes_one_seed(scheme, s) for s in range(5, 5 + runs)]
-        assert list(_decoded_draws(scheme, 5, runs)) == expected
+        seeds = range(5, 5 + runs)
+        expected = [_decodes_one_seed(scheme, s) for s in seeds]
+        singles = [simulate_exchange(scheme, seed=s, runs=1) for s in seeds]
+        assert [r.decoded for r in singles] == [
+            {l: int(ok) for l, ok in e.items()} for e in expected]
+        assert [r.all_decoded for r in singles] == [
+            int(all(e.values())) for e in expected]
         deficits = verify_decodability(scheme).deficits
         assert any(deficits.values()) == deficient
         for l, deficit in deficits.items():
             assert all(e[l] == (deficit == 0) for e in expected)
         result = simulate_exchange(scheme, seed=5, runs=runs)
-        assert result.decoded == {l: sum(e[l] for e in expected)
+        assert result.runs == runs
+        assert result.decoded == {l: sum(r.decoded[l] for r in singles)
                                   for l in deficits}
-        assert result.all_decoded == sum(all(e.values()) for e in expected)
+        assert result.all_decoded == sum(r.all_decoded for r in singles)
         assert result.ok == (not any(deficits.values()))
 
 
@@ -435,14 +443,17 @@ def test_scheme_round_trip(example3):
     scheme = design_transmissions(example3, (0, 1, 1), 1, seed=3)
     data = json.loads(json.dumps(scheme_core_to_dict(scheme)))
     back = scheme_core_from_dict(data, example3)
-    assert back == scheme
+    assert scheme_core_to_dict(back) == scheme_core_to_dict(scheme)
+    assert back.matrices == scheme.matrices     # same coding field too
+    assert (back.embed, back.blocks) == (scheme.embed, scheme.blocks)
 
 
 def test_scheme_round_trip_chunked(example2):
     scheme = design_transmissions(example2, (1, 1, 1, 2, 2, 2), 4,
                                   ext_degree=2, seed=0)
     back = scheme_core_from_dict(scheme_core_to_dict(scheme), example2)
-    assert back == scheme
+    assert scheme_core_to_dict(back) == scheme_core_to_dict(scheme)
+    assert back.matrices == scheme.matrices
     assert verify_decodability(back).ok
 
 
@@ -455,6 +466,23 @@ def test_scheme_from_dict_validation(example3):
     wrong_rows = {**data, "chunk_rates": [0, 2, 1]}
     with pytest.raises(ValueError):
         scheme_core_from_dict(wrong_rows, example3)
+
+
+def test_size_checks_read_row_counts_without_one_hot_matrices():
+    """A raw source's one-hot observation matrices are N wide.  The
+    coding-view guard and the multicast graph read each terminal's row
+    count instead, so a million packets cost them nothing."""
+    small = raw_source([[0], [1], [0, 1]], 2)
+    assert small.row_counts == tuple(A.nrows for A in small.matrices)
+    inst = Instance(raw_source([[0], [1], [0, 1]], 10 ** 6), [0, 1])
+    data = {"L": 2, "chunk_rates": [1, 1, 0], "ext_degree": 1,
+            "coding_field": {"characteristic": 2, "degree": 1},
+            "matrices": {"0": [[1, 0]], "1": [[0, 1]]}}
+    with pytest.raises(SizeLimitError, match="coding view of 16000000 "):
+        scheme_core_from_dict(data, inst)
+    g = build_multicast_graph(inst, (1, 1, 0), 2)
+    assert ("S", "s2", 4) in g.edges and g.total_chunks == 2 * 10 ** 6
+    assert "matrices" not in inst.model.__dict__
 
 
 # ---------------------------------------------------------------------------
