@@ -62,21 +62,26 @@ class CLIError(Exception):
 # ---------------------------------------------------------------------------
 
 def _frac(value: Any, where: str) -> Fraction:
-    """A rational from JSON: int, "p/q" / decimal string, or float."""
+    """A rational from JSON: int, "p/q" / decimal string, or float, of
+    magnitude below 2^256, so the float mirror of every printed sum of
+    products stays finite."""
     if isinstance(value, bool):
         raise CLIError(f"{where}: expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise CLIError(f"{where}: {value} is not a rational")
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise CLIError(f"{where}: {value} is not a rational")
+    if isinstance(value, (int, float)):
+        x = Fraction(value)
+    elif isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            x = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise CLIError(f"{where}: {value!r} is not a rational") from exc
-    raise CLIError(f"{where}: expected a rational, got {type(value).__name__}")
+    else:
+        raise CLIError(f"{where}: expected a rational, "
+                       f"got {type(value).__name__}")
+    if abs(x) >= 1 << 256:
+        raise CLIError(f"{where}: magnitude must be below 2^256")
+    return x
 
 
 def _frac_str(x: Fraction) -> str:
@@ -304,7 +309,7 @@ def serialize_instance(instance: Instance) -> dict:
                         "degree": model.field.degree}
         out["packet_count"] = model.N
         if isinstance(model, RawSource):
-            form = [("packets", sorted(owned)) for owned in model.ownership]
+            form = [("packets", model.packets(i)) for i in range(model.m)]
         else:
             form = [("rows", [list(r) for r in M.rows()])
                     for M in model.matrices]

@@ -5,10 +5,11 @@ Fields GF(p^w) are represented with elements packed into the integers
 over GF(p) is stored as sum(c_i * p**i).  For prime fields (w = 1) this is
 plain modular arithmetic.  Extension fields reduce modulo the monic
 irreducible polynomial that is lowest in the packed integer order, so a
-(characteristic, degree) pair always names the same field.  Building one
-runs in integer bit arithmetic over GF(2) (the modulus search and the
-log/antilog tables); over odd characteristic each antilog entry is one
-multiply-by-generator step on the previous entry's digits.
+(characteristic, degree) pair always names the same field, and
+`make_field` returns one object for it.  An extension field builds its
+log/antilog tables (and, over odd characteristic, Zech logarithms for
+addition) when it is made: in integer bit arithmetic over GF(2), else one
+multiply-by-generator step on the previous antilog entry's digits.
 
 All matrix routines are exact (no floats) and sized for desk-scale
 problems: a few hundred rows/columns at most.  There is one Gaussian
@@ -140,12 +141,11 @@ def _lowest_irreducible(p: int, w: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 class Field:
-    """GF(characteristic ** degree) with packed-integer elements.
-
-    Arithmetic on prime fields is plain modular arithmetic.  Extension
-    fields build log/antilog tables on first use (capped at 2**20
-    elements), so repeated multiplications are O(1).
-    """
+    """GF(characteristic ** degree) with packed-integer elements, built by
+    `make_field` only: one object per field, so identity is equality.
+    Prime fields use plain modular arithmetic; an extension field (at most
+    2**20 elements) builds its tables at construction, so add, neg, mul
+    and inv are table reads."""
 
     def __init__(self, characteristic: int, degree: int = 1):
         if not _is_prime(characteristic):
@@ -161,8 +161,7 @@ class Field:
                 raise SizeLimitError(
                     f"field size {self.q} exceeds the supported bound {_MAX_FIELD_SIZE}")
             self.modulus = _lowest_irreducible(self.p, degree)
-        self._exp: Optional[list] = None
-        self._log: Optional[list] = None
+            self._build_tables()
 
     # -- basic queries ----------------------------------------------------
 
@@ -178,33 +177,26 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        out, mult = 0, 1
-        for _ in range(self.degree):
-            out += ((a + b) % self.p) * mult
-            a //= self.p
-            b //= self.p
-            mult *= self.p
-        return out
+        if not a or not b:
+            return a or b
+        # g^i + g^j = g^i (1 + g^(j - i))
+        log, n = self._log, self.q - 1
+        z = self._zech[(log[b] - log[a]) % n]
+        return 0 if z is None else self._exp[(log[a] + z) % n]
 
     def neg(self, a: int) -> int:
         if self.degree == 1:
             return (-a) % self.p
-        if self.p == 2:
+        if self.p == 2 or not a:
             return a
-        out, mult = 0, 1
-        for _ in range(self.degree):
-            out += ((-a) % self.p) * mult
-            a //= self.p
-            mult *= self.p
-        return out
+        # -1 is g^((q-1)/2)
+        return self._exp[(self._log[a] + (self.q - 1) // 2) % (self.q - 1)]
 
     def mul(self, a: int, b: int) -> int:
         if self.degree == 1:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        if self._exp is None:
-            self._build_tables()
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
@@ -212,16 +204,14 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         if self.degree == 1:
             return pow(a, self.p - 2, self.p)
-        if self._exp is None:
-            self._build_tables()
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
     # -- extension-field internals ------------------------------------------
 
     def _build_tables(self) -> None:
         """Antilog (exp) and log tables over the powers of the smallest
-        generator.  The products and inverses read from them depend on the
-        modulus alone.  The local `mul`, a polynomial product reduced by
+        generator g, and for odd p the Zech table `_zech[d] = log(1 + g^d)`.
+        The arithmetic read from them depends on the modulus alone.  The local `mul`, a polynomial product reduced by
         the modulus, serves the generator search and the table steps."""
         p, w, q = self.p, self.degree, self.q
         mod = self.modulus
@@ -312,15 +302,12 @@ class Field:
                 exp[i] = acc
                 log[acc] = i
         self._exp, self._log = exp, log
-
-    # -- misc ---------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Field) and other.p == self.p
-                and other.degree == self.degree and other.modulus == self.modulus)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.degree, self.modulus))
+        if p != 2:
+            # 1 + g^d changes only the constant digit of g^d; g^((q-1)/2)
+            # is -1, and 1 + (-1) = 0 has no logarithm
+            self._zech = [log[e + 1 - p if e % p == p - 1 else e + 1]
+                          for e in exp]
+            self._zech[(q - 1) // 2] = None
 
     def __repr__(self) -> str:
         if self.degree == 1:
@@ -328,11 +315,21 @@ class Field:
         return f"GF({self.p}^{self.degree})"
 
 
+_FIELDS: dict = {}   # (characteristic, degree) -> its one Field
+
+
 def make_field(characteristic: int, degree: int = 1) -> Field:
-    """Construct GF(characteristic ** degree).  An extension field reduces
-    modulo the monic irreducible polynomial with the smallest packed
-    base-p encoding, so the construction is deterministic."""
-    return Field(characteristic, degree)
+    """GF(characteristic ** degree), the one `Field` object for it.  The
+    cache is never evicted, since a second object for a field would be
+    unequal to the first; the field-size cap bounds it.  An extension
+    field reduces modulo the monic irreducible polynomial with the
+    smallest packed base-p encoding, so the construction is
+    deterministic."""
+    key = (characteristic, degree)
+    field = _FIELDS.get(key)
+    if field is None:
+        field = _FIELDS[key] = Field(characteristic, degree)
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +459,13 @@ class EchelonBasis:
         self.ncols = ncols
         self.rank = 0
         # pivot column -> the kept row's nonzero (column, entry) pairs right
-        # of the pivot; its pivot entry is 1
-        self._kept: list = [None] * ncols
+        # of the pivot (its pivot entry is 1); a copy costs the rank
+        self._kept: dict = {}
 
     def copy(self) -> "EchelonBasis":
         """A basis holding the same rows that absorbs independently of this
         one.  Kept tails are never mutated, so the twin shares them: the
-        copy is the pivot list and the rank."""
+        copy is the pivot map and the rank."""
         twin = EchelonBasis.__new__(EchelonBasis)
         twin.field, twin.ncols, twin.rank = self.field, self.ncols, self.rank
         twin._kept = self._kept.copy()
@@ -489,7 +486,7 @@ class EchelonBasis:
             a = v[c]
             if not a:
                 continue
-            tail = kept[c]
+            tail = kept.get(c)
             if tail is None:
                 rest = [(j, v[j]) for j in range(c + 1, self.ncols) if v[j]]
                 if a != 1:
@@ -532,16 +529,16 @@ def solve_linear(M: Matrix, B: Matrix) -> list:
     for i in range(M.nrows):
         basis.absorb(M.row(i) + B.row(i))
     kept = basis._kept
-    if any(tail is None for tail in kept[:n]):
+    if not all(c in kept for c in range(n)):
         return [None] * r
     # a kept row whose pivot lies among the right-hand sides is zero on M's
     # columns: a combination of equations that M cancels, so every
     # right-hand side it touches is inconsistent
     bad = set()
-    for c in range(n, n + r):
-        if kept[c] is not None:
+    for c, tail in kept.items():
+        if c >= n:
             bad.add(c)
-            bad.update(j for j, _ in kept[c])
+            bad.update(j for j, _ in tail)
     # every column 0..n-1 holds a pivot: back-substitute from the last,
     # x[c] = rhs_c - sum_j a_j x[j] for all right-hand sides at once
     p, prime = F.p, F.degree == 1

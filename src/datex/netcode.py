@@ -499,20 +499,31 @@ def _int_entry(value, where: str) -> int:
     return value
 
 
+def _required(data: dict, key: str, where: str = ""):
+    """A scheme-block entry that must be present; a missing one is named."""
+    if key not in data:
+        raise ValueError(f"missing '{where}{key}'")
+    return data[key]
+
+
 def scheme_core_from_dict(data: dict, instance: Instance) -> TransmissionScheme:
+    """Read a scheme block back against its instance; every malformed entry
+    raises an error that names its key."""
+    if not isinstance(data, dict):
+        raise TypeError("scheme must be an object")
     model = _linear_model(instance)
-    L = _int_entry(data["L"], "L")
+    L = _int_entry(_required(data, "L"), "L")
     if L < 1:
         raise ValueError("L must be >= 1")
     _check_coding_view_size(model, L)
-    if not isinstance(data["chunk_rates"], list):
+    if not isinstance(_required(data, "chunk_rates"), list):
         raise TypeError("chunk_rates must be a list")
     chunk_rates = tuple(_int_entry(c, "chunk_rates entry")
                         for c in data["chunk_rates"])
     if len(chunk_rates) != instance.m:
         raise ValueError(f"chunk_rates must list {instance.m} values, "
                          f"got {len(chunk_rates)}")
-    matrices = data["matrices"]
+    matrices = _required(data, "matrices")
     if not isinstance(matrices, dict):
         raise TypeError("matrices must map terminals to rows")
     if not set(matrices) <= {str(i) for i in range(instance.m)}:
@@ -522,21 +533,31 @@ def scheme_core_from_dict(data: dict, instance: Instance) -> TransmissionScheme:
     if keys != {i for i, c in enumerate(chunk_rates) if c}:
         raise ValueError("need one matrix for each terminal with a nonzero "
                          "chunk rate, and for no other")
-    ext_degree = _int_entry(data["ext_degree"], "ext_degree")
+    ext_degree = _int_entry(_required(data, "ext_degree"), "ext_degree")
     seed = _int_entry(data.get("seed", 0), "seed")
     attempt = _int_entry(data.get("attempt", 0), "attempt")
-    cf = data["coding_field"]
-    coding_field = make_field(
-        _int_entry(cf["characteristic"], "coding_field.characteristic"),
-        _int_entry(cf["degree"], "coding_field.degree"))
-    if (coding_field.p != model.field.p
-            or coding_field.degree != model.field.degree * ext_degree):
+    cf = _required(data, "coding_field")
+    if not isinstance(cf, dict):
+        raise TypeError("coding_field must be an object")
+    char = _int_entry(_required(cf, "characteristic", "coding_field."),
+                      "coding_field.characteristic")
+    degree = _int_entry(_required(cf, "degree", "coding_field."),
+                        "coding_field.degree")
+    # judged before the field is built, so a false claim builds no tables
+    if char != model.field.p or degree != model.field.degree * ext_degree:
         raise ValueError("coding field does not extend the source field as stated")
+    coding_field = make_field(char, degree)
     mats: Dict[int, Matrix] = {}
     for key, rows in matrices.items():
         i = int(key)
-        width = model.row_counts[i] * L
-        mats[i] = Matrix.from_rows(coding_field, rows, ncols=width)
+        if not isinstance(rows, list) or not all(isinstance(r, list)
+                                                 for r in rows):
+            raise TypeError(f"matrices['{key}'] must be a list of rows")
+        try:
+            mats[i] = Matrix.from_rows(coding_field, rows,
+                                       ncols=model.row_counts[i] * L)
+        except ValueError as exc:
+            raise ValueError(f"matrices['{key}']: {exc}") from exc
         if mats[i].nrows != chunk_rates[i]:
             raise ValueError(f"terminal {i}: matrix rows != chunk rate")
     emb, blocks = _coding_view(model, L, coding_field)

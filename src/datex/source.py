@@ -303,22 +303,21 @@ class RawSource(LinearSource):
                  field: Optional[Field] = None):
         if packet_count < 0:
             raise ValueError("packet_count must be >= 0")
-        own_sets = []
         bits = []
         for owned in ownership:
-            idx = sorted(set(owned))
-            if idx and not (0 <= idx[0] and idx[-1] < packet_count):
-                raise ValueError(f"packet index out of range in {idx}")
-            own_sets.append(frozenset(idx))
-            b = 0
+            idx = list(owned)
+            if idx and not (0 <= min(idx) and max(idx) < packet_count):
+                raise ValueError(f"packet index out of range "
+                                 f"0..{packet_count - 1}")
+            # bit k of the mask is packet k: set in bytes, converted once
+            buf = bytearray(max(idx, default=0) // 8 + 1)
             for k in idx:
-                b |= 1 << k
-            bits.append(b)
+                buf[k >> 3] |= 1 << (k & 7)
+            bits.append(int.from_bytes(buf, "little"))
         self.field = field if field is not None else make_field(2)
         self.N = packet_count
         self.m = len(bits)
-        self.ownership = tuple(own_sets)
-        self.row_counts = tuple(len(owned) for owned in own_sets)
+        self.row_counts = tuple(b.bit_count() for b in bits)
         self._bits = tuple(bits)
         # the union of owned packets for every subset of each block of 8
         # terminals, so a point query is one lookup per block; packet sets
@@ -326,14 +325,19 @@ class RawSource(LinearSource):
         self._blocks = tuple(subset_table(bits[i:i + 8], operator.or_)
                              for i in range(0, self.m, 8))
 
+    def packets(self, i: int) -> List[int]:
+        """Terminal i's packets, ascending."""
+        bits = bin(self._bits[i])[:1:-1]   # character k is bit k
+        return [k for k, c in enumerate(bits) if c == "1"]
+
     @cached_property
     def matrices(self) -> Tuple[Matrix, ...]:
         N = self.N
         return tuple(
-            Matrix(self.field, len(owned), N,
-                   [1 if j == k else 0 for k in sorted(owned) for j in range(N)],
-                   validate=False)
-            for owned in self.ownership)
+            Matrix(self.field, self.row_counts[i], N,
+                   [1 if j == k else 0 for k in self.packets(i)
+                    for j in range(N)], validate=False)
+            for i in range(self.m))
 
     # the point query is a few table lookups, with no memo to fill
     lattice_scaled = SourceModel.lattice_scaled

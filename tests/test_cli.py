@@ -370,9 +370,9 @@ def test_graph_command(tmp_path, capsys):
     assert 't3 -> r0 [label="2"];' in text
 
 
-def _cap_memory():
+def _cap_memory(limit=1 << 30):
     import resource
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def test_graph_reads_no_one_hot_matrix(tmp_path):
@@ -391,6 +391,21 @@ def test_graph_reads_no_one_hot_matrix(tmp_path):
                           preexec_fn=_cap_memory)
     assert proc.returncode == 0, proc.stderr
     assert 'S -> s2 [label="2"];' in proc.stdout
+
+
+def test_wide_rows_instance_costs_its_rank_not_its_width(tmp_path):
+    # an echelon basis keys its kept rows by pivot column, so a hundred
+    # million columns with no rows cost nothing; a pivot list as wide as
+    # the matrix (800 MB here) fails under this 512 MiB cap
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "field": 2, "packet_count": 10 ** 8,
+        "terminals": [{"rows": []}, {"rows": []}], "users": [0]}))
+    proc = subprocess.run([sys.executable, "-m", "datex.cli", "oracle",
+                           str(path)], capture_output=True, text=True,
+                          preexec_fn=functools.partial(_cap_memory, 1 << 29))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == "0"
 
 
 def test_graph_failure_exit_code(capsys):
@@ -631,12 +646,28 @@ def test_non_submodular_tables_exit_two(tmp_path, capsys, table, argv):
      "True is not an element of GF(3^2)"),
     (lambda s: s["matrices"].update({"01": s["matrices"].pop("1")}),
      "matrix keys must be distinct terminals 0..5"),
+    (lambda s: s.pop("L"), "missing 'L'"),
+    (lambda s: s.pop("chunk_rates"), "missing 'chunk_rates'"),
+    (lambda s: s.pop("ext_degree"), "missing 'ext_degree'"),
+    (lambda s: s.pop("coding_field"), "missing 'coding_field'"),
+    (lambda s: s.pop("matrices"), "missing 'matrices'"),
+    (lambda s: s["coding_field"].pop("degree"),
+     "missing 'coding_field.degree'"),
+    (lambda s: s.update(coding_field=5), "coding_field must be an object"),
+    (lambda s: s["matrices"].update({"1": 5}),
+     "matrices['1'] must be a list of rows"),
+    (lambda s: s["matrices"].update({"1": [5]}),
+     "matrices['1'] must be a list of rows"),
+    (lambda s: s["matrices"].update({"1": [[0], [0, 0]]}),
+     "matrices['1']: ragged rows"),
 ], ids=["key-out-of-range", "empty-chunk-rates", "missing-matrices",
         "matrix-for-a-silent-terminal", "L-zero", "matrices-as-a-list",
         "L-float", "L-string", "L-bool", "chunk-rate-float",
         "chunk-rates-string", "ext-degree-float", "characteristic-string",
         "degree-string", "seed-float", "attempt-bool", "matrix-entry-bool",
-        "key-not-canonical"])
+        "key-not-canonical", "no-L", "no-chunk-rates", "no-ext-degree",
+        "no-coding-field", "no-matrices", "no-coding-field-degree",
+        "coding-field-int", "matrix-int", "matrix-row-int", "ragged-matrix"])
 def test_simulate_rejects_inconsistent_scheme_files(tmp_path, capsys, corrupt,
                                                     message):
     path = tmp_path / "scheme.json"
@@ -647,6 +678,36 @@ def test_simulate_rejects_inconsistent_scheme_files(tmp_path, capsys, corrupt,
     path.write_text(json.dumps(rec))
     assert main(["simulate", str(path), "--seeds", "2"]) == 2
     assert message in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("block", [None, 5, []], ids=["null", "int", "list"])
+def test_simulate_rejects_a_scheme_block_that_is_no_object(tmp_path, capsys,
+                                                           block):
+    path = tmp_path / "scheme.json"
+    assert main(["codegen", EX1, "-o", str(path)]) == 0
+    rec = _read(path)
+    rec["scheme"] = block
+    path.write_text(json.dumps(rec))
+    assert main(["simulate", str(path)]) == 2
+    assert "scheme must be an object" in _one_line_error(capsys)
+
+
+def test_a_false_coding_field_claim_builds_no_field(tmp_path, capsys,
+                                                    monkeypatch):
+    # the claim is judged against the source field and ext_degree first,
+    # so a 2^20-element field that the scheme does not use is never built
+    path = tmp_path / "scheme.json"
+    assert main(["codegen", EX1, "-o", str(path)]) == 0
+    rec = _read(path)
+    rec["scheme"]["coding_field"] = {"characteristic": 2, "degree": 20}
+    path.write_text(json.dumps(rec))
+    built = []
+    monkeypatch.setattr("datex.netcode.make_field",
+                        lambda *args: built.append(args))
+    assert main(["simulate", str(path)]) == 2
+    assert "coding field does not extend the source field" in \
+        _one_line_error(capsys)
+    assert built == []
 
 
 def test_coding_view_size_guard_exits_two(tmp_path, capsys):
@@ -731,6 +792,40 @@ def test_non_finite_json_numbers_exit_two(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))   # NaN / Infinity: Python's JSON accepts them
     assert main(["oracle", str(path)]) == 2
     assert "is not a rational" in _one_line_error(capsys)
+
+
+PACKETS_DOC = {"format_version": 1, "field": 2, "packet_count": 2,
+               "terminals": [{"packets": [0]}, {"packets": [1]}],
+               "users": [0, 1]}
+
+
+@pytest.mark.parametrize("weights, argv, entry", [
+    (["1e400", 1], ["solve"], "weights[0]"),
+    (["1e400", 1], ["oracle"], "weights[0]"),
+    (["1e400", 1], ["codegen"], "weights[0]"),
+    ([1e308, 1e308], ["oracle"], "weights[0]"),
+    ([1, str(2 ** 256)], ["oracle"], "weights[1]"),
+    ([1, 1], ["verify", "--rates", "1e400,1"], "--rates entry 0"),
+], ids=["solve", "oracle", "codegen", "objective-overflow", "at-the-bound",
+        "verify-rates"])
+def test_rationals_beyond_the_float_range_exit_two(tmp_path, capsys, weights,
+                                                   argv, entry):
+    # each float mirror of a sum of products stays finite only while every
+    # outside rational is below 2^256
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(PACKETS_DOC, weights=weights)))
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    err = _one_line_error(capsys)
+    assert f"{entry}: magnitude must be below 2^256" in err
+    assert capsys.readouterr().out == ""
+
+
+def test_rationals_just_below_the_bound_print_finite_floats(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(PACKETS_DOC,
+                                    weights=[str(2 ** 256 - 1)] * 2)))
+    assert main(["oracle", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["value_float"] == 2.0 ** 257
 
 
 @pytest.mark.parametrize("argv", [

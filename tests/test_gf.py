@@ -107,6 +107,32 @@ def test_extension_tables_multiply_as_polynomials(p, degree):
         assert F.mul(a, F.inv(a)) == 1
 
 
+def _digits(a, F):
+    return [a // F.p ** i % F.p for i in range(F.degree)]
+
+
+def _undigits(digits, F):
+    return sum(c * F.p ** i for i, c in enumerate(digits))
+
+
+@pytest.mark.parametrize("p,degree", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
+                                      (7, 2), (2, 4), (2, 6)])
+def test_arithmetic_matches_the_digitwise_definition(p, degree):
+    """add and neg (Zech-logarithm reads over odd characteristic), mul and
+    inv agree on every element (pair) with coefficient-wise arithmetic on
+    the packed polynomials and the schoolbook product."""
+    F = make_field(p, degree)
+    for a in range(F.q):
+        da = _digits(a, F)
+        assert F.neg(a) == _undigits([-x % p for x in da], F)
+        if a:
+            assert _ref_ext_mul(F, a, F.inv(a)) == 1
+        for b in range(F.q):
+            assert F.add(a, b) == _undigits(
+                [(x + y) % p for x, y in zip(da, _digits(b, F))], F)
+            assert F.mul(a, b) == _ref_ext_mul(F, a, b)
+
+
 def test_field_size_guard():
     with pytest.raises(SizeLimitError):
         make_field(2, 21)
@@ -165,9 +191,15 @@ def test_inv_zero_raises():
 
 
 def test_field_equality_and_hash():
-    assert make_field(2, 3) == make_field(2, 3)
+    # one object per field: identity is equality, and a field hashes by
+    # identity
+    assert make_field(2, 3) is make_field(2, 3)
+    assert make_field(2) is make_field(2, 1)
+    assert make_field(3, 2) is make_field(3, 2)
     assert make_field(2, 3) != make_field(2, 2)
+    assert make_field(3) != make_field(3, 2)
     assert hash(make_field(3)) == hash(make_field(3))
+    assert {make_field(5), make_field(5, 1)} == {make_field(5)}
 
 
 def test_a_copied_basis_absorbs_without_touching_its_parent():
@@ -175,7 +207,7 @@ def test_a_copied_basis_absorbs_without_touching_its_parent():
     parent = EchelonBasis(F, 4)
     for row in [(1, 2, 0, 1), (0, 0, 1, 2)]:
         assert parent.absorb(row)
-    kept = list(parent._kept)
+    kept = dict(parent._kept)
     probes = [(2, 1, 0, 2), (1, 2, 1, 0), (0, 1, 0, 0), (0, 0, 2, 1)]
     verdicts = [parent.copy().absorb(row) for row in probes]
     assert verdicts == [False, False, True, False]

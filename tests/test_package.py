@@ -4,7 +4,8 @@ loads none of `dataclasses`, `inspect`, `argparse`, `gettext` and
 `locale`, every exported name has a
 caller in the package or a mention in the README, every result field and
 assigned attribute is read in the package or named in the README, the
-JSON-integer test is written once, no CLI command body catches an
+JSON-integer test is written once, a `Field` is built only by
+`make_field`, no CLI command body catches an
 exception (`main` alone maps failures to exit codes), the README's library
 and CLI quick starts run as written, and every name the benchmark's tracer
 wraps still exists."""
@@ -202,6 +203,29 @@ def test_json_integer_test_is_written_once():
         sites += [f"{path.stem}.{func}:{line}"
                   for func, line in _int_and_bool_tests(tree, "<module>")]
     assert [site.split(":")[0] for site in sites] == ["gf.is_int"], sites
+
+
+def _field_constructions(node, func):
+    """(function, line) of each call of a name or attribute `Field`."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    if isinstance(node, ast.Call) and "Field" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+        yield func, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _field_constructions(child, func)
+
+
+def test_fields_are_built_only_by_make_field():
+    """`make_field` returns one object per field, so identity is field
+    equality; a `Field` built anywhere else would be unequal to its twin."""
+    sites = []
+    for path in sorted([*(ROOT / "src" / "datex").glob("*.py"),
+                        *(ROOT / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        sites += [f"{path.stem}.{func}:{line}"
+                  for func, line in _field_constructions(tree, "<module>")]
+    assert [site.split(":")[0] for site in sites] == ["gf.make_field"], sites
 
 
 def test_cli_commands_leave_failures_to_main():

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 
@@ -132,6 +133,19 @@ def test_raw_source_rejects_bad_indices():
         raw_source([[0, 4]], 4)
     with pytest.raises(ValueError):
         raw_source([[-1]], 4)
+
+
+def test_raw_source_builds_each_mask_in_linear_time():
+    # one bit per packet set in a byte buffer, then one conversion to int;
+    # a shift-and-OR per packet is quadratic in N
+    start = time.perf_counter()
+    model = raw_source([range(10 ** 6)], 10 ** 6)
+    assert time.perf_counter() - start < 2
+    assert model.row_counts == (10 ** 6,)
+    assert model.joint_entropy_scaled(1) == 10 ** 6
+    small = raw_source([[9, 0, 3, 3], [], [11]], 12)
+    assert [small.packets(i) for i in range(3)] == [[0, 3, 9], [], [11]]
+    assert small.row_counts == (3, 0, 1)
 
 
 # ---------------------------------------------------------------------------
