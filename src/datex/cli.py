@@ -13,18 +13,20 @@ bitmask, and all indices are 0-based.  Rationals are written as "p/q"
 strings; machine-readable output mirrors every exact value with a float.
 
 Exit codes: 0 success, 1 infeasible / failed verification / not
-converged, 2 malformed input, usage error, input beyond a size guard, an
-entropy table that is not grounded, monotone and submodular, an
-entropy-table instance (codegen, graph), or an instance whose
-observations do not span every packet (codegen).  Every exit 2 prints one
-"error: ..." line on stderr.
+converged, 2 malformed input, usage error, an output that cannot be
+written, input beyond a size guard, an entropy table that is not
+grounded, monotone and submodular, an entropy-table instance (codegen,
+graph), or an instance whose observations do not span every packet
+(codegen).  Every exit 2 prints one "error: ..." line on stderr.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence
@@ -48,6 +50,7 @@ __all__ = [
     "instance_from_dict",
     "serialize_instance",
     "main",
+    "run",
 ]
 
 FORMAT_VERSION = 1
@@ -62,9 +65,10 @@ class CLIError(Exception):
 # ---------------------------------------------------------------------------
 
 def _frac(value: Any, where: str) -> Fraction:
-    """A rational from JSON: int, "p/q" / decimal string, or float, of
-    magnitude below 2^256, so the float mirror of every printed sum of
-    products stays finite."""
+    """A rational from JSON: int, "p/q" / decimal string, or float, whose
+    magnitude and denominator in lowest terms are below 2^256.  The first
+    bound keeps the float mirror of every printed sum of products finite;
+    the second keeps a tiny value's exact arithmetic as small."""
     if isinstance(value, bool):
         raise CLIError(f"{where}: expected a rational, got a boolean")
     if isinstance(value, float) and not math.isfinite(value):
@@ -73,7 +77,7 @@ def _frac(value: Any, where: str) -> Fraction:
         x = Fraction(value)
     elif isinstance(value, str):
         try:
-            x = Fraction(value.strip())
+            x = _parse_rational(value.strip(), where)
         except (ValueError, ZeroDivisionError) as exc:
             raise CLIError(f"{where}: {value!r} is not a rational") from exc
     else:
@@ -81,7 +85,28 @@ def _frac(value: Any, where: str) -> Fraction:
                        f"got {type(value).__name__}")
     if abs(x) >= 1 << 256:
         raise CLIError(f"{where}: magnitude must be below 2^256")
+    if x.denominator >= 1 << 256:
+        raise CLIError(f"{where}: denominator must be below 2^256")
     return x
+
+
+def _parse_rational(text: str, where: str) -> Fraction:
+    """Fraction(text), with a decimal exponent judged before Fraction
+    expands 10**exponent.  A mantissa p/q written in d characters has |p|
+    and q below 10^d, so times 10^k its magnitude exceeds 10^(k-d) and its
+    denominator in lowest terms exceeds 10^(-k-d): past |k| = d + 78 one
+    of them is above 10^78 > 2^256, which _frac refuses anyway."""
+    mantissa, e, exponent = text.lower().partition("e")
+    if (not e or "/" in mantissa or mantissa != mantissa.rstrip()
+            or exponent != exponent.strip()):
+        return Fraction(text)   # no exponent, or no decimal Fraction reads
+    scale, k = Fraction(mantissa), int(exponent)
+    if not scale:
+        return scale            # zero, whatever the exponent
+    if abs(k) > len(mantissa) + 78:
+        part = "magnitude" if k > 0 else "denominator"
+        raise CLIError(f"{where}: {part} must be below 2^256")
+    return Fraction(text)
 
 
 def _frac_str(x: Fraction) -> str:
@@ -119,9 +144,9 @@ def _parse_theta(text: str) -> StepSchedule:
         raise CLIError("--theta expects 'a,b,c' or 'pow:a'")
     try:
         if power:
-            return StepSchedule.power(Fraction(text[len("pow:"):].strip()))
-        return StepSchedule.harmonic(*map(Fraction, parts))
-    except (ValueError, ZeroDivisionError) as exc:
+            return StepSchedule.power(_frac(text[len("pow:"):], "--theta"))
+        return StepSchedule.harmonic(*(_frac(p, "--theta") for p in parts))
+    except ValueError as exc:
         raise CLIError(f"--theta: {exc}") from exc
 
 
@@ -167,7 +192,8 @@ def _parse_field(data: Any, where: str, override_char: Optional[int]):
 
 
 def _require_int_list(data: Any, where: str) -> List[int]:
-    if not isinstance(data, list) or not all(map(is_int, data)):
+    # gf.is_int at C speed: a JSON integer's type is int (a bool's is bool)
+    if not isinstance(data, list) or not set(map(type, data)) <= {int}:
         raise CLIError(f"{where}: expected a list of integers")
     return list(data)
 
@@ -249,15 +275,13 @@ def instance_from_dict(data: Any, field_char: Optional[int] = None,
                 raise CLIError(f"{where}: {exc}") from exc
         else:
             field = _parse_field(data.get("field"), where, field_char)
-            ownership = []
-            for i, t in enumerate(terminals):
-                idx = _require_int_list(t["packets"],
-                                        f"{where}: terminals[{i}].packets")
-                if any(not 0 <= j < N for j in idx):
-                    raise CLIError(f"{where}: terminals[{i}].packets: index "
-                                   f"out of range 0..{N - 1}")
-                ownership.append(idx)
-            model = raw_source(ownership, N, field)
+            ownership = [_require_int_list(t["packets"],
+                                           f"{where}: terminals[{i}].packets")
+                         for i, t in enumerate(terminals)]
+            try:   # raw_source checks the indices' range
+                model = raw_source(ownership, N, field)
+            except ValueError as exc:
+                raise CLIError(f"{where}: {exc}") from exc
 
     users = _require_int_list(data.get("users"), f"{where}: users")
     weights = None
@@ -348,19 +372,28 @@ def _load_scheme(path: str):
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-def _open_for_writing(path: str):
+@contextmanager
+def _writing(target: str):
+    """Report an OSError raised inside (a full disk, a closed pipe, a
+    missing directory) as `cannot write <target>`, exit 2."""
     try:
-        return open(path, "w", encoding="utf-8")
+        yield
     except OSError as exc:
-        raise CLIError(f"cannot write {path}: {exc}") from exc
+        raise CLIError(f"cannot write {target}: {exc}") from exc
 
 
 def _write_out(text: str, out_path: Optional[str]) -> None:
-    if out_path:
-        with _open_for_writing(out_path) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write text to out_path and close it, or to stdout and flush it, so
+    that nothing a command writes is pending when main returns."""
+    with _writing(out_path or "stdout"):
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        elif sys.stdout is None:   # the process started with no stdout
+            raise CLIError("cannot write stdout: it is closed")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
 
 
 def _emit(record: dict, out_path: Optional[str]) -> None:
@@ -387,21 +420,17 @@ def _cmd_solve(args) -> int:
         kwargs["tie_break"] = _parse_tie_break(args.tie_break, instance.m)
     config = SolverConfig(**kwargs)
 
-    trace_fh = None
-    trace_cb = None
-    if args.trace:
-        trace_fh = _open_for_writing(args.trace)
+    if not args.trace:
+        sol = solve(instance, config)
+    else:
+        with _writing(args.trace), open(args.trace, "w",
+                                        encoding="utf-8") as trace_fh:
+            def trace(n, primal, dual, gap):
+                trace_fh.write(json.dumps({
+                    "n": n, "primal": float(primal), "dual": float(dual),
+                    "gap": float(gap)}) + "\n")
 
-        def trace_cb(n, primal, dual, gap):
-            trace_fh.write(json.dumps({
-                "n": n, "primal": float(primal), "dual": float(dual),
-                "gap": float(gap)}) + "\n")
-
-    try:
-        sol = solve(instance, config, trace=trace_cb)
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
+            sol = solve(instance, config, trace=trace)
     _emit({
         "format_version": FORMAT_VERSION,
         "command": "solve",
@@ -588,7 +617,7 @@ def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
         raise CLIError("the following arguments are required: command")
     command, *rest = argv
     if command in _HELP:
-        print(_help())
+        _write_out(_help() + "\n", None)
         return None
     if command not in _COMMANDS:
         raise CLIError(f"argument command: invalid choice: {command!r} "
@@ -600,7 +629,7 @@ def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     tokens = iter(rest)
     for token in tokens:
         if token in _HELP:
-            print(_help(command))
+            _write_out(_help(command) + "\n", None)
             return None
         if not token.startswith("-"):
             if values[positional] is not _REQUIRED:
@@ -630,6 +659,8 @@ def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code.  Every file a command
+    writes is closed, and stdout flushed, before main returns."""
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
         return 0 if args is None else _COMMANDS[args.command][0](args)
@@ -644,5 +675,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
+def run() -> None:
+    """The `datex` program: main() on sys.argv, then the end of the process
+    without interpreter teardown, which frees nothing the exit does not
+    and costs a short command about 10 ms (see the README)."""
+    code = main()
+    for stream in filter(None, (sys.stdout, sys.stderr)):   # None if closed
+        try:
+            stream.flush()
+        except OSError:
+            pass   # a failed stdout is reported by main; stderr cannot be
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -304,11 +304,11 @@ class RawSource(LinearSource):
         if packet_count < 0:
             raise ValueError("packet_count must be >= 0")
         bits = []
-        for owned in ownership:
+        for i, owned in enumerate(ownership):
             idx = list(owned)
             if idx and not (0 <= min(idx) and max(idx) < packet_count):
-                raise ValueError(f"packet index out of range "
-                                 f"0..{packet_count - 1}")
+                raise ValueError(f"terminals[{i}].packets: index out of "
+                                 f"range 0..{packet_count - 1}")
             # bit k of the mask is packet k: set in bytes, converted once
             buf = bytearray(max(idx, default=0) // 8 + 1)
             for k in idx:

@@ -6,21 +6,27 @@ import contextlib
 import functools
 import io
 import json
+import os
+import re
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import datex.cli
 from datex.cli import (CLIError, FORMAT_VERSION, instance_from_dict, main,
                        parse_instance, serialize_instance)
+from datex import gf
 from datex.instance import Instance, InfeasibleInstanceError
 from helpers import example2_instance, example3_instance, tabulate
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 EX1 = str(INSTANCES / "example1.json")
 EX2 = str(INSTANCES / "example2.json")
@@ -120,6 +126,31 @@ def test_document_validation_errors():
     for doc in cases:
         with pytest.raises(CLIError):
             instance_from_dict(doc)
+
+
+@pytest.mark.parametrize("packets, message", [
+    ([[0], [2]], "terminals[1].packets: index out of range 0..1"),
+    ([[-1], [1]], "terminals[0].packets: index out of range 0..1"),
+    ([[0], [1, True]], "terminals[1].packets: expected a list of integers"),
+    ([[0.0], [1]], "terminals[0].packets: expected a list of integers"),
+], ids=["too-large", "negative", "bool", "float"])
+def test_packet_indices_are_checked_once(monkeypatch, capsys, tmp_path,
+                                         packets, message):
+    # one type test over the whole list and one range test per terminal,
+    # not a Python-level call per index
+    calls = []
+    monkeypatch.setattr(datex.cli, "is_int",
+                        lambda v: calls.append(v) or gf.is_int(v))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(PACKETS_DOC, terminals=[
+        {"packets": p} for p in packets])))
+    assert main(["oracle", str(path)]) == 2
+    assert _one_line_error(capsys) == f"error: {path}: {message}\n"
+    wide = dict(PACKETS_DOC, packet_count=1000, terminals=[
+        {"packets": list(range(0, 1000, 2))}, {"packets": list(range(1000))}])
+    calls.clear()
+    assert instance_from_dict(wide).model.row_counts == (500, 1000)
+    assert len(calls) < 10, len(calls)
 
 
 def test_table_document_validation():
@@ -828,6 +859,100 @@ def test_rationals_just_below_the_bound_print_finite_floats(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["value_float"] == 2.0 ** 257
 
 
+@pytest.mark.parametrize("text, entry, bound", [
+    ("1e100000000", "weights[0]", "magnitude"),
+    ("-1.5E+100000000", "weights[0]", "magnitude"),
+    ("1e-100000000", "weights[0]", "denominator"),
+    ("0.25e-100000000", "weights[0]", "denominator"),
+    ("1e-78", "weights[0]", "denominator"),
+    ("1/" + str(2 ** 256), "weights[0]", "denominator"),
+    (1e-300, "weights[0]", "denominator"),
+], ids=["exponent", "signed-exponent", "negative-exponent",
+        "negative-exponent-decimal", "just-past-the-bound", "p/q", "float"])
+def test_rationals_past_either_bound_exit_two_at_once(tmp_path, capsys, text,
+                                                     entry, bound):
+    # a decimal exponent is judged before Fraction expands 10**exponent,
+    # which at 10^8 would take minutes
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(PACKETS_DOC, weights=[text, 1])))
+    start = time.perf_counter()
+    assert main(["oracle", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    err = _one_line_error(capsys)
+    assert f"{entry}: {bound} must be below 2^256" in err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["verify", EX3, "--rates", "0,1e100000000,1"],
+     "--rates entry 1: magnitude must be below 2^256"),
+    (["solve", EX2, "--gap-tol", "1e-100000000"],
+     "--gap-tol: denominator must be below 2^256"),
+    (["solve", EX2, "--theta", "1e3000000,1,1"],
+     "--theta: magnitude must be below 2^256"),
+    (["solve", EX2, "--theta", "pow:1e-100000000"],
+     "--theta: denominator must be below 2^256"),
+    (["solve", EX2, "--theta", "1,x,1"], "--theta: 'x' is not a rational"),
+], ids=["rates", "gap-tol", "theta", "theta-power", "theta-not-a-rational"])
+def test_rational_flags_are_bounded_at_once(capsys, argv, line):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert _one_line_error(capsys) == f"error: {line}\n"
+
+
+def test_a_zero_mantissa_takes_any_exponent(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(PACKETS_DOC,
+                                    weights=["0e100000000", "-0.0e-100000000"],
+                                    users=[0])))
+    start = time.perf_counter()
+    assert main(["oracle", str(path)]) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["value"] == "0"
+
+
+def _frac_reference(text):
+    """What _frac answers when Fraction parses first and the bounds are
+    checked after."""
+    try:
+        x = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return "not a rational"
+    if abs(x) >= 2 ** 256:
+        return "magnitude"
+    if x.denominator >= 2 ** 256:
+        return "denominator"
+    return x
+
+
+def _frac_outcome(text):
+    try:
+        return datex.cli._frac(text, "x")
+    except CLIError as exc:
+        return next(w for w in ("not a rational", "magnitude", "denominator")
+                    if w in str(exc))
+
+
+def test_the_exponent_check_refuses_only_what_the_bounds_refuse():
+    # every exponent up to 100 either way, where the check's margin lies,
+    # over short and zero-padded mantissas, and a few far beyond it
+    mantissas = ["1", "-9", "0.0001", "0.000000001", "123.456", "99999999",
+                 ".5", "5.", "+0.5", "0", "00.000", "1/2", "", "."]
+    for mantissa in mantissas:
+        for k in [*range(-100, 101), -999, 999]:
+            for text in (f"{mantissa}e{k}", f" {mantissa}E{k:+} ",
+                         f"{mantissa} e{k}", f"{mantissa}e {k}"):
+                assert _frac_outcome(text) == _frac_reference(text), text
+
+
+@given(st.from_regex(r"\A ?[-+]?0{0,6}[0-9]{0,3}(\.0{0,6}[0-9]{0,3})?\Z"),
+       st.sampled_from(["", "e", "E", "e_", "ee"]), st.integers(-999, 999))
+@settings(max_examples=300, deadline=None)
+def test_the_exponent_check_reads_what_fraction_reads(mantissa, e, exponent):
+    text = mantissa + (f"{e}{exponent}" if e else "")
+    assert _frac_outcome(text) == _frac_reference(text)
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", EX3, "--max-iters", "5", "-o"],
     ["solve", EX3, "--max-iters", "5", "--trace"],
@@ -871,6 +996,107 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "solve" in proc.stdout and "codegen" in proc.stdout
+    # the installed `datex` script calls the target pyproject.toml names
+    pyproject = (INSTANCES.parent / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^datex = "datex\.cli:(\w+)"$', pyproject, re.M)
+    assert target and callable(getattr(datex.cli, target.group(1), None))
+
+
+# ---------------------------------------------------------------------------
+# The process exit: `python -m datex.cli` ends in os._exit once main has
+# returned, so it must print, write and exit exactly as main does.  The
+# children run with PYTHONUNBUFFERED removed: with it set, stdout is
+# written through and output left unflushed at the exit would not show.
+# ---------------------------------------------------------------------------
+
+M13 = str(GOLDEN / "raw_m13.json")
+
+
+def _child(argv, stdout=subprocess.PIPE, preexec_fn=None, **env):
+    """(exit code, stdout, stderr) of `python -m datex.cli argv` with block
+    buffered stdout; keyword arguments add to its environment."""
+    child_env = {k: v for k, v in os.environ.items()
+                 if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-m", "datex.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env={**child_env, **env}, preexec_fn=preexec_fn)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", M13, "--rates", ",".join(["0"] * 13)],   # 1.1 MB of violations
+    ["solve", EX2],                                     # converged, exit 0
+    ["solve", EX2, "--max-iters", "3"],                 # not converged, exit 1
+    ["verify", EX3, "--rates", "0,3/4,3/4"],            # infeasible, exit 1
+    ["solve", EX1, "--max-iters", "0"],                 # usage error, exit 2
+    ["--help"],
+    ["codegen", "--help"],
+], ids=["verify-1MB", "solve-converged", "solve-not-converged",
+        "verify-infeasible", "usage-error", "help", "command-help"])
+def test_a_child_prints_what_main_prints(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert _child(argv) == (code, out, err)
+    assert len(err.splitlines()) == (code == 2)
+
+
+def test_a_child_writes_output_and_trace_files_whole(tmp_path):
+    out, trace = tmp_path / "out.json", tmp_path / "trace.jsonl"
+    assert _child(["solve", str(GOLDEN / "raw_m16.json"), "--max-iters",
+                   "200", "--gap-tol", "1/100", "-o", str(out),
+                   "--trace", str(trace)]) == (1, "", "")
+    assert out.read_bytes() == (GOLDEN / "raw_m16.solve.json").read_bytes()
+    assert trace.read_bytes() == \
+        (GOLDEN / "raw_m16.solve.trace.jsonl").read_bytes()
+
+
+def test_main_returns_without_ending_the_process(monkeypatch, capsys):
+    def refuse(code):
+        raise AssertionError("main called os._exit")
+    monkeypatch.setattr(os, "_exit", refuse)
+    assert main(["oracle", EX1]) == 0
+    assert main(["--help"]) == 0
+    assert main(["oracle", EX1, "--bogus"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, target", [
+    (["oracle", EX1, "-o", "/dev/full"], "/dev/full"),
+    (["solve", EX2, "--trace", "/dev/full"], "/dev/full"),
+    (["oracle", EX1], "stdout"),
+    (["verify", M13, "--rates", ",".join(["0"] * 13)], "stdout"),
+], ids=["output", "trace", "stdout", "stdout-1MB"])
+def test_a_full_disk_exits_two_with_one_line(argv, target, unbuffered):
+    with open("/dev/full", "w") as full:
+        code, _, err = _child(argv, stdout=full, PYTHONUNBUFFERED=unbuffered)
+    assert code == 2
+    assert err == f"error: cannot write {target}: [Errno 28] No space " \
+                  f"left on device\n"
+
+
+def test_a_closed_stream_exits_two():
+    # a process started without stdout reports that on stderr; one started
+    # without stderr prints its error line where print() puts it, on stdout
+    assert _child(["oracle", EX1], preexec_fn=lambda: os.close(1))[::2] == \
+        (2, "error: cannot write stdout: it is closed\n")
+    code, out, _ = _child(["oracle", "missing.json"],
+                          preexec_fn=lambda: os.close(2))
+    assert code == 2 and out.startswith("error: cannot read missing.json")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_pipe_exits_two_with_one_line(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, _, err = _child(["oracle", EX1], stdout=write_end,
+                              PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert code == 2
+    assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 # ---------------------------------------------------------------------------
