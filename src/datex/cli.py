@@ -26,12 +26,12 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence
 
-from .dual import SolverConfig, StepSchedule, solve
+from .dual import StepSchedule, solve
 from .gf import Matrix, is_int, make_field
 from .greedy import check_rate_domain, tie_order, violated_cuts
 from .instance import Instance, InfeasibleInstanceError
@@ -144,8 +144,8 @@ def _parse_theta(text: str) -> StepSchedule:
         raise CLIError("--theta expects 'a,b,c' or 'pow:a'")
     try:
         if power:
-            return StepSchedule.power(_frac(text[len("pow:"):], "--theta"))
-        return StepSchedule.harmonic(*(_frac(p, "--theta") for p in parts))
+            return StepSchedule("power", _frac(text[len("pow:"):], "--theta"))
+        return StepSchedule("harmonic", *(_frac(p, "--theta") for p in parts))
     except ValueError as exc:
         raise CLIError(f"--theta: {exc}") from exc
 
@@ -418,10 +418,9 @@ def _cmd_solve(args) -> int:
     instance = parse_instance(args.instance, args.field_char)
     if args.tie_break:
         kwargs["tie_break"] = _parse_tie_break(args.tie_break, instance.m)
-    config = SolverConfig(**kwargs)
 
     if not args.trace:
-        sol = solve(instance, config)
+        sol = solve(instance, **kwargs)
     else:
         with _writing(args.trace), open(args.trace, "w",
                                         encoding="utf-8") as trace_fh:
@@ -430,7 +429,7 @@ def _cmd_solve(args) -> int:
                     "n": n, "primal": float(primal), "dual": float(dual),
                     "gap": float(gap)}) + "\n")
 
-            sol = solve(instance, config, trace=trace)
+            sol = solve(instance, trace=trace, **kwargs)
     _emit({
         "format_version": FORMAT_VERSION,
         "command": "solve",
@@ -658,6 +657,15 @@ def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
         for name, value in values.items()})
 
 
+def _report(line: str) -> None:
+    """Print a failure's one line on stderr.  A process started without
+    stderr (print would put the line on stdout), or whose stderr fails,
+    drops it; the exit code still tells."""
+    if sys.stderr is not None:
+        with suppress(OSError):
+            print(line, file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command and return its exit code.  Every file a command
     writes is closed, and stdout flushed, before main returns."""
@@ -665,13 +673,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
         return 0 if args is None else _COMMANDS[args.command][0](args)
     except (CLIError, SizeLimitError, IncompleteSourceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 2
     except InfeasibleInstanceError as exc:
-        print(f"infeasible instance: {exc}", file=sys.stderr)
+        _report(f"infeasible instance: {exc}")
         return 1
     except (InfeasibleRatesError, DesignFailureError) as exc:
-        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        _report(f"{args.command} failed: {exc}")
         return 1
 
 

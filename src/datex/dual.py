@@ -32,7 +32,6 @@ from .source import scale_to_int
 
 __all__ = [
     "StepSchedule",
-    "SolverConfig",
     "Solution",
     "dual_value",
     "duality_gap",
@@ -82,46 +81,13 @@ class StepSchedule(_Frozen):
                            10 ** 9)
         return snapped
 
-    @classmethod
-    def harmonic(cls, a=1, b=1, c=1) -> "StepSchedule":
-        return cls("harmonic", a, b, c)
-
-    @classmethod
-    def power(cls, a) -> "StepSchedule":
-        return cls("power", a)
-
-
-class SolverConfig(_Frozen):
-    """Solver knobs.  schedule None means the weight-scaled harmonic step
-    max(1, max alpha)/(1+n), which reduces to 1/(1+n) for unit weights;
-    heavier weights need proportionally longer dual steps to converge.
-    Other defaults: uniform averaging, stop at duality gap <= 1e-3 or
-    50000 iterations."""
-
-    __slots__ = ("schedule", "max_iterations", "gap_tolerance", "tie_break")
-
-    def __init__(self, schedule: Optional[StepSchedule] = None,
-                 max_iterations: int = 50_000,
-                 gap_tolerance: Fraction = Fraction(1, 1000),
-                 tie_break: Optional[Sequence[int]] = None):
-        gap_tolerance = Fraction(gap_tolerance)
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if gap_tolerance <= 0:
-            raise ValueError("gap_tolerance must be positive")
-        object.__setattr__(self, "schedule", schedule)
-        object.__setattr__(self, "max_iterations", max_iterations)
-        object.__setattr__(self, "gap_tolerance", gap_tolerance)
-        object.__setattr__(self, "tie_break",
-                           None if tie_break is None else tuple(tie_break))
-
 
 class Solution(NamedTuple):
     """A certified outcome: primal rates plus the multiplier matrix whose
     dual value witnesses the reported gap."""
 
     instance: Instance
-    config: SolverConfig
+    tie_break: Optional[Tuple[int, ...]]
     rates: RateVector
     primal_objective: Fraction
     dual_objective: Fraction
@@ -160,7 +126,7 @@ def duality_gap(solution: Solution) -> Fraction:
     own certificate (fresh greedy calls).  Nonnegative by weak duality."""
     p = solution.instance.objective(solution.rates)
     d = dual_value(solution.instance, solution.dual_matrix,
-                   solution.config.tie_break)
+                   solution.tie_break)
     gap = p - d
     if gap < 0:
         raise ArithmeticError("weak duality violated by the certificate")
@@ -173,13 +139,12 @@ def duality_gap(solution: Solution) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _project_grid(vfine: List[int], refine: int, budget_grid: int,
-                  pinned: Optional[int],
-                  free: Optional[Sequence[int]] = None) -> List[int]:
+                  free: Sequence[int]) -> List[int]:
     """Integer-arithmetic projection of a column onto the weight simplex,
     then snap onto the grid.  `vfine` entries are in units of
     1/(grid*refine); the result is in units of 1/grid summing exactly to
-    budget_grid.  `free` lists the rows other than `pinned` (computed when
-    not given).
+    budget_grid.  Only the rows in `free` get mass: a user's own row in
+    its column stays zero.
 
     Sort-and-threshold (Duchi et al., 2008): with the free rows sorted by
     descending entry, the prefixes whose entries all stay above their own
@@ -189,8 +154,6 @@ def _project_grid(vfine: List[int], refine: int, budget_grid: int,
     out = [0] * k
     if budget_grid == 0:
         return out
-    if free is None:
-        free = [r for r in range(k) if r != pinned]
     bfine = budget_grid * refine
     desc = sorted(free, key=vfine.__getitem__, reverse=True)
     prefix = 0
@@ -221,19 +184,23 @@ def _project_grid(vfine: List[int], refine: int, budget_grid: int,
     return out
 
 
-def _single_user_solution(instance: Instance, config: SolverConfig) -> Solution:
+def _single_user_solution(instance: Instance,
+                          tie_break: Optional[Tuple[int, ...]]) -> Solution:
     (target,) = instance.user_list
-    rates = edmonds_allocate(instance, target, tie_break=config.tie_break)
+    rates = edmonds_allocate(instance, target, tie_break=tie_break)
     obj = instance.objective(rates)
     lam_row = tuple(Fraction(0) if i == target else instance.weights[i]
                     for i in range(instance.m))
     return Solution(
-        instance=instance, config=config, rates=rates,
+        instance=instance, tie_break=tie_break, rates=rates,
         primal_objective=obj, dual_objective=obj, gap=Fraction(0),
         iterations=0, converged=True, dual_matrix=(lam_row,))
 
 
-def solve(instance: Instance, config: Optional[SolverConfig] = None,
+def solve(instance: Instance, *, schedule: Optional[StepSchedule] = None,
+          max_iterations: int = 50_000,
+          gap_tolerance: Fraction = Fraction(1, 1000),
+          tie_break: Optional[Sequence[int]] = None,
           trace: Optional[TraceFn] = None) -> Solution:
     """Minimize the weighted sum of shared rates over all receivers'
     regions.  A single receiver short-circuits to the greedy allocation
@@ -245,31 +212,40 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
     certificate seen; `converged` records whether the gap tolerance was
     met within the iteration budget.
 
-    The trace callback, when given, receives (iteration, primal value,
-    current dual value, best gap so far) each iteration.  Before returning,
-    the gap is re-derived from the certificate with fresh greedy calls.
+    Keywords: `schedule` is the dual step size (default: the weight-scaled
+    harmonic step max(1, max alpha)/(1 + n), which is 1/(1 + n) for unit
+    weights; heavier weights need proportionally longer steps);
+    `max_iterations` (default 50000, at least 1) and `gap_tolerance`
+    (default 1/1000, positive) bound the run; `tie_break` lists terminals
+    in priority order among equal multipliers (default ascending index);
+    `trace`, when given, receives (iteration, primal value, current dual
+    value, best gap so far) each iteration.  Before returning, the gap is
+    re-derived from the certificate with fresh greedy calls.
     """
-    if config is None:
-        config = SolverConfig()
+    gap_tolerance = Fraction(gap_tolerance)
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    if gap_tolerance <= 0:
+        raise ValueError("gap_tolerance must be positive")
+    if tie_break is not None:
+        tie_break = tuple(tie_break)
     users = instance.user_list
     k = len(users)
     if k == 1:
-        return _single_user_solution(instance, config)
-    schedule = config.schedule
+        return _single_user_solution(instance, tie_break)
     if schedule is None:
-        schedule = StepSchedule.harmonic(
-            max(Fraction(1), max(instance.weights)), 1, 1)
+        schedule = StepSchedule("harmonic",
+                                max(Fraction(1), max(instance.weights)), 1, 1)
 
     model = instance.model
     m = instance.m
     de = model.entropy_denominator
-    ranks = tie_order(m, config.tie_break)
-    row_of_user = {u: r for r, u in enumerate(users)}
+    ranks = tie_order(m, tie_break)
     # a stable sort by the multipliers gives (multiplier, tie rank) order
     senders_of = [senders_by_tie(instance, l, ranks) for l in users]
     columns = sorted(instance.transmitters)
-    pinned_of = [row_of_user.get(i) for i in range(m)]
-    free_of = [[r for r in range(k) if r != pinned_of[i]] for i in range(m)]
+    # the rows of each column that get mass: all but its own user's row
+    free_of = [[r for r, u in enumerate(users) if u != i] for i in range(m)]
 
     d_alpha, alpha_scaled = scale_to_int(instance.weights)
     grid = _QUANTUM.denominator * d_alpha
@@ -277,8 +253,8 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
     # a primal value p is held as the integer p * d_alpha * de * (its count
     # of iterates); a dual value d as d * grid * de
     pden = d_alpha * de
-    tol_num = config.gap_tolerance.numerator
-    tol_den = config.gap_tolerance.denominator
+    tol_num = gap_tolerance.numerator
+    tol_den = gap_tolerance.denominator
 
     # multipliers column-major: lam[i] holds column i.  Start from an equal
     # split of each column over its free rows; that point is on the
@@ -286,7 +262,7 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
     # returns a new list, so a shallow copy keeps a snapshot.
     lam: List[List[int]] = [
         _project_grid([budget_grid[i]] * k, len(free_of[i]), budget_grid[i],
-                      pinned_of[i], free_of[i])
+                      free_of[i])
         for i in range(m)]
 
     sums = [[0] * m for _ in range(k)]
@@ -305,7 +281,7 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
     converged = False
     n = 0
 
-    while n < config.max_iterations:
+    while n < max_iterations:
         n += 1
         if n == next_restart:
             wsums = [[0] * m for _ in range(k)]
@@ -366,7 +342,7 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
         if gap_num * tol_den <= tol_num * gap_den:
             converged = True
             break
-        if n == config.max_iterations:
+        if n == max_iterations:
             break
 
         theta = schedule.theta(n)
@@ -380,8 +356,7 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
             if not moved[i]:
                 continue
             vfine = [x * refine + qmul * g for x, g in zip(lam[i], rt_cols[i])]
-            lam[i] = _project_grid(vfine, refine, budget_grid[i],
-                                   pinned_of[i], free_of[i])
+            lam[i] = _project_grid(vfine, refine, budget_grid[i], free_of[i])
 
     primal_obj = Fraction(best_primal_num, pden * best_primal_count)
     dual_obj = Fraction(best_dual_num, grid * de)
@@ -391,7 +366,7 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None,
     dmat = tuple(tuple(Fraction(x, grid) for x in row)
                  for row in zip(*best_dual_lam))
     solution = Solution(
-        instance=instance, config=config, rates=zvec,
+        instance=instance, tie_break=tie_break, rates=zvec,
         primal_objective=primal_obj, dual_objective=dual_obj, gap=gap,
         iterations=n, converged=converged, dual_matrix=dmat)
     # re-derive both bounds from the certificate; raises if gap < 0

@@ -418,11 +418,6 @@ class Matrix:
         return Matrix(dst, self.nrows, self.ncols,
                       [mapping[a] for a in self.data], validate=False)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.nrows == other.nrows and self.ncols == other.ncols
-                and self.data == other.data)
-
     def __repr__(self) -> str:
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
 

@@ -89,9 +89,9 @@ def _greedy_rates_scaled(model: SourceModel, target: int,
 
 
 def edmonds_allocate(instance: Instance, target: int,
-                     weights: Optional[Sequence] = None,
                      tie_break: Optional[Sequence[int]] = None) -> RateVector:
-    """Optimal vertex of the single-receiver region for the given weights.
+    """Optimal vertex of the single-receiver region for the instance's
+    weights.
 
     Visits the transmitters other than `target` in ascending weight order
     (ties by `tie_break`, default ascending index) and allocates each the
@@ -102,14 +102,8 @@ def edmonds_allocate(instance: Instance, target: int,
     m = instance.m
     if not 0 <= target < m:
         raise ValueError(f"target {target} out of range")
-    if weights is None:
-        w = list(instance.weights)
-    else:
-        w = [Fraction(x) for x in weights]
-        if len(w) != m:
-            raise ValueError(f"expected {m} weights, got {len(w)}")
     senders = senders_by_tie(instance, target, tie_order(m, tie_break))
-    senders.sort(key=w.__getitem__)
+    senders.sort(key=instance.weights.__getitem__)
     scaled = _greedy_rates_scaled(instance.model, target, senders)
     den = instance.model.entropy_denominator
     return tuple(Fraction(v, den) for v in scaled)

@@ -41,7 +41,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gf import (Field, Matrix, embed_map, is_int, make_field, mat_vec, rank,
                  solve_linear, stack)
-from .greedy import violated_cuts
+from .greedy import check_rate_domain, violated_cuts
 from .instance import Instance, _Frozen
 from .source import LinearSource, SizeLimitError, mask_to_set, scale_to_int
 
@@ -163,6 +163,19 @@ def min_extension_degree(field: Field, users: int, packets: int, L: int) -> int:
         t += 1
         size *= field.q
     return t
+
+
+def _check_chunk_rates(instance: Instance,
+                       chunk_rates: Sequence) -> Tuple[int, ...]:
+    """The chunk rates as a tuple, after checking that each is an integer
+    (TypeError), that there are m of them, and that none is negative or
+    nonzero off the transmitters (ValueError)."""
+    rates = tuple(_int_entry(c, "chunk_rates entry") for c in chunk_rates)
+    if len(rates) != instance.m:
+        raise ValueError(f"chunk_rates must list {instance.m} values, "
+                         f"got {len(rates)}")
+    check_rate_domain(instance, rates)
+    return rates
 
 
 def _check_rates_feasible(instance: Instance, rates: Sequence[Fraction]) -> None:
@@ -311,7 +324,7 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int], L: int,
     if L < 1:
         raise ValueError("L must be >= 1")
     _check_coding_view_size(model, L)
-    chunk_rates = tuple(int(c) for c in chunk_rates)
+    chunk_rates = _check_chunk_rates(instance, chunk_rates)
     _check_rates_feasible(instance, [Fraction(c, L) for c in chunk_rates])
 
     if ext_degree is None:
@@ -433,9 +446,7 @@ class MulticastGraph(NamedTuple):
 def build_multicast_graph(instance: Instance, chunk_rates: Sequence[int],
                           L: int) -> MulticastGraph:
     model = _linear_model(instance)
-    chunk_rates = tuple(int(c) for c in chunk_rates)
-    if len(chunk_rates) != instance.m:
-        raise ValueError("chunk_rates must have one entry per terminal")
+    chunk_rates = _check_chunk_rates(instance, chunk_rates)
     m = instance.m
     users = instance.user_list
     nodes = ["S"]
@@ -518,11 +529,7 @@ def scheme_core_from_dict(data: dict, instance: Instance) -> TransmissionScheme:
     _check_coding_view_size(model, L)
     if not isinstance(_required(data, "chunk_rates"), list):
         raise TypeError("chunk_rates must be a list")
-    chunk_rates = tuple(_int_entry(c, "chunk_rates entry")
-                        for c in data["chunk_rates"])
-    if len(chunk_rates) != instance.m:
-        raise ValueError(f"chunk_rates must list {instance.m} values, "
-                         f"got {len(chunk_rates)}")
+    chunk_rates = _check_chunk_rates(instance, data["chunk_rates"])
     matrices = _required(data, "matrices")
     if not isinstance(matrices, dict):
         raise TypeError("matrices must map terminals to rows")

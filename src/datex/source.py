@@ -57,7 +57,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+from typing import (Callable, Dict, Iterable, List, Optional,
                     Sequence, Set, Tuple, Union)
 
 from .gf import (EchelonBasis, Field, Matrix, SizeLimitError, make_field, rank,
@@ -69,7 +69,6 @@ __all__ = [
     "LinearSource",
     "RawSource",
     "TabularSource",
-    "TableReport",
     "raw_source",
     "validate_table",
     "as_mask",
@@ -378,26 +377,19 @@ def raw_source(ownership: Sequence[Iterable[int]], packet_count: int,
     return RawSource(ownership, packet_count, field)
 
 
-class TableReport(NamedTuple):
-    """Outcome of entropy-table validation: any error makes the table
-    unusable."""
-
-    ok: bool
-    errors: Sequence[str] = ()
-
-
-def validate_table(values: Sequence[Fraction]) -> TableReport:
-    """Check an entropy table: length 2^m, zero at the empty set, no
-    negative entry, monotone, and -- when all that holds -- submodular.
-    The last two checks each report only their first violation in
-    ascending order: the pair (S, i) with H(S+i) < H(S), or the triple
-    (S, i, j) with H(S+i) + H(S+j) < H(S+i+j) + H(S)."""
+def validate_table(values: Sequence[Fraction]) -> List[str]:
+    """The problems of an entropy table, empty when it is valid: length
+    2^m, zero at the empty set, no negative entry, monotone, and -- when
+    all that holds -- submodular.  The last two checks each report only
+    their first violation in ascending order: the pair (S, i) with
+    H(S+i) < H(S), or the triple (S, i, j) with
+    H(S+i) + H(S+j) < H(S+i+j) + H(S)."""
     scaled = scale_to_int(values)[1]
     n = len(scaled)
     m = n.bit_length() - 1
     errors: List[str] = []
     if n == 0 or n != (1 << m):
-        return TableReport(False, [f"table length {n} is not a power of two"])
+        return [f"table length {n} is not a power of two"]
     if scaled[0] != 0:
         errors.append(f"entropy of the empty set is {values[0]}, expected 0")
     for v, h in zip(values, scaled):
@@ -409,9 +401,7 @@ def validate_table(values: Sequence[Fraction]) -> TableReport:
                 None)
     if drop is not None:
         errors.append(f"monotonicity violated: H({drop[1]:#x}) < H({drop[0]:#x})")
-    if not errors:
-        errors = _first_submodularity_violation(scaled, m)
-    return TableReport(not errors, errors)
+    return errors or _first_submodularity_violation(scaled, m)
 
 
 def _first_submodularity_violation(scaled: Sequence[int],
@@ -435,9 +425,9 @@ class TabularSource(SourceModel):
 
     def __init__(self, values: Sequence[Union[Fraction, int, str]]):
         vals = [Fraction(v) for v in values]
-        report = validate_table(vals)
-        if not report.ok:
-            raise ValueError("invalid entropy table: " + "; ".join(report.errors))
+        errors = validate_table(vals)
+        if errors:
+            raise ValueError("invalid entropy table: " + "; ".join(errors))
         self.m = len(vals).bit_length() - 1
         den, scaled = scale_to_int(vals)
         self.entropy_denominator = den

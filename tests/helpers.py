@@ -2,7 +2,8 @@
 random-instance generator used by the equivalence and property suites, and
 test-side references (weighted objective, conditional entropy, explicit
 entropy tables, the all-terminal cut-set rows), a one-right-hand-side
-solve, and a scheme copy with replaced coding matrices."""
+solve, a comparable form of a matrix, and a scheme copy with replaced
+coding matrices."""
 
 import random
 from fractions import Fraction
@@ -118,6 +119,12 @@ def with_matrices(scheme: TransmissionScheme, matrices) -> TransmissionScheme:
                               scheme.ext_degree, scheme.coding_field, matrices,
                               scheme.seed, scheme.attempt, scheme.embed,
                               scheme.blocks)
+
+
+def matrix_key(M: Matrix):
+    """A matrix as a comparable value: its field (one object per field),
+    shape and entries."""
+    return M.field, M.nrows, M.ncols, M.data
 
 
 def solve_one(M: Matrix, b):

@@ -665,6 +665,10 @@ def test_non_submodular_tables_exit_two(tmp_path, capsys, table, argv):
     (lambda s: s.update(chunk_rates=[0, 1.6, 1, 0, 0, 0]),
      "chunk_rates entry must be an integer, not float"),
     (lambda s: s.update(chunk_rates="011000"), "chunk_rates must be a list"),
+    (lambda s: s.update(chunk_rates=[0, 1, -1, 0, 0, 0]),
+     "rate of terminal 2 is negative (-1)"),
+    (lambda s: s.update(chunk_rates=[0, 1.5, 1, 0]),
+     "chunk_rates entry must be an integer, not float"),
     (lambda s: s.update(ext_degree=2.0),
      "ext_degree must be an integer, not float"),
     (lambda s: s["coding_field"].update(characteristic="3"),
@@ -694,11 +698,13 @@ def test_non_submodular_tables_exit_two(tmp_path, capsys, table, argv):
 ], ids=["key-out-of-range", "empty-chunk-rates", "missing-matrices",
         "matrix-for-a-silent-terminal", "L-zero", "matrices-as-a-list",
         "L-float", "L-string", "L-bool", "chunk-rate-float",
-        "chunk-rates-string", "ext-degree-float", "characteristic-string",
-        "degree-string", "seed-float", "attempt-bool", "matrix-entry-bool",
-        "key-not-canonical", "no-L", "no-chunk-rates", "no-ext-degree",
-        "no-coding-field", "no-matrices", "no-coding-field-degree",
-        "coding-field-int", "matrix-int", "matrix-row-int", "ragged-matrix"])
+        "chunk-rates-string", "chunk-rate-negative",
+        "chunk-rate-float-before-length", "ext-degree-float",
+        "characteristic-string", "degree-string", "seed-float", "attempt-bool",
+        "matrix-entry-bool", "key-not-canonical", "no-L", "no-chunk-rates",
+        "no-ext-degree", "no-coding-field", "no-matrices",
+        "no-coding-field-degree", "coding-field-int", "matrix-int",
+        "matrix-row-int", "ragged-matrix"])
 def test_simulate_rejects_inconsistent_scheme_files(tmp_path, capsys, corrupt,
                                                     message):
     path = tmp_path / "scheme.json"
@@ -709,6 +715,26 @@ def test_simulate_rejects_inconsistent_scheme_files(tmp_path, capsys, corrupt,
     path.write_text(json.dumps(rec))
     assert main(["simulate", str(path), "--seeds", "2"]) == 2
     assert message in _one_line_error(capsys)
+
+
+def test_simulate_rejects_a_chunk_rate_off_the_transmitters(tmp_path, capsys):
+    # terminal 5 may not transmit, so a scheme that has it send is refused
+    # at load instead of being simulated as if it could
+    inst_path, path = tmp_path / "restricted.json", tmp_path / "scheme.json"
+    inst_path.write_text(json.dumps(
+        dict(_read(Path(EX2)), transmitters=[0, 1, 2, 3, 4])))
+    assert main(["codegen", str(inst_path), "-o", str(path)]) == 0
+    rec = _read(path)
+    assert rec["scheme"]["chunk_rates"][5] == 0
+    assert main(["simulate", str(path), "--seeds", "3"]) == 0
+    capsys.readouterr()
+    rec["scheme"]["chunk_rates"][5] = 1
+    rec["scheme"]["matrices"]["5"] = [[1] * rec["scheme"]["L"]]
+    path.write_text(json.dumps(rec))
+    assert main(["simulate", str(path), "--seeds", "3"]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: bad scheme block: "
+                                   f"terminal 5 does not transmit but has "
+                                   f"rate 1\n")
 
 
 @pytest.mark.parametrize("block", [None, 5, []], ids=["null", "int", "list"])
@@ -1012,13 +1038,14 @@ def test_console_entry_point():
 M13 = str(GOLDEN / "raw_m13.json")
 
 
-def _child(argv, stdout=subprocess.PIPE, preexec_fn=None, **env):
+def _child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+           preexec_fn=None, **env):
     """(exit code, stdout, stderr) of `python -m datex.cli argv` with block
     buffered stdout; keyword arguments add to its environment."""
     child_env = {k: v for k, v in os.environ.items()
                  if k != "PYTHONUNBUFFERED"}
     proc = subprocess.run([sys.executable, "-m", "datex.cli", *argv],
-                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          stdout=stdout, stderr=stderr, text=True,
                           env={**child_env, **env}, preexec_fn=preexec_fn)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -1078,12 +1105,31 @@ def test_a_full_disk_exits_two_with_one_line(argv, target, unbuffered):
 
 def test_a_closed_stream_exits_two():
     # a process started without stdout reports that on stderr; one started
-    # without stderr prints its error line where print() puts it, on stdout
+    # without stderr drops its failure line, and its exit code still tells
     assert _child(["oracle", EX1], preexec_fn=lambda: os.close(1))[::2] == \
         (2, "error: cannot write stdout: it is closed\n")
-    code, out, _ = _child(["oracle", "missing.json"],
-                          preexec_fn=lambda: os.close(2))
-    assert code == 2 and out.startswith("error: cannot read missing.json")
+    assert _child(["oracle", "missing.json"],
+                  preexec_fn=lambda: os.close(2))[:2] == (2, "")
+    assert _child(["codegen", EX3, "--rates", "0,0,1"],
+                  preexec_fn=lambda: os.close(2))[:2] == (1, "")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("broken", ["full", "pipe"])
+def test_a_failing_stderr_keeps_the_exit_code(broken):
+    # the failure line cannot be written, so it is dropped; before, the
+    # failed write escaped main and the process exited 1 for every failure
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with open("/dev/full", "w") as full:
+            stderr = full if broken == "full" else write_end
+            assert _child(["oracle", "missing.json"],
+                          stderr=stderr)[:2] == (2, "")
+            assert _child(["codegen", EX3, "--rates", "0,0,1"],
+                          stderr=stderr)[:2] == (1, "")
+    finally:
+        os.close(write_end)
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
@@ -1106,11 +1152,14 @@ def test_a_closed_stdout_pipe_exits_two_with_one_line(unbuffered):
 @functools.lru_cache(maxsize=None)
 def _base_documents():
     """The shipped instances (rows and packets forms), an entropy table,
-    and codegen scheme files for two of them (as JSON text, so every draw
-    starts fresh)."""
+    and codegen scheme files for two of them and for example 2 restricted
+    to transmitters 0-4 (as JSON text, so every draw starts fresh)."""
     docs = [_read(Path(p)) for p in (EX1, EX2, EX3)] + [TABLE_DOC]
     with tempfile.TemporaryDirectory() as tmp:
-        for src in (EX1, EX3):
+        restricted = Path(tmp) / "restricted.json"
+        restricted.write_text(json.dumps(
+            dict(_read(Path(EX2)), transmitters=[0, 1, 2, 3, 4])))
+        for src in (EX1, EX3, str(restricted)):
             out = Path(tmp) / "scheme.json"
             if main(["codegen", src, "-o", str(out)]) != 0:
                 raise RuntimeError(f"codegen failed on {src}")

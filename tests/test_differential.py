@@ -35,7 +35,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datex.dual import _QUANTUM, SolverConfig, StepSchedule, solve
+from datex.dual import _QUANTUM, StepSchedule, solve
 from datex.gf import Matrix, make_field, mat_vec, rank, solve_linear
 from datex.greedy import edmonds_allocate, tie_order, violated_cuts
 from datex.instance import Instance, InfeasibleInstanceError
@@ -294,16 +294,19 @@ def ref_project_grid(vfine, refine, budget_grid, pinned):
 
 def ref_dual_value(instance, lam, tie_break=None):
     """Sum of the subproblem optima, each from `edmonds_allocate` on the
-    Fraction multipliers."""
+    instance reweighted by the Fraction multipliers."""
     total = Fraction(0)
     for r, l in enumerate(instance.user_list):
         row = [Fraction(x) for x in lam[r]]
-        rates = edmonds_allocate(instance, l, weights=row, tie_break=tie_break)
+        reweighted = Instance(instance.model, instance.users, row,
+                              instance.transmitters)
+        rates = edmonds_allocate(reweighted, l, tie_break=tie_break)
         total += sum((a * b for a, b in zip(row, rates)), Fraction(0))
     return total
 
 
-def ref_solve(instance, config, trace=None):
+def ref_solve(instance, *, schedule=None, max_iterations=50_000,
+              gap_tolerance=Fraction(1, 1000), tie_break=None, trace=None):
     """The dual solver with row-major multipliers, chains from one point
     query per prefix (walked to the end), Fraction primal bounds and gap,
     and the averaged subproblem vertices of the best primal point kept per
@@ -311,14 +314,13 @@ def ref_solve(instance, config, trace=None):
     Multi-receiver instances only."""
     users = instance.user_list
     k = len(users)
-    schedule = config.schedule
     if schedule is None:
-        schedule = StepSchedule.harmonic(
-            max(Fraction(1), max(instance.weights)), 1, 1)
+        schedule = StepSchedule("harmonic",
+                                max(Fraction(1), max(instance.weights)), 1, 1)
     model = instance.model
     m = instance.m
     de = model.entropy_denominator
-    ranks = tie_order(m, config.tie_break)
+    ranks = tie_order(m, tie_break)
     row_of_user = {u: r for r, u in enumerate(users)}
     senders_of = [sorted((t for t in instance.transmitters if t != l),
                          key=ranks.__getitem__) for l in users]
@@ -347,7 +349,7 @@ def ref_solve(instance, config, trace=None):
     best_primal_count = 0
     converged = False
     n = 0
-    while n < config.max_iterations:
+    while n < max_iterations:
         n += 1
         if n == next_restart:
             wsums = [[0] * m for _ in range(k)]
@@ -384,10 +386,10 @@ def ref_solve(instance, config, trace=None):
         gap = best_primal - Fraction(best_dual_num, grid * de)
         if trace is not None:
             trace(n, primal, Fraction(dual_num, grid * de), gap)
-        if gap <= config.gap_tolerance:
+        if gap <= gap_tolerance:
             converged = True
             break
-        if n == config.max_iterations:
+        if n == max_iterations:
             break
         theta = schedule.theta(n)
         refine = theta.denominator * de
@@ -409,7 +411,7 @@ def ref_solve(instance, config, trace=None):
                  for r in range(k))
     gap = best_primal - dual_obj
     if instance.objective(rates) - ref_dual_value(
-            instance, dmat, config.tie_break) != gap:
+            instance, dmat, tie_break) != gap:
         raise ArithmeticError("the certificate does not reproduce the gap")
     return {"rates": rates, "primal_objective": best_primal,
             "dual_objective": dual_obj, "gap": gap, "iterations": n,
@@ -770,10 +772,10 @@ def _solve_case(rng):
         except InfeasibleInstanceError:
             continue
         schedule = rng.choice([
-            None, StepSchedule.harmonic(rng.randint(1, 3), rng.randint(0, 2),
-                                        Fraction(1, rng.randint(1, 3))),
-            StepSchedule.power(Fraction(rng.randint(1, 9), 10))])
-        config = SolverConfig(
+            None, StepSchedule("harmonic", rng.randint(1, 3), rng.randint(0, 2),
+                               Fraction(1, rng.randint(1, 3))),
+            StepSchedule("power", Fraction(rng.randint(1, 9), 10))])
+        config = dict(
             schedule=schedule, max_iterations=rng.randint(1, 60),
             gap_tolerance=rng.choice([Fraction(1, 10 ** 9), Fraction(1, 10 ** 9),
                                       Fraction(1, 1000), Fraction(1, 10)]),
@@ -788,11 +790,13 @@ def test_solve_matches_the_row_major_reference(seed):
     averaged vertex of each receiver meets that receiver's cuts."""
     inst, config = _solve_case(random.Random(seed))
     got_trace, ref_trace = [], []
-    sol = solve(inst, config, trace=lambda *a: got_trace.append(a))
-    ref = ref_solve(inst, config, trace=lambda *a: ref_trace.append(a))
+    sol = solve(inst, **config, trace=lambda *a: got_trace.append(a))
+    ref = ref_solve(inst, **config, trace=lambda *a: ref_trace.append(a))
     assert got_trace == ref_trace
     assert all(type(x) is Fraction for row in got_trace for x in row[1:])
     assert {f: getattr(sol, f) for f in ref if f != "averaged_matrix"} \
         == {f: v for f, v in ref.items() if f != "averaged_matrix"}
+    tie_break = config["tie_break"]
+    assert sol.tie_break == (None if tie_break is None else tuple(tie_break))
     for row, l in zip(ref["averaged_matrix"], inst.user_list):
         assert not violated_cuts(row, inst, l, limit=1)

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import datex.dual as dual_module
-from datex.dual import (_QUANTUM, SolverConfig, StepSchedule, _project_grid,
-                        dual_value, duality_gap, solve)
+from datex.dual import (_QUANTUM, StepSchedule, _project_grid, dual_value,
+                        duality_gap, solve)
 from datex.greedy import edmonds_allocate, violated_cuts
 from datex.instance import Instance
 from datex.oracle import build_lp, exact_simplex, solve_exact
@@ -79,11 +79,16 @@ def snap_to_grid(vals: Sequence[Fraction], budget_grid: int) -> Tuple[int, ...]:
 
 def _initial(instance):
     """The solver's starting multipliers: one iteration never steps."""
-    return solve(instance, SolverConfig(max_iterations=1)).dual_matrix
+    return solve(instance, max_iterations=1).dual_matrix
 
 
 def _grid_column(lam, i):
     return [int(row[i] * GRID) for row in lam]
+
+
+def _free_rows(k, pinned):
+    """The rows of a k-row column other than `pinned` (None pins none)."""
+    return [r for r in range(k) if r != pinned]
 
 
 # ---------------------------------------------------------------------------
@@ -91,15 +96,15 @@ def _grid_column(lam, i):
 # ---------------------------------------------------------------------------
 
 def test_harmonic_schedule_values():
-    s = StepSchedule.harmonic()
+    s = StepSchedule()
     assert s.theta(1) == Fraction(1, 2)
     assert s.theta(9) == Fraction(1, 10)
-    s = StepSchedule.harmonic(3, 0, 2)
+    s = StepSchedule("harmonic", 3, 0, 2)
     assert s.theta(5) == Fraction(3, 10)
 
 
 def test_power_schedule_values():
-    s = StepSchedule.power(Fraction(1, 2))
+    s = StepSchedule("power", Fraction(1, 2))
     assert s.theta(1) == F1
     assert s.theta(4) == Fraction(1, 2)
     # irrational steps land on the nanogrid and keep diminishing
@@ -109,26 +114,31 @@ def test_power_schedule_values():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        StepSchedule.harmonic(0)
-    with pytest.raises(ValueError):
-        StepSchedule.harmonic(1, -1)
-    with pytest.raises(ValueError):
-        StepSchedule.power(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="harmonic schedule needs"):
+        StepSchedule("harmonic", 0)
+    with pytest.raises(ValueError, match="harmonic schedule needs"):
+        StepSchedule("harmonic", 1, -1)
+    with pytest.raises(ValueError, match="power schedule needs"):
+        StepSchedule("power", 1)
+    with pytest.raises(ValueError, match="unknown schedule kind"):
         StepSchedule("geometric")
 
 
-def test_config_validation():
-    assert SolverConfig().schedule is None
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(gap_tolerance=0)
-    assert SolverConfig(tie_break=[2, 0]).tie_break == (2, 0)
-    assert list(inspect.signature(SolverConfig).parameters) \
-        == list(SolverConfig.__slots__) \
-        == ["schedule", "max_iterations", "gap_tolerance", "tie_break"]
+def test_config_validation(example2):
+    params = inspect.signature(solve).parameters
+    assert {name: p.default for name, p in params.items()
+            if p.kind is p.KEYWORD_ONLY} == {
+        "schedule": None, "max_iterations": 50_000,
+        "gap_tolerance": Fraction(1, 1000), "tie_break": None, "trace": None}
+    with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+        solve(example2, max_iterations=0)
+    with pytest.raises(ValueError, match="gap_tolerance must be positive"):
+        solve(example2, gap_tolerance=0)
+    with pytest.raises(ValueError, match="gap_tolerance must be positive"):
+        solve(example2, gap_tolerance="-1/2")
+    sol = solve(example2, tie_break=[2, 0], max_iterations=3)
+    assert sol.tie_break == (2, 0)
+    assert solve(example2, max_iterations=3).tie_break is None
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +271,8 @@ def test_grid_projection_matches_exact_reference(case):
     vfine, refine, budget, pinned = case
     exact = project_column([Fraction(v, refine) for v in vfine], budget,
                            pinned=pinned)
-    assert tuple(_project_grid(vfine, refine, budget, pinned)) \
+    free = _free_rows(len(vfine), pinned)
+    assert tuple(_project_grid(vfine, refine, budget, free)) \
         == snap_to_grid(exact, budget)
 
 
@@ -278,7 +289,7 @@ def test_step_with_zero_theta_is_identity(example2):
         pin = i if i < 3 else None
         for refine in (1, 7):
             assert _project_grid([x * refine for x in col], refine, budget,
-                                 pin) == col
+                                 _free_rows(3, pin)) == col
 
 
 def test_step_ignores_uniform_shift(example2):
@@ -290,14 +301,15 @@ def test_step_ignores_uniform_shift(example2):
         budget = int(example2.weights[i] * GRID)
         pin = i if i < 3 else None
         assert _project_grid([3 * x + GRID for x in col], 3, budget,
-                             pin) == col
+                             _free_rows(3, pin)) == col
 
 
 def test_step_keeps_columns_lawful(example2):
     # one step of theta = 1/2 along the subproblem rates, as solve takes it
     lam = _initial(example2)
     users = example2.user_list
-    rates = [edmonds_allocate(example2, l, weights=lam[r])
+    rates = [edmonds_allocate(Instance(example2.model, example2.users, lam[r],
+                                       example2.transmitters), l)
              for r, l in enumerate(users)]
     moved = False
     for i in range(6):
@@ -305,7 +317,7 @@ def test_step_keeps_columns_lawful(example2):
         budget = int(example2.weights[i] * GRID)
         pin = users.index(i) if i in users else None
         vfine = [2 * col[r] + int(GRID * rates[r][i]) for r in range(3)]
-        nxt = _project_grid(vfine, 2, budget, pin)
+        nxt = _project_grid(vfine, 2, budget, _free_rows(3, pin))
         if pin is not None:
             assert nxt[pin] == 0  # own entry stays pinned
         assert all(x >= 0 for x in nxt)
@@ -331,13 +343,12 @@ def test_initial_multipliers_give_lower_bound():
 def test_iterates_keep_weak_duality(example2):
     opt = Fraction(9, 4)
     duals = []
-    solve(example2, SolverConfig(max_iterations=6,
-                                 gap_tolerance=Fraction(1, 10 ** 9)),
+    solve(example2, max_iterations=6, gap_tolerance=Fraction(1, 10 ** 9),
           trace=lambda n, p, d, g: duals.append(d))
     assert len(duals) == 6 and all(d <= opt for d in duals)
     for n in range(1, 7):  # each certificate re-verified with fresh greedies
-        sol = solve(example2, SolverConfig(max_iterations=n,
-                                           gap_tolerance=Fraction(1, 10 ** 9)))
+        sol = solve(example2, max_iterations=n,
+                    gap_tolerance=Fraction(1, 10 ** 9))
         assert dual_value(example2, sol.dual_matrix) == sol.dual_objective <= opt
 
 
@@ -459,7 +470,7 @@ def test_solve_binary_field_variant(example2_gf2):
 def test_solve_unit_weights_match_plain_harmonic(example2):
     # with unit weights the default step schedule IS 1/(1+n)
     a = solve(example2)
-    b = solve(example2, SolverConfig(schedule=StepSchedule.harmonic()))
+    b = solve(example2, schedule=StepSchedule())
     assert (a.iterations, a.gap, a.rates) == (b.iterations, b.gap, b.rates)
 
 
@@ -477,8 +488,7 @@ def test_solve_single_user_short_circuit():
 
 
 def test_solve_iteration_budget(example2):
-    cfg = SolverConfig(max_iterations=5, gap_tolerance=Fraction(1, 10 ** 6))
-    sol = solve(example2, cfg)
+    sol = solve(example2, max_iterations=5, gap_tolerance=Fraction(1, 10 ** 6))
     assert sol.iterations == 5
     assert not sol.converged
     assert sol.gap >= F0
@@ -487,8 +497,8 @@ def test_solve_iteration_budget(example2):
 
 def test_solve_trace_callback(example2):
     rows = []
-    sol = solve(example2, SolverConfig(max_iterations=40,
-                                       gap_tolerance=Fraction(1, 10 ** 9)),
+    sol = solve(example2, max_iterations=40,
+                gap_tolerance=Fraction(1, 10 ** 9),
                 trace=lambda n, p, d, g: rows.append((n, p, d, g)))
     assert len(rows) == sol.iterations == 40
     assert [r[0] for r in rows] == list(range(1, 41))
@@ -501,8 +511,7 @@ def test_solve_trace_callback(example2):
 
 
 def test_solve_dual_certificate_is_lawful(example2):
-    cfg = SolverConfig(max_iterations=200, gap_tolerance=Fraction(1, 100))
-    sol = solve(example2, cfg)
+    sol = solve(example2, max_iterations=200, gap_tolerance=Fraction(1, 100))
     # lawfulness of the reported dual certificate on the grid
     for r, l in enumerate(example2.user_list):
         assert sol.dual_matrix[r][l] == F0
@@ -518,26 +527,33 @@ def test_solve_brackets_oracle_on_random_instances():
     for _ in range(8):
         inst = random_linear_instance(rng, multi_user=True)
         opt = solve_exact(build_lp(inst)).value
-        sol = solve(inst, SolverConfig(max_iterations=300))
+        sol = solve(inst, max_iterations=300)
         assert sol.dual_objective <= opt <= sol.primal_objective
         assert sol.gap == sol.primal_objective - sol.dual_objective
         for l in inst.user_list:
             assert not violated_cuts(sol.rates, inst, l, limit=1)
 
 
-def test_solve_tie_break_passthrough(example2):
-    sol = solve(example2, SolverConfig(tie_break=[5, 4, 3, 2, 1, 0],
-                                       max_iterations=50,
-                                       gap_tolerance=Fraction(1, 10 ** 9)))
+def test_solve_tie_break_passthrough(example2, monkeypatch):
+    sol = solve(example2, tie_break=[5, 4, 3, 2, 1, 0], max_iterations=50,
+                gap_tolerance=Fraction(1, 10 ** 9))
+    assert sol.tie_break == (5, 4, 3, 2, 1, 0)
     assert sol.dual_objective <= Fraction(9, 4) <= sol.primal_objective
+    # the dual value is the same under any tie order, so the replay's tie
+    # order is read where duality_gap hands it on
+    seen = []
+    real = dual_module.tie_order
+    monkeypatch.setattr(dual_module, "tie_order",
+                        lambda m, tb: seen.append(tb) or real(m, tb))
     assert duality_gap(sol) == sol.gap  # replays with the same tie order
+    assert seen == [(5, 4, 3, 2, 1, 0)]
 
 
 @pytest.mark.parametrize("make, config", [
-    (example2_instance, SolverConfig(max_iterations=25,
-                                     gap_tolerance=Fraction(1, 10 ** 9))),
-    (example2_instance, SolverConfig()),
-    (example3_instance, SolverConfig(tie_break=[2, 1, 0])),
+    (example2_instance, dict(max_iterations=25,
+                             gap_tolerance=Fraction(1, 10 ** 9))),
+    (example2_instance, {}),
+    (example3_instance, dict(tie_break=[2, 1, 0])),
 ], ids=["budget", "converged", "raw"])
 def test_solve_calls_the_traced_greedy_once_per_receiver(monkeypatch, make,
                                                          config):
@@ -553,7 +569,7 @@ def test_solve_calls_the_traced_greedy_once_per_receiver(monkeypatch, make,
         return real(model, target, order)
 
     monkeypatch.setattr(dual_module, "_greedy_rates_scaled", counted)
-    sol = solve(inst, config)
+    sol = solve(inst, **config)
     k = len(inst.user_list)
     assert len(calls) == k * sol.iterations + k
     assert calls[-k:] == list(inst.user_list)

@@ -118,7 +118,7 @@ def test_example1_greedy_output_feasible(example1):
 def test_weight_override_changes_vertex(example1):
     # make the pair-sum terminals cheap and the basis terminals expensive
     w = [1, 1, 1, 5, 5, 5]
-    rates = edmonds_allocate(example1, 0, weights=w)
+    rates = edmonds_allocate(Instance(example1.model, [0], w), 0)
     assert rates == (0, 1, 1, 0, 0, 0)
     assert sum(q * r for q, r in zip(w, rates)) == 2
 

@@ -22,7 +22,7 @@ from datex.netcode import (DesignFailureError, IncompleteSourceError,
                            simulate_exchange, verify_decodability)
 from datex.oracle import build_lp, solve_exact
 from datex.source import SizeLimitError, raw_source
-from helpers import (example2_instance, example3_instance,
+from helpers import (example2_instance, example3_instance, matrix_key,
                      random_linear_instance, solve_one, tabulate,
                      with_matrices)
 
@@ -199,7 +199,7 @@ def test_design_is_deterministic(example3):
     b = design_transmissions(example3, (0, 1, 1), 1, seed=7)
     assert scheme_core_to_dict(a) == scheme_core_to_dict(b)
     c = design_transmissions(example3, (0, 1, 1), 1, seed=8)
-    assert c.matrices != a.matrices
+    assert _keys(c.matrices) != _keys(a.matrices)
 
 
 def test_design_three_user_example_small_extension(example2):
@@ -237,6 +237,34 @@ def test_design_validation(example3):
     restricted = Instance(example3.model, [0], transmitters=[1, 2])
     with pytest.raises(ValueError):
         design_transmissions(restricted, (1, 1, 1), 1)
+
+
+@pytest.mark.parametrize("chunks, error, message", [
+    ((0, Fraction(3, 2), Fraction(3, 2), 0, 0, 0), TypeError,
+     "chunk_rates entry must be an integer, not Fraction"),
+    (("0", "1", "1", "0", "0", "0"), TypeError,
+     "chunk_rates entry must be an integer, not str"),
+    ((0, True, 1, 0, 0, 0), TypeError,
+     "chunk_rates entry must be an integer, not bool"),
+    ((0, 1.0, 1), TypeError,
+     "chunk_rates entry must be an integer, not float"),
+    ((0, 1, 1), ValueError, "chunk_rates must list 6 values, got 3"),
+    ((0, -1, 1, 0, 0, 0), ValueError,
+     r"rate of terminal 1 is negative \(-1\)"),
+    ((0, 1, 1, 0, 0, 2), ValueError,
+     "terminal 5 does not transmit but has rate 2"),
+], ids=["fraction", "string", "bool", "float-before-length", "length",
+        "negative", "off-the-transmitters"])
+def test_chunk_rates_are_checked_alike_everywhere(example1, chunks, error,
+                                                  message):
+    # checks run in order: each entry's type, the count, then the domain
+    inst = Instance(example1.model, [0], transmitters=[1, 2, 3, 4])
+    for check in (lambda: design_transmissions(inst, chunks, 2),
+                  lambda: build_multicast_graph(inst, chunks, 2),
+                  lambda: scheme_core_from_dict(
+                      {"L": 2, "chunk_rates": list(chunks)}, inst)):
+        with pytest.raises(error, match=message):
+            check()
 
 
 def test_design_rejects_observations_short_of_all_packets():
@@ -439,13 +467,21 @@ def test_graph_to_dot(example3):
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _keys(mats):
+    """Each matrix of a dict or tuple of matrices as a comparable value."""
+    if isinstance(mats, dict):
+        return {i: matrix_key(M) for i, M in mats.items()}
+    return [matrix_key(M) for M in mats]
+
+
 def test_scheme_round_trip(example3):
     scheme = design_transmissions(example3, (0, 1, 1), 1, seed=3)
     data = json.loads(json.dumps(scheme_core_to_dict(scheme)))
     back = scheme_core_from_dict(data, example3)
     assert scheme_core_to_dict(back) == scheme_core_to_dict(scheme)
-    assert back.matrices == scheme.matrices     # same coding field too
-    assert (back.embed, back.blocks) == (scheme.embed, scheme.blocks)
+    assert _keys(back.matrices) == _keys(scheme.matrices)  # same field too
+    assert back.embed == scheme.embed
+    assert _keys(back.blocks) == _keys(scheme.blocks)
 
 
 def test_scheme_round_trip_chunked(example2):
@@ -453,7 +489,7 @@ def test_scheme_round_trip_chunked(example2):
                                   ext_degree=2, seed=0)
     back = scheme_core_from_dict(scheme_core_to_dict(scheme), example2)
     assert scheme_core_to_dict(back) == scheme_core_to_dict(scheme)
-    assert back.matrices == scheme.matrices
+    assert _keys(back.matrices) == _keys(scheme.matrices)
     assert verify_decodability(back).ok
 
 

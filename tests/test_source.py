@@ -12,7 +12,7 @@ from datex.gf import Matrix, make_field, rank, stack
 from datex.greedy import violated_cuts
 from datex.instance import Instance
 from datex.oracle import build_lp
-from datex.source import (LinearSource, RawSource, TableReport, TabularSource,
+from datex.source import (LinearSource, RawSource, TabularSource,
                           as_mask, mask_to_set, raw_source, scale_to_int,
                           subset_table, validate_table)
 from helpers import (cond_entropy, example_model, example3_instance,
@@ -153,35 +153,37 @@ def test_raw_source_builds_each_mask_in_linear_time():
 # ---------------------------------------------------------------------------
 
 def test_validate_table_hard_errors():
-    assert not validate_table([]).ok
-    assert not validate_table([0, 1, 1]).ok          # length not a power of two
-    assert not validate_table([1, 1]).ok             # H(empty) != 0
-    assert not validate_table([Fraction(0), Fraction(-1)]).ok
+    assert validate_table([]) == ["table length 0 is not a power of two"]
+    assert validate_table([0, 1, 1]) == [
+        "table length 3 is not a power of two"]
+    assert validate_table([1, 1]) == [
+        "entropy of the empty set is 1, expected 0"]
+    assert validate_table([Fraction(0), Fraction(-1)]) == [
+        "negative entropy -1", "monotonicity violated: H(0x1) < H(0x0)"]
     r = validate_table([Fraction(0), Fraction(1), Fraction(2), Fraction(1)])
-    assert not r.ok and any("monotonicity" in e for e in r.errors)
+    assert r == ["monotonicity violated: H(0x3) < H(0x2)"]
 
 
 def test_validate_table_names_only_the_first_monotonicity_violation():
     # decreasing in every direction at m = 12: 24564 violating pairs
     table = [0] + [12 - bin(s).count("1") for s in range(1, 1 << 12)]
-    assert validate_table(table).errors == [
+    assert validate_table(table) == [
         "monotonicity violated: H(0x3) < H(0x1)"]
 
 
 def test_validate_table_rejects_non_submodular_tables():
     # monotone and grounded but not submodular: H(0)+H(1) < H(01)+H(empty)
     r = validate_table([Fraction(0), Fraction(1), Fraction(1), Fraction(3)])
-    assert not r.ok
-    assert r.errors == ["submodularity violated: H(0x1) + H(0x2) "
+    assert r == ["submodularity violated: H(0x1) + H(0x2) "
                         "< H(0x3) + H(0x0)"]
     # only the first violating triple (S, i, j) in ascending order is named:
     # S = {0}, i = 1, j = 2 here, though S = {1}, i = 0, j = 2 fails too
     r = validate_table([0, 0, 2, 2, 1, 1, 3, 4])
-    assert r.errors == ["submodularity violated: H(0x3) + H(0x5) "
+    assert r == ["submodularity violated: H(0x3) + H(0x5) "
                         "< H(0x7) + H(0x1)"]
     # a genuinely entropic table is clean
     assert validate_table([Fraction(0), Fraction(1), Fraction(1),
-                           Fraction(2)]) == TableReport(True, [])
+                           Fraction(2)]) == []
 
 
 def test_tabular_source_accepts_strings_and_fractions():
@@ -217,7 +219,7 @@ def test_linear_entropy_is_polymatroidal(seed):
     inst = random_linear_instance(rng, multi_user=rng.random() < 0.5)
     model = inst.model
     values = [model.joint_entropy(mask) for mask in range(1 << model.m)]
-    assert validate_table(values).ok
+    assert validate_table(values) == []
 
 
 @given(st.integers(0, 10 ** 9))
