@@ -10,7 +10,9 @@ one source description: per-terminal observation matrices ("rows"),
 per-terminal packet ownership ("packets"), or a full joint-entropy table
 ("entropy_table").  Terminal 0 is the least significant bit in every
 bitmask, and all indices are 0-based.  Rationals are written as "p/q"
-strings; machine-readable output mirrors every exact value with a float.
+strings.  Each objective, value and gap, and the rates of solve and
+oracle, is followed by its float twin `<key>_float`; the rates of verify
+and codegen and verify's violations have none.
 
 Exit codes: 0 success, 1 infeasible / failed verification / not
 converged, 2 malformed input, usage error, an output that cannot be
@@ -117,8 +119,15 @@ def _frac_list(xs) -> List[str]:
     return [_frac_str(x) for x in xs]
 
 
-def _float_list(xs) -> List[float]:
-    return [float(x) for x in xs]
+def _exact(**values) -> Dict[str, Any]:
+    """Each exact value, a rational or a list of them, as "p/q" text under
+    its own key and then as floats under `<key>_float`."""
+    out: Dict[str, Any] = {}
+    for key, x in values.items():
+        many = isinstance(x, (list, tuple))
+        out[key] = _frac_list(x) if many else _frac_str(x)
+        out[f"{key}_float"] = [float(v) for v in x] if many else float(x)
+    return out
 
 
 def _parse_rates_flag(text: str, instance: Instance) -> List[Fraction]:
@@ -185,10 +194,7 @@ def _parse_field(data: Any, where: str, override_char: Optional[int]):
         raise CLIError(f"{where}: field must be an object or an integer")
     if override_char is not None:
         char = override_char
-    try:
-        return make_field(char, degree)
-    except ValueError as exc:
-        raise CLIError(f"{where}: {exc}") from exc
+    return make_field(char, degree)
 
 
 def _require_int_list(data: Any, where: str) -> List[int]:
@@ -205,7 +211,9 @@ def instance_from_dict(data: Any, field_char: Optional[int] = None,
     Exactly one of the three source forms must be present: "terminals"
     with matrix rows, "terminals" with packet index lists, or
     "entropy_table" with 2^m joint entropies indexed by subset bitmask
-    (terminal 0 = least significant bit).
+    (terminal 0 = least significant bit).  A library refusal (ValueError)
+    becomes a CLIError naming `where`, or the terminal of a bad row; an
+    InfeasibleInstanceError passes as itself.
     """
     if not isinstance(data, dict):
         raise CLIError(f"{where}: top level must be an object")
@@ -218,88 +226,80 @@ def instance_from_dict(data: Any, field_char: Optional[int] = None,
         raise CLIError(f"{where}: give exactly one of 'terminals' or "
                        f"'entropy_table'")
 
-    if has_table:
-        if field_char is not None:
-            raise CLIError(f"{where}: --field-char does not apply to "
-                           f"entropy-table instances")
-        m = data.get("terminal_count")
-        if not is_int(m) or m < 1:
-            raise CLIError(f"{where}: terminal_count must be a positive integer")
-        table = data["entropy_table"]
-        if not isinstance(table, list) or len(table) != 1 << m:
-            raise CLIError(f"{where}: entropy_table must list 2^{m} = {1 << m} "
-                           f"values indexed by subset bitmask")
-        values = [_frac(v, f"{where}: entropy_table[{i}]")
-                  for i, v in enumerate(table)]
-        try:
-            model = TabularSource(values)
-        except ValueError as exc:
-            raise CLIError(f"{where}: {exc}") from exc
-    else:
-        terminals = data["terminals"]
-        if not isinstance(terminals, list) or not terminals:
-            raise CLIError(f"{where}: terminals must be a non-empty list")
-        forms = set()
-        for i, t in enumerate(terminals):
-            if not isinstance(t, dict):
-                raise CLIError(f"{where}: terminals[{i}] must be an object")
-            given = {"rows", "packets"} & t.keys()
-            if len(given) != 1:
-                raise CLIError(f"{where}: terminals[{i}] must give exactly "
-                               f"one of 'rows' or 'packets'")
-            forms |= given
-        if len(forms) > 1:
-            raise CLIError(f"{where}: terminals mix 'rows' and 'packets' forms")
-        N = data.get("packet_count")
-        if not is_int(N) or N < 0:
-            raise CLIError(f"{where}: packet_count must be a nonnegative "
-                           f"integer")
-        if forms == {"rows"}:
-            if "field" not in data and field_char is None:
+    at = where   # the place a library refusal names; a bad row, its terminal
+    try:
+        if has_table:
+            if field_char is not None:
+                raise CLIError(f"{where}: --field-char does not apply to "
+                               f"entropy-table instances")
+            m = data.get("terminal_count")
+            if not is_int(m) or m < 1:
+                raise CLIError(f"{where}: terminal_count must be a positive "
+                               f"integer")
+            table = data["entropy_table"]
+            if not isinstance(table, list) or len(table) != 1 << m:
+                raise CLIError(f"{where}: entropy_table must list 2^{m} = "
+                               f"{1 << m} values indexed by subset bitmask")
+            model = TabularSource([_frac(v, f"{where}: entropy_table[{i}]")
+                                   for i, v in enumerate(table)])
+        else:
+            terminals = data["terminals"]
+            if not isinstance(terminals, list) or not terminals:
+                raise CLIError(f"{where}: terminals must be a non-empty list")
+            forms = set()
+            for i, t in enumerate(terminals):
+                if not isinstance(t, dict):
+                    raise CLIError(f"{where}: terminals[{i}] must be an object")
+                given = {"rows", "packets"} & t.keys()
+                if len(given) != 1:
+                    raise CLIError(f"{where}: terminals[{i}] must give exactly "
+                                   f"one of 'rows' or 'packets'")
+                forms |= given
+            if len(forms) > 1:
+                raise CLIError(f"{where}: terminals mix 'rows' and 'packets' "
+                               f"forms")
+            N = data.get("packet_count")
+            if not is_int(N) or N < 0:
+                raise CLIError(f"{where}: packet_count must be a nonnegative "
+                               f"integer")
+            if forms == {"rows"} and "field" not in data and field_char is None:
                 raise CLIError(f"{where}: matrix instances must state a field")
             field = _parse_field(data.get("field"), where, field_char)
-            mats = []
-            for i, t in enumerate(terminals):
-                rows = t["rows"]
-                if not isinstance(rows, list):
-                    raise CLIError(f"{where}: terminals[{i}].rows must be a list")
-                rows = [_require_int_list(r, f"{where}: terminals[{i}].rows[{j}]")
-                        for j, r in enumerate(rows)]
-                try:
+            if forms == {"rows"}:
+                mats = []
+                for i, t in enumerate(terminals):
+                    at = f"{where}: terminals[{i}]"
+                    if not isinstance(t["rows"], list):
+                        raise CLIError(f"{at}.rows must be a list")
+                    rows = [_require_int_list(r, f"{at}.rows[{j}]")
+                            for j, r in enumerate(t["rows"])]
                     mats.append(Matrix.from_rows(field, rows, ncols=N))
-                except ValueError as exc:
-                    raise CLIError(f"{where}: terminals[{i}]: {exc}") from exc
-            try:
+                at = where
                 model = LinearSource(field, N, mats)
-            except ValueError as exc:
-                raise CLIError(f"{where}: {exc}") from exc
-        else:
-            field = _parse_field(data.get("field"), where, field_char)
-            ownership = [_require_int_list(t["packets"],
-                                           f"{where}: terminals[{i}].packets")
-                         for i, t in enumerate(terminals)]
-            try:   # raw_source checks the indices' range
-                model = raw_source(ownership, N, field)
-            except ValueError as exc:
-                raise CLIError(f"{where}: {exc}") from exc
+            else:
+                ownership = [_require_int_list(t["packets"], f"{where}: "
+                                               f"terminals[{i}].packets")
+                             for i, t in enumerate(terminals)]
+                model = raw_source(ownership, N, field)   # checks the range
 
-    users = _require_int_list(data.get("users"), f"{where}: users")
-    weights = None
-    if data.get("weights") is not None:
-        raw = data["weights"]
-        if not isinstance(raw, list) or len(raw) != model.m:
-            raise CLIError(f"{where}: weights must list {model.m} rationals")
-        weights = [_frac(v, f"{where}: weights[{i}]") for i, v in enumerate(raw)]
-    transmitters = None
-    if data.get("transmitters") is not None:
-        transmitters = _require_int_list(data["transmitters"],
-                                         f"{where}: transmitters")
-    try:
+        users = _require_int_list(data.get("users"), f"{where}: users")
+        weights = None
+        if data.get("weights") is not None:
+            raw = data["weights"]
+            if not isinstance(raw, list) or len(raw) != model.m:
+                raise CLIError(f"{where}: weights must list {model.m} "
+                               f"rationals")
+            weights = [_frac(v, f"{where}: weights[{i}]")
+                       for i, v in enumerate(raw)]
+        transmitters = None
+        if data.get("transmitters") is not None:
+            transmitters = _require_int_list(data["transmitters"],
+                                             f"{where}: transmitters")
         return Instance(model, users, weights, transmitters)
     except InfeasibleInstanceError:
         raise
     except ValueError as exc:
-        raise CLIError(f"{where}: {exc}") from exc
+        raise CLIError(f"{at}: {exc}") from exc
 
 
 def _read_json(path: str) -> Any:
@@ -308,7 +308,8 @@ def _read_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise CLIError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, bytes that are not UTF-8, or nesting too deep to decode
         raise CLIError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -339,12 +340,10 @@ def serialize_instance(instance: Instance) -> dict:
                     for M in model.matrices]
         out["terminals"] = [{"name": f"t{i}", key: value}
                             for i, (key, value) in enumerate(form)]
-    elif isinstance(model, TabularSource):
+    else:   # any other model is written as its entropy table
         out["terminal_count"] = model.m
         out["entropy_table"] = [_frac_str(model.joint_entropy(mask))
                                 for mask in range(1 << model.m)]
-    else:
-        raise CLIError(f"cannot serialize source model {type(model).__name__}")
     out["users"] = list(instance.user_list)
     out["weights"] = _frac_list(instance.weights)
     if len(instance.transmitters) != instance.m:
@@ -435,14 +434,9 @@ def _cmd_solve(args) -> int:
         "command": "solve",
         "converged": sol.converged,
         "iterations": sol.iterations,
-        "objective": _frac_str(sol.primal_objective),
-        "objective_float": float(sol.primal_objective),
-        "dual_objective": _frac_str(sol.dual_objective),
-        "dual_objective_float": float(sol.dual_objective),
-        "gap": _frac_str(sol.gap),
-        "gap_float": float(sol.gap),
-        "rates": _frac_list(sol.rates),
-        "rates_float": _float_list(sol.rates),
+        **_exact(objective=sol.primal_objective,
+                 dual_objective=sol.dual_objective, gap=sol.gap,
+                 rates=sol.rates),
     }, args.output)
     return 0 if sol.converged else 1
 
@@ -453,10 +447,7 @@ def _cmd_oracle(args) -> int:
     _emit({
         "format_version": FORMAT_VERSION,
         "command": "oracle",
-        "value": _frac_str(res.value),
-        "value_float": float(res.value),
-        "rates": _frac_list(res.rates),
-        "rates_float": _float_list(res.rates),
+        **_exact(value=res.value, rates=res.rates),
         "simplex_pivots": res.pivots,
     }, args.output)
     return 0
@@ -479,8 +470,7 @@ def _cmd_verify(args) -> int:
         "format_version": FORMAT_VERSION,
         "command": "verify",
         "feasible": not violations,
-        "objective": _frac_str(objective),
-        "objective_float": float(objective),
+        **_exact(objective=objective),
         "rates": _frac_list(rates),
         "violations": violations,
     }, args.output)
@@ -517,8 +507,7 @@ def _cmd_codegen(args) -> int:
         "kind": "scheme",
         "command": "codegen",
         "instance": serialize_instance(instance),
-        "objective": _frac_str(objective),
-        "objective_float": float(objective),
+        **_exact(objective=objective),
         "rates": _frac_list(rates),
         "total_chunk_symbols": scheme.total_symbols,
         "scheme": scheme_core_to_dict(scheme),

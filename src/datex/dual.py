@@ -53,8 +53,6 @@ class StepSchedule(_Frozen):
     snapped to the 1e-9 rational grid, which preserves the diminishing
     property and keeps the solver rational)."""
 
-    __slots__ = ("kind", "a", "b", "c")
-
     def __init__(self, kind: str = "harmonic", a=1, b=1, c=1):
         a, b, c = Fraction(a), Fraction(b), Fraction(c)
         if kind == "harmonic":
@@ -65,10 +63,7 @@ class StepSchedule(_Frozen):
                 raise ValueError("power schedule needs 0 < a < 1")
         else:
             raise ValueError(f"unknown schedule kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        self.__dict__.update(kind=kind, a=a, b=b, c=c)
 
     def theta(self, n: int) -> Fraction:
         if self.kind == "harmonic":

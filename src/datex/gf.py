@@ -337,17 +337,16 @@ def make_field(characteristic: int, degree: int = 1) -> Field:
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Immutable dense matrix over a Field, stored row-major."""
+    """Immutable dense matrix over a Field, stored row-major.  The
+    constructor trusts its entries to be field elements; `from_rows`, the
+    way entries from outside come in, checks each one."""
 
     __slots__ = ("field", "nrows", "ncols", "data")
 
     def __init__(self, field: Field, nrows: int, ncols: int,
-                 data: Sequence[int], validate: bool = True):
+                 data: Sequence[int]):
         if nrows < 0 or ncols < 0 or len(data) != nrows * ncols:
             raise ValueError("matrix shape does not match data length")
-        if validate:
-            for a in data:
-                field.check(a)
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
@@ -365,8 +364,8 @@ class Matrix:
             width = ncols if ncols is not None else 0
         if ncols is not None and rows and width != ncols:
             raise ValueError(f"rows have length {width}, expected {ncols}")
-        flat = [a for r in rows for a in r]
-        return cls(field, len(rows), width, flat)
+        return cls(field, len(rows), width,
+                   [field.check(a) for r in rows for a in r])
 
     def row(self, i: int) -> tuple:
         return self.data[i * self.ncols:(i + 1) * self.ncols]
@@ -395,7 +394,7 @@ class Matrix:
                     b = brow[j]
                     if b:
                         out[base + j] = add(out[base + j], mul(a, b))
-        return Matrix(F, n, m, out, validate=False)
+        return Matrix(F, n, m, out)
 
     def kron_identity(self, L: int) -> "Matrix":
         """Kronecker product self x I_L: each scalar entry becomes a
@@ -412,11 +411,11 @@ class Matrix:
                 if a:
                     for c in range(L):
                         out[(i * L + c) * W + j * L + c] = a
-        return Matrix(self.field, n * L, m * L, out, validate=False)
+        return Matrix(self.field, n * L, m * L, out)
 
     def map_to_field(self, dst: Field, mapping: Sequence[int]) -> "Matrix":
         return Matrix(dst, self.nrows, self.ncols,
-                      [mapping[a] for a in self.data], validate=False)
+                      [mapping[a] for a in self.data])
 
     def __repr__(self) -> str:
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
@@ -434,7 +433,7 @@ def stack(*mats: Matrix) -> Matrix:
     data = []
     for m in mats:
         data.extend(m.data)
-    return Matrix(field, sum(m.nrows for m in mats), ncols, data, validate=False)
+    return Matrix(field, sum(m.nrows for m in mats), ncols, data)
 
 
 class EchelonBasis:

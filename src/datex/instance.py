@@ -16,13 +16,11 @@ class InfeasibleInstanceError(ValueError):
 
 
 class _Frozen:
-    """Immutable after __init__, which sets each attribute through
-    object.__setattr__ (or the instance __dict__ of a subclass that has
-    one); assigning or deleting an attribute later raises AttributeError.
-    A plain class instead of a frozen dataclass keeps `dataclasses` (and
-    the `inspect` it imports) out of every command's start-up."""
-
-    __slots__ = ()
+    """Immutable after __init__, which sets every attribute with one
+    `self.__dict__.update(...)`; assigning or deleting an attribute later
+    raises AttributeError.  A plain class instead of a frozen dataclass
+    keeps `dataclasses` (and the `inspect` it imports) out of every
+    command's start-up."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -43,8 +41,6 @@ class Instance(_Frozen):
     side information plus its own, i.e. H(X_(T u {l})) = H(X_M) for each
     user l.
     """
-
-    __slots__ = ("model", "users", "weights", "transmitters")
 
     def __init__(self, model: SourceModel, users: Iterable[int],
                  weights: Optional[Sequence] = None,
@@ -69,10 +65,8 @@ class Instance(_Frozen):
         trans_f = frozenset(transmitters) if transmitters is not None else frozenset(range(m))
         if any(not 0 <= t < m for t in trans_f):
             raise ValueError("transmitter index out of range")
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "users", users_f)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "transmitters", trans_f)
+        self.__dict__.update(model=model, users=users_f, weights=w,
+                             transmitters=trans_f)
         full = model.full_mask
         total = model.joint_entropy_scaled(full)
         tmask = self.transmitter_mask

@@ -218,29 +218,27 @@ def rationalize(rates: Sequence, instance: Instance,
                 max_denominator: int = 64) -> Tuple[int, Tuple[int, ...]]:
     """Chunk count L and integer per-terminal chunk rates for a rate vector.
 
-    A rate with denominator at most max_denominator is kept; any other
-    is snapped to the simplest rational within 1/(2*max_denominator) of
-    it.  This is where slightly-off solver output lands back on the exact
-    optimum, whose denominators are small; the closest fraction with a
-    bounded denominator is often a more complex one, and its lcm then
-    inflates L.  The snapped vector is re-verified against every
-    receiver's cuts of the instance.  Deficits small enough to be
-    snapping artifacts (at most m/(2*max_denominator), the most a cut sum
-    can move when every coordinate moves by at most that much) are
-    repaired: each terminal in ascending order is raised by the largest
-    remaining deficit of the violated cuts through it, which restores all
-    cuts in one pass.  A larger deficit means the requested rates were
-    infeasible before snapping, which raises InfeasibleRatesError.  L is
-    the lcm of the final denominators; one above max_denominator raises
+    The rates must pass `check_rate_domain` (ValueError).  A rate with
+    denominator at most max_denominator is kept; any other is snapped to
+    the simplest rational within 1/(2*max_denominator) of it.  This is
+    where slightly-off solver output lands back on the exact optimum,
+    whose denominators are small; the closest fraction with a bounded
+    denominator is often a more complex one, and its lcm then inflates L.
+    The snapped vector is re-verified against every receiver's cuts of the
+    instance.  Deficits small enough to be snapping artifacts (at most
+    m/(2*max_denominator), the most a cut sum can move when every
+    coordinate moves by at most that much) are repaired: each terminal in
+    ascending order is raised by the largest remaining deficit of the
+    violated cuts through it, which restores all cuts in one pass.  A
+    larger deficit means the requested rates were infeasible before
+    snapping, which raises InfeasibleRatesError.  L is the lcm of the
+    final denominators; one above max_denominator raises
     InfeasibleRatesError too.
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    snapped = [_snap(Fraction(r), max_denominator) for r in rates]
-    if any(r < 0 for r in snapped):
-        raise ValueError("rates must be nonnegative")
-    if len(snapped) != instance.m:
-        raise ValueError("rate vector length mismatch")
+    snapped = [_snap(r, max_denominator)
+               for r in check_rate_domain(instance, rates)]
     snap_slack = Fraction(len(snapped), 2 * max_denominator)
     # largest deficit of each violated cut over the receivers; raising a
     # rate only shrinks deficits, so one scan per receiver finds every cut
@@ -344,8 +342,7 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int], L: int,
                 continue
             ncols = blocks[i].nrows
             mats[i] = Matrix(coding_field, r, ncols,
-                             [rng.randrange(q) for _ in range(r * ncols)],
-                             validate=False)
+                             [rng.randrange(q) for _ in range(r * ncols)])
         scheme = TransmissionScheme(instance, L, chunk_rates, ext_degree,
                                     coding_field, mats, seed, attempt,
                                     emb, blocks)
@@ -416,8 +413,7 @@ def simulate_exchange(scheme: TransmissionScheme, seed: int = 0,
         for l in users:
             M = systems[l]
             B = Matrix(scheme.coding_field, M.nrows, len(draws),
-                       [v for row in zip(*rhs[l]) for v in row],
-                       validate=False)
+                       [v for row in zip(*rhs[l]) for v in row])
             for k, x in enumerate(solve_linear(M, B)):
                 hit = x == draws[k]
                 decoded[l] += hit

@@ -57,8 +57,8 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property
-from typing import (Callable, Dict, Iterable, List, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from .gf import (EchelonBasis, Field, Matrix, SizeLimitError, make_field, rank,
                  stack)
@@ -71,29 +71,10 @@ __all__ = [
     "TabularSource",
     "raw_source",
     "validate_table",
-    "as_mask",
     "mask_to_set",
     "scale_to_int",
     "subset_table",
 ]
-
-SubsetLike = Union[int, Iterable[int]]
-
-
-def as_mask(m: int, subset: SubsetLike) -> int:
-    """Normalize a subset given as a bitmask or an iterable of terminal
-    indices.  Bit i is terminal i."""
-    if isinstance(subset, int):
-        if subset < 0 or subset >= (1 << m):
-            raise ValueError(f"mask {subset} out of range for m={m}")
-        return subset
-    mask = 0
-    for i in subset:
-        if not 0 <= i < m:
-            raise ValueError(f"terminal index {i} out of range for m={m}")
-        mask |= 1 << i
-    return mask
-
 
 def mask_to_set(mask: int) -> Tuple[int, ...]:
     out = []
@@ -161,11 +142,13 @@ class SourceModel:
         Here it is the model's own point query."""
         return self._joint_scaled
 
-    def joint_entropy_scaled(self, subset: SubsetLike) -> int:
-        return self._joint_scaled(as_mask(self.m, subset))
+    def joint_entropy_scaled(self, mask: int) -> int:
+        if not 0 <= mask < 1 << self.m:
+            raise ValueError(f"mask {mask} out of range for m={self.m}")
+        return self._joint_scaled(mask)
 
-    def joint_entropy(self, subset: SubsetLike) -> Fraction:
-        v = self.joint_entropy_scaled(subset)
+    def joint_entropy(self, mask: int) -> Fraction:
+        v = self.joint_entropy_scaled(mask)
         d = self.entropy_denominator
         return Fraction(v) if d == 1 else Fraction(v, d)
 
@@ -211,6 +194,14 @@ class LinearSource(SourceModel):
     def _full_rank(self) -> int:
         return self._joint_scaled(self.full_mask)
 
+    def _basis(self, mask: int) -> EchelonBasis:
+        """An echelon basis of the rows of the terminals in `mask`."""
+        basis = EchelonBasis(self.field, self.N)
+        for i in mask_to_set(mask):
+            for row in self._rows[i]:
+                basis.absorb(row)
+        return basis
+
     def lattice_scaled(self, base: int, free: int) -> Callable[[int], int]:
         """The first query of a lattice memoizes all of it in one
         depth-first walk; every later one is a memo lookup."""
@@ -227,11 +218,7 @@ class LinearSource(SourceModel):
         subtree with that rank."""
         memo, rows, full = self._memo, self._rows, self._full_rank
         senders = mask_to_set(free)
-        root = EchelonBasis(self.field, self.N)
-        for i in mask_to_set(base):
-            for row in rows[i]:
-                root.absorb(row)
-        todo = [(base, root, 0)]   # (mask, basis, first sender it may add)
+        todo = [(base, self._basis(base), 0)]   # (mask, basis, first sender it may add)
         while todo:
             mask, basis, x = todo.pop()
             if basis.rank == full:
@@ -272,10 +259,7 @@ class LinearSource(SourceModel):
             else:
                 return out
         rows = self._rows
-        basis = EchelonBasis(self.field, self.N)
-        for i in mask_to_set(mask):
-            for row in rows[i]:
-                basis.absorb(row)
+        basis = self._basis(mask)
         if prev is None:
             prev = memo[mask] = basis.rank
         for j in order[pos:]:
@@ -335,7 +319,7 @@ class RawSource(LinearSource):
         return tuple(
             Matrix(self.field, self.row_counts[i], N,
                    [1 if j == k else 0 for k in self.packets(i)
-                    for j in range(N)], validate=False)
+                    for j in range(N)])
             for i in range(self.m))
 
     # the point query is a few table lookups, with no memo to fill

@@ -12,8 +12,7 @@ from typing import List
 from datex.gf import Matrix, SizeLimitError, make_field, solve_linear
 from datex.instance import Instance
 from datex.netcode import TransmissionScheme
-from datex.source import (LinearSource, SourceModel, TabularSource, as_mask,
-                          raw_source)
+from datex.source import LinearSource, SourceModel, TabularSource, raw_source
 
 # Six terminals observing single linear combinations of three packets; the
 # first three see sums of pairs, the last three see single packets.
@@ -81,10 +80,9 @@ def objective(instance: Instance, rates) -> Fraction:
                Fraction(0))
 
 
-def cond_entropy(model: SourceModel, subset, given) -> Fraction:
-    """H(X_S | X_T) = H(X_(S u T)) - H(X_T), subsets as masks or index lists."""
-    s, t = as_mask(model.m, subset), as_mask(model.m, given)
-    return model.joint_entropy(s | t) - model.joint_entropy(t)
+def cond_entropy(model: SourceModel, subset: int, given: int) -> Fraction:
+    """H(X_S | X_T) = H(X_(S u T)) - H(X_T), subsets as bitmasks."""
+    return model.joint_entropy(subset | given) - model.joint_entropy(given)
 
 
 def all_terminal_cut_rows(instance: Instance):

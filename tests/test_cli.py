@@ -128,6 +128,30 @@ def test_document_validation_errors():
             instance_from_dict(doc)
 
 
+@pytest.mark.parametrize("doc, message", [
+    (_doc(terminals=[{"rows": [[1, 0]]}, {"rows": [[0, 2]]},
+                     {"rows": [[1, 1]]}]),
+     "instance: terminals[1]: 2 is not an element of GF(2)"),
+    (_doc(terminals=[{"rows": [[1, 0], [1]]}, {"rows": [[0, 1]]},
+                     {"rows": [[1, 1]]}]),
+     "instance: terminals[0]: ragged rows"),
+    (_doc(users=[0, 0]), "instance: duplicate user index"),
+    (_doc(field={"characteristic": 4}),
+     "instance: characteristic 4 is not prime"),
+    ({"format_version": 1, "terminal_count": 2,
+      "entropy_table": [0, 1, 1, 3], "users": [0, 1]},
+     "instance: invalid entropy table: submodularity violated: H(0x1) + "
+     "H(0x2) < H(0x3) + H(0x0)"),
+], ids=["row-entry", "ragged-row", "duplicate-user", "field", "table"])
+def test_library_refusals_name_the_document(doc, message):
+    """A library ValueError becomes one CLIError naming the document, or
+    the terminal whose rows it refused; a refusal after the rows names no
+    terminal."""
+    with pytest.raises(CLIError) as err:
+        instance_from_dict(doc)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("packets, message", [
     ([[0], [2]], "terminals[1].packets: index out of range 0..1"),
     ([[-1], [1]], "terminals[0].packets: index out of range 0..1"),
@@ -849,6 +873,21 @@ def test_non_finite_json_numbers_exit_two(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))   # NaN / Infinity: Python's JSON accepts them
     assert main(["oracle", str(path)]) == 2
     assert "is not a rational" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("oracle", "[" * 100_000 + "]" * 100_000),
+    ("simulate", '{"kind": "scheme", "scheme": ' + "[" * 100_000
+     + "]" * 100_000 + "}"),
+], ids=["instance", "scheme"])
+def test_json_nested_too_deep_exits_two(tmp_path, capsys, command, text):
+    """The JSON decoder recurses once per level; nesting deeper than the
+    interpreter's recursion limit is invalid JSON, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    assert _one_line_error(capsys).startswith(
+        f"error: {path}: invalid JSON: ")
 
 
 PACKETS_DOC = {"format_version": 1, "field": 2, "packet_count": 2,

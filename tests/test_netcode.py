@@ -119,6 +119,20 @@ def test_rationalize_validation(example2):
         rationalize((1, 1, 1), instance=restricted)  # silent terminal rated
 
 
+def test_rationalize_judges_the_rates_before_snapping(example3):
+    """A rate that snapping would turn into 0 is still outside the rate
+    domain: a negative one, or a nonzero one off the transmitters, is
+    refused with check_rate_domain's message."""
+    tiny = Fraction(1, 1000)
+    with pytest.raises(ValueError,
+                       match=r"^rate of terminal 0 is negative \(-1/1000\)$"):
+        rationalize([-tiny, 1, 1], example3)
+    restricted = Instance(example3.model, [0], transmitters=[1, 2])
+    with pytest.raises(ValueError, match=r"^terminal 0 does not transmit but "
+                                         r"has rate 1/1000$"):
+        rationalize([tiny, 1, 1], restricted)
+
+
 # ---------------------------------------------------------------------------
 # Extension-field sizing
 # ---------------------------------------------------------------------------
@@ -316,7 +330,7 @@ def test_verification_predicts_simulation():
         victim = rng.choice(sorted(scheme.matrices))
         old = scheme.matrices[victim]
         zero = Matrix(scheme.coding_field, old.nrows, old.ncols,
-                      [0] * (old.nrows * old.ncols), validate=False)
+                      [0] * (old.nrows * old.ncols))
         mutated = with_matrices(scheme, {**scheme.matrices, victim: zero})
         report = verify_decodability(mutated)
         for seed in (0, 1):
@@ -355,7 +369,7 @@ def test_batched_decoding_matches_one_solve_per_seed(example2, example3):
     _, starved = _hand_scheme([1, 0])    # user 1 never sees packet 1
     old = good3.matrices[2]
     zero = Matrix(good3.coding_field, old.nrows, old.ncols,
-                  [0] * (old.nrows * old.ncols), validate=False)
+                  [0] * (old.nrows * old.ncols))
     silenced = with_matrices(good3, {**good3.matrices, 2: zero})
     runs = netcode._DECODE_BLOCK + 6
     for scheme, deficient in ((good3, False), (good2, False),

@@ -118,8 +118,8 @@ def test_exported_names_have_a_caller_or_a_readme_mention():
 
 def _assigned_attributes(tree):
     """(class, attribute) for every NamedTuple field and every attribute a
-    class assigns: `self.a = ...` (tuple targets included),
-    `object.__setattr__(self, "a", ...)` and `self.__dict__.update(a=...)`."""
+    class assigns: `self.a = ...` (tuple targets included) and
+    `self.__dict__.update(a=...)`."""
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
@@ -137,13 +137,9 @@ def _assigned_attributes(tree):
             elif isinstance(node, ast.Call) and isinstance(node.func,
                                                            ast.Attribute):
                 func = node.func
-                if (func.attr == "__setattr__"
-                        and isinstance(func.value, ast.Name)
-                        and func.value.id == "object"):
-                    yield cls.name, ast.literal_eval(node.args[1])
-                elif (func.attr == "update"
-                      and isinstance(func.value, ast.Attribute)
-                      and func.value.attr == "__dict__"):
+                if (func.attr == "update"
+                        and isinstance(func.value, ast.Attribute)
+                        and func.value.attr == "__dict__"):
                     yield from ((cls.name, kw.arg) for kw in node.keywords)
 
 
@@ -214,6 +210,21 @@ def _field_constructions(node, func):
         yield func, node.lineno
     for child in ast.iter_child_nodes(node):
         yield from _field_constructions(child, func)
+
+
+def test_frozen_records_have_one_idiom():
+    """A `_Frozen` record sets its attributes with one
+    `self.__dict__.update(...)`; nothing in src/datex writes through
+    `object.__setattr__`."""
+    found = []
+    for path in sorted((ROOT / "src" / "datex").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "__setattr__"
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "object"]
+    assert not found, f"object.__setattr__ calls: {found}"
 
 
 def test_fields_are_built_only_by_make_field():

@@ -13,7 +13,7 @@ from datex.greedy import violated_cuts
 from datex.instance import Instance
 from datex.oracle import build_lp
 from datex.source import (LinearSource, RawSource, TabularSource,
-                          as_mask, mask_to_set, raw_source, scale_to_int,
+                          mask_to_set, raw_source, scale_to_int,
                           subset_table, validate_table)
 from helpers import (cond_entropy, example_model, example3_instance,
                      random_linear_instance, table_values, tabulate)
@@ -23,20 +23,26 @@ from helpers import (cond_entropy, example_model, example3_instance,
 # Masks
 # ---------------------------------------------------------------------------
 
-def test_as_mask_accepts_masks_and_iterables():
-    assert as_mask(4, 0b1010) == 0b1010
-    assert as_mask(4, [1, 3]) == 0b1010
-    assert as_mask(4, ()) == 0
+def test_mask_to_set_lists_the_set_bits():
+    """A subset is an int bitmask, terminal i bit i: mask_to_set lists its
+    terminals ascending, and the bits of that list give the mask back."""
     assert mask_to_set(0b1010) == (1, 3)
+    assert sum(1 << i for i in mask_to_set(0b1010)) == 0b1010
+    assert mask_to_set(0) == ()
 
 
-def test_as_mask_range_checks():
-    with pytest.raises(ValueError):
-        as_mask(3, [3])
-    with pytest.raises(ValueError):
-        as_mask(3, 0b1000)
-    with pytest.raises(ValueError):
-        as_mask(3, [-1])
+def test_joint_entropy_takes_only_masks_in_range():
+    """A mask outside 0 .. 2^m - 1 is refused, and an index list is not a
+    mask at all."""
+    model = example3_instance().model   # m = 3
+    for mask in (0b1000, -1):
+        with pytest.raises(ValueError, match=rf"mask {mask} out of range "
+                                             rf"for m=3"):
+            model.joint_entropy_scaled(mask)
+        with pytest.raises(ValueError):
+            model.joint_entropy(mask)
+    with pytest.raises(TypeError):
+        model.joint_entropy_scaled([0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -70,30 +76,30 @@ def test_example_model_entropies_gf3():
     model = example_model(3)
     assert model.m == 6 and model.N == 3
     for i in range(6):
-        assert model.joint_entropy([i]) == 1
+        assert model.joint_entropy(1 << i) == 1
     # the three pairwise sums are independent over GF(3)
-    assert model.joint_entropy([0, 1, 2]) == 3
+    assert model.joint_entropy(0b111) == 3
     assert model.joint_entropy(model.full_mask) == 3
     # one pairwise sum plus its two constituent packets
-    assert model.joint_entropy([0, 3, 4]) == 2
+    assert model.joint_entropy(0b11001) == 2
 
 
 def test_example_model_entropies_gf2():
     model = example_model(2)
     # over GF(2) the third pairwise sum is the sum of the other two
-    assert model.joint_entropy([0, 1, 2]) == 2
+    assert model.joint_entropy(0b111) == 2
     assert model.joint_entropy(model.full_mask) == 3
 
 
 def test_conditional_entropy_values():
     model = example_model(3)
     # terminal 3 observes a packet that terminal 0's sum involves
-    assert cond_entropy(model, [3], [0]) == 1
-    assert cond_entropy(model, [0], [3, 4]) == 0
-    assert cond_entropy(model, [0], []) == 1
+    assert cond_entropy(model, 0b1000, 0b1) == 1
+    assert cond_entropy(model, 0b1, 0b11000) == 0
+    assert cond_entropy(model, 0b1, 0) == 1
     # chain rule spot check: H(0,1) = H(0) + H(1|0)
-    assert (model.joint_entropy([0, 1])
-            == model.joint_entropy([0]) + cond_entropy(model, [1], [0]))
+    assert (model.joint_entropy(0b11)
+            == model.joint_entropy(0b1) + cond_entropy(model, 0b10, 0b1))
 
 
 def test_linear_source_validation():
@@ -111,11 +117,11 @@ def test_linear_source_validation():
 def test_raw_source_counts_distinct_packets():
     model = example3_instance().model
     assert isinstance(model, RawSource)
-    assert model.joint_entropy([0]) == 2
-    assert model.joint_entropy([1]) == 3
-    assert model.joint_entropy([2]) == 2
-    assert model.joint_entropy([0, 1]) == 4
-    assert model.joint_entropy([0, 2]) == 3  # packet 3 is only at terminal 1
+    assert model.joint_entropy(0b1) == 2
+    assert model.joint_entropy(0b10) == 3
+    assert model.joint_entropy(0b100) == 2
+    assert model.joint_entropy(0b11) == 4
+    assert model.joint_entropy(0b101) == 3  # packet 3 is only at terminal 1
     assert model.joint_entropy(model.full_mask) == 4
 
 
