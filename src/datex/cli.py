@@ -177,7 +177,7 @@ def _parse_tie_break(text: str, m: int) -> tuple:
 # Instance files
 # ---------------------------------------------------------------------------
 
-def _parse_field(data: Any, where: str, override_char: Optional[int]):
+def _parse_field(data: Any, where: str):
     """A field descriptor: {"characteristic": p, "degree": w} or a bare prime."""
     if data is None:
         char, degree = 2, 1
@@ -192,8 +192,6 @@ def _parse_field(data: Any, where: str, override_char: Optional[int]):
             raise CLIError(f"{where}: field.degree must be a positive integer")
     else:
         raise CLIError(f"{where}: field must be an object or an integer")
-    if override_char is not None:
-        char = override_char
     return make_field(char, degree)
 
 
@@ -204,8 +202,7 @@ def _require_int_list(data: Any, where: str) -> List[int]:
     return list(data)
 
 
-def instance_from_dict(data: Any, field_char: Optional[int] = None,
-                       where: str = "instance") -> Instance:
+def instance_from_dict(data: Any, where: str = "instance") -> Instance:
     """Validate a parsed JSON document into an Instance.
 
     Exactly one of the three source forms must be present: "terminals"
@@ -229,17 +226,16 @@ def instance_from_dict(data: Any, field_char: Optional[int] = None,
     at = where   # the place a library refusal names; a bad row, its terminal
     try:
         if has_table:
-            if field_char is not None:
-                raise CLIError(f"{where}: --field-char does not apply to "
-                               f"entropy-table instances")
             m = data.get("terminal_count")
             if not is_int(m) or m < 1:
                 raise CLIError(f"{where}: terminal_count must be a positive "
                                f"integer")
             table = data["entropy_table"]
-            if not isinstance(table, list) or len(table) != 1 << m:
-                raise CLIError(f"{where}: entropy_table must list 2^{m} = "
-                               f"{1 << m} values indexed by subset bitmask")
+            # no list holds 2^63 values, so 2^m is computed for m < 63 only
+            if not isinstance(table, list) or len(table) != 1 << min(m, 63):
+                size = f"2^{m} = {1 << m}" if m < 63 else "2^terminal_count"
+                raise CLIError(f"{where}: entropy_table must list {size} "
+                               f"values indexed by subset bitmask")
             model = TabularSource([_frac(v, f"{where}: entropy_table[{i}]")
                                    for i, v in enumerate(table)])
         else:
@@ -262,9 +258,9 @@ def instance_from_dict(data: Any, field_char: Optional[int] = None,
             if not is_int(N) or N < 0:
                 raise CLIError(f"{where}: packet_count must be a nonnegative "
                                f"integer")
-            if forms == {"rows"} and "field" not in data and field_char is None:
+            if forms == {"rows"} and "field" not in data:
                 raise CLIError(f"{where}: matrix instances must state a field")
-            field = _parse_field(data.get("field"), where, field_char)
+            field = _parse_field(data.get("field"), where)
             if forms == {"rows"}:
                 mats = []
                 for i, t in enumerate(terminals):
@@ -313,15 +309,9 @@ def _read_json(path: str) -> Any:
         raise CLIError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def parse_instance(path: str, field_char: Optional[int] = None) -> Instance:
-    """Load and validate a JSON instance file; a --field-char override is
-    judged before the file is read."""
-    if field_char is not None:
-        try:
-            make_field(field_char)
-        except ValueError as exc:
-            raise CLIError(f"--field-char: {exc}") from exc
-    return instance_from_dict(_read_json(path), field_char, where=path)
+def parse_instance(path: str) -> Instance:
+    """Load and validate a JSON instance file."""
+    return instance_from_dict(_read_json(path), where=path)
 
 
 def serialize_instance(instance: Instance) -> dict:
@@ -414,7 +404,7 @@ def _cmd_solve(args) -> int:
             raise CLIError("--gap-tol must be positive")
     if args.theta:
         kwargs["schedule"] = _parse_theta(args.theta)
-    instance = parse_instance(args.instance, args.field_char)
+    instance = parse_instance(args.instance)
     if args.tie_break:
         kwargs["tie_break"] = _parse_tie_break(args.tie_break, instance.m)
 
@@ -442,7 +432,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    instance = parse_instance(args.instance, args.field_char)
+    instance = parse_instance(args.instance)
     res = solve_exact(build_lp(instance))
     _emit({
         "format_version": FORMAT_VERSION,
@@ -454,7 +444,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    instance = parse_instance(args.instance, args.field_char)
+    instance = parse_instance(args.instance)
     rates = _parse_rates_flag(args.rates, instance)
     violations = []
     for l in instance.user_list:
@@ -493,7 +483,7 @@ def _cmd_codegen(args) -> int:
     _require_positive(args.max_denominator, "--max-denominator")
     _require_positive(args.ext_degree, "--ext-degree")
     _require_positive(args.max_attempts, "--max-attempts")
-    instance = parse_instance(args.instance, args.field_char)
+    instance = parse_instance(args.instance)
     L, chunks = _scheme_chunks(args, instance)
     scheme = design_transmissions(instance, chunks, L,
                                   ext_degree=args.ext_degree, seed=args.seed,
@@ -533,7 +523,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_graph(args) -> int:
     _require_positive(args.max_denominator, "--max-denominator")
-    instance = parse_instance(args.instance, args.field_char)
+    instance = parse_instance(args.instance)
     L, chunks = _scheme_chunks(args, instance)
     graph = build_multicast_graph(instance, chunks, L)
     _write_out(graph_to_dot(graph) + "\n", args.output)
@@ -547,24 +537,24 @@ def _cmd_graph(args) -> int:
 _REQUIRED = object()   # the default of a positional or flag that must be given
 _HELP = ("-h", "--help")
 _OUTPUT = ("--output", str, None, "write the result here instead of stdout")
-_COMMON = (_OUTPUT, ("--field-char", int, None,
-                     "override the field characteristic of the instance"))
 
 # command -> (handler, positional, help, flags).  A flag is (name,
 # converter, default, help) and sets the attribute its name spells
 # (--max-iters -> args.max_iters); -o is short for --output.
 _COMMANDS = {
-    "solve": (_cmd_solve, "instance", "multi-receiver dual solver", _COMMON + (
+    "solve": (_cmd_solve, "instance", "multi-receiver dual solver", (
+        _OUTPUT,
         ("--max-iters", int, None, "stop after this many iterations"),
         ("--gap-tol", str, None, "stop once the duality gap is this small"),
         ("--theta", str, None, "step 'a,b,c' = a/(b+c*n), or 'pow:a' = n^-a"),
         ("--tie-break", str, None, "terminal priority among equal weights"),
         ("--trace", str, None, "write per-iteration JSON lines here"))),
-    "oracle": (_cmd_oracle, "instance", "exact LP optimum and rates", _COMMON),
+    "oracle": (_cmd_oracle, "instance", "exact LP optimum and rates",
+               (_OUTPUT,)),
     "verify": (_cmd_verify, "instance", "check a rate vector against every cut",
-               _COMMON + (("--rates", str, _REQUIRED, "r0,r1,... rationals"),)),
-    "codegen": (_cmd_codegen, "instance", "build and verify a coding scheme",
-                _COMMON + (
+               (_OUTPUT, ("--rates", str, _REQUIRED, "r0,r1,... rationals"))),
+    "codegen": (_cmd_codegen, "instance", "build and verify a coding scheme", (
+        _OUTPUT,
         ("--rates", str, None, "rates to realize (default: the oracle's)"),
         ("--max-denominator", int, 64, "largest chunk count L"),
         ("--ext-degree", int, None, "coding field degree over the source field"),
@@ -574,8 +564,8 @@ _COMMANDS = {
         _OUTPUT,
         ("--seeds", int, 100, "number of consecutive seeds to run"),
         ("--seed", int, 0, "first seed"))),
-    "graph": (_cmd_graph, "instance", "emit the multicast network as DOT",
-              _COMMON + (
+    "graph": (_cmd_graph, "instance", "emit the multicast network as DOT", (
+        _OUTPUT,
         ("--rates", str, None, "rates to draw (default: the oracle's)"),
         ("--max-denominator", int, 64, "largest chunk count L"))),
 }

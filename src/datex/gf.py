@@ -41,6 +41,11 @@ __all__ = [
 
 # Largest extension field we are willing to build log/antilog tables for.
 _MAX_FIELD_SIZE = 1 << 20
+# Characteristics must lie below this, where _is_prime is deterministic.
+_MAX_CHARACTERISTIC = 1 << 64
+# As Miller-Rabin bases, the primes up to 37 decide every n < 3.18 * 10^23
+# (Sorenson and Webster, Math. Comp. 86, 2017), so every n < 2^64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class SizeLimitError(ValueError):
@@ -54,15 +59,24 @@ def is_int(value) -> bool:
 
 
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases _WITNESSES: exact for n < 2^64."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1   # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -143,15 +157,20 @@ def _lowest_irreducible(p: int, w: int) -> tuple:
 class Field:
     """GF(characteristic ** degree) with packed-integer elements, built by
     `make_field` only: one object per field, so identity is equality.
-    Prime fields use plain modular arithmetic; an extension field (at most
-    2**20 elements) builds its tables at construction, so add, neg, mul
-    and inv are table reads."""
+    Prime fields (characteristic below 2**64) use plain modular
+    arithmetic; an extension field (at most 2**20 elements) builds its
+    tables at construction, so add, neg, mul and inv are table reads."""
 
     def __init__(self, characteristic: int, degree: int = 1):
+        if characteristic >= _MAX_CHARACTERISTIC:
+            raise SizeLimitError("characteristic must be below 2^64")
         if not _is_prime(characteristic):
             raise ValueError(f"characteristic {characteristic} is not prime")
         if degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
+        if degree > 64:   # q >= 2^65, judged before p ** degree is computed
+            raise SizeLimitError(f"a field of degree above 64 exceeds the "
+                                 f"supported size bound {_MAX_FIELD_SIZE}")
         self.p = characteristic
         self.degree = degree
         self.q = characteristic ** degree
@@ -569,8 +588,9 @@ def mat_vec(M: Matrix, v: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-def embed_map(src: Field, dst: Field) -> tuple:
-    """Field embedding GF(p^w) -> GF(p^W) as a lookup table of length src.q.
+def embed_map(src: Field, dst: Field) -> Sequence[int]:
+    """Field embedding GF(p^w) -> GF(p^W) as a lookup table of length src.q
+    (the identity `range(p)` for a prime source field).
 
     Requires equal characteristic and w | W.  The map sends the source
     generator coordinates through the smallest root of the source modulus
@@ -582,7 +602,7 @@ def embed_map(src: Field, dst: Field) -> tuple:
     if dst.degree % src.degree != 0:
         raise ValueError("source degree must divide destination degree")
     if src.degree == 1:
-        return tuple(range(src.p))
+        return range(src.p)
     coeffs = src.modulus
     root = None
     for cand in range(dst.q):

@@ -101,7 +101,7 @@ class TransmissionScheme(_Frozen):
     def __init__(self, instance: Instance, L: int,
                  chunk_rates: Tuple[int, ...], ext_degree: int,
                  coding_field: Field, matrices: Dict[int, Matrix], seed: int,
-                 attempt: int, embed: Tuple[int, ...],
+                 attempt: int, embed: Sequence[int],
                  blocks: Tuple[Matrix, ...]):
         self.__dict__.update(
             instance=instance, L=L, chunk_rates=chunk_rates,
@@ -291,7 +291,7 @@ def _check_coding_view_size(model: LinearSource, L: int) -> None:
 
 
 def _coding_view(model: LinearSource, L: int, coding_field: Field
-                 ) -> Tuple[Tuple[int, ...], Tuple[Matrix, ...]]:
+                 ) -> Tuple[Sequence[int], Tuple[Matrix, ...]]:
     """The source-to-coding-field map and every terminal's observation
     matrix replicated over L chunks and embedded into the coding field."""
     emb = embed_map(model.field, coding_field)

@@ -8,6 +8,8 @@ import io
 import json
 import os
 import re
+import resource
+import signal
 import subprocess
 import sys
 import tempfile
@@ -61,8 +63,17 @@ def test_parse_shipped_instance_files():
     assert ex3.model.N == 4 and ex3.user_list == (0, 1)
 
 
-def test_field_char_override_changes_entropies():
-    binary = parse_instance(EX2, field_char=2)
+def _binary_example2(tmp_path) -> str:
+    """Example 2's document with its field changed from GF(3) to GF(2)."""
+    path = tmp_path / "example2-gf2.json"
+    doc = json.loads(Path(EX2).read_text())
+    doc["field"]["characteristic"] = 2
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_binary_variant_of_example2_changes_entropies(tmp_path):
+    binary = parse_instance(_binary_example2(tmp_path))
     assert binary.model.joint_entropy(0b000111) == 2  # GF(2): dependent
 
 
@@ -184,10 +195,6 @@ def test_table_document_validation():
     with pytest.raises(CLIError):  # monotonicity violated -> hard error
         instance_from_dict({"format_version": 1, "terminal_count": 2,
                             "entropy_table": [0, 2, 1, 1], "users": [0]})
-    with pytest.raises(CLIError):  # field override is for matrix forms
-        instance_from_dict({"format_version": 1, "terminal_count": 1,
-                            "entropy_table": [0, 1], "users": [0]},
-                           field_char=3)
 
 
 def test_infeasible_instance_document_raises_typed_error():
@@ -259,7 +266,7 @@ def test_solve_command(tmp_path):
 
 def test_solve_binary_variant(tmp_path):
     out = tmp_path / "solve2.json"
-    assert main(["solve", EX2, "--field-char", "2", "-o", str(out)]) == 0
+    assert main(["solve", _binary_example2(tmp_path), "-o", str(out)]) == 0
     rec = _read(out)
     assert abs(rec["objective_float"] - 2.25) <= 1e-3
 
@@ -535,7 +542,7 @@ def test_size_guards_exit_two(tmp_path, capsys, command, m, extra, guard):
     (["solve", "missing.json", "--max-iters", "0"], "--max-iters must be >= 1"),
     (["solve", "missing.json", "--gap-tol", "0"], "--gap-tol must be positive"),
     (["oracle", "missing.json", "--field-char", "4"],
-     "--field-char: characteristic 4 is not prime"),
+     "unrecognized arguments: --field-char"),
 ], ids=["codegen-max-denominator", "codegen-ext-degree", "codegen-attempts",
         "graph-max-denominator", "codegen-field-size", "simulate-seeds",
         "solve-max-iters", "solve-gap-tol", "oracle-field-char"])
@@ -847,15 +854,23 @@ def test_usage_errors_are_one_line(capsys, argv, message):
     assert message in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle", "verify", "codegen",
+                                     "graph"])
+def test_the_field_comes_only_from_the_document(capsys, command):
+    assert main([command, EX2, "--field-char", "3"]) == 2
+    assert capsys.readouterr() == \
+        ("", "error: unrecognized arguments: --field-char\n")
+
+
 @pytest.mark.parametrize("command, flags", [
-    ("solve", ["--output", "--field-char", "--max-iters", "--gap-tol",
-               "--theta", "--tie-break", "--trace"]),
-    ("oracle", ["--output", "--field-char"]),
-    ("verify", ["--output", "--field-char", "--rates"]),
-    ("codegen", ["--output", "--field-char", "--rates", "--max-denominator",
-                 "--ext-degree", "--seed", "--max-attempts"]),
+    ("solve", ["--output", "--max-iters", "--gap-tol", "--theta",
+               "--tie-break", "--trace"]),
+    ("oracle", ["--output"]),
+    ("verify", ["--output", "--rates"]),
+    ("codegen", ["--output", "--rates", "--max-denominator", "--ext-degree",
+                 "--seed", "--max-attempts"]),
     ("simulate", ["--output", "--seeds", "--seed"]),
-    ("graph", ["--output", "--field-char", "--rates", "--max-denominator"]),
+    ("graph", ["--output", "--rates", "--max-denominator"]),
 ])
 def test_command_help_lists_every_flag(capsys, command, flags):
     assert main([command, "--help"]) == 0
@@ -1184,6 +1199,68 @@ def test_a_closed_stdout_pipe_exits_two_with_one_line(unbuffered):
     assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
+def _bounded():
+    """In a child before it starts: SIGALRM ends it after 5 s and its
+    address space is capped at 1 GiB, so a regression to unbounded work
+    fails instead of stalling or swelling the test run."""
+    signal.alarm(5)
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+_THREE_PACKETS = {"format_version": 1, "packet_count": 3,
+                  "terminals": [{"packets": [0]}, {"packets": [1]},
+                                {"packets": [2]}],
+                  "users": [0, 1, 2]}
+_HUGE_TABLE = {"format_version": 1, "entropy_table": [], "users": [0]}
+_TABLE_LENGTH = "entropy_table must list 2^terminal_count values indexed " \
+                "by subset bitmask"
+_FIELD_DEGREE = "a field of degree above 64 exceeds the supported size " \
+                "bound 1048576"
+
+
+@pytest.mark.parametrize("doc, argv, line", [
+    (dict(_HUGE_TABLE, terminal_count=10 ** 30), ["oracle"], _TABLE_LENGTH),
+    (dict(_HUGE_TABLE, terminal_count=20000), ["oracle"], _TABLE_LENGTH),
+    (dict(_THREE_PACKETS, field={"characteristic": 2, "degree": 10 ** 7}),
+     ["oracle"], _FIELD_DEGREE),
+    (dict(_THREE_PACKETS, field={"characteristic": 2, "degree": 10 ** 12}),
+     ["oracle"], _FIELD_DEGREE),
+    (dict(_THREE_PACKETS, field={"characteristic": 2 ** 61 - 1, "degree": 2}),
+     ["oracle"], f"field size {(2 ** 61 - 1) ** 2} exceeds the supported "
+                 f"bound 1048576"),
+    (dict(_THREE_PACKETS, field=2 ** 89 - 1), ["oracle"],
+     "characteristic must be below 2^64"),
+    (None, ["codegen", EX1, "--ext-degree", "100000000"], _FIELD_DEGREE),
+], ids=["table-count-1e30", "table-count-20000", "field-degree-1e7",
+        "field-degree-1e12", "field-2^61-1-squared", "field-2^89-1",
+        "codegen-ext-degree-1e8"])
+def test_huge_tables_and_fields_exit_two_at_once(tmp_path, doc, argv, line):
+    # each input's size is judged from the numbers it states: no 2^m, no
+    # p ** degree, no trial division up to sqrt(p)
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv, line = [*argv, str(path)], f"{path}: {line}"
+    assert _child(argv, preexec_fn=_bounded) == (2, "", f"error: {line}\n")
+
+
+def test_a_prime_field_below_2_to_the_64_runs_at_once(tmp_path):
+    # 2^61 - 1 passes the primality test at once, and the prime field's
+    # embedding into itself is a range, not a 2^61-entry table
+    rows, gf2 = tmp_path / "rows.json", tmp_path / "gf2.json"
+    rows.write_text(json.dumps(_doc(field=2 ** 61 - 1)))
+    gf2.write_text(json.dumps(_doc()))
+    oracle = _child(["oracle", str(rows)], preexec_fn=_bounded)
+    assert oracle == _child(["oracle", str(gf2)]) and oracle[0] == 0
+    packets, scheme = tmp_path / "packets.json", tmp_path / "scheme.json"
+    packets.write_text(json.dumps(dict(_THREE_PACKETS, field=2 ** 61 - 1)))
+    assert _child(["codegen", str(packets), "-o", str(scheme)],
+                  preexec_fn=_bounded) == (0, "", "")
+    code, out, err = _child(["simulate", str(scheme), "--seeds", "8"],
+                            preexec_fn=_bounded)
+    assert (code, err, json.loads(out)["successes"]) == (0, "", 8)
+
+
 # ---------------------------------------------------------------------------
 # Contract fuzz: every input ends in 0, 1 or 2 with at most one stderr line
 # ---------------------------------------------------------------------------
@@ -1252,7 +1329,6 @@ def _int_flag(lo, hi):
 
 
 _FLAGS = {
-    "--field-char": st.sampled_from(["2", "3", "5", "7", "0", "4", "x"]),
     "--max-iters": _int_flag(-1, 50),
     "--gap-tol": st.sampled_from(["1/100", "0", "-1", "x", "1/0", "1e-9"]),
     "--theta": st.sampled_from(["1,1,1", "pow:1/2", "pow:2", "0,0,0", "x",
@@ -1265,14 +1341,13 @@ _FLAGS = {
     "--seeds": _int_flag(-1, 3),
 }
 _COMMAND_FLAGS = {
-    "solve": ["--field-char", "--max-iters", "--gap-tol", "--theta",
-              "--tie-break"],
-    "oracle": ["--field-char"],
-    "verify": ["--field-char", "--rates"],
-    "codegen": ["--field-char", "--rates", "--max-denominator",
-                "--ext-degree", "--seed", "--max-attempts"],
+    "solve": ["--max-iters", "--gap-tol", "--theta", "--tie-break"],
+    "oracle": [],
+    "verify": ["--rates"],
+    "codegen": ["--rates", "--max-denominator", "--ext-degree", "--seed",
+                "--max-attempts"],
     "simulate": ["--seeds", "--seed"],
-    "graph": ["--field-char", "--rates", "--max-denominator"],
+    "graph": ["--rates", "--max-denominator"],
 }
 _RATE = st.sampled_from(["0", "1", "1/2", "2/3", "-1", "2", "x", "nan",
                          "1e9", "3/0", ""])

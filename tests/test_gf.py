@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from datex.gf import (EchelonBasis, Field, Matrix, SizeLimitError, embed_map,
                       make_field, mat_vec, rank, solve_linear, stack)
-from datex.gf import _ppack  # packed encoding used for modulus ordering
+from datex.gf import _is_prime, _ppack
 from helpers import matrix_key, solve_one
 
 
@@ -145,6 +145,42 @@ def test_bad_characteristic_rejected():
             make_field(bad)
 
 
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    sieve = [_trial_division(n) for n in range(10 ** 5)]
+    assert [_is_prime(n) for n in range(10 ** 5)] == sieve
+
+
+@pytest.mark.parametrize("n, prime", [
+    (2 ** 31 - 1, True), (2 ** 61 - 1, True), (2 ** 64 - 59, True),
+    (1_000_003, True),
+    (2047, False),                  # strong pseudoprime to base 2
+    (3_215_031_751, False),         # ... to bases 2, 3, 5 and 7
+    (3_825_123_056_546_413_051, False),   # ... to every prime base to 31
+    (561 * 1_000_003, False), ((2 ** 31 - 1) * (2 ** 31 + 11), False),
+    (2 ** 64 - 1, False),
+])
+def test_is_prime_decides_large_numbers(n, prime):
+    assert _is_prime(n) is prime
+
+
+def test_characteristic_and_degree_are_judged_before_the_size():
+    # each refusal comes without computing p ** degree or testing p slowly
+    with pytest.raises(SizeLimitError, match=r"^characteristic must be "
+                       r"below 2\^64$"):
+        make_field(2 ** 89 - 1)
+    with pytest.raises(SizeLimitError, match="^a field of degree above 64 "
+                       "exceeds the supported size bound 1048576$"):
+        make_field(2, 10 ** 12)
+    with pytest.raises(SizeLimitError, match="^field size 18446744073709551616 "
+                       "exceeds the supported bound 1048576$"):
+        make_field(2, 64)
+    assert make_field(2 ** 61 - 1).q == 2 ** 61 - 1
+
+
 # ---------------------------------------------------------------------------
 # Field axioms
 # ---------------------------------------------------------------------------
@@ -241,6 +277,14 @@ def test_embed_is_field_homomorphism(src, dst):
         for b in range(src.q):
             assert emb[src.add(a, b)] == dst.add(emb[a], emb[b])
             assert emb[src.mul(a, b)] == dst.mul(emb[a], emb[b])
+
+
+def test_embed_of_a_prime_field_is_the_identity_range():
+    # O(1) memory however large p is (a prime field near 2^64 runs in
+    # tests/test_cli.py); a range equals only a range with the same values
+    F = make_field(1_000_003)
+    assert embed_map(F, F) == range(F.p)
+    assert embed_map(make_field(3), make_field(3, 2)) == range(3)
 
 
 def test_embed_rejects_mismatches():
