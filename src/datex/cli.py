@@ -33,9 +33,9 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence
 
-from .dual import StepSchedule, solve
+from .dual import solve
 from .gf import Matrix, is_int, make_field
-from .greedy import check_rate_domain, tie_order, violated_cuts
+from .greedy import check_rate_domain, violated_cuts
 from .instance import Instance, InfeasibleInstanceError
 from .netcode import (DesignFailureError, IncompleteSourceError,
                       InfeasibleRatesError, build_multicast_graph,
@@ -144,33 +144,9 @@ def _parse_rates_flag(text: str, instance: Instance) -> List[Fraction]:
         raise CLIError(str(exc)) from exc
 
 
-def _parse_theta(text: str) -> StepSchedule:
-    """--theta "a,b,c" is the diminishing step a/(b + c*n); --theta
-    "pow:a" is n**(-a)."""
-    power = text.startswith("pow:")
-    parts = [p.strip() for p in text.split(",")]
-    if not power and len(parts) != 3:
-        raise CLIError("--theta expects 'a,b,c' or 'pow:a'")
-    try:
-        if power:
-            return StepSchedule("power", _frac(text[len("pow:"):], "--theta"))
-        return StepSchedule("harmonic", *(_frac(p, "--theta") for p in parts))
-    except ValueError as exc:
-        raise CLIError(f"--theta: {exc}") from exc
-
-
 def _require_positive(value: Optional[int], flag: str) -> None:
     if value is not None and value < 1:
         raise CLIError(f"{flag} must be >= 1")
-
-
-def _parse_tie_break(text: str, m: int) -> tuple:
-    try:
-        order = tuple(int(p.strip()) for p in text.split(",") if p.strip())
-        tie_order(m, order)   # indices in range, none repeated
-    except ValueError as exc:
-        raise CLIError(f"--tie-break: {exc}") from exc
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +378,7 @@ def _cmd_solve(args) -> int:
         kwargs["gap_tolerance"] = _frac(args.gap_tol, "--gap-tol")
         if kwargs["gap_tolerance"] <= 0:
             raise CLIError("--gap-tol must be positive")
-    if args.theta:
-        kwargs["schedule"] = _parse_theta(args.theta)
     instance = parse_instance(args.instance)
-    if args.tie_break:
-        kwargs["tie_break"] = _parse_tie_break(args.tie_break, instance.m)
 
     if not args.trace:
         sol = solve(instance, **kwargs)
@@ -546,8 +518,6 @@ _COMMANDS = {
         _OUTPUT,
         ("--max-iters", int, None, "stop after this many iterations"),
         ("--gap-tol", str, None, "stop once the duality gap is this small"),
-        ("--theta", str, None, "step 'a,b,c' = a/(b+c*n), or 'pow:a' = n^-a"),
-        ("--tie-break", str, None, "terminal priority among equal weights"),
         ("--trace", str, None, "write per-iteration JSON lines here"))),
     "oracle": (_cmd_oracle, "instance", "exact LP optimum and rates",
                (_OUTPUT,)),

@@ -25,20 +25,18 @@ import operator
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .greedy import (edmonds_allocate, senders_by_tie, tie_order,
+from .greedy import (RateVector, edmonds_allocate, senders_of,
                      _greedy_rates_scaled)
-from .instance import Instance, _Frozen
+from .instance import Instance
 from .source import scale_to_int
 
 __all__ = [
-    "StepSchedule",
     "Solution",
     "dual_value",
     "duality_gap",
     "solve",
 ]
 
-RateVector = Tuple[Fraction, ...]
 DualMatrix = Tuple[Tuple[Fraction, ...], ...]
 TraceFn = Callable[[int, Fraction, Fraction, Fraction], None]
 
@@ -47,42 +45,11 @@ TraceFn = Callable[[int, Fraction, Fraction, Fraction], None]
 _QUANTUM = Fraction(1, 10 ** 12)
 
 
-class StepSchedule(_Frozen):
-    """Diminishing step size.  kind "harmonic" is a/(b + c*n); kind
-    "power" is n**(-a) with 0 < a < 1 (evaluated in floating point and
-    snapped to the 1e-9 rational grid, which preserves the diminishing
-    property and keeps the solver rational)."""
-
-    def __init__(self, kind: str = "harmonic", a=1, b=1, c=1):
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
-        if kind == "harmonic":
-            if a <= 0 or b < 0 or c <= 0:
-                raise ValueError("harmonic schedule needs a > 0, b >= 0, c > 0")
-        elif kind == "power":
-            if not 0 < a < 1:
-                raise ValueError("power schedule needs 0 < a < 1")
-        else:
-            raise ValueError(f"unknown schedule kind {kind!r}")
-        self.__dict__.update(kind=kind, a=a, b=b, c=c)
-
-    def theta(self, n: int) -> Fraction:
-        if self.kind == "harmonic":
-            # a/(b + c*n) over one common denominator: one Fraction built
-            a, b, c = self.a, self.b, self.c
-            bd, cd = b.denominator, c.denominator
-            return Fraction(a.numerator * bd * cd, a.denominator
-                            * (b.numerator * cd + c.numerator * bd * n))
-        snapped = Fraction(max(1, round(float(n) ** (-float(self.a)) * 10 ** 9)),
-                           10 ** 9)
-        return snapped
-
-
 class Solution(NamedTuple):
     """A certified outcome: primal rates plus the multiplier matrix whose
     dual value witnesses the reported gap."""
 
     instance: Instance
-    tie_break: Optional[Tuple[int, ...]]
     rates: RateVector
     primal_objective: Fraction
     dual_objective: Fraction
@@ -92,8 +59,7 @@ class Solution(NamedTuple):
     dual_matrix: DualMatrix
 
 
-def dual_value(instance: Instance, lam: Sequence[Sequence],
-               tie_break: Optional[Sequence[int]] = None) -> Fraction:
+def dual_value(instance: Instance, lam: Sequence[Sequence]) -> Fraction:
     """Sum of subproblem optima at the given multipliers: a lower bound on
     the optimal weighted rate sum whenever lam is dual feasible.  Each
     subproblem is re-solved greedily from scratch, in integers: each row
@@ -101,14 +67,13 @@ def dual_value(instance: Instance, lam: Sequence[Sequence],
     ordered by it."""
     m = instance.m
     model = instance.model
-    ranks = tie_order(m, tie_break)
     total = Fraction(0)
     for r, l in enumerate(instance.user_list):
         row = [Fraction(x) for x in lam[r]]
         if len(row) != m:
             raise ValueError(f"expected {m} multipliers, got {len(row)}")
         den, scaled = scale_to_int(row)
-        order = senders_by_tie(instance, l, ranks)
+        order = senders_of(instance, l)
         order.sort(key=scaled.__getitem__)
         rates = _greedy_rates_scaled(model, l, order)
         total += Fraction(sum(map(operator.mul, scaled, rates)),
@@ -120,8 +85,7 @@ def duality_gap(solution: Solution) -> Fraction:
     """Primal minus dual objective, both recomputed from the solution's
     own certificate (fresh greedy calls).  Nonnegative by weak duality."""
     p = solution.instance.objective(solution.rates)
-    d = dual_value(solution.instance, solution.dual_matrix,
-                   solution.tie_break)
+    d = dual_value(solution.instance, solution.dual_matrix)
     gap = p - d
     if gap < 0:
         raise ArithmeticError("weak duality violated by the certificate")
@@ -179,23 +143,20 @@ def _project_grid(vfine: List[int], refine: int, budget_grid: int,
     return out
 
 
-def _single_user_solution(instance: Instance,
-                          tie_break: Optional[Tuple[int, ...]]) -> Solution:
+def _single_user_solution(instance: Instance) -> Solution:
     (target,) = instance.user_list
-    rates = edmonds_allocate(instance, target, tie_break=tie_break)
+    rates = edmonds_allocate(instance, target)
     obj = instance.objective(rates)
     lam_row = tuple(Fraction(0) if i == target else instance.weights[i]
                     for i in range(instance.m))
     return Solution(
-        instance=instance, tie_break=tie_break, rates=rates,
-        primal_objective=obj, dual_objective=obj, gap=Fraction(0),
-        iterations=0, converged=True, dual_matrix=(lam_row,))
+        instance=instance, rates=rates, primal_objective=obj,
+        dual_objective=obj, gap=Fraction(0), iterations=0, converged=True,
+        dual_matrix=(lam_row,))
 
 
-def solve(instance: Instance, *, schedule: Optional[StepSchedule] = None,
-          max_iterations: int = 50_000,
+def solve(instance: Instance, *, max_iterations: int = 50_000,
           gap_tolerance: Fraction = Fraction(1, 1000),
-          tie_break: Optional[Sequence[int]] = None,
           trace: Optional[TraceFn] = None) -> Solution:
     """Minimize the weighted sum of shared rates over all receivers'
     regions.  A single receiver short-circuits to the greedy allocation
@@ -207,37 +168,33 @@ def solve(instance: Instance, *, schedule: Optional[StepSchedule] = None,
     certificate seen; `converged` records whether the gap tolerance was
     met within the iteration budget.
 
-    Keywords: `schedule` is the dual step size (default: the weight-scaled
+    Step n moves the multipliers along the subgradient by the weight-scaled
     harmonic step max(1, max alpha)/(1 + n), which is 1/(1 + n) for unit
-    weights; heavier weights need proportionally longer steps);
-    `max_iterations` (default 50000, at least 1) and `gap_tolerance`
-    (default 1/1000, positive) bound the run; `tie_break` lists terminals
-    in priority order among equal multipliers (default ascending index);
-    `trace`, when given, receives (iteration, primal value, current dual
-    value, best gap so far) each iteration.  Before returning, the gap is
-    re-derived from the certificate with fresh greedy calls.
+    weights; heavier weights need proportionally longer steps.  Equal
+    multipliers are ordered by terminal index.
+
+    Keywords: `max_iterations` (default 50000, at least 1) and
+    `gap_tolerance` (default 1/1000, positive) bound the run; `trace`, when
+    given, receives (iteration, primal value, current dual value, best gap
+    so far) each iteration.  Before returning, the gap is re-derived from
+    the certificate with fresh greedy calls.
     """
     gap_tolerance = Fraction(gap_tolerance)
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     if gap_tolerance <= 0:
         raise ValueError("gap_tolerance must be positive")
-    if tie_break is not None:
-        tie_break = tuple(tie_break)
     users = instance.user_list
     k = len(users)
     if k == 1:
-        return _single_user_solution(instance, tie_break)
-    if schedule is None:
-        schedule = StepSchedule("harmonic",
-                                max(Fraction(1), max(instance.weights)), 1, 1)
+        return _single_user_solution(instance)
+    step = max(Fraction(1), max(instance.weights))
 
     model = instance.model
     m = instance.m
     de = model.entropy_denominator
-    ranks = tie_order(m, tie_break)
-    # a stable sort by the multipliers gives (multiplier, tie rank) order
-    senders_of = [senders_by_tie(instance, l, ranks) for l in users]
+    # a stable sort by the multipliers gives (multiplier, index) order
+    senders = [senders_of(instance, l) for l in users]
     columns = sorted(instance.transmitters)
     # the rows of each column that get mass: all but its own user's row
     free_of = [[r for r, u in enumerate(users) if u != i] for i in range(m)]
@@ -288,7 +245,7 @@ def solve(instance: Instance, *, schedule: Optional[StepSchedule] = None,
         rt: List[List[int]] = []
         moved = [False] * m     # columns with a nonzero subgradient entry
         for r, lamr in enumerate(zip(*lam)):
-            order = sorted(senders_of[r], key=lamr.__getitem__)
+            order = sorted(senders[r], key=lamr.__getitem__)
             row = _greedy_rates_scaled(model, users[r], order)
             srow = sums[r]
             wrow = wsums[r]
@@ -340,7 +297,7 @@ def solve(instance: Instance, *, schedule: Optional[StepSchedule] = None,
         if n == max_iterations:
             break
 
-        theta = schedule.theta(n)
+        theta = Fraction(step.numerator, step.denominator * (n + 1))
         tn, td = theta.numerator, theta.denominator
         refine = td * de
         qmul = tn * grid
@@ -361,9 +318,9 @@ def solve(instance: Instance, *, schedule: Optional[StepSchedule] = None,
     dmat = tuple(tuple(Fraction(x, grid) for x in row)
                  for row in zip(*best_dual_lam))
     solution = Solution(
-        instance=instance, tie_break=tie_break, rates=zvec,
-        primal_objective=primal_obj, dual_objective=dual_obj, gap=gap,
-        iterations=n, converged=converged, dual_matrix=dmat)
+        instance=instance, rates=zvec, primal_objective=primal_obj,
+        dual_objective=dual_obj, gap=gap, iterations=n, converged=converged,
+        dual_matrix=dmat)
     # re-derive both bounds from the certificate; raises if gap < 0
     if duality_gap(solution) != gap:
         raise ArithmeticError("the certificate does not reproduce the gap")

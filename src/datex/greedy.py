@@ -37,7 +37,7 @@ __all__ = [
     "check_rate_domain",
     "violated_cuts",
     "tie_order",
-    "senders_by_tie",
+    "senders_of",
 ]
 
 RateVector = Tuple[Fraction, ...]
@@ -72,12 +72,10 @@ def tie_order(m: int, tie_break: Optional[Sequence[int]]) -> List[int]:
     return rank_of
 
 
-def senders_by_tie(instance: Instance, target: int,
-                   ranks: Sequence[int]) -> List[int]:
-    """The transmitters other than `target` in tie-rank order, so a
-    stable sort by a key then orders them by (key, tie rank)."""
-    return sorted((t for t in instance.transmitters if t != target),
-                  key=ranks.__getitem__)
+def senders_of(instance: Instance, target: int) -> List[int]:
+    """The transmitters other than `target` in ascending index order, so a
+    stable sort by a key then orders them by (key, index)."""
+    return sorted(t for t in instance.transmitters if t != target)
 
 
 def _greedy_rates_scaled(model: SourceModel, target: int,
@@ -102,7 +100,8 @@ def edmonds_allocate(instance: Instance, target: int,
     m = instance.m
     if not 0 <= target < m:
         raise ValueError(f"target {target} out of range")
-    senders = senders_by_tie(instance, target, tie_order(m, tie_break))
+    senders = senders_of(instance, target)
+    senders.sort(key=tie_order(m, tie_break).__getitem__)
     senders.sort(key=instance.weights.__getitem__)
     scaled = _greedy_rates_scaled(instance.model, target, senders)
     den = instance.model.entropy_denominator

@@ -282,7 +282,6 @@ def test_solve_trace_and_knobs(tmp_path):
     tracef = tmp_path / "trace.jsonl"
     assert main(["solve", EX2, "--max-iters", "25",
                  "--gap-tol", "1/1000000000",
-                 "--theta", "1,1,1", "--tie-break", "5,4,3,2,1,0",
                  "--trace", str(tracef), "-o", str(out)]) == 1
     rec = _read(out)
     assert rec["iterations"] == 25
@@ -295,17 +294,17 @@ def test_solve_trace_and_knobs(tmp_path):
     assert all(a >= b for a, b in zip(gaps, gaps[1:]))
 
 
-def test_solve_power_schedule(tmp_path):
-    out = tmp_path / "solve5.json"
-    assert main(["solve", EX2, "--theta", "pow:3/4", "-o", str(out)]) == 0
-    assert abs(_read(out)["objective_float"] - 2.25) <= 1e-3
+def test_removed_solve_flags_exit_two(capsys):
+    # the step size and the tie order are fixed, not flags
+    for argv in (["--theta", "1,1,1"], ["--tie-break", "0"]):
+        assert main(["solve", EX2, *argv]) == 2
+        assert capsys.readouterr() == \
+            ("", f"error: unrecognized arguments: {argv[0]}\n")
 
 
 def test_solve_rejects_bad_flags(capsys):
-    assert main(["solve", EX2, "--theta", "fast"]) == 2
-    assert "error:" in capsys.readouterr().err
     assert main(["solve", EX2, "--gap-tol", "0"]) == 2
-    assert main(["solve", EX2, "--tie-break", "1,zebra"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_solve_then_verify_pipeline(tmp_path):
@@ -833,21 +832,16 @@ def test_non_monotone_table_names_one_violation(tmp_path, capsys):
     ([], "the following arguments are required: command"),
     (["frobnicate", EX1], "invalid choice: 'frobnicate'"),
     (["simulate", EX1, "--seeds", "zz"], "argument --seeds: invalid int value"),
-    (["solve", EX1, "--tie-break", "9"], "tie_break index 9 out of range"),
-    (["solve", EX1, "--tie-break", "1,1"], "tie_break repeats terminal 1"),
     # a flag's value is the next token, even one that starts with '-'
     (["verify", EX3, "--rates", "-1,1,1"], "rate of terminal 0 is negative (-1)"),
     (["solve", EX1, "--gap-tol", "-1/100"], "--gap-tol must be positive"),
-    (["solve", EX1, "--theta", "-1,1,1"],
-     "--theta: harmonic schedule needs a > 0, b >= 0, c > 0"),
     (["solve", EX1, "--bogus", "1"], "unrecognized arguments: --bogus"),
     (["solve", EX1, "--max-it", "5"], "unrecognized arguments: --max-it"),
     (["solve", EX1, "--max-iters"], "argument --max-iters: expected one argument"),
     (["verify", EX3], "the following arguments are required: --rates"),
     (["oracle", EX1, EX2], "unrecognized arguments"),
-], ids=["no-command", "bad-command", "bad-int-flag", "tie-break-range",
-        "tie-break-repeat", "negative-rates-value", "negative-gap-tol-value",
-        "negative-theta-value", "unknown-flag", "abbreviated-flag",
+], ids=["no-command", "bad-command", "bad-int-flag", "negative-rates-value",
+        "negative-gap-tol-value", "unknown-flag", "abbreviated-flag",
         "missing-value", "missing-required-flag", "two-positionals"])
 def test_usage_errors_are_one_line(capsys, argv, message):
     assert main(argv) == 2
@@ -863,8 +857,7 @@ def test_the_field_comes_only_from_the_document(capsys, command):
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("solve", ["--output", "--max-iters", "--gap-tol", "--theta",
-               "--tie-break", "--trace"]),
+    ("solve", ["--output", "--max-iters", "--gap-tol", "--trace"]),
     ("oracle", ["--output"]),
     ("verify", ["--output", "--rates"]),
     ("codegen", ["--output", "--rates", "--max-denominator", "--ext-degree",
@@ -967,12 +960,7 @@ def test_rationals_past_either_bound_exit_two_at_once(tmp_path, capsys, text,
      "--rates entry 1: magnitude must be below 2^256"),
     (["solve", EX2, "--gap-tol", "1e-100000000"],
      "--gap-tol: denominator must be below 2^256"),
-    (["solve", EX2, "--theta", "1e3000000,1,1"],
-     "--theta: magnitude must be below 2^256"),
-    (["solve", EX2, "--theta", "pow:1e-100000000"],
-     "--theta: denominator must be below 2^256"),
-    (["solve", EX2, "--theta", "1,x,1"], "--theta: 'x' is not a rational"),
-], ids=["rates", "gap-tol", "theta", "theta-power", "theta-not-a-rational"])
+], ids=["rates", "gap-tol"])
 def test_rational_flags_are_bounded_at_once(capsys, argv, line):
     start = time.perf_counter()
     assert main(argv) == 2
@@ -1331,9 +1319,6 @@ def _int_flag(lo, hi):
 _FLAGS = {
     "--max-iters": _int_flag(-1, 50),
     "--gap-tol": st.sampled_from(["1/100", "0", "-1", "x", "1/0", "1e-9"]),
-    "--theta": st.sampled_from(["1,1,1", "pow:1/2", "pow:2", "0,0,0", "x",
-                                "1,2"]),
-    "--tie-break": st.sampled_from(["0", "5,4,3", "9", "1,1", "x", ""]),
     "--max-denominator": _int_flag(-1, 16),
     "--ext-degree": _int_flag(-1, 4),
     "--seed": _int_flag(-3, 1000),
@@ -1341,7 +1326,7 @@ _FLAGS = {
     "--seeds": _int_flag(-1, 3),
 }
 _COMMAND_FLAGS = {
-    "solve": ["--max-iters", "--gap-tol", "--theta", "--tie-break"],
+    "solve": ["--max-iters", "--gap-tol"],
     "oracle": [],
     "verify": ["--rates"],
     "codegen": ["--rates", "--max-denominator", "--ext-degree", "--seed",

@@ -35,9 +35,9 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datex.dual import _QUANTUM, StepSchedule, solve
+from datex.dual import _QUANTUM, solve
 from datex.gf import Matrix, make_field, mat_vec, rank, solve_linear
-from datex.greedy import edmonds_allocate, tie_order, violated_cuts
+from datex.greedy import edmonds_allocate, violated_cuts
 from datex.instance import Instance, InfeasibleInstanceError
 from datex.netcode import InfeasibleRatesError, _snap, rationalize
 from datex.oracle import UnboundedLPError, build_lp, exact_simplex, solve_exact
@@ -292,7 +292,7 @@ def ref_project_grid(vfine, refine, budget_grid, pinned):
     return out
 
 
-def ref_dual_value(instance, lam, tie_break=None):
+def ref_dual_value(instance, lam):
     """Sum of the subproblem optima, each from `edmonds_allocate` on the
     instance reweighted by the Fraction multipliers."""
     total = Fraction(0)
@@ -300,30 +300,28 @@ def ref_dual_value(instance, lam, tie_break=None):
         row = [Fraction(x) for x in lam[r]]
         reweighted = Instance(instance.model, instance.users, row,
                               instance.transmitters)
-        rates = edmonds_allocate(reweighted, l, tie_break=tie_break)
+        rates = edmonds_allocate(reweighted, l)
         total += sum((a * b for a, b in zip(row, rates)), Fraction(0))
     return total
 
 
-def ref_solve(instance, *, schedule=None, max_iterations=50_000,
-              gap_tolerance=Fraction(1, 1000), tie_break=None, trace=None):
+def ref_solve(instance, *, max_iterations=50_000,
+              gap_tolerance=Fraction(1, 1000), trace=None):
     """The dual solver with row-major multipliers, chains from one point
     query per prefix (walked to the end), Fraction primal bounds and gap,
     and the averaged subproblem vertices of the best primal point kept per
     receiver; returns the Solution fields (and averaged_matrix) as a dict.
+    Step n is max(1, max weight)/(1 + n); equal multipliers go by index.
     Multi-receiver instances only."""
     users = instance.user_list
     k = len(users)
-    if schedule is None:
-        schedule = StepSchedule("harmonic",
-                                max(Fraction(1), max(instance.weights)), 1, 1)
+    step = max(Fraction(1), *instance.weights)
     model = instance.model
     m = instance.m
     de = model.entropy_denominator
-    ranks = tie_order(m, tie_break)
     row_of_user = {u: r for r, u in enumerate(users)}
-    senders_of = [sorted((t for t in instance.transmitters if t != l),
-                         key=ranks.__getitem__) for l in users]
+    senders_of = [[t for t in range(m) if t in instance.transmitters and t != l]
+                  for l in users]
     columns = sorted(instance.transmitters)
     d_alpha = 1
     for w in instance.weights:
@@ -391,7 +389,7 @@ def ref_solve(instance, *, schedule=None, max_iterations=50_000,
             break
         if n == max_iterations:
             break
-        theta = schedule.theta(n)
+        theta = step / (1 + n)
         refine = theta.denominator * de
         qmul = theta.numerator * grid
         for i in columns:
@@ -411,7 +409,7 @@ def ref_solve(instance, *, schedule=None, max_iterations=50_000,
                  for r in range(k))
     gap = best_primal - dual_obj
     if instance.objective(rates) - ref_dual_value(
-            instance, dmat, tie_break) != gap:
+            instance, dmat) != gap:
         raise ArithmeticError("the certificate does not reproduce the gap")
     return {"rates": rates, "primal_objective": best_primal,
             "dual_objective": dual_obj, "gap": gap, "iterations": n,
@@ -720,12 +718,13 @@ def test_solve_linear_matches_the_dense_reference(system):
 
 def _solve_case(rng):
     """A multi-receiver instance and solver settings: a raw, GF(3),
-    GF(2^2) or tabular source; integer or fractional weights; sometimes
-    restricted transmitters and a tie order; a harmonic, power or default
-    schedule; 1 to 60 iterations.  Sometimes one terminal sees the whole
-    file, so every chain that visits it saturates there; given weight 0
-    and the first tie rank, it leads every chain that visits it, so those
-    chains saturate at the first sender."""
+    GF(2^2) or tabular source; integer weights of 1 to 4, which scale the
+    step, or fractional ones; sometimes restricted transmitters; 1 to 60
+    iterations.  Sometimes one terminal sees the whole file, so every
+    chain that visits it saturates there; given weight 0, its multipliers
+    stay 0, so it leads every chain in which each sender of lower index
+    has a positive multiplier, and such a chain saturates at its first
+    sender."""
     while True:
         kind = rng.choice(["raw", "GF(3)", "GF(2^2)", "tabular"])
         m = rng.randint(3, 8)
@@ -759,27 +758,18 @@ def _solve_case(rng):
         transmitters = None
         if rng.random() < 0.3:
             transmitters = [i for i in range(m) if rng.random() < 0.7]
-        tie_break = None
-        if rng.random() < 0.4:
-            tie_break = rng.sample(range(m), rng.randint(1, m))
         if whole is not None and rng.random() < 0.5:
             if transmitters is not None and whole not in transmitters:
                 transmitters.append(whole)
             weights[whole] = 0
-            tie_break = [whole] + [t for t in tie_break or () if t != whole]
         try:
             inst = Instance(model, users, weights, transmitters=transmitters)
         except InfeasibleInstanceError:
             continue
-        schedule = rng.choice([
-            None, StepSchedule("harmonic", rng.randint(1, 3), rng.randint(0, 2),
-                               Fraction(1, rng.randint(1, 3))),
-            StepSchedule("power", Fraction(rng.randint(1, 9), 10))])
         config = dict(
-            schedule=schedule, max_iterations=rng.randint(1, 60),
+            max_iterations=rng.randint(1, 60),
             gap_tolerance=rng.choice([Fraction(1, 10 ** 9), Fraction(1, 10 ** 9),
-                                      Fraction(1, 1000), Fraction(1, 10)]),
-            tie_break=tie_break)
+                                      Fraction(1, 1000), Fraction(1, 10)]))
         return inst, config
 
 
@@ -796,7 +786,5 @@ def test_solve_matches_the_row_major_reference(seed):
     assert all(type(x) is Fraction for row in got_trace for x in row[1:])
     assert {f: getattr(sol, f) for f in ref if f != "averaged_matrix"} \
         == {f: v for f, v in ref.items() if f != "averaged_matrix"}
-    tie_break = config["tie_break"]
-    assert sol.tie_break == (None if tie_break is None else tuple(tie_break))
     for row, l in zip(ref["averaged_matrix"], inst.user_list):
         assert not violated_cuts(row, inst, l, limit=1)

@@ -1,4 +1,4 @@
-"""Tests for the dual-decomposition solver: step schedules, the starting
+"""Tests for the dual-decomposition solver: its keywords, the starting
 multipliers, the grid projection against an exact test-side reference,
 weak/strong duality against the LP oracle, and the solver's certificates
 on the worked examples."""
@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import datex.dual as dual_module
-from datex.dual import (_QUANTUM, StepSchedule, _project_grid, dual_value,
-                        duality_gap, solve)
+from datex.dual import _QUANTUM, _project_grid, dual_value, duality_gap, solve
 from datex.greedy import edmonds_allocate, violated_cuts
 from datex.instance import Instance
 from datex.oracle import build_lp, exact_simplex, solve_exact
@@ -92,53 +91,21 @@ def _free_rows(k, pinned):
 
 
 # ---------------------------------------------------------------------------
-# Step schedules and solver configuration
+# Solver configuration
 # ---------------------------------------------------------------------------
-
-def test_harmonic_schedule_values():
-    s = StepSchedule()
-    assert s.theta(1) == Fraction(1, 2)
-    assert s.theta(9) == Fraction(1, 10)
-    s = StepSchedule("harmonic", 3, 0, 2)
-    assert s.theta(5) == Fraction(3, 10)
-
-
-def test_power_schedule_values():
-    s = StepSchedule("power", Fraction(1, 2))
-    assert s.theta(1) == F1
-    assert s.theta(4) == Fraction(1, 2)
-    # irrational steps land on the nanogrid and keep diminishing
-    assert s.theta(2) == Fraction(707106781, 10 ** 9)
-    vals = [s.theta(n) for n in range(1, 60)]
-    assert all(a >= b > 0 for a, b in zip(vals, vals[1:]))
-
-
-def test_schedule_validation():
-    with pytest.raises(ValueError, match="harmonic schedule needs"):
-        StepSchedule("harmonic", 0)
-    with pytest.raises(ValueError, match="harmonic schedule needs"):
-        StepSchedule("harmonic", 1, -1)
-    with pytest.raises(ValueError, match="power schedule needs"):
-        StepSchedule("power", 1)
-    with pytest.raises(ValueError, match="unknown schedule kind"):
-        StepSchedule("geometric")
-
 
 def test_config_validation(example2):
     params = inspect.signature(solve).parameters
     assert {name: p.default for name, p in params.items()
             if p.kind is p.KEYWORD_ONLY} == {
-        "schedule": None, "max_iterations": 50_000,
-        "gap_tolerance": Fraction(1, 1000), "tie_break": None, "trace": None}
+        "max_iterations": 50_000, "gap_tolerance": Fraction(1, 1000),
+        "trace": None}
     with pytest.raises(ValueError, match="max_iterations must be >= 1"):
         solve(example2, max_iterations=0)
     with pytest.raises(ValueError, match="gap_tolerance must be positive"):
         solve(example2, gap_tolerance=0)
     with pytest.raises(ValueError, match="gap_tolerance must be positive"):
         solve(example2, gap_tolerance="-1/2")
-    sol = solve(example2, tie_break=[2, 0], max_iterations=3)
-    assert sol.tie_break == (2, 0)
-    assert solve(example2, max_iterations=3).tie_break is None
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +434,6 @@ def test_solve_binary_field_variant(example2_gf2):
     assert sol.gap <= Fraction(1, 1000)
 
 
-def test_solve_unit_weights_match_plain_harmonic(example2):
-    # with unit weights the default step schedule IS 1/(1+n)
-    a = solve(example2)
-    b = solve(example2, schedule=StepSchedule())
-    assert (a.iterations, a.gap, a.rates) == (b.iterations, b.gap, b.rates)
-
-
 def test_solve_single_user_short_circuit():
     rng = random.Random(99)
     inst = random_linear_instance(rng, multi_user=False)
@@ -534,26 +494,24 @@ def test_solve_brackets_oracle_on_random_instances():
             assert not violated_cuts(sol.rates, inst, l, limit=1)
 
 
-def test_solve_tie_break_passthrough(example2, monkeypatch):
-    sol = solve(example2, tie_break=[5, 4, 3, 2, 1, 0], max_iterations=50,
-                gap_tolerance=Fraction(1, 10 ** 9))
-    assert sol.tie_break == (5, 4, 3, 2, 1, 0)
+def test_duality_gap_reproduces_the_gap(example2):
+    sol = solve(example2, max_iterations=50, gap_tolerance=Fraction(1, 10 ** 9))
+    assert not sol.converged
     assert sol.dual_objective <= Fraction(9, 4) <= sol.primal_objective
-    # the dual value is the same under any tie order, so the replay's tie
-    # order is read where duality_gap hands it on
-    seen = []
-    real = dual_module.tie_order
-    monkeypatch.setattr(dual_module, "tie_order",
-                        lambda m, tb: seen.append(tb) or real(m, tb))
-    assert duality_gap(sol) == sol.gap  # replays with the same tie order
-    assert seen == [(5, 4, 3, 2, 1, 0)]
+    # both bounds are re-derived from the certificate with fresh greedy calls
+    assert example2.objective(sol.rates) == sol.primal_objective
+    assert dual_value(example2, sol.dual_matrix) == sol.dual_objective
+    assert duality_gap(sol) == sol.gap
+    # rates below the dual bound break weak duality
+    with pytest.raises(ArithmeticError, match="weak duality violated"):
+        duality_gap(sol._replace(rates=(F0,) * example2.m))
 
 
 @pytest.mark.parametrize("make, config", [
     (example2_instance, dict(max_iterations=25,
                              gap_tolerance=Fraction(1, 10 ** 9))),
     (example2_instance, {}),
-    (example3_instance, dict(tie_break=[2, 1, 0])),
+    (example3_instance, {}),
 ], ids=["budget", "converged", "raw"])
 def test_solve_calls_the_traced_greedy_once_per_receiver(monkeypatch, make,
                                                          config):

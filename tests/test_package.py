@@ -1,5 +1,6 @@
 """Package-level checks: certificates are explicit raises that `python -O`
-keeps, the runtime imports only the standard library, a CLI command
+keeps, the runtime imports only the standard library, no module below
+the CLI calls `float`, a CLI command
 loads none of `dataclasses`, `inspect`, `argparse`, `gettext` and
 `locale`, every exported name has a
 caller in the package or a mention in the README, every result field and
@@ -50,6 +51,22 @@ def test_package_imports_only_the_standard_library():
                       if name.split(".")[0] not in sys.stdlib_module_names
                       and name.split(".")[0] != "datex"]
     assert not found, f"imports outside the standard library: {found}"
+
+
+def test_nothing_below_the_cli_computes_in_floating_point():
+    """Every quantity the library computes is exact: no module but cli.py
+    calls `float`, and cli.py only to write the `*_float` twins of exact
+    values and the trace's floats."""
+    found = []
+    for path in sorted((ROOT / "src" / "datex").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"]
+    assert not found, f"floating-point calls below the CLI: {found}"
 
 
 def test_cli_command_loads_no_dataclasses_inspect_or_argparse():
