@@ -453,13 +453,9 @@ def _scheme_chunks(args, instance: Instance) -> tuple:
 
 def _cmd_codegen(args) -> int:
     _require_positive(args.max_denominator, "--max-denominator")
-    _require_positive(args.ext_degree, "--ext-degree")
-    _require_positive(args.max_attempts, "--max-attempts")
     instance = parse_instance(args.instance)
     L, chunks = _scheme_chunks(args, instance)
-    scheme = design_transmissions(instance, chunks, L,
-                                  ext_degree=args.ext_degree, seed=args.seed,
-                                  max_attempts=args.max_attempts)
+    scheme = design_transmissions(instance, chunks, L)
     if not verify_decodability(scheme).ok:
         raise RuntimeError("the designed scheme failed its decodability re-check")
     rates = [Fraction(c, L) for c in chunks]
@@ -480,7 +476,7 @@ def _cmd_codegen(args) -> int:
 def _cmd_simulate(args) -> int:
     _require_positive(args.seeds, "--seeds")
     scheme = _load_scheme(args.scheme)
-    result = simulate_exchange(scheme, seed=args.seed, runs=args.seeds)
+    result = simulate_exchange(scheme, args.seeds)
     _emit({
         "format_version": FORMAT_VERSION,
         "command": "simulate",
@@ -526,14 +522,10 @@ _COMMANDS = {
     "codegen": (_cmd_codegen, "instance", "build and verify a coding scheme", (
         _OUTPUT,
         ("--rates", str, None, "rates to realize (default: the oracle's)"),
-        ("--max-denominator", int, 64, "largest chunk count L"),
-        ("--ext-degree", int, None, "coding field degree over the source field"),
-        ("--seed", int, 0, "seed of the first design attempt"),
-        ("--max-attempts", int, 32, "design attempts before giving up"))),
+        ("--max-denominator", int, 64, "largest chunk count L"))),
     "simulate": (_cmd_simulate, "scheme", "run a scheme file on random draws", (
         _OUTPUT,
-        ("--seeds", int, 100, "number of consecutive seeds to run"),
-        ("--seed", int, 0, "first seed"))),
+        ("--seeds", int, 100, "number of consecutive seeds to run"))),
     "graph": (_cmd_graph, "instance", "emit the multicast network as DOT", (
         _OUTPUT,
         ("--rates", str, None, "rates to draw (default: the oracle's)"),

@@ -37,7 +37,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .gf import (Field, Matrix, embed_map, is_int, make_field, mat_vec, rank,
                  solve_linear, stack)
@@ -79,7 +79,8 @@ class InfeasibleRatesError(ValueError):
 
 
 class DesignFailureError(RuntimeError):
-    """No decodable scheme found within the attempt budget."""
+    """No decodable scheme in _DESIGN_ATTEMPTS attempts over the coding
+    field that min_extension_degree picks."""
 
 
 class IncompleteSourceError(ValueError):
@@ -100,14 +101,13 @@ class TransmissionScheme(_Frozen):
 
     def __init__(self, instance: Instance, L: int,
                  chunk_rates: Tuple[int, ...], ext_degree: int,
-                 coding_field: Field, matrices: Dict[int, Matrix], seed: int,
+                 coding_field: Field, matrices: Dict[int, Matrix],
                  attempt: int, embed: Sequence[int],
                  blocks: Tuple[Matrix, ...]):
         self.__dict__.update(
             instance=instance, L=L, chunk_rates=chunk_rates,
             ext_degree=ext_degree, coding_field=coding_field,
-            matrices=matrices, seed=seed, attempt=attempt, embed=embed,
-            blocks=blocks)
+            matrices=matrices, attempt=attempt, embed=embed, blocks=blocks)
 
     @property
     def total_symbols(self) -> int:
@@ -154,8 +154,9 @@ class SimulationResult(NamedTuple):
 
 
 def min_extension_degree(field: Field, users: int, packets: int, L: int) -> int:
-    """Smallest t with |field|^t > 2 * users * packets * L, the margin at
-    which random coding matrices succeed with comfortable probability."""
+    """Smallest t with |field|^t > 2 * users * packets * L.  By
+    Schwartz-Zippel, uniformly drawn coding matrices over that field then
+    leave some receiver unable to decode with probability below 1/2."""
     need = 2 * users * packets * L
     t = 1
     size = field.q
@@ -299,18 +300,24 @@ def _coding_view(model: LinearSource, L: int, coding_field: Field
                       for A in model.matrices)
 
 
-def design_transmissions(instance: Instance, chunk_rates: Sequence[int], L: int,
-                         ext_degree: Optional[int] = None, seed: int = 0,
-                         max_attempts: int = 32) -> TransmissionScheme:
+# Design attempts before giving up.  Each fails with probability below 1/2
+# (see min_extension_degree) on fresh randomness, so all of them fail with
+# probability below 2^-32.
+_DESIGN_ATTEMPTS = 32
+
+
+def design_transmissions(instance: Instance, chunk_rates: Sequence[int],
+                         L: int) -> TransmissionScheme:
     """Draw coding matrices at random until every receiver can decode.
 
     Requires a linear/raw source model, chunk rates that are feasible for
     the L-chunk replicated source (checked exactly up front), and zero
-    rate on non-transmitters.  Attempts are seeded independently, so the
-    whole construction is reproducible; failure after max_attempts raises
-    DesignFailureError (a larger extension degree is the usual fix).  An
-    instance whose joint observation does not span all N packets raises
-    IncompleteSourceError before any attempt: that is structural.
+    rate on non-transmitters.  The coding field extends the source field
+    by min_extension_degree, and attempt a draws from random.Random(a), so
+    the construction is reproducible; failure in all _DESIGN_ATTEMPTS
+    attempts raises DesignFailureError.  An instance whose joint
+    observation does not span all N packets raises IncompleteSourceError
+    before any attempt: that is structural.
     """
     model = _linear_model(instance)
     joint = model.joint_entropy_scaled(model.full_mask)
@@ -325,16 +332,13 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int], L: int,
     chunk_rates = _check_chunk_rates(instance, chunk_rates)
     _check_rates_feasible(instance, [Fraction(c, L) for c in chunk_rates])
 
-    if ext_degree is None:
-        ext_degree = min_extension_degree(model.field, instance.k, model.N, L)
-    if ext_degree < 1:
-        raise ValueError("ext_degree must be >= 1")
+    ext_degree = min_extension_degree(model.field, instance.k, model.N, L)
     coding_field = make_field(model.field.p, model.field.degree * ext_degree)
     emb, blocks = _coding_view(model, L, coding_field)
 
     q = coding_field.q
-    for attempt in range(max_attempts):
-        rng = random.Random(seed * 1_000_003 + attempt)
+    for attempt in range(_DESIGN_ATTEMPTS):
+        rng = random.Random(attempt)
         mats: Dict[int, Matrix] = {}
         for i in range(instance.m):
             r = chunk_rates[i]
@@ -344,13 +348,11 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int], L: int,
             mats[i] = Matrix(coding_field, r, ncols,
                              [rng.randrange(q) for _ in range(r * ncols)])
         scheme = TransmissionScheme(instance, L, chunk_rates, ext_degree,
-                                    coding_field, mats, seed, attempt,
-                                    emb, blocks)
+                                    coding_field, mats, attempt, emb, blocks)
         if verify_decodability(scheme).ok:
             return scheme
-    raise DesignFailureError(
-        f"no decodable scheme in {max_attempts} attempts; try a larger "
-        f"extension degree (used {ext_degree})")
+    raise DesignFailureError(f"no decodable scheme in {_DESIGN_ATTEMPTS} "
+                             f"attempts over {coding_field!r}")
 
 
 def verify_decodability(scheme: TransmissionScheme) -> DecodabilityReport:
@@ -368,10 +370,9 @@ def verify_decodability(scheme: TransmissionScheme) -> DecodabilityReport:
 _DECODE_BLOCK = 64
 
 
-def simulate_exchange(scheme: TransmissionScheme, seed: int = 0,
+def simulate_exchange(scheme: TransmissionScheme,
                       runs: int = 1) -> SimulationResult:
-    """Run the exchange on the uniformly drawn sources of seeds seed ..
-    seed + runs - 1.
+    """Run the exchange on the uniformly drawn sources of seeds 0 .. runs - 1.
 
     Every terminal observes its draw and sends its coded symbols; each
     receiver solves its decoding system (`TransmissionScheme.system`)
@@ -391,10 +392,10 @@ def simulate_exchange(scheme: TransmissionScheme, seed: int = 0,
     heard = {l: scheme.senders(l) for l in users}
     decoded = dict.fromkeys(users, 0)
     all_decoded = 0
-    for start in range(seed, seed + runs, _DECODE_BLOCK):
+    for start in range(0, runs, _DECODE_BLOCK):
         draws = []
         rhs: Dict[int, List[List[int]]] = {l: [] for l in users}
-        for s in range(start, min(start + _DECODE_BLOCK, seed + runs)):
+        for s in range(start, min(start + _DECODE_BLOCK, runs)):
             rng = random.Random(s)
             w = tuple(emb[rng.randrange(model.field.q)]
                       for _ in range(model.N * scheme.L))
@@ -493,7 +494,7 @@ def scheme_core_to_dict(scheme: TransmissionScheme) -> dict:
             str(i): [list(M.row(r)) for r in range(M.nrows)]
             for i, M in sorted(scheme.matrices.items())
         },
-        "seed": scheme.seed,
+        "seed": 0,
         "attempt": scheme.attempt,
     }
 
@@ -537,7 +538,7 @@ def scheme_core_from_dict(data: dict, instance: Instance) -> TransmissionScheme:
         raise ValueError("need one matrix for each terminal with a nonzero "
                          "chunk rate, and for no other")
     ext_degree = _int_entry(_required(data, "ext_degree"), "ext_degree")
-    seed = _int_entry(data.get("seed", 0), "seed")
+    _int_entry(data.get("seed", 0), "seed")    # always 0; checked, not kept
     attempt = _int_entry(data.get("attempt", 0), "attempt")
     cf = _required(data, "coding_field")
     if not isinstance(cf, dict):
@@ -565,4 +566,4 @@ def scheme_core_from_dict(data: dict, instance: Instance) -> TransmissionScheme:
             raise ValueError(f"terminal {i}: matrix rows != chunk rate")
     emb, blocks = _coding_view(model, L, coding_field)
     return TransmissionScheme(instance, L, chunk_rates, ext_degree,
-                              coding_field, mats, seed, attempt, emb, blocks)
+                              coding_field, mats, attempt, emb, blocks)

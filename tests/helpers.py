@@ -115,8 +115,7 @@ def with_matrices(scheme: TransmissionScheme, matrices) -> TransmissionScheme:
     the coding view included, kept."""
     return TransmissionScheme(scheme.instance, scheme.L, scheme.chunk_rates,
                               scheme.ext_degree, scheme.coding_field, matrices,
-                              scheme.seed, scheme.attempt, scheme.embed,
-                              scheme.blocks)
+                              scheme.attempt, scheme.embed, scheme.blocks)
 
 
 def matrix_key(M: Matrix):

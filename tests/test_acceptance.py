@@ -62,12 +62,10 @@ def test_criterion_3_two_user_scheme():
     assert opt.value == Fraction(2)
     L, chunks = rationalize(opt.rates, instance=inst)
     assert L == 1
-    scheme = design_transmissions(inst, chunks, L, seed=0)
+    scheme = design_transmissions(inst, chunks, L)
     assert scheme.total_symbols == 2
     assert verify_decodability(scheme).ok
-    failures = sum(not simulate_exchange(scheme, seed=s).ok
-                   for s in range(100))
-    assert failures == 0
+    assert simulate_exchange(scheme, runs=100).all_decoded == 100
     _report(3, "verified 2-symbol scheme at L=1, simulation 100/100",
             time.perf_counter() - t0, 5.0)
 
@@ -154,8 +152,7 @@ def test_criterion_6_property_suites():
         L, chunks = rationalize(opt.rates, instance=inst)
         if L > 8:
             continue  # keep rank checks desk-scale
-        scheme = design_transmissions(inst, chunks, L,
-                                      seed=rng.randrange(10 ** 6))
+        scheme = design_transmissions(inst, chunks, L)
         if built % 2 and scheme.matrices:
             victim = rng.choice(sorted(scheme.matrices))
             old = scheme.matrices[victim]
@@ -165,9 +162,8 @@ def test_criterion_6_property_suites():
             scheme = with_matrices(scheme,
                                    {**scheme.matrices, victim: zero})
         report = verify_decodability(scheme)
-        for seed in (0, 1):
-            assert simulate_exchange(scheme, seed=seed).decoded \
-                == {l: int(d == 0) for l, d in report.deficits.items()}
+        assert simulate_exchange(scheme, runs=2).decoded \
+            == {l: 2 * int(d == 0) for l, d in report.deficits.items()}
         built += 1
     _report(6, "entropy/cut curvature, tie-break invariance, and "
                "decode==simulate on 50 schemes",

@@ -331,11 +331,12 @@ def test_codegen_then_simulate_pipeline(tmp_path, capsys):
 
 def test_codegen_chunked_scheme(tmp_path, capsys):
     scheme = tmp_path / "scheme9.json"
-    assert main(["codegen", EX2, "--ext-degree", "2", "-o", str(scheme)]) == 0
+    assert main(["codegen", EX2, "-o", str(scheme)]) == 0
     rec = _read(scheme)
     assert rec["objective"] == "9/4"
     assert rec["scheme"]["L"] == 4
-    assert rec["scheme"]["coding_field"] == {"characteristic": 3, "degree": 2}
+    # the smallest ternary extension above 2 * 3 users * 3 packets * 4 chunks
+    assert rec["scheme"]["coding_field"] == {"characteristic": 3, "degree": 4}
     assert main(["simulate", str(scheme), "--seeds", "20"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
@@ -347,7 +348,8 @@ def test_simulate_eliminates_once_per_receiver_and_block(tmp_path, capsys,
     right-hand-side column per seed, so no call grows with --seeds."""
     from datex import netcode
     scheme = tmp_path / "scheme.json"
-    assert main(["codegen", EX2, "--ext-degree", "2", "-o", str(scheme)]) == 0
+    assert main(["codegen", EX2, "-o", str(scheme)]) == 0
+    assert _read(scheme)["scheme"]["coding_field"]["degree"] == 4
     widths = []
     solve = netcode.solve_linear
 
@@ -529,13 +531,27 @@ def test_size_guards_exit_two(tmp_path, capsys, command, m, extra, guard):
     assert guard in _one_line_error(capsys)
 
 
+# Two users over GF(1031) at L = 129 need a coding field above
+# 2 * 2 * 2 * 129 = 1032 elements: GF(1031^2), past the field-size bound.
+FIELD_1031_DOC = {"format_version": 1, "field": 1031, "packet_count": 2,
+                  "terminals": [{"rows": [[1, 0]]}, {"rows": [[0, 1]]}],
+                  "users": [0, 1]}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["codegen", EX1, "--max-denominator", "0"], "--max-denominator must be >= 1"),
-    (["codegen", EX1, "--ext-degree", "0"], "--ext-degree must be >= 1"),
-    (["codegen", EX1, "--max-attempts", "0"], "--max-attempts must be >= 1"),
+    # the coding field, design seed and attempt budget are not flags
+    (["codegen", EX3, "--ext-degree", "2"],
+     "unrecognized arguments: --ext-degree"),
+    (["codegen", EX3, "--max-attempts", "1"],
+     "unrecognized arguments: --max-attempts"),
+    (["codegen", EX3, "--seed", "0"], "unrecognized arguments: --seed"),
+    (["simulate", str(GOLDEN / "example3.codegen.out"), "--seed", "1"],
+     "unrecognized arguments: --seed"),
     (["graph", EX1, "--max-denominator", "0"], "--max-denominator must be >= 1"),
-    (["codegen", EX3, "--ext-degree", "30"],
-     "field size 1073741824 exceeds the supported bound 1048576"),
+    (["codegen", "FIELD_1031", "--rates", "130/129,1",
+      "--max-denominator", "129"],
+     "field size 1062961 exceeds the supported bound 1048576"),
     # each flag is checked before the instance or scheme file is read
     (["simulate", "missing.json", "--seeds", "0"], "--seeds must be >= 1"),
     (["solve", "missing.json", "--max-iters", "0"], "--max-iters must be >= 1"),
@@ -543,11 +559,15 @@ def test_size_guards_exit_two(tmp_path, capsys, command, m, extra, guard):
     (["oracle", "missing.json", "--field-char", "4"],
      "unrecognized arguments: --field-char"),
 ], ids=["codegen-max-denominator", "codegen-ext-degree", "codegen-attempts",
-        "graph-max-denominator", "codegen-field-size", "simulate-seeds",
-        "solve-max-iters", "solve-gap-tol", "oracle-field-char"])
-def test_codegen_usage_and_size_errors_exit_two(capsys, argv, message):
-    assert main(argv) == 2
-    assert message in _one_line_error(capsys)
+        "codegen-seed", "simulate-seed", "graph-max-denominator",
+        "codegen-field-size", "simulate-seeds", "solve-max-iters",
+        "solve-gap-tol", "oracle-field-char"])
+def test_codegen_usage_and_size_errors_exit_two(tmp_path, capsys, argv,
+                                                message):
+    path = tmp_path / "field1031.json"
+    path.write_text(json.dumps(FIELD_1031_DOC))
+    assert main([str(path) if a == "FIELD_1031" else a for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # Four raw terminals; the helper 3 owns every packet and costs nothing.
@@ -565,13 +585,17 @@ HELPER_DOC = {"format_version": 1, "packet_count": 3,
     (["graph", "HELPER", "--rates", "1/3,1/5,1/7,0"],
      "graph failed: receiver 0: cut {1, 3} is short by 4/5, more than "
      "snapping to the 1/64 grid can explain"),
-    (["codegen", EX3, "--rates", "0,1,1", "--ext-degree", "1",
-      "--max-attempts", "1", "--seed", "0"],
-     "codegen failed: no decodable scheme in 1 attempts; try a larger "
-     "extension degree (used 1)"),
+    (["codegen", EX3, "--rates", "0,1,1"],
+     "codegen failed: no decodable scheme in 1 attempts over GF(2)"),
 ], ids=["codegen-chunk-count", "graph-chunk-count", "graph-infeasible",
         "codegen-design"])
-def test_scheme_failures_exit_one_with_one_line(tmp_path, capsys, argv, line):
+def test_scheme_failures_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
+                                                argv, line):
+    # one design attempt over the bare source field GF(2), whose first draw
+    # misses; the other rows fail before any design
+    from datex import netcode
+    monkeypatch.setattr(netcode, "min_extension_degree", lambda *a: 1)
+    monkeypatch.setattr(netcode, "_DESIGN_ATTEMPTS", 1)
     path = tmp_path / "helper.json"
     path.write_text(json.dumps(HELPER_DOC))
     assert main([str(path) if a == "HELPER" else a for a in argv]) == 1
@@ -857,19 +881,20 @@ def test_the_field_comes_only_from_the_document(capsys, command):
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("solve", ["--output", "--max-iters", "--gap-tol", "--trace"]),
-    ("oracle", ["--output"]),
-    ("verify", ["--output", "--rates"]),
-    ("codegen", ["--output", "--rates", "--max-denominator", "--ext-degree",
-                 "--seed", "--max-attempts"]),
-    ("simulate", ["--output", "--seeds", "--seed"]),
-    ("graph", ["--output", "--rates", "--max-denominator"]),
+    ("solve", ["--max-iters", "--gap-tol", "--trace"]),
+    ("oracle", []),
+    ("verify", ["--rates"]),
+    ("codegen", ["--rates", "--max-denominator"]),
+    ("simulate", ["--seeds"]),
+    ("graph", ["--rates", "--max-denominator"]),
 ])
 def test_command_help_lists_every_flag(capsys, command, flags):
     assert main([command, "--help"]) == 0
     out = capsys.readouterr().out
     assert out.startswith(f"usage: datex {command} ")
-    assert all(flag in out for flag in ["-o", "--help", *flags]), out
+    listed = [line.split("  ")[1] for line in out.splitlines()
+              if line.startswith("  -")]
+    assert listed == ["-h, --help", "-o, --output", *flags], out
 
 
 @pytest.mark.parametrize("doc", [
@@ -1206,30 +1231,26 @@ _FIELD_DEGREE = "a field of degree above 64 exceeds the supported size " \
                 "bound 1048576"
 
 
-@pytest.mark.parametrize("doc, argv, line", [
-    (dict(_HUGE_TABLE, terminal_count=10 ** 30), ["oracle"], _TABLE_LENGTH),
-    (dict(_HUGE_TABLE, terminal_count=20000), ["oracle"], _TABLE_LENGTH),
+@pytest.mark.parametrize("doc, line", [
+    (dict(_HUGE_TABLE, terminal_count=10 ** 30), _TABLE_LENGTH),
+    (dict(_HUGE_TABLE, terminal_count=20000), _TABLE_LENGTH),
     (dict(_THREE_PACKETS, field={"characteristic": 2, "degree": 10 ** 7}),
-     ["oracle"], _FIELD_DEGREE),
+     _FIELD_DEGREE),
     (dict(_THREE_PACKETS, field={"characteristic": 2, "degree": 10 ** 12}),
-     ["oracle"], _FIELD_DEGREE),
+     _FIELD_DEGREE),
     (dict(_THREE_PACKETS, field={"characteristic": 2 ** 61 - 1, "degree": 2}),
-     ["oracle"], f"field size {(2 ** 61 - 1) ** 2} exceeds the supported "
-                 f"bound 1048576"),
-    (dict(_THREE_PACKETS, field=2 ** 89 - 1), ["oracle"],
+     f"field size {(2 ** 61 - 1) ** 2} exceeds the supported bound 1048576"),
+    (dict(_THREE_PACKETS, field=2 ** 89 - 1),
      "characteristic must be below 2^64"),
-    (None, ["codegen", EX1, "--ext-degree", "100000000"], _FIELD_DEGREE),
 ], ids=["table-count-1e30", "table-count-20000", "field-degree-1e7",
-        "field-degree-1e12", "field-2^61-1-squared", "field-2^89-1",
-        "codegen-ext-degree-1e8"])
-def test_huge_tables_and_fields_exit_two_at_once(tmp_path, doc, argv, line):
+        "field-degree-1e12", "field-2^61-1-squared", "field-2^89-1"])
+def test_huge_tables_and_fields_exit_two_at_once(tmp_path, doc, line):
     # each input's size is judged from the numbers it states: no 2^m, no
     # p ** degree, no trial division up to sqrt(p)
-    if doc is not None:
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
-        argv, line = [*argv, str(path)], f"{path}: {line}"
-    assert _child(argv, preexec_fn=_bounded) == (2, "", f"error: {line}\n")
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert _child(["oracle", str(path)], preexec_fn=_bounded) == \
+        (2, "", f"error: {path}: {line}\n")
 
 
 def test_a_prime_field_below_2_to_the_64_runs_at_once(tmp_path):
@@ -1320,18 +1341,14 @@ _FLAGS = {
     "--max-iters": _int_flag(-1, 50),
     "--gap-tol": st.sampled_from(["1/100", "0", "-1", "x", "1/0", "1e-9"]),
     "--max-denominator": _int_flag(-1, 16),
-    "--ext-degree": _int_flag(-1, 4),
-    "--seed": _int_flag(-3, 1000),
-    "--max-attempts": _int_flag(-1, 4),
     "--seeds": _int_flag(-1, 3),
 }
 _COMMAND_FLAGS = {
     "solve": ["--max-iters", "--gap-tol"],
     "oracle": [],
     "verify": ["--rates"],
-    "codegen": ["--rates", "--max-denominator", "--ext-degree", "--seed",
-                "--max-attempts"],
-    "simulate": ["--seeds", "--seed"],
+    "codegen": ["--rates", "--max-denominator"],
+    "simulate": ["--seeds"],
     "graph": ["--rates", "--max-denominator"],
 }
 _RATE = st.sampled_from(["0", "1", "1/2", "2/3", "-1", "2", "x", "nan",

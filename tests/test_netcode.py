@@ -169,8 +169,7 @@ def test_hand_scheme_decodes():
     assert report.ok
     assert report.deficits == {0: 0, 1: 0}
     assert _decodable(report) == {0: True, 1: True}
-    for seed in range(5):
-        assert simulate_exchange(scheme, seed=seed).ok
+    assert simulate_exchange(scheme, 5).ok
 
 
 def test_hand_scheme_deficient_helper():
@@ -180,10 +179,9 @@ def test_hand_scheme_deficient_helper():
     assert not report.ok
     assert report.deficits == {0: 0, 1: 1}
     assert _decodable(report) == {0: True, 1: False}
-    for seed in range(5):
-        result = simulate_exchange(scheme, seed=seed)
-        assert result.decoded == {0: 1, 1: 0}
-        assert not result.ok
+    result = simulate_exchange(scheme, 5)
+    assert result.decoded == {0: 5, 1: 0}
+    assert not result.ok
 
 
 def test_zero_rate_terminal_never_blocks():
@@ -199,43 +197,48 @@ def test_zero_rate_terminal_never_blocks():
 # ---------------------------------------------------------------------------
 
 def test_design_two_user_example(example3):
-    scheme = design_transmissions(example3, (0, 1, 1), 1, seed=0)
+    scheme = design_transmissions(example3, (0, 1, 1), 1)
     assert scheme.ext_degree == 5           # smallest power of 2 above 16
     assert scheme.coding_field.q == 32
     assert scheme.chunk_rates == (0, 1, 1)
     assert verify_decodability(scheme).ok
-    for seed in range(10):
-        assert simulate_exchange(scheme, seed=seed).ok
+    assert simulate_exchange(scheme, 10).ok
 
 
 def test_design_is_deterministic(example3):
-    a = design_transmissions(example3, (0, 1, 1), 1, seed=7)
-    b = design_transmissions(example3, (0, 1, 1), 1, seed=7)
+    a = design_transmissions(example3, (0, 1, 1), 1)
+    b = design_transmissions(example3, (0, 1, 1), 1)
     assert scheme_core_to_dict(a) == scheme_core_to_dict(b)
-    c = design_transmissions(example3, (0, 1, 1), 1, seed=8)
-    assert _keys(c.matrices) != _keys(a.matrices)
 
 
 def test_design_three_user_example_small_extension(example2):
-    # a quadratic extension of the ternary field is already enough here
-    scheme = design_transmissions(example2, (1, 1, 1, 2, 2, 2), 4,
-                                  ext_degree=2, seed=0)
-    assert scheme.coding_field.q == 9
+    # the smallest ternary extension above 2 * 3 users * 3 packets * 4 chunks
+    scheme = design_transmissions(example2, (1, 1, 1, 2, 2, 2), 4)
+    assert scheme.coding_field.q == 81
     assert scheme.L == 4
     assert scheme.total_symbols == 9
     assert verify_decodability(scheme).ok
-    assert simulate_exchange(scheme, seed=3).ok
+    assert simulate_exchange(scheme, 4).ok
 
 
-def test_design_retry_budget(example3):
-    # over the bare binary field a single random attempt usually misses...
-    with pytest.raises(DesignFailureError):
-        design_transmissions(example3, (0, 1, 1), 1, ext_degree=1,
-                             seed=0, max_attempts=1)
-    # ...but verified binary schemes exist and the search can find one
-    scheme = design_transmissions(example3, (0, 1, 1), 1, ext_degree=1,
-                                  seed=16, max_attempts=1)
+def _over_gf2(monkeypatch):
+    """Design over the bare source field GF(2), where random attempts miss
+    often enough to exercise the retries."""
+    monkeypatch.setattr(netcode, "min_extension_degree", lambda *a: 1)
+
+
+def test_design_retry_budget(example3, monkeypatch):
+    _over_gf2(monkeypatch)
+    # over the bare binary field the first random attempt misses...
+    monkeypatch.setattr(netcode, "_DESIGN_ATTEMPTS", 1)
+    with pytest.raises(DesignFailureError,
+                       match=r"^no decodable scheme in 1 attempts over GF\(2\)$"):
+        design_transmissions(example3, (0, 1, 1), 1)
+    # ...but verified binary schemes exist and a later attempt finds one
+    monkeypatch.setattr(netcode, "_DESIGN_ATTEMPTS", 32)
+    scheme = design_transmissions(example3, (0, 1, 1), 1)
     assert scheme.coding_field.q == 2
+    assert scheme.attempt > 0
     assert verify_decodability(scheme).ok
 
 
@@ -288,7 +291,7 @@ def test_design_rejects_observations_short_of_all_packets():
     rates = solve_exact(build_lp(inst)).rates
     L, chunks = rationalize(rates, instance=inst)
     with pytest.raises(IncompleteSourceError, match=r"H\(X_M\) = 2 < N = 3"):
-        design_transmissions(inst, chunks, L, ext_degree=8, max_attempts=1000)
+        design_transmissions(inst, chunks, L)
 
 
 def test_design_rejects_tabular_models(example2):
@@ -319,11 +322,9 @@ def test_verification_predicts_simulation():
         inst = _random_complete_instance(rng)
         opt = solve_exact(build_lp(inst))
         L, chunks = rationalize(opt.rates, instance=inst)
-        scheme = design_transmissions(inst, chunks, L,
-                                      seed=rng.randrange(10 ** 6))
+        scheme = design_transmissions(inst, chunks, L)
         assert verify_decodability(scheme).ok
-        for seed in (0, 1):
-            assert simulate_exchange(scheme, seed=seed).ok
+        assert simulate_exchange(scheme, 2).ok
         # sabotage one transmitting terminal: zero out its coding matrix
         if not scheme.matrices:
             continue
@@ -333,9 +334,8 @@ def test_verification_predicts_simulation():
                       [0] * (old.nrows * old.ncols))
         mutated = with_matrices(scheme, {**scheme.matrices, victim: zero})
         report = verify_decodability(mutated)
-        for seed in (0, 1):
-            assert simulate_exchange(mutated, seed=seed).decoded \
-                == {l: int(ok) for l, ok in _decodable(report).items()}
+        assert simulate_exchange(mutated, 2).decoded \
+            == {l: 2 * int(ok) for l, ok in _decodable(report).items()}
 
 
 def _decodes_one_seed(scheme, seed):
@@ -358,14 +358,14 @@ def _decodes_one_seed(scheme, seed):
     return out
 
 
-def test_batched_decoding_matches_one_solve_per_seed(example2, example3):
+def test_batched_decoding_matches_one_solve_per_seed(example2, example3,
+                                                     monkeypatch):
     """Seventy seeds span two decode blocks.  A run over all of them must
-    count, per receiver, exactly the seeds it decodes in seventy one-seed
-    runs and in the per-seed reference, on designed schemes and on
+    count, per receiver, exactly the seeds it decodes with one seed per
+    block and in the per-seed reference, on designed schemes and on
     rank-deficient ones, where every seed fails."""
-    good3 = design_transmissions(example3, (0, 1, 1), 1, seed=0)
-    good2 = design_transmissions(example2, (1, 1, 1, 2, 2, 2), 4,
-                                 ext_degree=2, seed=0)
+    good3 = design_transmissions(example3, (0, 1, 1), 1)
+    good2 = design_transmissions(example2, (1, 1, 1, 2, 2, 2), 4)
     _, starved = _hand_scheme([1, 0])    # user 1 never sees packet 1
     old = good3.matrices[2]
     zero = Matrix(good3.coding_field, old.nrows, old.ncols,
@@ -374,22 +374,19 @@ def test_batched_decoding_matches_one_solve_per_seed(example2, example3):
     runs = netcode._DECODE_BLOCK + 6
     for scheme, deficient in ((good3, False), (good2, False),
                               (starved, True), (silenced, True)):
-        seeds = range(5, 5 + runs)
-        expected = [_decodes_one_seed(scheme, s) for s in seeds]
-        singles = [simulate_exchange(scheme, seed=s, runs=1) for s in seeds]
-        assert [r.decoded for r in singles] == [
-            {l: int(ok) for l, ok in e.items()} for e in expected]
-        assert [r.all_decoded for r in singles] == [
-            int(all(e.values())) for e in expected]
+        expected = [_decodes_one_seed(scheme, s) for s in range(runs)]
         deficits = verify_decodability(scheme).deficits
         assert any(deficits.values()) == deficient
         for l, deficit in deficits.items():
             assert all(e[l] == (deficit == 0) for e in expected)
-        result = simulate_exchange(scheme, seed=5, runs=runs)
+        result = simulate_exchange(scheme, runs)
+        with monkeypatch.context() as m:
+            m.setattr(netcode, "_DECODE_BLOCK", 1)
+            assert simulate_exchange(scheme, runs) == result
         assert result.runs == runs
-        assert result.decoded == {l: sum(r.decoded[l] for r in singles)
+        assert result.decoded == {l: sum(e[l] for e in expected)
                                   for l in deficits}
-        assert result.all_decoded == sum(r.all_decoded for r in singles)
+        assert result.all_decoded == sum(all(e.values()) for e in expected)
         assert result.ok == (not any(deficits.values()))
 
 
@@ -489,7 +486,7 @@ def _keys(mats):
 
 
 def test_scheme_round_trip(example3):
-    scheme = design_transmissions(example3, (0, 1, 1), 1, seed=3)
+    scheme = design_transmissions(example3, (0, 1, 1), 1)
     data = json.loads(json.dumps(scheme_core_to_dict(scheme)))
     back = scheme_core_from_dict(data, example3)
     assert scheme_core_to_dict(back) == scheme_core_to_dict(scheme)
@@ -499,8 +496,7 @@ def test_scheme_round_trip(example3):
 
 
 def test_scheme_round_trip_chunked(example2):
-    scheme = design_transmissions(example2, (1, 1, 1, 2, 2, 2), 4,
-                                  ext_degree=2, seed=0)
+    scheme = design_transmissions(example2, (1, 1, 1, 2, 2, 2), 4)
     back = scheme_core_from_dict(scheme_core_to_dict(scheme), example2)
     assert scheme_core_to_dict(back) == scheme_core_to_dict(scheme)
     assert _keys(back.matrices) == _keys(scheme.matrices)
@@ -508,7 +504,7 @@ def test_scheme_round_trip_chunked(example2):
 
 
 def test_scheme_from_dict_validation(example3):
-    scheme = design_transmissions(example3, (0, 1, 1), 1, seed=3)
+    scheme = design_transmissions(example3, (0, 1, 1), 1)
     data = scheme_core_to_dict(scheme)
     wrong_field = {**data, "coding_field": {"characteristic": 2, "degree": 4}}
     with pytest.raises(ValueError):
@@ -545,17 +541,16 @@ def test_coding_view_built_once_per_design_and_per_loaded_scheme(
     kron = Matrix.kron_identity
     monkeypatch.setattr(Matrix, "kron_identity",
                         lambda self, L: calls.append(L) or kron(self, L))
-    # over GF(2) itself seed 0 needs several attempts (see the retry test)
-    scheme = design_transmissions(example3, (0, 1, 1), 1, ext_degree=1,
-                                  seed=0, max_attempts=32)
+    _over_gf2(monkeypatch)          # several attempts (see the retry test)
+    scheme = design_transmissions(example3, (0, 1, 1), 1)
     assert scheme.attempt > 0
     assert verify_decodability(scheme).ok      # a re-check, as codegen does
     assert len(calls) == example3.m            # all attempts share one view
-    for seed in range(3):
-        simulate_exchange(scheme, seed=seed)
+    for runs in (1, 3):
+        simulate_exchange(scheme, runs)
     assert len(calls) == example3.m
     calls.clear()
     loaded = scheme_core_from_dict(scheme_core_to_dict(scheme), example3)
-    for seed in range(3):
-        assert simulate_exchange(loaded, seed=seed).ok
+    for runs in (1, 3):
+        assert simulate_exchange(loaded, runs).ok
     assert len(calls) == example3.m            # built once, at load
