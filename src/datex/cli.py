@@ -38,9 +38,9 @@ from .gf import Matrix, is_int, make_field
 from .greedy import check_rate_domain, violated_cuts
 from .instance import Instance, InfeasibleInstanceError
 from .netcode import (DesignFailureError, IncompleteSourceError,
-                      InfeasibleRatesError, build_multicast_graph,
+                      InfeasibleRatesError, TransmissionScheme,
+                      assemble_scheme, build_multicast_graph,
                       design_transmissions, graph_to_dot, rationalize,
-                      scheme_core_from_dict, scheme_core_to_dict,
                       simulate_exchange, verify_decodability)
 from .oracle import build_lp, solve_exact
 from .source import (LinearSource, RawSource, SizeLimitError, TabularSource,
@@ -51,6 +51,8 @@ __all__ = [
     "parse_instance",
     "instance_from_dict",
     "serialize_instance",
+    "scheme_from_dict",
+    "serialize_scheme",
     "main",
     "run",
 ]
@@ -150,32 +152,68 @@ def _require_positive(value: Optional[int], flag: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Instance files
+# Instance and scheme files
 # ---------------------------------------------------------------------------
+# The entry readers raise ValueError naming the key.  A key is absent only
+# when it is missing: a JSON null is a value of the wrong type.
 
-def _parse_field(data: Any, where: str):
-    """A field descriptor: {"characteristic": p, "degree": w} or a bare prime."""
-    if data is None:
-        char, degree = 2, 1
-    elif is_int(data):
-        char, degree = data, 1
-    elif isinstance(data, dict):
-        char = data.get("characteristic")
-        degree = data.get("degree", 1)
-        if not is_int(char):
-            raise CLIError(f"{where}: field.characteristic must be an integer")
-        if not is_int(degree) or degree < 1:
-            raise CLIError(f"{where}: field.degree must be a positive integer")
-    else:
-        raise CLIError(f"{where}: field must be an object or an integer")
-    return make_field(char, degree)
+def _entry(data: dict, key: str, where: str = "") -> Any:
+    """data[key], which must be present; a missing one is named by its path."""
+    if key not in data:
+        raise ValueError(f"missing '{where}{key}'")
+    return data[key]
 
 
-def _require_int_list(data: Any, where: str) -> List[int]:
+def _int(value: Any, key: str, low: Optional[int] = None) -> int:
+    """A JSON integer (not a bool, float or string), at least `low`."""
+    if not is_int(value):
+        raise ValueError(f"{key} must be an integer, "
+                         f"not {type(value).__name__}")
+    if low is not None and value < low:
+        raise ValueError(f"{key} must be >= {low}")
+    return value
+
+
+def _int_list(value: Any, key: str) -> List[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list")
     # gf.is_int at C speed: a JSON integer's type is int (a bool's is bool)
-    if not isinstance(data, list) or not set(map(type, data)) <= {int}:
-        raise CLIError(f"{where}: expected a list of integers")
-    return list(data)
+    if not set(map(type, value)) <= {int}:
+        for v in value:
+            _int(v, f"{key} entry")
+    return value
+
+
+def _rows(value: Any, key: str) -> List[list]:
+    """A matrix as a list of rows; `Matrix.from_rows` judges the entries."""
+    if not isinstance(value, list) or not all(isinstance(r, list)
+                                              for r in value):
+        raise ValueError(f"{key} must be a list of rows")
+    return value
+
+
+def _field(value: Any, key: str, bare: bool = False) -> tuple:
+    """A field {"characteristic": p, "degree": k} as (p, k); an instance's
+    (`bare`) may be a bare prime p, and its degree defaults to 1."""
+    if bare and is_int(value):
+        return value, 1
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be an object"
+                         + (" or an integer" if bare else ""))
+    char = _int(_entry(value, "characteristic", f"{key}."),
+                f"{key}.characteristic")
+    degree = value.get("degree", 1) if bare else _entry(value, "degree",
+                                                       f"{key}.")
+    return char, _int(degree, f"{key}.degree", 1)
+
+
+def _field_to_dict(field) -> dict:
+    return {"characteristic": field.p, "degree": field.degree}
+
+
+def _check_version(data: dict) -> None:
+    if _int(_entry(data, "format_version"), "format_version") != FORMAT_VERSION:
+        raise ValueError(f"format_version must be {FORMAT_VERSION}")
 
 
 def instance_from_dict(data: Any, where: str = "instance") -> Instance:
@@ -184,89 +222,72 @@ def instance_from_dict(data: Any, where: str = "instance") -> Instance:
     Exactly one of the three source forms must be present: "terminals"
     with matrix rows, "terminals" with packet index lists, or
     "entropy_table" with 2^m joint entropies indexed by subset bitmask
-    (terminal 0 = least significant bit).  A library refusal (ValueError)
-    becomes a CLIError naming `where`, or the terminal of a bad row; an
-    InfeasibleInstanceError passes as itself.
+    (terminal 0 = least significant bit).  A fault, or a library refusal
+    (ValueError), becomes a CLIError naming `where`, or the terminal of a
+    bad row; an InfeasibleInstanceError passes as itself.
     """
-    if not isinstance(data, dict):
-        raise CLIError(f"{where}: top level must be an object")
-    if data.get("format_version") != FORMAT_VERSION:
-        raise CLIError(f"{where}: format_version must be {FORMAT_VERSION}")
-
-    has_terminals = "terminals" in data
-    has_table = "entropy_table" in data
-    if has_terminals == has_table:
-        raise CLIError(f"{where}: give exactly one of 'terminals' or "
-                       f"'entropy_table'")
-
-    at = where   # the place a library refusal names; a bad row, its terminal
+    at = where   # the place a fault names; for a bad row, its terminal
     try:
-        if has_table:
-            m = data.get("terminal_count")
-            if not is_int(m) or m < 1:
-                raise CLIError(f"{where}: terminal_count must be a positive "
-                               f"integer")
+        if not isinstance(data, dict):
+            raise ValueError("top level must be an object")
+        _check_version(data)
+        has_terminals = "terminals" in data
+        if has_terminals == ("entropy_table" in data):
+            raise ValueError("give exactly one of 'terminals' or "
+                             "'entropy_table'")
+        if not has_terminals:
+            m = _int(_entry(data, "terminal_count"), "terminal_count", 1)
             table = data["entropy_table"]
             # no list holds 2^63 values, so 2^m is computed for m < 63 only
             if not isinstance(table, list) or len(table) != 1 << min(m, 63):
                 size = f"2^{m} = {1 << m}" if m < 63 else "2^terminal_count"
-                raise CLIError(f"{where}: entropy_table must list {size} "
-                               f"values indexed by subset bitmask")
+                raise ValueError(f"entropy_table must list {size} values "
+                                 f"indexed by subset bitmask")
             model = TabularSource([_frac(v, f"{where}: entropy_table[{i}]")
                                    for i, v in enumerate(table)])
         else:
             terminals = data["terminals"]
             if not isinstance(terminals, list) or not terminals:
-                raise CLIError(f"{where}: terminals must be a non-empty list")
+                raise ValueError("terminals must be a non-empty list")
             forms = set()
             for i, t in enumerate(terminals):
                 if not isinstance(t, dict):
-                    raise CLIError(f"{where}: terminals[{i}] must be an object")
+                    raise ValueError(f"terminals[{i}] must be an object")
                 given = {"rows", "packets"} & t.keys()
                 if len(given) != 1:
-                    raise CLIError(f"{where}: terminals[{i}] must give exactly "
-                                   f"one of 'rows' or 'packets'")
+                    raise ValueError(f"terminals[{i}] must give exactly one "
+                                     f"of 'rows' or 'packets'")
                 forms |= given
             if len(forms) > 1:
-                raise CLIError(f"{where}: terminals mix 'rows' and 'packets' "
-                               f"forms")
-            N = data.get("packet_count")
-            if not is_int(N) or N < 0:
-                raise CLIError(f"{where}: packet_count must be a nonnegative "
-                               f"integer")
-            if forms == {"rows"} and "field" not in data:
-                raise CLIError(f"{where}: matrix instances must state a field")
-            field = _parse_field(data.get("field"), where)
+                raise ValueError("terminals mix 'rows' and 'packets' forms")
+            N = _int(_entry(data, "packet_count"), "packet_count", 0)
+            # a matrix instance states its field; GF(2) is the packets default
+            field = make_field(*_field(
+                _entry(data, "field") if forms == {"rows"}
+                else data.get("field", 2), "field", bare=True))
             if forms == {"rows"}:
                 mats = []
                 for i, t in enumerate(terminals):
+                    rows = _rows(t["rows"], f"terminals[{i}].rows")
                     at = f"{where}: terminals[{i}]"
-                    if not isinstance(t["rows"], list):
-                        raise CLIError(f"{at}.rows must be a list")
-                    rows = [_require_int_list(r, f"{at}.rows[{j}]")
-                            for j, r in enumerate(t["rows"])]
                     mats.append(Matrix.from_rows(field, rows, ncols=N))
                 at = where
                 model = LinearSource(field, N, mats)
             else:
-                ownership = [_require_int_list(t["packets"], f"{where}: "
-                                               f"terminals[{i}].packets")
+                ownership = [_int_list(t["packets"], f"terminals[{i}].packets")
                              for i, t in enumerate(terminals)]
                 model = raw_source(ownership, N, field)   # checks the range
 
-        users = _require_int_list(data.get("users"), f"{where}: users")
+        users = _int_list(_entry(data, "users"), "users")
         weights = None
-        if data.get("weights") is not None:
+        if "weights" in data:
             raw = data["weights"]
             if not isinstance(raw, list) or len(raw) != model.m:
-                raise CLIError(f"{where}: weights must list {model.m} "
-                               f"rationals")
+                raise ValueError(f"weights must list {model.m} rationals")
             weights = [_frac(v, f"{where}: weights[{i}]")
                        for i, v in enumerate(raw)]
-        transmitters = None
-        if data.get("transmitters") is not None:
-            transmitters = _require_int_list(data["transmitters"],
-                                             f"{where}: transmitters")
+        transmitters = (_int_list(data["transmitters"], "transmitters")
+                        if "transmitters" in data else None)
         return Instance(model, users, weights, transmitters)
     except InfeasibleInstanceError:
         raise
@@ -296,8 +317,7 @@ def serialize_instance(instance: Instance) -> dict:
     model = instance.model
     out: Dict[str, Any] = {"format_version": FORMAT_VERSION}
     if isinstance(model, LinearSource):   # a RawSource is one too
-        out["field"] = {"characteristic": model.field.p,
-                        "degree": model.field.degree}
+        out["field"] = _field_to_dict(model.field)
         out["packet_count"] = model.N
         if isinstance(model, RawSource):
             form = [("packets", model.packets(i)) for i in range(model.m)]
@@ -317,20 +337,58 @@ def serialize_instance(instance: Instance) -> dict:
     return out
 
 
-def _load_scheme(path: str):
+def scheme_from_dict(data: Any, instance: Instance) -> TransmissionScheme:
+    """A scheme block's JSON shape; `assemble_scheme` judges the parts
+    against the instance."""
+    if not isinstance(data, dict):
+        raise ValueError("scheme must be an object")
+    L = _int(_entry(data, "L"), "L")
+    chunk_rates = _int_list(_entry(data, "chunk_rates"), "chunk_rates")
+    matrices = _entry(data, "matrices")
+    if not isinstance(matrices, dict):
+        raise ValueError("matrices must map terminals to rows")
+    ext_degree = _int(_entry(data, "ext_degree"), "ext_degree")
+    _int(data.get("seed", 0), "seed")    # always 0; checked, not kept
+    attempt = _int(data.get("attempt", 0), "attempt")
+    coding_field = _field(_entry(data, "coding_field"), "coding_field")
+    # keys "0".."m-1" name terminals; any other is -1, which has no rate
+    terminal = {str(i): i for i in range(instance.m)}
+    return assemble_scheme(
+        instance, L, chunk_rates, ext_degree, coding_field,
+        {terminal.get(key, -1): _rows(rows, f"matrices['{key}']")
+         for key, rows in matrices.items()}, attempt)
+
+
+def serialize_scheme(scheme: TransmissionScheme) -> dict:
+    """A scheme back to its block's JSON form; `seed` is always 0."""
+    return {
+        "L": scheme.L,
+        "chunk_rates": list(scheme.chunk_rates),
+        "ext_degree": scheme.ext_degree,
+        "coding_field": _field_to_dict(scheme.coding_field),
+        "matrices": {str(i): [list(r) for r in M.rows()]
+                     for i, M in sorted(scheme.matrices.items())},
+        "seed": 0,
+        "attempt": scheme.attempt,
+    }
+
+
+def _load_scheme(path: str) -> TransmissionScheme:
     data = _read_json(path)
     if not isinstance(data, dict) or data.get("kind") != "scheme":
         raise CLIError(f"{path}: not a scheme file (kind != 'scheme')")
-    if data.get("format_version") != FORMAT_VERSION:
-        raise CLIError(f"{path}: format_version must be {FORMAT_VERSION}")
-    instance = instance_from_dict(data.get("instance"), where=f"{path}: instance")
     try:
-        scheme = scheme_core_from_dict(data.get("scheme"), instance)
+        _check_version(data)
+        doc = _entry(data, "instance")
+    except ValueError as exc:
+        raise CLIError(f"{path}: {exc}") from exc
+    instance = instance_from_dict(doc, where=f"{path}: instance")
+    try:
+        return scheme_from_dict(_entry(data, "scheme"), instance)
     except SizeLimitError:
         raise   # a size guard, not a malformed block: main reports it as is
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CLIError(f"{path}: bad scheme block: {exc}") from exc
-    return scheme
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +526,7 @@ def _cmd_codegen(args) -> int:
         **_exact(objective=objective),
         "rates": _frac_list(rates),
         "total_chunk_symbols": scheme.total_symbols,
-        "scheme": scheme_core_to_dict(scheme),
+        "scheme": serialize_scheme(scheme),
     }, args.output)
     return 0
 

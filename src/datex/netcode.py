@@ -20,11 +20,9 @@ seeds, with one right-hand side per seed.
 
 Both read a scheme's coding view: the replicated, embedded observation
 blocks, built once by `design_transmissions` (shared by all attempts) or by
-`scheme_core_from_dict`, and the coded rows, built on first use.  Those
-two functions check the view's size, sum(rows) * L x N * L field
-entries, against one bound before building it, from the model's row
-counts alone.  The source kind is checked where an Instance enters this
-module.
+`assemble_scheme` (from given parts), and the coded rows, built on first
+use.  Both functions first check the source kind, L, the chunk rates and
+the scheme's size, from the model's row counts alone.
 
 The multicast graph view (super-source, per-terminal sender/relay nodes,
 per-receiver sinks) is exported for DOT rendering; with feasible chunk
@@ -60,17 +58,16 @@ __all__ = [
     "simulate_exchange",
     "build_multicast_graph",
     "graph_to_dot",
-    "scheme_core_to_dict",
-    "scheme_core_from_dict",
+    "assemble_scheme",
 ]
 
 
-# Largest coding view accepted: the field entries of every terminal's
-# observation matrix replicated over L chunks, sum(rows) * L x N * L.  A
-# scheme holds that many references (8 bytes each), and building it takes
-# about twice that transiently, so 2^22 entries is some 32 MB; the largest
-# benchmark or golden scheme has about 7000.
-_MAX_CODING_VIEW = 1 << 22
+# Largest scheme accepted, in field entries: its coding view (sum(rows) *
+# L x N * L), coding matrices (chunk_i x rows_i * L) and coded rows
+# (chunk_i x N * L).  A scheme holds that many references (8 bytes each),
+# and building it takes about twice that transiently, so 2^22 entries is
+# some 32 MB; the largest benchmark or golden scheme has about 8500.
+_MAX_SCHEME_ENTRIES = 1 << 22
 
 
 class InfeasibleRatesError(ValueError):
@@ -171,7 +168,11 @@ def _check_chunk_rates(instance: Instance,
     """The chunk rates as a tuple, after checking that each is an integer
     (TypeError), that there are m of them, and that none is negative or
     nonzero off the transmitters (ValueError)."""
-    rates = tuple(_int_entry(c, "chunk_rates entry") for c in chunk_rates)
+    for c in chunk_rates:
+        if not is_int(c):
+            raise TypeError(f"chunk_rates entry must be an integer, "
+                            f"not {type(c).__name__}")
+    rates = tuple(chunk_rates)
     if len(rates) != instance.m:
         raise ValueError(f"chunk_rates must list {instance.m} values, "
                          f"got {len(rates)}")
@@ -279,16 +280,23 @@ def _linear_model(instance: Instance) -> LinearSource:
     return model
 
 
-def _check_coding_view_size(model: LinearSource, L: int) -> None:
-    """Raise SizeLimitError before a coding view above _MAX_CODING_VIEW
-    entries is built; `design_transmissions` and `scheme_core_from_dict`
-    both call it as soon as L is known."""
-    entries = sum(model.row_counts) * L * model.N * L
-    if entries > _MAX_CODING_VIEW:
+def _scheme_prologue(instance: Instance, chunk_rates: Sequence,
+                     L: int) -> Tuple[LinearSource, Tuple[int, ...]]:
+    """The model and checked chunk rates of a scheme about to be built, once
+    L >= 1 and its field entries are within _MAX_SCHEME_ENTRIES."""
+    model = _linear_model(instance)
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    chunk_rates = _check_chunk_rates(instance, chunk_rates)
+    NL = model.N * L   # each terminal's block and coded rows, and matrix
+    entries = sum((r * L + c) * NL + c * r * L
+                  for r, c in zip(model.row_counts, chunk_rates))
+    if entries > _MAX_SCHEME_ENTRIES:
         raise SizeLimitError(
-            f"coding view of {entries} field entries (observation rows x "
-            f"packets x L^2, L = {L}) exceeds the supported bound "
-            f"{_MAX_CODING_VIEW}")
+            f"scheme of {entries} field entries (coding view, coding "
+            f"matrices and coded rows at L = {L}) exceeds the supported "
+            f"bound {_MAX_SCHEME_ENTRIES}")
+    return model, chunk_rates
 
 
 def _coding_view(model: LinearSource, L: int, coding_field: Field
@@ -319,17 +327,13 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int],
     observation does not span all N packets raises IncompleteSourceError
     before any attempt: that is structural.
     """
-    model = _linear_model(instance)
+    model, chunk_rates = _scheme_prologue(instance, chunk_rates, L)
     joint = model.joint_entropy_scaled(model.full_mask)
     if joint < model.N:
         raise IncompleteSourceError(
             f"the joint observation has rank H(X_M) = {joint} < N = {model.N} "
             f"packets, so no scheme can deliver every packet and no field "
             f"size can help")
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    _check_coding_view_size(model, L)
-    chunk_rates = _check_chunk_rates(instance, chunk_rates)
     _check_rates_feasible(instance, [Fraction(c, L) for c in chunk_rates])
 
     ext_degree = min_extension_degree(model.field, instance.k, model.N, L)
@@ -353,6 +357,36 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int],
             return scheme
     raise DesignFailureError(f"no decodable scheme in {_DESIGN_ATTEMPTS} "
                              f"attempts over {coding_field!r}")
+
+
+def assemble_scheme(instance: Instance, L: int, chunk_rates: Sequence[int],
+                    ext_degree: int, coding_field: Tuple[int, int],
+                    matrices: Dict[int, Sequence[Sequence[int]]],
+                    attempt: int) -> TransmissionScheme:
+    """A scheme from given parts, such as a scheme file's, judged against
+    the instance; the coding field (characteristic, degree) is compared
+    with the source field before it is built.  It need not decode."""
+    model, chunk_rates = _scheme_prologue(instance, chunk_rates, L)
+    if set(matrices) != {i for i, c in enumerate(chunk_rates) if c}:
+        raise ValueError(f"matrix keys must be distinct terminals "
+                         f"0..{instance.m - 1}, one matrix for each terminal "
+                         f"with a nonzero chunk rate and for no other")
+    char, degree = coding_field
+    if char != model.field.p or degree != model.field.degree * ext_degree:
+        raise ValueError("coding field does not extend the source field as stated")
+    field = make_field(char, degree)
+    mats: Dict[int, Matrix] = {}
+    for i, rows in matrices.items():
+        try:
+            mats[i] = Matrix.from_rows(field, rows,
+                                       ncols=model.row_counts[i] * L)
+        except ValueError as exc:
+            raise ValueError(f"terminal {i}: {exc}") from exc
+        if mats[i].nrows != chunk_rates[i]:
+            raise ValueError(f"terminal {i}: matrix rows != chunk rate")
+    emb, blocks = _coding_view(model, L, field)
+    return TransmissionScheme(instance, L, chunk_rates, ext_degree, field,
+                              mats, attempt, emb, blocks)
 
 
 def verify_decodability(scheme: TransmissionScheme) -> DecodabilityReport:
@@ -383,8 +417,10 @@ def simulate_exchange(scheme: TransmissionScheme,
     system is the same for every draw, so the seeds are taken in blocks
     of at most _DECODE_BLOCK and each receiver decodes a block with one
     `solve_linear` call, a right-hand side per seed: the memory a run
-    uses does not grow with `runs`.
+    uses does not grow with `runs`, which must be at least 1.
     """
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
     model = scheme.instance.model
     users = scheme.instance.user_list
     blocks, emb = scheme.blocks, scheme.embed
@@ -475,95 +511,3 @@ def graph_to_dot(graph: MulticastGraph) -> str:
         out.append(f'  {u} -> {v} [label="{cap}"];')
     out.append("}")
     return "\n".join(out)
-
-
-# ---------------------------------------------------------------------------
-# Scheme serialization (the instance part is handled by the CLI layer)
-# ---------------------------------------------------------------------------
-
-def scheme_core_to_dict(scheme: TransmissionScheme) -> dict:
-    return {
-        "L": scheme.L,
-        "chunk_rates": list(scheme.chunk_rates),
-        "ext_degree": scheme.ext_degree,
-        "coding_field": {
-            "characteristic": scheme.coding_field.p,
-            "degree": scheme.coding_field.degree,
-        },
-        "matrices": {
-            str(i): [list(M.row(r)) for r in range(M.nrows)]
-            for i, M in sorted(scheme.matrices.items())
-        },
-        "seed": 0,
-        "attempt": scheme.attempt,
-    }
-
-
-def _int_entry(value, where: str) -> int:
-    """A scheme-file integer: an int, not a bool, float or string."""
-    if not is_int(value):
-        raise TypeError(f"{where} must be an integer, "
-                        f"not {type(value).__name__}")
-    return value
-
-
-def _required(data: dict, key: str, where: str = ""):
-    """A scheme-block entry that must be present; a missing one is named."""
-    if key not in data:
-        raise ValueError(f"missing '{where}{key}'")
-    return data[key]
-
-
-def scheme_core_from_dict(data: dict, instance: Instance) -> TransmissionScheme:
-    """Read a scheme block back against its instance; every malformed entry
-    raises an error that names its key."""
-    if not isinstance(data, dict):
-        raise TypeError("scheme must be an object")
-    model = _linear_model(instance)
-    L = _int_entry(_required(data, "L"), "L")
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    _check_coding_view_size(model, L)
-    if not isinstance(_required(data, "chunk_rates"), list):
-        raise TypeError("chunk_rates must be a list")
-    chunk_rates = _check_chunk_rates(instance, data["chunk_rates"])
-    matrices = _required(data, "matrices")
-    if not isinstance(matrices, dict):
-        raise TypeError("matrices must map terminals to rows")
-    if not set(matrices) <= {str(i) for i in range(instance.m)}:
-        raise ValueError(f"matrix keys must be distinct terminals "
-                         f"0..{instance.m - 1}")
-    keys = {int(key) for key in matrices}
-    if keys != {i for i, c in enumerate(chunk_rates) if c}:
-        raise ValueError("need one matrix for each terminal with a nonzero "
-                         "chunk rate, and for no other")
-    ext_degree = _int_entry(_required(data, "ext_degree"), "ext_degree")
-    _int_entry(data.get("seed", 0), "seed")    # always 0; checked, not kept
-    attempt = _int_entry(data.get("attempt", 0), "attempt")
-    cf = _required(data, "coding_field")
-    if not isinstance(cf, dict):
-        raise TypeError("coding_field must be an object")
-    char = _int_entry(_required(cf, "characteristic", "coding_field."),
-                      "coding_field.characteristic")
-    degree = _int_entry(_required(cf, "degree", "coding_field."),
-                        "coding_field.degree")
-    # judged before the field is built, so a false claim builds no tables
-    if char != model.field.p or degree != model.field.degree * ext_degree:
-        raise ValueError("coding field does not extend the source field as stated")
-    coding_field = make_field(char, degree)
-    mats: Dict[int, Matrix] = {}
-    for key, rows in matrices.items():
-        i = int(key)
-        if not isinstance(rows, list) or not all(isinstance(r, list)
-                                                 for r in rows):
-            raise TypeError(f"matrices['{key}'] must be a list of rows")
-        try:
-            mats[i] = Matrix.from_rows(coding_field, rows,
-                                       ncols=model.row_counts[i] * L)
-        except ValueError as exc:
-            raise ValueError(f"matrices['{key}']: {exc}") from exc
-        if mats[i].nrows != chunk_rates[i]:
-            raise ValueError(f"terminal {i}: matrix rows != chunk rate")
-    emb, blocks = _coding_view(model, L, coding_field)
-    return TransmissionScheme(instance, L, chunk_rates, ext_degree,
-                              coding_field, mats, attempt, emb, blocks)

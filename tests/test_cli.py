@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import datex.cli
 from datex.cli import (CLIError, FORMAT_VERSION, instance_from_dict, main,
-                       parse_instance, serialize_instance)
+                       parse_instance, serialize_instance, serialize_scheme)
 from datex import gf
 from datex.instance import Instance, InfeasibleInstanceError
 from helpers import example2_instance, example3_instance, tabulate
@@ -166,8 +166,9 @@ def test_library_refusals_name_the_document(doc, message):
 @pytest.mark.parametrize("packets, message", [
     ([[0], [2]], "terminals[1].packets: index out of range 0..1"),
     ([[-1], [1]], "terminals[0].packets: index out of range 0..1"),
-    ([[0], [1, True]], "terminals[1].packets: expected a list of integers"),
-    ([[0.0], [1]], "terminals[0].packets: expected a list of integers"),
+    ([[0], [1, True]],
+     "terminals[1].packets entry must be an integer, not bool"),
+    ([[0.0], [1]], "terminals[0].packets entry must be an integer, not float"),
 ], ids=["too-large", "negative", "bool", "float"])
 def test_packet_indices_are_checked_once(monkeypatch, capsys, tmp_path,
                                          packets, message):
@@ -748,7 +749,7 @@ def test_non_submodular_tables_exit_two(tmp_path, capsys, table, argv):
     (lambda s: s["matrices"].update({"1": [5]}),
      "matrices['1'] must be a list of rows"),
     (lambda s: s["matrices"].update({"1": [[0], [0, 0]]}),
-     "matrices['1']: ragged rows"),
+     "terminal 1: ragged rows"),
 ], ids=["key-out-of-range", "empty-chunk-rates", "missing-matrices",
         "matrix-for-a-silent-terminal", "L-zero", "matrices-as-a-list",
         "L-float", "L-string", "L-bool", "chunk-rate-float",
@@ -832,7 +833,7 @@ def test_coding_view_size_guard_exits_two(tmp_path, capsys):
     assert main(["simulate", str(path), "--seeds", "1"]) == 2
     err = _one_line_error(capsys)
     # reported as the size guard it is, the same line codegen prints
-    assert err.startswith("error: coding view of 2800000000 field entries")
+    assert err.startswith("error: scheme of 2800000000 field entries")
     assert "bad scheme block" not in err
     # codegen meets the same guard when the rates need many chunks
     assert main(["codegen", EX3, "--rates", "1/9973,1,1",
@@ -926,6 +927,58 @@ def test_json_nested_too_deep_exits_two(tmp_path, capsys, command, text):
 PACKETS_DOC = {"format_version": 1, "field": 2, "packet_count": 2,
                "terminals": [{"packets": [0]}, {"packets": [1]}],
                "users": [0, 1]}
+
+
+@pytest.mark.parametrize("doc", [_doc(field=None), dict(PACKETS_DOC,
+                                                        field=None)],
+                         ids=["rows", "packets"])
+def test_a_null_field_exits_two(tmp_path, capsys, doc):
+    # a key is absent only when it is missing: null is a field of the
+    # wrong type, not GF(2), whatever form the terminals take
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path}: field must be an object or an integer\n")
+
+
+@pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("command", ["oracle", "simulate"],
+                         ids=["instance", "scheme"])
+def test_format_version_is_a_json_integer(tmp_path, capsys, version,
+                                          command):
+    # true == 1.0 == 1 in Python; every document integer refuses both
+    source = EX3 if command == "oracle" else GOLDEN / "example3.codegen.out"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(_read(Path(source)),
+                                    format_version=version)))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path}: format_version must be an integer, "
+        f"not {type(version).__name__}\n")
+
+
+@pytest.mark.parametrize("stem", ["example1", "example2", "example3",
+                                  "linear_m8", "raw_m8"])
+def test_scheme_files_are_written_back_as_read(stem):
+    # the one reader and the one writer of both documents undo each other
+    path = GOLDEN / f"{stem}.codegen.out"
+    doc, scheme = _read(path), datex.cli._load_scheme(str(path))
+    assert serialize_instance(scheme.instance) == doc["instance"]
+    assert serialize_scheme(scheme) == doc["scheme"]
+
+
+@pytest.mark.parametrize("path", [EX1, EX2, EX3, str(GOLDEN / "raw_m8.json"),
+                                  str(GOLDEN / "linear_m8.json")],
+                         ids=["example1", "example2", "example3", "raw_m8",
+                              "linear_m8"])
+def test_instance_files_keep_their_entropies_when_written_back(path):
+    inst = parse_instance(path)
+    back = instance_from_dict(json.loads(json.dumps(serialize_instance(inst))))
+    assert (back.user_list, back.weights, back.transmitters) == \
+        (inst.user_list, inst.weights, inst.transmitters)
+    assert [back.model.joint_entropy(s) for s in range(1 << back.m)] == \
+        [inst.model.joint_entropy(s) for s in range(1 << inst.m)]
 
 
 @pytest.mark.parametrize("weights, argv, entry", [
@@ -1251,6 +1304,17 @@ def test_huge_tables_and_fields_exit_two_at_once(tmp_path, doc, line):
     path.write_text(json.dumps(doc))
     assert _child(["oracle", str(path)], preexec_fn=_bounded) == \
         (2, "", f"error: {path}: {line}\n")
+
+
+def test_a_scheme_too_large_to_build_exits_two_at_once():
+    # rates 1e9, 1e9 and 2/3 take L = 3 and 3e9 chunk symbols from each of
+    # two terminals: their coding matrices and coded rows, not the coding
+    # view's 252 entries, are what the size guard has to count
+    assert _child(["codegen", EX3, "--rates", "1e9,1e9,2/3",
+                   "--max-denominator", "6"], preexec_fn=_bounded) == (
+        2, "", "error: scheme of 117000000288 field entries (coding view, "
+        "coding matrices and coded rows at L = 3) exceeds the supported "
+        "bound 4194304\n")
 
 
 def test_a_prime_field_below_2_to_the_64_runs_at_once(tmp_path):

@@ -11,14 +11,14 @@ import networkx as nx
 import pytest
 
 from datex import netcode
+from datex.cli import scheme_from_dict, serialize_scheme
 from datex.gf import Matrix, make_field, mat_vec, stack
 from datex.greedy import violated_cuts
 from datex.instance import Instance
 from datex.netcode import (DesignFailureError, IncompleteSourceError,
-                           InfeasibleRatesError, build_multicast_graph,
-                           design_transmissions, graph_to_dot,
-                           min_extension_degree, rationalize,
-                           scheme_core_from_dict, scheme_core_to_dict,
+                           InfeasibleRatesError, assemble_scheme,
+                           build_multicast_graph, design_transmissions,
+                           graph_to_dot, min_extension_degree, rationalize,
                            simulate_exchange, verify_decodability)
 from datex.oracle import build_lp, solve_exact
 from datex.source import SizeLimitError, raw_source
@@ -156,7 +156,7 @@ def _hand_scheme(helper_row):
     data = {"L": 1, "chunk_rates": [0, 1, 1], "ext_degree": 1,
             "coding_field": {"characteristic": 2, "degree": 1},
             "matrices": {"1": [[0, 0, 1]], "2": [helper_row]}}
-    return inst, scheme_core_from_dict(data, inst)
+    return inst, scheme_from_dict(data, inst)
 
 
 def _decodable(report):
@@ -208,7 +208,7 @@ def test_design_two_user_example(example3):
 def test_design_is_deterministic(example3):
     a = design_transmissions(example3, (0, 1, 1), 1)
     b = design_transmissions(example3, (0, 1, 1), 1)
-    assert scheme_core_to_dict(a) == scheme_core_to_dict(b)
+    assert serialize_scheme(a) == serialize_scheme(b)
 
 
 def test_design_three_user_example_small_extension(example2):
@@ -278,10 +278,17 @@ def test_chunk_rates_are_checked_alike_everywhere(example1, chunks, error,
     inst = Instance(example1.model, [0], transmitters=[1, 2, 3, 4])
     for check in (lambda: design_transmissions(inst, chunks, 2),
                   lambda: build_multicast_graph(inst, chunks, 2),
-                  lambda: scheme_core_from_dict(
-                      {"L": 2, "chunk_rates": list(chunks)}, inst)):
+                  lambda: assemble_scheme(inst, 2, chunks, 1, (3, 2), {}, 0)):
         with pytest.raises(error, match=message):
             check()
+
+
+@pytest.mark.parametrize("runs", [0, -3])
+def test_simulate_refuses_fewer_than_one_run(example3, runs):
+    # zero runs would report every user decoded in every run of none
+    scheme = design_transmissions(example3, (0, 1, 1), 1)
+    with pytest.raises(ValueError, match=r"^runs must be >= 1$"):
+        simulate_exchange(scheme, runs)
 
 
 def test_design_rejects_observations_short_of_all_packets():
@@ -487,9 +494,9 @@ def _keys(mats):
 
 def test_scheme_round_trip(example3):
     scheme = design_transmissions(example3, (0, 1, 1), 1)
-    data = json.loads(json.dumps(scheme_core_to_dict(scheme)))
-    back = scheme_core_from_dict(data, example3)
-    assert scheme_core_to_dict(back) == scheme_core_to_dict(scheme)
+    data = json.loads(json.dumps(serialize_scheme(scheme)))
+    back = scheme_from_dict(data, example3)
+    assert serialize_scheme(back) == serialize_scheme(scheme)
     assert _keys(back.matrices) == _keys(scheme.matrices)  # same field too
     assert back.embed == scheme.embed
     assert _keys(back.blocks) == _keys(scheme.blocks)
@@ -497,26 +504,26 @@ def test_scheme_round_trip(example3):
 
 def test_scheme_round_trip_chunked(example2):
     scheme = design_transmissions(example2, (1, 1, 1, 2, 2, 2), 4)
-    back = scheme_core_from_dict(scheme_core_to_dict(scheme), example2)
-    assert scheme_core_to_dict(back) == scheme_core_to_dict(scheme)
+    back = scheme_from_dict(serialize_scheme(scheme), example2)
+    assert serialize_scheme(back) == serialize_scheme(scheme)
     assert _keys(back.matrices) == _keys(scheme.matrices)
     assert verify_decodability(back).ok
 
 
 def test_scheme_from_dict_validation(example3):
     scheme = design_transmissions(example3, (0, 1, 1), 1)
-    data = scheme_core_to_dict(scheme)
+    data = serialize_scheme(scheme)
     wrong_field = {**data, "coding_field": {"characteristic": 2, "degree": 4}}
     with pytest.raises(ValueError):
-        scheme_core_from_dict(wrong_field, example3)
+        scheme_from_dict(wrong_field, example3)
     wrong_rows = {**data, "chunk_rates": [0, 2, 1]}
     with pytest.raises(ValueError):
-        scheme_core_from_dict(wrong_rows, example3)
+        scheme_from_dict(wrong_rows, example3)
 
 
 def test_size_checks_read_row_counts_without_one_hot_matrices():
     """A raw source's one-hot observation matrices are N wide.  The
-    coding-view guard and the multicast graph read each terminal's row
+    scheme-size guard and the multicast graph read each terminal's row
     count instead, so a million packets cost them nothing."""
     small = raw_source([[0], [1], [0, 1]], 2)
     assert small.row_counts == tuple(A.nrows for A in small.matrices)
@@ -524,8 +531,8 @@ def test_size_checks_read_row_counts_without_one_hot_matrices():
     data = {"L": 2, "chunk_rates": [1, 1, 0], "ext_degree": 1,
             "coding_field": {"characteristic": 2, "degree": 1},
             "matrices": {"0": [[1, 0]], "1": [[0, 1]]}}
-    with pytest.raises(SizeLimitError, match="coding view of 16000000 "):
-        scheme_core_from_dict(data, inst)
+    with pytest.raises(SizeLimitError, match="scheme of 20000004 "):
+        scheme_from_dict(data, inst)
     g = build_multicast_graph(inst, (1, 1, 0), 2)
     assert ("S", "s2", 4) in g.edges and g.total_chunks == 2 * 10 ** 6
     assert "matrices" not in inst.model.__dict__
@@ -550,7 +557,7 @@ def test_coding_view_built_once_per_design_and_per_loaded_scheme(
         simulate_exchange(scheme, runs)
     assert len(calls) == example3.m
     calls.clear()
-    loaded = scheme_core_from_dict(scheme_core_to_dict(scheme), example3)
+    loaded = scheme_from_dict(serialize_scheme(scheme), example3)
     for runs in (1, 3):
         assert simulate_exchange(loaded, runs).ok
     assert len(calls) == example3.m            # built once, at load
