@@ -8,11 +8,10 @@ contra-polymatroid
 
 where T is the transmitter set.  Minimizing a nonnegative weighted sum
 over it admits a greedy optimum: visit transmitters in ascending weight
-order (ties broken by an explicit permutation) and give each the
-conditional entropy of its observation given the receiver's side
-information plus everything visited earlier.  Equivalently, the suffix
-sets of the visiting order are exactly the tight constraints of the
-returned vertex.
+order (ties by terminal index) and give each the conditional entropy of
+its observation given the receiver's side information plus everything
+visited earlier.  Equivalently, the suffix sets of the visiting order are
+exactly the tight constraints of the returned vertex.
 
 `_iter_cuts` is the package's one enumeration of a receiver's cuts and
 their right-hand sides: `violated_cuts` checks a rate vector against them,
@@ -36,7 +35,6 @@ __all__ = [
     "edmonds_allocate",
     "check_rate_domain",
     "violated_cuts",
-    "tie_order",
     "senders_of",
 ]
 
@@ -44,32 +42,6 @@ RateVector = Tuple[Fraction, ...]
 
 # Exhaustive cut enumeration is 2^|T|; keep it to desk scale.
 _FEASIBILITY_GUARD_M = 20
-
-
-def tie_order(m: int, tie_break: Optional[Sequence[int]]) -> List[int]:
-    """Per-terminal rank used to break equal-weight ties.  tie_break lists
-    terminal indices in priority order; unlisted terminals follow in
-    ascending index order."""
-    rank_of = [0] * m
-    if tie_break is None:
-        for i in range(m):
-            rank_of[i] = i
-        return rank_of
-    seen = set()
-    pos = 0
-    for t in tie_break:
-        if not 0 <= t < m:
-            raise ValueError(f"tie_break index {t} out of range")
-        if t in seen:
-            raise ValueError(f"tie_break repeats terminal {t}")
-        seen.add(t)
-        rank_of[t] = pos
-        pos += 1
-    for i in range(m):
-        if i not in seen:
-            rank_of[i] = pos
-            pos += 1
-    return rank_of
 
 
 def senders_of(instance: Instance, target: int) -> List[int]:
@@ -86,22 +58,18 @@ def _greedy_rates_scaled(model: SourceModel, target: int,
     return model.chain_scaled(1 << target, order)
 
 
-def edmonds_allocate(instance: Instance, target: int,
-                     tie_break: Optional[Sequence[int]] = None) -> RateVector:
+def edmonds_allocate(instance: Instance, target: int) -> RateVector:
     """Optimal vertex of the single-receiver region for the instance's
     weights.
 
-    Visits the transmitters other than `target` in ascending weight order
-    (ties by `tie_break`, default ascending index) and allocates each the
-    conditional entropy of its observation given the target's side
-    information and all earlier transmitters.  Non-transmitters and the
-    target itself get rate zero.
+    Visits the transmitters other than `target` in ascending weight order,
+    ties by ascending index, and allocates each the conditional entropy of
+    its observation given the target's side information and all earlier
+    transmitters.  Non-transmitters and the target itself get rate zero.
     """
-    m = instance.m
-    if not 0 <= target < m:
+    if not 0 <= target < instance.m:
         raise ValueError(f"target {target} out of range")
     senders = senders_of(instance, target)
-    senders.sort(key=tie_order(m, tie_break).__getitem__)
     senders.sort(key=instance.weights.__getitem__)
     scaled = _greedy_rates_scaled(instance.model, target, senders)
     den = instance.model.entropy_denominator

@@ -57,8 +57,8 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from .gf import (EchelonBasis, Field, Matrix, SizeLimitError, make_field, rank,
                  stack)
@@ -278,29 +278,45 @@ class RawSource(LinearSource):
     """Terminals own packets outright.  Equivalent to a LinearSource whose
     rows are standard basis vectors, but each terminal is held as one int
     bitmask of its packets and the entropy oracle counts the bits of their
-    union.  The one-hot observation matrices are built on first use (code
-    design, simulation, scheme files); entropy queries and size checks
-    never need them."""
+    union.  Bit b is packet b, unless the largest index is at least the
+    number of indices given: then bit b is the b-th packet some terminal
+    holds, so a mask costs O(packets held) bits, not O(largest index).
+    The one-hot observation matrices are built on first use (code design,
+    simulation, scheme files); entropy queries and size checks never need
+    them."""
 
-    def __init__(self, ownership: Sequence[Iterable[int]], packet_count: int,
+    def __init__(self, ownership: Sequence[Sequence[int]], packet_count: int,
                  field: Optional[Field] = None):
         if packet_count < 0:
             raise ValueError("packet_count must be >= 0")
+        held_lists = [idx for idx in ownership if idx]
+        low = min(map(min, held_lists), default=0)
+        top = max(map(max, held_lists), default=-1)
+        if low < 0 or top >= packet_count:
+            i = next(i for i, idx in enumerate(ownership)
+                     if not all(0 <= k < packet_count for k in idx))
+            raise ValueError(f"terminals[{i}].packets: index out of "
+                             f"range 0..{packet_count - 1}")
+        # bit b of a mask is packet held[b]: b itself while the index range
+        # is no larger than the input; past that, the b-th packet some
+        # terminal holds, so a few large indices cost a few bits
+        held = range(top + 1)
+        if top >= sum(map(len, held_lists)):
+            held = sorted(set().union(*held_lists))
+            bit_of = {k: b for b, k in enumerate(held)}.__getitem__
+            ownership = [list(map(bit_of, idx)) for idx in ownership]
         bits = []
-        for i, owned in enumerate(ownership):
-            idx = list(owned)
-            if idx and not (0 <= min(idx) and max(idx) < packet_count):
-                raise ValueError(f"terminals[{i}].packets: index out of "
-                                 f"range 0..{packet_count - 1}")
-            # bit k of the mask is packet k: set in bytes, converted once
-            buf = bytearray(max(idx, default=0) // 8 + 1)
-            for k in idx:
-                buf[k >> 3] |= 1 << (k & 7)
+        for idx in ownership:
+            # set in bytes, converted once
+            buf = bytearray(len(held) // 8 + 1)
+            for b in idx:
+                buf[b >> 3] |= 1 << (b & 7)
             bits.append(int.from_bytes(buf, "little"))
         self.field = field if field is not None else make_field(2)
         self.N = packet_count
         self.m = len(bits)
         self.row_counts = tuple(b.bit_count() for b in bits)
+        self._held = held
         self._bits = tuple(bits)
         # the union of owned packets for every subset of each block of 8
         # terminals, so a point query is one lookup per block; packet sets
@@ -310,8 +326,9 @@ class RawSource(LinearSource):
 
     def packets(self, i: int) -> List[int]:
         """Terminal i's packets, ascending."""
-        bits = bin(self._bits[i])[:1:-1]   # character k is bit k
-        return [k for k, c in enumerate(bits) if c == "1"]
+        held = self._held
+        bits = bin(self._bits[i])[:1:-1]   # character b is bit b
+        return [held[b] for b, c in enumerate(bits) if c == "1"]
 
     @cached_property
     def matrices(self) -> Tuple[Matrix, ...]:
@@ -355,7 +372,7 @@ class RawSource(LinearSource):
         return out
 
 
-def raw_source(ownership: Sequence[Iterable[int]], packet_count: int,
+def raw_source(ownership: Sequence[Sequence[int]], packet_count: int,
                field: Optional[Field] = None) -> RawSource:
     """Build the packet-ownership model (terminal i owns ownership[i])."""
     return RawSource(ownership, packet_count, field)

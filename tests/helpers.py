@@ -1,9 +1,9 @@
 """Shared builders for the test suite: the worked example instances, a
-random-instance generator used by the equivalence and property suites, and
-test-side references (weighted objective, conditional entropy, explicit
-entropy tables, the all-terminal cut-set rows), a one-right-hand-side
-solve, a comparable form of a matrix, and a scheme copy with replaced
-coding matrices."""
+random-instance generator used by the equivalence and property suites, a
+renumbering of an instance's terminals, and test-side references (weighted
+objective, conditional entropy, explicit entropy tables, the all-terminal
+cut-set rows), a one-right-hand-side solve, a comparable form of a matrix,
+and a scheme copy with replaced coding matrices."""
 
 import random
 from fractions import Fraction
@@ -73,6 +73,24 @@ def random_linear_instance(rng: random.Random, multi_user: bool,
     if helpers_only:
         transmitters = [i for i in range(m) if i not in users]
     return Instance(model, users, weights, transmitters=transmitters)
+
+
+def relabel(instance: Instance, order) -> Instance:
+    """`instance` with its terminals renumbered: new terminal j is old
+    terminal order[j], with its observation, weight and roles."""
+    model = instance.model
+    new_of = {old: new for new, old in enumerate(order)}
+    return Instance(LinearSource(model.field, model.N,
+                                 [model.matrices[i] for i in order]),
+                    [new_of[u] for u in instance.users],
+                    [instance.weights[i] for i in order],
+                    transmitters=[new_of[t] for t in instance.transmitters])
+
+
+def unlabel(rates, order):
+    """Rates of a `relabel(instance, order)` instance in the original
+    terminal numbering."""
+    return tuple(r for _, r in sorted(zip(order, rates)))
 
 
 def objective(instance: Instance, rates) -> Fraction:

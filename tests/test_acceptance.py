@@ -14,7 +14,8 @@ from datex.netcode import (design_transmissions, rationalize,
                            simulate_exchange, verify_decodability)
 from datex.oracle import build_lp, solve_exact
 from helpers import (example1_instance, example2_instance, example3_instance,
-                     objective, random_linear_instance, with_matrices)
+                     objective, random_linear_instance, relabel, unlabel,
+                     with_matrices)
 
 MILLI = Fraction(1, 1000)
 
@@ -28,8 +29,11 @@ def test_criterion_1_single_receiver_exactness():
     t0 = time.perf_counter()
     inst = example1_instance()
     assert solve_exact(build_lp(inst)).value == Fraction(2)
-    rates = edmonds_allocate(inst, 0, tie_break=(3, 4, 5, 1, 2))
-    assert rates == (0, 0, 0, 1, 0, 1)
+    # helpers 3, 4 and 5 renumbered 1, 2 and 3, so index order visits them
+    # first; the rates are mapped back to the example's numbering
+    helpers_first = (0, 3, 4, 5, 1, 2)
+    rates = edmonds_allocate(relabel(inst, helpers_first), 0)
+    assert unlabel(rates, helpers_first) == (0, 0, 0, 1, 0, 1)
     _report(1, "oracle value 2, preferred-helper vertex (0,0,0,1,0,1)",
             time.perf_counter() - t0, 1.0)
 
@@ -130,15 +134,17 @@ def test_criterion_6_property_suites():
             assert js(si) + js(sj) >= js(s) + js(sij)
             assert f(si) + f(sj) <= f(s) + f(sij)
 
-    # tie-break order never changes the greedy objective
+    # renumbering the terminals never changes the greedy objective
     for inst in instances:
         (target,) = inst.user_list
         base = objective(inst, edmonds_allocate(inst, target))
         for _ in range(20):
             perm = list(range(inst.m))
             rng.shuffle(perm)
-            assert objective(inst, edmonds_allocate(inst, target,
-                                                    tie_break=perm)) == base
+            moved = relabel(inst, perm)
+            (moved_target,) = moved.user_list
+            assert objective(moved, edmonds_allocate(moved, moved_target)) \
+                == base
 
     # decodability report == simulation outcome on 50 schemes,
     # half verified as designed and half deliberately sabotaged
@@ -165,7 +171,7 @@ def test_criterion_6_property_suites():
         assert simulate_exchange(scheme, runs=2).decoded \
             == {l: 2 * int(d == 0) for l, d in report.deficits.items()}
         built += 1
-    _report(6, "entropy/cut curvature, tie-break invariance, and "
+    _report(6, "entropy/cut curvature, relabeling invariance, and "
                "decode==simulate on 50 schemes",
             time.perf_counter() - t0, 300.0)
 

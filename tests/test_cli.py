@@ -968,13 +968,27 @@ def test_scheme_files_are_written_back_as_read(stem):
     assert serialize_scheme(scheme) == doc["scheme"]
 
 
+# four packets, three of them near index 10^9, and their small-index twin
+_FAR_PACKETS = {"format_version": 1, "packet_count": 10 ** 9,
+                "terminals": [{"packets": [10 ** 9 - 1]},
+                              {"packets": [10 ** 9 - 2]},
+                              {"packets": [10 ** 9 - 3]}, {"packets": [0]}],
+                "users": [0, 1]}
+_NEAR_PACKETS = dict(_FAR_PACKETS, packet_count=4,
+                     terminals=[{"packets": [k]} for k in (3, 2, 1, 0)])
+
+
 @pytest.mark.parametrize("path", [EX1, EX2, EX3, str(GOLDEN / "raw_m8.json"),
-                                  str(GOLDEN / "linear_m8.json")],
+                                  str(GOLDEN / "linear_m8.json"),
+                                  _FAR_PACKETS],
                          ids=["example1", "example2", "example3", "raw_m8",
-                              "linear_m8"])
+                              "linear_m8", "far-packets"])
 def test_instance_files_keep_their_entropies_when_written_back(path):
-    inst = parse_instance(path)
-    back = instance_from_dict(json.loads(json.dumps(serialize_instance(inst))))
+    inst = (instance_from_dict(path) if isinstance(path, dict)
+            else parse_instance(path))
+    written = serialize_instance(inst)
+    back = instance_from_dict(json.loads(json.dumps(written)))
+    assert serialize_instance(back) == written
     assert (back.user_list, back.weights, back.transmitters) == \
         (inst.user_list, inst.weights, inst.transmitters)
     assert [back.model.joint_entropy(s) for s in range(1 << back.m)] == \
@@ -1304,6 +1318,20 @@ def test_huge_tables_and_fields_exit_two_at_once(tmp_path, doc, line):
     path.write_text(json.dumps(doc))
     assert _child(["oracle", str(path)], preexec_fn=_bounded) == \
         (2, "", f"error: {path}: {line}\n")
+
+
+@pytest.mark.parametrize("argv", [["oracle"], ["solve"],
+                                  ["verify", "--rates", "1,1,1,1"]],
+                         ids=["oracle", "solve", "verify"])
+def test_far_packet_indices_cost_what_the_file_holds(tmp_path, argv):
+    # a raw mask spans the packets some terminal holds, not the index
+    # range: indices near 10^9 answer as their small-index twin does
+    far, near = tmp_path / "far.json", tmp_path / "near.json"
+    far.write_text(json.dumps(_FAR_PACKETS))
+    near.write_text(json.dumps(_NEAR_PACKETS))
+    result = _child([argv[0], str(far), *argv[1:]], preexec_fn=_bounded)
+    assert result == _child([argv[0], str(near), *argv[1:]])
+    assert result[0] == 0
 
 
 def test_a_scheme_too_large_to_build_exits_two_at_once():

@@ -4,11 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datex.greedy import edmonds_allocate, tie_order, violated_cuts
+from datex.greedy import edmonds_allocate, violated_cuts
 from datex.instance import Instance, InfeasibleInstanceError
+from datex.oracle import build_lp, solve_exact
 from datex.source import SizeLimitError, mask_to_set, raw_source
 from helpers import (example_model, example1_instance, objective,
-                     random_linear_instance, tabulate)
+                     random_linear_instance, relabel, tabulate, unlabel)
+
+# example 1 with the single-packet holders 3, 4 and 5 numbered right after
+# the receiver, so index order prefers them
+HELPERS_FIRST = (0, 3, 4, 5, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -58,33 +63,14 @@ def test_instance_decodability_precondition():
 
 
 # ---------------------------------------------------------------------------
-# Tie ordering
-# ---------------------------------------------------------------------------
-
-def test_tie_order_default_is_ascending():
-    assert tie_order(4, None) == [0, 1, 2, 3]
-
-
-def test_tie_order_partial_priority():
-    # listed terminals first, in the listed order; the rest ascending
-    assert tie_order(6, (3, 4, 5, 1, 2)) == [5, 3, 4, 0, 1, 2]
-
-
-def test_tie_order_rejects_bad_lists():
-    with pytest.raises(ValueError):
-        tie_order(3, (0, 0))
-    with pytest.raises(ValueError):
-        tie_order(3, (5,))
-
-
-# ---------------------------------------------------------------------------
 # The six-terminal single-receiver example
 # ---------------------------------------------------------------------------
 
-def test_example1_tie_break_vertex(example1):
-    # preferring the single-packet holders (3,4,5) yields two unit rates:
-    # terminal 3 covers one unknown packet, terminal 5 the other
-    rates = edmonds_allocate(example1, 0, tie_break=(3, 4, 5, 1, 2))
+def test_example1_preferred_helper_vertex(example1):
+    # visiting the single-packet holders (3,4,5) first yields two unit
+    # rates: terminal 3 covers one unknown packet, terminal 5 the other
+    moved = edmonds_allocate(relabel(example1, HELPERS_FIRST), 0)
+    rates = unlabel(moved, HELPERS_FIRST)
     assert rates == (0, 0, 0, 1, 0, 1)
     assert objective(example1, rates) == 2
 
@@ -96,7 +82,7 @@ def test_example1_default_order_vertex(example1):
     assert objective(example1, rates) == 2
 
 
-def test_example1_all_tie_breaks_same_objective(example1):
+def test_example1_all_relabelings_same_objective(example1):
     rng = random.Random(1)
     perms = set()
     for _ in range(20):
@@ -104,13 +90,16 @@ def test_example1_all_tie_breaks_same_objective(example1):
         rng.shuffle(perm)
         perms.add(tuple(perm))
     for perm in perms:
-        rates = edmonds_allocate(example1, 0, tie_break=perm)
+        moved = relabel(example1, perm)
+        (target,) = moved.user_list
+        rates = unlabel(edmonds_allocate(moved, target), perm)
         assert objective(example1, rates) == 2
         assert not violated_cuts(rates, example1, 0, limit=1)
 
 
 def test_example1_greedy_output_feasible(example1):
-    rates = edmonds_allocate(example1, 0, tie_break=(3, 4, 5, 1, 2))
+    rates = unlabel(edmonds_allocate(relabel(example1, HELPERS_FIRST), 0),
+                    HELPERS_FIRST)
     assert not violated_cuts(rates, example1, 0, limit=1)
     assert violated_cuts([0] * 6, example1, 0, limit=1)
 
@@ -132,10 +121,10 @@ def test_identical_observations_need_nothing():
 
 def test_greedy_on_tabular_model(example1):
     # the allocation must only depend on the entropy oracle
-    table_inst = Instance(tabulate(example1.model), [0])
-    for tb in (None, (3, 4, 5, 1, 2), (5, 4, 3, 2, 1, 0)):
-        assert (edmonds_allocate(table_inst, 0, tie_break=tb)
-                == edmonds_allocate(example1, 0, tie_break=tb))
+    for order in (range(6), HELPERS_FIRST, (0, 5, 4, 3, 2, 1)):
+        inst = relabel(example1, order)
+        table_inst = Instance(tabulate(inst.model), [0])
+        assert edmonds_allocate(table_inst, 0) == edmonds_allocate(inst, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,31 +198,40 @@ def _suffix_cuts_tight(instance, target, rates, order):
 def test_greedy_vertex_properties(seed):
     rng = random.Random(seed)
     inst = random_linear_instance(rng, multi_user=False)
+    order = list(range(inst.m))
+    rng.shuffle(order)
+    inst = relabel(inst, order)
     (target,) = inst.user_list
-    tb = list(range(inst.m))
-    rng.shuffle(tb)
-    rates = edmonds_allocate(inst, target, tie_break=tb)
+    rates = edmonds_allocate(inst, target)
     # nonnegative, zero for non-senders
     assert all(r >= 0 for r in rates)
     assert rates[target] == 0
     # feasible in the receiver's cut region
     assert not violated_cuts(rates, inst, target, limit=1)
-    # the visiting order's suffix cuts are all tight
-    ranks = tie_order(inst.m, tb)
+    # the visiting order, (weight, index), has all its suffix cuts tight
     senders = sorted((t for t in inst.transmitters if t != target),
-                     key=lambda j: (inst.weights[j], ranks[j]))
+                     key=lambda j: (inst.weights[j], j))
     assert _suffix_cuts_tight(inst, target, rates, senders)
 
 
 @given(st.integers(0, 10 ** 9))
 @settings(max_examples=60, deadline=None)
-def test_tie_break_never_changes_objective(seed):
+def test_relabeling_never_changes_objective(seed):
+    # renumbering the terminals changes the greedy's tie order, and with it
+    # possibly the vertex, but not the optimum it reaches
     rng = random.Random(seed)
     inst = random_linear_instance(rng, multi_user=False)
     (target,) = inst.user_list
     base = objective(inst, edmonds_allocate(inst, target))
+    assert solve_exact(build_lp(inst)).value == base
     for _ in range(5):
-        tb = list(range(inst.m))
-        rng.shuffle(tb)
-        rates = edmonds_allocate(inst, target, tie_break=tb)
-        assert objective(inst, rates) == base
+        order = list(range(inst.m))
+        rng.shuffle(order)
+        moved = relabel(inst, order)
+        (moved_target,) = moved.user_list
+        rates = edmonds_allocate(moved, moved_target)
+        assert objective(moved, rates) == base
+        assert solve_exact(build_lp(moved)).value == base
+        assert not violated_cuts(rates, moved, moved_target, limit=1)
+        assert not violated_cuts(unlabel(rates, order), inst, target,
+                                 limit=1)
