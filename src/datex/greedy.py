@@ -15,7 +15,7 @@ exactly the tight constraints of the returned vertex.
 
 `_iter_cuts` is the package's one enumeration of a receiver's cuts and
 their right-hand sides: `violated_cuts` checks a rate vector against them,
-and the exact LP (`oracle.build_lp`) takes its rows from them.  The check
+and `oracle.solve_exact` separates the exact LP's rows with it.  The check
 is exhaustive and runs in integers: the rates are scaled to one common
 denominator and compared with the integer-scaled entropies, read from the
 source's lattice query (`SourceModel.lattice_scaled`).
@@ -85,8 +85,7 @@ def _iter_cuts(instance: Instance, target: int, rates: Sequence[int]):
     masks themselves).  The entropies come from the model's lattice query
     for the receiver plus any subset of its senders: a linear source
     memoizes that whole lattice in one walk the first time, so every
-    later enumeration of the receiver's cuts, by `violated_cuts` or
-    `oracle.build_lp`, reads only memo hits."""
+    later enumeration of the receiver's cuts reads only memo hits."""
     tmask = instance.transmitter_mask & ~(1 << target)
     ctx = tmask | (1 << target)
     senders = mask_to_set(tmask)

@@ -1,21 +1,22 @@
 """Exact cut-set linear program for multi-receiver rate allocation.
 
 The baseline optimum that certifies every other solver in the package.
-Its rows are the receivers' cuts (`greedy._iter_cuts`, which `verify`
-checks too): for every user l and nonempty S within the transmitters T
-other than l,
+Its rows are the receivers' cuts: for every user l and nonempty S within
+the transmitters T other than l,
 
     sum_{i in S} R_i >= H(X_S | X_((T u {l}) \\ S)),
 
-one row per mask S with the largest right-hand side any user puts on it,
-at most 2^|T| - 1 rows.  It minimizes the weighted rate sum exactly over
-rationals, with non-transmitting terminals pinned to rate zero.
+one row per mask S with the largest right-hand side any user puts on it.
+It minimizes the weighted rate sum exactly over rationals, with
+non-transmitting terminals pinned to rate zero.
 
-The solver is a dense, fraction-free simplex (integer rows, exact rational
-results) with Bland's anti-cycling rule, run on the LP dual so the slack
-basis is immediately feasible; the primal rates are read off the optimal
-reduced costs.  Everything here is exponential in m by design -- exactness
-over speed -- so building the LP, where every solve starts, takes m <= 10.
+`solve_exact` optimizes over those rows by separation, adding each user's
+most violated cut (`greedy.violated_cuts`, as `verify` checks) until none
+is left; each round visits all 2^(|T|-1) cuts of every user, so the one
+size guard is `violated_cuts`'s m <= 20.  The solver is a dense,
+fraction-free simplex (integer rows, exact rational results) with Bland's
+anti-cycling rule, run on the LP dual so the slack basis is immediately
+feasible; the primal rates are read off the optimal reduced costs.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .greedy import _iter_cuts, violated_cuts
+from .greedy import violated_cuts
 from .instance import Instance
-from .source import SizeLimitError, scale_to_int
+from .source import mask_to_set, scale_to_int
 
 __all__ = [
     "CutSetLP",
@@ -37,12 +38,11 @@ __all__ = [
     "SimplexResult",
 ]
 
-_GUARD_M = 10
-
 
 class CutSetLP(NamedTuple):
-    """The explicit LP: one (mask, rhs) row per cut-set, variables only for
-    transmitting terminals, the instance's weights as costs."""
+    """A restricted cut-set LP: one (mask, rhs) row per cut-set found so
+    far, variables only for transmitting terminals, the instance's weights
+    as costs."""
 
     instance: Instance
     variables: Tuple[int, ...]
@@ -50,20 +50,8 @@ class CutSetLP(NamedTuple):
 
 
 def build_lp(instance: Instance) -> CutSetLP:
-    """Materialize the cut-set LP for an instance: the union of the users'
-    cuts, one row per mask in ascending order, each with the largest
-    right-hand side any user puts on it.  The size guard fires before any
-    entropy is queried."""
-    if instance.m > _GUARD_M:
-        raise SizeLimitError(f"exact solve limited to m <= {_GUARD_M}")
-    zero = [0] * instance.m
-    need = {}
-    for l in instance.user_list:
-        for cut, rhs, _ in _iter_cuts(instance, l, zero):
-            need[cut] = max(need.get(cut, 0), rhs)
-    den = instance.model.entropy_denominator
-    rows = tuple((s, Fraction(need[s], den)) for s in sorted(need))
-    return CutSetLP(instance, tuple(sorted(instance.transmitters)), rows)
+    """`solve_exact`'s starting LP: the transmitters as variables, no rows."""
+    return CutSetLP(instance, tuple(sorted(instance.transmitters)), ())
 
 
 # ---------------------------------------------------------------------------
@@ -175,31 +163,53 @@ class OracleSolution(NamedTuple):
 
 
 def solve_exact(lp: CutSetLP) -> OracleSolution:
-    """Exact optimum of the cut-set LP: (value, one optimal rate vector).
+    """Exact optimum of the cut-set LP by separation: (value, one optimal
+    rate vector, simplex pivots summed over the rounds).
 
-    Internally solves the LP dual (max sum rhs_S y_S s.t. per-terminal
-    column sums <= weight) whose slack basis is feasible, then reads the
-    primal rates off the optimal reduced costs.  The returned vector is
-    re-checked against every user's cuts (`violated_cuts`, as `verify`
-    does) before returning.
+    Each round solves the LP restricted to the rows found so far through
+    its dual (max sum rhs_S y_S s.t. per-terminal column sums <= weight),
+    reads the rates off the optimal reduced costs and adds each user's
+    most violated cut (ties to the smallest mask) as a row with the
+    largest right-hand side any user puts on it.  The round that finds no
+    violated cut certifies the rates feasible.
     """
-    inst = lp.instance
-    var_index = {t: i for i, t in enumerate(lp.variables)}
-    c = [row[1] for row in lp.constraints]
-    b = [inst.weights[t] for t in lp.variables]
-    A = []
-    for t in lp.variables:
-        A.append([(row[0] >> t) & 1 for row in lp.constraints])
-    # bounded: each column y_S has a 1 in the row of some t in S, capped by w_t
-    res = exact_simplex(c, A, b)
-    rates = [Fraction(0)] * inst.m
-    for t, i in var_index.items():
-        rates[t] = res.duals[i]
-    # certify before returning: nonnegative, every cut met, objective equal
-    if any(r < 0 for r in rates):
-        raise ArithmeticError("simplex returned a negative rate")
-    if any(violated_cuts(rates, inst, l, limit=1) for l in inst.user_list):
-        raise ArithmeticError("simplex returned an infeasible rate vector")
+    inst, rows, pivots = lp.instance, dict(lp.constraints), 0
+    H, senders = inst.model.joint_entropy, lp.variables
+    while True:
+        masks = sorted(rows)
+        # bounded: each column y_S has a 1 in the row of some t in S
+        res = exact_simplex([rows[s] for s in masks],
+                            [[s >> t & 1 for s in masks] for t in senders],
+                            [inst.weights[t] for t in senders])
+        pivots += res.pivots
+        duals = dict(zip(senders, res.duals))
+        rates = [duals.get(t, Fraction(0)) for t in range(inst.m)]
+        if any(r < 0 for r in rates):
+            raise ArithmeticError("simplex returned a negative rate")
+        found = set()
+        for l in inst.user_list:
+            bad = violated_cuts(rates, inst, l)
+            if bad:
+                cut, need, _ = max(bad, key=lambda v: v[1] - v[2])
+                if rows.get(cut, -1) >= need:
+                    raise ArithmeticError(f"simplex broke the row of cut "
+                                          f"{mask_to_set(cut)} for user {l}")
+                found.add(cut)
+        if not found:
+            break
+        for cut in found:
+            ctxs = [inst.transmitter_mask | 1 << u for u in inst.users
+                    if not cut >> u & 1]
+            rows[cut] = max(H(ctx) - H(ctx & ~cut) for ctx in ctxs)
     if inst.objective(rates) != res.value:
         raise ArithmeticError("rate vector does not match the optimal value")
-    return OracleSolution(res.value, tuple(rates), res.pivots)
+    # the last LP's multipliers y_S bound every feasible cost from below
+    ys = list(zip(masks, res.x))
+    if any(y < 0 for _, y in ys):
+        raise ArithmeticError("simplex returned a negative multiplier")
+    for t in senders:
+        if sum(y for s, y in ys if s >> t & 1) > inst.weights[t]:
+            raise ArithmeticError(f"multipliers exceed terminal {t}'s weight")
+    if sum(y * rows[s] for s, y in ys) != res.value:
+        raise ArithmeticError("multipliers do not match the optimal value")
+    return OracleSolution(res.value, tuple(rates), pivots)

@@ -2,16 +2,19 @@
 random-instance generator used by the equivalence and property suites, a
 renumbering of an instance's terminals, and test-side references (weighted
 objective, conditional entropy, explicit entropy tables, the all-terminal
-cut-set rows), a one-right-hand-side solve, a comparable form of a matrix,
-and a scheme copy with replaced coding matrices."""
+cut-set rows, the full cut-set LP and its exact optimum), a
+one-right-hand-side solve, a comparable form of a matrix, and a scheme
+copy with replaced coding matrices."""
 
 import random
 from fractions import Fraction
 from typing import List
 
 from datex.gf import Matrix, SizeLimitError, make_field, solve_linear
+from datex.greedy import _iter_cuts
 from datex.instance import Instance
 from datex.netcode import TransmissionScheme
+from datex.oracle import exact_simplex
 from datex.source import LinearSource, SourceModel, TabularSource, raw_source
 
 # Six terminals observing single linear combinations of three packets; the
@@ -113,6 +116,29 @@ def all_terminal_cut_rows(instance: Instance):
     total = model.joint_entropy(full)
     return [(s, total - model.joint_entropy(full & ~s))
             for s in range(1, full) if s & users != users]
+
+
+def full_cut_lp(instance: Instance):
+    """The whole cut-set LP, every row written out: the union of the
+    receivers' cuts (`greedy._iter_cuts`), one (mask, rhs) row per mask in
+    ascending order with the largest right-hand side any user puts on it."""
+    zero = [0] * instance.m
+    need = {}
+    for l in instance.user_list:
+        for cut, rhs, _ in _iter_cuts(instance, l, zero):
+            need[cut] = max(need.get(cut, 0), rhs)
+    den = instance.model.entropy_denominator
+    return [(s, Fraction(need[s], den)) for s in sorted(need)]
+
+
+def full_lp_optimum(instance: Instance) -> Fraction:
+    """The optimum of `full_cut_lp` from one `exact_simplex` call on its
+    dual: the witness for the cut loop of `oracle.solve_exact`."""
+    rows = full_cut_lp(instance)
+    senders = sorted(instance.transmitters)
+    return exact_simplex([rhs for _, rhs in rows],
+                         [[s >> t & 1 for s, _ in rows] for t in senders],
+                         [instance.weights[t] for t in senders]).value
 
 
 def table_values(model: SourceModel) -> List[Fraction]:

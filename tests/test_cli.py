@@ -513,23 +513,39 @@ def test_terminal_with_both_forms_exits_two(tmp_path, capsys, other):
         in _one_line_error(capsys)
 
 
-@pytest.mark.parametrize("command, m, extra, guard", [
-    ("oracle", 11, [], "exact solve limited to m <= 10"),
-    ("verify", 21, ["--rates", ",".join(["1"] * 21)],
-     "feasibility check limited to m <= 20"),
-    ("codegen", 11, [], "exact solve limited to m <= 10"),
-    ("codegen", 21, ["--rates", ",".join(["1"] * 21)],
-     "feasibility check limited to m <= 20"),
-    ("graph", 21, ["--rates", ",".join(["1"] * 21)],
-     "feasibility check limited to m <= 20"),
-], ids=["oracle", "verify", "codegen", "codegen-rates", "graph-rates"])
-def test_size_guards_exit_two(tmp_path, capsys, command, m, extra, guard):
+def _one_packet_each(tmp_path, m):
+    """m terminals, each holding a packet of its own; user 0."""
     doc = {"format_version": 1, "packet_count": m,
            "terminals": [{"packets": [i]} for i in range(m)], "users": [0]}
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+# one guard, m <= 20, whether the rates come from --rates or the oracle
+@pytest.mark.parametrize("command, extra", [
+    ("oracle", []),
+    ("verify", ["--rates", ",".join(["1"] * 21)]),
+    ("codegen", []),
+    ("codegen", ["--rates", ",".join(["1"] * 21)]),
+    ("graph", ["--rates", ",".join(["1"] * 21)]),
+    ("graph", []),
+], ids=["oracle", "verify", "codegen", "codegen-rates", "graph-rates",
+        "graph"])
+def test_size_guards_exit_two(tmp_path, capsys, command, extra):
+    path = _one_packet_each(tmp_path, 21)
     assert main([command, str(path), *extra]) == 2
-    assert guard in _one_line_error(capsys)
+    assert _one_line_error(capsys) == \
+        "error: feasibility check limited to m <= 20\n"
+
+
+def test_oracle_solves_past_ten_terminals(tmp_path, capsys):
+    # the cut loop has no size guard of its own: user 0 lacks the ten
+    # packets the others hold, one each
+    assert main(["oracle", str(_one_packet_each(tmp_path, 11))]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["value"] == "10"
+    assert out["rates"] == ["0"] + ["1"] * 10
 
 
 # Two users over GF(1031) at L = 129 need a coding field above
@@ -762,8 +778,10 @@ def test_non_submodular_tables_exit_two(tmp_path, capsys, table, argv):
         "matrix-row-int", "ragged-matrix"])
 def test_simulate_rejects_inconsistent_scheme_files(tmp_path, capsys, corrupt,
                                                     message):
+    # fixed rates, so the corruptions do not hang on the oracle's vertex
     path = tmp_path / "scheme.json"
-    assert main(["codegen", EX1, "-o", str(path)]) == 0
+    assert main(["codegen", EX1, "--rates", "0,1,1,0,0,0",
+                 "-o", str(path)]) == 0
     rec = _read(path)
     assert rec["scheme"]["chunk_rates"] == [0, 1, 1, 0, 0, 0]
     corrupt(rec["scheme"])

@@ -19,6 +19,13 @@ kept as `ref_rank` and `ref_solve_linear`; ranks must agree, and
 `solve_linear` must return the reference's solution exactly when the
 system is consistent with full column rank, and None otherwise.
 
+`oracle.solve_exact` optimizes over the receivers' cuts by separation,
+one round of `violated_cuts` at a time.  `helpers.full_lp_optimum` writes
+the whole cut LP out and solves it in one `exact_simplex` call; the two
+values must be equal on the shipped examples, on random instances and on
+benchmark-ladder draws up to m = 10, and a float HiGHS solve of the whole
+LP (scipy) must agree at m = 12 and 14.
+
 `dual.solve` holds its multipliers column-major, stops chains and their
 accumulation once saturated, projects with an early-stopping threshold
 scan and compares bounds in integers.  `ref_solve` is the plain loop:
@@ -27,14 +34,17 @@ threshold scan, `Fraction` bounds and the averaged subproblem vertices per
 receiver.  Every `Solution` field and every trace call must agree.
 """
 
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from datex.cli import instance_from_dict
 from datex.dual import _QUANTUM, solve
 from datex.gf import Matrix, make_field, mat_vec, rank, solve_linear
 from datex.greedy import edmonds_allocate, violated_cuts
@@ -43,8 +53,9 @@ from datex.netcode import InfeasibleRatesError, _snap, rationalize
 from datex.oracle import UnboundedLPError, build_lp, exact_simplex, solve_exact
 from datex.source import (LinearSource, SizeLimitError, SourceModel,
                           TabularSource, mask_to_set, raw_source)
-from helpers import (example2_instance, random_linear_instance, solve_one,
-                     table_values)
+from helpers import (example1_instance, example2_instance, example3_instance,
+                     full_cut_lp, full_lp_optimum, random_linear_instance,
+                     solve_one, table_values)
 
 
 # ---------------------------------------------------------------------------
@@ -582,16 +593,76 @@ def test_exact_simplex_matches_the_fraction_reference(lp):
 @given(st.integers(0, 10 ** 9))
 @settings(max_examples=40, deadline=None)
 def test_exact_simplex_matches_on_cut_set_lps(seed):
-    """The LPs solve_exact actually poses: 0/1 incidence, entropy rhs."""
+    """The kind of LP solve_exact poses (0/1 incidence, entropy rhs), here
+    the whole cut LP at once, kept to m <= 10."""
     rng = random.Random(seed)
     inst = _instance(rng)
     while inst.m > 10:
         inst = _instance(rng)
-    lp = build_lp(inst)
-    c = [row[1] for row in lp.constraints]
-    b = [inst.weights[t] for t in lp.variables]
-    A = [[(row[0] >> t) & 1 for row in lp.constraints] for t in lp.variables]
+    rows = full_cut_lp(inst)
+    senders = sorted(inst.transmitters)
+    c = [rhs for _, rhs in rows]
+    b = [inst.weights[t] for t in senders]
+    A = [[(mask >> t) & 1 for mask, _ in rows] for t in senders]
     assert _outcome(_simplex, c, A, b) == _outcome(ref_exact_simplex, c, A, b)
+
+
+# ---------------------------------------------------------------------------
+# solve_exact's cut loop against the whole cut LP
+# ---------------------------------------------------------------------------
+
+def _ladder_instance(seed, kind, m):
+    """bench/ladder.py `draw(seed, kind, m, 0)` as an Instance; the file is
+    only read."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("bench_ladder", path)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    return instance_from_dict(ladder.draw(seed, kind, m, 0))
+
+
+def test_cut_loop_matches_the_full_lp_on_the_examples():
+    for inst in (example1_instance(), example2_instance(),
+                 example2_instance(characteristic=2), example3_instance()):
+        assert solve_exact(build_lp(inst)).value == full_lp_optimum(inst)
+
+
+@given(st.integers(0, 10 ** 9))
+@settings(max_examples=60, deadline=None)
+def test_cut_loop_matches_the_full_lp(seed):
+    """Linear, raw and tabular instances, some restricted to helpers."""
+    rng = random.Random(seed)
+    inst = _instance(rng)
+    while inst.m > 10:      # the full LP stays small
+        inst = _instance(rng)
+    assert solve_exact(build_lp(inst)).value == full_lp_optimum(inst)
+
+
+@pytest.mark.parametrize("kind", ["raw", "linear"])
+@pytest.mark.parametrize("m", [6, 8, 10])
+def test_cut_loop_matches_the_full_lp_on_ladder_draws(kind, m):
+    for seed in range(1, 11):
+        inst = _ladder_instance(seed, kind, m)
+        assert solve_exact(build_lp(inst)).value == full_lp_optimum(inst), seed
+
+
+@pytest.mark.parametrize("kind, m", [("raw", 12), ("raw", 14),
+                                     ("linear", 12), ("linear", 14)])
+def test_cut_loop_matches_highs_on_larger_ladder_draws(kind, m):
+    """An independent float solver on the whole cut LP, past the sizes the
+    exact witness is run at."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    inst = _ladder_instance(1, kind, m)
+    rows = full_cut_lp(inst)
+    senders = sorted(inst.transmitters)
+    res = scipy_optimize.linprog(
+        [float(inst.weights[t]) for t in senders],
+        A_ub=[[-float(mask >> t & 1) for t in senders] for mask, _ in rows],
+        b_ub=[-float(rhs) for _, rhs in rows], bounds=(0, None),
+        method="highs")
+    assert res.status == 0
+    value = solve_exact(build_lp(inst)).value
+    assert abs(res.fun - float(value)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +676,6 @@ def test_rationalize_matches_the_per_terminal_loop(seed):
     snap cleanly, some need repairs, some are too short to repair."""
     rng = random.Random(seed)
     inst = _instance(rng)
-    while inst.m > 10:        # the exact LP's guard
-        inst = _instance(rng)
     opt = solve_exact(build_lp(inst)).rates
     D = rng.choice([1, 2, 3, 4, 8, 64])
     slack = Fraction(inst.m, 2 * D)

@@ -11,9 +11,11 @@ feasible and on violating rates (violations in order), `codegen`, `graph`
 and `simulate` of the pinned scheme -- must print the same stdout with the
 same exit code on the three shipped examples and on seeded ladder draws
 (bench/ladder.py `draw(1, kind, m, 0)`): raw m=8, linear m=8, and raw
-m=13, where the exact LP's guard leaves verify and graph, with the
-benchmark's feasible and violating vectors.  Feasible rates are the
-oracle's; violating ones are three quarters of them."""
+m=13, whose verify and graph use the benchmark's feasible and violating
+vectors.  The other feasible rates came from the earlier oracle, which
+wrote out the whole cut LP; the cut loop may return another optimal
+vertex, so they stay fixed.  Violating rates are three quarters of the
+feasible ones."""
 
 from pathlib import Path
 
@@ -45,7 +47,7 @@ def _instance_path(stem):
     return GOLDEN / f"{stem}.json"
 
 
-# instance -> (oracle rates, violating rates); m <= 10, so the LP runs
+# instance -> (the earlier oracle's rates, violating rates)
 _ORACLE_CASES = {
     "example1": ("0,1,1,0,0,0", "0,3/4,3/4,0,0,0"),
     "example2": ("1/4,1/4,1/4,1/2,1/2,1/2", "3/16,3/16,3/16,3/8,3/8,3/8"),
@@ -67,6 +69,7 @@ for _stem, (_feasible, _violating) in _ORACLE_CASES.items():
         (_stem, "graph", [], 0),
     ]
 PIPELINE += [
+    ("raw_m13", "oracle", [], 0),
     ("raw_m13", "verify-feasible", ["--rates", _RAW_M13[0]], 0),
     ("raw_m13", "verify-violating", ["--rates", _RAW_M13[1]], 1),
     ("raw_m13", "graph", ["--rates", _RAW_M13[0]], 0),

@@ -1,6 +1,7 @@
-"""Tests for the exact cut-set LP oracle: LP assembly from the receivers'
-cuts, the dense rational simplex, and full solves cross-checked against
-the greedy allocator and hand-verified optima."""
+"""Tests for the exact cut-set LP oracle: the full LP written out from the
+receivers' cuts (the test-side witness), the dense rational simplex, and
+cut-loop solves cross-checked against that witness, the greedy allocator
+and hand-verified optima."""
 
 import random
 from fractions import Fraction
@@ -15,8 +16,8 @@ from datex.oracle import (SimplexResult, UnboundedLPError, build_lp,
                           exact_simplex, solve_exact)
 from datex.source import SizeLimitError, raw_source
 from helpers import (all_terminal_cut_rows, example1_instance,
-                     example2_instance, example3_instance, objective,
-                     random_linear_instance)
+                     example2_instance, example3_instance, full_cut_lp,
+                     full_lp_optimum, objective, random_linear_instance)
 
 F0 = Fraction(0)
 
@@ -27,14 +28,16 @@ def _assert_feasible_for_all_users(instance, rates):
 
 
 # ---------------------------------------------------------------------------
-# LP assembly
+# The full LP (test-side witness) and the loop's starting LP
 # ---------------------------------------------------------------------------
 
 def test_build_lp_single_user_shape(example1):
     lp = build_lp(example1)
     assert lp.variables == (0, 1, 2, 3, 4, 5)
-    assert len(lp.constraints) == 31
-    rows = dict(lp.constraints)
+    # the loop starts from no row and separates every row it needs
+    assert lp.constraints == ()
+    rows = dict(full_cut_lp(example1))
+    assert len(rows) == 31
     # the everything-but-the-receiver cut needs the file minus what the
     # receiver already holds: 3 - 1 = 2 packets' worth
     assert rows[0b111110] == Fraction(2)
@@ -45,9 +48,8 @@ def test_build_lp_single_user_shape(example1):
 
 
 def test_build_lp_rhs_values(example2):
-    lp = build_lp(example2)
-    assert len(lp.constraints) == 55
-    rows = dict(lp.constraints)
+    rows = dict(full_cut_lp(example2))
+    assert len(rows) == 55
     # complement {0} sees one combination: 3 - 1 = 2
     assert rows[0b111110] == Fraction(2)
     # complement {2,5} spans two dimensions: 3 - 2 = 1
@@ -64,11 +66,11 @@ def _packet_instance(m, users):
 def test_build_lp_count_matches_closed_form():
     # 2^m - 2^(m-k) - 1 rows when every terminal transmits
     for m, users in ((6, [0]), (6, [0, 1, 2]), (4, [0, 1, 2, 3])):
-        lp = build_lp(_packet_instance(m, users))
-        assert len(lp.constraints) == 2 ** m - 2 ** (m - len(users)) - 1
+        rows = full_cut_lp(_packet_instance(m, users))
+        assert len(rows) == 2 ** m - 2 ** (m - len(users)) - 1
     # m=3, users {0,1}: every nonempty proper subset that misses a user
-    lp = build_lp(_packet_instance(3, [0, 1]))
-    assert [mask for mask, _ in lp.constraints] == [1, 2, 4, 5, 6]
+    rows = full_cut_lp(_packet_instance(3, [0, 1]))
+    assert [mask for mask, _ in rows] == [1, 2, 4, 5, 6]
 
 
 def _unrestricted_instances():
@@ -86,8 +88,8 @@ def test_build_lp_rows_equal_the_all_terminal_rows():
     is exactly the all-terminal enumeration: same masks, same right-hand
     sides, same (ascending) order."""
     for inst in _unrestricted_instances():
-        rows = build_lp(inst).constraints
-        assert list(rows) == all_terminal_cut_rows(inst)
+        rows = full_cut_lp(inst)
+        assert rows == all_terminal_cut_rows(inst)
         assert len(rows) == 2 ** inst.m - 2 ** (inst.m - inst.k) - 1
 
 
@@ -109,21 +111,22 @@ def _restricted_instances(count):
 def test_build_lp_restricted_rows_stay_within_the_transmitters():
     """With a transmitters list, every row is a receiver's cut, so it lies
     within the transmitters; the optimum equals that of the all-terminal
-    LP (whose extra rows hold silent terminals), solved here directly."""
+    LP (whose extra rows hold silent terminals), solved here directly,
+    and so does the cut loop's."""
     for inst in _restricted_instances(40):
-        lp = build_lp(inst)
         tmask = inst.transmitter_mask
-        masks = [mask for mask, _ in lp.constraints]
+        masks = [mask for mask, _ in full_cut_lp(inst)]
         assert masks == sorted(masks)
         assert all(mask and mask & ~tmask == 0 for mask in masks)
         assert len(masks) <= 2 ** len(inst.transmitters) - 1
         rows = all_terminal_cut_rows(inst)
-        senders = lp.variables
+        senders = sorted(inst.transmitters)
         reference = exact_simplex(
             [rhs for _, rhs in rows],
             [[(mask >> t) & 1 for mask, _ in rows] for t in senders],
             [inst.weights[t] for t in senders])
-        sol = solve_exact(lp)
+        assert full_lp_optimum(inst) == reference.value
+        sol = solve_exact(build_lp(inst))
         assert sol.value == reference.value
         _assert_feasible_for_all_users(inst, sol.rates)
 
@@ -256,15 +259,37 @@ def test_solve_two_user_packet_example(example3):
     _assert_feasible_for_all_users(example3, sol.rates)
 
 
-@pytest.mark.parametrize("rates, value, message", [
-    ((0, -1, 3), 2, "negative rate"),
-    ((0, 0, 1), 1, "infeasible rate vector"),   # no one sends packet 3
-    ((0, 1, 1), 3, "does not match the optimal value"),
-], ids=["negative", "infeasible", "objective-mismatch"])
-def test_solve_exact_certificate_rejects_a_wrong_simplex_answer(
-        monkeypatch, example3, rates, value, message):
+def _answer(rates, value):
+    """A simplex that returns these rates and value in every round."""
     wrong = SimplexResult(Fraction(value), (), tuple(map(Fraction, rates)), 0)
-    monkeypatch.setattr(oracle, "exact_simplex", lambda c, A, b: wrong)
+    return lambda c, A, b: wrong
+
+
+def _perturbed(change):
+    """The real simplex with `change` applied to its multipliers x."""
+    def simplex(c, A, b):
+        res = exact_simplex(c, A, b)
+        return res._replace(x=tuple(change(list(res.x))))
+    return simplex
+
+
+@pytest.mark.parametrize("simplex, message", [
+    (_answer((0, -1, 3), 2), "negative rate"),
+    # no one sends packet 3, in both rounds: the second round finds the
+    # row the first one added still broken
+    (_answer((0, 0, 1), 1), r"broke the row of cut \(1,\) for user 0"),
+    (_answer((0, 1, 1), 3), "rate vector does not match the optimal value"),
+    (_perturbed(lambda x: [Fraction(-1)] + x[1:]), "negative multiplier"),
+    (_perturbed(lambda x: [v + 5 for v in x[:1]] + x[1:]),
+     "multipliers exceed terminal 1's weight"),
+    (_perturbed(lambda x: [v / 2 for v in x]),
+     "multipliers do not match the optimal value"),
+], ids=["negative", "infeasible", "objective-mismatch",
+        "negative-multiplier", "multiplier-over-weight",
+        "multiplier-sum-mismatch"])
+def test_solve_exact_certificate_rejects_a_wrong_simplex_answer(
+        monkeypatch, example3, simplex, message):
+    monkeypatch.setattr(oracle, "exact_simplex", simplex)
     with pytest.raises(ArithmeticError, match=message):
         solve_exact(build_lp(example3))
 
@@ -324,39 +349,42 @@ def test_oracle_matches_greedy_helpers_only():
 # ---------------------------------------------------------------------------
 
 def test_solve_guard_rejects_large_instances():
-    # one guard, m <= 10, where enumeration starts: m = 10 builds and
-    # solves, m = 11 stops before the first LP row
-    for m, ok in ((10, True), (11, False)):
+    # one guard, violated_cuts's m <= 20, in the loop's first separation
+    # round: m = 20 solves, m = 21 stops before the first LP row
+    for m, ok in ((20, True), (21, False)):
         inst = Instance(raw_source([[0] for _ in range(m)], 1), [0])
+        lp = build_lp(inst)
+        assert lp.constraints == ()
         if ok:
-            lp = build_lp(inst)
-            assert len(lp.constraints) == 2 ** 10 - 2 ** 9 - 1
             assert solve_exact(lp).value == 0
         else:
-            with pytest.raises(SizeLimitError, match="m <= 10"):
-                build_lp(inst)
+            with pytest.raises(SizeLimitError,
+                               match="feasibility check limited to m <= 20"):
+                solve_exact(lp)
 
 
 def test_build_lp_guard_fires_before_any_entropy_query(monkeypatch):
-    inst = Instance(raw_source([[i] for i in range(11)], 11), [0])
+    inst = Instance(raw_source([[i] for i in range(21)], 21), [0])
     calls = []
-    for query in ("_joint_scaled", "joint_entropy_scaled", "chain_scaled"):
+    for query in ("_joint_scaled", "joint_entropy_scaled", "joint_entropy",
+                  "chain_scaled", "lattice_scaled"):
         monkeypatch.setattr(inst.model, query,
                             lambda *args, query=query: calls.append(query))
-    with pytest.raises(SizeLimitError, match="m <= 10"):
-        build_lp(inst)
+    with pytest.raises(SizeLimitError,
+                       match="feasibility check limited to m <= 20"):
+        solve_exact(build_lp(inst))
     assert calls == []
 
 
 def test_enumerate_validation():
-    # the receivers' cuts are enumerated inside build_lp: m = 11 trips the
-    # exact LP's one size guard, and a user set that names no terminal or
+    # the receivers' cuts are enumerated inside solve_exact's loop: m = 21
+    # trips the one size guard, and a user set that names no terminal or
     # one outside 0..m-1 is refused before any cut can be built
     with pytest.raises(SizeLimitError):
-        build_lp(Instance(raw_source([[0] for _ in range(11)], 1), [0]))
+        solve_exact(build_lp(
+            Instance(raw_source([[0] for _ in range(21)], 1), [0])))
     model = raw_source([[0] for _ in range(4)], 1)
     with pytest.raises(ValueError):
         build_lp(Instance(model, []))
     with pytest.raises(ValueError):
         build_lp(Instance(model, [4]))
-

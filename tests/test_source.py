@@ -11,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 from datex.gf import Matrix, make_field, rank, stack
 from datex.greedy import violated_cuts
 from datex.instance import Instance
-from datex.oracle import build_lp
 from datex.source import (LinearSource, RawSource, TabularSource,
                           mask_to_set, raw_source, scale_to_int,
                           subset_table, validate_table)
 from helpers import (cond_entropy, example_model, example3_instance,
-                     random_linear_instance, table_values, tabulate)
+                     full_cut_lp, random_linear_instance, table_values,
+                     tabulate)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +376,11 @@ WALK_FIELDS = [make_field(3), make_field(5), make_field(2, 2),
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_the_cut_walk_memoizes_fresh_ranks(data):
-    """build_lp and violated_cuts read each receiver's cut lattice from one
-    depth-first walk: every rank it memoizes equals a fresh
-    rank(stack(...)), and the LP rows and violated cuts equal a reference
-    built from fresh point queries.  Terminals may hold no rows, repeat a
+    """The receivers' cuts, behind violated_cuts and the full cut LP, read
+    each receiver's cut lattice from one depth-first walk: every rank it
+    memoizes equals a fresh rank(stack(...)), and the full LP's rows
+    (helpers.full_cut_lp) and the violated cuts equal a reference built
+    from fresh point queries.  Terminals may hold no rows, repeat a
     row or copy another terminal's rows; with a transmitters list, a
     transmitting hub sees the whole file so that every user can decode."""
     draw = data.draw
@@ -411,8 +412,8 @@ def test_the_cut_walk_memoizes_fresh_ranks(data):
     for l in inst.user_list:
         for cut, rhs in _reference_cuts(model, tmask, l):
             need[cut] = max(need.get(cut, 0), rhs)
-    assert build_lp(inst).constraints == tuple(
-        (cut, Fraction(rhs)) for cut, rhs in sorted(need.items()))
+    assert full_cut_lp(inst) == [
+        (cut, Fraction(rhs)) for cut, rhs in sorted(need.items())]
 
     rates = [draw(st.fractions(0, 3, max_denominator=4))
              if t in inst.transmitters else Fraction(0) for t in range(m)]
