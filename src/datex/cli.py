@@ -478,7 +478,9 @@ def _cmd_verify(args) -> int:
     rates = _parse_rates_flag(args.rates, instance)
     violations = []
     for l in instance.user_list:
-        for cut, need, got in violated_cuts(rates, instance, l):
+        bad = violated_cuts(rates, instance, l)
+        if bad:
+            cut, need, got = bad
             violations.append({
                 "receiver": l,
                 "cut": list(mask_to_set(cut)),

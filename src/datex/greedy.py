@@ -14,11 +14,13 @@ visited earlier.  Equivalently, the suffix sets of the visiting order are
 exactly the tight constraints of the returned vertex.
 
 `_iter_cuts` is the package's one enumeration of a receiver's cuts and
-their right-hand sides: `violated_cuts` checks a rate vector against them,
-and `oracle.solve_exact` separates the exact LP's rows with it.  The check
-is exhaustive and runs in integers: the rates are scaled to one common
-denominator and compared with the integer-scaled entropies, read from the
-source's lattice query (`SourceModel.lattice_scaled`).
+their right-hand sides.  `violated_cuts` is the one separation query on
+it: a receiver's most violated cut, or None.  `verify`, the exact
+oracle's cut loop, the feasibility check before a scheme is built and
+`rationalize`'s repair all ask it.  The scan is exhaustive and runs in
+integers: the rates are scaled to one common denominator and compared
+with the integer-scaled entropies, read from the source's lattice query
+(`SourceModel.lattice_scaled`).
 """
 
 from __future__ import annotations
@@ -119,12 +121,14 @@ def check_rate_domain(instance: Instance, rates: Sequence) -> List[Fraction]:
     return r
 
 
-def violated_cuts(rates: Sequence, instance: Instance, target: int,
-                  limit: Optional[int] = None) -> List[Tuple[int, Fraction, Fraction]]:
-    """Cuts the rate vector fails, as (mask, required, provided) triples in
-    ascending mask order.  Exact: the rates are scaled to one common
-    denominator and every cut is compared in integers.  Exhaustive over
-    subsets of the transmitters.  Rates must pass check_rate_domain."""
+def violated_cuts(rates: Sequence, instance: Instance, target: int
+                  ) -> Optional[Tuple[int, Fraction, Fraction]]:
+    """The receiver's most violated cut as (mask, required, provided), or
+    None when the rates meet every cut: the largest required - provided,
+    ties to the smallest mask, which is the unique inclusion-minimal one
+    (the deficit is supermodular).  Exact: the rates are scaled to one
+    common denominator and every cut is compared in integers.  Exhaustive
+    over subsets of the transmitters.  Rates must pass check_rate_domain."""
     m = instance.m
     if m > _FEASIBILITY_GUARD_M:
         raise SizeLimitError(
@@ -133,11 +137,10 @@ def violated_cuts(rates: Sequence, instance: Instance, target: int,
         raise ValueError(f"target {target} out of range")
     rden, scaled = scale_to_int(check_rate_domain(instance, rates))
     den = instance.model.entropy_denominator
-    out = []
+    best, worst = None, 0
     for cut, need, got in _iter_cuts(instance, target, scaled):
-        if got * den < need * rden:
-            out.append((cut, Fraction(need, den), Fraction(got, rden)))
-            if limit is not None and len(out) >= limit:
-                break
-    return out
-
+        deficit = need * rden - got * den
+        if deficit > worst:   # masks ascend, so a tie keeps the smaller
+            worst = deficit
+            best = cut, Fraction(need, den), Fraction(got, rden)
+    return best

@@ -1,8 +1,9 @@
 """Turning rate allocations into working finite-field transmission schemes.
 
 Pipeline: snap a (possibly approximate) rate vector to small rationals and
-re-verify feasibility; pick a chunk count L (the lcm of the denominators)
-so every terminal sends an integer number of chunk symbols; replicate the
+repair it on each receiver's most violated cut (`greedy.violated_cuts`)
+until none is left; pick a chunk count L (the lcm of the denominators) so
+every terminal sends an integer number of chunk symbols; replicate the
 observation matrices blockwise over the L chunks; then draw each
 terminal's coding matrix uniformly at random over an extension field big
 enough that decodability is likely, verifying exactly and retrying with
@@ -182,9 +183,9 @@ def _check_chunk_rates(instance: Instance,
 
 def _check_rates_feasible(instance: Instance, rates: Sequence[Fraction]) -> None:
     for l in instance.user_list:
-        bad = violated_cuts(rates, instance, l, limit=1)
+        bad = violated_cuts(rates, instance, l)
         if bad:
-            cut, need, got = bad[0]
+            cut, need, got = bad
             raise InfeasibleRatesError(
                 f"receiver {l}: cut {set(mask_to_set(cut))} needs rate "
                 f"{need}, rates provide {got}")
@@ -226,45 +227,39 @@ def rationalize(rates: Sequence, instance: Instance,
     where slightly-off solver output lands back on the exact optimum,
     whose denominators are small; the closest fraction with a bounded
     denominator is often a more complex one, and its lcm then inflates L.
-    The snapped vector is re-verified against every receiver's cuts of the
-    instance.  Deficits small enough to be snapping artifacts (at most
-    m/(2*max_denominator), the most a cut sum can move when every
-    coordinate moves by at most that much) are repaired: each terminal in
-    ascending order is raised by the largest remaining deficit of the
-    violated cuts through it, which restores all cuts in one pass.  A
-    larger deficit means the requested rates were infeasible before
-    snapping, which raises InfeasibleRatesError.  L is the lcm of the
-    final denominators; one above max_denominator raises
-    InfeasibleRatesError too.
+    The snapped vector is repaired in rounds, each asking every receiver
+    for its most violated cut.  A deficit above m/(2*max_denominator), the
+    most snapping can move a cut sum, means the rates were infeasible
+    before snapping: InfeasibleRatesError.  Smaller ones are artifacts:
+    each cut's lowest terminal is raised by the largest deficit among the
+    round's cuts it leads.  Rates only grow, on a fixed grid and never by
+    a raise past the joint entropy, so the rounds end; the last, with no
+    violated cut, proves the result feasible.  L is the lcm of the final
+    denominators; one above max_denominator raises InfeasibleRatesError.
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
     snapped = [_snap(r, max_denominator)
                for r in check_rate_domain(instance, rates)]
     snap_slack = Fraction(len(snapped), 2 * max_denominator)
-    # largest deficit of each violated cut over the receivers; raising a
-    # rate only shrinks deficits, so one scan per receiver finds every cut
-    # a repair has to cover
-    deficits: Dict[int, Fraction] = {}
-    for l in instance.user_list:
-        for cut, need, got in violated_cuts(snapped, instance, l):
-            deficit = need - got
-            if deficit > snap_slack:
-                raise InfeasibleRatesError(
-                    f"receiver {l}: cut {set(mask_to_set(cut))} is "
-                    f"short by {deficit}, more than snapping to the "
-                    f"1/{max_denominator} grid can explain")
-            if deficit > deficits.get(cut, 0):
-                deficits[cut] = deficit
-    if deficits:   # each cut's lowest terminal raises it, so rates change
-        for i in sorted(instance.transmitters):
-            through = [cut for cut in deficits if (cut >> i) & 1]
-            worst = max((deficits[cut] for cut in through), default=0)
-            if worst > 0:
-                snapped[i] += worst
-                for cut in through:
-                    deficits[cut] -= worst
-        _check_rates_feasible(instance, snapped)
+    while True:
+        raises: Dict[int, Fraction] = {}
+        for l in instance.user_list:
+            bad = violated_cuts(snapped, instance, l)
+            if bad:
+                cut, need, got = bad
+                deficit = need - got
+                if deficit > snap_slack:
+                    raise InfeasibleRatesError(
+                        f"receiver {l}: cut {set(mask_to_set(cut))} is "
+                        f"short by {deficit}, more than snapping to the "
+                        f"1/{max_denominator} grid can explain")
+                lead = (cut & -cut).bit_length() - 1
+                raises[lead] = max(raises.get(lead, 0), deficit)
+        if not raises:
+            break
+        for i, deficit in raises.items():
+            snapped[i] += deficit
     L, chunks = scale_to_int(snapped)
     if L > max_denominator:
         raise InfeasibleRatesError(

@@ -11,9 +11,9 @@ It minimizes the weighted rate sum exactly over rationals, with
 non-transmitting terminals pinned to rate zero.
 
 `solve_exact` optimizes over those rows by separation, adding each user's
-most violated cut (`greedy.violated_cuts`, as `verify` checks) until none
-is left; each round visits all 2^(|T|-1) cuts of every user, so the one
-size guard is `violated_cuts`'s m <= 20.  The solver is a dense,
+most violated cut (`greedy.violated_cuts`, the query `verify` reports)
+until none is left; each round visits all 2^(|T|-1) cuts of every user,
+so the one size guard is `violated_cuts`'s m <= 20.  The solver is a dense,
 fraction-free simplex (integer rows, exact rational results) with Bland's
 anti-cycling rule, run on the LP dual so the slack basis is immediately
 feasible; the primal rates are read off the optimal reduced costs.
@@ -190,7 +190,7 @@ def solve_exact(lp: CutSetLP) -> OracleSolution:
         for l in inst.user_list:
             bad = violated_cuts(rates, inst, l)
             if bad:
-                cut, need, _ = max(bad, key=lambda v: v[1] - v[2])
+                cut, need, _ = bad
                 if rows.get(cut, -1) >= need:
                     raise ArithmeticError(f"simplex broke the row of cut "
                                           f"{mask_to_set(cut)} for user {l}")

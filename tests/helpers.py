@@ -2,20 +2,25 @@
 random-instance generator used by the equivalence and property suites, a
 renumbering of an instance's terminals, and test-side references (weighted
 objective, conditional entropy, explicit entropy tables, the all-terminal
-cut-set rows, the full cut-set LP and its exact optimum), a
-one-right-hand-side solve, a comparable form of a matrix, and a scheme
-copy with replaced coding matrices."""
+cut-set rows, the full cut-set LP and its exact optimum, every violated
+cut of a receiver and the most violated one), the one feasibility check
+the suites share, a one-right-hand-side solve, a comparable form of a
+matrix, a scheme copy with replaced coding matrices, and the benchmark
+ladder's instance documents."""
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 from typing import List
 
 from datex.gf import Matrix, SizeLimitError, make_field, solve_linear
-from datex.greedy import _iter_cuts
+from datex.greedy import _iter_cuts, violated_cuts
 from datex.instance import Instance
 from datex.netcode import TransmissionScheme
 from datex.oracle import exact_simplex
-from datex.source import LinearSource, SourceModel, TabularSource, raw_source
+from datex.source import (LinearSource, SourceModel, TabularSource,
+                          mask_to_set, raw_source)
 
 # Six terminals observing single linear combinations of three packets; the
 # first three see sums of pairs, the last three see single packets.
@@ -141,6 +146,56 @@ def full_lp_optimum(instance: Instance) -> Fraction:
                          [instance.weights[t] for t in senders]).value
 
 
+def ref_violated_cuts(rates, instance: Instance, target: int):
+    """Every cut of `target` the rates fail, as (mask, required, provided)
+    triples in ascending mask order: each cut's entropies from point
+    queries and its sums in Fractions, after the argument checks of
+    `greedy.violated_cuts`.  The witness for that query."""
+    m = instance.m
+    if m > 20:
+        raise SizeLimitError("feasibility check limited to m <= 20")
+    if not 0 <= target < m:
+        raise ValueError(f"target {target} out of range")
+    r = [Fraction(x) for x in rates]
+    if len(r) != m:
+        raise ValueError(f"expected {m} rates, got {len(r)}")
+    for i, x in enumerate(r):
+        if x < 0:
+            raise ValueError(f"rate of terminal {i} is negative ({x})")
+        if x and i not in instance.transmitters:
+            raise ValueError(f"terminal {i} does not transmit but has rate {x}")
+    den = instance.model.entropy_denominator
+    js = instance.model.joint_entropy_scaled
+    tmask = instance.transmitter_mask & ~(1 << target)
+    ctx = tmask | (1 << target)
+    senders = mask_to_set(tmask)
+    out = []
+    for bits in range(1, 1 << len(senders)):
+        cut = 0
+        for i, t in enumerate(senders):
+            if (bits >> i) & 1:
+                cut |= 1 << t
+        need = Fraction(js(ctx) - js(ctx & ~cut), den)
+        got = sum((r[i] for i in mask_to_set(cut)), Fraction(0))
+        if got < need:
+            out.append((cut, need, got))
+    return out
+
+
+def ref_most_violated_cut(rates, instance: Instance, target: int):
+    """The triple of `ref_violated_cuts` with the largest deficit, ties to
+    the smallest mask, or None when the list is empty."""
+    return max(ref_violated_cuts(rates, instance, target),
+               key=lambda v: v[1] - v[2], default=None)
+
+
+def meets_cuts(rates, instance: Instance, *receivers: int) -> bool:
+    """Whether the rates meet every cut of the given receivers (of every
+    user when none is given), by the `violated_cuts` query."""
+    return all(violated_cuts(rates, instance, l) is None
+               for l in receivers or instance.user_list)
+
+
 def table_values(model: SourceModel) -> List[Fraction]:
     """Every joint entropy of a model, indexed by subset mask (m <= 16
     guard)."""
@@ -172,3 +227,13 @@ def solve_one(M: Matrix, b):
     """`solve_linear` for one right-hand side b, passed as a one-column
     matrix: the unique solution of M x = b, or None."""
     return solve_linear(M, Matrix(M.field, len(b), 1, list(b)))[0]
+
+
+def ladder_draw(seed: int, kind: str, m: int) -> dict:
+    """bench/ladder.py `draw(seed, kind, m, 0)`, an instance document; the
+    file is only read."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("bench_ladder", path)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    return ladder.draw(seed, kind, m, 0)

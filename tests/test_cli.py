@@ -25,7 +25,9 @@ from datex.cli import (CLIError, FORMAT_VERSION, instance_from_dict, main,
                        parse_instance, serialize_instance, serialize_scheme)
 from datex import gf
 from datex.instance import Instance, InfeasibleInstanceError
-from helpers import example2_instance, example3_instance, tabulate
+from datex.source import mask_to_set
+from helpers import (example2_instance, example3_instance, ladder_draw,
+                     ref_most_violated_cut, tabulate)
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -252,6 +254,27 @@ def test_verify_command(tmp_path):
     rec = _read(out)
     assert rec["feasible"] is True and rec["violations"] == []
     assert rec["objective"] == "2"
+
+
+def test_verify_names_one_cut_per_receiver(tmp_path, capsys):
+    """All-zero rates on raw m=12 (bench/ladder.py `draw(1, "raw", 12, 0)`)
+    fail thousands of cuts; verify lists each short receiver once, with
+    the most violated cut of the test-side enumeration."""
+    doc = ladder_draw(1, "raw", 12)
+    path = tmp_path / "raw_m12.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    inst, zero = instance_from_dict(doc), [0] * 12
+    assert main(["verify", str(path), "--rates", ",".join("0" * 12)]) == 1
+    rec = json.loads(capsys.readouterr().out)
+    expected = []
+    for l in inst.user_list:
+        worst = ref_most_violated_cut(zero, inst, l)
+        if worst:
+            cut, need, got = worst
+            expected.append({"receiver": l, "cut": list(mask_to_set(cut)),
+                             "required": str(need), "provided": str(got)})
+    assert rec["feasible"] is False and len(expected) == inst.k
+    assert rec["violations"] == expected
 
 
 def test_solve_command(tmp_path):
@@ -600,8 +623,8 @@ HELPER_DOC = {"format_version": 1, "packet_count": 3,
     (["graph", "HELPER", "--rates", "1/61,1/44,0,3"],
      "graph failed: chunk count 2684 exceeds max_denominator=64"),
     (["graph", "HELPER", "--rates", "1/3,1/5,1/7,0"],
-     "graph failed: receiver 0: cut {1, 3} is short by 4/5, more than "
-     "snapping to the 1/64 grid can explain"),
+     "graph failed: receiver 0: cut {1, 2, 3} is short by 58/35, more "
+     "than snapping to the 1/64 grid can explain"),
     (["codegen", EX3, "--rates", "0,1,1"],
      "codegen failed: no decodable scheme in 1 attempts over GF(2)"),
 ], ids=["codegen-chunk-count", "graph-chunk-count", "graph-infeasible",
@@ -1188,6 +1211,11 @@ def test_console_entry_point():
 # ---------------------------------------------------------------------------
 
 M13 = str(GOLDEN / "raw_m13.json")
+# a result larger than the pipe and stdio buffers: the scheme for raw
+# m=13's golden feasible rates plus 1/2 each (L = 2), 230 KB
+LARGE = ["codegen", M13, "--rates", ",".join(
+    f"{2 * r + 1}/2" for r in (19, 15, 16, 15, 18, 19, 13, 12, 20, 14, 17,
+                               18, 16))]
 
 
 def _child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -1203,14 +1231,14 @@ def _child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", M13, "--rates", ",".join(["0"] * 13)],   # 1.1 MB of violations
+    LARGE,
     ["solve", EX2],                                     # converged, exit 0
     ["solve", EX2, "--max-iters", "3"],                 # not converged, exit 1
     ["verify", EX3, "--rates", "0,3/4,3/4"],            # infeasible, exit 1
     ["solve", EX1, "--max-iters", "0"],                 # usage error, exit 2
     ["--help"],
     ["codegen", "--help"],
-], ids=["verify-1MB", "solve-converged", "solve-not-converged",
+], ids=["codegen-230KB", "solve-converged", "solve-not-converged",
         "verify-infeasible", "usage-error", "help", "command-help"])
 def test_a_child_prints_what_main_prints(capsys, argv):
     code = main(argv)
@@ -1245,8 +1273,8 @@ def test_main_returns_without_ending_the_process(monkeypatch, capsys):
     (["oracle", EX1, "-o", "/dev/full"], "/dev/full"),
     (["solve", EX2, "--trace", "/dev/full"], "/dev/full"),
     (["oracle", EX1], "stdout"),
-    (["verify", M13, "--rates", ",".join(["0"] * 13)], "stdout"),
-], ids=["output", "trace", "stdout", "stdout-1MB"])
+    (LARGE, "stdout"),
+], ids=["output", "trace", "stdout", "stdout-230KB"])
 def test_a_full_disk_exits_two_with_one_line(argv, target, unbuffered):
     with open("/dev/full", "w") as full:
         code, _, err = _child(argv, stdout=full, PYTHONUNBUFFERED=unbuffered)

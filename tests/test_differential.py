@@ -1,16 +1,28 @@
 """Differential tests for the integer cut-set layer and the elimination
 kernel.
 
-`greedy.violated_cuts`, `oracle.exact_simplex` and `netcode.rationalize`
-compute in integers scaled by a common denominator.  The Fraction versions
-they replaced are kept below as references, in the same arithmetic and
-order (the cut enumeration and the final feasibility check inlined), and
-every hypothesis case requires identical results from both:
-the same violation triples in the same order, the same simplex value,
-point, duals and pivot count (or the same UnboundedLPError), and the same
-(L, chunks) or the same error text from rationalize.  The reference
-rationalize snaps each rate by trying every denominator in turn, where
-`rationalize` descends the Stern-Brocot tree.
+`greedy.violated_cuts` is the one separation query: a receiver's most
+violated cut, found in integers over one lattice walk.  Its witness,
+`helpers.ref_violated_cuts`, lists every violated cut in Fractions from
+point queries.  On raw, linear and tabular sources, some restricted to
+helpers, the query must return that list's largest-deficit,
+smallest-mask triple, None exactly when the list is empty, and a mask
+within every mask of the largest deficit.
+
+`oracle.exact_simplex` computes in integers scaled by a common
+denominator.  The Fraction version it replaced is kept below as a
+reference, and every hypothesis case requires the same simplex value,
+point, duals and pivot count (or the same UnboundedLPError).
+
+`netcode.rationalize` repairs the snapped rates in rounds on each
+receiver's most violated cut.  `ref_rationalize` is the per-terminal
+repair it replaced: every receiver's cuts re-scanned for each transmitter
+in turn, then one check of every cut; it snaps each rate by trying every
+denominator in turn, where `rationalize` descends the Stern-Brocot tree.
+Both must refuse the same rates as off the domain or short beyond the
+snapping slack, `rationalize` naming the most violated cut; a vector it
+returns must meet every cut of the witness and be at most the
+reference's, coordinate by coordinate.
 
 `gf.rank` and `gf.solve_linear` run on `gf.EchelonBasis`.  The dense
 elimination they replaced (every entry through `Field.mul`/`Field.add`,
@@ -34,11 +46,9 @@ threshold scan, `Fraction` bounds and the averaged subproblem vertices per
 receiver.  Every `Solution` field and every trace call must agree.
 """
 
-import importlib.util
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -51,50 +61,17 @@ from datex.greedy import edmonds_allocate, violated_cuts
 from datex.instance import Instance, InfeasibleInstanceError
 from datex.netcode import InfeasibleRatesError, _snap, rationalize
 from datex.oracle import UnboundedLPError, build_lp, exact_simplex, solve_exact
-from datex.source import (LinearSource, SizeLimitError, SourceModel,
-                          TabularSource, mask_to_set, raw_source)
+from datex.source import (LinearSource, SourceModel, TabularSource,
+                          mask_to_set, raw_source)
 from helpers import (example1_instance, example2_instance, example3_instance,
-                     full_cut_lp, full_lp_optimum, random_linear_instance,
-                     solve_one, table_values)
+                     full_cut_lp, full_lp_optimum, ladder_draw, meets_cuts,
+                     random_linear_instance, ref_most_violated_cut,
+                     ref_violated_cuts, solve_one, table_values)
 
 
 # ---------------------------------------------------------------------------
 # References: the Fraction implementations
 # ---------------------------------------------------------------------------
-
-def ref_violated_cuts(rates, instance, target, limit=None):
-    m = instance.m
-    if m > 20:
-        raise SizeLimitError("feasibility check limited to m <= 20")
-    if not 0 <= target < m:
-        raise ValueError(f"target {target} out of range")
-    r = [Fraction(x) for x in rates]
-    if len(r) != m:
-        raise ValueError(f"expected {m} rates, got {len(r)}")
-    for i, x in enumerate(r):
-        if x < 0:
-            raise ValueError(f"rate of terminal {i} is negative ({x})")
-        if x and i not in instance.transmitters:
-            raise ValueError(f"terminal {i} does not transmit but has rate {x}")
-    den = instance.model.entropy_denominator
-    js = instance.model.joint_entropy_scaled
-    tmask = instance.transmitter_mask & ~(1 << target)
-    ctx = tmask | (1 << target)
-    senders = mask_to_set(tmask)
-    out = []
-    for bits in range(1, 1 << len(senders)):
-        cut = 0
-        for i, t in enumerate(senders):
-            if (bits >> i) & 1:
-                cut |= 1 << t
-        need = Fraction(js(ctx) - js(ctx & ~cut), den)
-        got = sum((r[i] for i in mask_to_set(cut)), Fraction(0))
-        if got < need:
-            out.append((cut, need, got))
-            if limit is not None and len(out) >= limit:
-                break
-    return out
-
 
 def ref_exact_simplex(c, A, b):
     c = [Fraction(v) for v in c]
@@ -199,7 +176,7 @@ def ref_rationalize(rates, max_denominator=64, instance=None):
             if worst > 0:
                 snapped[i] += worst
         for l in instance.user_list:
-            bad = ref_violated_cuts(snapped, instance, l, limit=1)
+            bad = ref_violated_cuts(snapped, instance, l)
             if bad:
                 cut, need, got = bad[0]
                 raise InfeasibleRatesError(
@@ -507,17 +484,45 @@ def _rates(rng, instance):
 # violated_cuts
 # ---------------------------------------------------------------------------
 
+def _check_most_violated_cut(rates, inst, target):
+    """The query against the witness list: None exactly when the list is
+    empty, else its largest-deficit, smallest-mask triple, in Fractions,
+    whose mask lies within every mask of the largest deficit."""
+    got = violated_cuts(rates, inst, target)
+    cuts = ref_violated_cuts(rates, inst, target)
+    assert got == ref_most_violated_cut(rates, inst, target)
+    assert (got is None) == (not cuts)
+    if got is not None:
+        assert [type(v) for v in got[1:]] == [Fraction, Fraction]
+        worst = got[1] - got[2]
+        assert all(got[0] & ~cut == 0 for cut, need, have in cuts
+                   if need - have == worst)
+
+
 @given(st.integers(0, 10 ** 9))
 @settings(max_examples=150, deadline=None)
 def test_violated_cuts_match_the_fraction_reference(seed):
+    """Linear, raw and tabular instances (entropy denominators above 1),
+    some restricted to helpers; rates with large denominators."""
     rng = random.Random(seed)
     inst = _instance(rng)
     rates = _rates(rng, inst)
-    limit = rng.choice([None, None, 1, 2, 5])
     for target in range(inst.m):
-        got = violated_cuts(rates, inst, target, limit=limit)
-        assert got == ref_violated_cuts(rates, inst, target, limit=limit)
-        assert [type(v) for t in got for v in t[1:]] == [Fraction] * (2 * len(got))
+        _check_most_violated_cut(rates, inst, target)
+
+
+@given(st.integers(0, 10 ** 9))
+@settings(max_examples=100, deadline=None)
+def test_violated_cuts_break_ties_to_the_smallest_cut(seed):
+    """Zero and small integer rates, where many cuts share the largest
+    deficit, so the tie rule decides."""
+    rng = random.Random(seed)
+    inst = _instance(rng)
+    rates = [rng.randint(0, 1) if i in inst.transmitters else 0
+             for i in range(inst.m)]
+    for target in range(inst.m):
+        _check_most_violated_cut(rates, inst, target)
+        _check_most_violated_cut([0] * inst.m, inst, target)
 
 
 def test_violated_cuts_on_tabular_sources_with_a_denominator():
@@ -533,8 +538,7 @@ def test_violated_cuts_on_tabular_sources_with_a_denominator():
         seen += 1
         rates = _rates(rng, inst)
         for target in inst.user_list:
-            assert (violated_cuts(rates, inst, target)
-                    == ref_violated_cuts(rates, inst, target))
+            _check_most_violated_cut(rates, inst, target)
 
 
 def test_violated_cuts_reject_the_same_rates():
@@ -612,13 +616,8 @@ def test_exact_simplex_matches_on_cut_set_lps(seed):
 # ---------------------------------------------------------------------------
 
 def _ladder_instance(seed, kind, m):
-    """bench/ladder.py `draw(seed, kind, m, 0)` as an Instance; the file is
-    only read."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "ladder.py"
-    spec = importlib.util.spec_from_file_location("bench_ladder", path)
-    ladder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ladder)
-    return instance_from_dict(ladder.draw(seed, kind, m, 0))
+    """bench/ladder.py `draw(seed, kind, m, 0)` as an Instance."""
+    return instance_from_dict(ladder_draw(seed, kind, m))
 
 
 def test_cut_loop_matches_the_full_lp_on_the_examples():
@@ -669,6 +668,53 @@ def test_cut_loop_matches_highs_on_larger_ladder_draws(kind, m):
 # rationalize
 # ---------------------------------------------------------------------------
 
+def _raised(outcome):
+    return isinstance(outcome[0], type)
+
+
+def _check_rationalize(rates, inst, D):
+    """`rationalize` against the per-terminal repair `ref_rationalize`.
+    Both refuse the same rates as off the domain or short beyond the
+    snapping slack (the same class), and such an error names the first
+    receiver's most violated cut of the snapped vector.  A returned vector
+    meets the witness's every cut, lies on the 1/D grid and is at most the
+    reference's, coordinate by coordinate, when that returns too.  Only
+    the chunk-count refusal may differ: the rounds raise rates by other
+    amounts, so L can fall on either side of D.  Returns both outcomes."""
+    got = _outcome(rationalize, rates, inst, D)
+    ref = _outcome(ref_rationalize, rates, D, inst)
+    beyond = [_raised(o) and "short by" in o[1] for o in (got, ref)]
+    domain = [_raised(o) and o[0] is ValueError for o in (got, ref)]
+    assert beyond[0] == beyond[1] and domain[0] == domain[1]
+    if domain[0]:
+        assert got == ref
+        return got, ref
+    snapped = [ref_snap(r, D) for r in rates]
+    slack = Fraction(inst.m, 2 * D)
+    worst = [(l, ref_most_violated_cut(snapped, inst, l))
+             for l in inst.user_list]
+    short = [(l, v) for l, v in worst if v and v[1] - v[2] > slack]
+    assert bool(short) == beyond[0]
+    if short:
+        l, (cut, need, have) = short[0]
+        assert got == (InfeasibleRatesError,
+                       f"receiver {l}: cut {set(mask_to_set(cut))} is short "
+                       f"by {need - have}, more than snapping to the 1/{D} "
+                       f"grid can explain")
+    elif _raised(got):
+        assert got[0] is InfeasibleRatesError
+        assert got[1].startswith("chunk count ")
+    else:
+        L, chunks = got
+        new = [Fraction(c, L) for c in chunks]
+        assert L <= D and all(a >= b for a, b in zip(new, snapped))
+        assert not any(ref_violated_cuts(new, inst, l) for l in inst.user_list)
+        if not _raised(ref):
+            old = [Fraction(c, ref[0]) for c in ref[1]]
+            assert all(a <= b for a, b in zip(new, old))
+    return got, ref
+
+
 @given(st.integers(0, 10 ** 9))
 @settings(max_examples=80, deadline=None)
 def test_rationalize_matches_the_per_terminal_loop(seed):
@@ -685,8 +731,7 @@ def test_rationalize_matches_the_per_terminal_loop(seed):
             noise = slack * Fraction(rng.randint(-200, 200), 100)
             r = max(r + noise, Fraction(0))
         rates.append(r)
-    assert (_outcome(rationalize, rates, inst, D)
-            == _outcome(ref_rationalize, rates, D, inst))
+    _check_rationalize(rates, inst, D)
 
 
 @given(st.fractions(), st.integers(1, 100))
@@ -712,9 +757,8 @@ def test_rationalize_matches_with_several_repairs():
     ([Fraction(1, 3)] * 6, 2),                          # repaired, then L = 2
 ])
 def test_rationalize_raises_the_same_errors(rates, D):
-    inst = example2_instance()
-    assert (_outcome(rationalize, rates, inst, D)
-            == _outcome(ref_rationalize, rates, D, inst))
+    got, ref = _check_rationalize(rates, example2_instance(), D)
+    assert _raised(got) == _raised(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -856,4 +900,4 @@ def test_solve_matches_the_row_major_reference(seed):
     assert {f: getattr(sol, f) for f in ref if f != "averaged_matrix"} \
         == {f: v for f, v in ref.items() if f != "averaged_matrix"}
     for row, l in zip(ref["averaged_matrix"], inst.user_list):
-        assert not violated_cuts(row, inst, l, limit=1)
+        assert meets_cuts(row, inst, l)

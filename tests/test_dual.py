@@ -13,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 import datex.dual as dual_module
 from datex.dual import _QUANTUM, _project_grid, dual_value, duality_gap, solve
-from datex.greedy import edmonds_allocate, violated_cuts
+from datex.greedy import edmonds_allocate
 from datex.instance import Instance
 from datex.oracle import build_lp, exact_simplex, solve_exact
-from helpers import example2_instance, example3_instance, random_linear_instance
+from helpers import (example2_instance, example3_instance, meets_cuts,
+                     random_linear_instance)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -418,8 +419,7 @@ def test_solve_three_user_example(example2):
     assert sol.dual_objective <= Fraction(9, 4) <= sol.primal_objective
     assert sol.gap == sol.primal_objective - sol.dual_objective
     # the shared rates meet every receiver's cuts
-    for l in example2.user_list:
-        assert not violated_cuts(sol.rates, example2, l, limit=1)
+    assert meets_cuts(sol.rates, example2)
     assert sol.iterations <= 1000
     # the certificate re-verifies from scratch
     assert duality_gap(sol) == sol.gap
@@ -443,7 +443,7 @@ def test_solve_single_user_short_circuit():
     assert sol.gap == F0
     assert sol.rates == edmonds_allocate(inst, target)
     assert sol.primal_objective == sol.dual_objective
-    assert not violated_cuts(sol.rates, inst, target, limit=1)
+    assert meets_cuts(sol.rates, inst)
     assert duality_gap(sol) == F0
 
 
@@ -490,8 +490,7 @@ def test_solve_brackets_oracle_on_random_instances():
         sol = solve(inst, max_iterations=300)
         assert sol.dual_objective <= opt <= sol.primal_objective
         assert sol.gap == sol.primal_objective - sol.dual_objective
-        for l in inst.user_list:
-            assert not violated_cuts(sol.rates, inst, l, limit=1)
+        assert meets_cuts(sol.rates, inst)
 
 
 def test_duality_gap_reproduces_the_gap(example2):

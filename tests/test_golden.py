@@ -7,12 +7,13 @@ linear m=10 over GF(3)); a speed-up of the solver's hot path must leave
 every iterate, and so both files, unchanged.
 
 The pipeline commands -- `oracle` (simplex pivots included), `verify` on
-feasible and on violating rates (violations in order), `codegen`, `graph`
-and `simulate` of the pinned scheme -- must print the same stdout with the
-same exit code on the three shipped examples and on seeded ladder draws
-(bench/ladder.py `draw(1, kind, m, 0)`): raw m=8, linear m=8, and raw
-m=13, whose verify and graph use the benchmark's feasible and violating
-vectors.  The other feasible rates came from the earlier oracle, which
+feasible and on violating rates (each short receiver's most violated cut,
+in receiver order), `codegen`, `graph` and `simulate` of the pinned
+scheme -- must print the same stdout with the same exit code on the three
+shipped examples and on seeded ladder draws (bench/ladder.py
+`draw(1, kind, m, 0)`): raw m=8, linear m=8, and raw m=13, whose verify
+and graph use the benchmark's feasible and violating vectors, and whose
+verify also runs on all-zero rates (every receiver short).  The other feasible rates came from the earlier oracle, which
 wrote out the whole cut LP; the cut loop may return another optimal
 vertex, so they stay fixed.  Violating rates are three quarters of the
 feasible ones."""
@@ -72,6 +73,7 @@ PIPELINE += [
     ("raw_m13", "oracle", [], 0),
     ("raw_m13", "verify-feasible", ["--rates", _RAW_M13[0]], 0),
     ("raw_m13", "verify-violating", ["--rates", _RAW_M13[1]], 1),
+    ("raw_m13", "verify-zero", ["--rates", ",".join("0" * 13)], 1),
     ("raw_m13", "graph", ["--rates", _RAW_M13[0]], 0),
 ]
 

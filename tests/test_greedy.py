@@ -8,8 +8,9 @@ from datex.greedy import edmonds_allocate, violated_cuts
 from datex.instance import Instance, InfeasibleInstanceError
 from datex.oracle import build_lp, solve_exact
 from datex.source import SizeLimitError, mask_to_set, raw_source
-from helpers import (example_model, example1_instance, objective,
-                     random_linear_instance, relabel, tabulate, unlabel)
+from helpers import (example_model, example1_instance, meets_cuts,
+                     objective, random_linear_instance, ref_violated_cuts,
+                     relabel, tabulate, unlabel)
 
 # example 1 with the single-packet holders 3, 4 and 5 numbered right after
 # the receiver, so index order prefers them
@@ -94,14 +95,14 @@ def test_example1_all_relabelings_same_objective(example1):
         (target,) = moved.user_list
         rates = unlabel(edmonds_allocate(moved, target), perm)
         assert objective(example1, rates) == 2
-        assert not violated_cuts(rates, example1, 0, limit=1)
+        assert meets_cuts(rates, example1)
 
 
 def test_example1_greedy_output_feasible(example1):
     rates = unlabel(edmonds_allocate(relabel(example1, HELPERS_FIRST), 0),
                     HELPERS_FIRST)
-    assert not violated_cuts(rates, example1, 0, limit=1)
-    assert violated_cuts([0] * 6, example1, 0, limit=1)
+    assert meets_cuts(rates, example1)
+    assert not meets_cuts([0] * 6, example1)
 
 
 def test_weight_override_changes_vertex(example1):
@@ -116,7 +117,7 @@ def test_identical_observations_need_nothing():
     model = raw_source([[0], [0], [0]], 1)
     inst = Instance(model, [0])
     assert edmonds_allocate(inst, 0) == (0, 0, 0)
-    assert not violated_cuts((0, 0, 0), inst, 0, limit=1)
+    assert meets_cuts((0, 0, 0), inst)
 
 
 def test_greedy_on_tabular_model(example1):
@@ -132,23 +133,22 @@ def test_greedy_on_tabular_model(example1):
 # ---------------------------------------------------------------------------
 
 def test_violated_cuts_reports_worst_offenders(example1):
-    bad = violated_cuts([0] * 6, example1, 0)
-    assert bad  # zero rates cannot satisfy the region
-    masks = [m for m, _, _ in bad]
-    # the full complement cut needs the two missing packets
-    full = 0b111110
-    assert full in masks
-    need = dict((m, n) for m, n, _ in bad)[full]
-    assert need == 2
-    assert all(got == 0 for _, _, got in bad)
-    assert len(violated_cuts([0] * 6, example1, 0, limit=1)) == 1
+    # zero rates cannot satisfy the region; the full complement cut needs
+    # the two missing packets, and every smaller cut needs less
+    assert violated_cuts([0] * 6, example1, 0) == (0b111110, 2, 0)
+    assert [cut for cut, need, _ in ref_violated_cuts([0] * 6, example1, 0)
+            if need == 2] == [0b111110]
+    # with a unit rate on terminal 3 the largest deficit is 1, and its
+    # smallest cut is {1, 2, 5}: {0, 3, 4} spans only packets 0 and 1
+    assert violated_cuts([0, 0, 0, 1, 0, 0], example1, 0) == (0b100110, 1, 0)
 
 
 def test_violated_cuts_respects_transmitter_restriction():
     model = example_model(3)
     inst = Instance(model, [0], transmitters=[1, 2, 3])
-    cuts = violated_cuts([0] * 6, inst, 0)
-    for mask, _, _ in cuts:
+    mask, _, _ = violated_cuts([0] * 6, inst, 0)
+    assert set(mask_to_set(mask)) == {1, 2, 3}
+    for mask, _, _ in ref_violated_cuts([0] * 6, inst, 0):
         assert set(mask_to_set(mask)) <= {1, 2, 3}
 
 
@@ -156,12 +156,10 @@ def test_violated_cuts_rejects_rates_off_the_domain(example1):
     # a negative rate must not pay for another terminal's deficit
     with pytest.raises(ValueError, match="negative"):
         violated_cuts([-5, 0, 1, 1, 0, 0], example1, 0)
-    with pytest.raises(ValueError, match="negative"):
-        violated_cuts([-5, 0, 1, 1, 0, 0], example1, 0, limit=1)
     inst = Instance(example_model(3), [0], transmitters=[1, 2, 3])
-    assert not violated_cuts([0, 1, 1, 0, 0, 0], inst, 0, limit=1)
+    assert violated_cuts([0, 1, 1, 0, 0, 0], inst, 0) is None
     with pytest.raises(ValueError, match="terminal 4 does not transmit"):
-        violated_cuts([0, 1, 1, 0, 1, 0], inst, 0, limit=1)
+        violated_cuts([0, 1, 1, 0, 1, 0], inst, 0)
 
 
 def test_size_guards_raise_one_typed_error():
@@ -207,7 +205,7 @@ def test_greedy_vertex_properties(seed):
     assert all(r >= 0 for r in rates)
     assert rates[target] == 0
     # feasible in the receiver's cut region
-    assert not violated_cuts(rates, inst, target, limit=1)
+    assert meets_cuts(rates, inst)
     # the visiting order, (weight, index), has all its suffix cuts tight
     senders = sorted((t for t in inst.transmitters if t != target),
                      key=lambda j: (inst.weights[j], j))
@@ -232,6 +230,5 @@ def test_relabeling_never_changes_objective(seed):
         rates = edmonds_allocate(moved, moved_target)
         assert objective(moved, rates) == base
         assert solve_exact(build_lp(moved)).value == base
-        assert not violated_cuts(rates, moved, moved_target, limit=1)
-        assert not violated_cuts(unlabel(rates, order), inst, target,
-                                 limit=1)
+        assert meets_cuts(rates, moved)
+        assert meets_cuts(unlabel(rates, order), inst)

@@ -13,7 +13,6 @@ import pytest
 from datex import netcode
 from datex.cli import scheme_from_dict, serialize_scheme
 from datex.gf import Matrix, make_field, mat_vec, stack
-from datex.greedy import violated_cuts
 from datex.instance import Instance
 from datex.netcode import (DesignFailureError, IncompleteSourceError,
                            InfeasibleRatesError, assemble_scheme,
@@ -23,8 +22,8 @@ from datex.netcode import (DesignFailureError, IncompleteSourceError,
 from datex.oracle import build_lp, solve_exact
 from datex.source import SizeLimitError, raw_source
 from helpers import (example2_instance, example3_instance, matrix_key,
-                     random_linear_instance, solve_one, tabulate,
-                     with_matrices)
+                     meets_cuts, random_linear_instance, solve_one,
+                     tabulate, with_matrices)
 
 F0 = Fraction(0)
 
@@ -85,13 +84,12 @@ def test_rationalize_snaps_to_the_simplest_nearby_fraction():
 
 def test_rationalize_repairs_snap_breakage(example2):
     # 0.4 everywhere is feasible, but snapping to whole numbers zeroes it
-    # out; each terminal in turn absorbs the worst remaining deficit
+    # out; each round raises the lowest terminal of every receiver's most
+    # violated cut, and the second round finishes the repair
     L, chunks = rationalize([Fraction(2, 5)] * 6, max_denominator=1,
                             instance=example2)
     assert (L, chunks) == (1, (2, 2, 1, 0, 0, 0))
-    rates = [Fraction(c) for c in chunks]
-    for l in example2.user_list:
-        assert not violated_cuts(rates, example2, l, limit=1)
+    assert meets_cuts([Fraction(c) for c in chunks], example2)
 
 
 def test_rationalize_rejects_infeasible_input(example2):
@@ -400,9 +398,7 @@ def test_batched_decoding_matches_one_solve_per_seed(example2, example3,
 def test_designed_rates_feasible_on_chunked_model(example2):
     L, chunks = rationalize((Fraction(1, 4),) * 3 + (Fraction(1, 2),) * 3,
                             instance=example2)
-    rates = [Fraction(c, L) for c in chunks]
-    for l in example2.user_list:
-        assert not violated_cuts(rates, example2, l, limit=1)
+    assert meets_cuts([Fraction(c, L) for c in chunks], example2)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datex.greedy import edmonds_allocate, violated_cuts
+from datex.greedy import edmonds_allocate
 from datex.instance import Instance, InfeasibleInstanceError
 from datex import oracle
 from datex.oracle import (SimplexResult, UnboundedLPError, build_lp,
@@ -17,14 +17,10 @@ from datex.oracle import (SimplexResult, UnboundedLPError, build_lp,
 from datex.source import SizeLimitError, raw_source
 from helpers import (all_terminal_cut_rows, example1_instance,
                      example2_instance, example3_instance, full_cut_lp,
-                     full_lp_optimum, objective, random_linear_instance)
+                     full_lp_optimum, meets_cuts, objective,
+                     random_linear_instance, ref_violated_cuts)
 
 F0 = Fraction(0)
-
-
-def _assert_feasible_for_all_users(instance, rates):
-    for target in instance.user_list:
-        assert violated_cuts(rates, instance, target) == []
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +124,7 @@ def test_build_lp_restricted_rows_stay_within_the_transmitters():
         assert full_lp_optimum(inst) == reference.value
         sol = solve_exact(build_lp(inst))
         assert sol.value == reference.value
-        _assert_feasible_for_all_users(inst, sol.rates)
+        assert meets_cuts(sol.rates, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +211,7 @@ def test_solve_single_user_example(example1):
     assert sol.value == Fraction(2)
     assert all(r >= 0 for r in sol.rates)
     assert objective(example1, sol.rates) == sol.value
-    _assert_feasible_for_all_users(example1, sol.rates)
+    assert meets_cuts(sol.rates, example1)
     # single receiver: the greedy allocator attains the LP optimum
     greedy = edmonds_allocate(example1, 0)
     assert objective(example1, greedy) == sol.value
@@ -225,11 +221,11 @@ def test_solve_three_user_example(example2):
     sol = solve_exact(build_lp(example2))
     assert sol.value == Fraction(9, 4)
     assert objective(example2, sol.rates) == sol.value
-    _assert_feasible_for_all_users(example2, sol.rates)
+    assert meets_cuts(sol.rates, example2)
     # the balanced point attains the optimum, corroborating the value
     # from the achievability side as well
     balanced = (Fraction(1, 4),) * 3 + (Fraction(1, 2),) * 3
-    _assert_feasible_for_all_users(example2, balanced)
+    assert meets_cuts(balanced, example2)
     assert objective(example2, balanced) == Fraction(9, 4)
 
 
@@ -239,12 +235,12 @@ def test_solve_three_user_example_binary_field(example2_gf2):
     nevertheless the same because the balanced point stays feasible."""
     sol = solve_exact(build_lp(example2_gf2))
     assert sol.value == Fraction(9, 4)
-    _assert_feasible_for_all_users(example2_gf2, sol.rates)
+    assert meets_cuts(sol.rates, example2_gf2)
     assert objective(example2_gf2, sol.rates) == sol.value
     # the cheaper-looking helpers-only point is NOT feasible: receiver 0
     # is starved by the cut {1, 2, 5}, which must carry one packet's worth
     helpers_only = (F0,) * 3 + (Fraction(2, 3),) * 3
-    bad = violated_cuts(helpers_only, example2_gf2, 0)
+    bad = ref_violated_cuts(helpers_only, example2_gf2, 0)
     masks = {mask for mask, _, _ in bad}
     assert 0b100110 in masks
     need = dict((mask, need) for mask, need, _ in bad)[0b100110]
@@ -256,7 +252,7 @@ def test_solve_two_user_packet_example(example3):
     assert sol.value == Fraction(2)
     # the optimal vertex is unique here, so it can be pinned exactly
     assert sol.rates == (F0, Fraction(1), Fraction(1))
-    _assert_feasible_for_all_users(example3, sol.rates)
+    assert meets_cuts(sol.rates, example3)
 
 
 def _answer(rates, value):
@@ -309,7 +305,7 @@ def test_solve_with_transmitter_restriction():
     sol = solve_exact(lp)
     assert sol.value == Fraction(1)
     assert len(sol.rates) == 3 and sol.rates[0] == F0
-    _assert_feasible_for_all_users(inst, sol.rates)
+    assert meets_cuts(sol.rates, inst)
     assert objective(inst, edmonds_allocate(inst, 0)) == sol.value
 
 
@@ -325,7 +321,7 @@ def test_oracle_matches_greedy_random():
         greedy = edmonds_allocate(inst, target)
         sol = solve_exact(build_lp(inst))
         assert objective(inst, greedy) == sol.value
-        _assert_feasible_for_all_users(inst, sol.rates)
+        assert meets_cuts(sol.rates, inst)
 
 
 def test_oracle_matches_greedy_helpers_only():
