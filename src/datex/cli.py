@@ -316,7 +316,11 @@ def serialize_instance(instance: Instance) -> dict:
     oracle exactly; raw-packet instances keep the packets form)."""
     model = instance.model
     out: Dict[str, Any] = {"format_version": FORMAT_VERSION}
-    if isinstance(model, LinearSource):   # a RawSource is one too
+    if isinstance(model, TabularSource):
+        out["terminal_count"] = model.m
+        out["entropy_table"] = [_frac_str(model.joint_entropy(mask))
+                                for mask in range(1 << model.m)]
+    else:   # every other model carries observation matrices
         out["field"] = _field_to_dict(model.field)
         out["packet_count"] = model.N
         if isinstance(model, RawSource):
@@ -326,10 +330,6 @@ def serialize_instance(instance: Instance) -> dict:
                     for M in model.matrices]
         out["terminals"] = [{"name": f"t{i}", key: value}
                             for i, (key, value) in enumerate(form)]
-    else:   # any other model is written as its entropy table
-        out["terminal_count"] = model.m
-        out["entropy_table"] = [_frac_str(model.joint_entropy(mask))
-                                for mask in range(1 << model.m)]
     out["users"] = list(instance.user_list)
     out["weights"] = _frac_list(instance.weights)
     if len(instance.transmitters) != instance.m:
@@ -503,7 +503,7 @@ def _scheme_chunks(args, instance: Instance) -> tuple:
     """Chunk count L and chunk rates for codegen/graph: --rates if given,
     else the exact oracle's, rationalized.  Both commands need observation
     matrices, which an entropy table lacks."""
-    if not isinstance(instance.model, LinearSource):
+    if isinstance(instance.model, TabularSource):
         raise CLIError(f"{args.command} needs observation matrices (a 'rows' "
                        f"or 'packets' instance), not an entropy table")
     rates = (_parse_rates_flag(args.rates, instance) if args.rates

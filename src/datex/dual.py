@@ -25,8 +25,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .greedy import (RateVector, edmonds_allocate, senders_of,
-                     _greedy_rates_scaled)
+from .greedy import RateVector, senders_of, _greedy_rates_scaled
 from .instance import Instance
 from .source import scale_to_int
 
@@ -143,30 +142,18 @@ def _project_grid(vfine: List[int], refine: int, budget_grid: int,
     return out
 
 
-def _single_user_solution(instance: Instance) -> Solution:
-    (target,) = instance.user_list
-    rates = edmonds_allocate(instance, target)
-    obj = instance.objective(rates)
-    lam_row = tuple(Fraction(0) if i == target else instance.weights[i]
-                    for i in range(instance.m))
-    return Solution(
-        instance=instance, rates=rates, primal_objective=obj,
-        dual_objective=obj, gap=Fraction(0), iterations=0, converged=True,
-        dual_matrix=(lam_row,))
-
-
 def solve(instance: Instance, *, max_iterations: int = 50_000,
           gap_tolerance: Fraction = Fraction(1, 1000),
           trace: Optional[TraceFn] = None) -> Solution:
     """Minimize the weighted sum of shared rates over all receivers'
-    regions.  A single receiver short-circuits to the greedy allocation
-    (gap exactly zero).  Otherwise runs projected subgradient ascent on
-    the dual, recovering primal points as uniform averages of the
-    subproblem vertices over two streams -- the full history and a
-    doubling window of recent iterates, which sheds the bias of early
-    iterates -- and returns the best primal point and best dual
-    certificate seen; `converged` records whether the gap tolerance was
-    met within the iteration budget.
+    regions by projected subgradient ascent on the dual, recovering
+    primal points as uniform averages of the subproblem vertices over two
+    streams -- the full history and a doubling window of recent iterates,
+    which sheds the bias of early iterates -- and returns the best primal
+    point and best dual certificate seen; `converged` records whether the
+    gap tolerance was met within the iteration budget.  A single receiver
+    is the same loop: its multipliers are the weights, its own zeroed, so
+    its first greedy vertex is optimal and the gap is 0 at iteration 1.
 
     Step n moves the multipliers along the subgradient by the weight-scaled
     harmonic step max(1, max alpha)/(1 + n), which is 1/(1 + n) for unit
@@ -186,8 +173,6 @@ def solve(instance: Instance, *, max_iterations: int = 50_000,
         raise ValueError("gap_tolerance must be positive")
     users = instance.user_list
     k = len(users)
-    if k == 1:
-        return _single_user_solution(instance)
     step = max(Fraction(1), max(instance.weights))
 
     model = instance.model
@@ -201,7 +186,9 @@ def solve(instance: Instance, *, max_iterations: int = 50_000,
 
     d_alpha, alpha_scaled = scale_to_int(instance.weights)
     grid = _QUANTUM.denominator * d_alpha
-    budget_grid = [a * _QUANTUM.denominator for a in alpha_scaled]
+    # a column with no free row (one receiver's own) carries no weight
+    budget_grid = [a * _QUANTUM.denominator if free else 0
+                   for a, free in zip(alpha_scaled, free_of)]
     # a primal value p is held as the integer p * d_alpha * de * (its count
     # of iterates); a dual value d as d * grid * de
     pden = d_alpha * de
@@ -250,7 +237,6 @@ def solve(instance: Instance, *, max_iterations: int = 50_000,
             srow = sums[r]
             wrow = wsums[r]
             acc = 0
-            rest = sum(row)     # once it is spent, the rest of the row is 0
             for j in order:
                 v = row[j]
                 if v:
@@ -262,9 +248,6 @@ def solve(instance: Instance, *, max_iterations: int = 50_000,
                     if s > wtop[j]:
                         wtop[j] = s
                     acc += lamr[j] * v
-                    rest -= v
-                    if not rest:
-                        break
             dual_num += acc
             rt.append(row)
 

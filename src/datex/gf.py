@@ -554,7 +554,6 @@ def solve_linear(M: Matrix, B: Matrix) -> list:
             bad.update(j for j, _ in tail)
     # every column 0..n-1 holds a pivot: back-substitute from the last,
     # x[c] = rhs_c - sum_j a_j x[j] for all right-hand sides at once
-    p, prime = F.p, F.degree == 1
     mul, add, neg = F.mul, F.add, F.neg
     x: list = [None] * n
     for c in range(n - 1, -1, -1):
@@ -562,8 +561,6 @@ def solve_linear(M: Matrix, B: Matrix) -> list:
         for j, a in kept[c]:
             if j >= n:
                 acc[j - n] = add(acc[j - n], a)
-            elif prime:
-                acc = [(u - a * v) % p for u, v in zip(acc, x[j])]
             else:
                 na = neg(a)
                 acc = [add(u, mul(na, v)) for u, v in zip(acc, x[j])]

@@ -1,4 +1,4 @@
-"""Single-receiver rate allocation by the greedy vertex rule.
+"""One receiver's greedy vertex and its cuts.
 
 For one receiving terminal t, the achievable rate region is the
 contra-polymatroid
@@ -11,16 +11,19 @@ over it admits a greedy optimum: visit transmitters in ascending weight
 order (ties by terminal index) and give each the conditional entropy of
 its observation given the receiver's side information plus everything
 visited earlier.  Equivalently, the suffix sets of the visiting order are
-exactly the tight constraints of the returned vertex.
+exactly the tight constraints of that vertex.  `_greedy_rates_scaled`
+gives the vertex of any visiting order; `dual.solve` asks it once per
+receiver and iteration, ordering the senders by that receiver's
+multipliers, which for a single receiver are the weights.
 
 `_iter_cuts` is the package's one enumeration of a receiver's cuts and
 their right-hand sides.  `violated_cuts` is the one separation query on
 it: a receiver's most violated cut, or None.  `verify`, the exact
-oracle's cut loop, the feasibility check before a scheme is built and
-`rationalize`'s repair all ask it.  The scan is exhaustive and runs in
-integers: the rates are scaled to one common denominator and compared
-with the integer-scaled entropies, read from the source's lattice query
-(`SourceModel.lattice_scaled`).
+oracle's cut loop, the design's feasibility check after a failed first
+draw and `rationalize`'s repair all ask it.  The scan is exhaustive and
+runs in integers: the rates are scaled to one common denominator and
+compared with the integer-scaled entropies, read from the source's
+lattice query (`SourceModel.lattice_scaled`).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .source import (SizeLimitError, SourceModel, mask_to_set, scale_to_int,
                      subset_table)
 
 __all__ = [
-    "edmonds_allocate",
     "check_rate_domain",
     "violated_cuts",
     "senders_of",
@@ -58,24 +60,6 @@ def _greedy_rates_scaled(model: SourceModel, target: int,
     H(X_{order[i]} | X_target, X_{order[:i]}) * entropy_denominator.  One
     chain query, so the model walks the nested prefixes in one pass."""
     return model.chain_scaled(1 << target, order)
-
-
-def edmonds_allocate(instance: Instance, target: int) -> RateVector:
-    """Optimal vertex of the single-receiver region for the instance's
-    weights.
-
-    Visits the transmitters other than `target` in ascending weight order,
-    ties by ascending index, and allocates each the conditional entropy of
-    its observation given the target's side information and all earlier
-    transmitters.  Non-transmitters and the target itself get rate zero.
-    """
-    if not 0 <= target < instance.m:
-        raise ValueError(f"target {target} out of range")
-    senders = senders_of(instance, target)
-    senders.sort(key=instance.weights.__getitem__)
-    scaled = _greedy_rates_scaled(instance.model, target, senders)
-    den = instance.model.entropy_denominator
-    return tuple(Fraction(v, den) for v in scaled)
 
 
 def _iter_cuts(instance: Instance, target: int, rates: Sequence[int]):

@@ -26,8 +26,11 @@ use.  Both functions first check the source kind, L, the chunk rates and
 the scheme's size, from the model's row counts alone.
 
 The multicast graph view (super-source, per-terminal sender/relay nodes,
-per-receiver sinks) is exported for DOT rendering; with feasible chunk
-rates its min-cut to every receiver is at least the total chunk count.
+per-receiver sinks) is exported for DOT rendering.  With feasible chunk
+rates its min-cut to every receiver is at least N * L, the chunked packet
+count; that is necessary, not sufficient, since a packet held by several
+terminals enters once per owner.  The cut check run before the graph is
+the proof.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from .gf import (Field, Matrix, embed_map, is_int, make_field, mat_vec, rank,
                  solve_linear, stack)
 from .greedy import check_rate_domain, violated_cuts
 from .instance import Instance, _Frozen
-from .source import LinearSource, SizeLimitError, mask_to_set, scale_to_int
+from .source import (LinearSource, RawSource, SizeLimitError, TabularSource,
+                     mask_to_set, scale_to_int)
 
 __all__ = [
     "TransmissionScheme",
@@ -192,13 +196,11 @@ def _check_rates_feasible(instance: Instance, rates: Sequence[Fraction]) -> None
 
 
 def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The simplest rational in [lo, hi] (smallest denominator, then
-    smallest absolute numerator), found by descending the Stern-Brocot
-    tree: the continued fraction of the two ends up to where they part."""
-    if lo <= 0 <= hi:
+    """The simplest rational in [lo, hi], hi > 0 (smallest denominator,
+    then smallest numerator), found by descending the Stern-Brocot tree:
+    the continued fraction of the two ends up to where they part."""
+    if lo <= 0:
         return Fraction(0)
-    if hi < 0:
-        return -_simplest_between(-hi, -lo)
     whole = math.floor(lo)
     if whole == lo or whole + 1 <= hi:
         return Fraction(math.ceil(lo))
@@ -267,16 +269,16 @@ def rationalize(rates: Sequence, instance: Instance,
     return L, tuple(chunks)
 
 
-def _linear_model(instance: Instance) -> LinearSource:
+def _linear_model(instance: Instance) -> LinearSource | RawSource:
     """The instance's source model, which must carry observation matrices."""
     model = instance.model
-    if not isinstance(model, LinearSource):
+    if isinstance(model, TabularSource):
         raise TypeError("transmission schemes need a linear (or raw) source model")
     return model
 
 
-def _scheme_prologue(instance: Instance, chunk_rates: Sequence,
-                     L: int) -> Tuple[LinearSource, Tuple[int, ...]]:
+def _scheme_prologue(instance: Instance, chunk_rates: Sequence, L: int
+                     ) -> Tuple[LinearSource | RawSource, Tuple[int, ...]]:
     """The model and checked chunk rates of a scheme about to be built, once
     L >= 1 and its field entries are within _MAX_SCHEME_ENTRIES."""
     model = _linear_model(instance)
@@ -294,7 +296,8 @@ def _scheme_prologue(instance: Instance, chunk_rates: Sequence,
     return model, chunk_rates
 
 
-def _coding_view(model: LinearSource, L: int, coding_field: Field
+def _coding_view(model: LinearSource | RawSource, L: int,
+                 coding_field: Field
                  ) -> Tuple[Sequence[int], Tuple[Matrix, ...]]:
     """The source-to-coding-field map and every terminal's observation
     matrix replicated over L chunks and embedded into the coding field."""
@@ -314,13 +317,16 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int],
     """Draw coding matrices at random until every receiver can decode.
 
     Requires a linear/raw source model, chunk rates that are feasible for
-    the L-chunk replicated source (checked exactly up front), and zero
-    rate on non-transmitters.  The coding field extends the source field
-    by min_extension_degree, and attempt a draws from random.Random(a), so
-    the construction is reproducible; failure in all _DESIGN_ATTEMPTS
-    attempts raises DesignFailureError.  An instance whose joint
-    observation does not span all N packets raises IncompleteSourceError
-    before any attempt: that is structural.
+    the L-chunk replicated source, and zero rate on non-transmitters.  A
+    draw that decodes proves the rates feasible, so they are checked
+    exactly (InfeasibleRatesError) only once the first draw fails; rates
+    whose coding field is over the 2^20-element cap raise SizeLimitError
+    before that, feasible or not.  The coding field extends the source
+    field by min_extension_degree, and attempt a draws from
+    random.Random(a), so the construction is reproducible; failure in all
+    _DESIGN_ATTEMPTS attempts raises DesignFailureError.  An instance
+    whose joint observation does not span all N packets raises
+    IncompleteSourceError before any attempt: that is structural.
     """
     model, chunk_rates = _scheme_prologue(instance, chunk_rates, L)
     joint = model.joint_entropy_scaled(model.full_mask)
@@ -329,7 +335,6 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int],
             f"the joint observation has rank H(X_M) = {joint} < N = {model.N} "
             f"packets, so no scheme can deliver every packet and no field "
             f"size can help")
-    _check_rates_feasible(instance, [Fraction(c, L) for c in chunk_rates])
 
     ext_degree = min_extension_degree(model.field, instance.k, model.N, L)
     coding_field = make_field(model.field.p, model.field.degree * ext_degree)
@@ -350,6 +355,9 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int],
                                     coding_field, mats, attempt, emb, blocks)
         if verify_decodability(scheme).ok:
             return scheme
+        if not attempt:   # infeasible rates fail every draw
+            _check_rates_feasible(instance,
+                                  [Fraction(c, L) for c in chunk_rates])
     raise DesignFailureError(f"no decodable scheme in {_DESIGN_ATTEMPTS} "
                              f"attempts over {coding_field!r}")
 
@@ -462,13 +470,14 @@ class MulticastGraph(NamedTuple):
     """Super-source S owns all chunked packets; sender s_i carries terminal
     i's side information (capacity = observed symbols); relay t_i carries
     its broadcast (capacity = chunk rate) to every other receiver; each
-    receiver also taps its own sender directly."""
+    receiver also taps its own sender directly.  A min-cut of N * L to each
+    receiver is necessary for feasible chunk rates, not sufficient; the cut
+    check run before the graph is the proof."""
 
     nodes: Tuple[str, ...]
     edges: Tuple[Tuple[str, str, int], ...]
     source: str
     receivers: Tuple[str, ...]
-    total_chunks: int
 
 
 def build_multicast_graph(instance: Instance, chunk_rates: Sequence[int],
@@ -492,7 +501,7 @@ def build_multicast_graph(instance: Instance, chunk_rates: Sequence[int],
             if j != i:
                 edges.append((f"t{i}", f"r{j}", chunk_rates[i]))
     return MulticastGraph(tuple(nodes), tuple(edges), "S",
-                          tuple(f"r{j}" for j in users), model.N * L)
+                          tuple(f"r{j}" for j in users))
 
 
 def graph_to_dot(graph: MulticastGraph) -> str:

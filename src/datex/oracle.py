@@ -99,9 +99,7 @@ def exact_simplex(c: Sequence, A: Sequence[Sequence], b: Sequence) -> SimplexRes
     width = ncols + nrows
     rows = []
     for i, arow in enumerate(A):
-        # an int (the cut-set LP's 0/1 entries) is its own integer view,
-        # so only other entries become Fractions
-        arow = [v if isinstance(v, int) else Fraction(v) for v in arow]
+        arow = [Fraction(v) for v in arow]
         arow.append(b[i])
         if len(arow) != ncols + 1:
             raise ValueError("A row length mismatch")

@@ -13,8 +13,8 @@ Three model kinds:
   finite field, W uniform; joint entropy of a subset is the rank of the
   stacked matrices.
 * RawSource -- terminals own subsets of N packets outright; entropy is the
-  count of distinct owned packets (a LinearSource over basis rows, with a
-  faster oracle).
+  count of distinct owned packets (the entropies of a LinearSource over
+  basis rows, from bit counts).
 * TabularSource -- an explicit table of 2^m subset entropies for sources
   that do not arise from any matrix description.  The table must be an
   entropy function: zero at the empty set, monotone and submodular (the
@@ -148,13 +148,16 @@ class SourceModel:
         return self._joint_scaled(mask)
 
     def joint_entropy(self, mask: int) -> Fraction:
-        v = self.joint_entropy_scaled(mask)
-        d = self.entropy_denominator
-        return Fraction(v) if d == 1 else Fraction(v, d)
+        return Fraction(self.joint_entropy_scaled(mask),
+                        self.entropy_denominator)
 
     @property
     def full_mask(self) -> int:
         return (1 << self.m) - 1
+
+    @cached_property
+    def _full_rank(self) -> int:
+        return self._joint_scaled(self.full_mask)
 
 
 class LinearSource(SourceModel):
@@ -189,10 +192,6 @@ class LinearSource(SourceModel):
             hit = rank(stack(*(self.matrices[i] for i in mask_to_set(mask))))
             self._memo[mask] = hit
         return hit
-
-    @cached_property
-    def _full_rank(self) -> int:
-        return self._joint_scaled(self.full_mask)
 
     def _basis(self, mask: int) -> EchelonBasis:
         """An echelon basis of the rows of the terminals in `mask`."""
@@ -274,7 +273,7 @@ class LinearSource(SourceModel):
         return out
 
 
-class RawSource(LinearSource):
+class RawSource(SourceModel):
     """Terminals own packets outright.  Equivalent to a LinearSource whose
     rows are standard basis vectors, but each terminal is held as one int
     bitmask of its packets and the entropy oracle counts the bits of their
@@ -338,9 +337,6 @@ class RawSource(LinearSource):
                    [1 if j == k else 0 for k in self.packets(i)
                     for j in range(N)])
             for i in range(self.m))
-
-    # the point query is a few table lookups, with no memo to fill
-    lattice_scaled = SourceModel.lattice_scaled
 
     def _owned(self, mask: int) -> int:
         owned = 0

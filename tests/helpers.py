@@ -1,12 +1,13 @@
 """Shared builders for the test suite: the worked example instances, a
 random-instance generator used by the equivalence and property suites, a
-renumbering of an instance's terminals, and test-side references (weighted
-objective, conditional entropy, explicit entropy tables, the all-terminal
-cut-set rows, the full cut-set LP and its exact optimum, every violated
-cut of a receiver and the most violated one), the one feasibility check
-the suites share, a one-right-hand-side solve, a comparable form of a
-matrix, a scheme copy with replaced coding matrices, and the benchmark
-ladder's instance documents."""
+renumbering of an instance's terminals, and test-side references (the
+single-receiver greedy optimum, weighted objective, conditional entropy,
+explicit entropy tables, the all-terminal cut-set rows, the full cut-set
+LP and its exact optimum, every violated cut of a receiver and the most
+violated one), the one feasibility check the suites share, a
+one-right-hand-side solve, a comparable form of a matrix, a scheme copy
+with replaced coding matrices, and the benchmark ladder's instance
+documents."""
 
 import importlib.util
 import random
@@ -99,6 +100,24 @@ def unlabel(rates, order):
     """Rates of a `relabel(instance, order)` instance in the original
     terminal numbering."""
     return tuple(r for _, r in sorted(zip(order, rates)))
+
+
+def edmonds_allocate(instance: Instance, target: int):
+    """Optimal vertex of the single-receiver region for the instance's
+    weights (Edmonds, 1970): visit the transmitters other than `target` in
+    ascending (weight, index) order and give each the conditional entropy
+    of its observation given the target's side information and every
+    transmitter visited before it.  Non-transmitters and the target get
+    rate zero.  The entropies come from the models' plain point queries
+    (`SourceModel.chain_scaled`), not their one-pass chains; this is the
+    witness for `dual.solve` on one receiver."""
+    if not 0 <= target < instance.m:
+        raise ValueError(f"target {target} out of range")
+    senders = sorted(t for t in instance.transmitters if t != target)
+    senders.sort(key=instance.weights.__getitem__)
+    model = instance.model
+    scaled = SourceModel.chain_scaled(model, 1 << target, senders)
+    return tuple(Fraction(v, model.entropy_denominator) for v in scaled)
 
 
 def objective(instance: Instance, rates) -> Fraction:

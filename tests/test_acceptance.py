@@ -8,14 +8,13 @@ from fractions import Fraction
 
 from datex.dual import solve
 from datex.gf import Matrix
-from datex.greedy import edmonds_allocate
 from datex.instance import InfeasibleInstanceError
 from datex.netcode import (design_transmissions, rationalize,
                            simulate_exchange, verify_decodability)
 from datex.oracle import build_lp, solve_exact
-from helpers import (example1_instance, example2_instance, example3_instance,
-                     meets_cuts, objective, random_linear_instance, relabel,
-                     unlabel, with_matrices)
+from helpers import (edmonds_allocate, example1_instance, example2_instance,
+                     example3_instance, meets_cuts, objective,
+                     random_linear_instance, relabel, unlabel, with_matrices)
 
 MILLI = Fraction(1, 1000)
 

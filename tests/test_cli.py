@@ -723,7 +723,9 @@ def test_scheme_commands_reject_entropy_tables(tmp_path, capsys, command):
     assert main(["oracle", str(path)]) == 0
     capsys.readouterr()
     assert main([command, str(path)]) == 2
-    assert "not an entropy table" in _one_line_error(capsys)
+    assert _one_line_error(capsys) == (
+        f"error: {command} needs observation matrices (a 'rows' or "
+        f"'packets' instance), not an entropy table\n")
 
 
 @pytest.mark.parametrize("table", [

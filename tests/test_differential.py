@@ -36,14 +36,17 @@ one round of `violated_cuts` at a time.  `helpers.full_lp_optimum` writes
 the whole cut LP out and solves it in one `exact_simplex` call; the two
 values must be equal on the shipped examples, on random instances and on
 benchmark-ladder draws up to m = 10, and a float HiGHS solve of the whole
-LP (scipy) must agree at m = 12 and 14.
+LP (scipy) must agree at m = 12, 14 and 16.
 
-`dual.solve` holds its multipliers column-major, stops chains and their
-accumulation once saturated, projects with an early-stopping threshold
-scan and compares bounds in integers.  `ref_solve` is the plain loop:
-row-major multipliers, one point query per chain prefix, the full
-threshold scan, `Fraction` bounds and the averaged subproblem vertices per
-receiver.  Every `Solution` field and every trace call must agree.
+`dual.solve` holds its multipliers column-major, stops chains once
+saturated, projects with an early-stopping threshold scan and compares
+bounds in integers.  `ref_solve` is the plain loop: row-major
+multipliers, one point query per chain prefix, the full threshold scan,
+`Fraction` bounds and the averaged subproblem vertices per receiver.
+Every `Solution` field and every trace call must agree, on one
+receiver too.  One receiver runs the same loop, and it must return the
+test-side greedy vertex (`helpers.edmonds_allocate`) at iteration 1 with
+gap 0.
 """
 
 import math
@@ -57,16 +60,17 @@ from hypothesis import given, settings, strategies as st
 from datex.cli import instance_from_dict
 from datex.dual import _QUANTUM, solve
 from datex.gf import Matrix, make_field, mat_vec, rank, solve_linear
-from datex.greedy import edmonds_allocate, violated_cuts
+from datex.greedy import violated_cuts
 from datex.instance import Instance, InfeasibleInstanceError
 from datex.netcode import InfeasibleRatesError, _snap, rationalize
 from datex.oracle import UnboundedLPError, build_lp, exact_simplex, solve_exact
 from datex.source import (LinearSource, SourceModel, TabularSource,
                           mask_to_set, raw_source)
-from helpers import (example1_instance, example2_instance, example3_instance,
-                     full_cut_lp, full_lp_optimum, ladder_draw, meets_cuts,
-                     random_linear_instance, ref_most_violated_cut,
-                     ref_violated_cuts, solve_one, table_values)
+from helpers import (edmonds_allocate, example1_instance, example2_instance,
+                     example3_instance, full_cut_lp, full_lp_optimum,
+                     ladder_draw, meets_cuts, random_linear_instance,
+                     ref_most_violated_cut, ref_violated_cuts, solve_one,
+                     table_values)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +304,7 @@ def ref_solve(instance, *, max_iterations=50_000,
     and the averaged subproblem vertices of the best primal point kept per
     receiver; returns the Solution fields (and averaged_matrix) as a dict.
     Step n is max(1, max weight)/(1 + n); equal multipliers go by index.
-    Multi-receiver instances only."""
+    A column whose only row is its own user's (one receiver) has budget 0."""
     users = instance.user_list
     k = len(users)
     step = max(Fraction(1), *instance.weights)
@@ -316,7 +320,8 @@ def ref_solve(instance, *, max_iterations=50_000,
         d_alpha = math.lcm(d_alpha, w.denominator)
     alpha_scaled = [int(w * d_alpha) for w in instance.weights]
     grid = _QUANTUM.denominator * d_alpha
-    budget_grid = [int(w * grid) for w in instance.weights]
+    budget_grid = [0 if users == (i,) else int(w * grid)
+                   for i, w in enumerate(instance.weights)]
     lam = [[0] * m for _ in range(k)]
     for i in range(m):
         pin = row_of_user.get(i)
@@ -645,8 +650,9 @@ def test_cut_loop_matches_the_full_lp_on_ladder_draws(kind, m):
         assert solve_exact(build_lp(inst)).value == full_lp_optimum(inst), seed
 
 
-@pytest.mark.parametrize("kind, m", [("raw", 12), ("raw", 14),
-                                     ("linear", 12), ("linear", 14)])
+@pytest.mark.parametrize("kind, m", [("raw", 12), ("raw", 14), ("raw", 16),
+                                     ("linear", 12), ("linear", 14),
+                                     ("linear", 16)])
 def test_cut_loop_matches_highs_on_larger_ladder_draws(kind, m):
     """An independent float solver on the whole cut LP, past the sizes the
     exact witness is run at."""
@@ -734,9 +740,10 @@ def test_rationalize_matches_the_per_terminal_loop(seed):
     _check_rationalize(rates, inst, D)
 
 
-@given(st.fractions(), st.integers(1, 100))
+@given(st.fractions(min_value=0), st.integers(1, 100))
 @settings(max_examples=300, deadline=None)
 def test_snap_takes_the_simplest_fraction_nearby(rate, D):
+    # rationalize snaps only rates that passed check_rate_domain
     assert _snap(rate, D) == ref_snap(rate, D)
     assert _snap(rate, D).denominator <= D
     assert abs(_snap(rate, D) - rate) <= Fraction(1, 2 * D)
@@ -830,10 +837,10 @@ def test_solve_linear_matches_the_dense_reference(system):
 # ---------------------------------------------------------------------------
 
 def _solve_case(rng):
-    """A multi-receiver instance and solver settings: a raw, GF(3),
-    GF(2^2) or tabular source; integer weights of 1 to 4, which scale the
-    step, or fractional ones; sometimes restricted transmitters; 1 to 60
-    iterations.  Sometimes one terminal sees the whole file, so every
+    """An instance and solver settings: one receiver or several; a raw,
+    GF(3), GF(2^2) or tabular source; integer weights of 1 to 4, which
+    scale the step, or fractional ones; sometimes restricted transmitters;
+    1 to 60 iterations.  Sometimes one terminal sees the whole file, so every
     chain that visits it saturates there; given weight 0, its multipliers
     stay 0, so it leads every chain in which each sender of lower index
     has a positive multiplier, and such a chain saturates at its first
@@ -862,7 +869,7 @@ def _solve_case(rng):
                 scale = Fraction(rng.randint(1, 5), rng.randint(1, 4))
                 model = TabularSource([scale * v
                                        for v in table_values(model)])
-        users = rng.sample(range(m), rng.randint(2, m // 2 + 1))
+        users = rng.sample(range(m), rng.randint(1, m // 2 + 1))
         if rng.random() < 0.5:
             weights = [rng.randint(1, 4) for _ in range(m)]
         else:
@@ -901,3 +908,36 @@ def test_solve_matches_the_row_major_reference(seed):
         == {f: v for f, v in ref.items() if f != "averaged_matrix"}
     for row, l in zip(ref["averaged_matrix"], inst.user_list):
         assert meets_cuts(row, inst, l)
+
+
+def _one_receiver_instance(rng):
+    """One receiver of a raw, linear or tabular instance, some restricted
+    to helpers, with about a third of the weights set to 0."""
+    while True:
+        inst = _instance(rng)
+        weights = [0 if rng.random() < 0.3 else w for w in inst.weights]
+        try:
+            return Instance(inst.model, [rng.choice(inst.user_list)],
+                            weights, transmitters=inst.transmitters)
+        except InfeasibleInstanceError:
+            continue
+
+
+@given(st.integers(0, 10 ** 9))
+@settings(max_examples=100, deadline=None)
+def test_one_receiver_solve_is_the_greedy_vertex(seed):
+    """One receiver runs the general loop: its multipliers are the weights
+    with its own zeroed, so iteration 1 returns the greedy vertex with
+    both bounds equal and one trace call."""
+    inst = _one_receiver_instance(random.Random(seed))
+    (l,) = inst.user_list
+    calls = []
+    sol = solve(inst, trace=lambda *a: calls.append(a))
+    rates = edmonds_allocate(inst, l)
+    value = inst.objective(rates)
+    assert sol.rates == rates
+    assert (sol.iterations, sol.converged, sol.gap) == (1, True, 0)
+    assert sol.primal_objective == sol.dual_objective == value
+    assert sol.dual_matrix == (tuple(0 if i == l else w
+                                     for i, w in enumerate(inst.weights)),)
+    assert calls == [(1, value, value, 0)]

@@ -13,7 +13,10 @@ scheme -- must print the same stdout with the same exit code on the three
 shipped examples and on seeded ladder draws (bench/ladder.py
 `draw(1, kind, m, 0)`): raw m=8, linear m=8, and raw m=13, whose verify
 and graph use the benchmark's feasible and violating vectors, and whose
-verify also runs on all-zero rates (every receiver short).  The other feasible rates came from the earlier oracle, which
+verify also runs on all-zero rates (every receiver short).  `oracle` runs
+on raw m=16 too, the cut loop past m = 13, and `solve` with its defaults
+on example 1, one receiver through the general loop (gap 0 at iteration
+1).  The other feasible rates came from the earlier oracle, which
 wrote out the whole cut LP; the cut loop may return another optimal
 vertex, so they stay fixed.  Violating rates are three quarters of the
 feasible ones."""
@@ -75,6 +78,8 @@ PIPELINE += [
     ("raw_m13", "verify-violating", ["--rates", _RAW_M13[1]], 1),
     ("raw_m13", "verify-zero", ["--rates", ",".join("0" * 13)], 1),
     ("raw_m13", "graph", ["--rates", _RAW_M13[0]], 0),
+    ("raw_m16", "oracle", [], 0),
+    ("example1", "solve", [], 0),
 ]
 
 

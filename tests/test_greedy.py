@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datex.greedy import edmonds_allocate, violated_cuts
+from datex.greedy import violated_cuts
 from datex.instance import Instance, InfeasibleInstanceError
 from datex.oracle import build_lp, solve_exact
 from datex.source import SizeLimitError, mask_to_set, raw_source
-from helpers import (example_model, example1_instance, meets_cuts,
-                     objective, random_linear_instance, ref_violated_cuts,
-                     relabel, tabulate, unlabel)
+from helpers import (edmonds_allocate, example_model, example1_instance,
+                     meets_cuts, objective, random_linear_instance,
+                     ref_violated_cuts, relabel, tabulate, unlabel)
 
 # example 1 with the single-packet holders 3, 4 and 5 numbered right after
 # the receiver, so index order prefers them

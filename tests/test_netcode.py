@@ -6,13 +6,16 @@ scheme serialization."""
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
 from datex import netcode
-from datex.cli import scheme_from_dict, serialize_scheme
+from datex.cli import (main, scheme_from_dict, serialize_instance,
+                       serialize_scheme)
 from datex.gf import Matrix, make_field, mat_vec, stack
+from datex.greedy import violated_cuts
 from datex.instance import Instance
 from datex.netcode import (DesignFailureError, IncompleteSourceError,
                            InfeasibleRatesError, assemble_scheme,
@@ -20,7 +23,7 @@ from datex.netcode import (DesignFailureError, IncompleteSourceError,
                            graph_to_dot, min_extension_degree, rationalize,
                            simulate_exchange, verify_decodability)
 from datex.oracle import build_lp, solve_exact
-from datex.source import SizeLimitError, raw_source
+from datex.source import LinearSource, SizeLimitError, raw_source
 from helpers import (example2_instance, example3_instance, matrix_key,
                      meets_cuts, random_linear_instance, solve_one,
                      tabulate, with_matrices)
@@ -240,6 +243,60 @@ def test_design_retry_budget(example3, monkeypatch):
     assert verify_decodability(scheme).ok
 
 
+def _record(monkeypatch, events):
+    """Log each decodability check of a draw and each cut query that
+    `netcode` makes, in order."""
+    check, query = netcode.verify_decodability, netcode.violated_cuts
+    monkeypatch.setattr(netcode, "verify_decodability",
+                        lambda s: events.append("draw") or check(s))
+    monkeypatch.setattr(netcode, "violated_cuts",
+                        lambda *a: events.append("query") or query(*a))
+
+
+def test_infeasible_rates_fail_one_draw_before_any_query(example3,
+                                                         monkeypatch):
+    """A draw that decodes proves the rates feasible, and infeasible rates
+    fail every draw, so the cuts are asked only after the first draw
+    fails, and then name the most violated one."""
+    events = []
+    _record(monkeypatch, events)
+    with pytest.raises(InfeasibleRatesError, match=r"^receiver 0: cut \{1\} "
+                       r"needs rate 1, rates provide 0$"):
+        design_transmissions(example3, (0, 0, 1), 1)
+    assert events == ["draw", "query"]
+    events.clear()
+    design_transmissions(example3, (0, 1, 1), 1)
+    assert events == ["draw"]
+
+
+def test_codegen_proves_its_rates_feasible_once(monkeypatch, capsys):
+    """raw m=13, six receivers: `rationalize`'s one round asks each
+    receiver once, and the design's first draw decodes, so it asks none."""
+    events = []
+    _record(monkeypatch, events)
+    golden = Path(__file__).resolve().parent / "golden"
+    assert main(["codegen", str(golden / "raw_m13.json")]) == 0
+    capsys.readouterr()
+    assert events == ["query"] * 6 + ["draw"]
+
+
+def test_an_oversized_coding_field_is_refused_before_the_cut_check():
+    """Rates are checked only after a failed draw, so chunk rates whose
+    coding field is over the 2^20-element cap are refused for its size,
+    infeasible or not; at a small L the same infeasible rates name their
+    cut.  `codegen` never meets this: `rationalize` proves its rates
+    first."""
+    F = make_field(2, 11)
+    inst = Instance(LinearSource(F, 2, [Matrix.from_rows(F, [[1, 0]]),
+                                        Matrix.from_rows(F, [[0, 1]])]),
+                    [0, 1])
+    for chunks in ((0, 0), (256, 256)):    # GF(2^22) at L = 256
+        with pytest.raises(SizeLimitError, match="^field size 4194304 "):
+            design_transmissions(inst, chunks, 256)
+    with pytest.raises(InfeasibleRatesError, match=r"^receiver 0: cut \{1\}"):
+        design_transmissions(inst, (0, 0), 1)
+
+
 def test_design_validation(example3):
     with pytest.raises(ValueError):
         design_transmissions(example3, (0, 1, 1), 0)
@@ -301,9 +358,10 @@ def test_design_rejects_observations_short_of_all_packets():
 
 def test_design_rejects_tabular_models(example2):
     inst = Instance(tabulate(example2.model), [0, 1, 2])
-    with pytest.raises(TypeError):
+    message = r"^transmission schemes need a linear \(or raw\) source model$"
+    with pytest.raises(TypeError, match=message):
         design_transmissions(inst, (1, 1, 1, 2, 2, 2), 4)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=message):
         build_multicast_graph(inst, (1, 1, 1, 2, 2, 2), 4)
 
 
@@ -409,7 +467,6 @@ def test_graph_three_user_example(example2):
     g = build_multicast_graph(example2, (1, 1, 1, 2, 2, 2), 4)
     assert g.source == "S"
     assert g.receivers == ("r0", "r1", "r2")
-    assert g.total_chunks == 12
     caps = {(u, v): c for u, v, c in g.edges}
     assert caps[("S", "s0")] == 4       # one observed row, four chunks
     assert caps[("s0", "r0")] == 4      # users tap their own side info
@@ -420,14 +477,35 @@ def test_graph_three_user_example(example2):
     assert ("s3", "r3") not in caps     # helpers have no receiver
 
 
-def test_graph_min_cut_carries_all_chunks(example2):
-    g = build_multicast_graph(example2, (1, 1, 1, 2, 2, 2), 4)
+def _max_flows(g):
+    """networkx max-flow from the super-source to each receiver."""
     G = nx.DiGraph()
     for u, v, c in g.edges:
         G.add_edge(u, v, capacity=c)
-    flows = {r: nx.maximum_flow_value(G, "S", r) for r in g.receivers}
+    return {r: nx.maximum_flow_value(G, "S", r) for r in g.receivers}
+
+
+def test_graph_min_cut_carries_all_chunks(example2):
+    g = build_multicast_graph(example2, (1, 1, 1, 2, 2, 2), 4)
+    flows = _max_flows(g)
     assert flows["r0"] == 12            # tight for the first receiver
-    assert all(f >= g.total_chunks for f in flows.values())
+    assert all(f >= example2.model.N * 4 for f in flows.values())
+
+
+def test_graph_min_cut_is_necessary_not_sufficient(tmp_path, capsys):
+    """Packets {0}, {0} and {0, 1}: terminal 1 sending one chunk lets
+    r0's max-flow reach N * L = 2 through its own packet 0 and terminal
+    1's copy of it, yet packet 1, held only by terminal 2, never arrives.
+    The cut check names cut {2}, and `graph` exits 1 with one line."""
+    inst = Instance(raw_source([[0], [0], [0, 1]], 2), [0])
+    assert _max_flows(build_multicast_graph(inst, (0, 1, 0), 1)) == {"r0": 2}
+    assert violated_cuts((0, 1, 0), inst, 0) == (0b100, 1, 0)
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(serialize_instance(inst)), encoding="utf-8")
+    assert main(["graph", str(path), "--rates", "0,1,0"]) == 1
+    assert capsys.readouterr() == (
+        "", "graph failed: receiver 0: cut {2} is short by 1, more than "
+        "snapping to the 1/64 grid can explain\n")
 
 
 def test_graph_min_cut_on_random_instances():
@@ -437,11 +515,8 @@ def test_graph_min_cut_on_random_instances():
         opt = solve_exact(build_lp(inst))
         L, chunks = rationalize(opt.rates, instance=inst)
         g = build_multicast_graph(inst, chunks, L)
-        G = nx.DiGraph()
-        for u, v, c in g.edges:
-            G.add_edge(u, v, capacity=c)
-        for r in g.receivers:
-            assert nx.maximum_flow_value(G, "S", r) >= g.total_chunks
+        assert all(f >= inst.model.N * L
+                   for f in _max_flows(g).values())
 
 
 def test_graph_zero_rate_relay_edges(example3):
@@ -530,7 +605,7 @@ def test_size_checks_read_row_counts_without_one_hot_matrices():
     with pytest.raises(SizeLimitError, match="scheme of 20000004 "):
         scheme_from_dict(data, inst)
     g = build_multicast_graph(inst, (1, 1, 0), 2)
-    assert ("S", "s2", 4) in g.edges and g.total_chunks == 2 * 10 ** 6
+    assert ("S", "s2", 4) in g.edges
     assert "matrices" not in inst.model.__dict__
 
 

@@ -9,15 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datex.greedy import edmonds_allocate
 from datex.instance import Instance, InfeasibleInstanceError
 from datex import oracle
 from datex.oracle import (SimplexResult, UnboundedLPError, build_lp,
                           exact_simplex, solve_exact)
 from datex.source import SizeLimitError, raw_source
-from helpers import (all_terminal_cut_rows, example1_instance,
-                     example2_instance, example3_instance, full_cut_lp,
-                     full_lp_optimum, meets_cuts, objective,
+from helpers import (all_terminal_cut_rows, edmonds_allocate,
+                     example1_instance, example2_instance, example3_instance,
+                     full_cut_lp, full_lp_optimum, meets_cuts, objective,
                      random_linear_instance, ref_violated_cuts)
 
 F0 = Fraction(0)
