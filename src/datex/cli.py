@@ -476,17 +476,12 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     instance = parse_instance(args.instance)
     rates = _parse_rates_flag(args.rates, instance)
-    violations = []
-    for l in instance.user_list:
-        bad = violated_cuts(rates, instance, l)
-        if bad:
-            cut, need, got = bad
-            violations.append({
-                "receiver": l,
-                "cut": list(mask_to_set(cut)),
-                "required": _frac_str(need),
-                "provided": _frac_str(got),
-            })
+    violations = [{
+        "receiver": l,
+        "cut": list(mask_to_set(cut)),
+        "required": _frac_str(need),
+        "provided": _frac_str(got),
+    } for l, (cut, need, got) in violated_cuts(rates, instance).items()]
     objective = instance.objective(rates)
     _emit({
         "format_version": FORMAT_VERSION,

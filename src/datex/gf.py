@@ -125,13 +125,11 @@ def _cl_rem(a: int, b: int) -> int:
 
 
 def _is_irreducible(packed: int, p: int) -> bool:
-    """Exhaustive trial division of a packed polynomial by every monic
-    polynomial of degree 1 .. deg/2.  Fine for desk-scale degrees; over
-    GF(2) it runs in integer bit arithmetic."""
+    """Exhaustive trial division of a packed polynomial of degree >= 2 by
+    every monic polynomial of degree 1 .. deg/2.  Fine for desk-scale
+    degrees; over GF(2) it runs in integer bit arithmetic."""
     coeffs = _pdigits(packed, p)
     deg = len(coeffs) - 1
-    if deg < 1:
-        return False
     for d in range(1, deg // 2 + 1):
         # the packed values in [p^d, 2p^d) are the monic degree-d polynomials
         for g in range(p ** d, 2 * p ** d):

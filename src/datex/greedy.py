@@ -18,19 +18,20 @@ multipliers, which for a single receiver are the weights.
 
 `_iter_cuts` is the package's one enumeration of a receiver's cuts and
 their right-hand sides.  `violated_cuts` is the one separation query on
-it: a receiver's most violated cut, or None.  `verify`, the exact
-oracle's cut loop, the design's feasibility check after a failed first
-draw and `rationalize`'s repair all ask it.  The scan is exhaustive and
-runs in integers: the rates are scaled to one common denominator and
-compared with the integer-scaled entropies, read from the source's
-lattice query (`SourceModel.lattice_scaled`).
+it: for one rate vector, every receiver's most violated cut, keyed by
+the receivers whose cuts the rates miss.  `verify`, the exact oracle's
+cut loop, the design's feasibility check after a failed first draw and
+`rationalize`'s repair each ask it once per rate vector.  The scan is
+exhaustive and runs in integers: the rates are checked and scaled to one
+common denominator once and compared with the integer-scaled entropies,
+read from the source's lattice query (`SourceModel.lattice_scaled`).
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .instance import Instance
 from .source import (SizeLimitError, SourceModel, mask_to_set, scale_to_int,
@@ -105,26 +106,26 @@ def check_rate_domain(instance: Instance, rates: Sequence) -> List[Fraction]:
     return r
 
 
-def violated_cuts(rates: Sequence, instance: Instance, target: int
-                  ) -> Optional[Tuple[int, Fraction, Fraction]]:
-    """The receiver's most violated cut as (mask, required, provided), or
-    None when the rates meet every cut: the largest required - provided,
-    ties to the smallest mask, which is the unique inclusion-minimal one
-    (the deficit is supermodular).  Exact: the rates are scaled to one
-    common denominator and every cut is compared in integers.  Exhaustive
-    over subsets of the transmitters.  Rates must pass check_rate_domain."""
-    m = instance.m
-    if m > _FEASIBILITY_GUARD_M:
+def violated_cuts(rates: Sequence, instance: Instance
+                  ) -> Dict[int, Tuple[int, Fraction, Fraction]]:
+    """Each receiver's most violated cut as {receiver: (mask, required,
+    provided)}, in receiver order, for the receivers whose cuts the rates
+    miss: the largest required - provided, ties to the smallest mask,
+    which is the unique inclusion-minimal one (the deficit is
+    supermodular).  Exact: the rates are checked (check_rate_domain) and
+    scaled to one common denominator once, and every cut is compared in
+    integers.  Exhaustive over subsets of the transmitters."""
+    if instance.m > _FEASIBILITY_GUARD_M:
         raise SizeLimitError(
             f"feasibility check limited to m <= {_FEASIBILITY_GUARD_M}")
-    if not 0 <= target < m:
-        raise ValueError(f"target {target} out of range")
     rden, scaled = scale_to_int(check_rate_domain(instance, rates))
     den = instance.model.entropy_denominator
-    best, worst = None, 0
-    for cut, need, got in _iter_cuts(instance, target, scaled):
-        deficit = need * rden - got * den
-        if deficit > worst:   # masks ascend, so a tie keeps the smaller
-            worst = deficit
-            best = cut, Fraction(need, den), Fraction(got, rden)
-    return best
+    out = {}
+    for l in instance.user_list:
+        worst = 0
+        for cut, need, got in _iter_cuts(instance, l, scaled):
+            deficit = need * rden - got * den
+            if deficit > worst:   # masks ascend, so a tie keeps the smaller
+                worst = deficit
+                out[l] = cut, Fraction(need, den), Fraction(got, rden)
+    return out

@@ -1,14 +1,14 @@
 """Turning rate allocations into working finite-field transmission schemes.
 
 Pipeline: snap a (possibly approximate) rate vector to small rationals and
-repair it on each receiver's most violated cut (`greedy.violated_cuts`)
-until none is left; pick a chunk count L (the lcm of the denominators) so
-every terminal sends an integer number of chunk symbols; replicate the
-observation matrices blockwise over the L chunks; then draw each
-terminal's coding matrix uniformly at random over an extension field big
-enough that decodability is likely, verifying exactly and retrying with
-fresh randomness until it holds.  Every terminal codes only over its own
-observation.
+repair it on each receiver's most violated cut (`greedy.violated_cuts`,
+one query per rate vector for every receiver) until none is left; pick a
+chunk count L (the lcm of the denominators) so every terminal sends an
+integer number of chunk symbols; replicate the observation matrices
+blockwise over the L chunks; then draw each terminal's coding matrix
+uniformly at random over an extension field big enough that decodability
+is likely, verifying exactly and retrying with fresh randomness until it
+holds.  Every terminal codes only over its own observation.
 
 Decodability is a rank condition: receiver l recovers everything iff its
 decoding system, `TransmissionScheme.system(l)` (its own replicated
@@ -185,16 +185,6 @@ def _check_chunk_rates(instance: Instance,
     return rates
 
 
-def _check_rates_feasible(instance: Instance, rates: Sequence[Fraction]) -> None:
-    for l in instance.user_list:
-        bad = violated_cuts(rates, instance, l)
-        if bad:
-            cut, need, got = bad
-            raise InfeasibleRatesError(
-                f"receiver {l}: cut {set(mask_to_set(cut))} needs rate "
-                f"{need}, rates provide {got}")
-
-
 def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     """The simplest rational in [lo, hi], hi > 0 (smallest denominator,
     then smallest numerator), found by descending the Stern-Brocot tree:
@@ -229,9 +219,9 @@ def rationalize(rates: Sequence, instance: Instance,
     where slightly-off solver output lands back on the exact optimum,
     whose denominators are small; the closest fraction with a bounded
     denominator is often a more complex one, and its lcm then inflates L.
-    The snapped vector is repaired in rounds, each asking every receiver
-    for its most violated cut.  A deficit above m/(2*max_denominator), the
-    most snapping can move a cut sum, means the rates were infeasible
+    The snapped vector is repaired in rounds, each one query for every
+    receiver's most violated cut.  A deficit above m/(2*max_denominator),
+    the most snapping can move a cut sum, means the rates were infeasible
     before snapping: InfeasibleRatesError.  Smaller ones are artifacts:
     each cut's lowest terminal is raised by the largest deficit among the
     round's cuts it leads.  Rates only grow, on a fixed grid and never by
@@ -246,18 +236,15 @@ def rationalize(rates: Sequence, instance: Instance,
     snap_slack = Fraction(len(snapped), 2 * max_denominator)
     while True:
         raises: Dict[int, Fraction] = {}
-        for l in instance.user_list:
-            bad = violated_cuts(snapped, instance, l)
-            if bad:
-                cut, need, got = bad
-                deficit = need - got
-                if deficit > snap_slack:
-                    raise InfeasibleRatesError(
-                        f"receiver {l}: cut {set(mask_to_set(cut))} is "
-                        f"short by {deficit}, more than snapping to the "
-                        f"1/{max_denominator} grid can explain")
-                lead = (cut & -cut).bit_length() - 1
-                raises[lead] = max(raises.get(lead, 0), deficit)
+        for l, (cut, need, got) in violated_cuts(snapped, instance).items():
+            deficit = need - got
+            if deficit > snap_slack:
+                raise InfeasibleRatesError(
+                    f"receiver {l}: cut {set(mask_to_set(cut))} is short "
+                    f"by {deficit}, more than snapping to the "
+                    f"1/{max_denominator} grid can explain")
+            lead = (cut & -cut).bit_length() - 1
+            raises[lead] = max(raises.get(lead, 0), deficit)
         if not raises:
             break
         for i, deficit in raises.items():
@@ -356,8 +343,11 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int],
         if verify_decodability(scheme).ok:
             return scheme
         if not attempt:   # infeasible rates fail every draw
-            _check_rates_feasible(instance,
-                                  [Fraction(c, L) for c in chunk_rates])
+            for l, (cut, need, got) in violated_cuts(
+                    [Fraction(c, L) for c in chunk_rates], instance).items():
+                raise InfeasibleRatesError(
+                    f"receiver {l}: cut {set(mask_to_set(cut))} needs rate "
+                    f"{need}, rates provide {got}")
     raise DesignFailureError(f"no decodable scheme in {_DESIGN_ATTEMPTS} "
                              f"attempts over {coding_field!r}")
 

@@ -11,12 +11,13 @@ It minimizes the weighted rate sum exactly over rationals, with
 non-transmitting terminals pinned to rate zero.
 
 `solve_exact` optimizes over those rows by separation, adding each user's
-most violated cut (`greedy.violated_cuts`, the query `verify` reports)
-until none is left; each round visits all 2^(|T|-1) cuts of every user,
-so the one size guard is `violated_cuts`'s m <= 20.  The solver is a dense,
-fraction-free simplex (integer rows, exact rational results) with Bland's
-anti-cycling rule, run on the LP dual so the slack basis is immediately
-feasible; the primal rates are read off the optimal reduced costs.
+most violated cut (`greedy.violated_cuts`, one query per round that
+answers every user, the query `verify` reports) until none is left; each
+round visits all 2^(|T|-1) cuts of every user, so the one size guard is
+`violated_cuts`'s m <= 20.  The solver is a dense, fraction-free simplex
+(integer rows, exact rational results) with Bland's anti-cycling rule, run
+on the LP dual so the slack basis is immediately feasible; the primal
+rates are read off the optimal reduced costs.
 """
 
 from __future__ import annotations
@@ -185,14 +186,11 @@ def solve_exact(lp: CutSetLP) -> OracleSolution:
         if any(r < 0 for r in rates):
             raise ArithmeticError("simplex returned a negative rate")
         found = set()
-        for l in inst.user_list:
-            bad = violated_cuts(rates, inst, l)
-            if bad:
-                cut, need, _ = bad
-                if rows.get(cut, -1) >= need:
-                    raise ArithmeticError(f"simplex broke the row of cut "
-                                          f"{mask_to_set(cut)} for user {l}")
-                found.add(cut)
+        for l, (cut, need, _) in violated_cuts(rates, inst).items():
+            if rows.get(cut, -1) >= need:
+                raise ArithmeticError(f"simplex broke the row of cut "
+                                      f"{mask_to_set(cut)} for user {l}")
+            found.add(cut)
         if not found:
             break
         for cut in found:

@@ -305,12 +305,14 @@ class RawSource(SourceModel):
             bit_of = {k: b for b, k in enumerate(held)}.__getitem__
             ownership = [list(map(bit_of, idx)) for idx in ownership]
         bits = []
+        digits = bytes.maketrans(b"\0\1", b"01")
         for idx in ownership:
-            # set in bytes, converted once
-            buf = bytearray(len(held) // 8 + 1)
+            # one byte per held packet, read once as a binary numeral
+            # (bit 0 last); "0" when no terminal holds a packet
+            flags = bytearray(len(held))
             for b in idx:
-                buf[b >> 3] |= 1 << (b & 7)
-            bits.append(int.from_bytes(buf, "little"))
+                flags[b] = 1
+            bits.append(int(flags.translate(digits)[::-1] or b"0", 2))
         self.field = field if field is not None else make_field(2)
         self.N = packet_count
         self.m = len(bits)

@@ -173,8 +173,6 @@ def ref_violated_cuts(rates, instance: Instance, target: int):
     m = instance.m
     if m > 20:
         raise SizeLimitError("feasibility check limited to m <= 20")
-    if not 0 <= target < m:
-        raise ValueError(f"target {target} out of range")
     r = [Fraction(x) for x in rates]
     if len(r) != m:
         raise ValueError(f"expected {m} rates, got {len(r)}")
@@ -211,8 +209,8 @@ def ref_most_violated_cut(rates, instance: Instance, target: int):
 def meets_cuts(rates, instance: Instance, *receivers: int) -> bool:
     """Whether the rates meet every cut of the given receivers (of every
     user when none is given), by the `violated_cuts` query."""
-    return all(violated_cuts(rates, instance, l) is None
-               for l in receivers or instance.user_list)
+    short = violated_cuts(rates, instance)
+    return not any(l in short for l in receivers or instance.user_list)
 
 
 def table_values(model: SourceModel) -> List[Fraction]:

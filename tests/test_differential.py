@@ -1,13 +1,14 @@
 """Differential tests for the integer cut-set layer and the elimination
 kernel.
 
-`greedy.violated_cuts` is the one separation query: a receiver's most
-violated cut, found in integers over one lattice walk.  Its witness,
-`helpers.ref_violated_cuts`, lists every violated cut in Fractions from
-point queries.  On raw, linear and tabular sources, some restricted to
-helpers, the query must return that list's largest-deficit,
-smallest-mask triple, None exactly when the list is empty, and a mask
-within every mask of the largest deficit.
+`greedy.violated_cuts` is the one separation query: for one rate vector,
+every receiver's most violated cut, found in integers over one lattice
+walk per receiver.  Its witness, `helpers.ref_violated_cuts`, lists one
+receiver's violated cuts in Fractions from point queries.  On raw, linear
+and tabular sources, some restricted to helpers, the query must hold, in
+user order, an entry exactly for each user whose list is nonempty: that
+list's largest-deficit, smallest-mask triple, a mask within every mask
+of the largest deficit.
 
 `oracle.exact_simplex` computes in integers scaled by a common
 denominator.  The Fraction version it replaced is kept below as a
@@ -489,19 +490,20 @@ def _rates(rng, instance):
 # violated_cuts
 # ---------------------------------------------------------------------------
 
-def _check_most_violated_cut(rates, inst, target):
-    """The query against the witness list: None exactly when the list is
-    empty, else its largest-deficit, smallest-mask triple, in Fractions,
-    whose mask lies within every mask of the largest deficit."""
-    got = violated_cuts(rates, inst, target)
-    cuts = ref_violated_cuts(rates, inst, target)
-    assert got == ref_most_violated_cut(rates, inst, target)
-    assert (got is None) == (not cuts)
-    if got is not None:
-        assert [type(v) for v in got[1:]] == [Fraction, Fraction]
-        worst = got[1] - got[2]
-        assert all(got[0] & ~cut == 0 for cut, need, have in cuts
-                   if need - have == worst)
+def _check_most_violated_cut(rates, inst):
+    """The one query against each user's witness list: an entry, in user
+    order, exactly for the users whose list is nonempty, holding its
+    largest-deficit, smallest-mask triple, in Fractions, whose mask lies
+    within every mask of the largest deficit."""
+    got = violated_cuts(rates, inst)
+    want = {l: ref_most_violated_cut(rates, inst, l) for l in inst.user_list}
+    assert got == {l: v for l, v in want.items() if v is not None}
+    assert list(got) == sorted(got)
+    for l, (mask, need, have) in got.items():
+        assert [type(need), type(have)] == [Fraction, Fraction]
+        assert all(mask & ~cut == 0
+                   for cut, n, h in ref_violated_cuts(rates, inst, l)
+                   if n - h == need - have)
 
 
 @given(st.integers(0, 10 ** 9))
@@ -511,9 +513,7 @@ def test_violated_cuts_match_the_fraction_reference(seed):
     some restricted to helpers; rates with large denominators."""
     rng = random.Random(seed)
     inst = _instance(rng)
-    rates = _rates(rng, inst)
-    for target in range(inst.m):
-        _check_most_violated_cut(rates, inst, target)
+    _check_most_violated_cut(_rates(rng, inst), inst)
 
 
 @given(st.integers(0, 10 ** 9))
@@ -525,9 +525,8 @@ def test_violated_cuts_break_ties_to_the_smallest_cut(seed):
     inst = _instance(rng)
     rates = [rng.randint(0, 1) if i in inst.transmitters else 0
              for i in range(inst.m)]
-    for target in range(inst.m):
-        _check_most_violated_cut(rates, inst, target)
-        _check_most_violated_cut([0] * inst.m, inst, target)
+    _check_most_violated_cut(rates, inst)
+    _check_most_violated_cut([0] * inst.m, inst)
 
 
 def test_violated_cuts_on_tabular_sources_with_a_denominator():
@@ -541,23 +540,21 @@ def test_violated_cuts_on_tabular_sources_with_a_denominator():
         if inst.model.entropy_denominator == 1:
             continue
         seen += 1
-        rates = _rates(rng, inst)
-        for target in inst.user_list:
-            _check_most_violated_cut(rates, inst, target)
+        _check_most_violated_cut(_rates(rng, inst), inst)
 
 
 def test_violated_cuts_reject_the_same_rates():
     model = raw_source([[0], [0, 1], [1], [0, 1]], 2)
     inst = Instance(model, [0, 2])
     restricted = Instance(model, [0, 2], transmitters=[1, 3])
-    cases = [(inst, [-1, 0, 0, 0], 0), (inst, [Fraction(-1, 10 ** 12), 0, 0, 0], 0),
-             (inst, [0, 0, 0], 0), (inst, [0] * 5, 0), (inst, [0] * 4, 4),
-             (restricted, [1, 1, 0, 0], 2)]
-    for instance, rates, target in cases:
-        got = _outcome(violated_cuts, rates, instance, target)
-        assert got == _outcome(ref_violated_cuts, rates, instance, target)
+    cases = [(inst, [-1, 0, 0, 0]), (inst, [Fraction(-1, 10 ** 12), 0, 0, 0]),
+             (inst, [0, 0, 0]), (inst, [0] * 5), (restricted, [1, 1, 0, 0])]
+    for instance, rates in cases:
+        got = _outcome(violated_cuts, rates, instance)
+        for l in instance.user_list:
+            assert got == _outcome(ref_violated_cuts, rates, instance, l)
         assert got[0] is ValueError
-    assert _outcome(violated_cuts, [1, 1, 0, 0], restricted, 2) == (
+    assert _outcome(violated_cuts, [1, 1, 0, 0], restricted) == (
         ValueError, "terminal 0 does not transmit but has rate 1")
 
 

@@ -505,6 +505,17 @@ def test_duality_gap_reproduces_the_gap(example2):
         duality_gap(sol._replace(rates=(F0,) * example2.m))
 
 
+def test_solve_refuses_a_certificate_that_does_not_reproduce_the_gap(
+        monkeypatch, example2):
+    """`solve` re-derives its gap from the certificate before returning;
+    a re-derivation that disagrees is refused, as the oracle refuses a
+    wrong simplex answer."""
+    monkeypatch.setattr(dual_module, "duality_gap", lambda sol: sol.gap + 1)
+    with pytest.raises(ArithmeticError,
+                       match="^the certificate does not reproduce the gap$"):
+        solve(example2, max_iterations=5)
+
+
 @pytest.mark.parametrize("make, config", [
     (example2_instance, dict(max_iterations=25,
                              gap_tolerance=Fraction(1, 10 ** 9))),

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from datex import greedy
 from datex.greedy import violated_cuts
 from datex.instance import Instance, InfeasibleInstanceError
 from datex.oracle import build_lp, solve_exact
@@ -135,18 +136,19 @@ def test_greedy_on_tabular_model(example1):
 def test_violated_cuts_reports_worst_offenders(example1):
     # zero rates cannot satisfy the region; the full complement cut needs
     # the two missing packets, and every smaller cut needs less
-    assert violated_cuts([0] * 6, example1, 0) == (0b111110, 2, 0)
+    assert violated_cuts([0] * 6, example1)[0] == (0b111110, 2, 0)
     assert [cut for cut, need, _ in ref_violated_cuts([0] * 6, example1, 0)
             if need == 2] == [0b111110]
     # with a unit rate on terminal 3 the largest deficit is 1, and its
     # smallest cut is {1, 2, 5}: {0, 3, 4} spans only packets 0 and 1
-    assert violated_cuts([0, 0, 0, 1, 0, 0], example1, 0) == (0b100110, 1, 0)
+    assert violated_cuts([0, 0, 0, 1, 0, 0], example1)[0] == (
+        0b100110, 1, 0)
 
 
 def test_violated_cuts_respects_transmitter_restriction():
     model = example_model(3)
     inst = Instance(model, [0], transmitters=[1, 2, 3])
-    mask, _, _ = violated_cuts([0] * 6, inst, 0)
+    mask, _, _ = violated_cuts([0] * 6, inst)[0]
     assert set(mask_to_set(mask)) == {1, 2, 3}
     for mask, _, _ in ref_violated_cuts([0] * 6, inst, 0):
         assert set(mask_to_set(mask)) <= {1, 2, 3}
@@ -155,17 +157,32 @@ def test_violated_cuts_respects_transmitter_restriction():
 def test_violated_cuts_rejects_rates_off_the_domain(example1):
     # a negative rate must not pay for another terminal's deficit
     with pytest.raises(ValueError, match="negative"):
-        violated_cuts([-5, 0, 1, 1, 0, 0], example1, 0)
+        violated_cuts([-5, 0, 1, 1, 0, 0], example1)
     inst = Instance(example_model(3), [0], transmitters=[1, 2, 3])
-    assert violated_cuts([0, 1, 1, 0, 0, 0], inst, 0) is None
+    assert violated_cuts([0, 1, 1, 0, 0, 0], inst).get(0) is None
     with pytest.raises(ValueError, match="terminal 4 does not transmit"):
-        violated_cuts([0, 1, 1, 0, 1, 0], inst, 0)
+        violated_cuts([0, 1, 1, 0, 1, 0], inst)
+
+
+def test_one_query_checks_the_rates_once(example2, monkeypatch):
+    """Every receiver of a three-receiver instance from one query, which
+    checks and scales the rate vector once, not once per receiver."""
+    calls = []
+    check = greedy.check_rate_domain
+    monkeypatch.setattr(greedy, "check_rate_domain",
+                        lambda *a: calls.append(a) or check(*a))
+    assert example2.user_list == (0, 1, 2)
+    short = violated_cuts([0] * example2.m, example2)
+    assert list(short) == [0, 1, 2]
+    assert len(calls) == 1
+    assert violated_cuts([1] * example2.m, example2) == {}
+    assert len(calls) == 2
 
 
 def test_size_guards_raise_one_typed_error():
     big = raw_source([[i] for i in range(21)], 21)
     with pytest.raises(SizeLimitError):
-        violated_cuts([1] * 21, Instance(big, [0]), 0)
+        violated_cuts([1] * 21, Instance(big, [0]))
     with pytest.raises(SizeLimitError):
         tabulate(big)
 

@@ -142,7 +142,7 @@ def test_raw_source_rejects_bad_indices():
 
 
 def test_raw_source_builds_each_mask_in_linear_time():
-    # one bit per packet set in a byte buffer, then one conversion to int;
+    # one byte per packet set in a buffer, then one conversion to int;
     # a shift-and-OR per packet is quadratic in N
     start = time.perf_counter()
     model = raw_source([range(10 ** 6)], 10 ** 6)
@@ -152,6 +152,42 @@ def test_raw_source_builds_each_mask_in_linear_time():
     small = raw_source([[9, 0, 3, 3], [], [11]], 12)
     assert [small.packets(i) for i in range(3)] == [[0, 3, 9], [], [11]]
     assert small.row_counts == (3, 0, 1)
+
+
+def _ref_bits(ownership):
+    """Each terminal's mask the plain way: bit b is packet b, or, once the
+    largest index is at least the number of indices given, the b-th
+    packet some terminal holds."""
+    held = sorted({k for idx in ownership for k in idx})
+    bit = {k: k for k in held}
+    if held and held[-1] >= sum(map(len, ownership)):
+        bit = {k: b for b, k in enumerate(held)}
+    return tuple(sum(1 << bit[k] for k in set(idx)) for idx in ownership)
+
+
+_TERMINALS = dict(min_size=1, max_size=10)
+_OWNERSHIPS = st.one_of(
+    # dense: small indices, some repeated
+    st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(0, n - 1), max_size=2 * n),
+                 **_TERMINALS), st.just(n))),
+    # sparse: a few indices far apart
+    st.tuples(st.lists(st.lists(st.integers(0, 10 ** 9), max_size=4),
+                       **_TERMINALS), st.just(10 ** 9 + 1)),
+    # empty: no terminal holds a packet
+    st.tuples(st.lists(st.just([]), **_TERMINALS), st.integers(0, 5)),
+)
+
+
+@given(_OWNERSHIPS)
+@settings(max_examples=150, deadline=None)
+def test_raw_masks_match_a_plain_reference(case):
+    ownership, n = case
+    model = raw_source(ownership, n)
+    assert model._bits == _ref_bits(ownership)
+    assert model.row_counts == tuple(len(set(idx)) for idx in ownership)
+    assert [model.packets(i) for i in range(model.m)] == [
+        sorted(set(idx)) for idx in ownership]
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +453,18 @@ def test_the_cut_walk_memoizes_fresh_ranks(data):
 
     rates = [draw(st.fractions(0, 3, max_denominator=4))
              if t in inst.transmitters else Fraction(0) for t in range(m)]
+    # every terminal a receiver, so the query walks every lattice
+    everyone = Instance(model, range(m), transmitters=inst.transmitters)
+    expected = {}
     for target in range(m):
-        expected = []
+        cuts = []
         for cut, rhs in _reference_cuts(model, tmask, target):
             got = sum((rates[i] for i in mask_to_set(cut)), Fraction(0))
             if got < rhs:
-                expected.append((cut, Fraction(rhs), got))
-        assert violated_cuts(rates, inst, target) == max(
-            expected, key=lambda v: v[1] - v[2], default=None)
+                cuts.append((cut, Fraction(rhs), got))
+        if cuts:
+            expected[target] = max(cuts, key=lambda v: v[1] - v[2])
+    assert violated_cuts(rates, everyone) == expected
 
     assert model._walked == {(1 << t, tmask & ~(1 << t)) for t in range(m)}
     for mask, value in model._memo.items():
