@@ -3,7 +3,7 @@
 Subcommands: solve (iterative multi-receiver solver), oracle (exact LP),
 verify (check a rate vector against every receiver's cuts), codegen
 (build a concrete transmission scheme), simulate (run a scheme on random
-draws), graph (emit the multicast network as DOT text).
+draws).
 
 Instance files are JSON with a top-level format_version of 1 and exactly
 one source description: per-terminal observation matrices ("rows"),
@@ -17,9 +17,9 @@ and codegen and verify's violations have none.
 Exit codes: 0 success, 1 infeasible / failed verification / not
 converged, 2 malformed input, usage error, an output that cannot be
 written, input beyond a size guard, an entropy table that is not
-grounded, monotone and submodular, an entropy-table instance (codegen,
-graph), or an instance whose observations do not span every packet
-(codegen).  Every exit 2 prints one "error: ..." line on stderr.
+grounded, monotone and submodular, or, for codegen, an entropy-table
+instance or one whose observations do not span every packet.  Every
+exit 2 prints one "error: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from .greedy import check_rate_domain, violated_cuts
 from .instance import Instance, InfeasibleInstanceError
 from .netcode import (DesignFailureError, IncompleteSourceError,
                       InfeasibleRatesError, TransmissionScheme,
-                      assemble_scheme, build_multicast_graph,
-                      design_transmissions, graph_to_dot, rationalize,
+                      assemble_scheme, design_transmissions, rationalize,
                       simulate_exchange, verify_decodability)
 from .oracle import build_lp, solve_exact
 from .source import (LinearSource, RawSource, SizeLimitError, TabularSource,
@@ -133,7 +132,7 @@ def _exact(**values) -> Dict[str, Any]:
 
 
 def _parse_rates_flag(text: str, instance: Instance) -> List[Fraction]:
-    """--rates for verify, codegen and graph: m rationals on the rate
+    """--rates for verify and codegen: m rationals on the rate
     region's domain (none negative, none nonzero off the transmitters)."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != instance.m:
@@ -494,22 +493,15 @@ def _cmd_verify(args) -> int:
     return 0 if not violations else 1
 
 
-def _scheme_chunks(args, instance: Instance) -> tuple:
-    """Chunk count L and chunk rates for codegen/graph: --rates if given,
-    else the exact oracle's, rationalized.  Both commands need observation
-    matrices, which an entropy table lacks."""
-    if isinstance(instance.model, TabularSource):
-        raise CLIError(f"{args.command} needs observation matrices (a 'rows' "
-                       f"or 'packets' instance), not an entropy table")
-    rates = (_parse_rates_flag(args.rates, instance) if args.rates
-             else solve_exact(build_lp(instance)).rates)
-    return rationalize(rates, instance, args.max_denominator)
-
-
 def _cmd_codegen(args) -> int:
     _require_positive(args.max_denominator, "--max-denominator")
     instance = parse_instance(args.instance)
-    L, chunks = _scheme_chunks(args, instance)
+    if isinstance(instance.model, TabularSource):
+        raise CLIError("codegen needs observation matrices (a 'rows' or "
+                       "'packets' instance), not an entropy table")
+    rates = (_parse_rates_flag(args.rates, instance) if args.rates
+             else solve_exact(build_lp(instance)).rates)
+    L, chunks = rationalize(rates, instance, args.max_denominator)
     scheme = design_transmissions(instance, chunks, L)
     if not verify_decodability(scheme).ok:
         raise RuntimeError("the designed scheme failed its decodability re-check")
@@ -544,15 +536,6 @@ def _cmd_simulate(args) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_graph(args) -> int:
-    _require_positive(args.max_denominator, "--max-denominator")
-    instance = parse_instance(args.instance)
-    L, chunks = _scheme_chunks(args, instance)
-    graph = build_multicast_graph(instance, chunks, L)
-    _write_out(graph_to_dot(graph) + "\n", args.output)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -581,10 +564,6 @@ _COMMANDS = {
     "simulate": (_cmd_simulate, "scheme", "run a scheme file on random draws", (
         _OUTPUT,
         ("--seeds", int, 100, "number of consecutive seeds to run"))),
-    "graph": (_cmd_graph, "instance", "emit the multicast network as DOT", (
-        _OUTPUT,
-        ("--rates", str, None, "rates to draw (default: the oracle's)"),
-        ("--max-denominator", int, 64, "largest chunk count L"))),
 }
 
 

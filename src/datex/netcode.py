@@ -24,13 +24,6 @@ blocks, built once by `design_transmissions` (shared by all attempts) or by
 `assemble_scheme` (from given parts), and the coded rows, built on first
 use.  Both functions first check the source kind, L, the chunk rates and
 the scheme's size, from the model's row counts alone.
-
-The multicast graph view (super-source, per-terminal sender/relay nodes,
-per-receiver sinks) is exported for DOT rendering.  With feasible chunk
-rates its min-cut to every receiver is at least N * L, the chunked packet
-count; that is necessary, not sufficient, since a packet held by several
-terminals enters once per owner.  The cut check run before the graph is
-the proof.
 """
 
 from __future__ import annotations
@@ -50,7 +43,6 @@ from .source import (LinearSource, RawSource, SizeLimitError, TabularSource,
 
 __all__ = [
     "TransmissionScheme",
-    "MulticastGraph",
     "DecodabilityReport",
     "SimulationResult",
     "InfeasibleRatesError",
@@ -61,8 +53,6 @@ __all__ = [
     "design_transmissions",
     "verify_decodability",
     "simulate_exchange",
-    "build_multicast_graph",
-    "graph_to_dot",
     "assemble_scheme",
 ]
 
@@ -256,19 +246,14 @@ def rationalize(rates: Sequence, instance: Instance,
     return L, tuple(chunks)
 
 
-def _linear_model(instance: Instance) -> LinearSource | RawSource:
-    """The instance's source model, which must carry observation matrices."""
-    model = instance.model
-    if isinstance(model, TabularSource):
-        raise TypeError("transmission schemes need a linear (or raw) source model")
-    return model
-
-
 def _scheme_prologue(instance: Instance, chunk_rates: Sequence, L: int
                      ) -> Tuple[LinearSource | RawSource, Tuple[int, ...]]:
     """The model and checked chunk rates of a scheme about to be built, once
-    L >= 1 and its field entries are within _MAX_SCHEME_ENTRIES."""
-    model = _linear_model(instance)
+    the model carries observation matrices, L >= 1 and its field entries
+    are within _MAX_SCHEME_ENTRIES."""
+    model = instance.model
+    if isinstance(model, TabularSource):
+        raise TypeError("transmission schemes need a linear (or raw) source model")
     if L < 1:
         raise ValueError("L must be >= 1")
     chunk_rates = _check_chunk_rates(instance, chunk_rates)
@@ -450,58 +435,3 @@ def simulate_exchange(scheme: TransmissionScheme,
                 every[k] &= hit
         all_decoded += sum(every)
     return SimulationResult(runs, decoded, all_decoded)
-
-
-# ---------------------------------------------------------------------------
-# Multicast graph view
-# ---------------------------------------------------------------------------
-
-class MulticastGraph(NamedTuple):
-    """Super-source S owns all chunked packets; sender s_i carries terminal
-    i's side information (capacity = observed symbols); relay t_i carries
-    its broadcast (capacity = chunk rate) to every other receiver; each
-    receiver also taps its own sender directly.  A min-cut of N * L to each
-    receiver is necessary for feasible chunk rates, not sufficient; the cut
-    check run before the graph is the proof."""
-
-    nodes: Tuple[str, ...]
-    edges: Tuple[Tuple[str, str, int], ...]
-    source: str
-    receivers: Tuple[str, ...]
-
-
-def build_multicast_graph(instance: Instance, chunk_rates: Sequence[int],
-                          L: int) -> MulticastGraph:
-    model = _linear_model(instance)
-    chunk_rates = _check_chunk_rates(instance, chunk_rates)
-    m = instance.m
-    users = instance.user_list
-    nodes = ["S"]
-    nodes += [f"s{i}" for i in range(m)]
-    nodes += [f"t{i}" for i in range(m)]
-    nodes += [f"r{j}" for j in users]
-    edges: List[Tuple[str, str, int]] = []
-    for i in range(m):
-        own = model.row_counts[i] * L
-        edges.append(("S", f"s{i}", own))
-        if i in instance.users:
-            edges.append((f"s{i}", f"r{i}", own))
-        edges.append((f"s{i}", f"t{i}", chunk_rates[i]))
-        for j in users:
-            if j != i:
-                edges.append((f"t{i}", f"r{j}", chunk_rates[i]))
-    return MulticastGraph(tuple(nodes), tuple(edges), "S",
-                          tuple(f"r{j}" for j in users))
-
-
-def graph_to_dot(graph: MulticastGraph) -> str:
-    """Graphviz DOT text with capacities as edge labels."""
-    out = ["digraph exchange {", "  rankdir=LR;"]
-    for node in graph.nodes:
-        shape = "doublecircle" if node == graph.source else (
-            "box" if node in graph.receivers else "circle")
-        out.append(f'  {node} [shape={shape}];')
-    for u, v, cap in graph.edges:
-        out.append(f'  {u} -> {v} [label="{cap}"];')
-    out.append("}")
-    return "\n".join(out)

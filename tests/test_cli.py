@@ -445,39 +445,9 @@ def test_simulate_rejects_bad_scheme_files(tmp_path, capsys):
     assert main(["simulate", str(scheme_path), "--seeds", "0"]) == 2
 
 
-def test_graph_command(tmp_path, capsys):
-    assert main(["graph", EX3, "--rates", "0,1,1"]) == 0
-    dot = capsys.readouterr().out
-    assert dot.startswith("digraph")
-    assert 'S -> s1 [label="3"];' in dot  # three owned packets, one chunk
-    out = tmp_path / "g.dot"
-    assert main(["graph", EX2, "-o", str(out)]) == 0  # oracle rates, L=4
-    text = out.read_text()
-    assert 'S -> s0 [label="4"];' in text
-    assert 't3 -> r0 [label="2"];' in text
-
-
-def _cap_memory(limit=1 << 30):
+def _cap_memory(limit):
     import resource
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-
-def test_graph_reads_no_one_hot_matrix(tmp_path):
-    # the graph needs each terminal's row count, not its N-wide one-hot
-    # matrix, so a billion packets cost no more than a few; the run is
-    # capped at 1 GiB of address space, where building the one-hot
-    # matrices fails instead of exhausting the host
-    path = tmp_path / "wide.json"
-    path.write_text(json.dumps({
-        "format_version": 1, "field": 2, "packet_count": 10 ** 9,
-        "terminals": [{"packets": [0]}, {"packets": [1]},
-                      {"packets": [0, 1]}],
-        "users": [0, 1]}))
-    proc = subprocess.run([sys.executable, "-m", "datex.cli", "graph",
-                           str(path)], capture_output=True, text=True,
-                          preexec_fn=_cap_memory)
-    assert proc.returncode == 0, proc.stderr
-    assert 'S -> s2 [label="2"];' in proc.stdout
 
 
 def test_wide_rows_instance_costs_its_rank_not_its_width(tmp_path):
@@ -493,11 +463,6 @@ def test_wide_rows_instance_costs_its_rank_not_its_width(tmp_path):
                           preexec_fn=functools.partial(_cap_memory, 1 << 29))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["value"] == "0"
-
-
-def test_graph_failure_exit_code(capsys):
-    assert main(["graph", EX2, "--rates", "1/3,0,0,0,0,1/64"]) == 1
-    assert "graph failed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +516,7 @@ def _one_packet_each(tmp_path, m):
     ("verify", ["--rates", ",".join(["1"] * 21)]),
     ("codegen", []),
     ("codegen", ["--rates", ",".join(["1"] * 21)]),
-    ("graph", ["--rates", ",".join(["1"] * 21)]),
-    ("graph", []),
-], ids=["oracle", "verify", "codegen", "codegen-rates", "graph-rates",
-        "graph"])
+], ids=["oracle", "verify", "codegen", "codegen-rates"])
 def test_size_guards_exit_two(tmp_path, capsys, command, extra):
     path = _one_packet_each(tmp_path, 21)
     assert main([command, str(path), *extra]) == 2
@@ -588,7 +550,6 @@ FIELD_1031_DOC = {"format_version": 1, "field": 1031, "packet_count": 2,
     (["codegen", EX3, "--seed", "0"], "unrecognized arguments: --seed"),
     (["simulate", str(GOLDEN / "example3.codegen.out"), "--seed", "1"],
      "unrecognized arguments: --seed"),
-    (["graph", EX1, "--max-denominator", "0"], "--max-denominator must be >= 1"),
     (["codegen", "FIELD_1031", "--rates", "130/129,1",
       "--max-denominator", "129"],
      "field size 1062961 exceeds the supported bound 1048576"),
@@ -599,9 +560,9 @@ FIELD_1031_DOC = {"format_version": 1, "field": 1031, "packet_count": 2,
     (["oracle", "missing.json", "--field-char", "4"],
      "unrecognized arguments: --field-char"),
 ], ids=["codegen-max-denominator", "codegen-ext-degree", "codegen-attempts",
-        "codegen-seed", "simulate-seed", "graph-max-denominator",
-        "codegen-field-size", "simulate-seeds", "solve-max-iters",
-        "solve-gap-tol", "oracle-field-char"])
+        "codegen-seed", "simulate-seed", "codegen-field-size",
+        "simulate-seeds", "solve-max-iters", "solve-gap-tol",
+        "oracle-field-char"])
 def test_codegen_usage_and_size_errors_exit_two(tmp_path, capsys, argv,
                                                 message):
     path = tmp_path / "field1031.json"
@@ -620,15 +581,12 @@ HELPER_DOC = {"format_version": 1, "packet_count": 3,
 @pytest.mark.parametrize("argv, line", [
     (["codegen", "HELPER", "--rates", "1/61,1/44,0,3"],
      "codegen failed: chunk count 2684 exceeds max_denominator=64"),
-    (["graph", "HELPER", "--rates", "1/61,1/44,0,3"],
-     "graph failed: chunk count 2684 exceeds max_denominator=64"),
-    (["graph", "HELPER", "--rates", "1/3,1/5,1/7,0"],
-     "graph failed: receiver 0: cut {1, 2, 3} is short by 58/35, more "
+    (["codegen", "HELPER", "--rates", "1/3,1/5,1/7,0"],
+     "codegen failed: receiver 0: cut {1, 2, 3} is short by 58/35, more "
      "than snapping to the 1/64 grid can explain"),
     (["codegen", EX3, "--rates", "0,1,1"],
      "codegen failed: no decodable scheme in 1 attempts over GF(2)"),
-], ids=["codegen-chunk-count", "graph-chunk-count", "graph-infeasible",
-        "codegen-design"])
+], ids=["codegen-chunk-count", "codegen-infeasible", "codegen-design"])
 def test_scheme_failures_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
                                                 argv, line):
     # one design attempt over the bare source field GF(2), whose first draw
@@ -696,7 +654,7 @@ def test_verify_rejects_rates_outside_the_domain(tmp_path, capsys):
     assert "terminal 0 does not transmit" in _one_line_error(capsys)
 
 
-@pytest.mark.parametrize("command", ["codegen", "graph"])
+@pytest.mark.parametrize("command", ["codegen"])
 def test_scheme_commands_reject_rates_outside_the_domain(tmp_path, capsys,
                                                          command):
     """The same domain check, and exit code, as verify."""
@@ -716,7 +674,7 @@ TABLE_DOC = {"format_version": 1, "terminal_count": 3,
              "entropy_table": [0, 1, 1, 2, 1, 2, 2, 2], "users": [0, 1, 2]}
 
 
-@pytest.mark.parametrize("command", ["codegen", "graph"])
+@pytest.mark.parametrize("command", ["codegen"])
 def test_scheme_commands_reject_entropy_tables(tmp_path, capsys, command):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(TABLE_DOC))
@@ -916,8 +874,7 @@ def test_usage_errors_are_one_line(capsys, argv, message):
     assert message in _one_line_error(capsys)
 
 
-@pytest.mark.parametrize("command", ["solve", "oracle", "verify", "codegen",
-                                     "graph"])
+@pytest.mark.parametrize("command", ["solve", "oracle", "verify", "codegen"])
 def test_the_field_comes_only_from_the_document(capsys, command):
     assert main([command, EX2, "--field-char", "3"]) == 2
     assert capsys.readouterr() == \
@@ -930,7 +887,6 @@ def test_the_field_comes_only_from_the_document(capsys, command):
     ("verify", ["--rates"]),
     ("codegen", ["--rates", "--max-denominator"]),
     ("simulate", ["--seeds"]),
-    ("graph", ["--rates", "--max-denominator"]),
 ])
 def test_command_help_lists_every_flag(capsys, command, flags):
     assert main([command, "--help"]) == 0
@@ -939,6 +895,18 @@ def test_command_help_lists_every_flag(capsys, command, flags):
     listed = [line.split("  ")[1] for line in out.splitlines()
               if line.startswith("  -")]
     assert listed == ["-h, --help", "-o, --output", *flags], out
+
+
+def test_the_commands_are_the_five_pipeline_stages(capsys):
+    assert main(["graph", EX3]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: argument command: invalid choice: 'graph' (choose from "
+        "'solve', 'oracle', 'verify', 'codegen', 'simulate')\n"))
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    listed = [line.split()[0]
+              for line in out.split("commands:\n", 1)[1].splitlines()]
+    assert listed == ["solve", "oracle", "verify", "codegen", "simulate"]
 
 
 @pytest.mark.parametrize("doc", [
@@ -1163,9 +1131,7 @@ def test_the_exponent_check_reads_what_fraction_reads(mantissa, e, exponent):
     ["verify", EX3, "--rates", "0,1,1", "-o"],
     ["codegen", EX3, "-o"],
     ["simulate", "scheme.json", "--seeds", "1", "-o"],
-    ["graph", EX3, "-o"],
-], ids=["solve", "solve-trace", "oracle", "verify", "codegen", "simulate",
-        "graph"])
+], ids=["solve", "solve-trace", "oracle", "verify", "codegen", "simulate"])
 @pytest.mark.parametrize("target", ["missing/out.json", "."],
                          ids=["missing-directory", "a-directory"])
 def test_unwritable_output_paths_exit_two(tmp_path, capsys, argv, target):
@@ -1489,7 +1455,6 @@ _COMMAND_FLAGS = {
     "verify": ["--rates"],
     "codegen": ["--rates", "--max-denominator"],
     "simulate": ["--seeds"],
-    "graph": ["--rates", "--max-denominator"],
 }
 _RATE = st.sampled_from(["0", "1", "1/2", "2/3", "-1", "2", "x", "nan",
                          "1e9", "3/0", ""])
@@ -1505,7 +1470,7 @@ def test_cli_contract_under_fuzzing(data):
     doc = json.loads(draw(st.sampled_from(_base_documents())))
     for _ in range(draw(st.integers(0, 2))):
         _mutate(draw, doc)
-    # a scheme file is simulate's input; instance documents go to all six
+    # a scheme file is simulate's input; instance documents go to all five
     command = "simulate" if "scheme" in doc else draw(
         st.sampled_from(sorted(_COMMAND_FLAGS)))
     flags = []

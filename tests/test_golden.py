@@ -8,18 +8,20 @@ every iterate, and so both files, unchanged.
 
 The pipeline commands -- `oracle` (simplex pivots included), `verify` on
 feasible and on violating rates (each short receiver's most violated cut,
-in receiver order), `codegen`, `graph` and `simulate` of the pinned
-scheme -- must print the same stdout with the same exit code on the three
-shipped examples and on seeded ladder draws (bench/ladder.py
-`draw(1, kind, m, 0)`): raw m=8, linear m=8, and raw m=13, whose verify
-and graph use the benchmark's feasible and violating vectors, and whose
-verify also runs on all-zero rates (every receiver short).  `oracle` runs
-on raw m=16 too, the cut loop past m = 13, and `solve` with its defaults
-on example 1, one receiver through the general loop (gap 0 at iteration
-1).  The other feasible rates came from the earlier oracle, which
-wrote out the whole cut LP; the cut loop may return another optimal
-vertex, so they stay fixed.  Violating rates are three quarters of the
-feasible ones."""
+in receiver order), `codegen` and `simulate` of the pinned scheme -- must
+print the same stdout with the same exit code on the three shipped
+examples and on seeded ladder draws (bench/ladder.py `draw(1, kind, m,
+0)`): raw m=8, linear m=8, and raw m=13, which has no `codegen` and
+whose verify uses the benchmark's feasible and violating vectors, and
+also runs on all-zero rates (every receiver short).  `oracle` runs on raw
+m=16 too, the cut loop past m = 13, and `solve` with its defaults on
+example 1, one receiver through the general loop (gap 0 at iteration 1).
+The other feasible rates came from the earlier oracle, which wrote out
+the whole cut LP; the cut loop may return another optimal vertex, so
+they stay fixed.  Violating rates are three quarters of the feasible
+ones.  `codegen` also realizes the feasible rates of example 1 and
+linear m=8 through `--rates`, each at L = 1 where the oracle's vertex
+gives another scheme."""
 
 from pathlib import Path
 
@@ -70,14 +72,16 @@ for _stem, (_feasible, _violating) in _ORACLE_CASES.items():
         (_stem, "verify-feasible", ["--rates", _feasible], 0),
         (_stem, "verify-violating", ["--rates", _violating], 1),
         (_stem, "codegen", [], 0),
-        (_stem, "graph", [], 0),
     ]
 PIPELINE += [
     ("raw_m13", "oracle", [], 0),
     ("raw_m13", "verify-feasible", ["--rates", _RAW_M13[0]], 0),
     ("raw_m13", "verify-violating", ["--rates", _RAW_M13[1]], 1),
     ("raw_m13", "verify-zero", ["--rates", ",".join("0" * 13)], 1),
-    ("raw_m13", "graph", ["--rates", _RAW_M13[0]], 0),
+    ("example1", "codegen-feasible",
+     ["--rates", _ORACLE_CASES["example1"][0]], 0),
+    ("linear_m8", "codegen-feasible",
+     ["--rates", _ORACLE_CASES["linear_m8"][0]], 0),
     ("raw_m16", "oracle", [], 0),
     ("example1", "solve", [], 0),
 ]

@@ -1,14 +1,12 @@
 """Tests for scheme construction: rate rationalization, extension-field
 sizing, randomized coding-matrix design, the exact decodability check and
-its agreement with end-to-end simulation, the multicast graph view, and
-scheme serialization."""
+its agreement with end-to-end simulation, and scheme serialization."""
 
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
-import networkx as nx
 import pytest
 
 from datex import netcode
@@ -19,9 +17,9 @@ from datex.greedy import violated_cuts
 from datex.instance import Instance
 from datex.netcode import (DesignFailureError, IncompleteSourceError,
                            InfeasibleRatesError, assemble_scheme,
-                           build_multicast_graph, design_transmissions,
-                           graph_to_dot, min_extension_degree, rationalize,
-                           simulate_exchange, verify_decodability)
+                           design_transmissions, min_extension_degree,
+                           rationalize, simulate_exchange,
+                           verify_decodability)
 from datex.oracle import build_lp, solve_exact
 from datex.source import LinearSource, SizeLimitError, raw_source
 from helpers import (example2_instance, example3_instance, matrix_key,
@@ -132,6 +130,21 @@ def test_rationalize_judges_the_rates_before_snapping(example3):
     with pytest.raises(ValueError, match=r"^terminal 0 does not transmit but "
                                          r"has rate 1/1000$"):
         rationalize([tiny, 1, 1], restricted)
+
+
+def test_codegen_refuses_rates_short_on_a_cut(tmp_path, capsys):
+    """Packets {0}, {0} and {0, 1}: with terminal 1 sending one chunk,
+    user 0 holds N * L = 2 symbols, its own packet 0 and terminal 1's copy
+    of it, yet packet 1, held only by terminal 2, never arrives.  The cut
+    check names cut {2}, and `codegen` exits 1 with one line."""
+    inst = Instance(raw_source([[0], [0], [0, 1]], 2), [0])
+    assert violated_cuts((0, 1, 0), inst)[0] == (0b100, 1, 0)
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(serialize_instance(inst)), encoding="utf-8")
+    assert main(["codegen", str(path), "--rates", "0,1,0"]) == 1
+    assert capsys.readouterr() == (
+        "", "codegen failed: receiver 0: cut {2} is short by 1, more than "
+        "snapping to the 1/64 grid can explain\n")
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +360,6 @@ def test_chunk_rates_are_checked_alike_everywhere(example1, chunks, error,
     # checks run in order: each entry's type, the count, then the domain
     inst = Instance(example1.model, [0], transmitters=[1, 2, 3, 4])
     for check in (lambda: design_transmissions(inst, chunks, 2),
-                  lambda: build_multicast_graph(inst, chunks, 2),
                   lambda: assemble_scheme(inst, 2, chunks, 1, (3, 2), {}, 0)):
         with pytest.raises(error, match=message):
             check()
@@ -376,8 +388,6 @@ def test_design_rejects_tabular_models(example2):
     message = r"^transmission schemes need a linear \(or raw\) source model$"
     with pytest.raises(TypeError, match=message):
         design_transmissions(inst, (1, 1, 1, 2, 2, 2), 4)
-    with pytest.raises(TypeError, match=message):
-        build_multicast_graph(inst, (1, 1, 1, 2, 2, 2), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -475,99 +485,6 @@ def test_designed_rates_feasible_on_chunked_model(example2):
 
 
 # ---------------------------------------------------------------------------
-# Multicast graph
-# ---------------------------------------------------------------------------
-
-def test_graph_three_user_example(example2):
-    g = build_multicast_graph(example2, (1, 1, 1, 2, 2, 2), 4)
-    assert g.source == "S"
-    assert g.receivers == ("r0", "r1", "r2")
-    caps = {(u, v): c for u, v, c in g.edges}
-    assert caps[("S", "s0")] == 4       # one observed row, four chunks
-    assert caps[("s0", "r0")] == 4      # users tap their own side info
-    assert caps[("s3", "t3")] == 2      # helper relays its broadcast
-    assert caps[("t3", "r0")] == 2
-    assert caps[("t0", "r1")] == 1
-    assert ("t0", "r0") not in caps     # no self-loop through the relay
-    assert ("s3", "r3") not in caps     # helpers have no receiver
-
-
-def _max_flows(g):
-    """networkx max-flow from the super-source to each receiver."""
-    G = nx.DiGraph()
-    for u, v, c in g.edges:
-        G.add_edge(u, v, capacity=c)
-    return {r: nx.maximum_flow_value(G, "S", r) for r in g.receivers}
-
-
-def test_graph_min_cut_carries_all_chunks(example2):
-    g = build_multicast_graph(example2, (1, 1, 1, 2, 2, 2), 4)
-    flows = _max_flows(g)
-    assert flows["r0"] == 12            # tight for the first receiver
-    assert all(f >= example2.model.N * 4 for f in flows.values())
-
-
-def test_graph_min_cut_is_necessary_not_sufficient(tmp_path, capsys):
-    """Packets {0}, {0} and {0, 1}: terminal 1 sending one chunk lets
-    r0's max-flow reach N * L = 2 through its own packet 0 and terminal
-    1's copy of it, yet packet 1, held only by terminal 2, never arrives.
-    The cut check names cut {2}, and `graph` exits 1 with one line."""
-    inst = Instance(raw_source([[0], [0], [0, 1]], 2), [0])
-    assert _max_flows(build_multicast_graph(inst, (0, 1, 0), 1)) == {"r0": 2}
-    assert violated_cuts((0, 1, 0), inst)[0] == (0b100, 1, 0)
-    path = tmp_path / "case.json"
-    path.write_text(json.dumps(serialize_instance(inst)), encoding="utf-8")
-    assert main(["graph", str(path), "--rates", "0,1,0"]) == 1
-    assert capsys.readouterr() == (
-        "", "graph failed: receiver 0: cut {2} is short by 1, more than "
-        "snapping to the 1/64 grid can explain\n")
-
-
-def test_graph_min_cut_on_random_instances():
-    rng = random.Random(515)
-    for _ in range(6):
-        inst = _random_complete_instance(rng)
-        opt = solve_exact(build_lp(inst))
-        L, chunks = rationalize(opt.rates, instance=inst)
-        g = build_multicast_graph(inst, chunks, L)
-        assert all(f >= inst.model.N * L
-                   for f in _max_flows(g).values())
-
-
-def test_graph_zero_rate_relay_edges(example3):
-    g = build_multicast_graph(example3, (0, 1, 1), 1)
-    caps = {(u, v): c for u, v, c in g.edges}
-    assert caps[("s0", "t0")] == 0
-    assert caps[("t0", "r1")] == 0
-    assert caps[("s2", "t2")] == 1
-
-
-def test_graph_single_user_shape():
-    model = raw_source([[0], [1]], 2)
-    inst = Instance(model, [0])
-    g = build_multicast_graph(inst, (0, 1), 1)
-    assert g.nodes == ("S", "s0", "s1", "t0", "t1", "r0")
-    assert g.receivers == ("r0",)
-
-
-def test_graph_validation(example2):
-    with pytest.raises(ValueError):
-        build_multicast_graph(example2, (1, 1), 4)
-
-
-def test_graph_to_dot(example3):
-    g = build_multicast_graph(example3, (0, 1, 1), 1)
-    dot = graph_to_dot(g)
-    assert dot.startswith("digraph")
-    assert 'S [shape=doublecircle];' in dot
-    assert 'r0 [shape=box];' in dot
-    assert 's2 [shape=circle];' in dot
-    assert 'S -> s0 [label="2"];' in dot    # two owned packets, one chunk
-    assert 't2 -> r0 [label="1"];' in dot
-    assert dot.endswith("}")
-
-
-# ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
@@ -609,8 +526,8 @@ def test_scheme_from_dict_validation(example3):
 
 def test_size_checks_read_row_counts_without_one_hot_matrices():
     """A raw source's one-hot observation matrices are N wide.  The
-    scheme-size guard and the multicast graph read each terminal's row
-    count instead, so a million packets cost them nothing."""
+    scheme-size guard reads each terminal's row count instead, so a
+    million packets cost it nothing."""
     small = raw_source([[0], [1], [0, 1]], 2)
     assert small.row_counts == tuple(A.nrows for A in small.matrices)
     inst = Instance(raw_source([[0], [1], [0, 1]], 10 ** 6), [0, 1])
@@ -619,8 +536,6 @@ def test_size_checks_read_row_counts_without_one_hot_matrices():
             "matrices": {"0": [[1, 0]], "1": [[0, 1]]}}
     with pytest.raises(SizeLimitError, match="scheme of 20000004 "):
         scheme_from_dict(data, inst)
-    g = build_multicast_graph(inst, (1, 1, 0), 2)
-    assert ("S", "s2", 4) in g.edges
     assert "matrices" not in inst.model.__dict__
 
 

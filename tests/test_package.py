@@ -290,7 +290,7 @@ def test_readme_cli_quick_start_runs(tmp_path, monkeypatch, capsys):
     commands = [shlex.split(line, comments=True) for line in block.splitlines()
                 if line.startswith("datex ")]
     assert [argv[1] for argv in commands] == [
-        "oracle", "verify", "solve", "codegen", "simulate", "graph"]
+        "oracle", "verify", "solve", "codegen", "simulate"]
     shutil.copytree(ROOT / "instances", tmp_path / "instances")
     monkeypatch.chdir(tmp_path)
     for argv in commands:
