@@ -16,8 +16,8 @@ problems: a few hundred rows/columns at most.  There is one Gaussian
 elimination, `EchelonBasis`, which grows a row-echelon basis row by row
 with sparse kept rows and inline mod-p row arithmetic on prime fields;
 `rank`, `solve_linear` (every column of a right-hand-side matrix at
-once), the source models' greedy chains and their cut-lattice walks all
-run on it.
+once), the source models' greedy chains and their cut walks all run
+on it.
 """
 
 from __future__ import annotations

@@ -16,26 +16,26 @@ gives the vertex of any visiting order; `dual.solve` asks it once per
 receiver and iteration, ordering the senders by that receiver's
 multipliers, which for a single receiver are the weights.
 
-`_iter_cuts` is the package's one enumeration of a receiver's cuts and
-their right-hand sides.  `violated_cuts` is the one separation query on
-it: for one rate vector, every receiver's most violated cut, keyed by
-the receivers whose cuts the rates miss.  `verify`, the exact oracle's
+`_iter_cuts` is the package's one walk over a receiver's cuts and their
+right-hand sides.  `violated_cuts` is the one separation query on it:
+for one rate vector, every receiver's most violated cut, keyed by the
+receivers whose cuts the rates miss.  `verify`, the exact oracle's
 cut loop, the design's feasibility check after a failed first draw and
-`rationalize`'s repair each ask it once per rate vector.  The scan is
-exhaustive and runs in integers: the rates are checked and scaled to one
-common denominator once and compared with the integer-scaled entropies,
-read from the source's lattice query (`SourceModel.lattice_scaled`).
+`rationalize`'s repair each ask it once per rate vector.  The check
+runs in integers: the rates are checked and scaled to one common
+denominator once and compared with the integer-scaled entropies, which
+the walk reads one terminal at a time (`SourceModel._cut_root` and
+`_cut_grow`).  It skips every cut that needs nothing, so each round
+visits at most 2^(|T|-1) cuts per receiver.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .instance import Instance
-from .source import (SizeLimitError, SourceModel, mask_to_set, scale_to_int,
-                     subset_table)
+from .source import SizeLimitError, SourceModel, mask_to_set, scale_to_int
 
 __all__ = [
     "check_rate_domain",
@@ -45,7 +45,7 @@ __all__ = [
 
 RateVector = Tuple[Fraction, ...]
 
-# Exhaustive cut enumeration is 2^|T|; keep it to desk scale.
+# A cut walk visits up to 2^|T| subsets; keep it to desk scale.
 _FEASIBILITY_GUARD_M = 20
 
 
@@ -64,31 +64,36 @@ def _greedy_rates_scaled(model: SourceModel, target: int,
 
 
 def _iter_cuts(instance: Instance, target: int, rates: Sequence[int]):
-    """All nonempty cuts S subseteq transmitters \\ {target}, ascending, as
-    (mask, need, got): need is the scaled H(X_S | X_(ctx \\ S)), with ctx
-    the receiver plus the transmitters, and got the sum of the integer
-    `rates` over S.  Masks and sums come from two half-size subset tables
-    (low senders inner; summing distinct powers of two gives the subset
-    masks themselves).  The entropies come from the model's lattice query
-    for the receiver plus any subset of its senders: a linear source
-    memoizes that whole lattice in one walk the first time, so every
-    later enumeration of the receiver's cuts reads only memo hits."""
+    """The cuts S subseteq transmitters \\ {target} that need something,
+    in walk order, as (mask, need, got): need is the scaled
+    H(X_S | X_(ctx \\ S)) > 0, with ctx the receiver plus the transmitters,
+    and got the sum of the integer `rates` over S.  One depth-first walk
+    over the complements U = ctx \\ {target} \\ S: each node adds one
+    sender after its parent's last, so each U is reached once, and
+    carries R(U) and the model's walk state.  A node that already holds
+    H(X_ctx) is not grown, since no cut below it needs anything."""
+    model = instance.model
     tmask = instance.transmitter_mask & ~(1 << target)
-    ctx = tmask | (1 << target)
     senders = mask_to_set(tmask)
-    half = len(senders) // 2
-    lo, hi = senders[:half], senders[half:]
-    add = operator.add
-    lo_cuts = list(zip(subset_table([1 << t for t in lo], add),
-                       subset_table([rates[t] for t in lo], add)))
-    js = instance.model.lattice_scaled(1 << target, tmask)
-    total = js(ctx)
-    for hi_cut, hi_got in zip(subset_table([1 << t for t in hi], add),
-                              subset_table([rates[t] for t in hi], add)):
-        for lo_cut, lo_got in lo_cuts:
-            cut = hi_cut | lo_cut
-            if cut:
-                yield cut, total - js(ctx ^ cut), hi_got + lo_got
+    total = model._joint_scaled(tmask | 1 << target)
+    rate_sum = sum(rates[t] for t in senders)
+    state, h = model._cut_root(1 << target)
+    if h == total:
+        return
+    yield tmask, total - h, rate_sum
+    grow = model._cut_grow
+    steps = ()   # (sender, its bit, its rate, the steps after it), ascending
+    for t in reversed(senders):
+        steps = ((t, 1 << t, rates[t], steps),) + steps
+    todo = [(state, tmask, rate_sum, steps)]   # (state, cut, its rates, steps)
+    while todo:
+        state, cut, got, rest = todo.pop()
+        for t, bit, r, after in rest:
+            child, h = grow(state, t)
+            if h < total:
+                yield cut ^ bit, total - h, got - r
+                if after:
+                    todo.append((child, cut ^ bit, got - r, after))
 
 
 def check_rate_domain(instance: Instance, rates: Sequence) -> List[Fraction]:
@@ -114,7 +119,7 @@ def violated_cuts(rates: Sequence, instance: Instance
     which is the unique inclusion-minimal one (the deficit is
     supermodular).  Exact: the rates are checked (check_rate_domain) and
     scaled to one common denominator once, and every cut is compared in
-    integers.  Exhaustive over subsets of the transmitters."""
+    integers.  Every cut that needs something is checked."""
     if instance.m > _FEASIBILITY_GUARD_M:
         raise SizeLimitError(
             f"feasibility check limited to m <= {_FEASIBILITY_GUARD_M}")
@@ -122,10 +127,10 @@ def violated_cuts(rates: Sequence, instance: Instance
     den = instance.model.entropy_denominator
     out = {}
     for l in instance.user_list:
-        worst = 0
+        worst = best = 0
         for cut, need, got in _iter_cuts(instance, l, scaled):
             deficit = need * rden - got * den
-            if deficit > worst:   # masks ascend, so a tie keeps the smaller
-                worst = deficit
+            if deficit > worst or deficit == worst and cut < best:
+                worst, best = deficit, cut
                 out[l] = cut, Fraction(need, den), Fraction(got, rden)
     return out

@@ -13,7 +13,7 @@ non-transmitting terminals pinned to rate zero.
 `solve_exact` optimizes over those rows by separation, adding each user's
 most violated cut (`greedy.violated_cuts`, one query per round that
 answers every user, the query `verify` reports) until none is left; each
-round visits all 2^(|T|-1) cuts of every user, so the one size guard is
+round visits at most 2^(|T|-1) cuts of every user, so the one size guard is
 `violated_cuts`'s m <= 20.  The solver is a dense, fraction-free simplex
 (integer rows, exact rational results) with Bland's anti-cycling rule, run
 on the LP dual so the slack basis is immediately feasible; the primal

@@ -25,40 +25,36 @@ Besides point queries, every model answers two structured queries.
 * A chain query: `chain_scaled` returns the entropy increments along the
   nested subsets start, start + j1, start + j1 + j2, ... of one visiting
   order, which is all the greedy ever asks for.
-* A lattice query: `lattice_scaled(base, free)` returns a point query
-  trusted on the masks base | T for every T within `free`, which are the
-  subsets one receiver's cuts read (`greedy._iter_cuts`).
+* A walk: `_cut_root(mask)` is the state of a subset and its scaled
+  entropy, and `_cut_grow(state, t)` is the state and scaled entropy of
+  that subset plus terminal t.  `greedy._iter_cuts` walks each receiver's
+  cut complements with them, one terminal per step; each round of a
+  separation visits at most 2^(|T|-1) of them per receiver.
 
 A raw source keeps one int bitmask of owned packets per terminal, so a
-chain is one running OR and a `bit_count` per step, and a point query ORs
-precomputed unions of 8-terminal blocks; neither needs a memo, and the
-lattice query is that point query.  A linear source memoizes ranks.  A
-chain walks the memo while the prefixes are known and, from the first
-unknown prefix on, absorbs the remaining terminals' rows into one
+chain is one running OR and a `bit_count` per step, and so is a walk
+step: its state is the int of owned packets.  A linear source memoizes
+ranks.  A chain walks the memo while the prefixes are known and, from the
+first unknown prefix on, absorbs the remaining terminals' rows into one
 incremental echelon basis (`gf.EchelonBasis`), memoizing every prefix
 rank on the way -- one elimination per chain instead of one per prefix.
-The first lattice query for a (base, free) pair memoizes the whole
-lattice in one depth-first walk: each child copies its parent's basis
+A walk step reads the memo too; on a miss it copies its parent's basis
 (the pivot list and rank; kept rows are never mutated, so they are
 shared) and absorbs one terminal's rows, so every subset costs one
-terminal's rows instead of a stack of all of them.  Later queries are
-plain memo lookups.  Raw and linear chains, and the walk, stop at the
-first subset that holds H(X_M), since every superset holds it too.
-Tabular sources look each subset up in their table.
+terminal's rows instead of a stack of all of them.  Raw and linear
+chains stop at the first subset that holds H(X_M), since every superset
+holds it too.  Tabular sources look each subset up in their table.
 
-The module also holds two helpers every layer shares: `scale_to_int`,
-the integer view of a rational vector, and `subset_table`, a table over
-all subsets of a short list folded by a given operation.
+The module also holds `scale_to_int`, the integer view of a rational
+vector that every layer shares.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import cached_property
-from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
-                    Union)
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .gf import (EchelonBasis, Field, Matrix, SizeLimitError, make_field, rank,
                  stack)
@@ -73,7 +69,6 @@ __all__ = [
     "validate_table",
     "mask_to_set",
     "scale_to_int",
-    "subset_table",
 ]
 
 def mask_to_set(mask: int) -> Tuple[int, ...]:
@@ -94,19 +89,10 @@ def scale_to_int(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def subset_table(values: Sequence[int],
-                 op: Callable[[int, int], int]) -> List[int]:
-    """table[s] = values[i] folded by `op` over the set bits i of s, and
-    table[0] = 0: each entry extends the entry without its lowest bit."""
-    table = [0] * (1 << len(values))
-    for s in range(1, len(table)):
-        low = s & -s
-        table[s] = op(table[s ^ low], values[low.bit_length() - 1])
-    return table
-
-
 class SourceModel:
-    """Base entropy oracle.  Subclasses fill in _joint_scaled."""
+    """Base entropy oracle.  Subclasses fill in _joint_scaled and the walk:
+    _cut_root(mask) is the walk state of a subset and its scaled entropy,
+    and _cut_grow(state, t) the same for that subset plus terminal t."""
 
     m: int
 
@@ -135,12 +121,6 @@ class SourceModel:
             out[j] = cur - prev
             prev = cur
         return out
-
-    def lattice_scaled(self, base: int, free: int) -> Callable[[int], int]:
-        """A scaled point query trusted on the masks base | T, T a subset
-        of `free` (disjoint from base): the lattice of one receiver's cuts.
-        Here it is the model's own point query."""
-        return self._joint_scaled
 
     def joint_entropy_scaled(self, mask: int) -> int:
         if not 0 <= mask < 1 << self.m:
@@ -182,7 +162,6 @@ class LinearSource(SourceModel):
         # each terminal's observation row count; size checks read these
         self.row_counts = tuple(M.nrows for M in self.matrices)
         self._memo: Dict[int, int] = {0: 0}
-        self._walked: Set[Tuple[int, int]] = set()
         self._rows = tuple(M.rows() for M in self.matrices)
 
     def _joint_scaled(self, mask: int) -> int:
@@ -201,36 +180,26 @@ class LinearSource(SourceModel):
                 basis.absorb(row)
         return basis
 
-    def lattice_scaled(self, base: int, free: int) -> Callable[[int], int]:
-        """The first query of a lattice memoizes all of it in one
-        depth-first walk; every later one is a memo lookup."""
-        if (base, free) not in self._walked:
-            self._walk(base, free)
-            self._walked.add((base, free))
-        return self._memo.__getitem__
+    def _cut_root(self, mask: int):
+        """The state is [mask, echelon basis of mask or None]; the basis
+        is built when a child misses the memo."""
+        return [mask, None], self._joint_scaled(mask)
 
-    def _walk(self, base: int, free: int) -> None:
-        """Memoize the rank of base | T for every T within `free`.  A node
-        adds only senders after its last one, so each subset is reached
-        once; a child copies its parent's echelon basis and absorbs one
-        terminal's rows.  A node at the full rank H(X_M) fills its whole
-        subtree with that rank."""
-        memo, rows, full = self._memo, self._rows, self._full_rank
-        senders = mask_to_set(free)
-        todo = [(base, self._basis(base), 0)]   # (mask, basis, first sender it may add)
-        while todo:
-            mask, basis, x = todo.pop()
-            if basis.rank == full:
-                for sub in subset_table([1 << t for t in senders[x:]],
-                                        operator.or_):
-                    memo[mask | sub] = full
-                continue
-            memo[mask] = basis.rank
-            for y in range(x, len(senders)):
-                child = basis.copy()
-                for row in rows[senders[y]]:
-                    child.absorb(row)
-                todo.append((mask | 1 << senders[y], child, y + 1))
+    def _cut_grow(self, state, t: int):
+        """A memo hit, or a copy of the parent's basis (built once, if the
+        parent came from the memo) that absorbs t's rows."""
+        mask, basis = state
+        child = mask | 1 << t
+        hit = self._memo.get(child)
+        if hit is not None:
+            return [child, None], hit
+        if basis is None:
+            basis = state[1] = self._basis(mask)
+        basis = basis.copy()
+        for row in self._rows[t]:
+            basis.absorb(row)
+        self._memo[child] = basis.rank
+        return [child, basis], basis.rank
 
     def chain_scaled(self, start: int, order: Sequence[int]) -> List[int]:
         """Walk the memo while the prefixes are known; from the first
@@ -319,11 +288,6 @@ class RawSource(SourceModel):
         self.row_counts = tuple(b.bit_count() for b in bits)
         self._held = held
         self._bits = tuple(bits)
-        # the union of owned packets for every subset of each block of 8
-        # terminals, so a point query is one lookup per block; packet sets
-        # of different terminals overlap, so the fold is OR, not a sum
-        self._blocks = tuple(subset_table(bits[i:i + 8], operator.or_)
-                             for i in range(0, self.m, 8))
 
     def packets(self, i: int) -> List[int]:
         """Terminal i's packets, ascending."""
@@ -341,14 +305,26 @@ class RawSource(SourceModel):
             for i in range(self.m))
 
     def _owned(self, mask: int) -> int:
+        """The packets the terminals in `mask` own, one OR per terminal."""
+        bits = self._bits
         owned = 0
-        for table in self._blocks:
-            owned |= table[mask & 0xFF]
-            mask >>= 8
+        while mask:
+            low = mask & -mask
+            owned |= bits[low.bit_length() - 1]
+            mask ^= low
         return owned
 
     def _joint_scaled(self, mask: int) -> int:
         return self._owned(mask).bit_count()
+
+    def _cut_root(self, mask: int):
+        """The state is the int of owned packets."""
+        owned = self._owned(mask)
+        return owned, owned.bit_count()
+
+    def _cut_grow(self, owned: int, t: int):
+        owned |= self._bits[t]
+        return owned, owned.bit_count()
 
     def chain_scaled(self, start: int, order: Sequence[int]) -> List[int]:
         """One running OR of the owned packets; it stops once the prefix
@@ -434,3 +410,11 @@ class TabularSource(SourceModel):
 
     def _joint_scaled(self, mask: int) -> int:
         return self._scaled[mask]
+
+    def _cut_root(self, mask: int):
+        """The state is the mask."""
+        return mask, self._scaled[mask]
+
+    def _cut_grow(self, mask: int, t: int):
+        mask |= 1 << t
+        return mask, self._scaled[mask]

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import List
 
 from datex.gf import Matrix, SizeLimitError, make_field, solve_linear
-from datex.greedy import _iter_cuts, violated_cuts
+from datex.greedy import violated_cuts
 from datex.instance import Instance
 from datex.netcode import TransmissionScheme
 from datex.oracle import exact_simplex
@@ -143,16 +143,21 @@ def all_terminal_cut_rows(instance: Instance):
 
 
 def full_cut_lp(instance: Instance):
-    """The whole cut-set LP, every row written out: the union of the
-    receivers' cuts (`greedy._iter_cuts`), one (mask, rhs) row per mask in
-    ascending order with the largest right-hand side any user puts on it."""
-    zero = [0] * instance.m
+    """The whole cut-set LP, every row written out: every nonempty cut of
+    every user, its right-hand side from point queries (`joint_entropy`),
+    one (mask, rhs) row per mask in ascending order with the largest
+    right-hand side any user puts on it."""
+    js = instance.model.joint_entropy
     need = {}
     for l in instance.user_list:
-        for cut, rhs, _ in _iter_cuts(instance, l, zero):
-            need[cut] = max(need.get(cut, 0), rhs)
-    den = instance.model.entropy_denominator
-    return [(s, Fraction(need[s], den)) for s in sorted(need)]
+        tmask = instance.transmitter_mask & ~(1 << l)
+        ctx = tmask | 1 << l
+        total = js(ctx)
+        for cut in range(1, tmask + 1):
+            if not cut & ~tmask:
+                rhs = total - js(ctx ^ cut)
+                need[cut] = max(need.get(cut, rhs), rhs)
+    return sorted(need.items())
 
 
 def full_lp_optimum(instance: Instance) -> Fraction:

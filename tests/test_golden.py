@@ -14,8 +14,9 @@ examples and on seeded ladder draws (bench/ladder.py `draw(1, kind, m,
 0)`): raw m=8, linear m=8, and raw m=13, which has no `codegen` and
 whose verify uses the benchmark's feasible and violating vectors, and
 also runs on all-zero rates (every receiver short).  `oracle` runs on raw
-m=16 too, the cut loop past m = 13, and `solve` with its defaults on
-example 1, one receiver through the general loop (gap 0 at iteration 1).
+m=16 and m=20 too, the cut loop past m = 13 and at the size guard, and
+`solve` with its defaults on example 1, one receiver through the general
+loop (gap 0 at iteration 1).
 The other feasible rates came from the earlier oracle, which wrote out
 the whole cut LP; the cut loop may return another optimal vertex, so
 they stay fixed.  Violating rates are three quarters of the feasible
@@ -83,6 +84,7 @@ PIPELINE += [
     ("linear_m8", "codegen-feasible",
      ["--rates", _ORACLE_CASES["linear_m8"][0]], 0),
     ("raw_m16", "oracle", [], 0),
+    ("raw_m20", "oracle", [], 0),
     ("example1", "solve", [], 0),
 ]
 

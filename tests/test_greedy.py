@@ -1,17 +1,25 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from datex import greedy
-from datex.greedy import violated_cuts
+from datex.cli import instance_from_dict
+from datex.greedy import _iter_cuts, violated_cuts
 from datex.instance import Instance, InfeasibleInstanceError
 from datex.oracle import build_lp, solve_exact
-from datex.source import SizeLimitError, mask_to_set, raw_source
+from datex.source import (LinearSource, SizeLimitError, TabularSource,
+                          mask_to_set, raw_source)
 from helpers import (edmonds_allocate, example_model, example1_instance,
+                     example2_instance, example3_instance, ladder_draw,
                      meets_cuts, objective, random_linear_instance,
-                     ref_violated_cuts, relabel, tabulate, unlabel)
+                     ref_most_violated_cut, ref_violated_cuts, relabel,
+                     table_values, tabulate, unlabel)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # example 1 with the single-packet holders 3, 4 and 5 numbered right after
 # the receiver, so index order prefers them
@@ -185,6 +193,114 @@ def test_size_guards_raise_one_typed_error():
         violated_cuts([1] * 21, Instance(big, [0]))
     with pytest.raises(SizeLimitError):
         tabulate(big)
+
+
+# ---------------------------------------------------------------------------
+# The cut walk
+# ---------------------------------------------------------------------------
+
+def _needy_cuts(instance, target, rates):
+    """Every cut of `target` with a positive need, as (mask, need, got) in
+    scaled integers, from a point query per cut."""
+    js = instance.model.joint_entropy_scaled
+    senders = instance.transmitter_mask & ~(1 << target)
+    ctx = senders | 1 << target
+    total = js(ctx)
+    out = set()
+    for cut in range(1, senders + 1):
+        need = total - js(ctx ^ cut) if not cut & ~senders else 0
+        if need > 0:
+            out.add((cut, need, sum(rates[i] for i in mask_to_set(cut))))
+    return out
+
+
+def _zero_column_instance():
+    """Ladder linear m=8 s1 with a packet no terminal sees: joint rank 8
+    over 9 packets."""
+    doc = ladder_draw(1, "linear", 8)
+    doc["packet_count"] += 1
+    for terminal in doc["terminals"]:
+        terminal["rows"] = [row + [0] for row in terminal["rows"]]
+    return instance_from_dict(doc)
+
+
+def _cut_walk_cases():
+    example = table_values(example_model(3))
+    owners = table_values(raw_source([[0, 1], [1], [2], [0], [2, 3], [3]], 4))
+    # a sum of entropy functions is one, so thirds keep the table valid
+    thirds = TabularSource([a + b / 3 for a, b in zip(example, owners)])
+    with open(GOLDEN / "raw_m13.json", encoding="utf-8") as fh:
+        raw_m13 = instance_from_dict(json.load(fh))
+    cases = [("example1", example1_instance()),
+             ("example2", example2_instance()),
+             ("example3", example3_instance()),
+             ("raw_m13", raw_m13),
+             ("thirds", Instance(thirds, [0, 2], transmitters=[1, 2, 3, 5])),
+             ("rank_below_N", _zero_column_instance())]
+    return [pytest.param(name, inst, id=name) for name, inst in cases]
+
+
+@pytest.mark.parametrize("name, instance", _cut_walk_cases())
+def test_the_cut_walk_yields_exactly_the_cuts_that_need_something(
+        name, instance):
+    """For every terminal as the target, `_iter_cuts` yields each cut with a
+    positive need once, with its need and rate sum, and no other cut; a
+    second walk of a linear source, now on memo hits, yields the same."""
+    if name == "thirds":
+        assert instance.model.entropy_denominator == 3
+    if name == "rank_below_N":
+        model = instance.model
+        assert model.joint_entropy(model.full_mask) < model.N
+    rates = [(3 * i + 1) % 5 for i in range(instance.m)]
+    for target in range(instance.m):
+        expected = _needy_cuts(instance, target, rates)
+        for _ in range(2):
+            walked = list(_iter_cuts(instance, target, rates))
+            assert len(walked) == len(expected)
+            assert set(walked) == expected
+
+
+@st.composite
+def _raw_instances(draw):
+    """A raw instance whose users can decode: terminals own random packet
+    sets, some terminals may be barred from sending, and a transmitting hub
+    owns every packet."""
+    m = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 5))
+    owned = [draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+             for _ in range(m)]
+    hub = draw(st.integers(0, m - 1))
+    owned[hub] = list(range(n))
+    transmitters = set(draw(st.lists(st.integers(0, m - 1), unique=True)))
+    transmitters.add(hub)
+    users = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m,
+                          unique=True))
+    return Instance(raw_source(owned, n), users, transmitters=transmitters)
+
+
+@given(_raw_instances(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_raw_table_and_linear_twins_report_the_same_cuts(instance, data):
+    """A raw source, its entropy table and its one-hot linear source walk
+    different states over the same entropies: one rate vector (all zero,
+    or small fractions, zeros among them) gives the same most violated
+    cuts on all three, and the same as the point-query reference."""
+    m = instance.m
+    raw = instance.model
+    if data.draw(st.booleans()):
+        rates = [Fraction(0)] * m
+    else:
+        rates = [data.draw(st.fractions(0, 3, max_denominator=3))
+                 if t in instance.transmitters else Fraction(0)
+                 for t in range(m)]
+    twins = [Instance(model, instance.users, transmitters=instance.transmitters)
+             for model in (tabulate(raw), LinearSource(raw.field, raw.N,
+                                                       raw.matrices))]
+    short = violated_cuts(rates, instance)
+    assert short == {l: cut for l in instance.user_list
+                     if (cut := ref_most_violated_cut(rates, instance, l))}
+    for twin in twins:
+        assert violated_cuts(rates, twin) == short
 
 
 # ---------------------------------------------------------------------------

@@ -362,7 +362,7 @@ def test_build_lp_guard_fires_before_any_entropy_query(monkeypatch):
     inst = Instance(raw_source([[i] for i in range(21)], 21), [0])
     calls = []
     for query in ("_joint_scaled", "joint_entropy_scaled", "joint_entropy",
-                  "chain_scaled", "lattice_scaled"):
+                  "chain_scaled", "_cut_root", "_cut_grow"):
         monkeypatch.setattr(inst.model, query,
                             lambda *args, query=query: calls.append(query))
     with pytest.raises(SizeLimitError,

@@ -1,5 +1,4 @@
 import math
-import operator
 import random
 import time
 from fractions import Fraction
@@ -13,7 +12,7 @@ from datex.greedy import violated_cuts
 from datex.instance import Instance
 from datex.source import (LinearSource, RawSource, TabularSource,
                           mask_to_set, raw_source, scale_to_int,
-                          subset_table, validate_table)
+                          validate_table)
 from helpers import (cond_entropy, example_model, example3_instance,
                      full_cut_lp, random_linear_instance, table_values,
                      tabulate)
@@ -57,19 +56,6 @@ def test_scale_to_int_is_the_lcm_view(values):
                          (v.denominator for v in values), 1)
     assert len(ints) == len(values)
     assert all(type(n) is int and n == v * den for n, v in zip(ints, values))
-
-
-@given(st.lists(st.integers(0, 15), max_size=7),
-       st.sampled_from([operator.add, operator.or_]))
-@settings(max_examples=150, deadline=None)
-def test_subset_table_folds_the_set_bits(values, op):
-    """Against a brute-force fold over each mask's set bits; values drawn
-    from 0..15 overlap as bitmasks, where OR and sum part ways."""
-    table = subset_table(values, op)
-    assert len(table) == 1 << len(values)
-    for s, got in enumerate(table):
-        assert got == reduce(op, (v for i, v in enumerate(values)
-                                  if s >> i & 1), 0)
 
 
 def test_example_model_entropies_gf3():
@@ -412,13 +398,13 @@ WALK_FIELDS = [make_field(3), make_field(5), make_field(2, 2),
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_the_cut_walk_memoizes_fresh_ranks(data):
-    """The receivers' cuts, behind violated_cuts and the full cut LP, read
-    each receiver's cut lattice from one depth-first walk: every rank it
-    memoizes equals a fresh rank(stack(...)), and the full LP's rows
-    (helpers.full_cut_lp) and the most violated cut equal a reference
-    built from fresh point queries.  Terminals may hold no rows, repeat a
-    row or copy another terminal's rows; with a transmitters list, a
-    transmitting hub sees the whole file so that every user can decode."""
+    """violated_cuts reads each receiver's cuts from one depth-first walk:
+    every rank it memoizes equals a fresh rank(stack(...)), and the full
+    LP's rows (helpers.full_cut_lp) and the most violated cut equal a
+    reference built from fresh point queries.  Terminals may hold no rows,
+    repeat a row or copy another terminal's rows; with a transmitters
+    list, a transmitting hub sees the whole file so that every user can
+    decode."""
     draw = data.draw
     F = draw(st.sampled_from(WALK_FIELDS))
     m = draw(st.integers(2, 7))
@@ -466,17 +452,5 @@ def test_the_cut_walk_memoizes_fresh_ranks(data):
             expected[target] = max(cuts, key=lambda v: v[1] - v[2])
     assert violated_cuts(rates, everyone) == expected
 
-    assert model._walked == {(1 << t, tmask & ~(1 << t)) for t in range(m)}
     for mask, value in model._memo.items():
         assert value == _fresh_rank(model, mask)
-
-
-def test_raw_and_tabular_sources_answer_cuts_by_point_query():
-    """Only a linear source walks: a raw source's point query is a few
-    table lookups and it keeps no memo, and a tabular one reads its
-    table."""
-    raw = raw_source([[0, 1], [1], [0, 2]], 3)
-    assert raw.lattice_scaled(0b001, 0b110) == raw._joint_scaled
-    assert not hasattr(raw, "_memo")
-    table = tabulate(example_model(3))
-    assert table.lattice_scaled(0b1, 0b111110) == table._joint_scaled
