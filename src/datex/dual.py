@@ -74,9 +74,9 @@ def dual_value(instance: Instance, lam: Sequence[Sequence]) -> Fraction:
         den, scaled = scale_to_int(row)
         order = senders_of(instance, l)
         order.sort(key=scaled.__getitem__)
-        rates = _greedy_rates_scaled(model, l, order)
-        total += Fraction(sum(map(operator.mul, scaled, rates)),
-                          den * model.entropy_denominator)
+        value = sum(scaled[j] * v
+                    for j, v in _greedy_rates_scaled(model, l, order))
+        total += Fraction(value, den * model.entropy_denominator)
     return total
 
 
@@ -180,7 +180,6 @@ def solve(instance: Instance, *, max_iterations: int = 50_000,
     de = model.entropy_denominator
     # a stable sort by the multipliers gives (multiplier, index) order
     senders = [senders_of(instance, l) for l in users]
-    columns = sorted(instance.transmitters)
     # the rows of each column that get mass: all but its own user's row
     free_of = [[r for r, u in enumerate(users) if u != i] for i in range(m)]
 
@@ -227,29 +226,25 @@ def solve(instance: Instance, *, max_iterations: int = 50_000,
             wtop = [0] * m
             wstart = n - 1
             next_restart *= 2
-        # subproblem vertices and the dual value at the current multipliers
+        # subproblem vertices and the dual value at the current multipliers;
+        # grads[i] lists the (row, rate) pairs of column i's nonzero rates
         dual_num = 0
-        rt: List[List[int]] = []
-        moved = [False] * m     # columns with a nonzero subgradient entry
+        grads: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
         for r, lamr in enumerate(zip(*lam)):
             order = sorted(senders[r], key=lamr.__getitem__)
-            row = _greedy_rates_scaled(model, users[r], order)
             srow = sums[r]
             wrow = wsums[r]
             acc = 0
-            for j in order:
-                v = row[j]
-                if v:
-                    moved[j] = True
-                    s = srow[j] = srow[j] + v
-                    if s > top[j]:
-                        top[j] = s
-                    s = wrow[j] = wrow[j] + v
-                    if s > wtop[j]:
-                        wtop[j] = s
-                    acc += lamr[j] * v
+            for j, v in _greedy_rates_scaled(model, users[r], order):
+                s = srow[j] = srow[j] + v
+                if s > top[j]:
+                    top[j] = s
+                s = wrow[j] = wrow[j] + v
+                if s > wtop[j]:
+                    wtop[j] = s
+                acc += lamr[j] * v
+                grads[j].append((r, v))
             dual_num += acc
-            rt.append(row)
 
         if best_dual_num is None or dual_num > best_dual_num:
             best_dual_num = dual_num
@@ -284,13 +279,14 @@ def solve(instance: Instance, *, max_iterations: int = 50_000,
         tn, td = theta.numerator, theta.denominator
         refine = td * de
         qmul = tn * grid
-        rt_cols = list(zip(*rt))
-        for i in columns:
+        for i, grad in enumerate(grads):
             # a column with a zero subgradient is an on-grid point of its
             # simplex, which the projection leaves fixed
-            if not moved[i]:
+            if not grad:
                 continue
-            vfine = [x * refine + qmul * g for x, g in zip(lam[i], rt_cols[i])]
+            vfine = [x * refine for x in lam[i]]
+            for r, g in grad:
+                vfine[r] += qmul * g
             lam[i] = _project_grid(vfine, refine, budget_grid[i], free_of[i])
 
     primal_obj = Fraction(best_primal_num, pden * best_primal_count)

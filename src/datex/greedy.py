@@ -12,21 +12,23 @@ order (ties by terminal index) and give each the conditional entropy of
 its observation given the receiver's side information plus everything
 visited earlier.  Equivalently, the suffix sets of the visiting order are
 exactly the tight constraints of that vertex.  `_greedy_rates_scaled`
-gives the vertex of any visiting order; `dual.solve` asks it once per
-receiver and iteration, ordering the senders by that receiver's
-multipliers, which for a single receiver are the weights.
+gives the vertex of any visiting order as its nonzero (terminal, rate)
+pairs; `dual.solve` asks it once per receiver and iteration, ordering
+the senders by that receiver's multipliers, which for a single receiver
+are the weights.
 
-`_iter_cuts` is the package's one walk over a receiver's cuts and their
-right-hand sides.  `violated_cuts` is the one separation query on it:
+The vertex is one path of the model's walk (`SourceModel.chain_scaled`),
+and `_iter_cuts` is the package's one walk over a receiver's cuts and
+their right-hand sides; both step with `SourceModel._cut_root` and
+`_cut_grow`.  `violated_cuts` is the one separation query on the cuts:
 for one rate vector, every receiver's most violated cut, keyed by the
-receivers whose cuts the rates miss.  `verify`, the exact oracle's
-cut loop, the design's feasibility check after a failed first draw and
-`rationalize`'s repair each ask it once per rate vector.  The check
-runs in integers: the rates are checked and scaled to one common
-denominator once and compared with the integer-scaled entropies, which
-the walk reads one terminal at a time (`SourceModel._cut_root` and
-`_cut_grow`).  It skips every cut that needs nothing, so each round
-visits at most 2^(|T|-1) cuts per receiver.
+receivers whose cuts the rates miss.  `verify`, the exact oracle's cut
+loop, the design's feasibility check after a failed first draw and
+`rationalize`'s repair each ask it once per rate vector.  The check runs
+in integers: the rates are checked and scaled to one common denominator
+once and compared with the integer-scaled entropies, which the walk
+reads one terminal at a time.  It skips every cut that needs nothing, so
+each round visits at most 2^(|T|-1) cuts per receiver.
 """
 
 from __future__ import annotations
@@ -56,10 +58,11 @@ def senders_of(instance: Instance, target: int) -> List[int]:
 
 
 def _greedy_rates_scaled(model: SourceModel, target: int,
-                         order: Sequence[int]) -> List[int]:
-    """Scaled rates for the given visiting order: entry for order[i] is
-    H(X_{order[i]} | X_target, X_{order[:i]}) * entropy_denominator.  One
-    chain query, so the model walks the nested prefixes in one pass."""
+                         order: Sequence[int]) -> List[Tuple[int, int]]:
+    """The vertex of the given visiting order, sparse: (order[i],
+    H(X_{order[i]} | X_target, X_{order[:i]}) * entropy_denominator) for
+    every nonzero rate, in visiting order.  One chain, one path of the
+    model's walk."""
     return model.chain_scaled(1 << target, order)
 
 

@@ -20,30 +20,19 @@ Three model kinds:
   entropy function: zero at the empty set, monotone and submodular (the
   greedy is exact only for submodular tables).
 
-Besides point queries, every model answers two structured queries.
+Besides point queries, every model answers one structured query, a
+walk: `_cut_root(mask)` is the state and scaled entropy of a subset, and
+`_cut_grow(state, t)` those of that subset plus terminal t.
+`greedy._iter_cuts` walks each receiver's cut complements with it, and a
+greedy chain (`chain_scaled`) is one path of it that stops at the first
+subset holding H(X_M) and lists only the nonzero increments.
 
-* A chain query: `chain_scaled` returns the entropy increments along the
-  nested subsets start, start + j1, start + j1 + j2, ... of one visiting
-  order, which is all the greedy ever asks for.
-* A walk: `_cut_root(mask)` is the state of a subset and its scaled
-  entropy, and `_cut_grow(state, t)` is the state and scaled entropy of
-  that subset plus terminal t.  `greedy._iter_cuts` walks each receiver's
-  cut complements with them, one terminal per step; each round of a
-  separation visits at most 2^(|T|-1) of them per receiver.
-
-A raw source keeps one int bitmask of owned packets per terminal, so a
-chain is one running OR and a `bit_count` per step, and so is a walk
-step: its state is the int of owned packets.  A linear source memoizes
-ranks.  A chain walks the memo while the prefixes are known and, from the
-first unknown prefix on, absorbs the remaining terminals' rows into one
-incremental echelon basis (`gf.EchelonBasis`), memoizing every prefix
-rank on the way -- one elimination per chain instead of one per prefix.
-A walk step reads the memo too; on a miss it copies its parent's basis
-(the pivot list and rank; kept rows are never mutated, so they are
-shared) and absorbs one terminal's rows, so every subset costs one
-terminal's rows instead of a stack of all of them.  Raw and linear
-chains stop at the first subset that holds H(X_M), since every superset
-holds it too.  Tabular sources look each subset up in their table.
+A raw walk state is the int of owned packets, so a step is one OR and a
+`bit_count`.  A linear source memoizes ranks; its walk state carries the
+nearest echelon basis (`gf.EchelonBasis`) built on the way, and a memo
+miss copies that basis and absorbs only the rows of the terminals it
+lacks, so a chain walks the memo and then eliminates once.  Tabular
+sources look each subset up in their table.
 
 The module also holds `scale_to_int`, the integer view of a rational
 vector that every layer shares.
@@ -92,7 +81,8 @@ def scale_to_int(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
 class SourceModel:
     """Base entropy oracle.  Subclasses fill in _joint_scaled and the walk:
     _cut_root(mask) is the walk state of a subset and its scaled entropy,
-    and _cut_grow(state, t) the same for that subset plus terminal t."""
+    and _cut_grow(state, t) the same for that subset plus terminal t.  A
+    chain is one path of the walk."""
 
     m: int
 
@@ -105,21 +95,23 @@ class SourceModel:
     def _joint_scaled(self, mask: int) -> int:
         raise NotImplementedError
 
-    def chain_scaled(self, start: int, order: Sequence[int]) -> List[int]:
-        """Scaled entropy increments along the nested chain start,
-        start + order[0], start + order[0] + order[1], ...: entry j of the
-        m-long result is H(X_j | X_start, X_(terminals before j in order))
-        times entropy_denominator, and 0 for terminals not in order.  The
-        start mask and order are trusted (internal calls, not validated)."""
-        js = self._joint_scaled
-        out = [0] * self.m
-        mask = start
-        prev = js(mask)
+    def chain_scaled(self, start: int,
+                     order: Sequence[int]) -> List[Tuple[int, int]]:
+        """The nonzero increments H(X_j | X_start, X_(terminals before j
+        in order)) * entropy_denominator, as (j, increment) pairs in
+        visiting order: the walk from start along order, stopped once a
+        prefix holds H(X_M).  The arguments are trusted (not validated)."""
+        full = self._full_rank
+        grow = self._cut_grow
+        state, prev = self._cut_root(start)
+        out = []
         for j in order:
-            mask |= 1 << j
-            cur = js(mask)
-            out[j] = cur - prev
-            prev = cur
+            if prev == full:
+                break
+            state, cur = grow(state, j)
+            if cur != prev:
+                out.append((j, cur - prev))
+                prev = cur
         return out
 
     def joint_entropy_scaled(self, mask: int) -> int:
@@ -172,74 +164,35 @@ class LinearSource(SourceModel):
             self._memo[mask] = hit
         return hit
 
-    def _basis(self, mask: int) -> EchelonBasis:
-        """An echelon basis of the rows of the terminals in `mask`."""
-        basis = EchelonBasis(self.field, self.N)
-        for i in mask_to_set(mask):
-            for row in self._rows[i]:
-                basis.absorb(row)
-        return basis
-
     def _cut_root(self, mask: int):
-        """The state is [mask, echelon basis of mask or None]; the basis
-        is built when a child misses the memo."""
-        return [mask, None], self._joint_scaled(mask)
+        """The state is [mask, the nearest echelon basis built on the way
+        here, the mask that basis spans]; a root starts from an empty
+        basis."""
+        empty = EchelonBasis(self.field, self.N)
+        return [mask, empty, 0], self._joint_scaled(mask)
 
     def _cut_grow(self, state, t: int):
-        """A memo hit, or a copy of the parent's basis (built once, if the
-        parent came from the memo) that absorbs t's rows."""
-        mask, basis = state
+        """A memo hit carries the parent's basis along.  A miss first
+        brings the parent's basis up to the parent's mask, once (it is
+        kept in the parent's state for its other children), then copies
+        it and absorbs t's rows."""
+        mask, basis, held = state
         child = mask | 1 << t
         hit = self._memo.get(child)
         if hit is not None:
-            return [child, None], hit
-        if basis is None:
-            basis = state[1] = self._basis(mask)
+            return [child, basis, held], hit
+        rows = self._rows
+        if held != mask:
+            basis = basis.copy()
+            for i in mask_to_set(mask & ~held):
+                for row in rows[i]:
+                    basis.absorb(row)
+            state[1:] = basis, mask
         basis = basis.copy()
-        for row in self._rows[t]:
+        for row in rows[t]:
             basis.absorb(row)
         self._memo[child] = basis.rank
-        return [child, basis], basis.rank
-
-    def chain_scaled(self, start: int, order: Sequence[int]) -> List[int]:
-        """Walk the memo while the prefixes are known; from the first
-        unknown prefix on, absorb the rows into one echelon basis and
-        memoize every prefix rank it yields.  Once a prefix reaches the
-        full rank H(X_M) every later increment is zero, so the chain
-        stops there."""
-        memo = self._memo
-        full = self._full_rank
-        out = [0] * self.m
-        mask = start
-        prev = memo.get(mask)
-        pos = 0
-        if prev is not None:
-            for j in order:
-                if prev == full:
-                    return out
-                cur = memo.get(mask | (1 << j))
-                if cur is None:
-                    break
-                mask |= 1 << j
-                out[j] = cur - prev
-                prev = cur
-                pos += 1
-            else:
-                return out
-        rows = self._rows
-        basis = self._basis(mask)
-        if prev is None:
-            prev = memo[mask] = basis.rank
-        for j in order[pos:]:
-            if prev == full:
-                break
-            mask |= 1 << j
-            for row in rows[j]:
-                basis.absorb(row)
-            cur = memo[mask] = basis.rank
-            out[j] = cur - prev
-            prev = cur
-        return out
+        return [child, basis, child], basis.rank
 
 
 class RawSource(SourceModel):
@@ -325,25 +278,6 @@ class RawSource(SourceModel):
     def _cut_grow(self, owned: int, t: int):
         owned |= self._bits[t]
         return owned, owned.bit_count()
-
-    def chain_scaled(self, start: int, order: Sequence[int]) -> List[int]:
-        """One running OR of the owned packets; it stops once the prefix
-        owns every packet any terminal owns."""
-        bits = self._bits
-        full = self._full_rank
-        out = [0] * self.m
-        owned = self._owned(start)
-        prev = owned.bit_count()
-        if prev == full:
-            return out
-        for j in order:
-            owned |= bits[j]
-            cur = owned.bit_count()
-            out[j] = cur - prev
-            if cur == full:
-                break
-            prev = cur
-        return out
 
 
 def raw_source(ownership: Sequence[Sequence[int]], packet_count: int,

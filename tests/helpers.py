@@ -1,7 +1,7 @@
 """Shared builders for the test suite: the worked example instances, a
 random-instance generator used by the equivalence and property suites, a
-renumbering of an instance's terminals, and test-side references (the
-single-receiver greedy optimum, weighted objective, conditional entropy,
+renumbering of an instance's terminals, and test-side references (a
+greedy chain from point queries, the single-receiver greedy optimum, weighted objective, conditional entropy,
 explicit entropy tables, the all-terminal cut-set rows, the full cut-set
 LP and its exact optimum, every violated cut of a receiver and the most
 violated one), the one feasibility check the suites share, a
@@ -102,21 +102,40 @@ def unlabel(rates, order):
     return tuple(r for _, r in sorted(zip(order, rates)))
 
 
+def point_chain(model: SourceModel, start: int, order) -> List[int]:
+    """Scaled entropy increments along the nested chain start,
+    start + order[0], start + order[0] + order[1], ..., one point query
+    per prefix and never stopped early: entry j of the m-long result is
+    H(X_j | X_start, X_(terminals before j in order)) times
+    entropy_denominator, and 0 for terminals not in order.  The witness
+    of `SourceModel.chain_scaled`, which walks and lists only the nonzero
+    increments."""
+    out = [0] * model.m
+    mask = start
+    prev = model.joint_entropy_scaled(mask)
+    for j in order:
+        mask |= 1 << j
+        cur = model.joint_entropy_scaled(mask)
+        out[j] = cur - prev
+        prev = cur
+    return out
+
+
 def edmonds_allocate(instance: Instance, target: int):
     """Optimal vertex of the single-receiver region for the instance's
     weights (Edmonds, 1970): visit the transmitters other than `target` in
     ascending (weight, index) order and give each the conditional entropy
     of its observation given the target's side information and every
     transmitter visited before it.  Non-transmitters and the target get
-    rate zero.  The entropies come from the models' plain point queries
-    (`SourceModel.chain_scaled`), not their one-pass chains; this is the
-    witness for `dual.solve` on one receiver."""
+    rate zero.  The entropies come from plain point queries
+    (`point_chain`), not the models' walks; this is the witness for
+    `dual.solve` on one receiver."""
     if not 0 <= target < instance.m:
         raise ValueError(f"target {target} out of range")
     senders = sorted(t for t in instance.transmitters if t != target)
     senders.sort(key=instance.weights.__getitem__)
     model = instance.model
-    scaled = SourceModel.chain_scaled(model, 1 << target, senders)
+    scaled = point_chain(model, 1 << target, senders)
     return tuple(Fraction(v, model.entropy_denominator) for v in scaled)
 
 

@@ -39,10 +39,11 @@ values must be equal on the shipped examples, on random instances and on
 benchmark-ladder draws up to m = 10, and a float HiGHS solve of the whole
 LP (scipy) must agree at m = 12, 14 and 16.
 
-`dual.solve` holds its multipliers column-major, stops chains once
-saturated, projects with an early-stopping threshold scan and compares
-bounds in integers.  `ref_solve` is the plain loop: row-major
-multipliers, one point query per chain prefix, the full threshold scan,
+`dual.solve` holds its multipliers column-major, reads sparse vertices
+from chains that stop once saturated, projects with an early-stopping
+threshold scan and compares bounds in integers.  `ref_solve` is the
+plain loop: row-major multipliers, dense vertices with one point query
+per chain prefix (`helpers.point_chain`), the full threshold scan,
 `Fraction` bounds and the averaged subproblem vertices per receiver.
 Every `Solution` field and every trace call must agree, on one
 receiver too.  One receiver runs the same loop, and it must return the
@@ -65,11 +66,11 @@ from datex.greedy import violated_cuts
 from datex.instance import Instance, InfeasibleInstanceError
 from datex.netcode import InfeasibleRatesError, _snap, rationalize
 from datex.oracle import UnboundedLPError, build_lp, exact_simplex, solve_exact
-from datex.source import (LinearSource, SourceModel, TabularSource,
-                          mask_to_set, raw_source)
+from datex.source import LinearSource, TabularSource, mask_to_set, raw_source
 from helpers import (edmonds_allocate, example1_instance, example2_instance,
                      example3_instance, full_cut_lp, full_lp_optimum,
-                     ladder_draw, meets_cuts, random_linear_instance,
+                     ladder_draw, meets_cuts, point_chain,
+                     random_linear_instance,
                      ref_most_violated_cut, ref_violated_cuts, solve_one,
                      table_values)
 
@@ -351,7 +352,7 @@ def ref_solve(instance, *, max_iterations=50_000,
         rt = []
         for r in range(k):
             order = sorted(senders_of[r], key=lam[r].__getitem__)
-            row = SourceModel.chain_scaled(model, 1 << users[r], order)
+            row = point_chain(model, 1 << users[r], order)
             for j in order:
                 sums[r][j] += row[j]
                 wsums[r][j] += row[j]

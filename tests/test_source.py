@@ -7,15 +7,15 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datex.gf import Matrix, make_field, rank, stack
-from datex.greedy import violated_cuts
+from datex.gf import EchelonBasis, Matrix, make_field, rank, stack
+from datex.greedy import _iter_cuts, violated_cuts
 from datex.instance import Instance
 from datex.source import (LinearSource, RawSource, TabularSource,
                           mask_to_set, raw_source, scale_to_int,
                           validate_table)
 from helpers import (cond_entropy, example_model, example3_instance,
-                     full_cut_lp, random_linear_instance, table_values,
-                     tabulate)
+                     full_cut_lp, point_chain, random_linear_instance,
+                     table_values, tabulate)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +265,10 @@ def test_conditional_entropy_nonnegative_and_bounded(seed):
 
 
 # ---------------------------------------------------------------------------
-# Chain oracle: one pass along a greedy chain equals the prefix-by-prefix
-# point queries, for every model kind and for any state of the rank memo,
-# also when a prefix reaches H(X_M) early and the chain stops there
+# Chain oracle: one path of the walk along a greedy chain lists the nonzero
+# prefix-by-prefix point-query increments, in visiting order, for every
+# model kind and for any state of the rank memo, also when a prefix
+# reaches H(X_M) early and the chain stops there
 # ---------------------------------------------------------------------------
 
 FIELDS = {"GF(3)": make_field(3), "GF(2^2)": make_field(2, 2)}
@@ -332,21 +333,25 @@ def test_chain_matches_prefix_point_queries(data):
 
     reference = make()
     h = [reference.joint_entropy_scaled(mask) for mask in masks]
-    expected = [0] * m
-    for i, j in enumerate(order):
-        expected[j] = h[i + 1] - h[i]
+    dense = point_chain(reference, start, order)
+    expected = [(j, dense[j]) for j in order if dense[j]]
 
     model = make()
     # the memo is cold, fully warm, or warm on a leading run of prefixes
-    # plus random later ones (the chain walks the run, then switches to
-    # one echelon basis at the first cold prefix)
+    # plus random later ones (the chain walks the run, then eliminates
+    # from the first cold prefix on, carrying its basis across later hits)
     warmth = draw(st.sampled_from(["cold", "warm", "partial"]))
     run = {"cold": 0, "warm": len(masks),
            "partial": draw(st.integers(0, len(masks)))}[warmth]
     for i, mask in enumerate(masks):
         if i < run or (warmth == "partial" and draw(st.booleans())):
             model.joint_entropy_scaled(mask)
-    assert model.chain_scaled(start, order) == expected
+    pairs = model.chain_scaled(start, order)
+    assert pairs == expected
+    # no zero is listed, and the pairs come in visiting order
+    assert all(v for _, v in pairs)
+    positions = [order.index(j) for j, _ in pairs]
+    assert positions == sorted(positions)
     # every rank a linear chain memoized is right, and so is every prefix
     for mask, value in getattr(model, "_memo", {}).items():
         assert value == reference.joint_entropy_scaled(mask)
@@ -361,13 +366,16 @@ def test_chains_stop_once_the_prefix_holds_the_whole_file():
             [[2, 0, 1]]]
     linear = LinearSource(F, 3, [Matrix.from_rows(F, r, ncols=3)
                                  for r in rows])
-    assert linear.chain_scaled(0b0001, [1, 2, 3]) == [0, 2, 0, 0]
+    assert linear.chain_scaled(0b0001, [1, 2, 3]) == [(1, 2)]
     assert linear._memo == {0: 0, 0b1111: 3, 0b0001: 1, 0b0011: 3}
-    assert linear.chain_scaled(0b0010, [0, 2, 3]) == [0, 0, 0, 0]
+    # a start that holds the whole file lists nothing and steps nowhere
+    assert linear.chain_scaled(0b0010, [0, 2, 3]) == []
+    assert linear._memo == {0: 0, 0b1111: 3, 0b0001: 1, 0b0011: 3,
+                            0b0010: 3}
     # a raw target that owns every packet receives nothing
     raw = raw_source([[0, 1, 2, 3], [1], [2, 3]], 4)
-    assert raw.chain_scaled(0b001, [1, 2]) == [0, 0, 0]
-    assert raw.chain_scaled(0b010, [0, 2]) == [3, 0, 0]
+    assert raw.chain_scaled(0b001, [1, 2]) == []
+    assert raw.chain_scaled(0b010, [0, 2]) == [(0, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -452,5 +460,74 @@ def test_the_cut_walk_memoizes_fresh_ranks(data):
             expected[target] = max(cuts, key=lambda v: v[1] - v[2])
     assert violated_cuts(rates, everyone) == expected
 
+    for mask, value in model._memo.items():
+        assert value == _fresh_rank(model, mask)
+
+
+def test_a_memo_hit_keeps_the_basis_built_above_it(monkeypatch):
+    """Target 0 and senders 1..4 each observe one unit row.  With the memo
+    warm at {0, 1, 2}, the walk misses at {0, 1} first and later hits at
+    {0, 1, 2}.  The hit carries {0, 1}'s basis along, so the miss below
+    it at {0, 1, 2, 3} absorbs only terminal 2's and 3's rows, and no
+    basis is ever rebuilt from the target's rows."""
+    F = make_field(3)
+    model = LinearSource(F, 5, [Matrix.from_rows(F, [[int(a == b)
+                                                      for a in range(5)]],
+                                                 ncols=5)
+                                for b in range(5)])
+    inst = Instance(model, [0])
+    model.joint_entropy_scaled(0b00111)
+    log = []
+    absorb = EchelonBasis.absorb
+    grow = model._cut_grow
+
+    def logged_absorb(basis, row):
+        log.append(list(row).index(1))
+        return absorb(basis, row)
+
+    def logged_grow(state, t):
+        log.append(("grow", state[0] | 1 << t))
+        return grow(state, t)
+
+    monkeypatch.setattr(EchelonBasis, "absorb", logged_absorb)
+    monkeypatch.setattr(model, "_cut_grow", logged_grow)
+    list(_iter_cuts(inst, 0, [1] * 5))
+    # the point queries of the root and of the whole context rank by
+    # elimination too; the walk's own absorbs start at its first step
+    log = log[log.index(("grow", 0b00011)):]
+    assert log[:3] == [("grow", 0b00011), 0, 1]
+    at = log.index(("grow", 0b01111))
+    assert log[at + 1:at + 3] == [2, 3]
+    assert not isinstance(log[at + 3], int)
+    assert log.count(0) == 1 and log.count(1) == 1
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_the_cut_walk_does_not_depend_on_the_memo(data):
+    """`_iter_cuts` yields the same triples, in the same order, with the
+    rank memo cold, fully warm, or warm on a random subset of masks, and
+    every rank it memoizes is right."""
+    draw = data.draw
+    F = draw(st.sampled_from(WALK_FIELDS))
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, F.q - 1), min_size=n, max_size=n)
+    rows = [draw(st.lists(row, max_size=3)) for _ in range(m)]
+
+    def make():
+        return LinearSource(F, n, [Matrix.from_rows(F, r, ncols=n)
+                                   for r in rows])
+
+    target = draw(st.integers(0, m - 1))
+    rates = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    expected = list(_iter_cuts(Instance(make(), [target]), target, rates))
+    model = make()
+    warmth = draw(st.sampled_from(["warm", "partial"]))
+    for mask in range(1 << m):
+        if warmth == "warm" or draw(st.booleans()):
+            model.joint_entropy_scaled(mask)
+    assert list(_iter_cuts(Instance(model, [target]), target,
+                           rates)) == expected
     for mask, value in model._memo.items():
         assert value == _fresh_rank(model, mask)
