@@ -66,6 +66,9 @@ def dual_value(instance: Instance, lam: Sequence[Sequence]) -> Fraction:
     ordered by it."""
     m = instance.m
     model = instance.model
+    if len(lam) != instance.k:
+        raise ValueError(f"expected {instance.k} multiplier rows, "
+                         f"got {len(lam)}")
     total = Fraction(0)
     for r, l in enumerate(instance.user_list):
         row = [Fraction(x) for x in lam[r]]

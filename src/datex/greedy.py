@@ -17,9 +17,9 @@ pairs; `dual.solve` asks it once per receiver and iteration, ordering
 the senders by that receiver's multipliers, which for a single receiver
 are the weights.
 
-The vertex is one path of the model's walk (`SourceModel.chain_scaled`),
-and `_iter_cuts` is the package's one walk over a receiver's cuts and
-their right-hand sides; both step with `SourceModel._cut_root` and
+The vertex is one path of the model's walk, and `_iter_cuts` is the
+package's one walk over a receiver's cuts and their right-hand sides;
+both start at the model's `_cut_grow(_cut_empty, target)` and step with
 `_cut_grow`.  `violated_cuts` is the one separation query on the cuts:
 for one rate vector, every receiver's most violated cut, keyed by the
 receivers whose cuts the rates miss.  `verify`, the exact oracle's cut
@@ -61,9 +61,21 @@ def _greedy_rates_scaled(model: SourceModel, target: int,
                          order: Sequence[int]) -> List[Tuple[int, int]]:
     """The vertex of the given visiting order, sparse: (order[i],
     H(X_{order[i]} | X_target, X_{order[:i]}) * entropy_denominator) for
-    every nonzero rate, in visiting order.  One chain, one path of the
-    model's walk."""
-    return model.chain_scaled(1 << target, order)
+    every nonzero rate, in visiting order: one path of the model's walk
+    from the target, stopped once a prefix holds H(X_M).  The arguments
+    are trusted (not validated)."""
+    full = model._full_rank
+    grow = model._cut_grow
+    state, prev = grow(model._cut_empty, target)
+    out = []
+    for j in order:
+        if prev == full:
+            break
+        state, cur = grow(state, j)
+        if cur != prev:
+            out.append((j, cur - prev))
+            prev = cur
+    return out
 
 
 def _iter_cuts(instance: Instance, target: int, rates: Sequence[int]):
@@ -80,7 +92,7 @@ def _iter_cuts(instance: Instance, target: int, rates: Sequence[int]):
     senders = mask_to_set(tmask)
     total = model._joint_scaled(tmask | 1 << target)
     rate_sum = sum(rates[t] for t in senders)
-    state, h = model._cut_root(1 << target)
+    state, h = model._cut_grow(model._cut_empty, target)
     if h == total:
         return
     yield tmask, total - h, rate_sum

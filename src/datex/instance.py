@@ -6,6 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
+from .gf import is_int
 from .source import SourceModel
 
 __all__ = ["Instance", "InfeasibleInstanceError"]
@@ -50,6 +51,8 @@ class Instance(_Frozen):
         users_f = frozenset(users_list)
         if not users_f:
             raise ValueError("at least one user is required")
+        if not all(map(is_int, users_list)):
+            raise ValueError("user indices must be integers")
         if len(users_f) != len(users_list):
             raise ValueError("duplicate user index")
         if any(not 0 <= u < m for u in users_f):
@@ -62,7 +65,10 @@ class Instance(_Frozen):
             raise ValueError(f"expected {m} weights, got {len(w)}")
         if any(x < 0 for x in w):
             raise ValueError("weights must be nonnegative")
-        trans_f = frozenset(transmitters) if transmitters is not None else frozenset(range(m))
+        trans = list(range(m) if transmitters is None else transmitters)
+        if not all(map(is_int, trans)):
+            raise ValueError("transmitter indices must be integers")
+        trans_f = frozenset(trans)
         if any(not 0 <= t < m for t in trans_f):
             raise ValueError("transmitter index out of range")
         self.__dict__.update(model=model, users=users_f, weights=w,

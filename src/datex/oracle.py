@@ -97,6 +97,8 @@ def exact_simplex(c: Sequence, A: Sequence[Sequence], b: Sequence) -> SimplexRes
     ncols = len(c)
     if any(v < 0 for v in b):
         raise ValueError("exact_simplex requires b >= 0")
+    if len(A) != nrows:
+        raise ValueError(f"A has {len(A)} rows, b has {nrows} entries")
     width = ncols + nrows
     rows = []
     for i, arow in enumerate(A):

@@ -20,19 +20,17 @@ Three model kinds:
   entropy function: zero at the empty set, monotone and submodular (the
   greedy is exact only for submodular tables).
 
-Besides point queries, every model answers one structured query, a
-walk: `_cut_root(mask)` is the state and scaled entropy of a subset, and
-`_cut_grow(state, t)` those of that subset plus terminal t.
+Every model is its walk step: `_cut_grow(state, t)` is the walk state
+and scaled entropy of a subset plus terminal t, and `_cut_empty` the
+state of the empty set.  A point query folds the step over the subset;
 `greedy._iter_cuts` walks each receiver's cut complements with it, and a
-greedy chain (`chain_scaled`) is one path of it that stops at the first
-subset holding H(X_M) and lists only the nonzero increments.
-
-A raw walk state is the int of owned packets, so a step is one OR and a
-`bit_count`.  A linear source memoizes ranks; its walk state carries the
-nearest echelon basis (`gf.EchelonBasis`) built on the way, and a memo
-miss copies that basis and absorbs only the rows of the terminals it
-lacks, so a chain walks the memo and then eliminates once.  Tabular
-sources look each subset up in their table.
+greedy chain (`greedy._greedy_rates_scaled`) is one path of it.  A raw
+state is the int of owned packets (a step is one OR and a `bit_count`),
+a tabular state the mask.  A linear state carries the nearest echelon
+basis (`gf.EchelonBasis`) built on the way, and a memo miss absorbs only
+the rows of the terminals that basis lacks, so a chain walks the rank
+memo and then eliminates once.  A linear point query alone is not a
+fold of the step: it is the memoized rank of the stacked matrices.
 
 The module also holds `scale_to_int`, the integer view of a rational
 vector that every layer shares.
@@ -79,10 +77,9 @@ def scale_to_int(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
 
 
 class SourceModel:
-    """Base entropy oracle.  Subclasses fill in _joint_scaled and the walk:
-    _cut_root(mask) is the walk state of a subset and its scaled entropy,
-    and _cut_grow(state, t) the same for that subset plus terminal t.  A
-    chain is one path of the walk."""
+    """Base entropy oracle.  Subclasses fill in the walk step
+    `_cut_grow(state, t)`, the state and scaled entropy of that state's
+    subset plus terminal t; `_cut_empty` is the empty set's state."""
 
     m: int
 
@@ -92,27 +89,13 @@ class SourceModel:
     # arithmetic exact and fast.
     entropy_denominator: int = 1
 
-    def _joint_scaled(self, mask: int) -> int:
-        raise NotImplementedError
+    _cut_empty = 0   # raw: no owned packets; tabular: the empty mask
 
-    def chain_scaled(self, start: int,
-                     order: Sequence[int]) -> List[Tuple[int, int]]:
-        """The nonzero increments H(X_j | X_start, X_(terminals before j
-        in order)) * entropy_denominator, as (j, increment) pairs in
-        visiting order: the walk from start along order, stopped once a
-        prefix holds H(X_M).  The arguments are trusted (not validated)."""
-        full = self._full_rank
-        grow = self._cut_grow
-        state, prev = self._cut_root(start)
-        out = []
-        for j in order:
-            if prev == full:
-                break
-            state, cur = grow(state, j)
-            if cur != prev:
-                out.append((j, cur - prev))
-                prev = cur
-        return out
+    def _joint_scaled(self, mask: int) -> int:
+        state, h = self._cut_empty, 0
+        for t in mask_to_set(mask):
+            state, h = self._cut_grow(state, t)
+        return h
 
     def joint_entropy_scaled(self, mask: int) -> int:
         if not 0 <= mask < 1 << self.m:
@@ -155,6 +138,8 @@ class LinearSource(SourceModel):
         self.row_counts = tuple(M.nrows for M in self.matrices)
         self._memo: Dict[int, int] = {0: 0}
         self._rows = tuple(M.rows() for M in self.matrices)
+        # [mask, nearest basis built on the way, the mask it spans]
+        self._cut_empty = [0, EchelonBasis(field, packet_count), 0]
 
     def _joint_scaled(self, mask: int) -> int:
         # the memo holds mask 0, so every stacked subset is nonempty
@@ -164,18 +149,12 @@ class LinearSource(SourceModel):
             self._memo[mask] = hit
         return hit
 
-    def _cut_root(self, mask: int):
-        """The state is [mask, the nearest echelon basis built on the way
-        here, the mask that basis spans]; a root starts from an empty
-        basis."""
-        empty = EchelonBasis(self.field, self.N)
-        return [mask, empty, 0], self._joint_scaled(mask)
-
     def _cut_grow(self, state, t: int):
         """A memo hit carries the parent's basis along.  A miss first
         brings the parent's basis up to the parent's mask, once (it is
-        kept in the parent's state for its other children), then copies
-        it and absorbs t's rows."""
+        kept in the parent's state for its other children, so only a
+        state whose basis lags its mask is written to, never
+        `_cut_empty`), then copies it and absorbs t's rows."""
         mask, basis, held = state
         child = mask | 1 << t
         hit = self._memo.get(child)
@@ -257,24 +236,6 @@ class RawSource(SourceModel):
                     for j in range(N)])
             for i in range(self.m))
 
-    def _owned(self, mask: int) -> int:
-        """The packets the terminals in `mask` own, one OR per terminal."""
-        bits = self._bits
-        owned = 0
-        while mask:
-            low = mask & -mask
-            owned |= bits[low.bit_length() - 1]
-            mask ^= low
-        return owned
-
-    def _joint_scaled(self, mask: int) -> int:
-        return self._owned(mask).bit_count()
-
-    def _cut_root(self, mask: int):
-        """The state is the int of owned packets."""
-        owned = self._owned(mask)
-        return owned, owned.bit_count()
-
     def _cut_grow(self, owned: int, t: int):
         owned |= self._bits[t]
         return owned, owned.bit_count()
@@ -341,13 +302,6 @@ class TabularSource(SourceModel):
         den, scaled = scale_to_int(vals)
         self.entropy_denominator = den
         self._scaled = tuple(scaled)
-
-    def _joint_scaled(self, mask: int) -> int:
-        return self._scaled[mask]
-
-    def _cut_root(self, mask: int):
-        """The state is the mask."""
-        return mask, self._scaled[mask]
 
     def _cut_grow(self, mask: int, t: int):
         mask |= 1 << t

@@ -108,8 +108,8 @@ def point_chain(model: SourceModel, start: int, order) -> List[int]:
     per prefix and never stopped early: entry j of the m-long result is
     H(X_j | X_start, X_(terminals before j in order)) times
     entropy_denominator, and 0 for terminals not in order.  The witness
-    of `SourceModel.chain_scaled`, which walks and lists only the nonzero
-    increments."""
+    of `greedy._greedy_rates_scaled`, which walks from start = the
+    target's bit and lists only the nonzero increments."""
     out = [0] * model.m
     mask = start
     prev = model.joint_entropy_scaled(mask)

@@ -392,6 +392,20 @@ def test_coupled_lp_agrees_with_cutset_oracle(example2):
     assert dual_value(example2, lam) == Fraction(9, 4)
 
 
+def test_dual_value_takes_one_full_row_per_user(example2):
+    """A multiplier matrix has one row per user, each with m entries: a
+    short or long matrix is refused, not read in part or past its end."""
+    lam = [[Fraction(1, 3)] * 6 for _ in range(3)]
+    assert dual_value(example2, lam) >= 0
+    for rows in (lam[:2], lam + lam[:1]):
+        with pytest.raises(ValueError,
+                           match=f"expected 3 multiplier rows, got "
+                                 f"{len(rows)}"):
+            dual_value(example2, rows)
+    with pytest.raises(ValueError, match="expected 6 multipliers, got 5"):
+        dual_value(example2, [row[:5] for row in lam])
+
+
 def test_coupled_lp_agrees_on_random_instances():
     rng = random.Random(31415)
     checked = 0

@@ -3,10 +3,11 @@
 `solve` must print the same JSON and write the same `--trace` lines, byte
 for byte, as the version that produced the files in tests/golden/.  The
 instances are seeded benchmark-ladder draws (raw m=16 and m=32 over GF(2),
-linear m=10 and m=16 over GF(3)); a speed-up of the solver's hot path must
-leave every iterate, and so both files, unchanged.  Linear m=16 (bench/
-ladder.py `draw(3, "linear", 16, 0)`) runs 500 iterations, long enough
-for its greedy chains to alternate memo hits and misses.
+linear m=10 and m=16 over GF(3)) and one entropy table; a speed-up of
+the solver's hot path must leave every iterate, and so both files,
+unchanged.  Linear m=16 (bench/ladder.py `draw(3, "linear", 16, 0)`)
+runs 500 iterations, long enough for its greedy chains to alternate memo
+hits and misses.
 
 The pipeline commands -- `oracle` (simplex pivots included), `verify` on
 feasible and on violating rates (each short receiver's most violated cut,
@@ -24,7 +25,16 @@ the whole cut LP; the cut loop may return another optimal vertex, so
 they stay fixed.  Violating rates are three quarters of the feasible
 ones.  `codegen` also realizes the feasible rates of example 1 and
 linear m=8 through `--rates`, each at L = 1 where the oracle's vertex
-gives another scheme."""
+gives another scheme.
+
+The paper's third source model, an arbitrary entropy table, is
+tabular_m6: m = 6, H = H_raw/2 + H_linear/3 with H_raw and H_linear the
+exact entropies of `draw(1, "raw", 6, 0)` and `draw(1, "linear", 6, 0)`
+(a sum of entropy functions with positive weights is one), and the raw
+draw's users and weights.  It runs `oracle`, `verify` at the oracle's
+rates and at three quarters of them, and `solve` for 200 iterations;
+`codegen` refuses it with exit code 2, and its golden file holds that
+one stderr line."""
 
 from pathlib import Path
 
@@ -38,7 +48,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 @pytest.mark.parametrize("name, iterations", [
     ("raw_m16", 200), ("raw_m32", 200), ("linear_m10", 20),
-    ("linear_m16", 500)])
+    ("linear_m16", 500), ("tabular_m6", 200)])
 def test_solve_output_and_trace_are_unchanged(tmp_path, capsys, name,
                                               iterations):
     trace = tmp_path / "trace.jsonl"
@@ -89,6 +99,11 @@ PIPELINE += [
     ("raw_m16", "oracle", [], 0),
     ("raw_m20", "oracle", [], 0),
     ("example1", "solve", [], 0),
+    ("tabular_m6", "oracle", [], 0),
+    ("tabular_m6", "verify-feasible", ["--rates", "1,0,1/2,0,13/6,13/6"], 0),
+    ("tabular_m6", "verify-violating",
+     ["--rates", "3/4,0,3/8,0,13/8,13/8"], 1),
+    ("tabular_m6", "codegen-refused", [], 2),
 ]
 
 
@@ -98,6 +113,8 @@ def test_pipeline_output_is_unchanged(capsys, stem, case, argv, code):
     command = case.split("-", 1)[0]
     assert main([command, str(_instance_path(stem)), *argv]) == code
     out, err = capsys.readouterr()
+    if code == 2:   # a refusal: one line on stderr, nothing on stdout
+        out, err = err, out
     assert err == ""
     assert out == (GOLDEN / f"{stem}.{case}.out").read_text(encoding="utf-8")
 

@@ -45,6 +45,11 @@ def test_instance_rejects_bad_users():
         Instance(model, [6])
     with pytest.raises(ValueError):
         Instance(model, [0, 0])
+    # an index is an int, and a bool is not one: refused at the boundary,
+    # not by a shift in the decodability check or as a duplicate of 1
+    for users in ([0.0, 1], [True, 1], [1, True]):
+        with pytest.raises(ValueError, match="user indices must be integers"):
+            Instance(model, users)
 
 
 def test_instance_rejects_bad_weights():
@@ -59,6 +64,11 @@ def test_instance_rejects_bad_transmitters():
     model = example_model(3)
     with pytest.raises(ValueError):
         Instance(model, [0], transmitters=[7])
+    # True is not terminal 1, even beside it
+    for transmitters in ([2.0], [True, 2], [1, True]):
+        with pytest.raises(ValueError,
+                           match="transmitter indices must be integers"):
+            Instance(model, [0], transmitters=transmitters)
 
 
 def test_instance_decodability_precondition():

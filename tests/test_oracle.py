@@ -165,6 +165,11 @@ def test_simplex_rejects_negative_rhs():
 def test_simplex_rejects_ragged_rows():
     with pytest.raises(ValueError):
         exact_simplex([1, 1], [[1]], [1])
+    # one row of A per entry of b, neither fewer nor more
+    with pytest.raises(ValueError, match="A has 0 rows, b has 1 entries"):
+        exact_simplex([1], [], [1])
+    with pytest.raises(ValueError, match="A has 2 rows, b has 1 entries"):
+        exact_simplex([1], [[1], [1]], [1])
 
 
 def test_simplex_unbounded():
@@ -362,7 +367,7 @@ def test_build_lp_guard_fires_before_any_entropy_query(monkeypatch):
     inst = Instance(raw_source([[i] for i in range(21)], 21), [0])
     calls = []
     for query in ("_joint_scaled", "joint_entropy_scaled", "joint_entropy",
-                  "chain_scaled", "_cut_root", "_cut_grow"):
+                  "_cut_grow"):
         monkeypatch.setattr(inst.model, query,
                             lambda *args, query=query: calls.append(query))
     with pytest.raises(SizeLimitError,

@@ -7,8 +7,9 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import datex.source
 from datex.gf import EchelonBasis, Matrix, make_field, rank, stack
-from datex.greedy import _iter_cuts, violated_cuts
+from datex.greedy import _greedy_rates_scaled, _iter_cuts, violated_cuts
 from datex.instance import Instance
 from datex.source import (LinearSource, RawSource, TabularSource,
                           mask_to_set, raw_source, scale_to_int,
@@ -165,15 +166,22 @@ _OWNERSHIPS = st.one_of(
 )
 
 
-@given(_OWNERSHIPS)
+@given(_OWNERSHIPS, st.data())
 @settings(max_examples=150, deadline=None)
-def test_raw_masks_match_a_plain_reference(case):
+def test_raw_masks_match_a_plain_reference(case, data):
     ownership, n = case
     model = raw_source(ownership, n)
     assert model._bits == _ref_bits(ownership)
     assert model.row_counts == tuple(len(set(idx)) for idx in ownership)
     assert [model.packets(i) for i in range(model.m)] == [
         sorted(set(idx)) for idx in ownership]
+    # a point query is the size of the plain union of the owned packets
+    m = len(ownership)
+    for mask in data.draw(st.lists(st.integers(0, (1 << m) - 1),
+                                   max_size=8)):
+        union = set().union(*(ownership[i] for i in range(m)
+                              if mask >> i & 1))
+        assert model.joint_entropy_scaled(mask) == len(union)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +228,11 @@ def test_tabular_source_accepts_strings_and_fractions():
     assert t.entropy_denominator == 4
     assert t.joint_entropy(0b11) == Fraction(3, 4)
     assert t.joint_entropy_scaled(0b01) == 2
+    # every point query reads the table, scaled by its denominator
+    assert [t.joint_entropy_scaled(mask) for mask in range(4)] == [0, 2, 2, 3]
+    u23 = [min(bin(mask).count("1"), 2) for mask in range(8)]
+    t3 = TabularSource([Fraction(h, 3) for h in u23])
+    assert [t3.joint_entropy_scaled(mask) for mask in range(8)] == u23
     # every failed check is a hard error, submodularity included
     with pytest.raises(ValueError, match="submodularity violated"):
         TabularSource([0, 1, 1, 3])
@@ -311,18 +324,21 @@ def test_chain_matches_prefix_point_queries(data):
     kind = draw(st.sampled_from(["raw", "tabular", "GF(3)", "GF(2^2)"]))
     m = draw(st.integers(1, 6))
     n = draw(st.integers(1, 5))
-    # optionally one terminal sees the whole file and sits in the start
-    # mask (a raw target owning every packet) or leads the order (full
-    # rank after one sender), so the chain saturates at once
+    # optionally one terminal sees the whole file and is the target (a
+    # raw target owning every packet) or leads the order (full rank after
+    # one sender), so the chain saturates at once
     saturate = draw(st.sampled_from(["no", "start", "first"]))
+    if saturate == "first":
+        m = max(m, 2)
     full = None if saturate == "no" else draw(st.integers(0, m - 1))
     make = _draw_model(draw, kind, m, n, full)
-    start = draw(st.integers(0, (1 << m) - 1))
+    # the chain starts at the target, the one start any caller passes
     if saturate == "start":
-        start |= 1 << full
-    elif saturate == "first":
-        start &= ~(1 << full)
-    rest = [j for j in range(m) if not start >> j & 1]
+        target = full
+    else:
+        target = draw(st.sampled_from([j for j in range(m) if j != full]))
+    start = 1 << target
+    rest = [j for j in range(m) if j != target]
     order = draw(st.permutations(rest))
     order = order[:draw(st.integers(0, len(order)))]
     if saturate == "first":
@@ -346,7 +362,7 @@ def test_chain_matches_prefix_point_queries(data):
     for i, mask in enumerate(masks):
         if i < run or (warmth == "partial" and draw(st.booleans())):
             model.joint_entropy_scaled(mask)
-    pairs = model.chain_scaled(start, order)
+    pairs = _greedy_rates_scaled(model, target, order)
     assert pairs == expected
     # no zero is listed, and the pairs come in visiting order
     assert all(v for _, v in pairs)
@@ -366,16 +382,39 @@ def test_chains_stop_once_the_prefix_holds_the_whole_file():
             [[2, 0, 1]]]
     linear = LinearSource(F, 3, [Matrix.from_rows(F, r, ncols=3)
                                  for r in rows])
-    assert linear.chain_scaled(0b0001, [1, 2, 3]) == [(1, 2)]
+    assert _greedy_rates_scaled(linear, 0, [1, 2, 3]) == [(1, 2)]
     assert linear._memo == {0: 0, 0b1111: 3, 0b0001: 1, 0b0011: 3}
-    # a start that holds the whole file lists nothing and steps nowhere
-    assert linear.chain_scaled(0b0010, [0, 2, 3]) == []
+    # a target that holds the whole file lists nothing and steps nowhere
+    assert _greedy_rates_scaled(linear, 1, [0, 2, 3]) == []
     assert linear._memo == {0: 0, 0b1111: 3, 0b0001: 1, 0b0011: 3,
                             0b0010: 3}
     # a raw target that owns every packet receives nothing
     raw = raw_source([[0, 1, 2, 3], [1], [2, 3]], 4)
-    assert raw.chain_scaled(0b001, [1, 2]) == []
-    assert raw.chain_scaled(0b010, [0, 2]) == [(0, 3)]
+    assert _greedy_rates_scaled(raw, 0, [1, 2]) == []
+    assert _greedy_rates_scaled(raw, 1, [0, 2]) == [(0, 3)]
+
+
+def test_a_chain_ranks_its_target_by_absorbing_its_rows(monkeypatch):
+    """With H(X_M) known, a cold linear chain calls no `rank`: its root
+    is a walk step from the empty state like every other step, so the
+    target's rows are absorbed into the basis the chain goes on with."""
+    F = make_field(3)
+    rows = [[[1, 1, 0]], [[1, 0, 0]], [[0, 1, 2]], [[2, 0, 1]]]
+    linear = LinearSource(F, 3, [Matrix.from_rows(F, r, ncols=3)
+                                 for r in rows])
+    assert linear._full_rank == 3
+    calls = []
+    real_rank = datex.source.rank
+
+    def counted_rank(*args):
+        calls.append(args)
+        return real_rank(*args)
+
+    monkeypatch.setattr(datex.source, "rank", counted_rank)
+    assert _greedy_rates_scaled(linear, 0, [1, 2, 3]) == [(1, 1), (2, 1)]
+    assert calls == []
+    assert linear._memo == {0: 0, 0b1111: 3, 0b0001: 1, 0b0011: 2,
+                            0b0111: 3}
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +505,11 @@ def test_the_cut_walk_memoizes_fresh_ranks(data):
 
 def test_a_memo_hit_keeps_the_basis_built_above_it(monkeypatch):
     """Target 0 and senders 1..4 each observe one unit row.  With the memo
-    warm at {0, 1, 2}, the walk misses at {0, 1} first and later hits at
-    {0, 1, 2}.  The hit carries {0, 1}'s basis along, so the miss below
-    it at {0, 1, 2, 3} absorbs only terminal 2's and 3's rows, and no
-    basis is ever rebuilt from the target's rows."""
+    warm at {0, 1, 2}, the walk's root absorbs the target's row, the walk
+    misses at {0, 1} first and later hits at {0, 1, 2}.  The hit carries
+    {0, 1}'s basis along, so the miss below it at {0, 1, 2, 3} absorbs
+    only terminal 2's and 3's rows, and no basis is ever rebuilt from
+    the target's rows."""
     F = make_field(3)
     model = LinearSource(F, 5, [Matrix.from_rows(F, [[int(a == b)
                                                       for a in range(5)]],
@@ -492,10 +532,10 @@ def test_a_memo_hit_keeps_the_basis_built_above_it(monkeypatch):
     monkeypatch.setattr(EchelonBasis, "absorb", logged_absorb)
     monkeypatch.setattr(model, "_cut_grow", logged_grow)
     list(_iter_cuts(inst, 0, [1] * 5))
-    # the point queries of the root and of the whole context rank by
-    # elimination too; the walk's own absorbs start at its first step
-    log = log[log.index(("grow", 0b00011)):]
-    assert log[:3] == [("grow", 0b00011), 0, 1]
+    # the point query of the whole context ranks by elimination too; the
+    # walk's own absorbs start at its root, a step from the empty state
+    log = log[log.index(("grow", 0b00001)):]
+    assert log[:4] == [("grow", 0b00001), 0, ("grow", 0b00011), 1]
     at = log.index(("grow", 0b01111))
     assert log[at + 1:at + 3] == [2, 3]
     assert not isinstance(log[at + 3], int)
