@@ -28,10 +28,10 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from contextlib import contextmanager, suppress
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Any, Dict, List, Optional, Sequence
 
 from .dual import solve
 from .gf import Matrix, is_int, make_field
@@ -67,7 +67,7 @@ class CLIError(Exception):
 # Rational parsing / printing
 # ---------------------------------------------------------------------------
 
-def _frac(value: Any, where: str) -> Fraction:
+def _frac(value: object, where: str) -> Fraction:
     """A rational from JSON: int, "p/q" / decimal string, or float, whose
     magnitude and denominator in lowest terms are below 2^256.  The first
     bound keeps the float mirror of every printed sum of products finite;
@@ -116,14 +116,14 @@ def _frac_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def _frac_list(xs) -> List[str]:
+def _frac_list(xs) -> list[str]:
     return [_frac_str(x) for x in xs]
 
 
-def _exact(**values) -> Dict[str, Any]:
+def _exact(**values) -> dict[str, object]:
     """Each exact value, a rational or a list of them, as "p/q" text under
     its own key and then as floats under `<key>_float`."""
-    out: Dict[str, Any] = {}
+    out: dict[str, object] = {}
     for key, x in values.items():
         many = isinstance(x, (list, tuple))
         out[key] = _frac_list(x) if many else _frac_str(x)
@@ -131,7 +131,7 @@ def _exact(**values) -> Dict[str, Any]:
     return out
 
 
-def _parse_rates_flag(text: str, instance: Instance) -> List[Fraction]:
+def _parse_rates_flag(text: str, instance: Instance) -> list[Fraction]:
     """--rates for verify and codegen: m rationals on the rate
     region's domain (none negative, none nonzero off the transmitters)."""
     parts = [p.strip() for p in text.split(",")]
@@ -145,7 +145,7 @@ def _parse_rates_flag(text: str, instance: Instance) -> List[Fraction]:
         raise CLIError(str(exc)) from exc
 
 
-def _require_positive(value: Optional[int], flag: str) -> None:
+def _require_positive(value: int | None, flag: str) -> None:
     if value is not None and value < 1:
         raise CLIError(f"{flag} must be >= 1")
 
@@ -156,14 +156,14 @@ def _require_positive(value: Optional[int], flag: str) -> None:
 # The entry readers raise ValueError naming the key.  A key is absent only
 # when it is missing: a JSON null is a value of the wrong type.
 
-def _entry(data: dict, key: str, where: str = "") -> Any:
+def _entry(data: dict, key: str, where: str = "") -> object:
     """data[key], which must be present; a missing one is named by its path."""
     if key not in data:
         raise ValueError(f"missing '{where}{key}'")
     return data[key]
 
 
-def _int(value: Any, key: str, low: Optional[int] = None) -> int:
+def _int(value: object, key: str, low: int | None = None) -> int:
     """A JSON integer (not a bool, float or string), at least `low`."""
     if not is_int(value):
         raise ValueError(f"{key} must be an integer, "
@@ -173,7 +173,7 @@ def _int(value: Any, key: str, low: Optional[int] = None) -> int:
     return value
 
 
-def _int_list(value: Any, key: str) -> List[int]:
+def _int_list(value: object, key: str) -> list[int]:
     if not isinstance(value, list):
         raise ValueError(f"{key} must be a list")
     # gf.is_int at C speed: a JSON integer's type is int (a bool's is bool)
@@ -183,7 +183,7 @@ def _int_list(value: Any, key: str) -> List[int]:
     return value
 
 
-def _rows(value: Any, key: str) -> List[list]:
+def _rows(value: object, key: str) -> list[list]:
     """A matrix as a list of rows; `Matrix.from_rows` judges the entries."""
     if not isinstance(value, list) or not all(isinstance(r, list)
                                               for r in value):
@@ -191,7 +191,7 @@ def _rows(value: Any, key: str) -> List[list]:
     return value
 
 
-def _field(value: Any, key: str, bare: bool = False) -> tuple:
+def _field(value: object, key: str, bare: bool = False) -> tuple:
     """A field {"characteristic": p, "degree": k} as (p, k); an instance's
     (`bare`) may be a bare prime p, and its degree defaults to 1."""
     if bare and is_int(value):
@@ -215,7 +215,7 @@ def _check_version(data: dict) -> None:
         raise ValueError(f"format_version must be {FORMAT_VERSION}")
 
 
-def instance_from_dict(data: Any, where: str = "instance") -> Instance:
+def instance_from_dict(data: object, where: str = "instance") -> Instance:
     """Validate a parsed JSON document into an Instance.
 
     Exactly one of the three source forms must be present: "terminals"
@@ -294,7 +294,7 @@ def instance_from_dict(data: Any, where: str = "instance") -> Instance:
         raise CLIError(f"{at}: {exc}") from exc
 
 
-def _read_json(path: str) -> Any:
+def _read_json(path: str) -> object:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -314,7 +314,7 @@ def serialize_instance(instance: Instance) -> dict:
     """Instance back to the JSON document form (round-trips the entropy
     oracle exactly; raw-packet instances keep the packets form)."""
     model = instance.model
-    out: Dict[str, Any] = {"format_version": FORMAT_VERSION}
+    out: dict[str, object] = {"format_version": FORMAT_VERSION}
     if isinstance(model, TabularSource):
         out["terminal_count"] = model.m
         out["entropy_table"] = [_frac_str(model.joint_entropy(mask))
@@ -336,7 +336,7 @@ def serialize_instance(instance: Instance) -> dict:
     return out
 
 
-def scheme_from_dict(data: Any, instance: Instance) -> TransmissionScheme:
+def scheme_from_dict(data: object, instance: Instance) -> TransmissionScheme:
     """A scheme block's JSON shape; `assemble_scheme` judges the parts
     against the instance."""
     if not isinstance(data, dict):
@@ -404,7 +404,7 @@ def _writing(target: str):
         raise CLIError(f"cannot write {target}: {exc}") from exc
 
 
-def _write_out(text: str, out_path: Optional[str]) -> None:
+def _write_out(text: str, out_path: str | None) -> None:
     """Write text to out_path and close it, or to stdout and flush it, so
     that nothing a command writes is pending when main returns."""
     with _writing(out_path or "stdout"):
@@ -418,7 +418,7 @@ def _write_out(text: str, out_path: Optional[str]) -> None:
             sys.stdout.flush()
 
 
-def _emit(record: dict, out_path: Optional[str]) -> None:
+def _emit(record: dict, out_path: str | None) -> None:
     _write_out(json.dumps(record, indent=2) + "\n", out_path)
 
 
@@ -428,7 +428,7 @@ def _emit(record: dict, out_path: Optional[str]) -> None:
 
 def _cmd_solve(args) -> int:
     _require_positive(args.max_iters, "--max-iters")
-    kwargs: Dict[str, Any] = {}
+    kwargs: dict[str, object] = {}
     if args.max_iters is not None:
         kwargs["max_iterations"] = args.max_iters
     if args.gap_tol is not None:
@@ -567,7 +567,7 @@ _COMMANDS = {
 }
 
 
-def _help(command: Optional[str] = None) -> str:
+def _help(command: str | None = None) -> str:
     if command is None:
         return "usage: datex COMMAND FILE [flags]\n\ncommands:\n" + "\n".join(
             f"  {name:<10}{spec[2]}" for name, spec in _COMMANDS.items())
@@ -583,7 +583,7 @@ def _help(command: Optional[str] = None) -> str:
     return "\n".join(lines)
 
 
-def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
     """The command's arguments, or None once a help text is printed.  A
     flag's value is the text after '=', else the next token, even one that
     starts with '-'; order is free, and a repeated flag keeps its last."""
@@ -641,7 +641,7 @@ def _report(line: str) -> None:
             print(line, file=sys.stderr)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     """Run one command and return its exit code.  Every file a command
     writes is closed, and stdout flushed, before main returns."""
     try:

@@ -22,10 +22,11 @@ never enter.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .greedy import RateVector, senders_of, _greedy_rates_scaled
+from .greedy import senders_of, _greedy_rates_scaled
 from .instance import Instance
 from .source import scale_to_int
 
@@ -36,26 +37,19 @@ __all__ = [
     "solve",
 ]
 
-DualMatrix = Tuple[Tuple[Fraction, ...], ...]
-TraceFn = Callable[[int, Fraction, Fraction, Fraction], None]
-
 # Grid spacing of the multipliers per unit of weight; the solver divides it
 # further by the lcm of the weight denominators so every budget is on-grid.
 _QUANTUM = Fraction(1, 10 ** 12)
 
 
-class Solution(NamedTuple):
+class Solution(namedtuple("Solution", "instance rates primal_objective "
+                           "dual_objective gap iterations converged "
+                           "dual_matrix")):
     """A certified outcome: primal rates plus the multiplier matrix whose
-    dual value witnesses the reported gap."""
+    dual value witnesses the reported gap.  The rates are a tuple of
+    Fractions and the matrix a tuple of Fraction rows, one per user."""
 
-    instance: Instance
-    rates: RateVector
-    primal_objective: Fraction
-    dual_objective: Fraction
-    gap: Fraction
-    iterations: int
-    converged: bool
-    dual_matrix: DualMatrix
+    __slots__ = ()
 
 
 def dual_value(instance: Instance, lam: Sequence[Sequence]) -> Fraction:
@@ -99,8 +93,8 @@ def duality_gap(solution: Solution) -> Fraction:
 # iterations stay cheap and exact.
 # ---------------------------------------------------------------------------
 
-def _project_grid(vfine: List[int], refine: int, budget_grid: int,
-                  free: Sequence[int]) -> List[int]:
+def _project_grid(vfine: list[int], refine: int, budget_grid: int,
+                  free: Sequence[int]) -> list[int]:
     """Integer-arithmetic projection of a column onto the weight simplex,
     then snap onto the grid.  `vfine` entries are in units of
     1/(grid*refine); the result is in units of 1/grid summing exactly to
@@ -147,7 +141,7 @@ def _project_grid(vfine: List[int], refine: int, budget_grid: int,
 
 def solve(instance: Instance, *, max_iterations: int = 50_000,
           gap_tolerance: Fraction = Fraction(1, 1000),
-          trace: Optional[TraceFn] = None) -> Solution:
+          trace: Callable | None = None) -> Solution:
     """Minimize the weighted sum of shared rates over all receivers'
     regions by projected subgradient ascent on the dual, recovering
     primal points as uniform averages of the subproblem vertices over two
@@ -201,7 +195,7 @@ def solve(instance: Instance, *, max_iterations: int = 50_000,
     # split of each column over its free rows; that point is on the
     # simplex, so projecting it only snaps it to the grid.  A projection
     # returns a new list, so a shallow copy keeps a snapshot.
-    lam: List[List[int]] = [
+    lam: list[list[int]] = [
         _project_grid([budget_grid[i]] * k, len(free_of[i]), budget_grid[i],
                       free_of[i])
         for i in range(m)]
@@ -214,10 +208,10 @@ def solve(instance: Instance, *, max_iterations: int = 50_000,
     wtop = [0] * m
     wstart = 0
     next_restart = 1
-    best_dual_num: Optional[int] = None
-    best_dual_lam: Optional[List[List[int]]] = None
+    best_dual_num: int | None = None
+    best_dual_lam: list[list[int]] | None = None
     best_primal_num = 0
-    best_primal_top: Optional[List[int]] = None
+    best_primal_top: list[int] | None = None
     best_primal_count = 0
     converged = False
     n = 0
@@ -232,7 +226,7 @@ def solve(instance: Instance, *, max_iterations: int = 50_000,
         # subproblem vertices and the dual value at the current multipliers;
         # grads[i] lists the (row, rate) pairs of column i's nonzero rates
         dual_num = 0
-        grads: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
+        grads: list[list[tuple[int, int]]] = [[] for _ in range(m)]
         for r, lamr in enumerate(zip(*lam)):
             order = sorted(senders[r], key=lamr.__getitem__)
             srow = sums[r]

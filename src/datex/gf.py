@@ -23,7 +23,7 @@ on it.
 from __future__ import annotations
 
 import operator
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 __all__ = [
     "SizeLimitError",
@@ -172,7 +172,7 @@ class Field:
         self.p = characteristic
         self.degree = degree
         self.q = characteristic ** degree
-        self.modulus: Optional[tuple] = None
+        self.modulus: tuple | None = None
         if degree > 1:
             if self.q > _MAX_FIELD_SIZE:
                 raise SizeLimitError(
@@ -371,7 +371,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence[int]],
-                  ncols: Optional[int] = None) -> "Matrix":
+                  ncols: int | None = None) -> "Matrix":
         rows = [list(r) for r in rows]
         if rows:
             width = len(rows[0])

@@ -33,8 +33,8 @@ each round visits at most 2^(|T|-1) cuts per receiver.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
 
 from .instance import Instance
 from .source import SizeLimitError, SourceModel, mask_to_set, scale_to_int
@@ -45,20 +45,18 @@ __all__ = [
     "senders_of",
 ]
 
-RateVector = Tuple[Fraction, ...]
-
 # A cut walk visits up to 2^|T| subsets; keep it to desk scale.
 _FEASIBILITY_GUARD_M = 20
 
 
-def senders_of(instance: Instance, target: int) -> List[int]:
+def senders_of(instance: Instance, target: int) -> list[int]:
     """The transmitters other than `target` in ascending index order, so a
     stable sort by a key then orders them by (key, index)."""
     return sorted(t for t in instance.transmitters if t != target)
 
 
 def _greedy_rates_scaled(model: SourceModel, target: int,
-                         order: Sequence[int]) -> List[Tuple[int, int]]:
+                         order: Sequence[int]) -> list[tuple[int, int]]:
     """The vertex of the given visiting order, sparse: (order[i],
     H(X_{order[i]} | X_target, X_{order[:i]}) * entropy_denominator) for
     every nonzero rate, in visiting order: one path of the model's walk
@@ -111,7 +109,7 @@ def _iter_cuts(instance: Instance, target: int, rates: Sequence[int]):
                     todo.append((child, cut ^ bit, got - r, after))
 
 
-def check_rate_domain(instance: Instance, rates: Sequence) -> List[Fraction]:
+def check_rate_domain(instance: Instance, rates: Sequence) -> list[Fraction]:
     """The rate vector as Fractions, after checking that it has m entries,
     none negative, and none nonzero off the transmitters (ValueError)."""
     m = instance.m
@@ -127,7 +125,7 @@ def check_rate_domain(instance: Instance, rates: Sequence) -> List[Fraction]:
 
 
 def violated_cuts(rates: Sequence, instance: Instance
-                  ) -> Dict[int, Tuple[int, Fraction, Fraction]]:
+                  ) -> dict[int, tuple[int, Fraction, Fraction]]:
     """Each receiver's most violated cut as {receiver: (mask, required,
     provided)}, in receiver order, for the receivers whose cuts the rates
     miss: the largest required - provided, ties to the smallest mask,

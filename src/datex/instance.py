@@ -3,8 +3,8 @@ may transmit, and what each transmitted symbol costs."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
 
 from .gf import is_int
 from .source import SourceModel
@@ -44,8 +44,8 @@ class Instance(_Frozen):
     """
 
     def __init__(self, model: SourceModel, users: Iterable[int],
-                 weights: Optional[Sequence] = None,
-                 transmitters: Optional[Iterable[int]] = None):
+                 weights: Sequence | None = None,
+                 transmitters: Iterable[int] | None = None):
         m = model.m
         users_list = list(users)
         users_f = frozenset(users_list)
@@ -91,7 +91,7 @@ class Instance(_Frozen):
         return len(self.users)
 
     @property
-    def user_list(self) -> Tuple[int, ...]:
+    def user_list(self) -> tuple[int, ...]:
         return tuple(sorted(self.users))
 
     @property

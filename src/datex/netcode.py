@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .gf import (Field, Matrix, embed_map, is_int, make_field, mat_vec, rank,
                  solve_linear, stack)
@@ -92,10 +93,10 @@ class TransmissionScheme(_Frozen):
     """
 
     def __init__(self, instance: Instance, L: int,
-                 chunk_rates: Tuple[int, ...], ext_degree: int,
-                 coding_field: Field, matrices: Dict[int, Matrix],
+                 chunk_rates: tuple[int, ...], ext_degree: int,
+                 coding_field: Field, matrices: dict[int, Matrix],
                  attempt: int, embed: Sequence[int],
-                 blocks: Tuple[Matrix, ...]):
+                 blocks: tuple[Matrix, ...]):
         self.__dict__.update(
             instance=instance, L=L, chunk_rates=chunk_rates,
             ext_degree=ext_degree, coding_field=coding_field,
@@ -106,11 +107,11 @@ class TransmissionScheme(_Frozen):
         return sum(self.chunk_rates)
 
     @cached_property
-    def coded(self) -> Dict[int, Matrix]:
+    def coded(self) -> dict[int, Matrix]:
         """Each transmitter's coded rows over the chunked packets."""
         return {i: M @ self.blocks[i] for i, M in self.matrices.items()}
 
-    def senders(self, l: int) -> List[int]:
+    def senders(self, l: int) -> list[int]:
         """The terminals whose transmissions receiver l hears, ascending."""
         return [i for i in sorted(self.matrices) if i != l]
 
@@ -121,24 +122,23 @@ class TransmissionScheme(_Frozen):
         return stack(self.blocks[l], *(coded[i] for i in self.senders(l)))
 
 
-class DecodabilityReport(NamedTuple):
+class DecodabilityReport(namedtuple("DecodabilityReport", "deficits")):
     """Per-receiver rank deficits (0 means decodable)."""
 
-    deficits: Dict[int, int]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return all(d == 0 for d in self.deficits.values())
 
 
-class SimulationResult(NamedTuple):
+class SimulationResult(namedtuple("SimulationResult",
+                                   "runs decoded all_decoded")):
     """Outcome of simulated exchanges on `runs` seeded source draws:
     decoded[l] counts the draws receiver l decoded, and all_decoded the
     draws every receiver decoded."""
 
-    runs: int
-    decoded: Dict[int, int]
-    all_decoded: int
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -159,7 +159,7 @@ def min_extension_degree(field: Field, users: int, packets: int, L: int) -> int:
 
 
 def _check_chunk_rates(instance: Instance,
-                       chunk_rates: Sequence) -> Tuple[int, ...]:
+                       chunk_rates: Sequence) -> tuple[int, ...]:
     """The chunk rates as a tuple, after checking that each is an integer
     (TypeError), that there are m of them, and that none is negative or
     nonzero off the transmitters (ValueError)."""
@@ -200,7 +200,7 @@ def _snap(rate: Fraction, max_denominator: int) -> Fraction:
 
 
 def rationalize(rates: Sequence, instance: Instance,
-                max_denominator: int = 64) -> Tuple[int, Tuple[int, ...]]:
+                max_denominator: int = 64) -> tuple[int, tuple[int, ...]]:
     """Chunk count L and integer per-terminal chunk rates for a rate vector.
 
     The rates must pass `check_rate_domain` (ValueError).  A rate with
@@ -225,7 +225,7 @@ def rationalize(rates: Sequence, instance: Instance,
                for r in check_rate_domain(instance, rates)]
     snap_slack = Fraction(len(snapped), 2 * max_denominator)
     while True:
-        raises: Dict[int, Fraction] = {}
+        raises: dict[int, Fraction] = {}
         for l, (cut, need, got) in violated_cuts(snapped, instance).items():
             deficit = need - got
             if deficit > snap_slack:
@@ -247,7 +247,7 @@ def rationalize(rates: Sequence, instance: Instance,
 
 
 def _scheme_prologue(instance: Instance, chunk_rates: Sequence, L: int
-                     ) -> Tuple[LinearSource | RawSource, Tuple[int, ...]]:
+                     ) -> tuple[LinearSource | RawSource, tuple[int, ...]]:
     """The model and checked chunk rates of a scheme about to be built, once
     the model carries observation matrices, L >= 1 and its field entries
     are within _MAX_SCHEME_ENTRIES."""
@@ -270,7 +270,7 @@ def _scheme_prologue(instance: Instance, chunk_rates: Sequence, L: int
 
 def _coding_view(model: LinearSource | RawSource, L: int,
                  coding_field: Field
-                 ) -> Tuple[Sequence[int], Tuple[Matrix, ...]]:
+                 ) -> tuple[Sequence[int], tuple[Matrix, ...]]:
     """The source-to-coding-field map and every terminal's observation
     matrix replicated over L chunks and embedded into the coding field."""
     emb = embed_map(model.field, coding_field)
@@ -315,7 +315,7 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int],
     q = coding_field.q
     for attempt in range(_DESIGN_ATTEMPTS):
         rng = random.Random(attempt)
-        mats: Dict[int, Matrix] = {}
+        mats: dict[int, Matrix] = {}
         for i in range(instance.m):
             r = chunk_rates[i]
             if r == 0:
@@ -338,8 +338,8 @@ def design_transmissions(instance: Instance, chunk_rates: Sequence[int],
 
 
 def assemble_scheme(instance: Instance, L: int, chunk_rates: Sequence[int],
-                    ext_degree: int, coding_field: Tuple[int, int],
-                    matrices: Dict[int, Sequence[Sequence[int]]],
+                    ext_degree: int, coding_field: tuple[int, int],
+                    matrices: dict[int, Sequence[Sequence[int]]],
                     attempt: int) -> TransmissionScheme:
     """A scheme from given parts, such as a scheme file's, judged against
     the instance; the coding field (characteristic, degree) is compared
@@ -353,7 +353,7 @@ def assemble_scheme(instance: Instance, L: int, chunk_rates: Sequence[int],
     if char != model.field.p or degree != model.field.degree * ext_degree:
         raise ValueError("coding field does not extend the source field as stated")
     field = make_field(char, degree)
-    mats: Dict[int, Matrix] = {}
+    mats: dict[int, Matrix] = {}
     for i, rows in matrices.items():
         try:
             mats[i] = Matrix.from_rows(field, rows,
@@ -408,7 +408,7 @@ def simulate_exchange(scheme: TransmissionScheme,
     all_decoded = 0
     for start in range(0, runs, _DECODE_BLOCK):
         draws = []
-        rhs: Dict[int, List[List[int]]] = {l: [] for l in users}
+        rhs: dict[int, list[list[int]]] = {l: [] for l in users}
         for s in range(start, min(start + _DECODE_BLOCK, runs)):
             rng = random.Random(s)
             w = tuple(emb[rng.randrange(model.field.q)]

@@ -23,8 +23,9 @@ rates are read off the optimal reduced costs.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import List, NamedTuple, Sequence, Tuple
 
 from .greedy import violated_cuts
 from .instance import Instance
@@ -40,14 +41,12 @@ __all__ = [
 ]
 
 
-class CutSetLP(NamedTuple):
+class CutSetLP(namedtuple("CutSetLP", "instance variables constraints")):
     """A restricted cut-set LP: one (mask, rhs) row per cut-set found so
     far, variables only for transmitting terminals, the instance's weights
     as costs."""
 
-    instance: Instance
-    variables: Tuple[int, ...]
-    constraints: Tuple[Tuple[int, Fraction], ...]
+    __slots__ = ()
 
 
 def build_lp(instance: Instance) -> CutSetLP:
@@ -60,18 +59,17 @@ def build_lp(instance: Instance) -> CutSetLP:
 # so that the slack basis is feasible.  Bland's rule throughout.
 # ---------------------------------------------------------------------------
 
-class SimplexResult(NamedTuple):
-    value: Fraction
-    x: Tuple[Fraction, ...]
-    duals: Tuple[Fraction, ...]  # optimal reduced costs of the slack columns
-    pivots: int
+class SimplexResult(namedtuple("SimplexResult", "value x duals pivots")):
+    """`duals` holds the optimal reduced costs of the slack columns."""
+
+    __slots__ = ()
 
 
 class UnboundedLPError(ValueError):
     pass
 
 
-def _primitive(row: List[int]) -> List[int]:
+def _primitive(row: list[int]) -> list[int]:
     """The row divided by the gcd of its entries (a positive factor)."""
     g = math.gcd(*row)
     return [v // g for v in row] if g > 1 else row
@@ -157,10 +155,8 @@ def exact_simplex(c: Sequence, A: Sequence[Sequence], b: Sequence) -> SimplexRes
     return SimplexResult(Fraction(zrow[width], zden), tuple(x), duals, pivots)
 
 
-class OracleSolution(NamedTuple):
-    value: Fraction
-    rates: Tuple[Fraction, ...]
-    pivots: int
+class OracleSolution(namedtuple("OracleSolution", "value rates pivots")):
+    __slots__ = ()
 
 
 def solve_exact(lp: CutSetLP) -> OracleSolution:

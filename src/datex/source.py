@@ -39,9 +39,9 @@ vector that every layer shares.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .gf import (EchelonBasis, Field, Matrix, SizeLimitError, make_field, rank,
                  stack)
@@ -58,7 +58,7 @@ __all__ = [
     "scale_to_int",
 ]
 
-def mask_to_set(mask: int) -> Tuple[int, ...]:
+def mask_to_set(mask: int) -> tuple[int, ...]:
     out = []
     i = 0
     while mask:
@@ -69,7 +69,7 @@ def mask_to_set(mask: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def scale_to_int(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
+def scale_to_int(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The integer view of a rational vector: the lcm `den` of its
     denominators and every value times `den`."""
     den = math.lcm(*(v.denominator for v in values))
@@ -136,7 +136,7 @@ class LinearSource(SourceModel):
         self.m = len(self.matrices)
         # each terminal's observation row count; size checks read these
         self.row_counts = tuple(M.nrows for M in self.matrices)
-        self._memo: Dict[int, int] = {0: 0}
+        self._memo: dict[int, int] = {0: 0}
         self._rows = tuple(M.rows() for M in self.matrices)
         # [mask, nearest basis built on the way, the mask it spans]
         self._cut_empty = [0, EchelonBasis(field, packet_count), 0]
@@ -186,7 +186,7 @@ class RawSource(SourceModel):
     them."""
 
     def __init__(self, ownership: Sequence[Sequence[int]], packet_count: int,
-                 field: Optional[Field] = None):
+                 field: Field | None = None):
         if packet_count < 0:
             raise ValueError("packet_count must be >= 0")
         held_lists = [idx for idx in ownership if idx]
@@ -221,14 +221,14 @@ class RawSource(SourceModel):
         self._held = held
         self._bits = tuple(bits)
 
-    def packets(self, i: int) -> List[int]:
+    def packets(self, i: int) -> list[int]:
         """Terminal i's packets, ascending."""
         held = self._held
         bits = bin(self._bits[i])[:1:-1]   # character b is bit b
         return [held[b] for b, c in enumerate(bits) if c == "1"]
 
     @cached_property
-    def matrices(self) -> Tuple[Matrix, ...]:
+    def matrices(self) -> tuple[Matrix, ...]:
         N = self.N
         return tuple(
             Matrix(self.field, self.row_counts[i], N,
@@ -242,12 +242,12 @@ class RawSource(SourceModel):
 
 
 def raw_source(ownership: Sequence[Sequence[int]], packet_count: int,
-               field: Optional[Field] = None) -> RawSource:
+               field: Field | None = None) -> RawSource:
     """Build the packet-ownership model (terminal i owns ownership[i])."""
     return RawSource(ownership, packet_count, field)
 
 
-def validate_table(values: Sequence[Fraction]) -> List[str]:
+def validate_table(values: Sequence[Fraction]) -> list[str]:
     """The problems of an entropy table, empty when it is valid: length
     2^m, zero at the empty set, no negative entry, monotone, and -- when
     all that holds -- submodular.  The last two checks each report only
@@ -257,7 +257,7 @@ def validate_table(values: Sequence[Fraction]) -> List[str]:
     scaled = scale_to_int(values)[1]
     n = len(scaled)
     m = n.bit_length() - 1
-    errors: List[str] = []
+    errors: list[str] = []
     if n == 0 or n != (1 << m):
         return [f"table length {n} is not a power of two"]
     if scaled[0] != 0:
@@ -275,7 +275,7 @@ def validate_table(values: Sequence[Fraction]) -> List[str]:
 
 
 def _first_submodularity_violation(scaled: Sequence[int],
-                                   m: int) -> List[str]:
+                                   m: int) -> list[str]:
     bits = [1 << i for i in range(m)]
     for mask, h in enumerate(scaled):
         free = [b for b in bits if not mask & b]
@@ -293,7 +293,7 @@ def _first_submodularity_violation(scaled: Sequence[int],
 class TabularSource(SourceModel):
     """Entropy oracle backed by an explicit 2^m table of rationals."""
 
-    def __init__(self, values: Sequence[Union[Fraction, int, str]]):
+    def __init__(self, values: Sequence[Fraction | int | str]):
         vals = [Fraction(v) for v in values]
         errors = validate_table(vals)
         if errors:

@@ -74,18 +74,34 @@ def test_cli_command_loads_no_dataclasses_inspect_or_argparse():
     `dataclasses` (which imports `inspect`, and that `ast`, `dis` and
     `tokenize`) plus generating the decorated classes' methods costs
     more start-up than most commands compute; src/datex uses plain
-    classes and NamedTuples instead.  `argparse` (with the `gettext` and
-    `locale` it loads) and building its parsers cost a command about
-    8 ms more; `cli.main` reads argv with one flag table instead."""
+    classes and `collections.namedtuple` records instead.  `argparse`
+    (with the `gettext` and `locale` it loads) and building its parsers
+    cost a command about 8 ms more; `cli.main` reads argv with one flag
+    table instead."""
+    assert _modules_after_oracle([], {"dataclasses", "inspect", "argparse",
+                                      "gettext", "locale"}) == "0 []"
+
+
+def test_cli_command_under_python_s_loads_no_typing():
+    """`typing` is a few milliseconds of a command's import, and src/datex
+    needs it for nothing at run time: annotations are never evaluated,
+    records are `collections.namedtuple`s and the abstract types come
+    from `collections.abc`.  `-S` skips the host's site-packages, whose
+    `.pth` files may import `typing` on their own."""
+    assert _modules_after_oracle(["-S"], {"typing"}) == "0 []"
+
+
+def _modules_after_oracle(flags, names):
+    """`main(['oracle', example3])`'s exit code and which of `names` are
+    loaded after it, printed by a fresh interpreter run with `flags`."""
     example = ROOT / "instances" / "example3.json"
     code = ("import sys, datex.cli; "
             f"code = datex.cli.main(['oracle', {str(example)!r}]); "
-            "print(code, sorted({'dataclasses', 'inspect', 'argparse', "
-            "'gettext', 'locale'} & set(sys.modules)))")
+            f"print(code, sorted(set({sorted(names)!r}) & set(sys.modules)))")
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True,
         check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
-    assert out.stdout.splitlines()[-1] == "0 []"
+    return out.stdout.splitlines()[-1]
 
 
 def _defines(stmt, name):
@@ -133,18 +149,29 @@ def test_exported_names_have_a_caller_or_a_readme_mention():
     assert not unused, f"exported but used only by tests: {unused}"
 
 
+def _namedtuple_fields(base):
+    """The field names of a `namedtuple("Name", "a b c")` class base (the
+    field string may be split over implicitly joined literals), else
+    none."""
+    if not (isinstance(base, ast.Call) and "namedtuple" in (
+            getattr(base.func, "id", None), getattr(base.func, "attr", None))):
+        return []
+    fields = base.args[1]
+    if not (isinstance(fields, ast.Constant) and isinstance(fields.value, str)):
+        raise AssertionError(f"namedtuple fields not a literal string at "
+                             f"line {base.lineno}")
+    return fields.value.replace(",", " ").split()
+
+
 def _assigned_attributes(tree):
-    """(class, attribute) for every NamedTuple field and every attribute a
+    """(class, attribute) for every namedtuple field and every attribute a
     class assigns: `self.a = ...` (tuple targets included) and
     `self.__dict__.update(a=...)`."""
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
-        if any(isinstance(b, ast.Name) and b.id == "NamedTuple"
-               for b in cls.bases):
-            yield from ((cls.name, stmt.target.id) for stmt in cls.body
-                        if isinstance(stmt, ast.AnnAssign)
-                        and isinstance(stmt.target, ast.Name))
+        for base in cls.bases:
+            yield from ((cls.name, f) for f in _namedtuple_fields(base))
         for node in ast.walk(cls):
             if (isinstance(node, ast.Attribute)
                     and isinstance(node.ctx, ast.Store)
@@ -161,7 +188,7 @@ def _assigned_attributes(tree):
 
 
 def test_result_fields_are_read_in_the_package_or_named_in_the_readme():
-    """Every NamedTuple field and every attribute a class in src/datex
+    """Every namedtuple field and every attribute a class in src/datex
     assigns is read as an attribute somewhere in src/datex, or the README
     names it as `Class.attribute`, a public result field; state that only
     tests read does not belong in the package.  The probe matches names,
