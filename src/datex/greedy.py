@@ -111,9 +111,14 @@ def _iter_cuts(instance: Instance, target: int, rates: Sequence[int]):
 
 def check_rate_domain(instance: Instance, rates: Sequence) -> list[Fraction]:
     """The rate vector as Fractions, after checking that it has m entries,
-    none negative, and none nonzero off the transmitters (ValueError)."""
+    none a bool, none negative, and none nonzero off the transmitters
+    (ValueError)."""
     m = instance.m
-    r = [Fraction(x) for x in rates]
+    r = []
+    for i, x in enumerate(rates):
+        if isinstance(x, bool):
+            raise ValueError(f"rate of terminal {i} is a bool ({x})")
+        r.append(Fraction(x))
     if len(r) != m:
         raise ValueError(f"expected {m} rates, got {len(r)}")
     for i, x in enumerate(r):

@@ -60,7 +60,12 @@ class Instance(_Frozen):
         if weights is None:
             w = tuple(Fraction(1) for _ in range(m))
         else:
-            w = tuple(Fraction(x) for x in weights)
+            w = []
+            for i, x in enumerate(weights):
+                if isinstance(x, bool):
+                    raise ValueError(f"weight of terminal {i} is a bool ({x})")
+                w.append(Fraction(x))
+            w = tuple(w)
         if len(w) != m:
             raise ValueError(f"expected {m} weights, got {len(w)}")
         if any(x < 0 for x in w):

@@ -58,6 +58,9 @@ def test_instance_rejects_bad_weights():
         Instance(model, [0], weights=[1] * 5)
     with pytest.raises(ValueError):
         Instance(model, [0], weights=[-1, 1, 1, 1, 1, 1])
+    # a bool is not the rational 1 or 0
+    with pytest.raises(ValueError, match="weight of terminal 1 is a bool"):
+        Instance(model, [0], weights=[1, True, 0, 1, 1, 1])
 
 
 def test_instance_rejects_bad_transmitters():
@@ -180,6 +183,8 @@ def test_violated_cuts_rejects_rates_off_the_domain(example1):
     assert violated_cuts([0, 1, 1, 0, 0, 0], inst).get(0) is None
     with pytest.raises(ValueError, match="terminal 4 does not transmit"):
         violated_cuts([0, 1, 1, 0, 1, 0], inst)
+    with pytest.raises(ValueError, match="rate of terminal 0 is a bool"):
+        violated_cuts([True] * 6, example1)
 
 
 def test_one_query_checks_the_rates_once(example2, monkeypatch):

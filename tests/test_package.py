@@ -2,7 +2,7 @@
 keeps, the runtime imports only the standard library, no module below
 the CLI calls `float`, a CLI command
 loads none of `dataclasses`, `inspect`, `argparse`, `gettext` and
-`locale`, every exported name has a
+`locale`, nor `typing` under `python -S`, every exported name has a
 caller in the package or a mention in the README, every result field and
 assigned attribute is read in the package or named in the README, the
 JSON-integer test is written once, a `Field` is built only by
@@ -150,17 +150,12 @@ def test_exported_names_have_a_caller_or_a_readme_mention():
 
 
 def _namedtuple_fields(base):
-    """The field names of a `namedtuple("Name", "a b c")` class base (the
-    field string may be split over implicitly joined literals), else
-    none."""
+    """The field names of a `namedtuple("Name", "a b c")` class base, else
+    none.  A field list that is not one string literal fails loudly."""
     if not (isinstance(base, ast.Call) and "namedtuple" in (
             getattr(base.func, "id", None), getattr(base.func, "attr", None))):
         return []
-    fields = base.args[1]
-    if not (isinstance(fields, ast.Constant) and isinstance(fields.value, str)):
-        raise AssertionError(f"namedtuple fields not a literal string at "
-                             f"line {base.lineno}")
-    return fields.value.replace(",", " ").split()
+    return base.args[1].value.split()
 
 
 def _assigned_attributes(tree):
